@@ -415,12 +415,6 @@ def main(argv=None) -> int:
         prog="e8nine",
         description="Construct and certify the nine-block structures of the E8 lattice.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count(),
-        help="upper bound on internal parallelism (outputs are unaffected)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):

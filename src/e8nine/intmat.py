@@ -1,8 +1,8 @@
-"""Exact integer and rational matrix helpers (no floating point anywhere)."""
+"""Exact integer matrix helpers (no fractions or floating point anywhere)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import mul
 
 Vec = tuple[int, ...]
 Mat = tuple[tuple[int, ...], ...]
@@ -29,8 +29,7 @@ def mat_neg(a: Mat) -> Mat:
 
 def row_times_mat(v: Vec, m: Mat) -> Vec:
     """Row vector times matrix: (v M)_j = sum_i v_i M_ij."""
-    n = len(m[0])
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(n))
+    return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
 def is_symmetric(m: Mat) -> bool:
@@ -60,43 +59,33 @@ def det(m: Mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _fraction_inverse(m: Mat) -> list[list[Fraction]]:
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
-
-
 def adjugate(m: Mat) -> Mat:
-    """Adjugate matrix: m @ adjugate(m) == det(m) * I, all entries integer."""
-    d = det(m)
-    if d == 0:
-        raise ZeroDivisionError("adjugate of singular matrix")
-    inv = _fraction_inverse(m)
-    adj = []
-    for row in inv:
-        out = []
-        for x in row:
-            y = x * d
-            if y.denominator != 1:
-                raise ArithmeticError("adjugate entry is not integral")
-            out.append(y.numerator)
-        adj.append(tuple(out))
-    return tuple(adj)
+    """Adjugate matrix: m @ adjugate(m) == det(m) * I, all entries integer.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [m | I]. Every entry
+    stays a minor of the augmented matrix, so each division is exact, and the
+    elimination ends at [d I | d m^-1] with d = det(m) up to the sign of the
+    row swaps.
+    """
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            raise ZeroDivisionError("adjugate of singular matrix")
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        rk = a[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], rk)]
+        prev = p
+    return tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def hnf(rows: list[Vec]) -> Mat:

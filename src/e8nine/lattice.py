@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .intmat import Mat, Vec, det, is_symmetric
 
@@ -52,8 +53,7 @@ def build_lattice() -> Lattice:
 
 
 def inner(lat: Lattice, u: Vec, v: Vec) -> int:
-    g = lat.gram
-    return sum(u[i] * sum(g[i][j] * v[j] for j in range(8)) for i in range(8))
+    return sum(map(mul, u, [sum(map(mul, row, v)) for row in lat.gram]))
 
 
 def norm(lat: Lattice, v: Vec) -> int:

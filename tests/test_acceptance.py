@@ -8,6 +8,7 @@ the pipeline in criterion order, so each criterion is timed on its own work.
 from __future__ import annotations
 
 import filecmp
+import hashlib
 import subprocess
 import sys
 import time
@@ -20,6 +21,16 @@ from e8nine import lattice as lt
 from e8nine.spreadsearch import find_spread, verify_spread
 
 STATE: dict = {}
+
+# sha256 of the five `certify --out` artifacts of the standard run, the same
+# values as `reference_sha256` in perfbench/spec.json.
+REFERENCE_SHA256 = {
+    "spread.txt": "f05b923a10a7f98e75bb7aca40dc920e56c5e6bae532e544c931b173fd442ee8",
+    "frames.txt": "f9e5627866485df1a3753c168fdb6b70b377a78f1261bfce58fb482e09c127c7",
+    "partition.txt": "2fa496ffe46c2fd52e81cdd334516bccbfa106caa60f952ecdb14ea15bc465bd",
+    "generators.txt": "7ad3bf6de5dcff1adad829434ba4114d81dc0fe61722417b439d3a78b8cfacca",
+    "certificates.txt": "09a389811f361a8e2c2738ab100976f4e6314ee3f018fdae593c551291a4f2d3",
+}
 
 
 def _report(num: int, label: str, elapsed: float, budget: float) -> None:
@@ -203,6 +214,9 @@ def test_criterion_11_byte_identical_runs(tmp_path):
     match, mismatch, errors = filecmp.cmpfiles(out1, out2, names, shallow=False)
     assert mismatch == [] and errors == []
     assert sorted(match) == sorted(names)
+    for name in names:
+        with open(tmp_path / "one" / name, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == REFERENCE_SHA256[name], name
     print(
         "ACCEPTANCE 11: %-58s PASS (%.2f s)"
         % ("two certify runs produce byte-identical artifacts", elapsed)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import replace
+
+from e8nine import blocks as bl
 from e8nine.blocks import (
     _frame_combinations,
     block_of_vector_table,
@@ -13,7 +16,7 @@ from e8nine.blocks import (
 )
 from e8nine.certs import CheckFailure
 from e8nine.gf2 import nonzero_elements, reduce_mod2
-from e8nine.lattice import enumerate_shell, neg
+from e8nine.lattice import enumerate_shell, neg, root_pairs
 
 
 def test_each_frame_contributes_112_signed_vectors(lat, frame_array):
@@ -55,6 +58,76 @@ def test_certify_d8_glue_one_frame(lat, partition, frame_array):
     assert d8.actual is True
     e8 = next(c for c in cert.checks if "extends D8 to E8" in c.description)
     assert e8.actual == []
+    index = next(c for c in cert.checks if "index of D8 in E" in c.description)
+    assert index.actual == 2
+
+
+def _glue(lat, block, frame):
+    combos = set(_frame_combinations(lat, frame))
+    return [v for v in block.vectors if v not in combos]
+
+
+def _swap_pair(block, out, into):
+    """The block with the pair {out, -out} replaced by {into, -into}."""
+    kept = [v for v in block.vectors if v not in (out, neg(out))]
+    vectors = tuple(sorted(kept + [into, neg(into)]))
+    return replace(block, vectors=vectors, basis=None, half_gram=None)
+
+
+GLUE_FAILURES = {
+    "each glue vector extends D8 to E8",
+    "D8 plus first glue vector Gram entries even",
+}
+
+
+def test_certify_scaled_e8_rejects_cross_block_pair_swap(lat, partition):
+    b0, b1 = partition.blocks[0], partition.blocks[1]
+    broken = _swap_pair(b0, b0.vectors[0], b1.vectors[0])
+    with pytest.raises(CheckFailure) as exc:
+        certify_scaled_e8(lat, broken)
+    assert exc.value.check.description.startswith("pairwise inner products even")
+
+
+def test_certify_d8_glue_rejects_cross_block_pair_swaps(lat, partition, frame_array):
+    b0, b1 = partition.blocks[0], partition.blocks[1]
+    frame = frame_array.rows[0][0]
+    glue = _glue(lat, b0, frame)
+    # A foreign pair sorting before the glue supplies the vector that builds
+    # E; one sorting after it must fail membership in E.
+    early = b1.vectors[0]
+    late = next(w for w in b1.vectors if min(w, neg(w)) > glue[2])
+    seen = set()
+    for out in glue[-1:] + glue[:6]:
+        for into in (early, late):
+            with pytest.raises(CheckFailure) as exc:
+                certify_d8_glue(lat, _swap_pair(b0, out, into), frame)
+            seen.add(exc.value.check.description)
+    assert seen == GLUE_FAILURES
+
+
+def test_certify_d8_glue_rejects_d8_vector_among_glue(lat, partition, frame_array):
+    b0 = partition.blocks[0]
+    frame = frame_array.rows[0][0]
+    r0 = root_pairs(lat)[frame.roots[0]].rep
+    in_d8 = tuple(2 * x for x in r0)
+    dropped = _glue(lat, b0, frame)[0]
+    vectors = tuple(sorted([v for v in b0.vectors if v != dropped] + [in_d8]))
+    with pytest.raises(CheckFailure) as exc:
+        certify_d8_glue(lat, replace(b0, vectors=vectors), frame)
+    assert exc.value.check.description == "remaining vectors outside D8"
+    assert exc.value.check.actual == [in_d8]
+
+
+def test_certify_d8_glue_names_failed_e8_recognition(
+    lat, partition, frame_array, monkeypatch
+):
+    # Data cannot reach this check failing: D8 + v for a norm-4 v outside D8
+    # with even products against D8 is always E8. A rejecting recognizer
+    # shows the failure is reported under its own name.
+    monkeypatch.setattr(bl, "recognize_even_unimodular_e8", lambda gram: False)
+    with pytest.raises(CheckFailure) as exc:
+        certify_d8_glue(lat, partition.blocks[0], frame_array.rows[0][0])
+    assert exc.value.check.description == "E8 recognition of D8 plus first glue vector"
 
 
 def test_partition_coverage_and_negation(lat, partition):

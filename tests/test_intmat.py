@@ -62,20 +62,38 @@ def test_det_of_e8_gram_is_one_by_leibniz():
     assert det(E8_GRAM) == 1
 
 
+# Gram matrix of the D8 simple roots e1-e2, ..., e7-e8, e7+e8: det 4.
+D8_GRAM = tuple(
+    tuple(
+        2 if i == j
+        else -1 if {i, j} in ({k, k + 1} for k in range(6)) or {i, j} == {5, 7}
+        else 0
+        for j in range(8)
+    )
+    for i in range(8)
+)
+
+
 def test_adjugate_identity():
+    cases = [
+        E8_GRAM,  # det 1
+        ((0, 1), (1, 0)),  # det -1
+        D8_GRAM,  # det 4
+        ((0, 2, 1), (3, 0, 1), (1, 1, 0)),  # zero leading entry: row swap
+    ]
+    assert [leibniz_det(m) for m in cases] == [1, -1, 4, 5]
     rng = random.Random(7)
-    count = 0
-    while count < 10:
+    while len(cases) < 14:
         m = random_int_matrix(rng, 4)
-        d = det(m)
-        if d == 0:
-            continue
-        count += 1
-        adj = adjugate(m)
-        prod = mat_mul(m, adj)
-        assert prod == tuple(
-            tuple(d if i == j else 0 for j in range(4)) for i in range(4)
+        if det(m) != 0:
+            cases.append(m)
+    for m in cases:
+        n, d = len(m), det(m)
+        assert mat_mul(m, adjugate(m)) == tuple(
+            tuple(d if i == j else 0 for j in range(n)) for i in range(n)
         )
+    with pytest.raises(ZeroDivisionError):
+        adjugate(((1, 2), (2, 4)))
 
 
 def unimodular_shuffle(rng, rows):

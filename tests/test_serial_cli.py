@@ -136,15 +136,6 @@ def test_enumerate_via_main(capsys):
     assert cli.main(["enumerate"]) == 0
 
 
-def test_threads_flag_accepted(capsys):
-    # Parallelism bound; outputs must not depend on it.
-    assert cli.main(["--threads", "2", "enumerate", "--json"]) == 0
-    first = capsys.readouterr().out
-    assert cli.main(["--threads", "1", "enumerate", "--json"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
-
-
 def test_class_b_spread_stage(tmp_path, capsys):
     out = str(tmp_path / "b")
     code = cli.main(["spread", "--class", "B", "--out", out])
