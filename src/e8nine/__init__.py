@@ -8,7 +8,6 @@ from .autgroup import (
     block_action,
     compute_stabilizer,
     one_block_stabilizer_analysis,
-    stabilizer_generators,
 )
 from .blocks import (
     Norm4Block,
@@ -85,7 +84,6 @@ __all__ = [
     "root_pairs",
     "schreier_sims",
     "spread_from_partition",
-    "stabilizer_generators",
     "three_spaces",
     "verify_spread",
 ]

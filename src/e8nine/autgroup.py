@@ -17,15 +17,13 @@ from dataclasses import dataclass
 
 from .blocks import Norm4Partition, block_of_vector_table
 from .frames import FrameArray, frame_reps
-from .gf2 import F2Subspace, rref
+from .gf2 import F2Subspace, nonzero_elements, reduce_mod2, rref
 from .intmat import Mat, Vec, adjugate, det, mat_mul, transpose
 from .lattice import Lattice, enumerate_shell, inner
 from .permgroup import (
     Perm,
     StabChain,
     identity_perm,
-    inverse,
-    mult,
     orbit_of,
     perm_parity,
     schreier_sims,
@@ -312,10 +310,11 @@ class StabilizerResult:
     group: PermutationGroup
 
 
-def _negation_shell_perm(lat: Lattice) -> Perm:
+def negation_perm(lat: Lattice) -> Perm:
+    """-1 on the extended domain: it fixes every block and negates the shell."""
     shell = enumerate_shell(lat, 4)
     index = {v: i for i, v in enumerate(shell)}
-    return tuple(index[tuple(-x for x in v)] for v in shell)
+    return extended_perm(identity_perm(9), tuple(index[tuple(-x for x in v)] for v in shell))
 
 
 def _target_schedule(arr: FrameArray) -> list[tuple[int, int]]:
@@ -391,13 +390,6 @@ def compute_stabilizer(
     )
 
 
-def stabilizer_generators(
-    lat: Lattice, spread: Spread, arr: FrameArray, partition: Norm4Partition
-) -> list[Isometry]:
-    """Verified isometries generating the full block stabilizer."""
-    return list(compute_stabilizer(lat, spread, arr, partition).isometries)
-
-
 def block_action(
     lat: Lattice,
     result: StabilizerResult,
@@ -424,17 +416,16 @@ def block_action(
                     raise ValueError(
                         "generator does not map block %d onto block %d" % (b, bp[b])
                     )
-    image_order, _ = schreier_sims(list(result.block_perms), base_hint=tuple(range(9)))
+    image_order, _ = schreier_sims(list(result.block_perms))
     all_even = all(perm_parity(p) == 0 for p in result.block_perms)
 
     chain = result.group.chain
     if [lv.beta for lv in chain.levels[:9]] != list(range(9)):
         raise AssertionError("stabilizer chain does not start at the nine blocks")
     kernel_order = chain.stabilizer_order_below(9)
-    neg_ext = extended_perm(identity_perm(9), _negation_shell_perm(lat))
+    neg = negation_perm(lat)
     kernel_gens = set(chain.strong_generators(from_level=9))
-    ident = identity_perm(len(neg_ext))
-    if not kernel_gens <= {ident, neg_ext}:
+    if not kernel_gens <= {identity_perm(len(neg)), neg}:
         raise AssertionError("block-action kernel contains more than +-identity")
     if image_order * kernel_order != chain.order():
         raise AssertionError("image order times kernel order misses group order")
@@ -457,15 +448,6 @@ class OneBlockReport:
     points_transitive: bool
     kernel_order_blocks: int
     kernel_order_points: int
-    kernels_contain_negation: bool
-
-
-def _matrix_inverse_unimodular(m: Mat) -> Mat:
-    d = det(m)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    adj = adjugate(m)
-    return tuple(tuple(x * d for x in row) for row in adj)
 
 
 def one_block_stabilizer_analysis(
@@ -473,76 +455,44 @@ def one_block_stabilizer_analysis(
     result: StabilizerResult,
     spread: Spread,
 ) -> OneBlockReport:
-    """Analyze the subgroup fixing block 0 setwise.
+    """Analyze the subgroup fixing block 0, read off the stabilizer chain.
 
-    Its generators come from Schreier's lemma applied to the block-0 orbit:
-    with transversal t_b mapping block 0 to b, each (generator g, point b)
-    contributes t_b g t_{g(b)}^-1. The action on the other eight blocks and
-    the action on the 15 nonzero points of the fixed 4-space must both have
-    image order 20160 and be transitive, with kernels of order 2.
+    The chain's first base point is block 0. For a complete chain the strong
+    generators fixing it generate its stabilizer, whose order is the product
+    of the deeper fundamental orbit lengths (Seress, Permutation Group
+    Algorithms, CUP 2003, ch. 4). Their block points give the action on the
+    other eight blocks; the mod-2 class of the image of one norm-4 lift per
+    point gives the (linear) action on the 15 nonzero points of the fixed
+    4-space. Both images must have order 20160 and be transitive, with
+    kernels of order 2.
     """
-    gens = [iso.matrix for iso in result.isometries]
-    bps = list(result.block_perms)
-
-    transversal: dict[int, Mat] = {0: tuple(tuple(int(i == j) for j in range(8)) for i in range(8))}
-    t_perm: dict[int, Perm] = {0: identity_perm(9)}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for m, bp in zip(gens, bps):
-                img = bp[b]
-                if img not in transversal:
-                    transversal[img] = mat_mul(transversal[b], m)
-                    t_perm[img] = mult(t_perm[b], bp)
-                    nxt.append(img)
-        frontier = nxt
-    if len(transversal) != 9:
-        raise AssertionError("block-0 orbit is not all nine blocks")
-
-    stab_matrices: list[Mat] = []
-    seen: set[Mat] = set()
-    for m, bp in zip(gens, bps):
-        for b in sorted(transversal):
-            img = bp[b]
-            s = mat_mul(mat_mul(transversal[b], m), _matrix_inverse_unimodular(transversal[img]))
-            s_perm = mult(mult(t_perm[b], bp), inverse(t_perm[img]))
-            if s_perm[0] != 0:
-                raise AssertionError("Schreier element moves block 0")
-            if s not in seen:
-                seen.add(s)
-                stab_matrices.append(s)
-
-    stabilizer_order = result.group.order() // 9
+    chain = result.group.chain
+    if chain.base[:1] != [0]:
+        raise AssertionError("stabilizer chain does not start at block 0")
+    gens = chain.strong_generators(from_level=1)
+    if any(g[0] != 0 for g in gens):
+        raise AssertionError("strong generator below level 0 moves block 0")
+    stabilizer_order = chain.stabilizer_order_below(1)
 
     # Action on the other eight blocks (relabeled 0..7).
-    spread_index = {s: i for i, s in enumerate(spread.spaces)}
-    eight_perms = []
-    for s in stab_matrices:
-        bp = spread_block_perm(spread_index, s)
-        if bp is None or bp[0] != 0:
-            raise AssertionError("stabilizer element does not fix block 0")
-        eight_perms.append(tuple(x - 1 for x in bp[1:]))
+    eight_perms = [tuple(g[b] - 1 for b in range(1, 9)) for g in gens]
     other_order, _ = schreier_sims(eight_perms)
     other_transitive = len(orbit_of(0, eight_perms)) == 8
 
-    # Action on the 15 nonzero points of the fixed 4-space.
-    from .gf2 import nonzero_elements
-
+    # Action on the 15 nonzero points of the fixed 4-space; shell point i is
+    # extended point 9 + i.
+    shell = enumerate_shell(lat, 4)
     points = nonzero_elements(spread.spaces[0])
     point_index = {p: i for i, p in enumerate(points)}
-    point_perms = []
-    for s in stab_matrices:
-        rows2 = matrix_mod2_rows(s)
-        img = tuple(point_index[_apply_mod2(rows2, p)] for p in points)
-        point_perms.append(img)
+    lift = {}
+    for i, v in enumerate(shell):
+        lift.setdefault(reduce_mod2(v), 9 + i)
+    point_perms = [
+        tuple(point_index[reduce_mod2(shell[g[lift[p]] - 9])] for p in points)
+        for g in gens
+    ]
     points_order, _ = schreier_sims(point_perms)
     points_transitive = len(orbit_of(0, point_perms)) == 15
-
-    neg = negation_isometry().matrix
-    kernels_contain_negation = neg in seen or any(
-        m == neg for m in stab_matrices
-    )
 
     return OneBlockReport(
         stabilizer_order=stabilizer_order,
@@ -552,5 +502,4 @@ def one_block_stabilizer_analysis(
         points_transitive=points_transitive,
         kernel_order_blocks=stabilizer_order // other_order,
         kernel_order_points=stabilizer_order // points_order,
-        kernels_contain_negation=kernels_contain_negation,
     )

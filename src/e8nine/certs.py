@@ -47,16 +47,15 @@ class Certificate:
 
 
 class CertBuilder:
-    """Accumulates checks; in strict mode the first failure raises."""
+    """Accumulates checks; the first failure raises CheckFailure."""
 
-    def __init__(self, stage: str, strict: bool = True):
+    def __init__(self, stage: str):
         self.cert = Certificate(stage=stage)
-        self.strict = strict
 
     def check(self, description: str, expected: object, actual: object) -> None:
         c = Check(description=description, expected=expected, actual=actual)
         self.cert.checks.append(c)
-        if self.strict and not c.ok:
+        if not c.ok:
             raise CheckFailure(self.cert.stage, c)
 
     def done(self) -> Certificate:

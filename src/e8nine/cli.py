@@ -1,11 +1,17 @@
 """Command-line front end and the end-to-end certification pipeline.
 
+The pipeline is the ordered stage table STAGES; every subcommand except
+verify runs a prefix of it. Stage <name> is the module-level function
+stage_<name>(state): it builds its part of the PipelineState and returns its
+certificate, which the _recorded decorator times and records.
+
 Exit codes: 0 success, 1 verification failure, 2 input/parse error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,13 +24,17 @@ from . import frames as fr
 from . import gf2
 from . import serial
 from .certs import CertBuilder, Certificate, CheckFailure
-from .intmat import det
+from .intmat import Mat, det
 from .lattice import Lattice, build_lattice, enumerate_shell
 from .spreadsearch import Spread, find_spread, verify_spread
+
+STAGES = ("lattice", "mod2", "spaces", "profiles", "spread", "frames", "partition", "roundtrip", "group")
 
 
 @dataclass
 class PipelineState:
+    class_label: gf2.SpaceClass = gf2.SpaceClass.CLASS_A
+    gram_override: Mat | None = None  # None: the standard E8 Gram matrix
     lat: Lattice = None
     ft: gf2.FormTable = None
     census: gf2.Mod2Census = None
@@ -37,25 +47,43 @@ class PipelineState:
     certificates: list[Certificate] = field(default_factory=list)
 
 
-def _timed(state: PipelineState, cert: Certificate, t0: float) -> Certificate:
-    cert.wall_time_ms = int((time.perf_counter() - t0) * 1000)
-    state.certificates.append(cert)
-    return cert
+class StageFailure(CheckFailure):
+    """A check failed inside pipeline stage `name`; `state` holds the stages before it."""
+
+    def __init__(self, name: str, state: PipelineState, failure: CheckFailure):
+        super().__init__(failure.stage, failure.check)
+        self.name = name
+        self.state = state
 
 
-def stage_lattice(state: PipelineState, gram_override=None) -> Certificate:
-    t0 = time.perf_counter()
+def _recorded(stage):
+    """Time the stage inside its own call and record its certificate."""
+
+    @functools.wraps(stage)
+    def run(state: PipelineState) -> Certificate:
+        t0 = time.perf_counter()
+        cert = stage(state)
+        cert.wall_time_ms = int((time.perf_counter() - t0) * 1000)
+        state.certificates.append(cert)
+        return cert
+
+    return run
+
+
+@_recorded
+def stage_lattice(state: PipelineState) -> Certificate:
     cb = CertBuilder("lattice")
-    state.lat = build_lattice() if gram_override is None else Lattice(gram=gram_override)
+    gram = state.gram_override
+    state.lat = build_lattice() if gram is None else Lattice(gram=gram)
     cb.check("Gram determinant", 1, det(state.lat.gram))
     cb.check("Gram diagonal even", [], [x for i, x in enumerate(state.lat.gram) if x[i] % 2])
     cb.check("norm-2 shell size", 240, len(enumerate_shell(state.lat, 2)))
     cb.check("norm-4 shell size", 2160, len(enumerate_shell(state.lat, 4)))
-    return _timed(state, cb.done(), t0)
+    return cb.done()
 
 
+@_recorded
 def stage_mod2(state: PipelineState) -> Certificate:
-    t0 = time.perf_counter()
     cb = CertBuilder("mod2-census")
     state.ft = gf2.build_forms(state.lat)
     state.census = gf2.mod2_census(state.lat, state.ft)
@@ -63,11 +91,11 @@ def stage_mod2(state: PipelineState) -> Certificate:
     cb.check("anisotropic classes", 120, state.census.anisotropic_count)
     cb.check("roots per anisotropic class", 2, state.census.roots_per_anisotropic)
     cb.check("norm-4 vectors per isotropic class", 16, state.census.norm4_per_isotropic)
-    return _timed(state, cb.done(), t0)
+    return cb.done()
 
 
-def stage_spaces(state: PipelineState, class_label: gf2.SpaceClass) -> Certificate:
-    t0 = time.perf_counter()
+@_recorded
+def stage_spaces(state: PipelineState) -> Certificate:
     cb = CertBuilder("isotropic-4-spaces")
     spaces = gf2.enumerate_isotropic_4spaces(state.ft)
     cb.check("totally isotropic 4-spaces", 270, len(spaces))
@@ -79,12 +107,12 @@ def stage_spaces(state: PipelineState, class_label: gf2.SpaceClass) -> Certifica
         ]
     )
     cb.check("class sizes", [135, 135], sizes)
-    state.members = gf2.class_members(state.labels, class_label)
-    return _timed(state, cb.done(), t0)
+    state.members = gf2.class_members(state.labels, state.class_label)
+    return cb.done()
 
 
+@_recorded
 def stage_profiles(state: PipelineState) -> Certificate:
-    t0 = time.perf_counter()
     cb = CertBuilder("intersection-profiles")
     members = state.members
     v1 = members[0]
@@ -96,18 +124,17 @@ def stage_profiles(state: PipelineState) -> Certificate:
     cb.check(
         "double profile", {(0, 0): 28, (0, 2): 35, (2, 0): 35, (2, 2): 35}, dprof
     )
-    return _timed(state, cb.done(), t0)
+    return cb.done()
 
 
-def stage_spread(state: PipelineState, class_label: gf2.SpaceClass) -> Certificate:
-    t0 = time.perf_counter()
-    state.spread = find_spread(state.members, class_label)
-    cert = verify_spread(state.spread, state.ft)
-    return _timed(state, cert, t0)
+@_recorded
+def stage_spread(state: PipelineState) -> Certificate:
+    state.spread = find_spread(state.members, state.class_label)
+    return verify_spread(state.spread, state.ft)
 
 
+@_recorded
 def stage_frames(state: PipelineState) -> Certificate:
-    t0 = time.perf_counter()
     cb = CertBuilder("frames")
     state.arr = fr.build_frame_array(state.lat, state.ft, state.census, state.spread)
     census = fr.orthogonal_pair_census(state.lat, state.arr)
@@ -121,11 +148,11 @@ def stage_frames(state: PipelineState) -> Certificate:
     cb.check(
         "derivations per norm-4 vector", {7}, set(census.norm4_multiplicities.values())
     )
-    return _timed(state, cb.done(), t0)
+    return cb.done()
 
 
+@_recorded
 def stage_partition(state: PipelineState) -> Certificate:
-    t0 = time.perf_counter()
     cb = CertBuilder("norm4-partition")
     state.partition = bl.build_partition(state.lat, state.arr)
     cb.check("blocks", 9, len(state.partition.blocks))
@@ -139,11 +166,11 @@ def stage_partition(state: PipelineState) -> Certificate:
             if not cert.passed:
                 glue_failures += 1
     cb.check("D8-plus-glue certificates failing (of 135)", 0, glue_failures)
-    return _timed(state, cb.done(), t0)
+    return cb.done()
 
 
+@_recorded
 def stage_roundtrip(state: PipelineState) -> Certificate:
-    t0 = time.perf_counter()
     cb = CertBuilder("partition-roundtrip")
     recovered = bl.spread_from_partition(state.ft, state.partition, state.labels)
     cb.check(
@@ -152,11 +179,11 @@ def stage_roundtrip(state: PipelineState) -> Certificate:
         sorted(recovered.spaces),
     )
     cb.check("recovered class label", state.spread.class_label, recovered.class_label)
-    return _timed(state, cb.done(), t0)
+    return cb.done()
 
 
+@_recorded
 def stage_group(state: PipelineState) -> Certificate:
-    t0 = time.perf_counter()
     cb = CertBuilder("stabilizer-group")
     state.stab = ag.compute_stabilizer(state.lat, state.spread, state.arr, state.partition)
     cb.check("group order", ag.STABILIZER_ORDER, state.stab.group.order())
@@ -180,27 +207,34 @@ def stage_group(state: PipelineState) -> Certificate:
     cb.check("transitive on 15 points", True, report.points_transitive)
     cb.check("kernel order on eight blocks", 2, report.kernel_order_blocks)
     cb.check("kernel order on 15 points", 2, report.kernel_order_points)
-    cb.check("kernels contain negation", True, report.kernels_contain_negation)
-    return _timed(state, cb.done(), t0)
+    # -1 fixes every block and every mod-2 point, so lying in the group puts
+    # it in both kernels.
+    cb.check(
+        "kernels contain negation",
+        True,
+        state.stab.group.chain.contains(ag.negation_perm(state.lat)),
+    )
+    return cb.done()
 
 
 def run_pipeline(
     class_label: gf2.SpaceClass = gf2.SpaceClass.CLASS_A,
-    skip_group: bool = False,
-    gram_override=None,
+    gram_override: Mat | None = None,
+    upto: str = "group",
 ) -> PipelineState:
-    """Run all stages; raises CheckFailure on the first violated invariant."""
-    state = PipelineState()
-    stage_lattice(state, gram_override=gram_override)
-    stage_mod2(state)
-    stage_spaces(state, class_label)
-    stage_profiles(state)
-    stage_spread(state, class_label)
-    stage_frames(state)
-    stage_partition(state)
-    stage_roundtrip(state)
-    if not skip_group:
-        stage_group(state)
+    """Run the stages of STAGES in order through `upto`.
+
+    Each stage is looked up by its module-level name when it runs, so a
+    rebound stage_<name> (a tracer, a test double) is the one that runs. The
+    first violated check raises StageFailure, which names the stage and
+    carries the state of the stages completed before it.
+    """
+    state = PipelineState(class_label=class_label, gram_override=gram_override)
+    for name in STAGES[: STAGES.index(upto) + 1]:
+        try:
+            globals()["stage_" + name](state)
+        except CheckFailure as e:
+            raise StageFailure(name, state, e) from e
     return state
 
 
@@ -257,91 +291,31 @@ def _print_certs(state: PipelineState, as_json: bool) -> None:
                 "stage %-22s %s  (%d checks, %d ms)"
                 % (c.stage, "PASS" if c.passed else "FAIL", len(c.checks), c.wall_time_ms)
             )
-
-
-def _class_from_flag(value: str) -> gf2.SpaceClass:
-    return gf2.SpaceClass.CLASS_A if value == "A" else gf2.SpaceClass.CLASS_B
-
-
-def cmd_enumerate(args, gram_override=None) -> int:
-    try:
-        state = PipelineState()
-        stage_lattice(state, gram_override=gram_override)
-        stage_mod2(state)
-        stage_spaces(state, _class_from_flag(args.space_class))
-        stage_profiles(state)
-    except CheckFailure as e:
-        print("FAIL: %s" % e, file=sys.stderr)
-        return 1
-    if args.json:
-        # The stages above assert exact equality with these values, so a
-        # run that reaches this point certifies them.
-        counts = {
-            "norm2": 240,
-            "norm4": 2160,
-            "isotropic_points": 135,
-            "anisotropic_points": 120,
-            "isotropic_4spaces": 270,
-            "class_sizes": [135, 135],
-            "profile": {"0": 64, "2": 70},
-            "double_profile": {"0,0": 28, "0,2": 35, "2,0": 35, "2,2": 35},
-        }
-        print(json.dumps(counts, indent=2))
-    else:
-        for c in state.certificates:
             for ch in c.checks:
-                print("%-44s %s" % (ch.description, ch.actual))
-    return 0
+                print("  %-44s %s" % (ch.description, ch.actual))
 
 
-def _run_stages(args, upto: str) -> tuple[PipelineState, int]:
-    label = _class_from_flag(args.space_class)
-    state = PipelineState()
-    order = ["lattice", "mod2", "spaces", "profiles", "spread", "frames", "partition", "roundtrip", "group"]
-    stages = {
-        "lattice": lambda: stage_lattice(state),
-        "mod2": lambda: stage_mod2(state),
-        "spaces": lambda: stage_spaces(state, label),
-        "profiles": lambda: stage_profiles(state),
-        "spread": lambda: stage_spread(state, label),
-        "frames": lambda: stage_frames(state),
-        "partition": lambda: stage_partition(state),
-        "roundtrip": lambda: stage_roundtrip(state),
-        "group": lambda: stage_group(state),
-    }
+def cmd_run(args) -> int:
+    """Run STAGES through the subcommand's last stage and report every certificate.
+
+    With --out, the artifacts of the completed stages are written; after a
+    failure they sit next to a FAILED marker whose first line names the
+    pipeline stage and whose second line is the violated check.
+    """
+    failure = None
     try:
-        for name in order[: order.index(upto) + 1]:
-            stages[name]()
-    except CheckFailure as e:
+        state = run_pipeline(gf2.SpaceClass(args.space_class), upto=args.upto)
+    except StageFailure as e:
         print("FAIL: %s" % e, file=sys.stderr)
-        if args.out:
-            write_artifacts(state, args.out)
-            with open(os.path.join(args.out, "FAILED"), "w") as fh:
-                fh.write("failed at stage: %s\n%s\n" % (e.stage, e))
-        return state, 1
-    return state, 0
-
-
-def cmd_stage(args, upto: str) -> int:
-    state, code = _run_stages(args, upto)
+        state, failure = e.state, e
     _print_certs(state, as_json=args.json)
-    if code == 0 and args.out:
-        write_artifacts(state, args.out)
-    return code
-
-
-def cmd_certify(args) -> int:
-    upto = "roundtrip" if args.skip_group else "group"
-    state, code = _run_stages(args, upto)
-    _print_certs(state, as_json=args.json)
-    if code != 0:
-        return 1
     if args.out:
-        written = write_artifacts(state, args.out)
-        for path in written:
+        for path in write_artifacts(state, args.out):
             print("wrote %s" % path)
-    ok = all(c.passed for c in state.certificates)
-    return 0 if ok else 1
+        if failure is not None:
+            with open(os.path.join(args.out, "FAILED"), "w") as fh:
+                fh.write("failed at stage: %s\n%s\n" % (failure.name, failure))
+    return 0 if failure is None else 1
 
 
 def cmd_verify(args) -> int:
@@ -416,42 +390,27 @@ def main(argv=None) -> int:
         description="Construct and certify the nine-block structures of the E8 lattice.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, upto, help_text in (
+        ("enumerate", "profiles", "shell and mod-2 geometry counts"),
+        ("spread", "spread", "run the pipeline through the spread search"),
+        ("frames", "frames", "run the pipeline through the frame array"),
+        ("partition", "roundtrip", "run the pipeline through the norm-4 round trip"),
+        ("group", "group", "run the pipeline through the stabilizer group"),
+        ("certify", "group", "full pipeline, artifacts, certificates"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--class", dest="space_class", choices=("A", "B"), default="A")
         p.add_argument("--out", default=None, help="directory for artifact files")
         p.add_argument("--json", action="store_true")
-
-    p_enum = sub.add_parser("enumerate", help="shell and mod-2 geometry counts")
-    add_common(p_enum)
-
-    for name, upto in (
-        ("spread", "spread"),
-        ("frames", "frames"),
-        ("partition", "roundtrip"),
-        ("group", "group"),
-    ):
-        p_stage = sub.add_parser(name, help="run the pipeline through %s" % name)
-        add_common(p_stage)
-        p_stage.set_defaults(upto=upto)
-
-    p_cert = sub.add_parser("certify", help="full pipeline, artifacts, certificates")
-    add_common(p_cert)
-    p_cert.add_argument("--skip-group", action="store_true")
+        p.set_defaults(upto=upto)
 
     p_verify = sub.add_parser("verify", help="re-verify previously written artifacts")
     p_verify.add_argument("files", nargs="+")
 
     args = parser.parse_args(argv)
-    if args.command == "enumerate":
-        return cmd_enumerate(args)
-    if args.command in ("spread", "frames", "partition", "group"):
-        return cmd_stage(args, args.upto)
-    if args.command == "certify":
-        return cmd_certify(args)
     if args.command == "verify":
         return cmd_verify(args)
-    return 2
+    return cmd_run(args)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from .intmat import Vec
 from .lattice import Lattice, enumerate_shell, inner, norm, root_pairs
@@ -99,6 +100,11 @@ class F2Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def mask(self) -> int:
+        """element_mask of the space, computed once per instance."""
+        return element_mask(self)
+
 
 def rref(vectors: list[int]) -> tuple[int, ...]:
     """Reduced row echelon form over GF(2), pivot = lowest set bit."""
@@ -140,12 +146,9 @@ def element_mask(space: F2Subspace) -> int:
     return mask
 
 
-def gf2_rank(vectors: list[int]) -> int:
-    return len(rref(list(vectors)))
-
-
 def intersection_dim(a: F2Subspace, b: F2Subspace) -> int:
-    return a.dim + b.dim - gf2_rank(list(a.rows) + list(b.rows))
+    """dim(a ^ b) from the 2^d - 1 nonzero elements the two masks share."""
+    return (a.mask & b.mask).bit_count().bit_length()
 
 
 def perp_mask(ft: FormTable, space: F2Subspace) -> int:

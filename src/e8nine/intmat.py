@@ -23,10 +23,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def mat_neg(a: Mat) -> Mat:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def row_times_mat(v: Vec, m: Mat) -> Vec:
     """Row vector times matrix: (v M)_j = sum_i v_i M_ij."""
     return tuple(sum(map(mul, v, col)) for col in zip(*m))
@@ -135,17 +131,11 @@ class BasisSolver:
     """Exact membership/coordinate queries for the lattice spanned by 8 rows."""
 
     def __init__(self, rows: list[Vec]):
-        self.rows = tuple(rows)
         self.mat: Mat = tuple(rows)
         self.det = det(self.mat)
         if self.det == 0:
             raise ZeroDivisionError("basis rows are dependent")
         self.adj = adjugate(self.mat)
-
-    def rational_coords(self, v: Vec) -> tuple[tuple[int, int], ...]:
-        """Coordinates of v in the basis, as (numerator, denominator) pairs."""
-        num = row_times_mat(v, self.adj)
-        return tuple((x, self.det) for x in num)
 
     def integer_coords(self, v: Vec) -> Vec | None:
         """Integer coordinates of v in the basis, or None if v is outside."""

@@ -71,18 +71,12 @@ class _Level:
 class StabChain:
     """Incremental deterministic stabilizer chain (base and strong generators).
 
-    base_hint lists preferred base points in order; beyond the hint, new base
-    points are the smallest point moved by the residue that forces them.
+    base_prefix heads the base; beyond it, a new base point is the smallest
+    point moved by the residue that forces it.
     """
 
-    def __init__(
-        self,
-        degree: int,
-        base_hint: tuple[int, ...] = (),
-        base_prefix: tuple[int, ...] = (),
-    ):
+    def __init__(self, degree: int, base_prefix: tuple[int, ...] = ()):
         self.degree = degree
-        self.base_hint = tuple(base_hint)
         self.levels: list[_Level] = [_Level(b, degree) for b in base_prefix]
         self._gens_by_id: list[Perm] = []
 
@@ -91,10 +85,7 @@ class StabChain:
         return [lv.beta for lv in self.levels]
 
     def order(self) -> int:
-        n = 1
-        for lv in self.levels:
-            n *= len(lv.transversal)
-        return n
+        return self.stabilizer_order_below(0)
 
     def stabilizer_order_below(self, level_idx: int) -> int:
         """Order of the pointwise stabilizer of the first level_idx base points."""
@@ -107,12 +98,9 @@ class StabChain:
         return [len(lv.transversal) for lv in self.levels]
 
     def strong_generators(self, from_level: int = 0) -> list[Perm]:
-        ids: list[int] = []
-        for lv in self.levels[from_level:]:
-            for gid in lv.gen_ids:
-                if gid not in ids:
-                    ids.append(gid)
-        return [self._gens_by_id[gid] for gid in ids]
+        """Generators fixing the first from_level base points; for a complete
+        chain they generate the pointwise stabilizer of those points."""
+        return [self._gens_by_id[gid] for lv in self.levels[from_level:] for gid in lv.gen_ids]
 
     def sift(self, p: Perm, from_level: int = 0) -> Perm:
         """Factor p through the chain; identity residue means membership."""
@@ -140,9 +128,6 @@ class StabChain:
 
     def _next_base_point(self, residue: Perm) -> int:
         used = set(self.base)
-        for b in self.base_hint:
-            if b not in used and residue[b] != b:
-                return b
         for i, x in enumerate(residue):
             if i != x and i not in used:
                 return i
@@ -165,14 +150,6 @@ class StabChain:
         for i in range(idx + 1):
             self._extend_orbit(i)
 
-    def _level_generator_ids(self, level_idx: int) -> list[int]:
-        ids: list[int] = []
-        for lv in self.levels[level_idx:]:
-            for gid in lv.gen_ids:
-                if gid not in ids:
-                    ids.append(gid)
-        return ids
-
     def _extend_orbit(self, level_idx: int) -> None:
         """Grow the fundamental orbit under the current generator set.
 
@@ -180,7 +157,7 @@ class StabChain:
         Schreier pairs stay valid.
         """
         lv = self.levels[level_idx]
-        gens = [self._gens_by_id[gid] for gid in self._level_generator_ids(level_idx)]
+        gens = self.strong_generators(level_idx)
         frontier = list(lv.orbit_order)
         while frontier:
             nxt = []
@@ -203,7 +180,9 @@ class StabChain:
             progress = False
             for idx in range(len(self.levels) - 1, -1, -1):
                 lv = self.levels[idx]
-                for gid in list(self._level_generator_ids(idx)):
+                # Each generator id sits in the level where it was installed.
+                gids = [gid for deeper in self.levels[idx:] for gid in deeper.gen_ids]
+                for gid in gids:
                     g = self._gens_by_id[gid]
                     for point in list(lv.orbit_order):
                         key = (point, gid)
@@ -224,19 +203,17 @@ class StabChain:
 
 
 def schreier_sims(
-    gens: list[Perm],
-    base_hint: tuple[int, ...] = (),
-    base_prefix: tuple[int, ...] = (),
+    gens: list[Perm], base_prefix: tuple[int, ...] = ()
 ) -> tuple[int, StabChain]:
     """Exact group order plus the stabilizer chain for the given generators.
 
     base_prefix forces those points to head the base (their levels may have
-    trivial orbits); base_hint merely prefers points when new levels appear.
+    trivial orbits).
     """
     if not gens:
         return 1, StabChain(degree=1)
     degree = len(gens[0])
-    chain = StabChain(degree=degree, base_hint=base_hint, base_prefix=base_prefix)
+    chain = StabChain(degree=degree, base_prefix=base_prefix)
     for g in gens:
         chain.add_generator(g)
     return chain.order(), chain

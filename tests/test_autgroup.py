@@ -9,13 +9,14 @@ from e8nine.autgroup import (
     block_action,
     extended_perm,
     is_gram_isometry,
+    PermutationGroup,
     isometries_between_frames,
     matrix_mod2_rows,
     negation_isometry,
+    negation_perm,
     one_block_stabilizer_analysis,
     shell4_perm,
     spread_block_perm,
-    stabilizer_generators,
 )
 from e8nine.blocks import block_of_vector_table
 from e8nine.frames import frame_reps
@@ -48,12 +49,6 @@ def test_every_generator_preserves_gram_and_blocks(lat, stab_result, spread, par
 
 def test_group_order(stab_result):
     assert stab_result.group.order() == STABILIZER_ORDER
-
-
-def test_stabilizer_generators_wrapper(lat, spread, frame_array, partition):
-    gens = stabilizer_generators(lat, spread, frame_array, partition)
-    assert negation_isometry() in gens
-    assert all(is_gram_isometry(lat, g.matrix) for g in gens)
 
 
 def test_chain_on_shell_perms_confirms_order(lat, stab_result):
@@ -107,13 +102,34 @@ def test_one_block_stabilizer(lat, stab_result, spread):
     assert report.points_transitive
     assert report.kernel_order_blocks == 2
     assert report.kernel_order_points == 2
-    assert report.kernels_contain_negation
+    assert stab_result.group.chain.contains(negation_perm(lat))
     # |L4(2)| from its order formula equals |A8| = 8!/2.
     l42 = (2**4 - 1) * (2**4 - 2) * (2**4 - 4) * (2**4 - 8)
     fact8 = 1
     for k in range(2, 9):
         fact8 *= k
     assert l42 == fact8 // 2 == ONE_BLOCK_IMAGE_ORDER
+
+
+def test_one_block_analysis_reads_the_chain(lat, stab_result, spread):
+    # A chain over two of the generators (neither is -1) holds a subgroup of
+    # order 4 that fixes block 0; the analysis must report that subgroup.
+    from dataclasses import replace
+
+    ext_gens = [
+        extended_perm(bp, vp)
+        for bp, vp in zip(stab_result.block_perms, stab_result.group.generators)
+    ]
+    neg = negation_perm(lat)
+    assert neg not in ext_gens[1:3]
+    order, chain = schreier_sims(ext_gens[1:3], base_prefix=tuple(range(9)))
+    partial = replace(stab_result, group=PermutationGroup(generators=(), chain=chain))
+    report = one_block_stabilizer_analysis(lat, partial, spread)
+    assert report.stabilizer_order == order == 4
+    assert report.other_blocks_image_order == report.points_image_order == 4
+    assert not report.other_blocks_transitive
+    assert not report.points_transitive
+    assert not chain.contains(neg)
 
 
 def test_random_words_preserve_gram_and_partition(lat, stab_result, partition):

@@ -174,3 +174,13 @@ def test_subspace_from_matches_rref():
     s = subspace_from([3, 5])
     assert s.rows == rref([3, 5])
     assert s.dim == 2
+
+
+def test_intersection_dim_matches_rank_formula():
+    # Reference: dim(a ^ b) = dim a + dim b - dim(a + b).
+    rng = random.Random(7)
+    for _ in range(300):
+        a = subspace_from([rng.randrange(256) for _ in range(rng.randrange(6))])
+        b = subspace_from([rng.randrange(256) for _ in range(rng.randrange(6))])
+        expected = a.dim + b.dim - len(rref(list(a.rows) + list(b.rows)))
+        assert intersection_dim(a, b) == intersection_dim(b, a) == expected

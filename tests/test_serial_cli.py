@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import ast
+import inspect
+import json
 import os
 
 import pytest
 
+from e8nine import blocks as bl
 from e8nine import cli, serial
+from e8nine.certs import CertBuilder
 from e8nine.gf2 import SpaceClass
+from e8nine.lattice import Lattice
 
 
 @pytest.fixture(scope="module")
@@ -104,32 +110,42 @@ def test_verify_truncated_file_exits_2(pipeline_state, tmp_path):
 
 
 def test_cmd_enumerate_ok(capsys):
-    args = _args(json=False)
-    assert cli.cmd_enumerate(args) == 0
+    assert cli.main(["enumerate"]) == 0
     out = capsys.readouterr().out
     assert "norm-2 shell size" in out and "240" in out
     assert "totally isotropic 4-spaces" in out and "270" in out
 
 
-def test_cmd_enumerate_json(capsys):
-    args = _args(json=True)
-    assert cli.cmd_enumerate(args) == 0
-    out = capsys.readouterr().out
-    assert '"isotropic_4spaces": 270' in out
+def _printed_certificates(printed: str) -> list:
+    return json.JSONDecoder().raw_decode(printed)[0]
 
 
-def test_cmd_enumerate_corrupted_gram_exits_1(capsys):
+def test_cmd_enumerate_json(tmp_path, capsys):
+    out = str(tmp_path / "enum")
+    assert cli.main(["enumerate", "--json", "--out", out]) == 0
+    payload = _printed_certificates(capsys.readouterr().out)
+    assert [c["stage"] for c in payload] == [
+        "lattice",
+        "mod2-census",
+        "isotropic-4-spaces",
+        "intersection-profiles",
+    ]
+    checks = {ch["description"]: ch for c in payload for ch in c["checks"]}
+    assert checks["totally isotropic 4-spaces"]["actual"] == "270"
+    assert checks["norm-4 shell size"]["actual"] == "2160"
+    # --out writes the certificate listing of the stages that ran.
+    text = open(os.path.join(out, "certificates.txt")).read()
+    assert "  totally isotropic 4-spaces: expected 270 actual 270: PASS" in text
+    assert sorted(os.listdir(out)) == ["certificates.txt"]
+
+
+def test_cmd_enumerate_corrupted_gram_exits_1(monkeypatch, capsys):
     corrupt = tuple(
         tuple(4 if i == j else 0 for j in range(8)) for i in range(8)
     )
-    args = _args(json=False)
-    assert cli.cmd_enumerate(args, gram_override=corrupt) == 1
-
-
-def _args(json: bool):
-    import argparse
-
-    return argparse.Namespace(space_class="A", out=None, json=json)
+    monkeypatch.setattr(cli, "build_lattice", lambda: Lattice(gram=corrupt))
+    assert cli.main(["enumerate"]) == 1
+    assert "lattice: Gram determinant" in capsys.readouterr().err
 
 
 def test_enumerate_via_main(capsys):
@@ -145,16 +161,11 @@ def test_class_b_spread_stage(tmp_path, capsys):
     assert parsed.class_label is SpaceClass.CLASS_B
 
 
-def test_certify_skip_group_json(tmp_path, capsys):
+def test_partition_json_stops_before_group(tmp_path, capsys):
     out = str(tmp_path / "json_run")
-    code = cli.main(["certify", "--skip-group", "--json", "--out", out])
+    code = cli.main(["partition", "--json", "--out", out])
     assert code == 0
-    printed = capsys.readouterr().out
-    start = printed.index("[")
-    end = printed.rindex("]") + 1
-    import json
-
-    payload = json.loads(printed[start:end])
+    payload = _printed_certificates(capsys.readouterr().out)
     stages = [entry["stage"] for entry in payload]
     assert stages[0] == "lattice" and stages[-1] == "partition-roundtrip"
     assert all(entry["passed"] for entry in payload)
@@ -162,18 +173,72 @@ def test_certify_skip_group_json(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "partition.txt"))
 
 
+def test_certify_json_lists_every_stage_in_table_order(tmp_path, capsys):
+    out = str(tmp_path / "certify")
+    assert cli.main(["certify", "--json", "--out", out]) == 0
+    payload = _printed_certificates(capsys.readouterr().out)
+    assert [c["stage"] for c in payload] == [
+        "lattice",
+        "mod2-census",
+        "isotropic-4-spaces",
+        "intersection-profiles",
+        "spread",
+        "frames",
+        "norm4-partition",
+        "partition-roundtrip",
+        "stabilizer-group",
+    ]
+    assert len(payload) == len(cli.STAGES)
+    assert all(c["passed"] and c["wall_time_ms"] >= 0 for c in payload)
+
+
 def test_stage_failure_writes_marker(tmp_path, monkeypatch, capsys):
     from e8nine.certs import Check, CheckFailure
 
-    def exploding_stage(state, label):
+    def exploding_stage(state):
         raise CheckFailure("spread", Check("forced failure", 9, 8))
 
     monkeypatch.setattr(cli, "stage_spread", exploding_stage)
     out = str(tmp_path / "failed")
-    code = cli.main(["certify", "--skip-group", "--out", out])
+    code = cli.main(["partition", "--out", out])
     assert code == 1
     marker = os.path.join(out, "FAILED")
     assert os.path.exists(marker)
     assert "spread" in open(marker).read()
     # Artifacts from completed stages are retained.
     assert os.path.exists(os.path.join(out, "certificates.txt"))
+
+
+def test_sub_certificate_failure_marker_names_pipeline_stage(tmp_path, monkeypatch, capsys):
+    def failing_scaled_e8(lat, block):
+        cb = CertBuilder("scaled-e8 block %d" % block.row_index)
+        cb.check("basis Gram entries even", True, False)
+
+    monkeypatch.setattr(bl, "certify_scaled_e8", failing_scaled_e8)
+    out = str(tmp_path / "failed")
+    assert cli.main(["partition", "--out", out]) == 1
+    first, second = open(os.path.join(out, "FAILED")).read().splitlines()
+    assert first == "failed at stage: partition"
+    assert second == (
+        "scaled-e8 block 0: basis Gram entries even (expected True, got False)"
+    )
+    assert os.path.exists(os.path.join(out, "frames.txt"))
+
+
+def test_stage_table_matches_benchmark_tracer():
+    """perfbench/tracer.py wraps cli.stage_<name> for each name of its own STAGES
+    copy and checks the per-stage timings of `certify --json` in that order."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "STAGES" for t in node.targets)
+    )
+    assert cli.STAGES == traced
+    for name in cli.STAGES:
+        fn = vars(cli)["stage_" + name]
+        assert inspect.isfunction(fn) and fn.__module__ == "e8nine.cli"
+        assert fn.__name__ == "stage_" + name
