@@ -14,6 +14,7 @@ the spread onto itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .blocks import Norm4Partition, block_of_vector_table
 from .frames import FrameArray, frame_reps
@@ -93,18 +94,24 @@ def spread_block_perm(spread_index: dict[F2Subspace, int], m: Mat) -> Perm | Non
     return tuple(images)
 
 
+def _image_perm(vectors: list[Vec], m: Mat, index: dict[Vec, int]) -> Perm:
+    """The permutation v -> v m of a sorted vector list, through its index."""
+    cols = tuple(zip(*m))
+    return tuple(index[tuple(sum(map(mul, v, c)) for c in cols)] for v in vectors)
+
+
 def shell4_perm(lat: Lattice, m: Mat, shell4_index: dict[Vec, int]) -> Perm:
     """The permutation the matrix induces on the canonical norm-4 shell."""
-    shell = enumerate_shell(lat, 4)
-    img = [0] * len(shell)
-    for i, v in enumerate(shell):
-        w = tuple(sum(v[a] * m[a][b] for a in range(8)) for b in range(8))
-        img[i] = shell4_index[w]
-    return tuple(img)
+    return _image_perm(enumerate_shell(lat, 4), m, shell4_index)
+
+
+def root_perm(lat: Lattice, m: Mat, root_index: dict[Vec, int]) -> Perm:
+    """The permutation the matrix induces on the 240 sorted roots."""
+    return _image_perm(enumerate_shell(lat, 2), m, root_index)
 
 
 def extended_perm(block_perm: Perm, vec_perm: Perm) -> Perm:
-    """One permutation of blocks (points 0..8) followed by shell-4 points."""
+    """One permutation of blocks (points 0..8) followed by root points."""
     return tuple(block_perm) + tuple(9 + x for x in vec_perm)
 
 
@@ -289,15 +296,18 @@ def isometries_between_frames(
 
 @dataclass
 class PermutationGroup:
-    """The stabilizer as a permutation group on the 2160 norm-4 vectors.
+    """The stabilizer as a permutation group on the 240 roots.
 
-    The stabilizer chain runs over an extended domain whose first nine points
-    are the blocks; starting the base there keeps every fundamental orbit
-    tiny (at most nine points) while representing exactly the same group.
+    The action on the roots is faithful: the roots span E8, so an isometry is
+    determined by the images of eight independent roots. The stabilizer
+    chain runs over 9 + 240 points, the nine blocks first and then the roots.
+    The block points are a function of the matrix, so the extended action
+    represents exactly the same group; starting the base at the blocks keeps
+    the first fundamental orbits within nine points.
     """
 
-    generators: tuple[Perm, ...]  # degree-2160 permutations, canonical order
-    chain: StabChain  # over blocks (0..8) + shell-4 points (9..2168)
+    generators: tuple[Perm, ...]  # degree-240 root permutations, canonical order
+    chain: StabChain  # over blocks (0..8) + roots (9..248)
 
     def order(self) -> int:
         return self.chain.order()
@@ -311,10 +321,14 @@ class StabilizerResult:
 
 
 def negation_perm(lat: Lattice) -> Perm:
-    """-1 on the extended domain: it fixes every block and negates the shell."""
-    shell = enumerate_shell(lat, 4)
-    index = {v: i for i, v in enumerate(shell)}
-    return extended_perm(identity_perm(9), tuple(index[tuple(-x for x in v)] for v in shell))
+    """-1 on the 9 + 240 point domain: it fixes every block and negates each root.
+
+    The roots span E8, so a root permutation determines its matrix: this
+    permutation stands for -1 and for no other isometry.
+    """
+    roots = enumerate_shell(lat, 2)
+    index = {v: i for i, v in enumerate(roots)}
+    return extended_perm(identity_perm(9), tuple(index[tuple(-x for x in v)] for v in roots))
 
 
 def _target_schedule(arr: FrameArray) -> list[tuple[int, int]]:
@@ -337,17 +351,19 @@ def compute_stabilizer(
 ) -> StabilizerResult:
     """Search frame-to-frame maps until the generated group has the full order.
 
-    Negation is always included (it fixes every block). Targets and per-target
-    caps escalate until the stabilizer chain certifies order 362880; running
-    out of targets raises GenerationIncomplete.
+    Negation is always included (it fixes every block). Each candidate joins
+    the stabilizer chain as its block permutation followed by its (faithful)
+    permutation of the 240 roots. Targets and per-target caps escalate until
+    the chain certifies order 362880; running out of targets raises
+    GenerationIncomplete.
     """
     block_of = block_of_vector_table(partition)
     spread_index = {s: i for i, s in enumerate(spread.spaces)}
-    shell = enumerate_shell(lat, 4)
-    shell_index = {v: i for i, v in enumerate(shell)}
+    roots = enumerate_shell(lat, 2)
+    root_index = {v: i for i, v in enumerate(roots)}
     src_reps = frame_reps(lat, arr.rows[0][0])
 
-    chain = StabChain(degree=9 + len(shell), base_prefix=tuple(range(9)))
+    chain = StabChain(degree=9 + len(roots), base_prefix=tuple(range(9)))
     isometries: list[Isometry] = []
     block_perms: list[Perm] = []
     gen_perms: list[Perm] = []
@@ -355,7 +371,7 @@ def compute_stabilizer(
     def admit(m: Mat, bp: Perm) -> None:
         if not is_gram_isometry(lat, m):
             raise AssertionError("candidate is not a Gram isometry")
-        vec_perm = shell4_perm(lat, m, shell_index)
+        vec_perm = root_perm(lat, m, root_index)
         ext = extended_perm(bp, vec_perm)
         if chain.add_generator(ext):
             isometries.append(Isometry(matrix=m))
@@ -397,12 +413,13 @@ def block_action(
 ) -> BlockAction:
     """Induced 9-point action: image A9 (order, evenness), kernel {+-1}.
 
-    When the partition is supplied, every generator is re-checked to map each
-    block onto the block its 9-point permutation claims. The kernel order
-    comes from the stabilizer chain itself: base points 0..8 are the blocks,
-    so the product of the orbit lengths at deeper levels is the order of the
-    pointwise block stabilizer. Its strong generators must be the identity or
-    global negation on the shell.
+    When the partition is supplied, every generator's matrix is re-checked on
+    all 2160 norm-4 vectors to map each block onto the block its 9-point
+    permutation claims. The kernel order comes from the stabilizer chain
+    itself: base points 0..8 are the blocks, so the product of the orbit
+    lengths at deeper levels is the order of the pointwise block stabilizer.
+    Its strong generators must be the identity or global negation on the
+    roots.
     """
     if partition is not None:
         shell = enumerate_shell(lat, 4)
@@ -410,7 +427,8 @@ def block_action(
         block_indices = [
             frozenset(index_of[v] for v in b.vectors) for b in partition.blocks
         ]
-        for vec_perm, bp in zip(result.group.generators, result.block_perms):
+        for iso, bp in zip(result.isometries, result.block_perms):
+            vec_perm = shell4_perm(lat, iso.matrix, index_of)
             for b, indices in enumerate(block_indices):
                 if frozenset(vec_perm[i] for i in indices) != block_indices[bp[b]]:
                     raise ValueError(
@@ -450,6 +468,26 @@ class OneBlockReport:
     kernel_order_points: int
 
 
+def space_point_perms(lat: Lattice, space: F2Subspace, gens: list[Perm]) -> list[Perm]:
+    """The action of 9 + 240 point permutations on the nonzero points of a
+    4-space they fix.
+
+    The action on L/2L is linear, so the image of a point p is the sum of the
+    images of two root classes c and c + p (every isotropic point is such a
+    sum); root i is extended point 9 + i.
+    """
+    cls = [reduce_mod2(r) for r in enumerate_shell(lat, 2)]
+    first: dict[int, int] = {}
+    for i, c in enumerate(cls):
+        first.setdefault(c, 9 + i)
+    points = nonzero_elements(space)
+    point_index = {p: i for i, p in enumerate(points)}
+    lifts = [next((a, first[c ^ p]) for c, a in first.items() if c ^ p in first) for p in points]
+    return [
+        tuple(point_index[cls[g[a] - 9] ^ cls[g[b] - 9]] for a, b in lifts) for g in gens
+    ]
+
+
 def one_block_stabilizer_analysis(
     lat: Lattice,
     result: StabilizerResult,
@@ -461,10 +499,9 @@ def one_block_stabilizer_analysis(
     generators fixing it generate its stabilizer, whose order is the product
     of the deeper fundamental orbit lengths (Seress, Permutation Group
     Algorithms, CUP 2003, ch. 4). Their block points give the action on the
-    other eight blocks; the mod-2 class of the image of one norm-4 lift per
-    point gives the (linear) action on the 15 nonzero points of the fixed
-    4-space. Both images must have order 20160 and be transitive, with
-    kernels of order 2.
+    other eight blocks; their root points give the (linear) action on the 15
+    nonzero points of the fixed 4-space, through space_point_perms. Both
+    images must have order 20160 and be transitive, with kernels of order 2.
     """
     chain = result.group.chain
     if chain.base[:1] != [0]:
@@ -479,18 +516,7 @@ def one_block_stabilizer_analysis(
     other_order, _ = schreier_sims(eight_perms)
     other_transitive = len(orbit_of(0, eight_perms)) == 8
 
-    # Action on the 15 nonzero points of the fixed 4-space; shell point i is
-    # extended point 9 + i.
-    shell = enumerate_shell(lat, 4)
-    points = nonzero_elements(spread.spaces[0])
-    point_index = {p: i for i, p in enumerate(points)}
-    lift = {}
-    for i, v in enumerate(shell):
-        lift.setdefault(reduce_mod2(v), 9 + i)
-    point_perms = [
-        tuple(point_index[reduce_mod2(shell[g[lift[p]] - 9])] for p in points)
-        for g in gens
-    ]
+    point_perms = space_point_perms(lat, spread.spaces[0], gens)
     points_order, _ = schreier_sims(point_perms)
     points_transitive = len(orbit_of(0, point_perms)) == 15
 

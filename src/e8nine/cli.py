@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 input/parse error.
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import json
 import os
@@ -227,14 +228,16 @@ def run_pipeline(
     Each stage is looked up by its module-level name when it runs, so a
     rebound stage_<name> (a tracer, a test double) is the one that runs. The
     first violated check raises StageFailure, which names the stage and
-    carries the state of the stages completed before it.
+    carries the state of the stages completed before it: whatever the failed
+    stage set is dropped, so no uncertified artifact can be written.
     """
     state = PipelineState(class_label=class_label, gram_override=gram_override)
     for name in STAGES[: STAGES.index(upto) + 1]:
+        completed = copy.copy(state)
         try:
             globals()["stage_" + name](state)
         except CheckFailure as e:
-            raise StageFailure(name, state, e) from e
+            raise StageFailure(name, completed, e) from e
     return state
 
 
@@ -298,7 +301,7 @@ def _print_certs(state: PipelineState, as_json: bool) -> None:
 def cmd_run(args) -> int:
     """Run STAGES through the subcommand's last stage and report every certificate.
 
-    With --out, the artifacts of the completed stages are written; after a
+    With --out, the artifacts of the certified stages are written; after a
     failure they sit next to a FAILED marker whose first line names the
     pipeline stage and whose second line is the violated check.
     """

@@ -22,7 +22,7 @@ def is_identity(p: Perm) -> bool:
 
 def mult(p: Perm, q: Perm) -> Perm:
     """Apply p, then q."""
-    return tuple(q[x] for x in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def inverse(p: Perm) -> Perm:

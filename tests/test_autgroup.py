@@ -15,11 +15,14 @@ from e8nine.autgroup import (
     negation_isometry,
     negation_perm,
     one_block_stabilizer_analysis,
+    root_perm,
     shell4_perm,
+    space_point_perms,
     spread_block_perm,
 )
 from e8nine.blocks import block_of_vector_table
 from e8nine.frames import frame_reps
+from e8nine.gf2 import nonzero_elements
 from e8nine.intmat import Mat, identity as identity_matrix, mat_mul
 from e8nine.lattice import enumerate_shell
 from e8nine.permgroup import identity_perm, mult, schreier_sims
@@ -151,31 +154,85 @@ def test_random_words_preserve_gram_and_partition(lat, stab_result, partition):
         assert len({src for src, _ in images}) == len(images)
 
 
-def test_action_on_shell_is_faithful(lat, stab_result):
-    # The norm-4 shell spans the space, so the matrix is recoverable from its
-    # shell permutation and distinct generators induce distinct permutations.
+def _matrices_from_perms(vectors, perms):
+    """Recover each matrix from its permutation of a spanning vector list:
+    pick 8 independent vectors B, then M = B^-1 (images of B)."""
     from e8nine.intmat import adjugate, det, hnf
 
-    shell = enumerate_shell(lat, 4)
-    index = {v: i for i, v in enumerate(shell)}
-    perms = [shell4_perm(lat, iso.matrix, index) for iso in stab_result.isometries]
-    assert len(set(perms)) == len(perms)
-
     basis_idx: list[int] = []
-    for i in range(len(shell)):
-        candidate = [shell[j] for j in basis_idx] + [shell[i]]
+    for i in range(len(vectors)):
+        candidate = [vectors[j] for j in basis_idx] + [vectors[i]]
         if len(hnf(candidate)) == len(candidate):
             basis_idx.append(i)
         if len(basis_idx) == 8:
             break
-    basis = tuple(shell[j] for j in basis_idx)
+    basis = tuple(vectors[j] for j in basis_idx)
     d = det(basis)
     adj = adjugate(basis)
-    for iso, perm in zip(stab_result.isometries, perms):
-        image_rows = tuple(shell[perm[j]] for j in basis_idx)
-        num = mat_mul(adj, image_rows)
-        recovered = tuple(tuple(x // d for x in row) for row in num)
-        assert recovered == iso.matrix
+    out = []
+    for perm in perms:
+        num = mat_mul(adj, tuple(vectors[perm[j]] for j in basis_idx))
+        assert all(x % d == 0 for row in num for x in row)
+        out.append(tuple(tuple(x // d for x in row) for row in num))
+    return out
+
+
+def test_action_on_shell_is_faithful(lat, stab_result):
+    # The norm-4 shell spans the space, so the matrix is recoverable from its
+    # shell permutation and distinct generators induce distinct permutations.
+    shell = enumerate_shell(lat, 4)
+    index = {v: i for i, v in enumerate(shell)}
+    perms = [shell4_perm(lat, iso.matrix, index) for iso in stab_result.isometries]
+    assert len(set(perms)) == len(perms)
+    assert _matrices_from_perms(shell, perms) == [iso.matrix for iso in stab_result.isometries]
+
+
+def test_root_action_is_faithful(lat, stab_result):
+    # The chain acts on 9 block points + 240 roots. The roots span E8, so each
+    # generator's matrix is recoverable from its root permutation.
+    roots = enumerate_shell(lat, 2)
+    index = {v: i for i, v in enumerate(roots)}
+    gens = list(stab_result.group.generators)
+    assert all(len(g) == 240 for g in gens)
+    assert gens == [root_perm(lat, iso.matrix, index) for iso in stab_result.isometries]
+    assert len(set(gens)) == len(gens)
+    assert _matrices_from_perms(roots, gens) == [iso.matrix for iso in stab_result.isometries]
+    chain = stab_result.group.chain
+    assert chain.degree == 249
+    assert chain.base[:9] == list(range(9))
+    neg = root_perm(lat, negation_isometry().matrix, index)
+    assert negation_perm(lat) == extended_perm(identity_perm(9), neg)
+
+
+def test_point_action_from_root_lifts_matches_matrix_mod2(lat, stab_result, spread):
+    # The 15-point action is read off root images; it must equal the matrix
+    # acting mod 2 on the fixed 4-space. Checked on the admitted generators
+    # fixing block 0 (-1 among them) and on every strong generator of the
+    # block-0 stabilizer, whose matrix is recovered from its root points.
+    roots = enumerate_shell(lat, 2)
+    index = {v: i for i, v in enumerate(roots)}
+    space = spread.spaces[0]
+    points = nonzero_elements(space)
+    cases = [
+        (extended_perm(bp, root_perm(lat, iso.matrix, index)), iso.matrix)
+        for iso, bp in zip(stab_result.isometries, stab_result.block_perms)
+        if bp[0] == 0
+    ]
+    assert negation_isometry().matrix in [m for _, m in cases]
+    strong = stab_result.group.chain.strong_generators(from_level=1)
+    root_parts = [tuple(x - 9 for x in g[9:]) for g in strong]
+    cases += list(zip(strong, _matrices_from_perms(roots, root_parts)))
+    assert len(cases) > 10
+    for g, m in cases:
+        rows2 = matrix_mod2_rows(m)
+        images = []
+        for p in points:
+            img = 0
+            for i in range(8):
+                if (p >> i) & 1:
+                    img ^= rows2[i]
+            images.append(points.index(img))
+        assert space_point_perms(lat, space, [g]) == [tuple(images)]
 
 
 def test_membership_of_generator_products(stab_result):

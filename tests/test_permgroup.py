@@ -120,3 +120,15 @@ def test_strong_generators_generate_the_group():
     deeper = chain.strong_generators(from_level=1)
     assert all(g[beta] == beta for g in deeper)
     assert schreier_sims(deeper)[0] == chain.stabilizer_order_below(1)
+
+
+def test_mult_and_inverse_match_their_definitions():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 300)
+        p = tuple(rng.sample(range(n), n))
+        q = tuple(rng.sample(range(n), n))
+        pq = mult(p, q)
+        assert pq == tuple(q[p[i]] for i in range(n))
+        assert mult(p, inverse(p)) == identity_perm(n)
+        assert mult(inverse(p), p) == identity_perm(n)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import inspect
 import json
 import os
@@ -222,7 +223,10 @@ def test_sub_certificate_failure_marker_names_pipeline_stage(tmp_path, monkeypat
     assert second == (
         "scaled-e8 block 0: basis Gram entries even (expected True, got False)"
     )
+    # Only certified stages leave artifacts: the partition was built before
+    # its certificate failed, so partition.txt must not be written.
     assert os.path.exists(os.path.join(out, "frames.txt"))
+    assert not os.path.exists(os.path.join(out, "partition.txt"))
 
 
 def test_stage_table_matches_benchmark_tracer():
@@ -242,3 +246,25 @@ def test_stage_table_matches_benchmark_tracer():
         fn = vars(cli)["stage_" + name]
         assert inspect.isfunction(fn) and fn.__module__ == "e8nine.cli"
         assert fn.__name__ == "stage_" + name
+
+
+def test_benchmark_tracer_targets_resolve():
+    """perfbench/tracer.py wraps each (module, attr) of SPANNED and COUNTED and
+    raises at install time if one is not bound, so a rename must fail here."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(m, a) for m, a, _, _ in tracer.SPANNED] + [(m, a) for m, a, _ in tracer.COUNTED]
+    assert ("autgroup", "shell4_perm") in targets
+    for module, attr in targets:
+        owner = importlib.import_module("e8nine." + module)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            fn = vars(getattr(owner, cls_name)).get(meth)
+        else:
+            fn = getattr(owner, attr, None)
+        assert callable(fn), "e8nine.%s.%s" % (module, attr)
+    lattice = importlib.import_module("e8nine.lattice")
+    for name in tracer.RECOGNIZERS:
+        assert callable(getattr(lattice, name).cache_info)
