@@ -10,14 +10,15 @@ certificates short:
 
 - Integral coordinates over a basis whose Gram matrix is even give even
   pairwise products, so the halving is certified by the basis Gram alone.
-- At half scale det(D8) = 4 and det(E8) = 1, so [E8 : D8] = 2. Once one glue
-  vector v extends D8 to a lattice E recognised as E8, every glue vector w
-  that lies in E and outside D8 has D8 + Zw = E as well.
+- In coordinates over a frame orthonormal at half scale, D8 is
+  {c in Z^8 : sum(c) even}. For any g in (1/2 + Z)^8 the union D8 + (D8 + g)
+  is even, unimodular and of rank 8, so it is E8; two glue vectors in
+  {+-1/2}^8 lie in the same coset of D8 exactly when their numbers of minus
+  signs have the same parity.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
@@ -30,16 +31,12 @@ from .intmat import (
     gram_of_rows,
     halve_matrix,
     hnf,
+    mat_mul,
+    row_times_mat,
+    transpose,
 )
-from .lattice import (
-    Lattice,
-    enumerate_shell,
-    inner,
-    recognize_d8,
-    recognize_even_unimodular_e8,
-    root_pairs,
-)
-from .frames import Frame, FrameArray
+from .lattice import Lattice, enumerate_shell, inner, recognize_even_unimodular_e8
+from .frames import Frame, FrameArray, frame_combinations, frame_reps
 from .spreadsearch import Spread
 
 
@@ -47,28 +44,11 @@ from .spreadsearch import Spread
 class Norm4Block:
     row_index: int
     vectors: tuple[Vec, ...]  # 240 norm-4 vectors, sorted
-    # Canonical basis (HNF) of the spanned lattice and its halved Gram; filled
-    # by the builder, None on freshly parsed artifacts until certification.
-    basis: tuple[Vec, ...] | None = None
-    half_gram: Mat | None = None
 
 
 @dataclass(frozen=True)
 class Norm4Partition:
     blocks: tuple[Norm4Block, ...]
-
-
-def _frame_combinations(lat: Lattice, frame: Frame) -> list[Vec]:
-    """The 112 signed vectors {+-ri +-rj} of one frame."""
-    pairs = root_pairs(lat)
-    reps = [pairs[i].rep for i in frame.roots]
-    out = []
-    for a, b in itertools.combinations(range(8), 2):
-        ra, rb = reps[a], reps[b]
-        for sa in (1, -1):
-            for sb in (1, -1):
-                out.append(tuple(sa * x + sb * y for x, y in zip(ra, rb)))
-    return out
 
 
 def row_to_block(lat: Lattice, row: tuple[Frame, ...], row_index: int) -> Norm4Block:
@@ -79,33 +59,24 @@ def row_to_block(lat: Lattice, row: tuple[Frame, ...], row_index: int) -> Norm4B
     """
     vectors: set[Vec] = set()
     for f in row:
-        vectors.update(_frame_combinations(lat, f))
+        vectors.update(frame_combinations(lat, f))
     if len(vectors) != 240:
         raise CheckFailure(
             "norm4-block",
             Check("row %d deduplicated size" % row_index, 240, len(vectors)),
         )
-    ordered = sorted(vectors)
-    basis = hnf(ordered)
-    if len(basis) != 8:
-        raise CheckFailure(
-            "norm4-block", Check("row %d span rank" % row_index, 8, len(basis))
-        )
-    half = halve_matrix(gram_of_rows(lat.gram, list(basis)))
-    return Norm4Block(
-        row_index=row_index, vectors=tuple(ordered), basis=basis, half_gram=half
-    )
+    return Norm4Block(row_index=row_index, vectors=tuple(sorted(vectors)))
 
 
 def certify_scaled_e8(lat: Lattice, block: Norm4Block) -> Certificate:
     """Certify one block as a half-scale E8 copy.
 
-    Everything is recomputed from the vectors, so the certificate does not
-    trust builder-cached fields: the canonical basis of the span must have an
-    even unimodular halved Gram passing E8 recognition, and every block vector
-    must have halved norm 2 and lie in the spanned lattice. Pairwise products
-    are even because every vector has integral coordinates over a basis whose
-    Gram matrix is even: u.w = c_u G c_w^T with every entry of G even.
+    Everything is recomputed from the vectors: the canonical basis of the
+    span must have an even unimodular halved Gram passing E8 recognition, and
+    every block vector must have halved norm 2 and lie in the spanned lattice.
+    Pairwise products are even because every vector has integral coordinates
+    over a basis whose Gram matrix is even: u.w = c_u G c_w^T with every entry
+    of G even.
     """
     cb = CertBuilder("scaled-e8 block %d" % block.row_index)
     cb.check("vector count", 240, len(block.vectors))
@@ -126,67 +97,60 @@ def certify_scaled_e8(lat: Lattice, block: Norm4Block) -> Certificate:
         "pairwise inner products even: basis Gram entries even", [], odd_entries
     )
     half = halve_matrix(full_gram)
-    if block.half_gram is not None:
-        cb.check("cached halved Gram matches", half, block.half_gram)
     cb.check("halved Gram determinant", 1, det(half))
     cb.check("E8 recognition of halved Gram", True, recognize_even_unimodular_e8(half))
     return cb.done()
 
 
+def doubled_frame_coordinates(lat: Lattice, reps: list[Vec]) -> Mat:
+    """The matrix G R^T taking a row vector v to d with d_i = v . r_i.
+
+    Over a frame with r_i . r_i = 2 and r_i . r_j = 0, v = sum_i (d_i / 2) r_i,
+    so d is twice the coordinate vector of v in the orthonormal half-scale
+    frame.
+    """
+    return mat_mul(lat.gram, transpose(reps))
+
+
 def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificate:
     """Certify the D8-plus-glue structure of a block relative to one frame.
 
-    The frame's eight representatives are orthonormal under the halved inner
-    product; their 112 signed combinations span a D8; the other 128 block
-    vectors lie outside that D8. One glue vector extends D8 to a lattice E
-    recognised as E8, so [E : D8] = |det D8| / |det E| = 2. Every glue vector
-    w lies in E, and D8 < D8 + Zw <= E with index 2 leaves D8 + Zw = E: each
-    glue vector extends D8 to E8.
+    The frame Gram is 2I, so the eight representatives are orthonormal at
+    half scale and, in the coordinates c = d / 2 of
+    `doubled_frame_coordinates`, their 112 combinations are the minimal
+    vectors of D8 = {c in Z^8 : sum(c) even}. Of the block's other vectors:
+
+    - none lies in D8 (d all even with sum(d) = 0 mod 4);
+    - each has d in {+-1}^8, so c in {+-1/2}^8 and halved norm 2, and it lies
+      in a coset D8 + g with g in (1/2 + Z)^8, making D8 + (D8 + g) = E8;
+    - all have the parity of minus signs of the first, so any two differ by
+      an integral c with even sum: one coset, and each glue vector extends
+      D8 to the same E8.
+
+    The frame's 112 combinations and 128 glue vectors then make up the
+    block's 240 distinct vectors (counted by `certify_scaled_e8`).
     """
-    pairs = root_pairs(lat)
-    reps = [pairs[i].rep for i in frame.roots]
+    reps = frame_reps(lat, frame)
     cb = CertBuilder("d8-glue block %d frame %s" % (block.row_index, frame.source))
+    to_frame = doubled_frame_coordinates(lat, reps)
+    two_i = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
+    cb.check("frame orthonormal at half scale", two_i, mat_mul(reps, to_frame))
 
-    gram_frame = gram_of_rows(lat.gram, reps)
-    ortho = all(
-        gram_frame[i][j] == (2 if i == j else 0) for i in range(8) for j in range(8)
-    )
-    cb.check("frame orthonormal at half scale", True, ortho)
-
-    combos = sorted(set(_frame_combinations(lat, frame)))
-    cb.check("frame combination count", 112, len(combos))
-    d8_basis = hnf(combos)
-    cb.check("D8 span rank", 8, len(d8_basis))
-    d8_half = halve_matrix(gram_of_rows(lat.gram, list(d8_basis)))
-    cb.check("D8 recognition of halved Gram", True, recognize_d8(d8_half))
-
-    d8_solver = BasisSolver(list(d8_basis))
-    combo_set = set(combos)
-    rest = [v for v in block.vectors if v not in combo_set]
+    combos = set(frame_combinations(lat, frame))
+    rest = [v for v in block.vectors if v not in combos]
     cb.check("remaining vector count", 128, len(rest))
-    # Checked before the norms: every norm-4 vector of D8 is one of its 112
-    # minimal vectors, i.e. a frame combination, so after the norm check this
-    # one could never fail. Here it rejects a D8 vector of any other norm.
-    inside = [v for v in rest if d8_solver.contains(v)]
+    coords = [row_times_mat(v, to_frame) for v in rest]
+    inside = [
+        v
+        for v, d in zip(rest, coords)
+        if all(x % 2 == 0 for x in d) and sum(d) % 4 == 0
+    ]
     cb.check("remaining vectors outside D8", [], inside)
-    bad_norm = [v for v in rest if inner(lat, v, v) != 4]
-    cb.check("remaining halved norms are 2", [], bad_norm)
-
-    e_basis = hnf(list(d8_basis) + [rest[0]])
-    cb.check("D8 plus first glue vector span rank", 8, len(e_basis))
-    e_gram = gram_of_rows(lat.gram, list(e_basis))
-    odd_entries = [x for row in e_gram for x in row if x % 2]
-    cb.check("D8 plus first glue vector Gram entries even", [], odd_entries)
-    e_half = halve_matrix(e_gram)
-    cb.check(
-        "E8 recognition of D8 plus first glue vector",
-        True,
-        recognize_even_unimodular_e8(e_half),
-    )
-    cb.check("index of D8 in E", 2, abs(det(d8_basis)) // abs(det(e_basis)))
-    e_solver = BasisSolver(list(e_basis))
-    not_in_e = [v for v in rest if not e_solver.contains(v)]
-    cb.check("each glue vector extends D8 to E8", [], not_in_e)
+    off = [v for v, d in zip(rest, coords) if any(x * x != 1 for x in d)]
+    cb.check("remaining frame coordinates all +-1/2", [], off)
+    parity = coords[0].count(-1) % 2
+    other_coset = [v for v, d in zip(rest, coords) if d.count(-1) % 2 != parity]
+    cb.check("one glue coset: each glue vector extends D8 to E8", [], other_coset)
     return cb.done()
 
 

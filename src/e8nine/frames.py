@@ -125,6 +125,17 @@ def frame_reps(lat: Lattice, frame: Frame) -> list[Vec]:
     return [pairs[i].rep for i in frame.roots]
 
 
+def frame_combinations(lat: Lattice, frame: Frame) -> list[Vec]:
+    """The 112 signed vectors +-ra +-rb of one frame, a < b."""
+    reps = frame_reps(lat, frame)
+    return [
+        tuple(sa * x + sb * y for x, y in zip(ra, rb))
+        for ra, rb in itertools.combinations(reps, 2)
+        for sa in (1, -1)
+        for sb in (1, -1)
+    ]
+
+
 def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -> FrameArray:
     """Assemble the 9 x 15 array and enforce row and global frame properties.
 
@@ -198,12 +209,8 @@ def orthogonal_pair_census(lat: Lattice, arr: FrameArray) -> PairCensus:
     mult: dict[Vec, int] = {}
     for row in arr.rows:
         for f in row:
-            for a, b in itertools.combinations(f.roots, 2):
-                ra, rb = reps[a], reps[b]
-                for sa in (1, -1):
-                    for sb in (1, -1):
-                        v = tuple(sa * x + sb * y for x, y in zip(ra, rb))
-                        mult[v] = mult.get(v, 0) + 1
+            for v in frame_combinations(lat, f):
+                mult[v] = mult.get(v, 0) + 1
     return PairCensus(
         orthogonal_pair_count=total,
         per_pair_orthogonal_counts=tuple(per_pair),

@@ -4,24 +4,25 @@ import pytest
 
 from dataclasses import replace
 
-from e8nine import blocks as bl
 from e8nine.blocks import (
-    _frame_combinations,
     block_of_vector_table,
     certify_d8_glue,
     certify_scaled_e8,
+    doubled_frame_coordinates,
     row_to_block,
     spread_from_partition,
     verify_partition,
 )
 from e8nine.certs import CheckFailure
+from e8nine.frames import Frame, frame_combinations, frame_reps
 from e8nine.gf2 import nonzero_elements, reduce_mod2
-from e8nine.lattice import enumerate_shell, neg, root_pairs
+from e8nine.intmat import row_times_mat
+from e8nine.lattice import enumerate_shell, inner, neg, root_pairs
 
 
 def test_each_frame_contributes_112_signed_vectors(lat, frame_array):
     for f in frame_array.rows[0]:
-        combos = _frame_combinations(lat, f)
+        combos = frame_combinations(lat, f)
         assert len(combos) == 112
         assert len(set(combos)) == 112
 
@@ -36,7 +37,7 @@ def test_block_vector_arises_from_seven_frames(lat, frame_array, partition):
     block = partition.blocks[0]
     membership = {v: 0 for v in block.vectors}
     for f in frame_array.rows[0]:
-        for v in set(_frame_combinations(lat, f)):
+        for v in set(frame_combinations(lat, f)):
             membership[v] += 1
     assert set(membership.values()) == {7}
 
@@ -52,18 +53,29 @@ def test_certify_scaled_e8_all_blocks(lat, partition):
 def test_certify_d8_glue_one_frame(lat, partition, frame_array):
     cert = certify_d8_glue(lat, partition.blocks[0], frame_array.rows[0][0])
     assert cert.passed
-    rest = next(c for c in cert.checks if "remaining vector count" in c.description)
-    assert rest.actual == 128
-    d8 = next(c for c in cert.checks if "D8 recognition" in c.description)
-    assert d8.actual is True
-    e8 = next(c for c in cert.checks if "extends D8 to E8" in c.description)
-    assert e8.actual == []
-    index = next(c for c in cert.checks if "index of D8 in E" in c.description)
-    assert index.actual == 2
+    checks = {c.description: c.actual for c in cert.checks}
+    assert checks == {
+        "frame orthonormal at half scale": tuple(
+            tuple(2 * (i == j) for j in range(8)) for i in range(8)
+        ),
+        "remaining vector count": 128,
+        "remaining vectors outside D8": [],
+        "remaining frame coordinates all +-1/2": [],
+        "one glue coset: each glue vector extends D8 to E8": [],
+    }
+
+
+def test_doubled_frame_coordinates_reconstruct_vectors(lat, partition, frame_array):
+    reps = frame_reps(lat, frame_array.rows[0][0])
+    to_frame = doubled_frame_coordinates(lat, reps)
+    for v in partition.blocks[0].vectors:
+        d = row_times_mat(v, to_frame)
+        rebuilt = tuple(sum(di * r[k] for di, r in zip(d, reps)) for k in range(8))
+        assert rebuilt == tuple(2 * x for x in v)
 
 
 def _glue(lat, block, frame):
-    combos = set(_frame_combinations(lat, frame))
+    combos = set(frame_combinations(lat, frame))
     return [v for v in block.vectors if v not in combos]
 
 
@@ -71,13 +83,11 @@ def _swap_pair(block, out, into):
     """The block with the pair {out, -out} replaced by {into, -into}."""
     kept = [v for v in block.vectors if v not in (out, neg(out))]
     vectors = tuple(sorted(kept + [into, neg(into)]))
-    return replace(block, vectors=vectors, basis=None, half_gram=None)
+    return replace(block, vectors=vectors)
 
 
-GLUE_FAILURES = {
-    "each glue vector extends D8 to E8",
-    "D8 plus first glue vector Gram entries even",
-}
+OFF_HALF = "remaining frame coordinates all +-1/2"
+OTHER_COSET = "one glue coset: each glue vector extends D8 to E8"
 
 
 def test_certify_scaled_e8_rejects_cross_block_pair_swap(lat, partition):
@@ -89,45 +99,65 @@ def test_certify_scaled_e8_rejects_cross_block_pair_swap(lat, partition):
 
 
 def test_certify_d8_glue_rejects_cross_block_pair_swaps(lat, partition, frame_array):
+    # A norm-4 vector outside the block has doubled frame coordinates either
+    # with an entry +-2 (not +-1/2) or in {+-1}^8 with the other parity of
+    # minus signs (the other glue coset). Each of block 1's 120 pairs, swapped
+    # in for the last glue pair, fails the check its coordinates predict.
     b0, b1 = partition.blocks[0], partition.blocks[1]
     frame = frame_array.rows[0][0]
-    glue = _glue(lat, b0, frame)
-    # A foreign pair sorting before the glue supplies the vector that builds
-    # E; one sorting after it must fail membership in E.
-    early = b1.vectors[0]
-    late = next(w for w in b1.vectors if min(w, neg(w)) > glue[2])
-    seen = set()
-    for out in glue[-1:] + glue[:6]:
-        for into in (early, late):
-            with pytest.raises(CheckFailure) as exc:
-                certify_d8_glue(lat, _swap_pair(b0, out, into), frame)
-            seen.add(exc.value.check.description)
-    assert seen == GLUE_FAILURES
+    reps = frame_reps(lat, frame)
+    out = _glue(lat, b0, frame)[-1]
+    seen = {}
+    for into in b1.vectors:
+        if into < neg(into):
+            continue
+        half = all(abs(inner(lat, into, r)) == 1 for r in reps)
+        with pytest.raises(CheckFailure) as exc:
+            certify_d8_glue(lat, _swap_pair(b0, out, into), frame)
+        name = exc.value.check.description
+        assert name == (OTHER_COSET if half else OFF_HALF)
+        seen[name] = seen.get(name, 0) + 1
+    assert seen == {OFF_HALF: 112, OTHER_COSET: 8}
 
 
 def test_certify_d8_glue_rejects_d8_vector_among_glue(lat, partition, frame_array):
+    # 2 r0 has frame coordinates (2, 0, ..., 0), even sum: it lies in D8.
+    # r0 has (1, 0, ..., 0), odd sum: outside D8, but not a +-1/2 glue vector.
     b0 = partition.blocks[0]
     frame = frame_array.rows[0][0]
     r0 = root_pairs(lat)[frame.roots[0]].rep
-    in_d8 = tuple(2 * x for x in r0)
     dropped = _glue(lat, b0, frame)[0]
-    vectors = tuple(sorted([v for v in b0.vectors if v != dropped] + [in_d8]))
-    with pytest.raises(CheckFailure) as exc:
-        certify_d8_glue(lat, replace(b0, vectors=vectors), frame)
-    assert exc.value.check.description == "remaining vectors outside D8"
-    assert exc.value.check.actual == [in_d8]
+    kept = [v for v in b0.vectors if v != dropped]
+    for planted, name in (
+        (tuple(2 * x for x in r0), "remaining vectors outside D8"),
+        (r0, OFF_HALF),
+    ):
+        vectors = tuple(sorted(kept + [planted]))
+        with pytest.raises(CheckFailure) as exc:
+            certify_d8_glue(lat, replace(b0, vectors=vectors), frame)
+        assert exc.value.check.description == name
+        assert exc.value.check.actual == [planted]
 
 
-def test_certify_d8_glue_names_failed_e8_recognition(
-    lat, partition, frame_array, monkeypatch
-):
-    # Data cannot reach this check failing: D8 + v for a norm-4 v outside D8
-    # with even products against D8 is always E8. A rejecting recognizer
-    # shows the failure is reported under its own name.
-    monkeypatch.setattr(bl, "recognize_even_unimodular_e8", lambda gram: False)
+def test_certify_d8_glue_rejects_non_orthonormal_frame(lat, partition, frame_array):
+    # Eight mutually orthogonal root pairs are a maximal orthogonal set, so
+    # any other root pair has a nonzero product with some frame member.
+    frame = frame_array.rows[0][0]
+    other = next(i for i in range(120) if i not in frame.roots)
+    bent = Frame(roots=tuple(sorted(frame.roots[1:] + (other,))), source=frame.source)
     with pytest.raises(CheckFailure) as exc:
-        certify_d8_glue(lat, partition.blocks[0], frame_array.rows[0][0])
-    assert exc.value.check.description == "E8 recognition of D8 plus first glue vector"
+        certify_d8_glue(lat, partition.blocks[0], bent)
+    assert exc.value.check.description == "frame orthonormal at half scale"
+    assert any(x not in (0, 2) for row in exc.value.check.actual for x in row)
+
+
+def test_certify_d8_glue_rejects_frame_of_another_row(lat, partition, frame_array):
+    # Each orthogonal pair of root pairs lies in one frame only, so a row-1
+    # frame's combinations all lie in block 1 and none is removed from block 0.
+    with pytest.raises(CheckFailure) as exc:
+        certify_d8_glue(lat, partition.blocks[0], frame_array.rows[1][0])
+    assert exc.value.check.description == "remaining vector count"
+    assert exc.value.check.actual == 240
 
 
 def test_partition_coverage_and_negation(lat, partition):
@@ -185,8 +215,8 @@ def test_verify_partition_catches_cross_block_swap(lat, partition):
     broken = replace(
         partition,
         blocks=(
-            replace(b0, vectors=swapped0, basis=None, half_gram=None),
-            replace(b1, vectors=swapped1, basis=None, half_gram=None),
+            replace(b0, vectors=swapped0),
+            replace(b1, vectors=swapped1),
         )
         + partition.blocks[2:],
     )
