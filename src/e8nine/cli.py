@@ -313,8 +313,9 @@ def cmd_run(args) -> int:
         state, failure = e.state, e
     _print_certs(state, as_json=args.json)
     if args.out:
+        # Under --json stdout carries the JSON listing alone.
         for path in write_artifacts(state, args.out):
-            print("wrote %s" % path)
+            print("wrote %s" % path, file=sys.stderr if args.json else sys.stdout)
         if failure is not None:
             with open(os.path.join(args.out, "FAILED"), "w") as fh:
                 fh.write("failed at stage: %s\n%s\n" % (failure.name, failure))
@@ -348,8 +349,14 @@ def cmd_verify(args) -> int:
 
     try:
         if "spread" in parsed:
-            cert = verify_spread(parsed["spread"], ft)
+            spread = parsed["spread"]
+            cert = verify_spread(spread, ft)
             print("spread: PASS (%d checks)" % len(cert.checks))
+            # The nine spaces are pairwise disjoint, so they share one class.
+            labels = gf2.classify(gf2.enumerate_isotropic_4spaces(ft))
+            cb = CertBuilder("spread-class")
+            cb.check("class of the spread's spaces", spread.class_label, labels[spread.spaces[0]])
+            print("spread-class: PASS")
         if "frames" in parsed:
             cert = fr.verify_frame_array(lat, ft, parsed["frames"])
             print("frames: PASS (%d checks)" % len(cert.checks))
@@ -357,8 +364,6 @@ def cmd_verify(args) -> int:
             cert = bl.verify_partition(lat, parsed["partition"])
             print("partition: PASS (%d checks)" % len(cert.checks))
             if "spread" in parsed:
-                spaces = gf2.enumerate_isotropic_4spaces(ft)
-                labels = gf2.classify(spaces)
                 recovered = bl.spread_from_partition(ft, parsed["partition"], labels)
                 cb = CertBuilder("partition-vs-spread")
                 cb.check(

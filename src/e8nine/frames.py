@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
 from .gf2 import (
@@ -17,13 +18,12 @@ from .gf2 import (
     FormTable,
     Mod2Census,
     element_mask,
-    nonzero_elements,
     perp_mask,
     rref,
     span_elements,
 )
-from .intmat import Vec
-from .lattice import Lattice, inner, root_pairs
+from .intmat import Vec, row_times_mat
+from .lattice import Lattice, root_pairs
 
 
 @dataclass(frozen=True)
@@ -40,16 +40,19 @@ class FrameArray:
 
 
 def three_spaces(v: F2Subspace) -> list[F2Subspace]:
-    """The 15 three-dimensional subspaces of a 4-space, in canonical order."""
+    """The 15 three-dimensional subspaces of a 4-space, in canonical order.
+
+    They are the kernels of the 15 nonzero functionals on V. Element i of
+    span_elements(v) is the sum of the rows at the set bits of i, so the
+    kernel of functional f holds the elements with i & f of even weight.
+    """
     if v.dim != 4:
         raise ValueError("expected a 4-space, got dimension %d" % v.dim)
-    pts = nonzero_elements(v)
-    seen: set[tuple[int, ...]] = set()
-    for triple in itertools.combinations(pts, 3):
-        rows = rref(list(triple))
-        if len(rows) == 3:
-            seen.add(rows)
-    return sorted(F2Subspace(rows=r) for r in seen)
+    elems = span_elements(v)
+    return sorted(
+        F2Subspace(rows=rref([e for i, e in enumerate(elems) if not (i & f).bit_count() & 1]))
+        for f in range(1, 16)
+    )
 
 
 def frame_from_3space(
@@ -120,6 +123,16 @@ def frame_from_3space(
     return Frame(roots=tuple(sorted(ids)), source=source)
 
 
+def reps_and_gram_rows(lat: Lattice) -> tuple[list[Vec], list[Vec]]:
+    """The 120 root-pair reps r and their rows r G.
+
+    inner(lat, ra, rb) is then sum(map(mul, rG[a], rb)): one dot product
+    per pair in place of nine.
+    """
+    reps = [p.rep for p in root_pairs(lat)]
+    return reps, [row_times_mat(r, lat.gram) for r in reps]
+
+
 def frame_reps(lat: Lattice, frame: Frame) -> list[Vec]:
     pairs = root_pairs(lat)
     return [pairs[i].rep for i in frame.roots]
@@ -171,12 +184,12 @@ def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -
                         ),
                     )
     cb.check("orthogonal pairs covered", 3780, len(seen_pairs))
-    pairs = root_pairs(lat)
+    reps, rg = reps_and_gram_rows(lat)
     for (a, b) in seen_pairs:
-        if inner(lat, pairs[a].rep, pairs[b].rep) != 0:
+        ip = sum(map(mul, rg[a], reps[b]))
+        if ip != 0:
             raise CheckFailure(
-                "frame-array",
-                Check("pair (%d,%d) orthogonal" % (a, b), 0, inner(lat, pairs[a].rep, pairs[b].rep)),
+                "frame-array", Check("pair (%d,%d) orthogonal" % (a, b), 0, ip)
             )
     cb.done()
     return arr
@@ -196,13 +209,12 @@ def orthogonal_pair_census(lat: Lattice, arr: FrameArray) -> PairCensus:
     vectors +-ra +-rb; tallied over the 135 frames, each norm-4 vector of the
     lattice must arise seven times.
     """
-    pairs = root_pairs(lat)
-    reps = [p.rep for p in pairs]
-    per_pair = [0] * len(pairs)
+    reps, rg = reps_and_gram_rows(lat)
+    per_pair = [0] * len(reps)
     total = 0
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            if inner(lat, reps[a], reps[b]) == 0:
+    for a, ga in enumerate(rg):
+        for b in range(a + 1, len(reps)):
+            if not sum(map(mul, ga, reps[b])):
                 per_pair[a] += 1
                 per_pair[b] += 1
                 total += 1
@@ -222,18 +234,17 @@ def verify_frame_array(lat: Lattice, ft: FormTable, arr: FrameArray) -> Certific
     """Verification-only re-check of a frame array (used on parsed artifacts)."""
     cb = CertBuilder("frame-array-verify")
     cb.check("row count", 9, len(arr.rows))
-    pairs = root_pairs(lat)
+    reps, rg = reps_and_gram_rows(lat)
     for i, row in enumerate(arr.rows):
         cb.check("row %d frame count" % i, 15, len(row))
         ids = sorted(pid for f in row for pid in f.roots)
         cb.check("row %d covers each pair once" % i, list(range(120)), ids)
         for j, f in enumerate(row):
-            reps = [pairs[p].rep for p in f.roots]
             bad = [
                 (a, b)
                 for a in range(8)
                 for b in range(a + 1, 8)
-                if inner(lat, reps[a], reps[b]) != 0
+                if sum(map(mul, rg[f.roots[a]], reps[f.roots[b]]))
             ]
             cb.check("frame (%d,%d) orthogonal" % (i, j), [], bad)
     counts: dict[tuple[int, int], int] = {}

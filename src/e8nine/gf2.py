@@ -11,6 +11,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
+from .certs import Check, CheckFailure
 from .intmat import Vec
 from .lattice import Lattice, enumerate_shell, inner, norm, root_pairs
 
@@ -170,25 +171,61 @@ def _bits_of_mask(mask: int) -> list[int]:
     return out
 
 
-def enumerate_isotropic_4spaces(ft: FormTable) -> list[F2Subspace]:
-    """All totally isotropic 4-spaces, grown point by point and deduplicated.
+# Totally isotropic subspaces of the hyperbolic quadric of E8 mod 2 (the
+# O+(8,2) polar space) by dimension: points, lines, planes, solids.
+ISOTROPIC_LEVEL_COUNTS = (135, 1575, 2025, 270)
 
-    A partial flag is extended by isotropic points orthogonal to the current
-    basis; q vanishes on the whole span by the polarization identity.
+
+def _augmenting_points(pivots: int) -> int:
+    """Mask of the vectors p that may head an rref basis with pivot bits `pivots`.
+
+    p must be zero at every pivot and have a set bit below the lowest one
+    (with no pivots, any nonzero p).
     """
-    level: dict[tuple[int, ...], int] = {}
-    for p in ft.isotropic_points():
-        level[(p,)] = ft.iso_mask & perp_mask(ft, F2Subspace(rows=(p,)))
-    for _ in range(3):
-        nxt: dict[tuple[int, ...], int] = {}
-        for rows, cand_mask in level.items():
-            space_mask = element_mask(F2Subspace(rows=rows))
-            for p in _bits_of_mask(cand_mask & ~space_mask):
-                new_rows = rref(list(rows) + [p])
-                if new_rows not in nxt:
-                    nxt[new_rows] = cand_mask & ~ft.brows[p] & ((1 << 256) - 1)
+    below = (pivots & -pivots) - 1 if pivots else 0xFF
+    mask = 0
+    for x in range(1, 256):
+        if x & below and not x & pivots:
+            mask |= 1 << x
+    return mask
+
+
+def enumerate_isotropic_4spaces(ft: FormTable) -> list[F2Subspace]:
+    """All totally isotropic 4-spaces, each built exactly once.
+
+    Canonical augmentation (McKay 1998; Read 1978) on rref bases. A totally
+    isotropic space T is kept as its rref rows (pivot = lowest set bit,
+    pivots increasing), the mask of isotropic points orthogonal to T and the
+    OR of its pivot bits. T is extended only by an isotropic point p
+    orthogonal to T that is zero at every pivot of T and has a set bit below
+    T's lowest pivot. That bit is then p's pivot, and T's rows have no bits
+    below their own pivots, so they are zero at it: (p,) + T.rows is already
+    the rref of T + <p>, and q vanishes on it by the polarization identity.
+    Conversely a k-space S with rref rows s1 < ... < sk arises only from the
+    parent spanned by s2..sk with p = s1, so every subspace is built exactly
+    once: no rref call and no dedup. Points of T itself are never candidates,
+    since each is 1 at some pivot of T.
+
+    The count at each level must be the polar space's (ISOTROPIC_LEVEL_COUNTS);
+    a wrong count raises CheckFailure naming the level.
+    """
+    allowed: dict[int, int] = {}
+    level: list[tuple[tuple[int, ...], int, int]] = [((), ft.iso_mask, 0)]
+    for dim, expected in enumerate(ISOTROPIC_LEVEL_COUNTS, 1):
+        nxt = []
+        for rows, cand, pivots in level:
+            ext = allowed.get(pivots)
+            if ext is None:
+                ext = allowed[pivots] = _augmenting_points(pivots)
+            for p in _bits_of_mask(cand & ext):
+                nxt.append(((p,) + rows, cand & ~ft.brows[p], pivots | (p & -p)))
+        if len(nxt) != expected:
+            raise CheckFailure(
+                "isotropic-4-spaces",
+                Check("totally isotropic %d-spaces" % dim, expected, len(nxt)),
+            )
         level = nxt
-    return sorted(F2Subspace(rows=r) for r in level)
+    return sorted(F2Subspace(rows=rows) for rows, _, _ in level)
 
 
 def classify(spaces: list[F2Subspace]) -> dict[F2Subspace, SpaceClass]:
@@ -197,25 +234,25 @@ def classify(spaces: list[F2Subspace]) -> dict[F2Subspace, SpaceClass]:
     Two 4-spaces lie in the same family iff their intersection has even
     dimension; CLASS_A is the family of the canonically first space. The
     relation is re-verified to be an equivalence over every pair, which
-    guards against corrupted input.
+    guards against corrupted input: the intersection of two spaces has
+    2^d - 1 nonzero elements, so d is the bit length of that count.
     """
     spaces = sorted(spaces)
     if len(spaces) != 270:
         raise ValueError("expected the full list of 270 spaces, got %d" % len(spaces))
-    first = spaces[0]
-    labels: dict[F2Subspace, SpaceClass] = {}
-    for s in spaces:
-        even = intersection_dim(first, s) % 2 == 0
-        labels[s] = SpaceClass.CLASS_A if even else SpaceClass.CLASS_B
-    for i, a in enumerate(spaces):
-        for b in spaces[i + 1 :]:
-            par = intersection_dim(a, b) % 2
-            same = labels[a] == labels[b]
-            if same != (par == 0):
+    masks = [s.mask for s in spaces]
+    parity = [(masks[0] & m).bit_count().bit_length() & 1 for m in masks]
+    for i, (ma, pa) in enumerate(zip(masks, parity)):
+        for j in range(i + 1, len(masks)):
+            if ((ma & masks[j]).bit_count().bit_length() ^ pa ^ parity[j]) & 1:
                 raise ValueError(
-                    "intersection parity is not an equivalence: %r vs %r" % (a, b)
+                    "intersection parity is not an equivalence: %r vs %r"
+                    % (spaces[i], spaces[j])
                 )
-    return labels
+    return {
+        s: SpaceClass.CLASS_B if par else SpaceClass.CLASS_A
+        for s, par in zip(spaces, parity)
+    }
 
 
 def class_members(

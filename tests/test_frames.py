@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
+from operator import mul
 
 import pytest
 
+from e8nine.certs import CheckFailure
 from e8nine.frames import (
+    FrameArray,
     frame_from_3space,
     frame_reps,
     orthogonal_pair_census,
+    reps_and_gram_rows,
     three_spaces,
     verify_frame_array,
 )
-from e8nine.gf2 import nonzero_elements, reduce_mod2, subspace_from
-from e8nine.lattice import inner, norm, root_pairs
+from e8nine.gf2 import nonzero_elements, reduce_mod2, rref, subspace_from
+from e8nine.intmat import identity, mat_mul, transpose
+from e8nine.lattice import Lattice, inner, norm, root_pairs
 
 
 def test_three_spaces_count_and_membership(spread):
@@ -24,6 +30,16 @@ def test_three_spaces_count_and_membership(spread):
         pts = nonzero_elements(w)
         assert len(pts) == 7
         assert set(pts) <= v_points
+
+
+def test_three_spaces_match_rref_of_independent_triples(spread):
+    for v in spread.spaces:
+        ref = set()
+        for triple in itertools.combinations(nonzero_elements(v), 3):
+            rows = rref(list(triple))
+            if len(rows) == 3:
+                ref.add(rows)
+        assert [w.rows for w in three_spaces(v)] == sorted(ref)
 
 
 def test_every_point_lies_in_seven_3spaces(spread):
@@ -95,6 +111,38 @@ def test_orthogonal_pair_census(lat, frame_array):
     assert set(census.per_pair_orthogonal_counts) == {63}
     assert len(census.norm4_multiplicities) == 2160
     assert set(census.norm4_multiplicities.values()) == {7}
+
+
+def test_gram_rows_give_every_inner_product(lat):
+    # The standard Gram and one congruent to it by a unimodular U.
+    u = [list(row) for row in identity(8)]
+    u[0][5], u[3][1] = 1, -2
+    for gram in (lat.gram, mat_mul(mat_mul(u, lat.gram), transpose(u))):
+        other = Lattice(gram=gram)
+        reps, rg = reps_and_gram_rows(other)
+        assert reps == [p.rep for p in root_pairs(other)]
+        for a, b in itertools.combinations(range(120), 2):
+            assert sum(map(mul, rg[a], reps[b])) == inner(other, reps[a], reps[b])
+
+
+def test_verify_frame_array_rejects_non_orthogonal_frame(lat, ft, frame_array):
+    row = list(frame_array.rows[0])
+    f0, f1 = row[0], row[1]
+    # Swapping one pair id between two frames keeps the row covering.
+    row[0] = dataclasses.replace(f0, roots=(f1.roots[0],) + f0.roots[1:])
+    row[1] = dataclasses.replace(f1, roots=(f0.roots[0],) + f1.roots[1:])
+    bad = FrameArray(rows=(tuple(row),) + frame_array.rows[1:])
+    reps = [p.rep for p in root_pairs(lat)]
+    expected = [
+        (0, b)
+        for b in range(1, 8)
+        if inner(lat, reps[f1.roots[0]], reps[f0.roots[b]]) != 0
+    ]
+    assert expected
+    with pytest.raises(CheckFailure) as info:
+        verify_frame_array(lat, ft, bad)
+    assert info.value.check.description == "frame (0,0) orthogonal"
+    assert info.value.check.actual == expected
 
 
 def test_both_signs_reduce_to_same_class(lat):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from e8nine import gf2
+from e8nine.certs import CheckFailure
 from e8nine.gf2 import (
     F2Subspace,
     SpaceClass,
@@ -102,6 +105,67 @@ def test_isotropic_4space_enumeration(ft, spaces270):
         for r1 in s.rows:
             for r2 in s.rows:
                 assert ft.b(r1, r2) == 0
+
+
+def _rref_dedup_reference(ft):
+    """Grow flags point by point, rref every extension, dedup by rows."""
+    level = {(p,) for p in ft.isotropic_points()}
+    for _ in range(3):
+        nxt = set()
+        for rows in level:
+            for p in ft.isotropic_points():
+                if all(ft.b(p, r) == 0 for r in rows):
+                    ext = rref(list(rows) + [p])
+                    if len(ext) == len(rows) + 1:
+                        nxt.add(ext)
+        level = nxt
+    return sorted(F2Subspace(rows=r) for r in level)
+
+
+def test_enumeration_matches_rref_dedup_reference(ft, spaces270):
+    assert spaces270 == _rref_dedup_reference(ft)
+    assert len(set(spaces270)) == 270
+
+
+def test_every_isotropic_point_lies_in_30_spaces(ft, spaces270):
+    tally = {}
+    for s in spaces270:
+        for p in nonzero_elements(s):
+            tally[p] = tally.get(p, 0) + 1
+    assert sorted(tally) == ft.isotropic_points()
+    assert set(tally.values()) == {30}
+
+
+def _augmenting_without_bit_below(pivots):
+    return sum(1 << x for x in range(1, 256) if not x & pivots)
+
+
+def _augmenting_without_zero_at_pivots(pivots):
+    below = (pivots & -pivots) - 1 if pivots else 0xFF
+    return sum(1 << x for x in range(1, 256) if x & below)
+
+
+@pytest.mark.parametrize(
+    "augmenting, got",
+    [(_augmenting_without_bit_below, 3 * 1575), (_augmenting_without_zero_at_pivots, 2 * 1575)],
+)
+def test_dropped_augmentation_condition_fails_level_count(ft, monkeypatch, augmenting, got):
+    # Either condition alone lets a line arise from more than one parent.
+    monkeypatch.setattr(gf2, "_augmenting_points", augmenting)
+    with pytest.raises(CheckFailure) as info:
+        gf2.enumerate_isotropic_4spaces(ft)
+    assert info.value.stage == "isotropic-4-spaces"
+    assert info.value.check.description == "totally isotropic 2-spaces"
+    assert (info.value.check.expected, info.value.check.actual) == (1575, got)
+
+
+def test_missing_point_fails_first_level_count(ft):
+    lost = ft.isotropic_points()[0]
+    short = dataclasses.replace(ft, iso_mask=ft.iso_mask & ~(1 << lost))
+    with pytest.raises(CheckFailure) as info:
+        gf2.enumerate_isotropic_4spaces(short)
+    assert info.value.check.description == "totally isotropic 1-spaces"
+    assert (info.value.check.expected, info.value.check.actual) == (135, 134)
 
 
 def test_classify_sizes_and_parity(spaces270, labels):

@@ -100,6 +100,25 @@ def test_verify_corrupted_partition_exits_1(pipeline_state, tmp_path):
     assert cli.main(["verify", path]) == 1
 
 
+def test_verify_rejects_flipped_spread_class_label(pipeline_state, tmp_path, capsys):
+    out = str(tmp_path / "flipped")
+    written = cli.write_artifacts(pipeline_state, out)
+    path = os.path.join(out, "spread.txt")
+    text = open(path).read()
+    assert "class A\n" in text
+    with open(path, "w") as fh:
+        fh.write(text.replace("class A\n", "class B\n"))
+    capsys.readouterr()
+    assert cli.main(["verify", path]) == 1
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["spread"]
+    assert "spread-class: class of the spread's spaces" in captured.err
+    # The unmodified artifacts pass with the label check among them.
+    cli.write_artifacts(pipeline_state, out)
+    assert cli.main(["verify"] + [p for p in written if "certificates" not in p]) == 0
+    assert "spread-class: PASS" in capsys.readouterr().out.splitlines()
+
+
 def test_verify_truncated_file_exits_2(pipeline_state, tmp_path):
     out = str(tmp_path / "trunc")
     cli.write_artifacts(pipeline_state, out)
@@ -118,13 +137,15 @@ def test_cmd_enumerate_ok(capsys):
 
 
 def _printed_certificates(printed: str) -> list:
-    return json.JSONDecoder().raw_decode(printed)[0]
+    return json.loads(printed)
 
 
 def test_cmd_enumerate_json(tmp_path, capsys):
     out = str(tmp_path / "enum")
     assert cli.main(["enumerate", "--json", "--out", out]) == 0
-    payload = _printed_certificates(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    payload = _printed_certificates(captured.out)
+    assert captured.err == "wrote %s\n" % os.path.join(out, "certificates.txt")
     assert [c["stage"] for c in payload] == [
         "lattice",
         "mod2-census",
@@ -227,6 +248,18 @@ def test_sub_certificate_failure_marker_names_pipeline_stage(tmp_path, monkeypat
     # its certificate failed, so partition.txt must not be written.
     assert os.path.exists(os.path.join(out, "frames.txt"))
     assert not os.path.exists(os.path.join(out, "partition.txt"))
+
+
+def test_level_count_failure_marker_names_spaces_stage(tmp_path, monkeypatch, capsys):
+    from e8nine import gf2
+
+    monkeypatch.setattr(gf2, "ISOTROPIC_LEVEL_COUNTS", (135, 1574, 2025, 270))
+    out = str(tmp_path / "failed")
+    assert cli.main(["enumerate", "--out", out]) == 1
+    first, second = open(os.path.join(out, "FAILED")).read().splitlines()
+    assert first == "failed at stage: spaces"
+    assert second == "isotropic-4-spaces: totally isotropic 2-spaces (expected 1574, got 1575)"
+    assert "FAIL: " + second in capsys.readouterr().err
 
 
 def test_stage_table_matches_benchmark_tracer():
