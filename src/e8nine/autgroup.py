@@ -9,18 +9,30 @@ is complete: a root supported on four frame members must land on a root
 determined norm-4 vector must stay inside a consistent matching of the nine
 blocks. Survivors are tested for integrality on the lattice and for mapping
 the spread onto itself.
+
+Both prunes run in frame coordinates and form no vectors. A frame is
+orthonormal at half scale (SPLAG ch. 4): a root rho outside it has doubled
+coordinates cs = (rho . r_i)_i with four entries +-1 and four 0, and a
+signed slot map r_i -> e_i t_pi(i) sends it to the target root whose doubled
+coordinates are cs moved by pi and signed by e. The nine blocks are unions of
+mod-2 classes (block j reduces onto spread space j, and the nine spaces
+partition the 135 isotropic points), so the probe vector w = r_k + rho lies
+in block class_block[cls(r_k) ^ cls(rho)] and its image e_k t_pi(k) + rho'
+in block class_block[cls(t_pi(k)) ^ cls(rho')]. A probe is a lookup of the
+target root's class by support and sign mask, then of its block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from operator import mul
 
-from .blocks import Norm4Partition, block_of_vector_table
+from .blocks import Norm4Partition, block_of_class_table, doubled_frame_coordinates
 from .frames import FrameArray, frame_reps
 from .gf2 import F2Subspace, nonzero_elements, reduce_mod2, rref
-from .intmat import Mat, Vec, adjugate, det, mat_mul, transpose
-from .lattice import Lattice, enumerate_shell, inner
+from .intmat import Mat, Vec, adjugate, det, mat_mul, row_times_mat, transpose
+from .lattice import Lattice, enumerate_shell
 from .permgroup import (
     Perm,
     StabChain,
@@ -122,21 +134,59 @@ class _Done(Exception):
 def _frame_supports(lat: Lattice, reps: list[Vec]):
     """Root expansion data over one frame's eight representatives.
 
-    Every root outside the frame decomposes as (sum of 4 signed members)/2;
-    the 14 possible supports each carry all 16 sign patterns.
+    Each root's doubled frame coordinates cs = rho G R^T come from one
+    `doubled_frame_coordinates` matrix. Every root outside the frame has four
+    entries +-1 and four 0, so it is (sum of 4 signed members)/2; the 14
+    possible supports each carry all 16 sign patterns. The same pass records
+    each such root's mod-2 class, keyed by cs.
     """
-    supports: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    to_frame = doubled_frame_coordinates(lat, reps)
+    supports: dict[frozenset[int], list[Vec]] = {}
+    class_of: dict[Vec, int] = {}
     for rho in enumerate_shell(lat, 2):
-        cs = tuple(inner(lat, rho, r) for r in reps)
-        if any(abs(c) == 2 for c in cs):
+        cs = row_times_mat(rho, to_frame)
+        if 2 in cs or -2 in cs:
             continue  # the frame's own pair
         supp = frozenset(i for i, c in enumerate(cs) if c)
         if len(supp) != 4:
             raise AssertionError("root support of size %d over a frame" % len(supp))
         supports.setdefault(supp, []).append(cs)
+        class_of[cs] = reduce_mod2(rho)
     if len(supports) != 14 or any(len(v) != 16 for v in supports.values()):
         raise AssertionError("frame support structure is not 14 x 16")
-    return supports
+    return supports, class_of
+
+
+def _classes_by_sign_mask(
+    cs_list: list[Vec], class_of: dict[Vec, int], slots: list[int]
+) -> list[int]:
+    """The 16 root classes on one support, indexed by sign mask: bit j is set
+    when the coordinate at slots[j] is -1."""
+    by_mask = [0] * 16
+    for cs in cs_list:
+        by_mask[sum(1 << j for j, q in enumerate(slots) if cs[q] < 0)] = class_of[cs]
+    return by_mask
+
+
+def _support_rows(supports, class_of) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Root classes of a target frame by ordered support and sign mask.
+
+    rows[(q0, q1, q2, q3)][m] is the class of the root supported on
+    {q0, .., q3} whose coordinate at q_j is -1 exactly when bit j of m is set.
+    Every ordering of each supported 4-subset is a key, so key membership is
+    also the support test.
+    """
+    reorder = [
+        (perm, tuple(sum(((m >> j) & 1) << perm[j] for j in range(4)) for m in range(16)))
+        for perm in permutations(range(4))
+    ]
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for supp, cs_list in supports.items():
+        slots = sorted(supp)
+        by_mask = _classes_by_sign_mask(cs_list, class_of, slots)
+        for perm, sorted_mask in reorder:
+            rows[tuple(slots[i] for i in perm)] = tuple(by_mask[x] for x in sorted_mask)
+    return rows
 
 
 def _greedy_slot_order(supports) -> list[int]:
@@ -157,74 +207,99 @@ def _greedy_slot_order(supports) -> list[int]:
     return order
 
 
-def isometries_between_frames(
-    lat: Lattice,
-    src_reps: list[Vec],
-    tgt_reps: list[Vec],
-    block_of: dict[Vec, int],
-    spread_index: dict[F2Subspace, int],
-    cap: int,
-) -> list[tuple[Mat, Perm]]:
-    """Up to cap isometries mapping one frame onto another, found by DFS.
+@dataclass(frozen=True)
+class SearchSource:
+    """The source frame's search tables, built once for every target.
 
-    Deterministic: slots are assigned in a fixed greedy order and target
-    options are explored in (pair index, sign) order.
+    Slots are the frame's representatives r_0..r_7 in greedy slot order. By
+    depth t, new_subsets lists the supported 4-subsets (as sorted slot tuples)
+    whose last slot is t, and probes lists (k, slots, blocks): blocks[m] is
+    the block of w = r_k + rho for the root rho on those slots with sign
+    mask m, read as class_block[cls(r_k) ^ cls(rho)].
     """
-    src_supports = _frame_supports(lat, src_reps)
-    order = _greedy_slot_order(src_supports)
-    reps = [src_reps[i] for i in order]
+
+    r_adj: Mat  # adjugate of the slot-ordered representatives
+    r_det: int
+    new_subsets: tuple[tuple[tuple[int, ...], ...], ...]
+    probes: tuple[tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...], ...]
+    class_block: dict[int, int]
+    seed_block: int  # block of reps[0] + reps[1]
+
+
+def search_source(
+    lat: Lattice, src_reps: list[Vec], class_block: dict[int, int]
+) -> SearchSource:
+    """Slot order, supported subsets and probe templates of a source frame."""
+    supports, class_of = _frame_supports(lat, src_reps)
+    order = _greedy_slot_order(supports)
     pos_of = {slot: p for p, slot in enumerate(order)}
+    slot_class = [reduce_mod2(src_reps[i]) for i in order]
 
-    new_subsets: list[list[frozenset[int]]] = [[] for _ in range(8)]
-    for supp in src_supports:
-        positions = frozenset(pos_of[i] for i in supp)
-        new_subsets[max(positions)].append(positions)
-
-    # Probe templates: the norm-4 vector w = rep_k + (signed half sum over T)
-    # lies in a known block; its image is determined once slot k and the
-    # support positions are assigned, pinning the block matching.
-    probes: list[list[tuple[int, tuple[int, ...], list[tuple[tuple[int, ...], int]]]]] = [
-        [] for _ in range(8)
-    ]
-    for supp, coeff_lists in src_supports.items():
+    new_subsets: list[list[tuple[int, ...]]] = [[] for _ in range(8)]
+    probes: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(8)]
+    for supp, cs_list in supports.items():
         positions = tuple(sorted(pos_of[i] for i in supp))
+        new_subsets[positions[-1]].append(positions)
+        by_mask = _classes_by_sign_mask(cs_list, class_of, [order[p] for p in positions])
         for k in range(8):
             if k in positions:
                 continue
-            depth = max(max(positions), k)
-            entries = []
-            for cs in coeff_lists:
-                rho = tuple(
-                    sum(cs[i] * src_reps[i][x] for i in range(8)) // 2 for x in range(8)
-                )
-                w = tuple(reps[k][x] + rho[x] for x in range(8))
-                coeffs_by_pos = tuple(cs[order[p]] for p in positions)
-                entries.append((coeffs_by_pos, block_of[w]))
-            probes[depth].append((k, positions, entries))
+            blocks = tuple(class_block[slot_class[k] ^ c] for c in by_mask)
+            probes[max(positions[-1], k)].append((k, positions, blocks))
 
-    tgt_supports = _frame_supports(lat, tgt_reps)
-    tgt_supported = set(tgt_supports)
+    r_mat: Mat = tuple(src_reps[i] for i in order)
+    return SearchSource(
+        r_adj=adjugate(r_mat),
+        r_det=det(r_mat),
+        new_subsets=tuple(map(tuple, new_subsets)),
+        probes=tuple(map(tuple, probes)),
+        class_block=class_block,
+        seed_block=class_block[reduce_mod2(src_reps[0]) ^ reduce_mod2(src_reps[1])],
+    )
 
-    r_mat: Mat = tuple(reps)
-    r_adj = adjugate(r_mat)
-    r_det = det(r_mat)
+
+def isometries_between_frames(
+    lat: Lattice,
+    source: SearchSource,
+    tgt_reps: list[Vec],
+    spread_index: dict[F2Subspace, int],
+    cap: int,
+) -> list[tuple[Mat, Perm]]:
+    """Up to cap isometries mapping the source frame onto a target, found by DFS.
+
+    Deterministic: slots are assigned in a fixed greedy order and target
+    options are explored in (pair index, sign) order. Slot p goes to
+    e_p t_pi(p). A root on source slots (p0, .., p3) with sign mask m then
+    goes to the target root on (pi(p0), .., pi(p3)) with sign mask m ^ m_e,
+    where bit j of m_e says e_pj = -1; the probe vector r_k + rho goes to
+    e_k t_pi(k) + rho', whose block is class_block[cls(t_pi(k)) ^ cls(rho')].
+    So a probe reads two tables and never forms a vector. Survivors are
+    checked for integrality, Gram and spread in `finalize`.
+    """
+    tgt_supports, tgt_class_of = _frame_supports(lat, tgt_reps)
+    rows = _support_rows(tgt_supports, tgt_class_of)
+    tgt_class = [reduce_mod2(t) for t in tgt_reps]
+    class_block = source.class_block
+    new_subsets, probes = source.new_subsets, source.probes
+    r_adj, r_det = source.r_adj, source.r_det
     gram = lat.gram
 
     # Seed the block matching with the two frames' own rows.
-    w_src = tuple(src_reps[0][x] + src_reps[1][x] for x in range(8))
-    w_tgt = tuple(tgt_reps[0][x] + tgt_reps[1][x] for x in range(8))
     tau = [-1] * 9
     tau_used = [False] * 9
-    tau[block_of[w_src]] = block_of[w_tgt]
-    tau_used[block_of[w_tgt]] = True
+    seed_img = class_block[tgt_class[0] ^ tgt_class[1]]
+    tau[source.seed_block] = seed_img
+    tau_used[seed_img] = True
 
     pi = [-1] * 8
-    images: list[Vec] = [()] * 8
+    minus = [0] * 8  # 1 where the slot's sign is -1
     used = [False] * 8
     found: list[tuple[Mat, Perm]] = []
 
     def finalize() -> None:
-        u_mat = tuple(images)
+        u_mat = tuple(
+            tuple(-x for x in tgt_reps[q]) if n else tgt_reps[q] for q, n in zip(pi, minus)
+        )
         num = mat_mul(r_adj, u_mat)
         if any(x % r_det for row in num for x in row):
             return
@@ -243,26 +318,18 @@ def isometries_between_frames(
             if used[q]:
                 continue
             used[q] = True
-            for e in (1, -1):
-                pi[t] = q
-                images[t] = tuple(e * x for x in tgt_reps[q])
-                ok = True
-                for s in new_subsets[t]:
-                    if frozenset(pi[i] for i in s) not in tgt_supported:
-                        ok = False
-                        break
+            pi[t] = q
+            for n in (0, 1):
+                minus[t] = n
+                ok = all((pi[a], pi[b], pi[c], pi[d]) in rows for a, b, c, d in new_subsets[t])
                 trail: list[int] = []
                 if ok:
-                    for k, positions, entries in probes[t]:
-                        uk = images[k]
-                        for coeffs, b_src in entries:
-                            msum = [0] * 8
-                            for c, p in zip(coeffs, positions):
-                                up = images[p]
-                                for x in range(8):
-                                    msum[x] += c * up[x]
-                            mvec = tuple(uk[x] + (msum[x] >> 1) for x in range(8))
-                            b_img = block_of[mvec]
+                    for k, (a, b, c, d), blocks in probes[t]:
+                        row = rows[pi[a], pi[b], pi[c], pi[d]]
+                        m_e = minus[a] | minus[b] << 1 | minus[c] << 2 | minus[d] << 3
+                        c_k = tgt_class[pi[k]]
+                        for m, b_src in enumerate(blocks):
+                            b_img = class_block[c_k ^ row[m ^ m_e]]
                             cur = tau[b_src]
                             if cur == -1:
                                 if tau_used[b_img]:
@@ -334,13 +401,8 @@ def negation_perm(lat: Lattice) -> Perm:
 def _target_schedule(arr: FrameArray) -> list[tuple[int, int]]:
     """Frame coordinates to aim the search at, most informative first."""
     first = [(j, 0) for j in range(9)] + [(0, k) for k in range(1, 15)]
-    rest = [
-        (j, k)
-        for j in range(9)
-        for k in range(15)
-        if (j, k) not in set(first)
-    ]
-    return first + rest
+    seen = set(first)
+    return first + [(j, k) for j in range(9) for k in range(15) if (j, k) not in seen]
 
 
 def compute_stabilizer(
@@ -357,11 +419,10 @@ def compute_stabilizer(
     the chain certifies order 362880; running out of targets raises
     GenerationIncomplete.
     """
-    block_of = block_of_vector_table(partition)
+    source = search_source(lat, frame_reps(lat, arr.rows[0][0]), block_of_class_table(partition))
     spread_index = {s: i for i, s in enumerate(spread.spaces)}
     roots = enumerate_shell(lat, 2)
     root_index = {v: i for i, v in enumerate(roots)}
-    src_reps = frame_reps(lat, arr.rows[0][0])
 
     chain = StabChain(degree=9 + len(roots), base_prefix=tuple(range(9)))
     isometries: list[Isometry] = []
@@ -386,9 +447,7 @@ def compute_stabilizer(
             if chain.order() == STABILIZER_ORDER:
                 break
             tgt_reps = frame_reps(lat, arr.rows[j][k])
-            for m, bp in isometries_between_frames(
-                lat, src_reps, tgt_reps, block_of, spread_index, cap
-            ):
+            for m, bp in isometries_between_frames(lat, source, tgt_reps, spread_index, cap):
                 admit(m, bp)
                 if chain.order() == STABILIZER_ORDER:
                     break

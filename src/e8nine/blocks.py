@@ -35,7 +35,7 @@ from .intmat import (
     row_times_mat,
     transpose,
 )
-from .lattice import Lattice, enumerate_shell, inner, recognize_even_unimodular_e8
+from .lattice import Lattice, enumerate_shell, recognize_even_unimodular_e8
 from .frames import Frame, FrameArray, frame_combinations, frame_reps
 from .spreadsearch import Spread
 
@@ -84,7 +84,8 @@ def certify_scaled_e8(lat: Lattice, block: Norm4Block) -> Certificate:
     vset = set(block.vectors)
     missing_neg = [v for v in block.vectors if tuple(-x for x in v) not in vset]
     cb.check("closed under negation", [], missing_neg)
-    bad_norm = [v for v in block.vectors if inner(lat, v, v) != 4]
+    shell4 = set(enumerate_shell(lat, 4))
+    bad_norm = [v for v in block.vectors if v not in shell4]
     cb.check("all norms are 4", [], bad_norm)
     basis = hnf(list(block.vectors))
     cb.check("span rank", 8, len(basis))
@@ -177,8 +178,28 @@ def build_partition(lat: Lattice, arr: FrameArray) -> Norm4Partition:
     return Norm4Partition(blocks=blocks)
 
 
-def block_of_vector_table(p: Norm4Partition) -> dict[Vec, int]:
-    return {v: b.row_index for b in p.blocks for v in b.vectors}
+def block_of_class_table(p: Norm4Partition) -> dict[int, int]:
+    """The block of each mod-2 class, checked on every vector of every block.
+
+    Block j reduces onto the 15 points of spread space j and the nine spaces
+    partition the 135 isotropic points, so a norm-4 vector's class names its
+    block. A class met in two blocks raises CheckFailure naming the class.
+    """
+    table: dict[int, int] = {}
+    for b in p.blocks:
+        for v in b.vectors:
+            cls = reduce_mod2(v)
+            first = table.setdefault(cls, b.row_index)
+            if first != b.row_index:
+                raise CheckFailure(
+                    "norm4-partition",
+                    Check("mod-2 class %d in one block" % cls, first, b.row_index),
+                )
+    if len(table) != 135:
+        raise CheckFailure(
+            "norm4-partition", Check("mod-2 classes of the blocks", 135, len(table))
+        )
+    return table
 
 
 def spread_from_partition(
@@ -233,9 +254,10 @@ def verify_partition(lat: Lattice, p: Norm4Partition) -> Certificate:
     cb = CertBuilder("partition-verify")
     cb.check("block count", 9, len(p.blocks))
     seen: set[Vec] = set()
+    shell4 = set(enumerate_shell(lat, 4))
     for b in p.blocks:
         cb.check("block %d size" % b.row_index, 240, len(b.vectors))
-        bad = [v for v in b.vectors if inner(lat, v, v) != 4]
+        bad = [v for v in b.vectors if v not in shell4]
         cb.check("block %d norms" % b.row_index, [], bad)
         overlap = seen.intersection(b.vectors)
         cb.check("block %d disjoint from earlier" % b.row_index, set(), overlap)

@@ -157,6 +157,10 @@ def stage_partition(state: PipelineState) -> Certificate:
     cb = CertBuilder("norm4-partition")
     state.partition = bl.build_partition(state.lat, state.arr)
     cb.check("blocks", 9, len(state.partition.blocks))
+    # "block %d scaled-E8" and "D8-plus-glue certificates failing" cannot
+    # fail: certify_scaled_e8 and certify_d8_glue raise CheckFailure at their
+    # first failed check, so every certificate they return has passed. The
+    # two checks stay so that certificates.txt keeps its lines.
     for b in state.partition.blocks:
         cert = bl.certify_scaled_e8(state.lat, b)
         cb.check("block %d scaled-E8" % b.row_index, True, cert.passed)

@@ -56,5 +56,11 @@ def partition(lat, frame_array):
 
 
 @pytest.fixture(scope="session")
+def block_of_vector(partition):
+    """The block of each of the 2160 norm-4 vectors, read off the blocks."""
+    return {v: b.row_index for b in partition.blocks for v in b.vectors}
+
+
+@pytest.fixture(scope="session")
 def stab_result(lat, spread, frame_array, partition):
     return ag.compute_stabilizer(lat, spread, frame_array, partition)

@@ -3,10 +3,14 @@ from __future__ import annotations
 import random
 
 from e8nine.autgroup import (
+    _frame_supports,
+    _greedy_slot_order,
+    _target_schedule,
     BLOCK_IMAGE_ORDER,
     ONE_BLOCK_IMAGE_ORDER,
     STABILIZER_ORDER,
     block_action,
+    compute_stabilizer,
     extended_perm,
     is_gram_isometry,
     PermutationGroup,
@@ -16,15 +20,17 @@ from e8nine.autgroup import (
     negation_perm,
     one_block_stabilizer_analysis,
     root_perm,
+    search_source,
     shell4_perm,
     space_point_perms,
     spread_block_perm,
 )
-from e8nine.blocks import block_of_vector_table
+from e8nine.blocks import block_of_class_table
+from e8nine.certs import CheckFailure
 from e8nine.frames import frame_reps
-from e8nine.gf2 import nonzero_elements
-from e8nine.intmat import Mat, identity as identity_matrix, mat_mul
-from e8nine.lattice import enumerate_shell
+from e8nine.gf2 import nonzero_elements, reduce_mod2
+from e8nine.intmat import Mat, adjugate, det, identity as identity_matrix, mat_mul, transpose
+from e8nine.lattice import enumerate_shell, inner
 from e8nine.permgroup import identity_perm, mult, schreier_sims
 
 
@@ -36,9 +42,9 @@ def test_negation_is_a_verified_generator(lat, stab_result):
     assert stab_result.block_perms[idx] == identity_perm(9)
 
 
-def test_every_generator_preserves_gram_and_blocks(lat, stab_result, spread, partition):
+def test_every_generator_preserves_gram_and_blocks(lat, stab_result, spread, block_of_vector):
     spread_index = {s: i for i, s in enumerate(spread.spaces)}
-    table = block_of_vector_table(partition)
+    table = block_of_vector
     for iso, bp in zip(stab_result.isometries, stab_result.block_perms):
         assert is_gram_isometry(lat, iso.matrix)
         assert spread_block_perm(spread_index, iso.matrix) == bp
@@ -135,9 +141,9 @@ def test_one_block_analysis_reads_the_chain(lat, stab_result, spread):
     assert not chain.contains(neg)
 
 
-def test_random_words_preserve_gram_and_partition(lat, stab_result, partition):
+def test_random_words_preserve_gram_and_partition(lat, stab_result, block_of_vector):
     rng = random.Random(99)
-    table = block_of_vector_table(partition)
+    table = block_of_vector
     mats = [iso.matrix for iso in stab_result.isometries]
     sample_vectors = list(table)[::97]
     for _ in range(12):
@@ -247,21 +253,21 @@ def test_membership_of_generator_products(stab_result):
 
 
 def test_frame_search_finds_identity_first(lat, frame_array, spread, partition):
-    table = block_of_vector_table(partition)
     spread_index = {s: i for i, s in enumerate(spread.spaces)}
     reps = frame_reps(lat, frame_array.rows[0][0])
-    found = isometries_between_frames(lat, reps, reps, table, spread_index, cap=1)
+    source = search_source(lat, reps, block_of_class_table(partition))
+    found = isometries_between_frames(lat, source, reps, spread_index, cap=1)
     assert found[0][0] == identity_matrix(8)
     assert found[0][1] == tuple(range(9))
 
 
 def test_frame_search_is_deterministic(lat, frame_array, spread, partition):
-    table = block_of_vector_table(partition)
     spread_index = {s: i for i, s in enumerate(spread.spaces)}
     src = frame_reps(lat, frame_array.rows[0][0])
+    source = search_source(lat, src, block_of_class_table(partition))
     tgt = frame_reps(lat, frame_array.rows[2][5])
-    first = isometries_between_frames(lat, src, tgt, table, spread_index, cap=8)
-    second = isometries_between_frames(lat, src, tgt, table, spread_index, cap=8)
+    first = isometries_between_frames(lat, source, tgt, spread_index, cap=8)
+    second = isometries_between_frames(lat, source, tgt, spread_index, cap=8)
     assert first == second
     assert len(first) == 8
     for m, bp in first:
@@ -273,3 +279,141 @@ def test_matrix_mod2_rows():
     m = tuple(tuple(2 if i == j else 0 for j in range(8)) for i in range(8))
     assert matrix_mod2_rows(m) == [0] * 8
     assert matrix_mod2_rows(identity_matrix(8)) == [1 << i for i in range(8)]
+
+
+def _inner_supports(lat, reps, classes=None):
+    """Supports over a frame read with eight `inner` calls per root; fills
+    `classes` with each such root's mod-2 class by coordinates."""
+    supports = {}
+    for rho in enumerate_shell(lat, 2):
+        cs = tuple(inner(lat, rho, r) for r in reps)
+        if any(abs(c) == 2 for c in cs):
+            continue
+        supports.setdefault(frozenset(i for i, c in enumerate(cs) if c), []).append(cs)
+        if classes is not None:
+            classes[cs] = reduce_mod2(rho)
+    return supports
+
+
+def _reference_isometries(lat, src_reps, tgt_reps, block_of, spread_index, cap):
+    """The frame search with vector-arithmetic probes.
+
+    Each probe forms the norm-4 vector w = r_k + rho and its image from the
+    assigned target vectors and looks both up in the vector-to-block table.
+    Same slot order, exploration order and final checks as the search.
+    """
+    src_supports = _inner_supports(lat, src_reps)
+    order = _greedy_slot_order(src_supports)
+    reps = [src_reps[i] for i in order]
+    pos_of = {slot: p for p, slot in enumerate(order)}
+    new_subsets = [[] for _ in range(8)]
+    probes = [[] for _ in range(8)]
+    for supp, coeff_lists in src_supports.items():
+        positions = tuple(sorted(pos_of[i] for i in supp))
+        new_subsets[max(positions)].append(frozenset(positions))
+        for k in range(8):
+            if k in positions:
+                continue
+            entries = []
+            for cs in coeff_lists:
+                rho = tuple(sum(cs[i] * src_reps[i][x] for i in range(8)) // 2 for x in range(8))
+                w = tuple(reps[k][x] + rho[x] for x in range(8))
+                entries.append((tuple(cs[order[p]] for p in positions), block_of[w]))
+            probes[max(max(positions), k)].append((k, positions, entries))
+    tgt_supported = set(_inner_supports(lat, tgt_reps))
+    r_adj, r_det = adjugate(tuple(reps)), det(tuple(reps))
+    tau, tau_used = [-1] * 9, [False] * 9
+    b_src = block_of[tuple(x + y for x, y in zip(src_reps[0], src_reps[1]))]
+    b_tgt = block_of[tuple(x + y for x, y in zip(tgt_reps[0], tgt_reps[1]))]
+    tau[b_src], tau_used[b_tgt] = b_tgt, True
+    pi, images, used, found = [-1] * 8, [()] * 8, [False] * 8, []
+
+    def finalize():
+        num = mat_mul(r_adj, tuple(images))
+        if any(x % r_det for row in num for x in row):
+            return False
+        m = tuple(tuple(x // r_det for x in row) for row in num)
+        if mat_mul(mat_mul(m, lat.gram), transpose(m)) != lat.gram:
+            return False
+        bp = spread_block_perm(spread_index, m)
+        if bp is not None:
+            found.append((m, bp))
+        return len(found) >= cap
+
+    def rec(t):
+        for q in range(8):
+            if used[q]:
+                continue
+            used[q] = True
+            for e in (1, -1):
+                pi[t] = q
+                images[t] = tuple(e * x for x in tgt_reps[q])
+                ok = all(frozenset(pi[i] for i in s) in tgt_supported for s in new_subsets[t])
+                trail = []
+                for k, positions, entries in probes[t] if ok else ():
+                    for coeffs, b in entries:
+                        msum = [
+                            sum(c * images[p][x] for c, p in zip(coeffs, positions))
+                            for x in range(8)
+                        ]
+                        image = tuple(images[k][x] + (msum[x] >> 1) for x in range(8))
+                        b_img = block_of[image]
+                        if tau[b] == -1 and not tau_used[b_img]:
+                            tau[b], tau_used[b_img] = b_img, True
+                            trail.append(b)
+                        elif tau[b] != b_img:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+                if ok and (finalize() if t == 7 else rec(t + 1)):
+                    return True
+                for b in trail:
+                    tau_used[tau[b]], tau[b] = False, -1
+            used[q] = False
+        return False
+
+    rec(0)
+    return found
+
+
+def test_frame_supports_match_inner_supports(lat, frame_array):
+    for row in frame_array.rows:
+        for frame in row:
+            reps = frame_reps(lat, frame)
+            classes = {}
+            assert _frame_supports(lat, reps) == (_inner_supports(lat, reps, classes), classes)
+            assert len(classes) == 224
+
+
+def test_frame_search_matches_vector_arithmetic_reference(
+    lat, frame_array, spread, partition, block_of_vector
+):
+    spread_index = {s: i for i, s in enumerate(spread.spaces)}
+    src = frame_reps(lat, frame_array.rows[0][0])
+    source = search_source(lat, src, block_of_class_table(partition))
+    for j, k in ((0, 0), (1, 0), (2, 5)):
+        tgt = frame_reps(lat, frame_array.rows[j][k])
+        found = isometries_between_frames(lat, source, tgt, spread_index, cap=48)
+        assert len(found) == 48
+        assert found == _reference_isometries(lat, src, tgt, block_of_vector, spread_index, 48)
+
+
+def test_stabilizer_search_rejects_split_class(lat, spread, frame_array, partition):
+    from dataclasses import replace
+
+    b0, b1 = partition.blocks[0], partition.blocks[1]
+    swapped = tuple(sorted(b0.vectors[1:] + (b1.vectors[0],)))
+    broken = replace(partition, blocks=(replace(b0, vectors=swapped),) + partition.blocks[1:])
+    import pytest
+
+    with pytest.raises(CheckFailure) as exc:
+        compute_stabilizer(lat, spread, frame_array, broken)
+    assert exc.value.check.description.startswith("mod-2 class ")
+
+
+def test_target_schedule_visits_every_frame_once(frame_array):
+    schedule = _target_schedule(frame_array)
+    assert schedule[:9] == [(j, 0) for j in range(9)]
+    assert schedule[9:23] == [(0, k) for k in range(1, 15)]
+    assert sorted(schedule) == [(j, k) for j in range(9) for k in range(15)]

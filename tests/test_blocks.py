@@ -5,7 +5,7 @@ import pytest
 from dataclasses import replace
 
 from e8nine.blocks import (
-    block_of_vector_table,
+    block_of_class_table,
     certify_d8_glue,
     certify_scaled_e8,
     doubled_frame_coordinates,
@@ -160,8 +160,8 @@ def test_certify_d8_glue_rejects_frame_of_another_row(lat, partition, frame_arra
     assert exc.value.check.actual == 240
 
 
-def test_partition_coverage_and_negation(lat, partition):
-    table = block_of_vector_table(partition)
+def test_partition_coverage_and_negation(lat, block_of_vector):
+    table = block_of_vector
     shell = enumerate_shell(lat, 4)
     assert len(table) == 2160
     assert set(table) == set(shell)
@@ -203,6 +203,57 @@ def test_block_classes_are_the_spread_spaces(partition, spread):
 
 def test_verify_partition(lat, partition):
     assert verify_partition(lat, partition).passed
+
+
+def test_planted_norm6_vector_fails_both_norm_checks(lat, partition):
+    # r + w with r a root and w a norm-4 vector orthogonal to it has norm 6.
+    b0 = partition.blocks[0]
+    root = enumerate_shell(lat, 2)[0]
+    w = next(v for v in b0.vectors if inner(lat, root, v) == 0)
+    six = tuple(x + y for x, y in zip(root, w))
+    assert inner(lat, six, six) == 6
+    planted = _swap_pair(b0, b0.vectors[0], six)
+    with pytest.raises(CheckFailure) as exc:
+        certify_scaled_e8(lat, planted)
+    assert exc.value.check.description == "all norms are 4"
+    assert exc.value.check.actual == sorted([six, neg(six)])
+    broken = replace(partition, blocks=(planted,) + partition.blocks[1:])
+    with pytest.raises(CheckFailure) as exc:
+        verify_partition(lat, broken)
+    assert exc.value.check.description == "block 0 norms"
+    assert exc.value.check.actual == sorted([six, neg(six)])
+
+
+def test_block_of_class_table_agrees_with_every_vector(partition, block_of_vector):
+    table = block_of_class_table(partition)
+    assert len(table) == 135
+    assert all(table[reduce_mod2(v)] == b for v, b in block_of_vector.items())
+
+
+def test_block_of_class_table_names_class_met_in_two_blocks(partition):
+    # Swapping the pair {out, -out} of block 0 with {into, -into} of block 1
+    # puts each pair's class in both blocks; block 1's first vector of either
+    # class is where the table finds a second block.
+    b0, b1 = partition.blocks[0], partition.blocks[1]
+    out, into = b0.vectors[0], b1.vectors[0]
+    new1 = _swap_pair(b1, into, out)
+    broken = replace(
+        partition, blocks=(_swap_pair(b0, out, into), new1) + partition.blocks[2:]
+    )
+    split = {reduce_mod2(out), reduce_mod2(into)}
+    first = next(reduce_mod2(v) for v in new1.vectors if reduce_mod2(v) in split)
+    with pytest.raises(CheckFailure) as exc:
+        block_of_class_table(broken)
+    assert exc.value.stage == "norm4-partition"
+    assert exc.value.check.description == "mod-2 class %d in one block" % first
+    assert (exc.value.check.expected, exc.value.check.actual) == (0, 1)
+
+
+def test_block_of_class_table_counts_classes(partition):
+    with pytest.raises(CheckFailure) as exc:
+        block_of_class_table(replace(partition, blocks=partition.blocks[:8]))
+    assert exc.value.check.description == "mod-2 classes of the blocks"
+    assert exc.value.check.actual == 120
 
 
 def test_verify_partition_catches_cross_block_swap(lat, partition):
