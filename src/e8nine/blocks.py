@@ -15,11 +15,22 @@ certificates short:
   is even, unimodular and of rank 8, so it is E8; two glue vectors in
   {+-1/2}^8 lie in the same coset of D8 exactly when their numbers of minus
   signs have the same parity.
+
+Frame coordinates come from tables, not matrix products. Every norm-4 vector
+is s_a r_a + s_b r_b for two orthogonal root pairs (SPLAG ch. 4), so by
+bilinearity its doubled coordinate over a frame root r_i is
+s_a (r_a . r_i) + s_b (r_b . r_i): two rows of the 120 x 120 root-pair Gram,
+restricted to the frame and added. Over a frame with Gram 2I the eight roots
+are a rational basis and v = sum_i (d_i / 2) r_i, so v -> d is injective and
+the frame's 112 combinations are exactly the vectors with d = +-2e_i +-2e_j.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add, itemgetter, mul, neg, sub
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
 from .gf2 import F2Subspace, FormTable, SpaceClass, nonzero_elements, reduce_mod2, rref
@@ -32,11 +43,10 @@ from .intmat import (
     halve_matrix,
     hnf,
     mat_mul,
-    row_times_mat,
     transpose,
 )
 from .lattice import Lattice, enumerate_shell, recognize_even_unimodular_e8
-from .frames import Frame, FrameArray, frame_combinations, frame_reps
+from .frames import Frame, FrameArray, frame_combinations, reps_and_gram_rows
 from .spreadsearch import Spread
 
 
@@ -113,6 +123,69 @@ def doubled_frame_coordinates(lat: Lattice, reps: list[Vec]) -> Mat:
     return mat_mul(lat.gram, transpose(reps))
 
 
+@lru_cache(maxsize=None)
+def _glue_tables(gram: Mat) -> tuple[Mat, Mat, dict[Vec, tuple[int, int, int, int]]]:
+    """The rows r_a G, the root-pair Gram T and one decomposition per norm-4 vector.
+
+    T[a][b] = r_a . r_b lies in {0, +-1, +-2}. Each orthogonal pair (T[a][b]
+    == 0) gives the four norm-4 vectors +-r_a +-r_b; every norm-4 vector
+    arises this way, and the first pair met is kept as (s_a, a, s_b, b) with
+    v = s_a r_a + s_b r_b.
+    """
+    reps, rg = reps_and_gram_rows(Lattice(gram=gram))
+    pair_gram = tuple(tuple(sum(map(mul, ga, rb)) for rb in reps) for ga in rg)
+    decomposition: dict[Vec, tuple[int, int, int, int]] = {}
+    for a, row in enumerate(pair_gram):
+        ra = reps[a]
+        for b in range(a + 1, len(reps)):
+            if row[b] == 0:
+                for sb, op in ((1, add), (-1, sub)):
+                    v = tuple(map(op, ra, reps[b]))
+                    if v not in decomposition:  # nor is -v: both go in together
+                        decomposition[v] = (1, a, sb, b)
+                        decomposition[tuple(map(neg, v))] = (-1, a, -sb, b)
+    return tuple(rg), pair_gram, decomposition
+
+
+TWO_I: Mat = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
+# Doubled frame coordinates +-2e_i +-2e_j (i < j) of the 112 frame combinations.
+COMBINATION_SHAPES = frozenset(
+    tuple(sa * 2 * (k == i) + sb * 2 * (k == j) for k in range(8))
+    for i, j in itertools.combinations(range(8), 2)
+    for sa in (1, -1)
+    for sb in (1, -1)
+)
+GLUE_SHAPES = frozenset(itertools.product((1, -1), repeat=8))
+
+
+def doubled_coordinates(
+    lat: Lattice, frame: Frame, vectors: list[Vec] | tuple[Vec, ...]
+) -> list[Vec]:
+    """The doubled frame coordinates d of each vector, read from the tables.
+
+    d equals row_times_mat(v, doubled_frame_coordinates(lat, frame_reps(lat,
+    frame))) without a matrix product. With v = s_a r_a + s_b r_b from the
+    decomposition table, d_i = v . r_i = s_a T[a][i] + s_b T[b][i] by
+    bilinearity, two rows of the root-pair Gram restricted to the frame's
+    columns and added. A vector without a decomposition is off the norm-4
+    shell (a corrupted block); its d is read from the frame's rows r_i G.
+    """
+    rg, pair_gram, decomposition = _glue_tables(lat.gram)
+    at_frame = itemgetter(*frame.roots)
+    t_frame = [at_frame(t) for t in pair_gram]
+    signed = {1: t_frame, -1: [tuple(map(neg, t)) for t in t_frame]}
+    frame_rows = [rg[a] for a in frame.roots]
+    coords = []
+    for v in vectors:
+        dec = decomposition.get(v)
+        if dec is None:
+            coords.append(tuple(sum(map(mul, v, r)) for r in frame_rows))
+        else:
+            sa, a, sb, b = dec
+            coords.append(tuple(map(add, signed[sa][a], signed[sb][b])))
+    return coords
+
+
 def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificate:
     """Certify the D8-plus-glue structure of a block relative to one frame.
 
@@ -130,27 +203,39 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
 
     The frame's 112 combinations and 128 glue vectors then make up the
     block's 240 distinct vectors (counted by `certify_scaled_e8`).
-    """
-    reps = frame_reps(lat, frame)
-    cb = CertBuilder("d8-glue block %d frame %s" % (block.row_index, frame.source))
-    to_frame = doubled_frame_coordinates(lat, reps)
-    two_i = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
-    cb.check("frame orthonormal at half scale", two_i, mat_mul(reps, to_frame))
 
-    combos = set(frame_combinations(lat, frame))
-    rest = [v for v in block.vectors if v not in combos]
-    cb.check("remaining vector count", 128, len(rest))
-    coords = [row_times_mat(v, to_frame) for v in rest]
+    Every d comes from `doubled_coordinates` (bilinearity, no matrix
+    product), and the frame Gram is the root-pair Gram T at the frame. Once
+    that Gram is 2I the eight r_i are a basis of the rational span and
+    v = sum_i (d_i / 2) r_i, so v -> d is injective: v is one of the frame's
+    combinations +-r_i +-r_j exactly when d = +-2e_i +-2e_j. That shape test
+    replaces a set of the 112 combinations.
+    """
+    pair_gram = _glue_tables(lat.gram)[1]
+    at_frame = itemgetter(*frame.roots)
+    cb = CertBuilder("d8-glue block %d frame %s" % (block.row_index, frame.source))
+    cb.check(
+        "frame orthonormal at half scale",
+        TWO_I,
+        tuple(at_frame(pair_gram[a]) for a in frame.roots),
+    )
+    glue = [
+        (v, d)
+        for v, d in zip(block.vectors, doubled_coordinates(lat, frame, block.vectors))
+        if d not in COMBINATION_SHAPES
+    ]
+    cb.check("remaining vector count", 128, len(glue))
+    # A glue shape has odd entries, so only the other vectors need the test.
     inside = [
         v
-        for v, d in zip(rest, coords)
-        if all(x % 2 == 0 for x in d) and sum(d) % 4 == 0
+        for v, d in glue
+        if d not in GLUE_SHAPES and all(x % 2 == 0 for x in d) and sum(d) % 4 == 0
     ]
     cb.check("remaining vectors outside D8", [], inside)
-    off = [v for v, d in zip(rest, coords) if any(x * x != 1 for x in d)]
+    off = [v for v, d in glue if d not in GLUE_SHAPES]
     cb.check("remaining frame coordinates all +-1/2", [], off)
-    parity = coords[0].count(-1) % 2
-    other_coset = [v for v, d in zip(rest, coords) if d.count(-1) % 2 != parity]
+    parity = glue[0][1].count(-1) % 2
+    other_coset = [v for v, d in glue if d.count(-1) % 2 != parity]
     cb.check("one glue coset: each glue vector extends D8 to E8", [], other_coset)
     return cb.done()
 

@@ -332,7 +332,7 @@ def cmd_verify(args) -> int:
     parsed: dict[str, object] = {}
     try:
         for path in args.files:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
             header = text.splitlines()[0].strip() if text.strip() else ""
             if header == serial.SPREAD_HEADER:
@@ -347,7 +347,7 @@ def cmd_verify(args) -> int:
                 pass  # human-readable log, nothing to re-verify
             else:
                 raise serial.ParseError("unrecognized header in %s" % path)
-    except (OSError, serial.ParseError, ArithmeticError) as e:
+    except (OSError, UnicodeDecodeError, serial.ParseError, ArithmeticError) as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2
 

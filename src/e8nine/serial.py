@@ -44,9 +44,10 @@ def serialize_spread(s: Spread) -> str:
 def parse_spread(text: str) -> Spread:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     _expect_header(lines, SPREAD_HEADER)
-    if len(lines) != 11 or not lines[1].startswith("class "):
+    class_line = lines[1].split() if len(lines) == 11 else []
+    if len(class_line) != 2 or class_line[0] != "class":
         raise ParseError("spread file must be header, class line, 9 spaces")
-    label_txt = lines[1].split()[1]
+    label_txt = class_line[1]
     try:
         label = SpaceClass(label_txt)
     except ValueError:
@@ -168,9 +169,12 @@ def parse_generators(text: str) -> tuple[list[Isometry], list[Perm]]:
     perms = []
     for i in range(count):
         head = lines[2 + 2 * i].split()
-        if head[:2] != ["gen", str(i)] or head[2] != "blocks" or len(head) != 12:
+        if head[:3] != ["gen", str(i), "blocks"] or len(head) != 12:
             raise ParseError("bad generator header %r" % lines[2 + 2 * i])
-        bp = tuple(int(x) for x in head[3:])
+        try:
+            bp = tuple(int(x) for x in head[3:])
+        except ValueError:
+            raise ParseError("bad block id in %r" % lines[2 + 2 * i]) from None
         if sorted(bp) != list(range(9)):
             raise ParseError("generator %d block line is not a permutation" % i)
         try:

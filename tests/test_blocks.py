@@ -8,15 +8,16 @@ from e8nine.blocks import (
     block_of_class_table,
     certify_d8_glue,
     certify_scaled_e8,
+    doubled_coordinates,
     doubled_frame_coordinates,
     row_to_block,
     spread_from_partition,
     verify_partition,
 )
-from e8nine.certs import CheckFailure
+from e8nine.certs import CertBuilder, CheckFailure
 from e8nine.frames import Frame, frame_combinations, frame_reps
 from e8nine.gf2 import nonzero_elements, reduce_mod2
-from e8nine.intmat import row_times_mat
+from e8nine.intmat import mat_mul, row_times_mat
 from e8nine.lattice import enumerate_shell, inner, neg, root_pairs
 
 
@@ -118,6 +119,84 @@ def test_certify_d8_glue_rejects_cross_block_pair_swaps(lat, partition, frame_ar
         assert name == (OTHER_COSET if half else OFF_HALF)
         seen[name] = seen.get(name, 0) + 1
     assert seen == {OFF_HALF: 112, OTHER_COSET: 8}
+
+
+def _reference_certify_d8_glue(lat, block, frame):
+    """certify_d8_glue as it was before the tables: one matrix product per vector."""
+    reps = frame_reps(lat, frame)
+    cb = CertBuilder("d8-glue block %d frame %s" % (block.row_index, frame.source))
+    to_frame = doubled_frame_coordinates(lat, reps)
+    two_i = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
+    cb.check("frame orthonormal at half scale", two_i, mat_mul(reps, to_frame))
+    combos = set(frame_combinations(lat, frame))
+    rest = [v for v in block.vectors if v not in combos]
+    cb.check("remaining vector count", 128, len(rest))
+    coords = [row_times_mat(v, to_frame) for v in rest]
+    inside = [
+        v
+        for v, d in zip(rest, coords)
+        if all(x % 2 == 0 for x in d) and sum(d) % 4 == 0
+    ]
+    cb.check("remaining vectors outside D8", [], inside)
+    off = [v for v, d in zip(rest, coords) if any(x * x != 1 for x in d)]
+    cb.check(OFF_HALF, [], off)
+    parity = coords[0].count(-1) % 2
+    other_coset = [v for v, d in zip(rest, coords) if d.count(-1) % 2 != parity]
+    cb.check(OTHER_COSET, [], other_coset)
+    return cb.done()
+
+
+def _outcome(certify, lat, block, frame):
+    """The checks a certificate records, or the stage and check it raises on."""
+    try:
+        cert = certify(lat, block, frame)
+    except CheckFailure as e:
+        return ("raised", e.stage, e.check)
+    return ("passed", cert.stage, cert.checks)
+
+
+def test_doubled_coordinates_match_matrix_product(lat, frame_array):
+    # Every norm-4 vector through the decomposition table, and off-shell
+    # vectors (roots, doubled roots, a norm-6 vector) through the r_i G rows.
+    roots, shell4 = enumerate_shell(lat, 2), enumerate_shell(lat, 4)
+    w = next(v for v in shell4 if inner(lat, roots[0], v) == 0)
+    six = tuple(x + y for x, y in zip(roots[0], w))
+    assert inner(lat, six, six) == 6
+    vectors = shell4 + roots[:8] + [tuple(2 * x for x in roots[1]), six]
+    for row in frame_array.rows:
+        for f in row:
+            to_frame = doubled_frame_coordinates(lat, frame_reps(lat, f))
+            want = [row_times_mat(v, to_frame) for v in vectors]
+            assert doubled_coordinates(lat, f, vectors) == want
+
+
+def test_certify_d8_glue_matches_matrix_product_reference(lat, partition, frame_array):
+    # All 135 (block, frame) pairs pass with the reference's check list.
+    for b, row in zip(partition.blocks, frame_array.rows):
+        for f in row:
+            want = _outcome(_reference_certify_d8_glue, lat, b, f)
+            assert want[0] == "passed"
+            assert _outcome(certify_d8_glue, lat, b, f) == want
+    # Each of block 1's 120 pairs swapped in for block 0's last glue pair,
+    # and the corrupted inputs of the tests above, fail as the reference does.
+    b0, b1 = partition.blocks[0], partition.blocks[1]
+    frame = frame_array.rows[0][0]
+    out = _glue(lat, b0, frame)[-1]
+    cases = [
+        (_swap_pair(b0, out, into), frame) for into in b1.vectors if into > neg(into)
+    ]
+    assert len(cases) == 120
+    r0 = root_pairs(lat)[frame.roots[0]].rep
+    kept = [v for v in b0.vectors if v != _glue(lat, b0, frame)[0]]
+    for planted in (tuple(2 * x for x in r0), r0):
+        cases.append((replace(b0, vectors=tuple(sorted(kept + [planted]))), frame))
+    other = next(i for i in range(120) if i not in frame.roots)
+    bent = Frame(roots=tuple(sorted(frame.roots[1:] + (other,))), source=frame.source)
+    cases += [(b0, bent), (b0, frame_array.rows[1][0])]
+    for block, f in cases:
+        want = _outcome(_reference_certify_d8_glue, lat, block, f)
+        assert want[0] == "raised"
+        assert _outcome(certify_d8_glue, lat, block, f) == want
 
 
 def test_certify_d8_glue_rejects_d8_vector_among_glue(lat, partition, frame_array):

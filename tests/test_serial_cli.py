@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import json
 import os
+import random
 
 import pytest
 
@@ -127,6 +128,54 @@ def test_verify_truncated_file_exits_2(pipeline_state, tmp_path):
     with open(path, "w") as fh:
         fh.write(text[:200])
     assert cli.main(["verify", path]) == 2
+
+
+def _first_line(text, prefix):
+    return next(ln for ln in text.splitlines() if ln.startswith(prefix))
+
+
+# (artifact, how to corrupt its text): each edit used to escape the parser as
+# IndexError or ValueError with a traceback.
+MALFORMED = [
+    ("spread.txt", lambda t: t.replace("class A\n", "class \n")),
+    ("generators.txt", lambda t: t.replace(_first_line(t, "gen 0 "), "gen 0")),
+    (
+        "generators.txt",
+        lambda t: t.replace(_first_line(t, "gen 0 "), _first_line(t, "gen 0 ")[:-1] + "x"),
+    ),
+]
+PARSERS = {"spread.txt": serial.parse_spread, "generators.txt": serial.parse_generators}
+
+
+@pytest.mark.parametrize(
+    "name, corrupt", MALFORMED, ids=["class-no-label", "gen-header-short", "block-id-not-int"]
+)
+def test_malformed_artifact_is_a_parse_error(pipeline_state, tmp_path, capsys, name, corrupt):
+    out = str(tmp_path / "malformed")
+    cli.write_artifacts(pipeline_state, out)
+    path = os.path.join(out, name)
+    text = open(path).read()
+    bad = corrupt(text)
+    assert bad != text
+    with pytest.raises(serial.ParseError):
+        PARSERS[name](bad)
+    with open(path, "w") as fh:
+        fh.write(bad)
+    capsys.readouterr()
+    assert cli.main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+def test_verify_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    data = random.Random(8).randbytes(1024)
+    with pytest.raises(UnicodeDecodeError):
+        data.decode("utf-8")
+    path = tmp_path / "random.bin"
+    path.write_bytes(data)
+    assert cli.main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err
 
 
 def test_cmd_enumerate_ok(capsys):
