@@ -29,6 +29,7 @@ from itertools import permutations
 from operator import mul
 
 from .blocks import Norm4Partition, block_of_class_table, doubled_frame_coordinates
+from .certs import CertBuilder
 from .frames import FrameArray, frame_reps
 from .gf2 import F2Subspace, nonzero_elements, reduce_mod2, rref
 from .intmat import Mat, Vec, adjugate, det, mat_mul, row_times_mat, transpose
@@ -419,7 +420,9 @@ def compute_stabilizer(
     the chain certifies order 362880; running out of targets raises
     GenerationIncomplete.
     """
-    source = search_source(lat, frame_reps(lat, arr.rows[0][0]), block_of_class_table(partition))
+    source = search_source(
+        lat, frame_reps(lat, arr.rows[0][0]), block_of_class_table(lat, partition)
+    )
     spread_index = {s: i for i, s in enumerate(spread.spaces)}
     roots = enumerate_shell(lat, 2)
     root_index = {v: i for i, v in enumerate(roots)}
@@ -468,44 +471,44 @@ def compute_stabilizer(
 def block_action(
     lat: Lattice,
     result: StabilizerResult,
-    partition: Norm4Partition | None = None,
+    partition: Norm4Partition,
 ) -> BlockAction:
     """Induced 9-point action: image A9 (order, evenness), kernel {+-1}.
 
-    When the partition is supplied, every generator's matrix is re-checked on
-    all 2160 norm-4 vectors to map each block onto the block its 9-point
-    permutation claims. The kernel order comes from the stabilizer chain
-    itself: base points 0..8 are the blocks, so the product of the orbit
-    lengths at deeper levels is the order of the pointwise block stabilizer.
-    Its strong generators must be the identity or global negation on the
-    roots.
+    Each generator M must map every block onto the block its permutation bp
+    claims, checked mod 2 on the 135 classes: table[c (M mod 2)] == bp[table[c]]
+    for the class table of `block_of_class_table`. That is exact: M preserves
+    the Gram (checked), so it maps a norm-4 vector v of block b to a norm-4
+    vector of class c(v) (M mod 2); the blocks hold every norm-4 vector once,
+    in the block its class names, so v M lies in block bp[b], and M, injective,
+    maps the 240 vectors of block b onto block bp[b].
+
+    The kernel order comes from the stabilizer chain itself: base points 0..8
+    are the blocks, so the product of the orbit lengths at deeper levels is
+    the order of the pointwise block stabilizer. Its strong generators must be
+    the identity or global negation on the roots. A violated condition raises
+    CheckFailure naming it.
     """
-    if partition is not None:
-        shell = enumerate_shell(lat, 4)
-        index_of = {v: i for i, v in enumerate(shell)}
-        block_indices = [
-            frozenset(index_of[v] for v in b.vectors) for b in partition.blocks
-        ]
-        for iso, bp in zip(result.isometries, result.block_perms):
-            vec_perm = shell4_perm(lat, iso.matrix, index_of)
-            for b, indices in enumerate(block_indices):
-                if frozenset(vec_perm[i] for i in indices) != block_indices[bp[b]]:
-                    raise ValueError(
-                        "generator does not map block %d onto block %d" % (b, bp[b])
-                    )
+    cb = CertBuilder("block-action")
+    table = block_of_class_table(lat, partition)
+    for i, (iso, bp) in enumerate(zip(result.isometries, result.block_perms)):
+        cb.check("generator %d preserves Gram" % i, True, is_gram_isometry(lat, iso.matrix))
+        rows2 = matrix_mod2_rows(iso.matrix)
+        for c, b in table.items():
+            img = table.get(_apply_mod2(rows2, c))
+            if img != bp[b]:
+                cb.check("generator %d image of block %d" % (i, b), bp[b], img)
     image_order, _ = schreier_sims(list(result.block_perms))
     all_even = all(perm_parity(p) == 0 for p in result.block_perms)
 
     chain = result.group.chain
-    if [lv.beta for lv in chain.levels[:9]] != list(range(9)):
-        raise AssertionError("stabilizer chain does not start at the nine blocks")
+    betas = [lv.beta for lv in chain.levels[:9]]
+    cb.check("stabilizer chain starts at the nine blocks", list(range(9)), betas)
     kernel_order = chain.stabilizer_order_below(9)
     neg = negation_perm(lat)
-    kernel_gens = set(chain.strong_generators(from_level=9))
-    if not kernel_gens <= {identity_perm(len(neg)), neg}:
-        raise AssertionError("block-action kernel contains more than +-identity")
-    if image_order * kernel_order != chain.order():
-        raise AssertionError("image order times kernel order misses group order")
+    others = set(chain.strong_generators(from_level=9)) - {identity_perm(len(neg)), neg}
+    cb.check("kernel strong generators other than +-1", 0, len(others))
+    cb.check("image order times kernel order", chain.order(), image_order * kernel_order)
     return BlockAction(
         generator_images=tuple(result.block_perms),
         image_order=image_order,

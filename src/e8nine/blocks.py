@@ -5,16 +5,20 @@ makes that set a copy of E8 in which any one frame supplies an orthonormal
 basis, its 112 combinations span a D8, and the remaining 128 vectors are the
 glue extending D8 to E8.
 
-Two standard lattice facts (Conway-Sloane, SPLAG ch. 4 and 8) keep the
+Two standard lattice facts (Conway-Sloane, SPLAG ch. 4 and 16) keep the
 certificates short:
 
-- Integral coordinates over a basis whose Gram matrix is even give even
-  pairwise products, so the halving is certified by the basis Gram alone.
 - In coordinates over a frame orthonormal at half scale, D8 is
   {c in Z^8 : sum(c) even}. For any g in (1/2 + Z)^8 the union D8 + (D8 + g)
-  is even, unimodular and of rank 8, so it is E8; two glue vectors in
-  {+-1/2}^8 lie in the same coset of D8 exactly when their numbers of minus
-  signs have the same parity.
+  is even, unimodular and of rank 8, so it is E8, the only such lattice; two
+  glue vectors in {+-1/2}^8 lie in the same coset of D8 exactly when their
+  numbers of minus signs have the same parity.
+- So one D8-plus-glue certificate proves a block to be a half-scale E8: its
+  112 combinations and 128 glue vectors are the 240 roots of D8 + (D8 + g),
+  which span it. The frame is recovered from the block itself: a row covers
+  every root pair once and each orthogonal pair of root pairs lies in one
+  frame, so the pairs c orthogonal to a pair a with r_a + r_c in the block
+  are the other seven members of a's frame in that row.
 
 Frame coordinates come from tables, not matrix products. Every norm-4 vector
 is s_a r_a + s_b r_b for two orthogonal root pairs (SPLAG ch. 4), so by
@@ -34,18 +38,8 @@ from operator import add, itemgetter, mul, neg, sub
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
 from .gf2 import F2Subspace, FormTable, SpaceClass, nonzero_elements, reduce_mod2, rref
-from .intmat import (
-    BasisSolver,
-    Mat,
-    Vec,
-    det,
-    gram_of_rows,
-    halve_matrix,
-    hnf,
-    mat_mul,
-    transpose,
-)
-from .lattice import Lattice, enumerate_shell, recognize_even_unimodular_e8
+from .intmat import Mat, Vec, mat_mul, transpose
+from .lattice import Lattice, enumerate_shell, root_pairs
 from .frames import Frame, FrameArray, frame_combinations, reps_and_gram_rows
 from .spreadsearch import Spread
 
@@ -76,41 +70,6 @@ def row_to_block(lat: Lattice, row: tuple[Frame, ...], row_index: int) -> Norm4B
             Check("row %d deduplicated size" % row_index, 240, len(vectors)),
         )
     return Norm4Block(row_index=row_index, vectors=tuple(sorted(vectors)))
-
-
-def certify_scaled_e8(lat: Lattice, block: Norm4Block) -> Certificate:
-    """Certify one block as a half-scale E8 copy.
-
-    Everything is recomputed from the vectors: the canonical basis of the
-    span must have an even unimodular halved Gram passing E8 recognition, and
-    every block vector must have halved norm 2 and lie in the spanned lattice.
-    Pairwise products are even because every vector has integral coordinates
-    over a basis whose Gram matrix is even: u.w = c_u G c_w^T with every entry
-    of G even.
-    """
-    cb = CertBuilder("scaled-e8 block %d" % block.row_index)
-    cb.check("vector count", 240, len(block.vectors))
-    cb.check("distinct vectors", 240, len(set(block.vectors)))
-    vset = set(block.vectors)
-    missing_neg = [v for v in block.vectors if tuple(-x for x in v) not in vset]
-    cb.check("closed under negation", [], missing_neg)
-    shell4 = set(enumerate_shell(lat, 4))
-    bad_norm = [v for v in block.vectors if v not in shell4]
-    cb.check("all norms are 4", [], bad_norm)
-    basis = hnf(list(block.vectors))
-    cb.check("span rank", 8, len(basis))
-    solver = BasisSolver(list(basis))
-    outside = [v for v in block.vectors if not solver.contains(v)]
-    cb.check("vectors inside spanned lattice", [], outside)
-    full_gram = gram_of_rows(lat.gram, list(basis))
-    odd_entries = [x for row in full_gram for x in row if x % 2]
-    cb.check(
-        "pairwise inner products even: basis Gram entries even", [], odd_entries
-    )
-    half = halve_matrix(full_gram)
-    cb.check("halved Gram determinant", 1, det(half))
-    cb.check("E8 recognition of halved Gram", True, recognize_even_unimodular_e8(half))
-    return cb.done()
 
 
 def doubled_frame_coordinates(lat: Lattice, reps: list[Vec]) -> Mat:
@@ -240,6 +199,59 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
     return cb.done()
 
 
+def recover_frame(lat: Lattice, block: Norm4Block) -> Frame | None:
+    """The frame of the block's first vector, read off the block alone.
+
+    That vector is s_a r_a + s_b r_b (`_glue_tables`); the frame is pair a with
+    every pair c such that r_a . r_c = 0 and r_a + r_c lies in the block. In a
+    true block those c are the other seven members of a's frame in the block's
+    row, since the row covers every root pair once and each orthogonal pair
+    lies in exactly one frame. None if the first vector has no decomposition.
+    The source (row, -1) marks a frame not taken from the frame array.
+    """
+    _, pair_gram, decomposition = _glue_tables(lat.gram)
+    first = decomposition.get(block.vectors[0])
+    if first is None:
+        return None
+    a = first[1]
+    reps = [p.rep for p in root_pairs(lat)]
+    ra, vset = reps[a], set(block.vectors)
+    roots = [a] + [
+        c for c, t in enumerate(pair_gram[a]) if t == 0 and tuple(map(add, ra, reps[c])) in vset
+    ]
+    return Frame(roots=tuple(sorted(roots)), source=(block.row_index, -1))
+
+
+def certify_scaled_e8(lat: Lattice, block: Norm4Block) -> Certificate:
+    """Certify one block as a half-scale E8 copy by D8 plus glue.
+
+    After the checks on the vectors themselves (240, distinct, closed under
+    negation, all of norm 4), a frame is recovered from the block
+    (`recover_frame`) and must have 8 pairs. `certify_d8_glue` over it, whose
+    checks end this certificate, shows the block's 240 vectors to be, at half
+    scale, the 112 roots of D8 and the 128 roots of one coset D8 + g with g in
+    (1/2 + Z)^8. So the block lies in D8 + (D8 + g), an even unimodular
+    lattice of rank 8 and hence E8 (SPLAG ch. 16), and it spans it: D8's roots
+    span D8 and one glue vector adds g.
+    """
+    cb = CertBuilder("scaled-e8 block %d" % block.row_index)
+    cb.check("vector count", 240, len(block.vectors))
+    cb.check("distinct vectors", 240, len(set(block.vectors)))
+    vset = set(block.vectors)
+    missing_neg = [v for v in block.vectors if tuple(-x for x in v) not in vset]
+    cb.check("closed under negation", [], missing_neg)
+    shell4 = set(enumerate_shell(lat, 4))
+    bad_norm = [v for v in block.vectors if v not in shell4]
+    cb.check("all norms are 4", [], bad_norm)
+    frame = recover_frame(lat, block)
+    cb.check("first vector is s_a r_a + s_b r_b", True, frame is not None)
+    cb.check("recovered frame size", 8, len(frame.roots))
+    # certify_d8_glue raises at its first failed check; its checks complete
+    # this certificate.
+    cb.cert.checks.extend(certify_d8_glue(lat, block, frame).checks)
+    return cb.done()
+
+
 def build_partition(lat: Lattice, arr: FrameArray) -> Norm4Partition:
     """Nine blocks, pairwise disjoint, together covering the norm-4 shell."""
     blocks = tuple(
@@ -263,12 +275,15 @@ def build_partition(lat: Lattice, arr: FrameArray) -> Norm4Partition:
     return Norm4Partition(blocks=blocks)
 
 
-def block_of_class_table(p: Norm4Partition) -> dict[int, int]:
+def block_of_class_table(lat: Lattice, p: Norm4Partition) -> dict[int, int]:
     """The block of each mod-2 class, checked on every vector of every block.
 
     Block j reduces onto the 15 points of spread space j and the nine spaces
     partition the 135 isotropic points, so a norm-4 vector's class names its
     block. A class met in two blocks raises CheckFailure naming the class.
+    The blocks must also hold the 2160 norm-4 vectors once each: then every
+    norm-4 vector lies in the block its class names, which is what the
+    frame-to-frame search and `autgroup.block_action` read the table for.
     """
     table: dict[int, int] = {}
     for b in p.blocks:
@@ -283,6 +298,13 @@ def block_of_class_table(p: Norm4Partition) -> dict[int, int]:
     if len(table) != 135:
         raise CheckFailure(
             "norm4-partition", Check("mod-2 classes of the blocks", 135, len(table))
+        )
+    held = [v for b in p.blocks for v in b.vectors]
+    counts = (len(held), len(set(enumerate_shell(lat, 4)).intersection(held)))
+    if counts != (2160, 2160):
+        raise CheckFailure(
+            "norm4-partition",
+            Check("vectors held by the blocks, distinct norm-4 among them", (2160, 2160), counts),
         )
     return table
 

@@ -31,7 +31,9 @@ class Frame:
     """Eight mutually orthogonal root pairs, tagged with their (V, W) origin."""
 
     roots: tuple[int, ...]  # 8 sorted root-pair ids
-    source: tuple[int, int]  # (spread space index 0..8, 3-space index 0..14)
+    # (spread space index 0..8, 3-space index 0..14); 3-space index -1 for a
+    # frame recovered from a block (blocks.recover_frame)
+    source: tuple[int, int]
 
 
 @dataclass(frozen=True)

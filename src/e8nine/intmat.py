@@ -127,39 +127,9 @@ def hnf(rows: list[Vec]) -> Mat:
     return tuple(tuple(r) for r in basis)
 
 
-class BasisSolver:
-    """Exact membership/coordinate queries for the lattice spanned by 8 rows."""
-
-    def __init__(self, rows: list[Vec]):
-        self.mat: Mat = tuple(rows)
-        self.det = det(self.mat)
-        if self.det == 0:
-            raise ZeroDivisionError("basis rows are dependent")
-        self.adj = adjugate(self.mat)
-
-    def integer_coords(self, v: Vec) -> Vec | None:
-        """Integer coordinates of v in the basis, or None if v is outside."""
-        num = row_times_mat(v, self.adj)
-        if any(x % self.det for x in num):
-            return None
-        return tuple(x // self.det for x in num)
-
-    def contains(self, v: Vec) -> bool:
-        return self.integer_coords(v) is not None
-
-
 def gram_of_rows(gram: Mat, rows: list[Vec]) -> Mat:
     """Gram matrix of the given vectors under x^T gram y."""
     gy = [row_times_mat(r, gram) for r in rows]
     return tuple(
         tuple(sum(a * b for a, b in zip(r, g)) for g in gy) for r in rows
     )
-
-
-def halve_matrix(m: Mat) -> Mat:
-    """Divide every entry by 2, insisting on exact evenness."""
-    for row in m:
-        for x in row:
-            if x % 2:
-                raise ArithmeticError("matrix entry %d is odd" % x)
-    return tuple(tuple(x // 2 for x in row) for row in m)

@@ -176,7 +176,7 @@ def test_criterion_09_group_order_and_block_action():
     )
     t0 = time.perf_counter()
     result = ag.compute_stabilizer(lat, spread, arr, partition)
-    action = ag.block_action(lat, result)
+    action = ag.block_action(lat, result, partition)
     elapsed = time.perf_counter() - t0
     assert result.group.order() == 362880
     assert action.image_order == 181440

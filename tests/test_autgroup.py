@@ -98,8 +98,109 @@ def test_block_action_rejects_inconsistent_generator(lat, stab_result, partition
     idx = stab_result.isometries.index(negation_isometry())
     bad_perms[idx] = (1, 0, 2, 3, 4, 5, 6, 7, 8)
     broken = replace(stab_result, block_perms=tuple(bad_perms))
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckFailure) as exc:
         block_action(lat, broken, partition)
+    # -1 fixes every class, and the class table lists block 0's classes first.
+    assert exc.value.stage == "block-action"
+    assert exc.value.check.description == "generator %d image of block 0" % idx
+    assert (exc.value.check.expected, exc.value.check.actual) == (1, 0)
+
+
+def _reference_block_check(lat, result, partition):
+    """block_action's block check as it was before the class table: each
+    generator's matrix maps all 2160 norm-4 vectors through shell4_perm."""
+    shell = enumerate_shell(lat, 4)
+    index_of = {v: i for i, v in enumerate(shell)}
+    block_indices = [frozenset(index_of[v] for v in b.vectors) for b in partition.blocks]
+    for iso, bp in zip(result.isometries, result.block_perms):
+        vec_perm = shell4_perm(lat, iso.matrix, index_of)
+        for b, indices in enumerate(block_indices):
+            if frozenset(vec_perm[i] for i in indices) != block_indices[bp[b]]:
+                raise ValueError("generator does not map block %d onto block %d" % (b, bp[b]))
+
+
+def _passes(check, *args):
+    try:
+        check(*args)
+    except (ValueError, CheckFailure):
+        return False
+    return True
+
+
+def test_block_action_matches_vector_reference(lat, stab_result, partition):
+    import pytest
+    from dataclasses import replace
+
+    cases = [(stab_result, partition)]
+    for i, bp in enumerate(stab_result.block_perms):
+        for k in range(1, 9):
+            swapped = list(bp)
+            swapped[0], swapped[k] = swapped[k], swapped[0]
+            perms = list(stab_result.block_perms)
+            perms[i] = tuple(swapped)
+            cases.append((replace(stab_result, block_perms=tuple(perms)), partition))
+    b0 = partition.blocks[0]
+    dropped = replace(
+        partition, blocks=(replace(b0, vectors=b0.vectors[1:]),) + partition.blocks[1:]
+    )
+    cases.append((stab_result, dropped))
+    want = [True] + [False] * (len(cases) - 1)
+    assert [_passes(_reference_block_check, lat, r, p) for r, p in cases] == want
+    assert [_passes(block_action, lat, r, p) for r, p in cases] == want
+    # The dropped vector's class is still met in block 0, so the class table
+    # alone would pass; the coverage premise is what rejects it.
+    with pytest.raises(CheckFailure) as exc:
+        block_action(lat, stab_result, dropped)
+    assert exc.value.check.description == "vectors held by the blocks, distinct norm-4 among them"
+    assert exc.value.check.actual == (2159, 2159)
+
+
+def test_block_action_rejects_non_isometry(lat, stab_result, partition):
+    import pytest
+    from dataclasses import replace
+
+    from e8nine.autgroup import Isometry
+
+    rows = list(identity_matrix(8))
+    rows[0], rows[1] = rows[1], rows[0]
+    swap01 = tuple(rows)
+    assert not is_gram_isometry(lat, swap01)
+    isos = (Isometry(matrix=swap01),) + stab_result.isometries[1:]
+    with pytest.raises(CheckFailure) as exc:
+        block_action(lat, replace(stab_result, isometries=isos), partition)
+    assert exc.value.check.description == "generator 0 preserves Gram"
+
+
+def _with_chain(result, gens, base_prefix):
+    from dataclasses import replace
+
+    _, chain = schreier_sims(gens, base_prefix=base_prefix)
+    return replace(result, group=PermutationGroup(generators=(), chain=chain))
+
+
+def test_block_action_rejects_bad_chain(lat, stab_result, partition):
+    import pytest
+
+    neg = negation_perm(lat)
+    # A root permutation fixing every block that is not +-1: swap one root
+    # with its negative.
+    roots = enumerate_shell(lat, 2)
+    r = roots.index(tuple(-x for x in roots[0]))
+    flip = list(identity_perm(len(neg)))
+    flip[9], flip[9 + r] = 9 + r, 9
+    # The chain of <-1> has order 2, while the generators' block images
+    # still generate A9 over a kernel of order 2.
+    cases = (
+        ([neg], tuple(range(9, 18)), "stabilizer chain starts at the nine blocks", None),
+        ([neg, tuple(flip)], tuple(range(9)), "kernel strong generators other than +-1", None),
+        ([neg], tuple(range(9)), "image order times kernel order", (2, BLOCK_IMAGE_ORDER * 2)),
+    )
+    for gens, base_prefix, name, values in cases:
+        with pytest.raises(CheckFailure) as exc:
+            block_action(lat, _with_chain(stab_result, gens, base_prefix), partition)
+        assert exc.value.check.description == name
+        if values is not None:
+            assert (exc.value.check.expected, exc.value.check.actual) == values
 
 
 def test_one_block_stabilizer(lat, stab_result, spread):
@@ -255,7 +356,7 @@ def test_membership_of_generator_products(stab_result):
 def test_frame_search_finds_identity_first(lat, frame_array, spread, partition):
     spread_index = {s: i for i, s in enumerate(spread.spaces)}
     reps = frame_reps(lat, frame_array.rows[0][0])
-    source = search_source(lat, reps, block_of_class_table(partition))
+    source = search_source(lat, reps, block_of_class_table(lat, partition))
     found = isometries_between_frames(lat, source, reps, spread_index, cap=1)
     assert found[0][0] == identity_matrix(8)
     assert found[0][1] == tuple(range(9))
@@ -264,7 +365,7 @@ def test_frame_search_finds_identity_first(lat, frame_array, spread, partition):
 def test_frame_search_is_deterministic(lat, frame_array, spread, partition):
     spread_index = {s: i for i, s in enumerate(spread.spaces)}
     src = frame_reps(lat, frame_array.rows[0][0])
-    source = search_source(lat, src, block_of_class_table(partition))
+    source = search_source(lat, src, block_of_class_table(lat, partition))
     tgt = frame_reps(lat, frame_array.rows[2][5])
     first = isometries_between_frames(lat, source, tgt, spread_index, cap=8)
     second = isometries_between_frames(lat, source, tgt, spread_index, cap=8)
@@ -391,7 +492,7 @@ def test_frame_search_matches_vector_arithmetic_reference(
 ):
     spread_index = {s: i for i, s in enumerate(spread.spaces)}
     src = frame_reps(lat, frame_array.rows[0][0])
-    source = search_source(lat, src, block_of_class_table(partition))
+    source = search_source(lat, src, block_of_class_table(lat, partition))
     for j, k in ((0, 0), (1, 0), (2, 5)):
         tgt = frame_reps(lat, frame_array.rows[j][k])
         found = isometries_between_frames(lat, source, tgt, spread_index, cap=48)

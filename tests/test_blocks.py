@@ -4,12 +4,15 @@ import pytest
 
 from dataclasses import replace
 
+from e8nine import blocks as bl
 from e8nine.blocks import (
+    _glue_tables,
     block_of_class_table,
     certify_d8_glue,
     certify_scaled_e8,
     doubled_coordinates,
     doubled_frame_coordinates,
+    recover_frame,
     row_to_block,
     spread_from_partition,
     verify_partition,
@@ -17,8 +20,14 @@ from e8nine.blocks import (
 from e8nine.certs import CertBuilder, CheckFailure
 from e8nine.frames import Frame, frame_combinations, frame_reps
 from e8nine.gf2 import nonzero_elements, reduce_mod2
-from e8nine.intmat import mat_mul, row_times_mat
-from e8nine.lattice import enumerate_shell, inner, neg, root_pairs
+from e8nine.intmat import adjugate, det, gram_of_rows, hnf, mat_mul, row_times_mat
+from e8nine.lattice import (
+    enumerate_shell,
+    inner,
+    neg,
+    recognize_even_unimodular_e8,
+    root_pairs,
+)
 
 
 def test_each_frame_contributes_112_signed_vectors(lat, frame_array):
@@ -44,11 +53,42 @@ def test_block_vector_arises_from_seven_frames(lat, frame_array, partition):
 
 
 def test_certify_scaled_e8_all_blocks(lat, partition):
+    # The four vector checks, the recovered frame, then the D8-plus-glue
+    # checks over that frame.
     for b in partition.blocks:
         cert = certify_scaled_e8(lat, b)
         assert cert.passed
-        det_check = next(c for c in cert.checks if "determinant" in c.description)
-        assert det_check.actual == 1
+        checks = [(c.description, c.actual) for c in cert.checks]
+        assert checks[4:6] == [
+            ("first vector is s_a r_a + s_b r_b", True),
+            ("recovered frame size", 8),
+        ]
+        assert checks[6:] == [
+            (c.description, c.actual)
+            for c in certify_d8_glue(lat, b, recover_frame(lat, b)).checks
+        ]
+        assert dict(checks)["remaining vector count"] == 128
+
+
+def test_recovered_frame_is_the_row_frame_of_the_first_pair(lat, partition, frame_array):
+    decomposition = _glue_tables(lat.gram)[2]
+    for b, row in zip(partition.blocks, frame_array.rows):
+        a = decomposition[b.vectors[0]][1]
+        want = next(f for f in row if a in f.roots)
+        frame = recover_frame(lat, b)
+        assert frame.roots == want.roots
+        assert frame.source == (b.row_index, -1)
+
+
+def test_certify_scaled_e8_names_a_vector_without_decomposition(lat, partition, monkeypatch):
+    rg, pair_gram, decomposition = _glue_tables(lat.gram)
+    b0 = partition.blocks[0]
+    pruned = {v: d for v, d in decomposition.items() if v != b0.vectors[0]}
+    monkeypatch.setattr(bl, "_glue_tables", lambda gram: (rg, pair_gram, pruned))
+    assert recover_frame(lat, b0) is None
+    with pytest.raises(CheckFailure) as exc:
+        certify_scaled_e8(lat, b0)
+    assert exc.value.check.description == "first vector is s_a r_a + s_b r_b"
 
 
 def test_certify_d8_glue_one_frame(lat, partition, frame_array):
@@ -92,11 +132,77 @@ OTHER_COSET = "one glue coset: each glue vector extends D8 to E8"
 
 
 def test_certify_scaled_e8_rejects_cross_block_pair_swap(lat, partition):
+    # Block 1's first vector s_a r_a + s_b r_b becomes the block's first
+    # vector. Its pair a keeps the seven partners of its row-0 frame (those
+    # combinations are still in the block) and gains b, since r_a + r_b is
+    # the swapped-in vector or its negative.
     b0, b1 = partition.blocks[0], partition.blocks[1]
     broken = _swap_pair(b0, b0.vectors[0], b1.vectors[0])
+    assert broken.vectors[0] == b1.vectors[0]
     with pytest.raises(CheckFailure) as exc:
         certify_scaled_e8(lat, broken)
-    assert exc.value.check.description.startswith("pairwise inner products even")
+    assert exc.value.stage == "scaled-e8 block 0"
+    assert exc.value.check.description == "recovered frame size"
+    assert exc.value.check.actual == 9
+
+
+def _reference_certify_scaled_e8(lat, block):
+    """certify_scaled_e8 as it was before the recovered frame: the HNF basis of
+    the block, membership through its adjugate, and an even Gram whose half
+    is recognized as E8."""
+    cb = CertBuilder("scaled-e8 block %d" % block.row_index)
+    cb.check("vector count", 240, len(block.vectors))
+    cb.check("distinct vectors", 240, len(set(block.vectors)))
+    vset = set(block.vectors)
+    cb.check("closed under negation", [], [v for v in block.vectors if neg(v) not in vset])
+    shell4 = set(enumerate_shell(lat, 4))
+    cb.check("all norms are 4", [], [v for v in block.vectors if v not in shell4])
+    basis = hnf(list(block.vectors))
+    cb.check("span rank", 8, len(basis))
+    d, adj = det(basis), adjugate(basis)
+    outside = [v for v in block.vectors if any(x % d for x in row_times_mat(v, adj))]
+    cb.check("vectors inside spanned lattice", [], outside)
+    full_gram = gram_of_rows(lat.gram, list(basis))
+    odd = [x for row in full_gram for x in row if x % 2]
+    cb.check("pairwise inner products even: basis Gram entries even", [], odd)
+    half = tuple(tuple(x // 2 for x in row) for row in full_gram)
+    cb.check("halved Gram determinant", 1, det(half))
+    cb.check("E8 recognition of halved Gram", True, recognize_even_unimodular_e8(half))
+    return cb.done()
+
+
+def _scaled_e8_outcome(certify, lat, block):
+    try:
+        certify(lat, block)
+    except CheckFailure as e:
+        return ("raised", e.stage, e.check)
+    return ("passed",)
+
+
+def test_certify_scaled_e8_matches_reference(lat, partition):
+    for b in partition.blocks:
+        assert _scaled_e8_outcome(_reference_certify_scaled_e8, lat, b) == ("passed",)
+        assert _scaled_e8_outcome(certify_scaled_e8, lat, b) == ("passed",)
+    # Each of block 1's 120 pairs swapped in for block 0's first pair: both
+    # raise, each at a check of its own argument.
+    b0, b1 = partition.blocks[0], partition.blocks[1]
+    swaps = [_swap_pair(b0, b0.vectors[0], into) for into in b1.vectors if into > neg(into)]
+    assert len(swaps) == 120
+    for block in swaps:
+        assert _scaled_e8_outcome(_reference_certify_scaled_e8, lat, block)[0] == "raised"
+        assert _scaled_e8_outcome(certify_scaled_e8, lat, block)[0] == "raised"
+    # A dropped pair and a planted norm-6 pair fail the same shared check.
+    root = enumerate_shell(lat, 2)[0]
+    w = next(v for v in b0.vectors if inner(lat, root, v) == 0)
+    six = tuple(x + y for x, y in zip(root, w))
+    dropped = replace(b0, vectors=tuple(v for v in b0.vectors if v not in (w, neg(w))))
+    for block, name in (
+        (dropped, "vector count"),
+        (_swap_pair(b0, b0.vectors[0], six), "all norms are 4"),
+    ):
+        want = _scaled_e8_outcome(_reference_certify_scaled_e8, lat, block)
+        assert want[0] == "raised" and want[2].description == name
+        assert _scaled_e8_outcome(certify_scaled_e8, lat, block) == want
 
 
 def test_certify_d8_glue_rejects_cross_block_pair_swaps(lat, partition, frame_array):
@@ -303,13 +409,13 @@ def test_planted_norm6_vector_fails_both_norm_checks(lat, partition):
     assert exc.value.check.actual == sorted([six, neg(six)])
 
 
-def test_block_of_class_table_agrees_with_every_vector(partition, block_of_vector):
-    table = block_of_class_table(partition)
+def test_block_of_class_table_agrees_with_every_vector(lat, partition, block_of_vector):
+    table = block_of_class_table(lat, partition)
     assert len(table) == 135
     assert all(table[reduce_mod2(v)] == b for v, b in block_of_vector.items())
 
 
-def test_block_of_class_table_names_class_met_in_two_blocks(partition):
+def test_block_of_class_table_names_class_met_in_two_blocks(lat, partition):
     # Swapping the pair {out, -out} of block 0 with {into, -into} of block 1
     # puts each pair's class in both blocks; block 1's first vector of either
     # class is where the table finds a second block.
@@ -322,17 +428,39 @@ def test_block_of_class_table_names_class_met_in_two_blocks(partition):
     split = {reduce_mod2(out), reduce_mod2(into)}
     first = next(reduce_mod2(v) for v in new1.vectors if reduce_mod2(v) in split)
     with pytest.raises(CheckFailure) as exc:
-        block_of_class_table(broken)
+        block_of_class_table(lat, broken)
     assert exc.value.stage == "norm4-partition"
     assert exc.value.check.description == "mod-2 class %d in one block" % first
     assert (exc.value.check.expected, exc.value.check.actual) == (0, 1)
 
 
-def test_block_of_class_table_counts_classes(partition):
+def test_block_of_class_table_counts_classes(lat, partition):
     with pytest.raises(CheckFailure) as exc:
-        block_of_class_table(replace(partition, blocks=partition.blocks[:8]))
+        block_of_class_table(lat, replace(partition, blocks=partition.blocks[:8]))
     assert exc.value.check.description == "mod-2 classes of the blocks"
     assert exc.value.check.actual == 120
+
+
+def test_block_of_class_table_requires_each_norm4_vector_once(lat, partition):
+    # Each corruption keeps block 0's classes, so only the coverage check
+    # sees it: a dropped vector, a repeated one, and v + 2r (same class,
+    # norm 4 + 4(v.r) + 8 = 8 for a root r with v.r = -1) in place of v.
+    b0 = partition.blocks[0]
+    v = b0.vectors[0]
+    r = next(r for r in enumerate_shell(lat, 2) if inner(lat, v, r) == -1)
+    eight = tuple(x + 2 * y for x, y in zip(v, r))
+    for vectors, counts in (
+        (b0.vectors[1:], (2159, 2159)),
+        ((b0.vectors[1],) + b0.vectors[1:], (2160, 2159)),
+        ((eight,) + b0.vectors[1:], (2160, 2159)),
+    ):
+        broken = replace(partition, blocks=(replace(b0, vectors=vectors),) + partition.blocks[1:])
+        with pytest.raises(CheckFailure) as exc:
+            block_of_class_table(lat, broken)
+        assert exc.value.check.description == (
+            "vectors held by the blocks, distinct norm-4 among them"
+        )
+        assert exc.value.check.actual == counts
 
 
 def test_verify_partition_catches_cross_block_swap(lat, partition):

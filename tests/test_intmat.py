@@ -4,11 +4,9 @@ import itertools
 import random
 
 from e8nine.intmat import (
-    BasisSolver,
     adjugate,
     det,
     gram_of_rows,
-    halve_matrix,
     hnf,
     identity,
     mat_mul,
@@ -132,25 +130,6 @@ def test_hnf_pivots_positive_and_reduced():
         for j in range(i):
             lead = next(k for k, x in enumerate(r) if x)
             assert 0 <= basis[j][lead] < r[lead]
-
-
-def test_basis_solver_membership():
-    rng = random.Random(3)
-    basis = [(2, 0, 0), (1, 3, 0), (0, 1, 5)]
-    solver = BasisSolver(basis)
-    for _ in range(30):
-        coeffs = [rng.randint(-4, 4) for _ in range(3)]
-        v = tuple(
-            sum(c * basis[i][k] for i, c in enumerate(coeffs)) for k in range(3)
-        )
-        assert solver.integer_coords(v) == tuple(coeffs)
-    assert not solver.contains((1, 0, 0))
-
-
-def test_halve_matrix_rejects_odd_entries():
-    with pytest.raises(ArithmeticError):
-        halve_matrix(((2, 1), (1, 2)))
-    assert halve_matrix(((4, 2), (2, 4))) == ((2, 1), (1, 2))
 
 
 def test_row_times_mat_and_gram():

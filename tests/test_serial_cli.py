@@ -283,20 +283,41 @@ def test_stage_failure_writes_marker(tmp_path, monkeypatch, capsys):
 def test_sub_certificate_failure_marker_names_pipeline_stage(tmp_path, monkeypatch, capsys):
     def failing_scaled_e8(lat, block):
         cb = CertBuilder("scaled-e8 block %d" % block.row_index)
-        cb.check("basis Gram entries even", True, False)
+        cb.check("recovered frame size", 8, 9)
 
     monkeypatch.setattr(bl, "certify_scaled_e8", failing_scaled_e8)
     out = str(tmp_path / "failed")
     assert cli.main(["partition", "--out", out]) == 1
     first, second = open(os.path.join(out, "FAILED")).read().splitlines()
     assert first == "failed at stage: partition"
-    assert second == (
-        "scaled-e8 block 0: basis Gram entries even (expected True, got False)"
-    )
+    assert second == "scaled-e8 block 0: recovered frame size (expected 8, got 9)"
     # Only certified stages leave artifacts: the partition was built before
     # its certificate failed, so partition.txt must not be written.
     assert os.path.exists(os.path.join(out, "frames.txt"))
     assert not os.path.exists(os.path.join(out, "partition.txt"))
+
+
+def test_bad_block_permutation_fails_group_stage(tmp_path, monkeypatch, capsys):
+    from dataclasses import replace
+
+    from e8nine import autgroup as ag
+
+    compute = ag.compute_stabilizer
+
+    def misreported(*args):
+        # -1 is the first generator and fixes every block; claim it swaps 0 and 1.
+        result = compute(*args)
+        perms = ((1, 0, 2, 3, 4, 5, 6, 7, 8),) + result.block_perms[1:]
+        return replace(result, block_perms=perms)
+
+    monkeypatch.setattr(ag, "compute_stabilizer", misreported)
+    out = str(tmp_path / "failed")
+    assert cli.main(["group", "--out", out]) == 1
+    first, second = open(os.path.join(out, "FAILED")).read().splitlines()
+    assert first == "failed at stage: group"
+    assert second == "block-action: generator 0 image of block 0 (expected 1, got 0)"
+    assert "FAIL: " + second in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "generators.txt"))
 
 
 def test_level_count_failure_marker_names_spaces_stage(tmp_path, monkeypatch, capsys):
