@@ -399,7 +399,7 @@ def negation_perm(lat: Lattice) -> Perm:
     return extended_perm(identity_perm(9), tuple(index[tuple(-x for x in v)] for v in roots))
 
 
-def _target_schedule(arr: FrameArray) -> list[tuple[int, int]]:
+def _target_schedule() -> list[tuple[int, int]]:
     """Frame coordinates to aim the search at, most informative first."""
     first = [(j, 0) for j in range(9)] + [(0, k) for k in range(1, 15)]
     seen = set(first)
@@ -446,7 +446,7 @@ def compute_stabilizer(
     admit(neg.matrix, identity_perm(9))
 
     for cap in (12, 48, 2688):
-        for (j, k) in _target_schedule(arr):
+        for (j, k) in _target_schedule():
             if chain.order() == STABILIZER_ORDER:
                 break
             tgt_reps = frame_reps(lat, arr.rows[j][k])

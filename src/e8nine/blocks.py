@@ -24,7 +24,9 @@ Frame coordinates come from tables, not matrix products. Every norm-4 vector
 is s_a r_a + s_b r_b for two orthogonal root pairs (SPLAG ch. 4), so by
 bilinearity its doubled coordinate over a frame root r_i is
 s_a (r_a . r_i) + s_b (r_b . r_i): two rows of the 120 x 120 root-pair Gram,
-restricted to the frame and added. Over a frame with Gram 2I the eight roots
+restricted to the frame and added. That Gram and the decomposition of each
+norm-4 vector are `frames.pair_tables`, built once per Gram matrix and shared
+with the frame-array checks. Over a frame with Gram 2I the eight roots
 are a rational basis and v = sum_i (d_i / 2) r_i, so v -> d is injective and
 the frame's 112 combinations are exactly the vectors with d = +-2e_i +-2e_j.
 """
@@ -33,14 +35,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, itemgetter, mul, neg
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
 from .gf2 import F2Subspace, FormTable, SpaceClass, nonzero_elements, reduce_mod2, rref
 from .intmat import Mat, Vec, mat_mul, transpose
 from .lattice import Lattice, enumerate_shell, root_pairs
-from .frames import Frame, FrameArray, frame_combinations, reps_and_gram_rows
+from .frames import Frame, FrameArray, frame_combinations, pair_tables
 from .spreadsearch import Spread
 
 
@@ -82,30 +83,6 @@ def doubled_frame_coordinates(lat: Lattice, reps: list[Vec]) -> Mat:
     return mat_mul(lat.gram, transpose(reps))
 
 
-@lru_cache(maxsize=None)
-def _glue_tables(gram: Mat) -> tuple[Mat, Mat, dict[Vec, tuple[int, int, int, int]]]:
-    """The rows r_a G, the root-pair Gram T and one decomposition per norm-4 vector.
-
-    T[a][b] = r_a . r_b lies in {0, +-1, +-2}. Each orthogonal pair (T[a][b]
-    == 0) gives the four norm-4 vectors +-r_a +-r_b; every norm-4 vector
-    arises this way, and the first pair met is kept as (s_a, a, s_b, b) with
-    v = s_a r_a + s_b r_b.
-    """
-    reps, rg = reps_and_gram_rows(Lattice(gram=gram))
-    pair_gram = tuple(tuple(sum(map(mul, ga, rb)) for rb in reps) for ga in rg)
-    decomposition: dict[Vec, tuple[int, int, int, int]] = {}
-    for a, row in enumerate(pair_gram):
-        ra = reps[a]
-        for b in range(a + 1, len(reps)):
-            if row[b] == 0:
-                for sb, op in ((1, add), (-1, sub)):
-                    v = tuple(map(op, ra, reps[b]))
-                    if v not in decomposition:  # nor is -v: both go in together
-                        decomposition[v] = (1, a, sb, b)
-                        decomposition[tuple(map(neg, v))] = (-1, a, -sb, b)
-    return tuple(rg), pair_gram, decomposition
-
-
 TWO_I: Mat = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
 # Doubled frame coordinates +-2e_i +-2e_j (i < j) of the 112 frame combinations.
 COMBINATION_SHAPES = frozenset(
@@ -120,7 +97,7 @@ GLUE_SHAPES = frozenset(itertools.product((1, -1), repeat=8))
 def doubled_coordinates(
     lat: Lattice, frame: Frame, vectors: list[Vec] | tuple[Vec, ...]
 ) -> list[Vec]:
-    """The doubled frame coordinates d of each vector, read from the tables.
+    """The doubled frame coordinates d of each vector, read from `frames.pair_tables`.
 
     d equals row_times_mat(v, doubled_frame_coordinates(lat, frame_reps(lat,
     frame))) without a matrix product. With v = s_a r_a + s_b r_b from the
@@ -129,7 +106,7 @@ def doubled_coordinates(
     columns and added. A vector without a decomposition is off the norm-4
     shell (a corrupted block); its d is read from the frame's rows r_i G.
     """
-    rg, pair_gram, decomposition = _glue_tables(lat.gram)
+    rg, pair_gram, decomposition = pair_tables(lat.gram)
     at_frame = itemgetter(*frame.roots)
     t_frame = [at_frame(t) for t in pair_gram]
     signed = {1: t_frame, -1: [tuple(map(neg, t)) for t in t_frame]}
@@ -164,13 +141,14 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
     block's 240 distinct vectors (counted by `certify_scaled_e8`).
 
     Every d comes from `doubled_coordinates` (bilinearity, no matrix
-    product), and the frame Gram is the root-pair Gram T at the frame. Once
+    product), and the frame Gram is the root-pair Gram T of
+    `frames.pair_tables` at the frame. Once
     that Gram is 2I the eight r_i are a basis of the rational span and
     v = sum_i (d_i / 2) r_i, so v -> d is injective: v is one of the frame's
     combinations +-r_i +-r_j exactly when d = +-2e_i +-2e_j. That shape test
     replaces a set of the 112 combinations.
     """
-    pair_gram = _glue_tables(lat.gram)[1]
+    pair_gram = pair_tables(lat.gram)[1]
     at_frame = itemgetter(*frame.roots)
     cb = CertBuilder("d8-glue block %d frame %s" % (block.row_index, frame.source))
     cb.check(
@@ -202,14 +180,15 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
 def recover_frame(lat: Lattice, block: Norm4Block) -> Frame | None:
     """The frame of the block's first vector, read off the block alone.
 
-    That vector is s_a r_a + s_b r_b (`_glue_tables`); the frame is pair a with
-    every pair c such that r_a . r_c = 0 and r_a + r_c lies in the block. In a
-    true block those c are the other seven members of a's frame in the block's
-    row, since the row covers every root pair once and each orthogonal pair
-    lies in exactly one frame. None if the first vector has no decomposition.
+    That vector is s_a r_a + s_b r_b (its decomposition in
+    `frames.pair_tables`); the frame is pair a with every pair c such that
+    r_a . r_c = 0 and r_a + r_c lies in the block. In a true block those c are
+    the other seven members of a's frame in the block's row, since the row
+    covers every root pair once and each orthogonal pair lies in exactly one
+    frame. None if the first vector has no decomposition.
     The source (row, -1) marks a frame not taken from the frame array.
     """
-    _, pair_gram, decomposition = _glue_tables(lat.gram)
+    _, pair_gram, decomposition = pair_tables(lat.gram)
     first = decomposition.get(block.vectors[0])
     if first is None:
         return None
@@ -253,26 +232,14 @@ def certify_scaled_e8(lat: Lattice, block: Norm4Block) -> Certificate:
 
 
 def build_partition(lat: Lattice, arr: FrameArray) -> Norm4Partition:
-    """Nine blocks, pairwise disjoint, together covering the norm-4 shell."""
-    blocks = tuple(
-        row_to_block(lat, row, i) for i, row in enumerate(arr.rows)
-    )
-    seen: dict[Vec, int] = {}
-    for b in blocks:
-        for v in b.vectors:
-            if v in seen:
-                raise CheckFailure(
-                    "norm4-partition",
-                    Check("vector %s in one block" % (v,), seen[v], b.row_index),
-                )
-            seen[v] = b.row_index
-    shell = enumerate_shell(lat, 4)
-    if len(seen) != len(shell):
-        missing = next(v for v in shell if v not in seen)
-        raise CheckFailure(
-            "norm4-partition", Check("coverage gap at %s" % (missing,), 2160, len(seen))
-        )
-    return Norm4Partition(blocks=blocks)
+    """Nine blocks, one per frame-array row.
+
+    `block_of_class_table` certifies that they hold the 2160 norm-4 vectors
+    once each, with each mod-2 class in one block.
+    """
+    p = Norm4Partition(blocks=tuple(row_to_block(lat, r, i) for i, r in enumerate(arr.rows)))
+    block_of_class_table(lat, p)
+    return p
 
 
 def block_of_class_table(lat: Lattice, p: Norm4Partition) -> dict[int, int]:

@@ -362,7 +362,7 @@ def cmd_verify(args) -> int:
             cb.check("class of the spread's spaces", spread.class_label, labels[spread.spaces[0]])
             print("spread-class: PASS")
         if "frames" in parsed:
-            cert = fr.verify_frame_array(lat, ft, parsed["frames"])
+            cert = fr.verify_frame_array(lat, parsed["frames"])
             print("frames: PASS (%d checks)" % len(cert.checks))
         if "partition" in parsed:
             cert = bl.verify_partition(lat, parsed["partition"])

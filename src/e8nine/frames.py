@@ -4,13 +4,18 @@ For a 3-space W inside an isotropic 4-space V, the quotient W-perp / W is a
 2-space whose three nonzero cosets are: the one completing W into V, a second
 isotropic coset, and exactly one anisotropic coset. The eight classes of that
 anisotropic coset lift to eight mutually orthogonal root pairs, a frame.
+
+The module also owns the root-pair table (`pair_tables`): the one place where
+root-pair inner products are computed, read by the frame-array checker, the
+pair census and the glue certificates of `blocks`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
+from functools import lru_cache
+from operator import add, mul, neg, sub
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
 from .gf2 import (
@@ -22,7 +27,7 @@ from .gf2 import (
     rref,
     span_elements,
 )
-from .intmat import Vec, row_times_mat
+from .intmat import Mat, Vec, row_times_mat
 from .lattice import Lattice, root_pairs
 
 
@@ -58,7 +63,6 @@ def three_spaces(v: F2Subspace) -> list[F2Subspace]:
 
 
 def frame_from_3space(
-    lat: Lattice,
     ft: FormTable,
     census: Mod2Census,
     v: F2Subspace,
@@ -125,14 +129,31 @@ def frame_from_3space(
     return Frame(roots=tuple(sorted(ids)), source=source)
 
 
-def reps_and_gram_rows(lat: Lattice) -> tuple[list[Vec], list[Vec]]:
-    """The 120 root-pair reps r and their rows r G.
+@lru_cache(maxsize=None)
+def pair_tables(gram: Mat) -> tuple[Mat, Mat, dict[Vec, tuple[int, int, int, int]]]:
+    """The rows r_a G, the root-pair Gram T and one decomposition per norm-4 vector.
 
-    inner(lat, ra, rb) is then sum(map(mul, rG[a], rb)): one dot product
-    per pair in place of nine.
+    The only place where root-pair inner products are computed: the frame
+    checks, the pair census and the glue certificates all read T. T[a][b] =
+    r_a . r_b lies in {0, +-1, +-2}. Each orthogonal pair (T[a][b] == 0) gives
+    the four norm-4 vectors +-r_a +-r_b; every norm-4 vector arises this way,
+    and the first pair met is kept as (s_a, a, s_b, b) with
+    v = s_a r_a + s_b r_b.
     """
-    reps = [p.rep for p in root_pairs(lat)]
-    return reps, [row_times_mat(r, lat.gram) for r in reps]
+    reps = [p.rep for p in root_pairs(Lattice(gram=gram))]
+    rg = tuple(row_times_mat(r, gram) for r in reps)
+    pair_gram = tuple(tuple(sum(map(mul, ga, rb)) for rb in reps) for ga in rg)
+    decomposition: dict[Vec, tuple[int, int, int, int]] = {}
+    for a, row in enumerate(pair_gram):
+        ra = reps[a]
+        for b in range(a + 1, len(reps)):
+            if row[b] == 0:
+                for sb, op in ((1, add), (-1, sub)):
+                    v = tuple(map(op, ra, reps[b]))
+                    if v not in decomposition:  # nor is -v: both go in together
+                        decomposition[v] = (1, a, sb, b)
+                        decomposition[tuple(map(neg, v))] = (-1, a, -sb, b)
+    return rg, pair_gram, decomposition
 
 
 def frame_reps(lat: Lattice, frame: Frame) -> list[Vec]:
@@ -152,48 +173,17 @@ def frame_combinations(lat: Lattice, frame: Frame) -> list[Vec]:
 
 
 def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -> FrameArray:
-    """Assemble the 9 x 15 array and enforce row and global frame properties.
-
-    Row property: each of the 120 root-pair ids appears exactly once per row.
-    Global property: each orthogonal pair of root pairs lies in exactly one
-    of the 135 frames.
-    """
-    rows = []
-    for i, v in enumerate(spread.spaces):
-        row = []
-        for j, w in enumerate(three_spaces(v)):
-            row.append(frame_from_3space(lat, ft, census, v, w, source=(i, j)))
-        rows.append(tuple(row))
-    arr = FrameArray(rows=tuple(rows))
-
-    cb = CertBuilder("frame-array")
-    for i, row in enumerate(arr.rows):
-        cb.check("row %d frame count" % i, 15, len(row))
-        ids = sorted(pid for f in row for pid in f.roots)
-        cb.check("row %d covers each pair once" % i, list(range(120)), ids)
-    seen_pairs: dict[tuple[int, int], tuple[int, int]] = {}
-    for i, row in enumerate(arr.rows):
-        for j, f in enumerate(row):
-            for a, b in itertools.combinations(f.roots, 2):
-                prev = seen_pairs.setdefault((a, b), (i, j))
-                if prev != (i, j):
-                    raise CheckFailure(
-                        "frame-array",
-                        Check(
-                            "pair (%d,%d) in one frame only" % (a, b),
-                            [prev],
-                            [prev, (i, j)],
-                        ),
-                    )
-    cb.check("orthogonal pairs covered", 3780, len(seen_pairs))
-    reps, rg = reps_and_gram_rows(lat)
-    for (a, b) in seen_pairs:
-        ip = sum(map(mul, rg[a], reps[b]))
-        if ip != 0:
-            raise CheckFailure(
-                "frame-array", Check("pair (%d,%d) orthogonal" % (a, b), 0, ip)
+    """Assemble the 9 x 15 array; `verify_frame_array` certifies it."""
+    arr = FrameArray(
+        rows=tuple(
+            tuple(
+                frame_from_3space(ft, census, v, w, source=(i, j))
+                for j, w in enumerate(three_spaces(v))
             )
-    cb.done()
+            for i, v in enumerate(spread.spaces)
+        )
+    )
+    verify_frame_array(lat, arr)
     return arr
 
 
@@ -207,36 +197,37 @@ class PairCensus:
 def orthogonal_pair_census(lat: Lattice, arr: FrameArray) -> PairCensus:
     """Count orthogonal root-pair pairs and the norm-4 derivation multiplicity.
 
-    Every unordered orthogonal pair {a, b} of root pairs gives four norm-4
-    vectors +-ra +-rb; tallied over the 135 frames, each norm-4 vector of the
-    lattice must arise seven times.
+    The orthogonal mates of pair a are the zeros of row a of the root-pair
+    Gram T (T[a][a] = 2); each unordered pair is counted from both ends.
+    Every orthogonal pair {a, b} gives four norm-4 vectors +-ra +-rb; tallied
+    over the 135 frames, each norm-4 vector of the lattice must arise seven
+    times.
     """
-    reps, rg = reps_and_gram_rows(lat)
-    per_pair = [0] * len(reps)
-    total = 0
-    for a, ga in enumerate(rg):
-        for b in range(a + 1, len(reps)):
-            if not sum(map(mul, ga, reps[b])):
-                per_pair[a] += 1
-                per_pair[b] += 1
-                total += 1
+    per_pair = [row.count(0) for row in pair_tables(lat.gram)[1]]
     mult: dict[Vec, int] = {}
     for row in arr.rows:
         for f in row:
             for v in frame_combinations(lat, f):
                 mult[v] = mult.get(v, 0) + 1
     return PairCensus(
-        orthogonal_pair_count=total,
+        orthogonal_pair_count=sum(per_pair) // 2,
         per_pair_orthogonal_counts=tuple(per_pair),
         norm4_multiplicities=mult,
     )
 
 
-def verify_frame_array(lat: Lattice, ft: FormTable, arr: FrameArray) -> Certificate:
-    """Verification-only re-check of a frame array (used on parsed artifacts)."""
-    cb = CertBuilder("frame-array-verify")
+def verify_frame_array(lat: Lattice, arr: FrameArray) -> Certificate:
+    """Certify a frame array, built or parsed: the row and global properties.
+
+    Row property: each of the 120 root-pair ids appears exactly once per row.
+    Global property: each frame is orthogonal (T[a][b] == 0 in the root-pair
+    Gram), and each orthogonal pair of root pairs lies in exactly one of the
+    135 frames. Pairs are keyed by the frame's id order, which is sorted
+    (`Frame.roots`; `serial.parse_frames` rejects any other).
+    """
+    cb = CertBuilder("frame-array")
     cb.check("row count", 9, len(arr.rows))
-    reps, rg = reps_and_gram_rows(lat)
+    pair_gram = pair_tables(lat.gram)[1]
     for i, row in enumerate(arr.rows):
         cb.check("row %d frame count" % i, 15, len(row))
         ids = sorted(pid for f in row for pid in f.roots)
@@ -246,7 +237,7 @@ def verify_frame_array(lat: Lattice, ft: FormTable, arr: FrameArray) -> Certific
                 (a, b)
                 for a in range(8)
                 for b in range(a + 1, 8)
-                if sum(map(mul, rg[f.roots[a]], reps[f.roots[b]]))
+                if pair_gram[f.roots[a]][f.roots[b]]
             ]
             cb.check("frame (%d,%d) orthogonal" % (i, j), [], bad)
     counts: dict[tuple[int, int], int] = {}

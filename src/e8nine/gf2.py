@@ -8,12 +8,13 @@ q(x) = norm(lift)/2 mod 2, its polar form b(x, y) = inner(lift, lift) mod 2.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .certs import Check, CheckFailure
 from .intmat import Vec
-from .lattice import Lattice, enumerate_shell, inner, norm, root_pairs
+from .lattice import Lattice, enumerate_shell, norm, root_pairs
 
 
 def reduce_mod2(v: Vec) -> int:
@@ -287,24 +288,29 @@ def double_profile(
 
 @dataclass(frozen=True)
 class Mod2Census:
-    """Class statistics of the shells mod 2, plus the lifting tables.
+    """Class statistics of the shells mod 2, plus the lifting table.
 
     Every anisotropic class holds exactly one antipodal root pair
-    (pair_of_class) and every isotropic class exactly 16 norm-4 vectors
-    (norm4_of_class); these facts power the frame lifting.
+    (pair_of_class), which powers the frame lifting. The per-class
+    multiplicities are measured: the common value when every class agrees,
+    else the sorted distinct values, so the mod2 stage's checks see a
+    disagreement.
     """
 
     isotropic_count: int
     anisotropic_count: int
-    roots_per_anisotropic: int
-    norm4_per_isotropic: int
+    roots_per_anisotropic: int | list[int]
+    norm4_per_isotropic: int | list[int]
     pair_of_class: dict[int, int]
-    norm4_of_class: dict[int, tuple[Vec, ...]]
+
+
+def _multiplicity(counts: Counter) -> int | list[int]:
+    distinct = sorted(set(counts.values()))
+    return distinct[0] if len(distinct) == 1 else distinct
 
 
 def mod2_census(lat: Lattice, ft: FormTable) -> Mod2Census:
     pair_of_class: dict[int, int] = {}
-    roots_by_class: dict[int, list[Vec]] = {}
     for pair in root_pairs(lat):
         bits = reduce_mod2(pair.rep)
         if ft.q[bits] != 1:
@@ -312,25 +318,14 @@ def mod2_census(lat: Lattice, ft: FormTable) -> Mod2Census:
         if bits in pair_of_class:
             raise AssertionError("two root pairs share class %02x" % bits)
         pair_of_class[bits] = pair.id
-    for v in enumerate_shell(lat, 2):
-        roots_by_class.setdefault(reduce_mod2(v), []).append(v)
-    roots_per = {len(vs) for vs in roots_by_class.values()}
-
-    norm4_of_class: dict[int, list[Vec]] = {}
-    for v in enumerate_shell(lat, 4):
-        bits = reduce_mod2(v)
-        if ft.q[bits] != 0 or bits == 0:
-            raise AssertionError("norm-4 vector in a non-isotropic class")
-        norm4_of_class.setdefault(bits, []).append(v)
-    norm4_per = {len(vs) for vs in norm4_of_class.values()}
-
-    if roots_per != {2} or norm4_per != {16}:
-        raise AssertionError("shell class multiplicities are off: %s %s" % (roots_per, norm4_per))
+    roots_in_class = Counter(map(reduce_mod2, enumerate_shell(lat, 2)))
+    norm4_in_class = Counter(map(reduce_mod2, enumerate_shell(lat, 4)))
+    if any(ft.q[bits] != 0 or bits == 0 for bits in norm4_in_class):
+        raise AssertionError("norm-4 vector in a non-isotropic class")
     return Mod2Census(
-        isotropic_count=len(norm4_of_class),
+        isotropic_count=len(norm4_in_class),
         anisotropic_count=len(pair_of_class),
-        roots_per_anisotropic=2,
-        norm4_per_isotropic=16,
+        roots_per_anisotropic=_multiplicity(roots_in_class),
+        norm4_per_isotropic=_multiplicity(norm4_in_class),
         pair_of_class=pair_of_class,
-        norm4_of_class={k: tuple(v) for k, v in norm4_of_class.items()},
     )

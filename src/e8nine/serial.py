@@ -95,6 +95,8 @@ def parse_frames(text: str) -> FrameArray:
                 raise ParseError("bad id line %r" % lines[i]) from None
             if len(ids) != 8 or any(not 0 <= x < 120 for x in ids):
                 raise ParseError("frame line needs 8 pair ids in 0..119")
+            if any(x >= y for x, y in zip(ids, ids[1:])):
+                raise ParseError("frame ids not strictly increasing in %r" % lines[i])
             frames.append(Frame(roots=ids, source=(r, k)))
             i += 1
         rows.append(tuple(frames))

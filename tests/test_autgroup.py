@@ -513,8 +513,8 @@ def test_stabilizer_search_rejects_split_class(lat, spread, frame_array, partiti
     assert exc.value.check.description.startswith("mod-2 class ")
 
 
-def test_target_schedule_visits_every_frame_once(frame_array):
-    schedule = _target_schedule(frame_array)
+def test_target_schedule_visits_every_frame_once():
+    schedule = _target_schedule()
     assert schedule[:9] == [(j, 0) for j in range(9)]
     assert schedule[9:23] == [(0, k) for k in range(1, 15)]
     assert sorted(schedule) == [(j, k) for j in range(9) for k in range(15)]

@@ -6,7 +6,6 @@ from dataclasses import replace
 
 from e8nine import blocks as bl
 from e8nine.blocks import (
-    _glue_tables,
     block_of_class_table,
     certify_d8_glue,
     certify_scaled_e8,
@@ -18,7 +17,7 @@ from e8nine.blocks import (
     verify_partition,
 )
 from e8nine.certs import CertBuilder, CheckFailure
-from e8nine.frames import Frame, frame_combinations, frame_reps
+from e8nine.frames import Frame, FrameArray, frame_combinations, frame_reps, pair_tables
 from e8nine.gf2 import nonzero_elements, reduce_mod2
 from e8nine.intmat import adjugate, det, gram_of_rows, hnf, mat_mul, row_times_mat
 from e8nine.lattice import (
@@ -71,7 +70,7 @@ def test_certify_scaled_e8_all_blocks(lat, partition):
 
 
 def test_recovered_frame_is_the_row_frame_of_the_first_pair(lat, partition, frame_array):
-    decomposition = _glue_tables(lat.gram)[2]
+    decomposition = pair_tables(lat.gram)[2]
     for b, row in zip(partition.blocks, frame_array.rows):
         a = decomposition[b.vectors[0]][1]
         want = next(f for f in row if a in f.roots)
@@ -81,14 +80,41 @@ def test_recovered_frame_is_the_row_frame_of_the_first_pair(lat, partition, fram
 
 
 def test_certify_scaled_e8_names_a_vector_without_decomposition(lat, partition, monkeypatch):
-    rg, pair_gram, decomposition = _glue_tables(lat.gram)
+    rg, pair_gram, decomposition = pair_tables(lat.gram)
     b0 = partition.blocks[0]
     pruned = {v: d for v, d in decomposition.items() if v != b0.vectors[0]}
-    monkeypatch.setattr(bl, "_glue_tables", lambda gram: (rg, pair_gram, pruned))
+    # blocks binds the table's owner, frames.pair_tables, by name.
+    monkeypatch.setattr(bl, "pair_tables", lambda gram: (rg, pair_gram, pruned))
     assert recover_frame(lat, b0) is None
     with pytest.raises(CheckFailure) as exc:
         certify_scaled_e8(lat, b0)
     assert exc.value.check.description == "first vector is s_a r_a + s_b r_b"
+
+
+def test_build_partition_rejects_pair_swapped_between_rows(lat, frame_array):
+    f0, f1 = frame_array.rows[0][0], frame_array.rows[1][0]
+    x = next(c for c in f0.roots if c not in f1.roots)
+    y = next(c for c in f1.roots if c not in f0.roots)
+    rows = [list(row) for row in frame_array.rows]
+    rows[0][0] = replace(f0, roots=tuple(sorted(set(f0.roots) - {x} | {y})))
+    rows[1][0] = replace(f1, roots=tuple(sorted(set(f1.roots) - {y} | {x})))
+    with pytest.raises(CheckFailure) as exc:
+        bl.build_partition(lat, FrameArray(rows=tuple(map(tuple, rows))))
+    assert exc.value.stage == "norm4-block"
+    assert exc.value.check.description == "row 0 deduplicated size"
+    assert exc.value.check.actual != 240
+
+
+def test_build_partition_rejects_a_row_met_twice(lat, frame_array):
+    # Each row alone yields its 240 vectors, so only the check across blocks
+    # in block_of_class_table can see that rows 0 and 1 are the same.
+    bad = FrameArray(rows=(frame_array.rows[0],) * 2 + frame_array.rows[2:])
+    with pytest.raises(CheckFailure) as exc:
+        bl.build_partition(lat, bad)
+    assert exc.value.stage == "norm4-partition"
+    assert exc.value.check.description.startswith("mod-2 class ")
+    assert exc.value.check.description.endswith(" in one block")
+    assert (exc.value.check.expected, exc.value.check.actual) == (0, 1)
 
 
 def test_certify_d8_glue_one_frame(lat, partition, frame_array):

@@ -9,15 +9,17 @@ import pytest
 from e8nine.certs import CheckFailure
 from e8nine.frames import (
     FrameArray,
+    PairCensus,
+    frame_combinations,
     frame_from_3space,
     frame_reps,
     orthogonal_pair_census,
-    reps_and_gram_rows,
+    pair_tables,
     three_spaces,
     verify_frame_array,
 )
 from e8nine.gf2 import nonzero_elements, reduce_mod2, rref, subspace_from
-from e8nine.intmat import identity, mat_mul, transpose
+from e8nine.intmat import identity, mat_mul, row_times_mat, transpose
 from e8nine.lattice import Lattice, inner, norm, root_pairs
 
 
@@ -59,7 +61,7 @@ def test_frame_construction_invariants(lat, ft, census, spread):
     pairs = root_pairs(lat)
     v = spread.spaces[0]
     for j, w in enumerate(three_spaces(v)):
-        f = frame_from_3space(lat, ft, census, v, w, source=(0, j))
+        f = frame_from_3space(ft, census, v, w, source=(0, j))
         assert len(f.roots) == 8
         reps = [pairs[i].rep for i in f.roots]
         for a, b in itertools.combinations(reps, 2):
@@ -75,7 +77,7 @@ def test_exactly_one_anisotropic_coset_for_all_135(lat, ft, census, spread):
     count = 0
     for i, v in enumerate(spread.spaces):
         for j, w in enumerate(three_spaces(v)):
-            frame_from_3space(lat, ft, census, v, w, source=(i, j))
+            frame_from_3space(ft, census, v, w, source=(i, j))
             count += 1
     assert count == 135
 
@@ -113,19 +115,56 @@ def test_orthogonal_pair_census(lat, frame_array):
     assert set(census.norm4_multiplicities.values()) == {7}
 
 
-def test_gram_rows_give_every_inner_product(lat):
-    # The standard Gram and one congruent to it by a unimodular U.
+def _congruent_grams(lat):
+    """The standard Gram and one congruent to it by a unimodular U."""
     u = [list(row) for row in identity(8)]
     u[0][5], u[3][1] = 1, -2
-    for gram in (lat.gram, mat_mul(mat_mul(u, lat.gram), transpose(u))):
+    return (lat.gram, mat_mul(mat_mul(u, lat.gram), transpose(u)))
+
+
+def _reference_orthogonal_pair_census(lat, arr):
+    """The census by 7140 dot products r_a G . r_b, as it was before it read T."""
+    reps = [p.rep for p in root_pairs(lat)]
+    rg = [row_times_mat(r, lat.gram) for r in reps]
+    per_pair = [0] * len(reps)
+    total = 0
+    for a, ga in enumerate(rg):
+        for b in range(a + 1, len(reps)):
+            if not sum(map(mul, ga, reps[b])):
+                per_pair[a] += 1
+                per_pair[b] += 1
+                total += 1
+    mult = {}
+    for row in arr.rows:
+        for f in row:
+            for v in frame_combinations(lat, f):
+                mult[v] = mult.get(v, 0) + 1
+    return PairCensus(
+        orthogonal_pair_count=total,
+        per_pair_orthogonal_counts=tuple(per_pair),
+        norm4_multiplicities=mult,
+    )
+
+
+def test_orthogonal_pair_census_matches_dot_product_reference(lat, frame_array):
+    for gram in _congruent_grams(lat):
         other = Lattice(gram=gram)
-        reps, rg = reps_and_gram_rows(other)
-        assert reps == [p.rep for p in root_pairs(other)]
-        for a, b in itertools.combinations(range(120), 2):
-            assert sum(map(mul, rg[a], reps[b])) == inner(other, reps[a], reps[b])
+        census = orthogonal_pair_census(other, frame_array)
+        assert census == _reference_orthogonal_pair_census(other, frame_array)
+        assert census.orthogonal_pair_count == 3780
 
 
-def test_verify_frame_array_rejects_non_orthogonal_frame(lat, ft, frame_array):
+def test_gram_rows_give_every_inner_product(lat):
+    for gram in _congruent_grams(lat):
+        other = Lattice(gram=gram)
+        reps = [p.rep for p in root_pairs(other)]
+        rg, pair_gram, _ = pair_tables(gram)
+        assert rg == tuple(row_times_mat(r, gram) for r in reps)
+        for a, b in itertools.product(range(120), repeat=2):
+            assert pair_gram[a][b] == inner(other, reps[a], reps[b])
+
+
+def test_verify_frame_array_rejects_non_orthogonal_frame(lat, frame_array):
     row = list(frame_array.rows[0])
     f0, f1 = row[0], row[1]
     # Swapping one pair id between two frames keeps the row covering.
@@ -140,7 +179,7 @@ def test_verify_frame_array_rejects_non_orthogonal_frame(lat, ft, frame_array):
     ]
     assert expected
     with pytest.raises(CheckFailure) as info:
-        verify_frame_array(lat, ft, bad)
+        verify_frame_array(lat, bad)
     assert info.value.check.description == "frame (0,0) orthogonal"
     assert info.value.check.actual == expected
 
@@ -150,8 +189,8 @@ def test_both_signs_reduce_to_same_class(lat):
         assert reduce_mod2(p.rep) == reduce_mod2(tuple(-x for x in p.rep))
 
 
-def test_verify_frame_array(lat, ft, frame_array):
-    assert verify_frame_array(lat, ft, frame_array).passed
+def test_verify_frame_array(lat, frame_array):
+    assert verify_frame_array(lat, frame_array).passed
 
 
 def test_frame_reps_are_orthogonal(lat, frame_array):

@@ -231,7 +231,28 @@ def test_census_multiplicities(lat, ft, census):
     assert census.norm4_per_isotropic == 16
     assert len(census.pair_of_class) == 120
     assert sorted(census.pair_of_class.values()) == list(range(120))
-    assert all(len(vs) == 16 for vs in census.norm4_of_class.values())
+
+
+def test_census_records_measured_multiplicities(lat, ft, monkeypatch):
+    from e8nine import cli
+
+    # Drop the first vector of a shell: its class holds one fewer than the rest.
+    shell = gf2.enumerate_shell
+    for n, field, check in (
+        (2, "roots_per_anisotropic", "roots per anisotropic class"),
+        (4, "norm4_per_isotropic", "norm-4 vectors per isotropic class"),
+    ):
+        def dropped(lt, m, n=n):
+            vectors = shell(lt, m)
+            return vectors[1:] if m == n else vectors
+
+        monkeypatch.setattr(gf2, "enumerate_shell", dropped)
+        census = gf2.mod2_census(lat, ft)
+        assert getattr(census, field) == ([1, 2] if n == 2 else [15, 16])
+        with pytest.raises(cli.StageFailure) as exc:
+            cli.run_pipeline(upto="mod2")
+        assert (exc.value.name, exc.value.check.description) == ("mod2", check)
+        assert exc.value.check.actual == getattr(census, field)
 
 
 def test_subspace_from_matches_rref():

@@ -12,6 +12,7 @@ import pytest
 from e8nine import blocks as bl
 from e8nine import cli, serial
 from e8nine.certs import CertBuilder
+from e8nine.frames import FrameArray
 from e8nine.gf2 import SpaceClass
 from e8nine.lattice import Lattice
 
@@ -30,6 +31,17 @@ def pipeline_state(stab_result, lat, ft, census, labels, members_a, spread, fram
         stab=stab_result,
     )
     return state
+
+
+@pytest.fixture(scope="module")
+def mixed_frame_array(frame_array):
+    """Class A's row 0 over rows 1-8 of the class-B array.
+
+    Every row covers the 120 pairs once and every frame is orthogonal, but
+    some orthogonal pairs lie in two frames: 3556 distinct pairs, not 3780.
+    """
+    class_b = cli.run_pipeline(SpaceClass.CLASS_B, upto="frames").arr
+    return FrameArray(rows=frame_array.rows[:1] + class_b.rows[1:])
 
 
 def test_spread_round_trip(spread):
@@ -118,6 +130,43 @@ def test_verify_rejects_flipped_spread_class_label(pipeline_state, tmp_path, cap
     cli.write_artifacts(pipeline_state, out)
     assert cli.main(["verify"] + [p for p in written if "certificates" not in p]) == 0
     assert "spread-class: PASS" in capsys.readouterr().out.splitlines()
+
+
+def test_verify_rejects_frame_ids_out_of_order(mixed_frame_array, tmp_path, capsys):
+    text = serial.serialize_frames(mixed_frame_array)
+    lines = text.splitlines()
+    start, end = lines.index("row 0") + 1, lines.index("row 1")
+    lines[start:end] = [" ".join(reversed(ln.split())) for ln in lines[start:end]]
+    unsorted = tmp_path / "unsorted.txt"
+    unsorted.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["verify", str(unsorted)]) == 2
+    assert "parse error: frame ids not strictly increasing" in capsys.readouterr().err
+    # With the ids in order, the repeated pairs are seen.
+    in_order = tmp_path / "sorted.txt"
+    in_order.write_text(text)
+    assert cli.main(["verify", str(in_order)]) == 1
+    assert (
+        "FAIL: frame-array: orthogonal pairs covered once (expected 3780, got 3556)"
+        in capsys.readouterr().err
+    )
+
+
+def test_repeated_pairs_fail_frames_stage(mixed_frame_array, tmp_path, monkeypatch, capsys):
+    from e8nine import frames as fr
+
+    def mixed(ft, census, v, w, source):
+        i, j = source
+        return mixed_frame_array.rows[i][j]
+
+    monkeypatch.setattr(fr, "frame_from_3space", mixed)
+    out = str(tmp_path / "failed")
+    assert cli.main(["frames", "--out", out]) == 1
+    first, second = open(os.path.join(out, "FAILED")).read().splitlines()
+    assert first == "failed at stage: frames"
+    assert second == "frame-array: orthogonal pairs covered once (expected 3780, got 3556)"
+    assert "FAIL: " + second in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "frames.txt"))
 
 
 def test_verify_truncated_file_exits_2(pipeline_state, tmp_path):
