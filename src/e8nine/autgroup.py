@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from operator import mul
 
-from .blocks import Norm4Partition, block_of_class_table, doubled_frame_coordinates
+from .blocks import doubled_frame_coordinates
 from .certs import CertBuilder
 from .frames import FrameArray, frame_reps
 from .gf2 import F2Subspace, nonzero_elements, reduce_mod2, rref
@@ -410,7 +410,7 @@ def compute_stabilizer(
     lat: Lattice,
     spread: Spread,
     arr: FrameArray,
-    partition: Norm4Partition,
+    class_block: dict[int, int],
 ) -> StabilizerResult:
     """Search frame-to-frame maps until the generated group has the full order.
 
@@ -418,11 +418,11 @@ def compute_stabilizer(
     the stabilizer chain as its block permutation followed by its (faithful)
     permutation of the 240 roots. Targets and per-target caps escalate until
     the chain certifies order 362880; running out of targets raises
-    GenerationIncomplete.
+    GenerationIncomplete. `class_block` is the certified table of
+    `blocks.block_of_class_table`, which the search reads for the block of a
+    norm-4 vector.
     """
-    source = search_source(
-        lat, frame_reps(lat, arr.rows[0][0]), block_of_class_table(lat, partition)
-    )
+    source = search_source(lat, frame_reps(lat, arr.rows[0][0]), class_block)
     spread_index = {s: i for i, s in enumerate(spread.spaces)}
     roots = enumerate_shell(lat, 2)
     root_index = {v: i for i, v in enumerate(roots)}
@@ -471,13 +471,14 @@ def compute_stabilizer(
 def block_action(
     lat: Lattice,
     result: StabilizerResult,
-    partition: Norm4Partition,
+    class_block: dict[int, int],
 ) -> BlockAction:
     """Induced 9-point action: image A9 (order, evenness), kernel {+-1}.
 
     Each generator M must map every block onto the block its permutation bp
-    claims, checked mod 2 on the 135 classes: table[c (M mod 2)] == bp[table[c]]
-    for the class table of `block_of_class_table`. That is exact: M preserves
+    claims, checked mod 2 on the 135 classes:
+    class_block[c (M mod 2)] == bp[class_block[c]]. That is exact once
+    `blocks.block_of_class_table` has certified the table: M preserves
     the Gram (checked), so it maps a norm-4 vector v of block b to a norm-4
     vector of class c(v) (M mod 2); the blocks hold every norm-4 vector once,
     in the block its class names, so v M lies in block bp[b], and M, injective,
@@ -490,12 +491,11 @@ def block_action(
     CheckFailure naming it.
     """
     cb = CertBuilder("block-action")
-    table = block_of_class_table(lat, partition)
     for i, (iso, bp) in enumerate(zip(result.isometries, result.block_perms)):
         cb.check("generator %d preserves Gram" % i, True, is_gram_isometry(lat, iso.matrix))
         rows2 = matrix_mod2_rows(iso.matrix)
-        for c, b in table.items():
-            img = table.get(_apply_mod2(rows2, c))
+        for c, b in class_block.items():
+            img = class_block.get(_apply_mod2(rows2, c))
             if img != bp[b]:
                 cb.check("generator %d image of block %d" % (i, b), bp[b], img)
     image_order, _ = schreier_sims(list(result.block_perms))

@@ -24,23 +24,32 @@ Frame coordinates come from tables, not matrix products. Every norm-4 vector
 is s_a r_a + s_b r_b for two orthogonal root pairs (SPLAG ch. 4), so by
 bilinearity its doubled coordinate over a frame root r_i is
 s_a (r_a . r_i) + s_b (r_b . r_i): two rows of the 120 x 120 root-pair Gram,
-restricted to the frame and added. That Gram and the decomposition of each
-norm-4 vector are `frames.pair_tables`, built once per Gram matrix and shared
-with the frame-array checks. Over a frame with Gram 2I the eight roots
-are a rational basis and v = sum_i (d_i / 2) r_i, so v -> d is injective and
-the frame's 112 combinations are exactly the vectors with d = +-2e_i +-2e_j.
+restricted to the frame and added. That Gram, the decomposition of each
+norm-4 vector and the four vectors +-r_a +-r_b of each orthogonal pair are
+`frames.pair_tables`, built once per Gram matrix and shared with the
+frame-array checks; a row's 240 vectors and the recovered frame are read
+from it too. Over a frame with Gram 2I the eight roots are a rational basis
+and v = sum_i (d_i / 2) r_i, so v -> d is injective and the frame's 112
+combinations are exactly the vectors with d = +-2e_i +-2e_j.
+
+The glue certificate tests those shapes on exact integer codes: d is encoded
+as sum_i d_i 16^i, which is linear, so the code of s_a r_a + s_b r_b is
+s_a E[a] + s_b E[b] with one code E[a] per root pair and frame, and
+injective, because a norm-4 vector has every |d_i| <= 4 < 8. A vector
+without a decomposition (off the norm-4 shell) and a code of neither shape
+fall back to the tuple d read from the frame's rows r_i G.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add, itemgetter, mul, neg
+from operator import itemgetter, mul
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
 from .gf2 import F2Subspace, FormTable, SpaceClass, nonzero_elements, reduce_mod2, rref
 from .intmat import Mat, Vec, mat_mul, transpose
-from .lattice import Lattice, enumerate_shell, root_pairs
+from .lattice import Lattice, norm4_set
 from .frames import Frame, FrameArray, frame_combinations, pair_tables
 from .spreadsearch import Spread
 
@@ -92,34 +101,11 @@ COMBINATION_SHAPES = frozenset(
     for sb in (1, -1)
 )
 GLUE_SHAPES = frozenset(itertools.product((1, -1), repeat=8))
-
-
-def doubled_coordinates(
-    lat: Lattice, frame: Frame, vectors: list[Vec] | tuple[Vec, ...]
-) -> list[Vec]:
-    """The doubled frame coordinates d of each vector, read from `frames.pair_tables`.
-
-    d equals row_times_mat(v, doubled_frame_coordinates(lat, frame_reps(lat,
-    frame))) without a matrix product. With v = s_a r_a + s_b r_b from the
-    decomposition table, d_i = v . r_i = s_a T[a][i] + s_b T[b][i] by
-    bilinearity, two rows of the root-pair Gram restricted to the frame's
-    columns and added. A vector without a decomposition is off the norm-4
-    shell (a corrupted block); its d is read from the frame's rows r_i G.
-    """
-    rg, pair_gram, decomposition = pair_tables(lat.gram)
-    at_frame = itemgetter(*frame.roots)
-    t_frame = [at_frame(t) for t in pair_gram]
-    signed = {1: t_frame, -1: [tuple(map(neg, t)) for t in t_frame]}
-    frame_rows = [rg[a] for a in frame.roots]
-    coords = []
-    for v in vectors:
-        dec = decomposition.get(v)
-        if dec is None:
-            coords.append(tuple(sum(map(mul, v, r)) for r in frame_rows))
-        else:
-            sa, a, sb, b = dec
-            coords.append(tuple(map(add, signed[sa][a], signed[sb][b])))
-    return coords
+# Doubled frame coordinates d with every |d_i| <= 7 as the integer code
+# sum_i d_i 16^i: linear in d, and injective on that range (balanced base 16).
+DIGIT_WEIGHTS = tuple(16**i for i in range(8))
+COMBINATION_CODES = frozenset(sum(map(mul, d, DIGIT_WEIGHTS)) for d in COMBINATION_SHAPES)
+GLUE_PARITY = {sum(map(mul, d, DIGIT_WEIGHTS)): d.count(-1) % 2 for d in GLUE_SHAPES}
 
 
 def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificate:
@@ -140,39 +126,54 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
     The frame's 112 combinations and 128 glue vectors then make up the
     block's 240 distinct vectors (counted by `certify_scaled_e8`).
 
-    Every d comes from `doubled_coordinates` (bilinearity, no matrix
-    product), and the frame Gram is the root-pair Gram T of
-    `frames.pair_tables` at the frame. Once
-    that Gram is 2I the eight r_i are a basis of the rational span and
+    The frame Gram is the root-pair Gram T of `frames.pair_tables` at the
+    frame. Once it is 2I the eight r_i are a basis of the rational span and
     v = sum_i (d_i / 2) r_i, so v -> d is injective: v is one of the frame's
     combinations +-r_i +-r_j exactly when d = +-2e_i +-2e_j. That shape test
     replaces a set of the 112 combinations.
+
+    The shapes are tested on integer codes, not on tuples. With
+    v = s_a r_a + s_b r_b from the decomposition table, d_i = v . r_i =
+    s_a T[a][i] + s_b T[b][i] by bilinearity, so the code of d is
+    s_a E[a] + s_b E[b], where E[a] = sum_i T[a][i] 16^i is read from the
+    frame's eight rows of T (T is symmetric). The code is exact: it is linear
+    in d, and injective because every |d_i| <= |T[a][i]| + |T[b][i]| <= 4 < 8.
+    So a code is in the 112 combination codes or the 256 glue codes exactly
+    when d has that shape. Two cases take the tuple path instead, with d
+    read from the frame's rows r_i G: a vector without a decomposition (off
+    the norm-4 shell, so |d_i| may exceed 7), and a code of neither shape,
+    whose d the failed checks report on.
     """
-    pair_gram = pair_tables(lat.gram)[1]
+    tables = pair_tables(lat.gram)
     at_frame = itemgetter(*frame.roots)
+    t_rows = at_frame(tables.gram)  # row i is T[r_i], column a is T[a] at the frame
     cb = CertBuilder("d8-glue block %d frame %s" % (block.row_index, frame.source))
-    cb.check(
-        "frame orthonormal at half scale",
-        TWO_I,
-        tuple(at_frame(pair_gram[a]) for a in frame.roots),
-    )
-    glue = [
-        (v, d)
-        for v, d in zip(block.vectors, doubled_coordinates(lat, frame, block.vectors))
-        if d not in COMBINATION_SHAPES
-    ]
-    cb.check("remaining vector count", 128, len(glue))
+    cb.check("frame orthonormal at half scale", TWO_I, tuple(map(at_frame, t_rows)))
+    codes = [sum(map(mul, col, DIGIT_WEIGHTS)) for col in zip(*t_rows)]  # E[a]
+    glue = []  # (v, parity of minus signs) of each vector with d in {+-1}^8
+    other = []  # (v, d) of each vector of neither shape
+    for v, dec in zip(block.vectors, map(tables.decomposition.get, block.vectors)):
+        if dec is not None:
+            sa, a, sb, b = dec
+            code = sa * codes[a] + sb * codes[b]
+            if code in COMBINATION_CODES:
+                continue
+            if code in GLUE_PARITY:
+                glue.append((v, GLUE_PARITY[code]))
+                continue
+        d = tuple(sum(map(mul, v, tables.rows[i])) for i in frame.roots)
+        if d in GLUE_SHAPES:
+            glue.append((v, d.count(-1) % 2))
+        elif d not in COMBINATION_SHAPES:
+            other.append((v, d))
+    cb.check("remaining vector count", 128, len(glue) + len(other))
     # A glue shape has odd entries, so only the other vectors need the test.
-    inside = [
-        v
-        for v, d in glue
-        if d not in GLUE_SHAPES and all(x % 2 == 0 for x in d) and sum(d) % 4 == 0
-    ]
+    inside = [v for v, d in other if all(x % 2 == 0 for x in d) and sum(d) % 4 == 0]
     cb.check("remaining vectors outside D8", [], inside)
-    off = [v for v, d in glue if d not in GLUE_SHAPES]
-    cb.check("remaining frame coordinates all +-1/2", [], off)
-    parity = glue[0][1].count(-1) % 2
-    other_coset = [v for v, d in glue if d.count(-1) % 2 != parity]
+    cb.check("remaining frame coordinates all +-1/2", [], [v for v, _ in other])
+    # Every remaining vector is a glue vector now, so glue[0] is the first.
+    parity = glue[0][1]
+    other_coset = [v for v, p in glue if p != parity]
     cb.check("one glue coset: each glue vector extends D8 to E8", [], other_coset)
     return cb.done()
 
@@ -182,21 +183,24 @@ def recover_frame(lat: Lattice, block: Norm4Block) -> Frame | None:
 
     That vector is s_a r_a + s_b r_b (its decomposition in
     `frames.pair_tables`); the frame is pair a with every pair c such that
-    r_a . r_c = 0 and r_a + r_c lies in the block. In a true block those c are
-    the other seven members of a's frame in the block's row, since the row
-    covers every root pair once and each orthogonal pair lies in exactly one
-    frame. None if the first vector has no decomposition.
+    r_a . r_c = 0 and r_a + r_c (read from the pair table) lies in the block.
+    In a true block those c are the other seven members of a's frame in the
+    block's row, since the row covers every root pair once and each
+    orthogonal pair lies in exactly one frame. None if the first vector has
+    no decomposition.
     The source (row, -1) marks a frame not taken from the frame array.
     """
-    _, pair_gram, decomposition = pair_tables(lat.gram)
-    first = decomposition.get(block.vectors[0])
+    tables = pair_tables(lat.gram)
+    first = tables.decomposition.get(block.vectors[0])
     if first is None:
         return None
     a = first[1]
-    reps = [p.rep for p in root_pairs(lat)]
-    ra, vset = reps[a], set(block.vectors)
+    vset = set(block.vectors)
+    # r_a + r_c leads the four vectors of the orthogonal pair {a, c} either way round.
     roots = [a] + [
-        c for c, t in enumerate(pair_gram[a]) if t == 0 and tuple(map(add, ra, reps[c])) in vset
+        c
+        for c, t in enumerate(tables.gram[a])
+        if t == 0 and tables.combinations[min(a, c)][max(a, c)][0] in vset
     ]
     return Frame(roots=tuple(sorted(roots)), source=(block.row_index, -1))
 
@@ -219,7 +223,7 @@ def certify_scaled_e8(lat: Lattice, block: Norm4Block) -> Certificate:
     vset = set(block.vectors)
     missing_neg = [v for v in block.vectors if tuple(-x for x in v) not in vset]
     cb.check("closed under negation", [], missing_neg)
-    shell4 = set(enumerate_shell(lat, 4))
+    shell4 = norm4_set(lat)
     bad_norm = [v for v in block.vectors if v not in shell4]
     cb.check("all norms are 4", [], bad_norm)
     frame = recover_frame(lat, block)
@@ -267,7 +271,7 @@ def block_of_class_table(lat: Lattice, p: Norm4Partition) -> dict[int, int]:
             "norm4-partition", Check("mod-2 classes of the blocks", 135, len(table))
         )
     held = [v for b in p.blocks for v in b.vectors]
-    counts = (len(held), len(set(enumerate_shell(lat, 4)).intersection(held)))
+    counts = (len(held), len(norm4_set(lat).intersection(held)))
     if counts != (2160, 2160):
         raise CheckFailure(
             "norm4-partition",
@@ -328,7 +332,7 @@ def verify_partition(lat: Lattice, p: Norm4Partition) -> Certificate:
     cb = CertBuilder("partition-verify")
     cb.check("block count", 9, len(p.blocks))
     seen: set[Vec] = set()
-    shell4 = set(enumerate_shell(lat, 4))
+    shell4 = norm4_set(lat)
     for b in p.blocks:
         cb.check("block %d size" % b.row_index, 240, len(b.vectors))
         bad = [v for v in b.vectors if v not in shell4]

@@ -190,9 +190,12 @@ def stage_roundtrip(state: PipelineState) -> Certificate:
 @_recorded
 def stage_group(state: PipelineState) -> Certificate:
     cb = CertBuilder("stabilizer-group")
-    state.stab = ag.compute_stabilizer(state.lat, state.spread, state.arr, state.partition)
+    # One certified table for the search and the block action; the stage runs
+    # from a state that holds the partition alone, as after loading artifacts.
+    class_block = bl.block_of_class_table(state.lat, state.partition)
+    state.stab = ag.compute_stabilizer(state.lat, state.spread, state.arr, class_block)
     cb.check("group order", ag.STABILIZER_ORDER, state.stab.group.order())
-    action = ag.block_action(state.lat, state.stab, state.partition)
+    action = ag.block_action(state.lat, state.stab, class_block)
     cb.check("block-action image order", ag.BLOCK_IMAGE_ORDER, action.image_order)
     cb.check("block-action kernel order", 2, action.kernel_order)
     cb.check("block images all even", True, action.all_even)

@@ -5,17 +5,23 @@ For a 3-space W inside an isotropic 4-space V, the quotient W-perp / W is a
 isotropic coset, and exactly one anisotropic coset. The eight classes of that
 anisotropic coset lift to eight mutually orthogonal root pairs, a frame.
 
-The module also owns the root-pair table (`pair_tables`): the one place where
-root-pair inner products are computed, read by the frame-array checker, the
-pair census and the glue certificates of `blocks`.
+The module also owns the root-pair tables (`pair_tables`), built once per
+Gram matrix: the one place where root-pair inner products are computed, read
+by the frame-array checker, the pair census and the glue certificates of
+`blocks`. Beside the root-pair Gram they hold one decomposition
+s_a r_a + s_b r_b per norm-4 vector and the table from each orthogonal pair
+to its four vectors +-r_a +-r_b, from which `frame_combinations` reads a
+frame's 112 vectors without adding any.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul, neg, sub
+from typing import NamedTuple
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
 from .gf2 import (
@@ -28,7 +34,7 @@ from .gf2 import (
     span_elements,
 )
 from .intmat import Mat, Vec, row_times_mat
-from .lattice import Lattice, root_pairs
+from .lattice import Lattice, enumerate_shell, root_pairs
 
 
 @dataclass(frozen=True)
@@ -129,31 +135,64 @@ def frame_from_3space(
     return Frame(roots=tuple(sorted(ids)), source=source)
 
 
+class PairTables(NamedTuple):
+    """The root-pair tables of one Gram matrix (`pair_tables`)."""
+
+    rows: Mat  # r_a G for each root pair a
+    gram: Mat  # the root-pair Gram T: T[a][b] = r_a . r_b
+    # each norm-4 vector v -> (s_a, a, s_b, b) with v = s_a r_a + s_b r_b
+    decomposition: dict[Vec, tuple[int, int, int, int]]
+    # combinations[a][b]: the four vectors of the orthogonal pair a < b, in
+    # `_signed_sums` order; one dict per a, keyed by its orthogonal mates b > a
+    combinations: tuple[dict[int, tuple[Vec, Vec, Vec, Vec]], ...]
+
+
+def _signed_sums(ra: Vec, rb: Vec) -> tuple[Vec, Vec, Vec, Vec]:
+    """ra + rb, ra - rb, -ra + rb, -ra - rb."""
+    plus, minus = tuple(map(add, ra, rb)), tuple(map(sub, ra, rb))
+    return plus, minus, tuple(map(neg, minus)), tuple(map(neg, plus))
+
+
 @lru_cache(maxsize=None)
-def pair_tables(gram: Mat) -> tuple[Mat, Mat, dict[Vec, tuple[int, int, int, int]]]:
-    """The rows r_a G, the root-pair Gram T and one decomposition per norm-4 vector.
+def pair_tables(gram: Mat) -> PairTables:
+    """The rows r_a G, the root-pair Gram T, and the norm-4 vectors of each pair.
 
     The only place where root-pair inner products are computed: the frame
     checks, the pair census and the glue certificates all read T. T[a][b] =
-    r_a . r_b lies in {0, +-1, +-2}. Each orthogonal pair (T[a][b] == 0) gives
-    the four norm-4 vectors +-r_a +-r_b; every norm-4 vector arises this way,
-    and the first pair met is kept as (s_a, a, s_b, b) with
-    v = s_a r_a + s_b r_b.
+    r_a . r_b lies in {0, +-1, +-2}. Each orthogonal pair a < b (T[a][b] == 0)
+    gives the four norm-4 vectors +-r_a +-r_b, kept in `combinations`; every
+    norm-4 vector arises this way, and the first pair met is kept in
+    `decomposition` as (s_a, a, s_b, b) with v = s_a r_a + s_b r_b. The
+    tables are cached per Gram matrix, so a congruent Gram gets its own.
     """
-    reps = [p.rep for p in root_pairs(Lattice(gram=gram))]
+    lat = Lattice(gram=gram)
+    reps = [p.rep for p in root_pairs(lat)]
     rg = tuple(row_times_mat(r, gram) for r in reps)
-    pair_gram = tuple(tuple(sum(map(mul, ga, rb)) for rb in reps) for ga in rg)
+    # The Gram is symmetric, so T is: each product is taken once, for a <= b.
+    t = [[0] * len(reps) for _ in reps]
+    for a, ga in enumerate(rg):
+        for b in range(a, len(reps)):
+            t[a][b] = t[b][a] = sum(map(mul, ga, reps[b]))
+    pair_gram = tuple(map(tuple, t))
+    # Each norm-4 vector with its negative, as the shell's own tuples: the
+    # tables hold one object per vector, not one per pair it arises from.
+    shell4 = {v: v for v in enumerate_shell(lat, 4)}
+    signed = {v: (v, shell4[tuple(map(neg, v))]) for v in shell4}
     decomposition: dict[Vec, tuple[int, int, int, int]] = {}
+    combinations = tuple({} for _ in reps)
     for a, row in enumerate(pair_gram):
-        ra = reps[a]
+        ra, mates = reps[a], combinations[a]
         for b in range(a + 1, len(reps)):
             if row[b] == 0:
-                for sb, op in ((1, add), (-1, sub)):
-                    v = tuple(map(op, ra, reps[b]))
-                    if v not in decomposition:  # nor is -v: both go in together
-                        decomposition[v] = (1, a, sb, b)
-                        decomposition[tuple(map(neg, v))] = (-1, a, -sb, b)
-    return rg, pair_gram, decomposition
+                plus, nplus = signed[tuple(map(add, ra, reps[b]))]
+                minus, nminus = signed[tuple(map(sub, ra, reps[b]))]
+                mates[b] = (plus, minus, nminus, nplus)  # `_signed_sums` order
+                # A vector and its negative go in together, at the first pair met.
+                if plus not in decomposition:
+                    decomposition[plus], decomposition[nplus] = (1, a, 1, b), (-1, a, -1, b)
+                if minus not in decomposition:
+                    decomposition[minus], decomposition[nminus] = (1, a, -1, b), (-1, a, 1, b)
+    return PairTables(rg, pair_gram, decomposition, combinations)
 
 
 def frame_reps(lat: Lattice, frame: Frame) -> list[Vec]:
@@ -162,14 +201,21 @@ def frame_reps(lat: Lattice, frame: Frame) -> list[Vec]:
 
 
 def frame_combinations(lat: Lattice, frame: Frame) -> list[Vec]:
-    """The 112 signed vectors +-ra +-rb of one frame, a < b."""
-    reps = frame_reps(lat, frame)
-    return [
-        tuple(sa * x + sb * y for x, y in zip(ra, rb))
-        for ra, rb in itertools.combinations(reps, 2)
-        for sa in (1, -1)
-        for sb in (1, -1)
-    ]
+    """The 112 signed vectors +-ra +-rb of one frame, four per pair a < b.
+
+    The four vectors of an orthogonal pair are read from `pair_tables`. A
+    pair missing from that table (not orthogonal, or ids out of order in a
+    corrupted frame) is added up here, in the same order.
+    """
+    table = pair_tables(lat.gram).combinations
+    out: list[Vec] = []
+    for a, b in itertools.combinations(frame.roots, 2):
+        four = table[a].get(b)
+        if four is None:
+            pairs = root_pairs(lat)
+            four = _signed_sums(pairs[a].rep, pairs[b].rep)
+        out.extend(four)
+    return out
 
 
 def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -> FrameArray:
@@ -191,7 +237,7 @@ def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -
 class PairCensus:
     orthogonal_pair_count: int
     per_pair_orthogonal_counts: tuple[int, ...]
-    norm4_multiplicities: dict[Vec, int]
+    norm4_multiplicities: Counter[Vec]
 
 
 def orthogonal_pair_census(lat: Lattice, arr: FrameArray) -> PairCensus:
@@ -199,16 +245,13 @@ def orthogonal_pair_census(lat: Lattice, arr: FrameArray) -> PairCensus:
 
     The orthogonal mates of pair a are the zeros of row a of the root-pair
     Gram T (T[a][a] = 2); each unordered pair is counted from both ends.
-    Every orthogonal pair {a, b} gives four norm-4 vectors +-ra +-rb; tallied
-    over the 135 frames, each norm-4 vector of the lattice must arise seven
-    times.
+    Every orthogonal pair {a, b} gives four norm-4 vectors +-ra +-rb, read
+    from the pair table by `frame_combinations`; tallied over the 135 frames,
+    each norm-4 vector of the lattice must arise seven times.
     """
-    per_pair = [row.count(0) for row in pair_tables(lat.gram)[1]]
-    mult: dict[Vec, int] = {}
-    for row in arr.rows:
-        for f in row:
-            for v in frame_combinations(lat, f):
-                mult[v] = mult.get(v, 0) + 1
+    per_pair = [row.count(0) for row in pair_tables(lat.gram).gram]
+    frames = (f for row in arr.rows for f in row)
+    mult = Counter(itertools.chain.from_iterable(frame_combinations(lat, f) for f in frames))
     return PairCensus(
         orthogonal_pair_count=sum(per_pair) // 2,
         per_pair_orthogonal_counts=tuple(per_pair),
@@ -227,7 +270,7 @@ def verify_frame_array(lat: Lattice, arr: FrameArray) -> Certificate:
     """
     cb = CertBuilder("frame-array")
     cb.check("row count", 9, len(arr.rows))
-    pair_gram = pair_tables(lat.gram)[1]
+    pair_gram = pair_tables(lat.gram).gram
     for i, row in enumerate(arr.rows):
         cb.check("row %d frame count" % i, 15, len(row))
         ids = sorted(pid for f in row for pid in f.roots)

@@ -170,6 +170,16 @@ def enumerate_shell(lat: Lattice, target_norm: int) -> list[Vec]:
 
 
 @lru_cache(maxsize=None)
+def _norm4_set_cached(gram: Mat) -> frozenset[Vec]:
+    return frozenset(_shell_cached(gram, LONG_NORM))
+
+
+def norm4_set(lat: Lattice) -> frozenset[Vec]:
+    """The norm-4 shell as a frozenset for membership tests, built once per Gram."""
+    return _norm4_set_cached(lat.gram)
+
+
+@lru_cache(maxsize=None)
 def _root_pairs_cached(gram: Mat) -> tuple[RootPair, ...]:
     lat = Lattice(gram=gram)
     roots = enumerate_shell(lat, ROOT_NORM)

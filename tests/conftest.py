@@ -62,5 +62,11 @@ def block_of_vector(partition):
 
 
 @pytest.fixture(scope="session")
-def stab_result(lat, spread, frame_array, partition):
-    return ag.compute_stabilizer(lat, spread, frame_array, partition)
+def class_block(lat, partition):
+    """The certified block of each mod-2 class (`blocks.block_of_class_table`)."""
+    return bl.block_of_class_table(lat, partition)
+
+
+@pytest.fixture(scope="session")
+def stab_result(lat, spread, frame_array, class_block):
+    return ag.compute_stabilizer(lat, spread, frame_array, class_block)

@@ -175,8 +175,9 @@ def test_criterion_09_group_order_and_block_action():
         STATE["partition"],
     )
     t0 = time.perf_counter()
-    result = ag.compute_stabilizer(lat, spread, arr, partition)
-    action = ag.block_action(lat, result, partition)
+    class_block = bl.block_of_class_table(lat, partition)
+    result = ag.compute_stabilizer(lat, spread, arr, class_block)
+    action = ag.block_action(lat, result, class_block)
     elapsed = time.perf_counter() - t0
     assert result.group.order() == 362880
     assert action.image_order == 181440

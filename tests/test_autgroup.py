@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+from e8nine import cli
 from e8nine.autgroup import (
     _frame_supports,
     _greedy_slot_order,
@@ -10,7 +11,6 @@ from e8nine.autgroup import (
     ONE_BLOCK_IMAGE_ORDER,
     STABILIZER_ORDER,
     block_action,
-    compute_stabilizer,
     extended_perm,
     is_gram_isometry,
     PermutationGroup,
@@ -80,8 +80,8 @@ def test_generic_schreier_sims_on_stabilizer_generators(stab_result):
     assert chain.contains(ext_gens[0])
 
 
-def test_block_action_numbers(lat, stab_result, partition):
-    action = block_action(lat, stab_result, partition)
+def test_block_action_numbers(lat, stab_result, class_block):
+    action = block_action(lat, stab_result, class_block)
     assert action.image_order == BLOCK_IMAGE_ORDER
     assert action.kernel_order == 2
     assert action.all_even
@@ -90,7 +90,7 @@ def test_block_action_numbers(lat, stab_result, partition):
     assert image_order == BLOCK_IMAGE_ORDER
 
 
-def test_block_action_rejects_inconsistent_generator(lat, stab_result, partition):
+def test_block_action_rejects_inconsistent_generator(lat, stab_result, class_block):
     import pytest
     from dataclasses import replace
 
@@ -99,7 +99,7 @@ def test_block_action_rejects_inconsistent_generator(lat, stab_result, partition
     bad_perms[idx] = (1, 0, 2, 3, 4, 5, 6, 7, 8)
     broken = replace(stab_result, block_perms=tuple(bad_perms))
     with pytest.raises(CheckFailure) as exc:
-        block_action(lat, broken, partition)
+        block_action(lat, broken, class_block)
     # -1 fixes every class, and the class table lists block 0's classes first.
     assert exc.value.stage == "block-action"
     assert exc.value.check.description == "generator %d image of block 0" % idx
@@ -117,6 +117,11 @@ def _reference_block_check(lat, result, partition):
         for b, indices in enumerate(block_indices):
             if frozenset(vec_perm[i] for i in indices) != block_indices[bp[b]]:
                 raise ValueError("generator does not map block %d onto block %d" % (b, bp[b]))
+
+
+def _block_action_of_partition(lat, result, partition):
+    """block_action on the class table certified from the partition, as the group stage runs it."""
+    return block_action(lat, result, block_of_class_table(lat, partition))
 
 
 def _passes(check, *args):
@@ -146,16 +151,16 @@ def test_block_action_matches_vector_reference(lat, stab_result, partition):
     cases.append((stab_result, dropped))
     want = [True] + [False] * (len(cases) - 1)
     assert [_passes(_reference_block_check, lat, r, p) for r, p in cases] == want
-    assert [_passes(block_action, lat, r, p) for r, p in cases] == want
+    assert [_passes(_block_action_of_partition, lat, r, p) for r, p in cases] == want
     # The dropped vector's class is still met in block 0, so the class table
     # alone would pass; the coverage premise is what rejects it.
     with pytest.raises(CheckFailure) as exc:
-        block_action(lat, stab_result, dropped)
+        _block_action_of_partition(lat, stab_result, dropped)
     assert exc.value.check.description == "vectors held by the blocks, distinct norm-4 among them"
     assert exc.value.check.actual == (2159, 2159)
 
 
-def test_block_action_rejects_non_isometry(lat, stab_result, partition):
+def test_block_action_rejects_non_isometry(lat, stab_result, class_block):
     import pytest
     from dataclasses import replace
 
@@ -167,7 +172,7 @@ def test_block_action_rejects_non_isometry(lat, stab_result, partition):
     assert not is_gram_isometry(lat, swap01)
     isos = (Isometry(matrix=swap01),) + stab_result.isometries[1:]
     with pytest.raises(CheckFailure) as exc:
-        block_action(lat, replace(stab_result, isometries=isos), partition)
+        block_action(lat, replace(stab_result, isometries=isos), class_block)
     assert exc.value.check.description == "generator 0 preserves Gram"
 
 
@@ -178,7 +183,7 @@ def _with_chain(result, gens, base_prefix):
     return replace(result, group=PermutationGroup(generators=(), chain=chain))
 
 
-def test_block_action_rejects_bad_chain(lat, stab_result, partition):
+def test_block_action_rejects_bad_chain(lat, stab_result, class_block):
     import pytest
 
     neg = negation_perm(lat)
@@ -197,7 +202,7 @@ def test_block_action_rejects_bad_chain(lat, stab_result, partition):
     )
     for gens, base_prefix, name, values in cases:
         with pytest.raises(CheckFailure) as exc:
-            block_action(lat, _with_chain(stab_result, gens, base_prefix), partition)
+            block_action(lat, _with_chain(stab_result, gens, base_prefix), class_block)
         assert exc.value.check.description == name
         if values is not None:
             assert (exc.value.check.expected, exc.value.check.actual) == values
@@ -508,8 +513,11 @@ def test_stabilizer_search_rejects_split_class(lat, spread, frame_array, partiti
     broken = replace(partition, blocks=(replace(b0, vectors=swapped),) + partition.blocks[1:])
     import pytest
 
+    # The group stage builds the class table it searches with, so a stage run
+    # on a state holding only the four inputs rejects the split class.
+    state = cli.PipelineState(lat=lat, spread=spread, arr=frame_array, partition=broken)
     with pytest.raises(CheckFailure) as exc:
-        compute_stabilizer(lat, spread, frame_array, broken)
+        cli.stage_group(state)
     assert exc.value.check.description.startswith("mod-2 class ")
 
 

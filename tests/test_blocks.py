@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+from dataclasses import replace
+from operator import add, itemgetter, mul
+
 import pytest
 
-from dataclasses import replace
-
 from e8nine import blocks as bl
+from e8nine import cli, gf2
+from e8nine.autgroup import _apply_mod2, matrix_mod2_rows
 from e8nine.blocks import (
+    Norm4Partition,
     block_of_class_table,
     certify_d8_glue,
     certify_scaled_e8,
-    doubled_coordinates,
     doubled_frame_coordinates,
     recover_frame,
     row_to_block,
@@ -18,8 +21,17 @@ from e8nine.blocks import (
 )
 from e8nine.certs import CertBuilder, CheckFailure
 from e8nine.frames import Frame, FrameArray, frame_combinations, frame_reps, pair_tables
-from e8nine.gf2 import nonzero_elements, reduce_mod2
-from e8nine.intmat import adjugate, det, gram_of_rows, hnf, mat_mul, row_times_mat
+from e8nine.gf2 import F2Subspace, nonzero_elements, reduce_mod2, rref
+from e8nine.intmat import (
+    adjugate,
+    det,
+    gram_of_rows,
+    hnf,
+    identity,
+    mat_mul,
+    row_times_mat,
+    transpose,
+)
 from e8nine.lattice import (
     enumerate_shell,
     inner,
@@ -70,7 +82,7 @@ def test_certify_scaled_e8_all_blocks(lat, partition):
 
 
 def test_recovered_frame_is_the_row_frame_of_the_first_pair(lat, partition, frame_array):
-    decomposition = pair_tables(lat.gram)[2]
+    decomposition = pair_tables(lat.gram).decomposition
     for b, row in zip(partition.blocks, frame_array.rows):
         a = decomposition[b.vectors[0]][1]
         want = next(f for f in row if a in f.roots)
@@ -80,11 +92,11 @@ def test_recovered_frame_is_the_row_frame_of_the_first_pair(lat, partition, fram
 
 
 def test_certify_scaled_e8_names_a_vector_without_decomposition(lat, partition, monkeypatch):
-    rg, pair_gram, decomposition = pair_tables(lat.gram)
+    tables = pair_tables(lat.gram)
     b0 = partition.blocks[0]
-    pruned = {v: d for v, d in decomposition.items() if v != b0.vectors[0]}
+    pruned = {v: d for v, d in tables.decomposition.items() if v != b0.vectors[0]}
     # blocks binds the table's owner, frames.pair_tables, by name.
-    monkeypatch.setattr(bl, "pair_tables", lambda gram: (rg, pair_gram, pruned))
+    monkeypatch.setattr(bl, "pair_tables", lambda gram: tables._replace(decomposition=pruned))
     assert recover_frame(lat, b0) is None
     with pytest.raises(CheckFailure) as exc:
         certify_scaled_e8(lat, b0)
@@ -287,6 +299,31 @@ def _outcome(certify, lat, block, frame):
     return ("passed", cert.stage, cert.checks)
 
 
+def doubled_coordinates(lat, frame, vectors):
+    """The doubled frame coordinates d of each vector, read from `pair_tables`.
+
+    The tuple form of what certify_d8_glue encodes as integers: with
+    v = s_a r_a + s_b r_b from the decomposition table, d_i = v . r_i =
+    s_a T[a][i] + s_b T[b][i] by bilinearity. A vector without a
+    decomposition is off the norm-4 shell; its d is read from the frame's
+    rows r_i G.
+    """
+    tables = pair_tables(lat.gram)
+    at_frame = itemgetter(*frame.roots)
+    t_frame = [at_frame(t) for t in tables.gram]
+    signed = {1: t_frame, -1: [neg(t) for t in t_frame]}
+    frame_rows = [tables.rows[a] for a in frame.roots]
+    coords = []
+    for v in vectors:
+        dec = tables.decomposition.get(v)
+        if dec is None:
+            coords.append(tuple(sum(map(mul, v, r)) for r in frame_rows))
+        else:
+            sa, a, sb, b = dec
+            coords.append(tuple(map(add, signed[sa][a], signed[sb][b])))
+    return coords
+
+
 def test_doubled_coordinates_match_matrix_product(lat, frame_array):
     # Every norm-4 vector through the decomposition table, and off-shell
     # vectors (roots, doubled roots, a norm-6 vector) through the r_i G rows.
@@ -320,7 +357,8 @@ def test_certify_d8_glue_matches_matrix_product_reference(lat, partition, frame_
     assert len(cases) == 120
     r0 = root_pairs(lat)[frame.roots[0]].rep
     kept = [v for v in b0.vectors if v != _glue(lat, b0, frame)[0]]
-    for planted in (tuple(2 * x for x in r0), r0):
+    for k in (2, 1, 4, 5):
+        planted = tuple(k * x for x in r0)
         cases.append((replace(b0, vectors=tuple(sorted(kept + [planted]))), frame))
     other = next(i for i in range(120) if i not in frame.roots)
     bent = Frame(roots=tuple(sorted(frame.roots[1:] + (other,))), source=frame.source)
@@ -332,17 +370,20 @@ def test_certify_d8_glue_matches_matrix_product_reference(lat, partition, frame_
 
 
 def test_certify_d8_glue_rejects_d8_vector_among_glue(lat, partition, frame_array):
-    # 2 r0 has frame coordinates (2, 0, ..., 0), even sum: it lies in D8.
-    # r0 has (1, 0, ..., 0), odd sum: outside D8, but not a +-1/2 glue vector.
+    # k r0 has doubled frame coordinates d = (2k, 0, ..., 0), so frame
+    # coordinates c = (k, 0, ..., 0): in D8 for k = 2 and 4, outside D8 but
+    # not a +-1/2 glue vector for k = 1 and 5. None is on the norm-4 shell,
+    # and 4 r0 and 5 r0 lie beyond the integer code's digit range |d_i| <= 7,
+    # so all four are decided on the tuple path.
     b0 = partition.blocks[0]
     frame = frame_array.rows[0][0]
     r0 = root_pairs(lat)[frame.roots[0]].rep
     dropped = _glue(lat, b0, frame)[0]
     kept = [v for v in b0.vectors if v != dropped]
-    for planted, name in (
-        (tuple(2 * x for x in r0), "remaining vectors outside D8"),
-        (r0, OFF_HALF),
-    ):
+    inside_d8 = "remaining vectors outside D8"
+    for k, name in ((2, inside_d8), (1, OFF_HALF), (4, inside_d8), (5, OFF_HALF)):
+        planted = tuple(k * x for x in r0)
+        assert doubled_coordinates(lat, frame, [planted]) == [(2 * k,) + (0,) * 7]
         vectors = tuple(sorted(kept + [planted]))
         with pytest.raises(CheckFailure) as exc:
             certify_d8_glue(lat, replace(b0, vectors=vectors), frame)
@@ -487,6 +528,30 @@ def test_block_of_class_table_requires_each_norm4_vector_once(lat, partition):
             "vectors held by the blocks, distinct norm-4 among them"
         )
         assert exc.value.check.actual == counts
+
+
+def test_pipeline_on_a_congruent_gram_maps_onto_a_verified_partition(lat, ft, labels):
+    # The root-pair tables and the norm-4 set are cached per Gram, so a run on
+    # U G U^T builds its own; a table keyed to the standard Gram would fail.
+    u = [list(row) for row in identity(8)]
+    u[0][5], u[3][1] = 1, -2
+    gram = mat_mul(mat_mul(u, lat.gram), transpose(u))
+    state = cli.run_pipeline(gf2.SpaceClass.CLASS_B, gram_override=gram, upto="roundtrip")
+    # x U^-1 . y U^-1 under U G U^T is x . y under G, so v -> v U maps the
+    # run's vectors into the standard basis.
+    mapped = Norm4Partition(
+        blocks=tuple(
+            replace(b, vectors=tuple(sorted(row_times_mat(v, u) for v in b.vectors)))
+            for b in state.partition.blocks
+        )
+    )
+    assert mapped != state.partition
+    assert verify_partition(lat, mapped).passed
+    recovered = spread_from_partition(ft, mapped, labels)
+    u2 = matrix_mod2_rows(u)
+    assert recovered.spaces == tuple(
+        F2Subspace(rows=rref([_apply_mod2(u2, r) for r in s.rows])) for s in state.spread.spaces
+    )
 
 
 def test_verify_partition_catches_cross_block_swap(lat, partition):

@@ -154,14 +154,47 @@ def test_orthogonal_pair_census_matches_dot_product_reference(lat, frame_array):
         assert census.orthogonal_pair_count == 3780
 
 
+def _reference_frame_combinations(lat, frame):
+    """+-ra +-rb added up coordinate by coordinate, as before the pair table."""
+    reps = frame_reps(lat, frame)
+    return [
+        tuple(sa * x + sb * y for x, y in zip(ra, rb))
+        for ra, rb in itertools.combinations(reps, 2)
+        for sa in (1, -1)
+        for sb in (1, -1)
+    ]
+
+
+def test_frame_combinations_match_arithmetic_reference(lat, frame_array):
+    # The table holds orthogonal pairs a < b only. A frame with a pair that is
+    # not orthogonal, or with its ids out of order, takes the arithmetic path.
+    for gram in _congruent_grams(lat):
+        other = Lattice(gram=gram)
+        tables = pair_tables(gram)
+        frames = [f for row in frame_array.rows for f in row]
+        f = frames[0]
+        c = next(
+            c for c in range(120) if c not in f.roots and tables.gram[f.roots[0]][c] != 0
+        )
+        bent = dataclasses.replace(f, roots=tuple(sorted(f.roots[:1] + f.roots[2:] + (c,))))
+        backwards = dataclasses.replace(f, roots=f.roots[::-1])
+        for frame in (bent, backwards):
+            pairs = itertools.combinations(frame.roots, 2)
+            assert not all(b in tables.combinations[a] for a, b in pairs)
+        for frame in frames + [bent, backwards]:
+            want = _reference_frame_combinations(other, frame)
+            assert frame_combinations(other, frame) == want
+    assert sum(map(len, tables.combinations)) == 3780
+
+
 def test_gram_rows_give_every_inner_product(lat):
     for gram in _congruent_grams(lat):
         other = Lattice(gram=gram)
         reps = [p.rep for p in root_pairs(other)]
-        rg, pair_gram, _ = pair_tables(gram)
-        assert rg == tuple(row_times_mat(r, gram) for r in reps)
+        tables = pair_tables(gram)
+        assert tables.rows == tuple(row_times_mat(r, gram) for r in reps)
         for a, b in itertools.product(range(120), repeat=2):
-            assert pair_gram[a][b] == inner(other, reps[a], reps[b])
+            assert tables.gram[a][b] == inner(other, reps[a], reps[b])
 
 
 def test_verify_frame_array_rejects_non_orthogonal_frame(lat, frame_array):
