@@ -236,14 +236,11 @@ def certify_scaled_e8(lat: Lattice, block: Norm4Block) -> Certificate:
 
 
 def build_partition(lat: Lattice, arr: FrameArray) -> Norm4Partition:
-    """Nine blocks, one per frame-array row.
+    """Nine blocks, one per frame-array row, built and not yet certified.
 
-    `block_of_class_table` certifies that they hold the 2160 norm-4 vectors
-    once each, with each mod-2 class in one block.
+    `verify_partition` certifies them, as it certifies a parsed partition.
     """
-    p = Norm4Partition(blocks=tuple(row_to_block(lat, r, i) for i, r in enumerate(arr.rows)))
-    block_of_class_table(lat, p)
-    return p
+    return Norm4Partition(blocks=tuple(row_to_block(lat, r, i) for i, r in enumerate(arr.rows)))
 
 
 def block_of_class_table(lat: Lattice, p: Norm4Partition) -> dict[int, int]:
@@ -328,20 +325,20 @@ def spread_from_partition(
 
 
 def verify_partition(lat: Lattice, p: Norm4Partition) -> Certificate:
-    """Verification-only re-check of a parsed partition."""
-    cb = CertBuilder("partition-verify")
-    cb.check("block count", 9, len(p.blocks))
-    seen: set[Vec] = set()
-    shell4 = norm4_set(lat)
+    """The partition's one checker, for a built or a parsed partition.
+
+    Nine blocks, each a half-scale E8 by `certify_scaled_e8` (240 distinct
+    norm-4 vectors), then `block_of_class_table`: the blocks hold the 2160
+    norm-4 vectors once each, with each mod-2 class in one block. Sizes,
+    norms, disjointness and coverage follow from those two and are not
+    checked again.
+    """
+    cb = CertBuilder("norm4-partition")
+    cb.check("blocks", 9, len(p.blocks))
+    # "block %d scaled-E8" cannot fail: certify_scaled_e8 raises CheckFailure
+    # at its first failed check, so every certificate it returns has passed.
+    # The check stays so that certificates.txt keeps its lines.
     for b in p.blocks:
-        cb.check("block %d size" % b.row_index, 240, len(b.vectors))
-        bad = [v for v in b.vectors if v not in shell4]
-        cb.check("block %d norms" % b.row_index, [], bad)
-        overlap = seen.intersection(b.vectors)
-        cb.check("block %d disjoint from earlier" % b.row_index, set(), overlap)
-        seen.update(b.vectors)
-    cb.check("union covers the shell", 2160, len(seen))
-    for b in p.blocks:
-        cert = certify_scaled_e8(lat, b)
-        cb.check("block %d scaled-E8 certificate" % b.row_index, True, cert.passed)
+        cb.check("block %d scaled-E8" % b.row_index, True, certify_scaled_e8(lat, b).passed)
+    block_of_class_table(lat, p)
     return cb.done()

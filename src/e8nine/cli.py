@@ -156,14 +156,10 @@ def stage_frames(state: PipelineState) -> Certificate:
 def stage_partition(state: PipelineState) -> Certificate:
     cb = CertBuilder("norm4-partition")
     state.partition = bl.build_partition(state.lat, state.arr)
-    cb.check("blocks", 9, len(state.partition.blocks))
-    # "block %d scaled-E8" and "D8-plus-glue certificates failing" cannot
-    # fail: certify_scaled_e8 and certify_d8_glue raise CheckFailure at their
-    # first failed check, so every certificate they return has passed. The
-    # two checks stay so that certificates.txt keeps its lines.
-    for b in state.partition.blocks:
-        cert = bl.certify_scaled_e8(state.lat, b)
-        cb.check("block %d scaled-E8" % b.row_index, True, cert.passed)
+    cb.cert.checks.extend(bl.verify_partition(state.lat, state.partition).checks)
+    # "D8-plus-glue certificates failing" cannot fail: certify_d8_glue raises
+    # CheckFailure at its first failed check. The check stays so that
+    # certificates.txt keeps its line.
     glue_failures = 0
     for b, row in zip(state.partition.blocks, state.arr.rows):
         for f in row:
@@ -410,7 +406,6 @@ def main(argv=None) -> int:
         ("spread", "spread", "run the pipeline through the spread search"),
         ("frames", "frames", "run the pipeline through the frame array"),
         ("partition", "roundtrip", "run the pipeline through the norm-4 round trip"),
-        ("group", "group", "run the pipeline through the stabilizer group"),
         ("certify", "group", "full pipeline, artifacts, certificates"),
     ):
         p = sub.add_parser(name, help=help_text)

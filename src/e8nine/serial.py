@@ -10,7 +10,7 @@ from .autgroup import Isometry
 from .blocks import Norm4Block, Norm4Partition
 from .certs import Certificate
 from .frames import Frame, FrameArray
-from .gf2 import F2Subspace, SpaceClass
+from .gf2 import F2Subspace, SpaceClass, rref
 from .intmat import Mat
 from .permgroup import Perm
 from .spreadsearch import Spread
@@ -60,6 +60,9 @@ def parse_spread(text: str) -> Spread:
             raise ParseError("bad hex row in %r" % ln) from None
         if len(rows) != 4 or any(not 0 < r < 256 for r in rows):
             raise ParseError("each space needs 4 hex basis rows: %r" % ln)
+        # F2Subspace equality compares rows, so only the rref basis names a space.
+        if rref(rows) != rows:
+            raise ParseError("space rows not in reduced row echelon form in %r" % ln)
         spaces.append(F2Subspace(rows=rows))
     return Spread(spaces=tuple(spaces), class_label=label)
 

@@ -118,11 +118,11 @@ def test_build_partition_rejects_pair_swapped_between_rows(lat, frame_array):
 
 
 def test_build_partition_rejects_a_row_met_twice(lat, frame_array):
-    # Each row alone yields its 240 vectors, so only the check across blocks
+    # Each row alone yields a half-scale E8, so only the check across blocks
     # in block_of_class_table can see that rows 0 and 1 are the same.
     bad = FrameArray(rows=(frame_array.rows[0],) * 2 + frame_array.rows[2:])
     with pytest.raises(CheckFailure) as exc:
-        bl.build_partition(lat, bad)
+        verify_partition(lat, bl.build_partition(lat, bad))
     assert exc.value.stage == "norm4-partition"
     assert exc.value.check.description.startswith("mod-2 class ")
     assert exc.value.check.description.endswith(" in one block")
@@ -472,7 +472,8 @@ def test_planted_norm6_vector_fails_both_norm_checks(lat, partition):
     broken = replace(partition, blocks=(planted,) + partition.blocks[1:])
     with pytest.raises(CheckFailure) as exc:
         verify_partition(lat, broken)
-    assert exc.value.check.description == "block 0 norms"
+    assert exc.value.stage == "scaled-e8 block 0"
+    assert exc.value.check.description == "all norms are 4"
     assert exc.value.check.actual == sorted([six, neg(six)])
 
 

@@ -113,6 +113,24 @@ def test_verify_corrupted_partition_exits_1(pipeline_state, tmp_path):
     assert cli.main(["verify", path]) == 1
 
 
+def test_verify_rejects_a_block_copied_into_the_next(pipeline_state, tmp_path, capsys):
+    # Block 1 is a copy of block 0: each block alone is a half-scale E8, so
+    # only the table of the block of each mod-2 class sees the repeat.
+    out = str(tmp_path / "copied")
+    cli.write_artifacts(pipeline_state, out)
+    path = os.path.join(out, "partition.txt")
+    lines = open(path).read().splitlines()
+    i0, i1 = lines.index("block 0") + 1, lines.index("block 1") + 1
+    lines[i1 : i1 + 240] = lines[i0 : i0 + 240]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["verify", path]) == 1
+    assert capsys.readouterr().err == (
+        "FAIL: norm4-partition: mod-2 class 123 in one block (expected 0, got 1)\n"
+    )
+
+
 def test_verify_rejects_flipped_spread_class_label(pipeline_state, tmp_path, capsys):
     out = str(tmp_path / "flipped")
     written = cli.write_artifacts(pipeline_state, out)
@@ -183,10 +201,19 @@ def _first_line(text, prefix):
     return next(ln for ln in text.splitlines() if ln.startswith(prefix))
 
 
-# (artifact, how to corrupt its text): each edit used to escape the parser as
-# IndexError or ValueError with a traceback.
+def _space0_not_rref(text):
+    # Row 0 + row 1 in place of row 0 spans the same space in another basis.
+    space0 = text.splitlines()[2]
+    rows = space0.split()
+    rows[0] = "%02x" % (int(rows[0], 16) ^ int(rows[1], 16))
+    return text.replace(space0, " ".join(rows))
+
+
+# (artifact, how to corrupt its text): each edit used to escape as an
+# IndexError, ValueError or KeyError with a traceback.
 MALFORMED = [
     ("spread.txt", lambda t: t.replace("class A\n", "class \n")),
+    ("spread.txt", _space0_not_rref),
     ("generators.txt", lambda t: t.replace(_first_line(t, "gen 0 "), "gen 0")),
     (
         "generators.txt",
@@ -197,7 +224,9 @@ PARSERS = {"spread.txt": serial.parse_spread, "generators.txt": serial.parse_gen
 
 
 @pytest.mark.parametrize(
-    "name, corrupt", MALFORMED, ids=["class-no-label", "gen-header-short", "block-id-not-int"]
+    "name, corrupt",
+    MALFORMED,
+    ids=["class-no-label", "space-rows-not-rref", "gen-header-short", "block-id-not-int"],
 )
 def test_malformed_artifact_is_a_parse_error(pipeline_state, tmp_path, capsys, name, corrupt):
     out = str(tmp_path / "malformed")
@@ -361,7 +390,7 @@ def test_bad_block_permutation_fails_group_stage(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(ag, "compute_stabilizer", misreported)
     out = str(tmp_path / "failed")
-    assert cli.main(["group", "--out", out]) == 1
+    assert cli.main(["certify", "--out", out]) == 1
     first, second = open(os.path.join(out, "FAILED")).read().splitlines()
     assert first == "failed at stage: group"
     assert second == "block-action: generator 0 image of block 0 (expected 1, got 0)"
