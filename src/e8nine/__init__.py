@@ -2,9 +2,7 @@
 
 from .autgroup import (
     BlockAction,
-    Isometry,
     OneBlockReport,
-    PermutationGroup,
     block_action,
     compute_stabilizer,
     one_block_stabilizer_analysis,
@@ -51,12 +49,10 @@ __all__ = [
     "FormTable",
     "Frame",
     "FrameArray",
-    "Isometry",
     "Lattice",
     "Norm4Block",
     "Norm4Partition",
     "OneBlockReport",
-    "PermutationGroup",
     "RootPair",
     "SpaceClass",
     "Spread",

@@ -8,7 +8,7 @@ is complete: a root supported on four frame members must land on a root
 (equivalently, supported 4-subsets map to supported 4-subsets), and every
 determined norm-4 vector must stay inside a consistent matching of the nine
 blocks. Survivors are tested for integrality on the lattice and for mapping
-the spread onto itself.
+the nine blocks onto themselves.
 
 Both prunes run in frame coordinates and form no vectors. A frame is
 orthonormal at half scale (SPLAG ch. 4): a root rho outside it has doubled
@@ -31,7 +31,7 @@ from operator import mul
 from .blocks import doubled_frame_coordinates
 from .certs import CertBuilder
 from .frames import FrameArray, frame_reps
-from .gf2 import F2Subspace, nonzero_elements, reduce_mod2, rref
+from .gf2 import reduce_mod2
 from .intmat import Mat, Vec, adjugate, det, mat_mul, row_times_mat, transpose
 from .lattice import Lattice, enumerate_shell
 from .permgroup import (
@@ -42,7 +42,6 @@ from .permgroup import (
     perm_parity,
     schreier_sims,
 )
-from .spreadsearch import Spread
 
 # 2 * |A9|: the certified order of the full block stabilizer.
 STABILIZER_ORDER = 362880
@@ -50,18 +49,14 @@ BLOCK_IMAGE_ORDER = 181440  # |A9|
 ONE_BLOCK_IMAGE_ORDER = 20160  # |A8| = |L4(2)|
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """Integer matrix acting on row coordinate vectors, preserving the Gram."""
-
-    matrix: Mat
+# -1 on row coordinate vectors: it fixes every block and every mod-2 class.
+NEGATION: Mat = tuple(tuple(-1 if i == j else 0 for j in range(8)) for i in range(8))
 
 
 @dataclass(frozen=True)
 class BlockAction:
     """The induced action of the stabilizer on the nine blocks."""
 
-    generator_images: tuple[Perm, ...]  # 9-point permutations, one per generator
     image_order: int
     kernel_order: int
     all_even: bool
@@ -69,10 +64,6 @@ class BlockAction:
 
 class GenerationIncomplete(RuntimeError):
     pass
-
-
-def negation_isometry() -> Isometry:
-    return Isometry(matrix=tuple(tuple(-1 if i == j else 0 for j in range(8)) for i in range(8)))
 
 
 def is_gram_isometry(lat: Lattice, m: Mat) -> bool:
@@ -84,27 +75,37 @@ def matrix_mod2_rows(m: Mat) -> list[int]:
     return [sum((row[j] & 1) << j for j in range(8)) for row in m]
 
 
-def _apply_mod2(rows_mod2: list[int], bits: int) -> int:
-    out = 0
-    for i in range(8):
-        if (bits >> i) & 1:
-            out ^= rows_mod2[i]
-    return out
+def _nibble_images(rows_mod2: list[int]) -> tuple[list[int], list[int]]:
+    """Images mod 2 of the 16 combinations of rows 0-3 and of rows 4-7: a
+    class c maps to low[c & 15] ^ high[c >> 4]."""
+    low, high = [0] * 16, [0] * 16
+    for k in range(1, 16):
+        i = (k & -k).bit_length() - 1
+        low[k] = low[k & (k - 1)] ^ rows_mod2[i]
+        high[k] = high[k & (k - 1)] ^ rows_mod2[4 + i]
+    return low, high
 
 
-def spread_block_perm(spread_index: dict[F2Subspace, int], m: Mat) -> Perm | None:
-    """The block permutation induced mod 2, or None if the spread moves."""
-    rows2 = matrix_mod2_rows(m)
-    images = []
-    for space, _ in sorted(spread_index.items(), key=lambda kv: kv[1]):
-        img = F2Subspace(rows=rref([_apply_mod2(rows2, r) for r in space.rows]))
-        idx = spread_index.get(img)
-        if idx is None:
+def block_perm(point_block: dict[int, int], m: Mat) -> Perm | None:
+    """The permutation of the nine blocks that the matrix induces mod 2, or None.
+
+    point_block gives the block (0..8) of each of the 135 isotropic points of
+    L/2L: the certified `blocks.block_of_class_table`, or a verified spread's
+    point-to-space table. Every point of block b must land in one block
+    bp[b], and the nine images must be distinct; otherwise None. The matrix
+    mod 2 is invertible when it preserves the Gram, so it then maps the
+    points of block b onto those of block bp[b].
+    """
+    low, high = _nibble_images(matrix_mod2_rows(m))
+    bp = [-1] * 9
+    for c, b in point_block.items():
+        img = point_block.get(low[c & 15] ^ high[c >> 4])
+        if img is None or bp[b] not in (-1, img):
             return None
-        images.append(idx)
-    if len(set(images)) != 9:
+        bp[b] = img
+    if sorted(bp) != list(range(9)):
         return None
-    return tuple(images)
+    return tuple(bp)
 
 
 def _image_perm(vectors: list[Vec], m: Mat, index: dict[Vec, int]) -> Perm:
@@ -263,7 +264,6 @@ def isometries_between_frames(
     lat: Lattice,
     source: SearchSource,
     tgt_reps: list[Vec],
-    spread_index: dict[F2Subspace, int],
     cap: int,
 ) -> list[tuple[Mat, Perm]]:
     """Up to cap isometries mapping the source frame onto a target, found by DFS.
@@ -275,7 +275,7 @@ def isometries_between_frames(
     where bit j of m_e says e_pj = -1; the probe vector r_k + rho goes to
     e_k t_pi(k) + rho', whose block is class_block[cls(t_pi(k)) ^ cls(rho')].
     So a probe reads two tables and never forms a vector. Survivors are
-    checked for integrality, Gram and spread in `finalize`.
+    checked for integrality, Gram and block permutation in `finalize`.
     """
     tgt_supports, tgt_class_of = _frame_supports(lat, tgt_reps)
     rows = _support_rows(tgt_supports, tgt_class_of)
@@ -283,7 +283,6 @@ def isometries_between_frames(
     class_block = source.class_block
     new_subsets, probes = source.new_subsets, source.probes
     r_adj, r_det = source.r_adj, source.r_det
-    gram = lat.gram
 
     # Seed the block matching with the two frames' own rows.
     tau = [-1] * 9
@@ -305,9 +304,9 @@ def isometries_between_frames(
         if any(x % r_det for row in num for x in row):
             return
         m = tuple(tuple(x // r_det for x in row) for row in num)
-        if mat_mul(mat_mul(m, gram), transpose(m)) != gram:
+        if not is_gram_isometry(lat, m):
             return
-        bp = spread_block_perm(spread_index, m)
+        bp = block_perm(class_block, m)
         if bp is None:
             return
         found.append((m, bp))
@@ -363,29 +362,20 @@ def isometries_between_frames(
 
 
 @dataclass
-class PermutationGroup:
-    """The stabilizer as a permutation group on the 240 roots.
+class StabilizerResult:
+    """Generator matrices, their block permutations and a stabilizer chain.
 
-    The action on the roots is faithful: the roots span E8, so an isometry is
-    determined by the images of eight independent roots. The stabilizer
-    chain runs over 9 + 240 points, the nine blocks first and then the roots.
-    The block points are a function of the matrix, so the extended action
+    The chain acts on 9 + 240 points, the nine blocks first and then the
+    roots. The action on the roots is faithful: the roots span E8, so an
+    isometry is determined by the images of eight independent roots. The
+    block points are a function of the matrix, so the extended action
     represents exactly the same group; starting the base at the blocks keeps
     the first fundamental orbits within nine points.
     """
 
-    generators: tuple[Perm, ...]  # degree-240 root permutations, canonical order
-    chain: StabChain  # over blocks (0..8) + roots (9..248)
-
-    def order(self) -> int:
-        return self.chain.order()
-
-
-@dataclass
-class StabilizerResult:
-    isometries: tuple[Isometry, ...]
+    isometries: tuple[Mat, ...]  # matrices acting on row coordinate vectors
     block_perms: tuple[Perm, ...]  # 9-point permutation per generator
-    group: PermutationGroup
+    chain: StabChain  # over blocks (0..8) + roots (9..248)
 
 
 def negation_perm(lat: Lattice) -> Perm:
@@ -408,7 +398,6 @@ def _target_schedule() -> list[tuple[int, int]]:
 
 def compute_stabilizer(
     lat: Lattice,
-    spread: Spread,
     arr: FrameArray,
     class_block: dict[int, int],
 ) -> StabilizerResult:
@@ -420,37 +409,29 @@ def compute_stabilizer(
     the chain certifies order 362880; running out of targets raises
     GenerationIncomplete. `class_block` is the certified table of
     `blocks.block_of_class_table`, which the search reads for the block of a
-    norm-4 vector.
+    norm-4 vector and for each candidate's block permutation.
     """
     source = search_source(lat, frame_reps(lat, arr.rows[0][0]), class_block)
-    spread_index = {s: i for i, s in enumerate(spread.spaces)}
     roots = enumerate_shell(lat, 2)
     root_index = {v: i for i, v in enumerate(roots)}
 
     chain = StabChain(degree=9 + len(roots), base_prefix=tuple(range(9)))
-    isometries: list[Isometry] = []
+    isometries: list[Mat] = []
     block_perms: list[Perm] = []
-    gen_perms: list[Perm] = []
 
     def admit(m: Mat, bp: Perm) -> None:
-        if not is_gram_isometry(lat, m):
-            raise AssertionError("candidate is not a Gram isometry")
-        vec_perm = root_perm(lat, m, root_index)
-        ext = extended_perm(bp, vec_perm)
-        if chain.add_generator(ext):
-            isometries.append(Isometry(matrix=m))
+        if chain.add_generator(extended_perm(bp, root_perm(lat, m, root_index))):
+            isometries.append(m)
             block_perms.append(bp)
-            gen_perms.append(vec_perm)
 
-    neg = negation_isometry()
-    admit(neg.matrix, identity_perm(9))
+    admit(NEGATION, identity_perm(9))
 
     for cap in (12, 48, 2688):
         for (j, k) in _target_schedule():
             if chain.order() == STABILIZER_ORDER:
                 break
             tgt_reps = frame_reps(lat, arr.rows[j][k])
-            for m, bp in isometries_between_frames(lat, source, tgt_reps, spread_index, cap):
+            for m, bp in isometries_between_frames(lat, source, tgt_reps, cap):
                 admit(m, bp)
                 if chain.order() == STABILIZER_ORDER:
                     break
@@ -460,11 +441,8 @@ def compute_stabilizer(
         raise GenerationIncomplete(
             "generation incomplete: reached order %d" % chain.order()
         )
-    group = PermutationGroup(generators=tuple(gen_perms), chain=chain)
     return StabilizerResult(
-        isometries=tuple(isometries),
-        block_perms=tuple(block_perms),
-        group=group,
+        isometries=tuple(isometries), block_perms=tuple(block_perms), chain=chain
     )
 
 
@@ -476,7 +454,7 @@ def block_action(
     """Induced 9-point action: image A9 (order, evenness), kernel {+-1}.
 
     Each generator M must map every block onto the block its permutation bp
-    claims, checked mod 2 on the 135 classes:
+    claims, checked mod 2 on the 135 classes by `block_perm`:
     class_block[c (M mod 2)] == bp[class_block[c]]. That is exact once
     `blocks.block_of_class_table` has certified the table: M preserves
     the Gram (checked), so it maps a norm-4 vector v of block b to a norm-4
@@ -491,17 +469,13 @@ def block_action(
     CheckFailure naming it.
     """
     cb = CertBuilder("block-action")
-    for i, (iso, bp) in enumerate(zip(result.isometries, result.block_perms)):
-        cb.check("generator %d preserves Gram" % i, True, is_gram_isometry(lat, iso.matrix))
-        rows2 = matrix_mod2_rows(iso.matrix)
-        for c, b in class_block.items():
-            img = class_block.get(_apply_mod2(rows2, c))
-            if img != bp[b]:
-                cb.check("generator %d image of block %d" % (i, b), bp[b], img)
+    for i, (m, bp) in enumerate(zip(result.isometries, result.block_perms)):
+        cb.check("generator %d preserves Gram" % i, True, is_gram_isometry(lat, m))
+        cb.check("generator %d block permutation" % i, bp, block_perm(class_block, m))
     image_order, _ = schreier_sims(list(result.block_perms))
     all_even = all(perm_parity(p) == 0 for p in result.block_perms)
 
-    chain = result.group.chain
+    chain = result.chain
     betas = [lv.beta for lv in chain.levels[:9]]
     cb.check("stabilizer chain starts at the nine blocks", list(range(9)), betas)
     kernel_order = chain.stabilizer_order_below(9)
@@ -510,7 +484,6 @@ def block_action(
     cb.check("kernel strong generators other than +-1", 0, len(others))
     cb.check("image order times kernel order", chain.order(), image_order * kernel_order)
     return BlockAction(
-        generator_images=tuple(result.block_perms),
         image_order=image_order,
         kernel_order=kernel_order,
         all_even=all_even,
@@ -530,9 +503,9 @@ class OneBlockReport:
     kernel_order_points: int
 
 
-def space_point_perms(lat: Lattice, space: F2Subspace, gens: list[Perm]) -> list[Perm]:
-    """The action of 9 + 240 point permutations on the nonzero points of a
-    4-space they fix.
+def space_point_perms(lat: Lattice, points: list[int], gens: list[Perm]) -> list[Perm]:
+    """The action of 9 + 240 point permutations on the 15 nonzero points
+    (mod-2 classes) of a 4-space they fix.
 
     The action on L/2L is linear, so the image of a point p is the sum of the
     images of two root classes c and c + p (every isotropic point is such a
@@ -542,7 +515,6 @@ def space_point_perms(lat: Lattice, space: F2Subspace, gens: list[Perm]) -> list
     first: dict[int, int] = {}
     for i, c in enumerate(cls):
         first.setdefault(c, 9 + i)
-    points = nonzero_elements(space)
     point_index = {p: i for i, p in enumerate(points)}
     lifts = [next((a, first[c ^ p]) for c, a in first.items() if c ^ p in first) for p in points]
     return [
@@ -553,7 +525,7 @@ def space_point_perms(lat: Lattice, space: F2Subspace, gens: list[Perm]) -> list
 def one_block_stabilizer_analysis(
     lat: Lattice,
     result: StabilizerResult,
-    spread: Spread,
+    class_block: dict[int, int],
 ) -> OneBlockReport:
     """Analyze the subgroup fixing block 0, read off the stabilizer chain.
 
@@ -562,10 +534,12 @@ def one_block_stabilizer_analysis(
     of the deeper fundamental orbit lengths (Seress, Permutation Group
     Algorithms, CUP 2003, ch. 4). Their block points give the action on the
     other eight blocks; their root points give the (linear) action on the 15
-    nonzero points of the fixed 4-space, through space_point_perms. Both
-    images must have order 20160 and be transitive, with kernels of order 2.
+    nonzero points of the fixed 4-space, through space_point_perms. Those
+    points are the classes that the certified `class_block` puts in block 0,
+    since block 0 reduces onto that space. Both images must have order 20160
+    and be transitive, with kernels of order 2.
     """
-    chain = result.group.chain
+    chain = result.chain
     if chain.base[:1] != [0]:
         raise AssertionError("stabilizer chain does not start at block 0")
     gens = chain.strong_generators(from_level=1)
@@ -578,7 +552,8 @@ def one_block_stabilizer_analysis(
     other_order, _ = schreier_sims(eight_perms)
     other_transitive = len(orbit_of(0, eight_perms)) == 8
 
-    point_perms = space_point_perms(lat, spread.spaces[0], gens)
+    points = sorted(c for c, b in class_block.items() if b == 0)
+    point_perms = space_point_perms(lat, points, gens)
     points_order, _ = schreier_sims(point_perms)
     points_transitive = len(orbit_of(0, point_perms)) == 15
 

@@ -186,16 +186,17 @@ def stage_roundtrip(state: PipelineState) -> Certificate:
 @_recorded
 def stage_group(state: PipelineState) -> Certificate:
     cb = CertBuilder("stabilizer-group")
-    # One certified table for the search and the block action; the stage runs
-    # from a state that holds the partition alone, as after loading artifacts.
+    # One certified table for the search, the block action and the one-block
+    # analysis; the stage runs from a state that holds the partition alone, as
+    # after loading artifacts.
     class_block = bl.block_of_class_table(state.lat, state.partition)
-    state.stab = ag.compute_stabilizer(state.lat, state.spread, state.arr, class_block)
-    cb.check("group order", ag.STABILIZER_ORDER, state.stab.group.order())
+    state.stab = ag.compute_stabilizer(state.lat, state.arr, class_block)
+    cb.check("group order", ag.STABILIZER_ORDER, state.stab.chain.order())
     action = ag.block_action(state.lat, state.stab, class_block)
     cb.check("block-action image order", ag.BLOCK_IMAGE_ORDER, action.image_order)
     cb.check("block-action kernel order", 2, action.kernel_order)
     cb.check("block images all even", True, action.all_even)
-    report = ag.one_block_stabilizer_analysis(state.lat, state.stab, state.spread)
+    report = ag.one_block_stabilizer_analysis(state.lat, state.stab, class_block)
     cb.check("block-0 stabilizer order", 40320, report.stabilizer_order)
     cb.check(
         "image order on other eight blocks",
@@ -216,7 +217,7 @@ def stage_group(state: PipelineState) -> Certificate:
     cb.check(
         "kernels contain negation",
         True,
-        state.stab.group.chain.contains(ag.negation_perm(state.lat)),
+        state.stab.chain.contains(ag.negation_perm(state.lat)),
     )
     return cb.done()
 
@@ -308,6 +309,13 @@ def cmd_run(args) -> int:
     failure they sit next to a FAILED marker whose first line names the
     pipeline stage and whose second line is the violated check.
     """
+    if args.out:
+        # Checked before any stage runs: exit 1 means a failed check.
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as e:
+            print("output error: %s" % e, file=sys.stderr)
+            return 2
     failure = None
     try:
         state = run_pipeline(gf2.SpaceClass(args.space_class), upto=args.upto)
@@ -376,17 +384,22 @@ def cmd_verify(args) -> int:
                 )
                 print("partition-vs-spread: PASS")
         if "generators" in parsed:
-            isos, bps = parsed["generators"]
+            matrices, bps = parsed["generators"]
             cb = CertBuilder("generators")
-            for i, iso in enumerate(isos):
-                cb.check("generator %d preserves Gram" % i, True, ag.is_gram_isometry(lat, iso.matrix))
+            for i, m in enumerate(matrices):
+                cb.check("generator %d preserves Gram" % i, True, ag.is_gram_isometry(lat, m))
             if "spread" in parsed:
-                spread_index = {s: j for j, s in enumerate(parsed["spread"].spaces)}
-                for i, (iso, bp) in enumerate(zip(isos, bps)):
+                # The verified spread's nine spaces partition the 135 points.
+                point_space = {
+                    p: j
+                    for j, sp in enumerate(parsed["spread"].spaces)
+                    for p in gf2.nonzero_elements(sp)
+                }
+                for i, (m, bp) in enumerate(zip(matrices, bps)):
                     cb.check(
                         "generator %d induces its block permutation" % i,
-                        tuple(bp),
-                        ag.spread_block_perm(spread_index, iso.matrix),
+                        bp,
+                        ag.block_perm(point_space, m),
                     )
             print("generators: PASS (%d checks)" % len(cb.done().checks))
     except CheckFailure as e:

@@ -36,7 +36,6 @@ class Lattice:
     """Rank-8 lattice described by the Gram matrix of its fixed basis."""
 
     gram: Mat
-    rank: int = 8
 
 
 @dataclass(frozen=True)

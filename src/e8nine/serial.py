@@ -6,7 +6,6 @@ writer is deterministic so repeated runs produce byte-identical files.
 
 from __future__ import annotations
 
-from .autgroup import Isometry
 from .blocks import Norm4Block, Norm4Partition
 from .certs import Certificate
 from .frames import Frame, FrameArray
@@ -151,15 +150,17 @@ def parse_partition(text: str) -> Norm4Partition:
 # -- generators ------------------------------------------------------------------
 
 
-def serialize_generators(isos: list[Isometry], block_perms: list[Perm]) -> str:
-    out = [GENERATORS_HEADER, "count %d" % len(isos)]
-    for i, (iso, bp) in enumerate(zip(isos, block_perms)):
+def serialize_generators(matrices: list[Mat], block_perms: list[Perm]) -> str:
+    out = [GENERATORS_HEADER, "count %d" % len(matrices)]
+    for i, (m, bp) in enumerate(zip(matrices, block_perms)):
         out.append("gen %d blocks %s" % (i, " ".join(str(x) for x in bp)))
-        out.append(" ".join(str(x) for row in iso.matrix for x in row))
+        out.append(" ".join(str(x) for row in m for x in row))
     return "\n".join(out) + "\n"
 
 
-def parse_generators(text: str) -> tuple[list[Isometry], list[Perm]]:
+def parse_generators(text: str) -> tuple[list[Mat], list[Perm]]:
+    """Generator matrices and block lines; whether a matrix preserves the
+    Gram and induces its block line is for verification."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     _expect_header(lines, GENERATORS_HEADER)
     if len(lines) < 2 or not lines[1].startswith("count "):
@@ -170,7 +171,7 @@ def parse_generators(text: str) -> tuple[list[Isometry], list[Perm]]:
         raise ParseError("bad count line") from None
     if len(lines) != 2 + 2 * count:
         raise ParseError("expected %d generator entries" % count)
-    isos = []
+    matrices = []
     perms = []
     for i in range(count):
         head = lines[2 + 2 * i].split()
@@ -188,10 +189,9 @@ def parse_generators(text: str) -> tuple[list[Isometry], list[Perm]]:
             raise ParseError("bad matrix line for generator %d" % i) from None
         if len(entries) != 64:
             raise ParseError("generator %d matrix needs 64 entries" % i)
-        matrix: Mat = tuple(tuple(entries[8 * r : 8 * r + 8]) for r in range(8))
-        isos.append(Isometry(matrix=matrix))
+        matrices.append(tuple(tuple(entries[8 * r : 8 * r + 8]) for r in range(8)))
         perms.append(bp)
-    return isos, perms
+    return matrices, perms
 
 
 # -- certificates -----------------------------------------------------------------

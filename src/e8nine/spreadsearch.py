@@ -74,23 +74,22 @@ def find_spread(class_members: list[F2Subspace], label: SpaceClass) -> Spread:
     return Spread(spaces=tuple(members[i] for i in chosen), class_label=label)
 
 
-def verify_spread(s: Spread, ft: FormTable | None = None) -> Certificate:
+def verify_spread(s: Spread, ft: FormTable) -> Certificate:
     """Re-check every spread invariant; fails naming the first violation."""
     cb = CertBuilder("spread")
     cb.check("number of spaces", 9, len(s.spaces))
     for i, sp in enumerate(s.spaces):
         cb.check("space %d dimension" % i, 4, sp.dim)
         cb.check("space %d point count" % i, 15, len(nonzero_elements(sp)))
-        if ft is not None:
-            bad_q = [e for e in nonzero_elements(sp) if ft.q[e] != 0]
-            cb.check("space %d isotropic points" % i, [], bad_q)
-            bad_b = [
-                (r1, r2)
-                for r1 in sp.rows
-                for r2 in sp.rows
-                if ft.b(r1, r2) != 0
-            ]
-            cb.check("space %d totally isotropic" % i, [], bad_b)
+        bad_q = [e for e in nonzero_elements(sp) if ft.q[e] != 0]
+        cb.check("space %d isotropic points" % i, [], bad_q)
+        bad_b = [
+            (r1, r2)
+            for r1 in sp.rows
+            for r2 in sp.rows
+            if ft.b(r1, r2) != 0
+        ]
+        cb.check("space %d totally isotropic" % i, [], bad_b)
     for i in range(9):
         for j in range(i + 1, 9):
             cb.check(

@@ -68,5 +68,5 @@ def class_block(lat, partition):
 
 
 @pytest.fixture(scope="session")
-def stab_result(lat, spread, frame_array, class_block):
-    return ag.compute_stabilizer(lat, spread, frame_array, class_block)
+def stab_result(lat, frame_array, class_block):
+    return ag.compute_stabilizer(lat, frame_array, class_block)

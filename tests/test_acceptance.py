@@ -168,29 +168,25 @@ def test_criterion_08_round_trip():
 
 
 def test_criterion_09_group_order_and_block_action():
-    lat, spread, arr, partition = (
-        STATE["lat"],
-        STATE["spread"],
-        STATE["arr"],
-        STATE["partition"],
-    )
+    lat, arr, partition = STATE["lat"], STATE["arr"], STATE["partition"]
     t0 = time.perf_counter()
     class_block = bl.block_of_class_table(lat, partition)
-    result = ag.compute_stabilizer(lat, spread, arr, class_block)
+    result = ag.compute_stabilizer(lat, arr, class_block)
     action = ag.block_action(lat, result, class_block)
     elapsed = time.perf_counter() - t0
-    assert result.group.order() == 362880
+    assert result.chain.order() == 362880
     assert action.image_order == 181440
     assert action.all_even
     assert action.kernel_order == 2
     STATE["stab"] = result
+    STATE["class_block"] = class_block
     _report(9, "stabilizer order 362880, image A9, kernel +-identity", elapsed, 600.0)
 
 
 def test_criterion_10_one_block_stabilizer():
-    lat, result, spread = STATE["lat"], STATE["stab"], STATE["spread"]
+    lat, result, class_block = STATE["lat"], STATE["stab"], STATE["class_block"]
     t0 = time.perf_counter()
-    report = ag.one_block_stabilizer_analysis(lat, result, spread)
+    report = ag.one_block_stabilizer_analysis(lat, result, class_block)
     elapsed = time.perf_counter() - t0
     assert report.other_blocks_image_order == 20160
     assert report.other_blocks_transitive

@@ -8,61 +8,110 @@ from e8nine.autgroup import (
     _greedy_slot_order,
     _target_schedule,
     BLOCK_IMAGE_ORDER,
+    NEGATION,
     ONE_BLOCK_IMAGE_ORDER,
     STABILIZER_ORDER,
     block_action,
+    block_perm,
     extended_perm,
     is_gram_isometry,
-    PermutationGroup,
     isometries_between_frames,
     matrix_mod2_rows,
-    negation_isometry,
     negation_perm,
     one_block_stabilizer_analysis,
     root_perm,
     search_source,
     shell4_perm,
     space_point_perms,
-    spread_block_perm,
 )
 from e8nine.blocks import block_of_class_table
 from e8nine.certs import CheckFailure
 from e8nine.frames import frame_reps
-from e8nine.gf2 import nonzero_elements, reduce_mod2
+from e8nine.gf2 import F2Subspace, nonzero_elements, reduce_mod2, rref
 from e8nine.intmat import Mat, adjugate, det, identity as identity_matrix, mat_mul, transpose
 from e8nine.lattice import enumerate_shell, inner
 from e8nine.permgroup import identity_perm, mult, schreier_sims
 
 
+def _root_perms(lat, result):
+    """Each generator's permutation of the 240 sorted roots."""
+    index = {v: i for i, v in enumerate(enumerate_shell(lat, 2))}
+    return [root_perm(lat, m, index) for m in result.isometries]
+
+
+def _spread_block_perm(spread_index, m):
+    """The block permutation read off the images of the spread's spaces: each
+    space's basis is mapped mod 2 and its rref looked up among the nine
+    spaces. None if a space leaves the spread."""
+    rows2 = matrix_mod2_rows(m)
+    images = []
+    for space, _ in sorted(spread_index.items(), key=lambda kv: kv[1]):
+        mapped = []
+        for r in space.rows:
+            img = 0
+            for i in range(8):
+                if (r >> i) & 1:
+                    img ^= rows2[i]
+            mapped.append(img)
+        idx = spread_index.get(F2Subspace(rows=rref(mapped)))
+        if idx is None:
+            return None
+        images.append(idx)
+    if len(set(images)) != 9:
+        return None
+    return tuple(images)
+
+
+def _reflection(lat, r):
+    """The reflection v -> v - (v . r) r in a root r, on row coordinates."""
+    g_r = [sum(lat.gram[i][j] * r[j] for j in range(8)) for i in range(8)]
+    return tuple(
+        tuple((1 if i == j else 0) - g_r[i] * r[j] for j in range(8)) for i in range(8)
+    )
+
+
 def test_negation_is_a_verified_generator(lat, stab_result):
-    neg = negation_isometry()
-    assert is_gram_isometry(lat, neg.matrix)
-    assert neg in stab_result.isometries
-    idx = stab_result.isometries.index(neg)
+    assert is_gram_isometry(lat, NEGATION)
+    assert NEGATION in stab_result.isometries
+    idx = stab_result.isometries.index(NEGATION)
     assert stab_result.block_perms[idx] == identity_perm(9)
 
 
 def test_every_generator_preserves_gram_and_blocks(lat, stab_result, spread, block_of_vector):
     spread_index = {s: i for i, s in enumerate(spread.spaces)}
     table = block_of_vector
-    for iso, bp in zip(stab_result.isometries, stab_result.block_perms):
-        assert is_gram_isometry(lat, iso.matrix)
-        assert spread_block_perm(spread_index, iso.matrix) == bp
+    for m, bp in zip(stab_result.isometries, stab_result.block_perms):
+        assert is_gram_isometry(lat, m)
+        assert _spread_block_perm(spread_index, m) == bp
         # Spot-check actual vectors follow the block permutation.
         for v in list(table)[:40]:
-            w = tuple(
-                sum(v[a] * iso.matrix[a][b] for a in range(8)) for b in range(8)
-            )
+            w = tuple(sum(v[a] * m[a][b] for a in range(8)) for b in range(8))
             assert table[w] == bp[table[v]]
 
 
+def test_block_perm_matches_spread_reference(lat, stab_result, spread, class_block):
+    # The class table and the spread's point table give the same block
+    # permutation as the spread's rref images, on the generators (all
+    # permutations) and on the 240 root reflections (none preserves the spread).
+    spread_index = {s: i for i, s in enumerate(spread.spaces)}
+    point_space = {p: j for j, sp in enumerate(spread.spaces) for p in nonzero_elements(sp)}
+    assert point_space == class_block
+    reflections = [_reflection(lat, r) for r in enumerate_shell(lat, 2)]
+    assert all(is_gram_isometry(lat, m) for m in reflections)
+    cases = list(stab_result.isometries) + reflections
+    want = [_spread_block_perm(spread_index, m) for m in cases]
+    assert want == list(stab_result.block_perms) + [None] * 240
+    assert [block_perm(class_block, m) for m in cases] == want
+    assert [block_perm(point_space, m) for m in cases] == want
+
+
 def test_group_order(stab_result):
-    assert stab_result.group.order() == STABILIZER_ORDER
+    assert stab_result.chain.order() == STABILIZER_ORDER
 
 
 def test_chain_on_shell_perms_confirms_order(lat, stab_result):
     # The chain certifies the order as the product of its orbit lengths.
-    chain = stab_result.group.chain
+    chain = stab_result.chain
     prod = 1
     for n in chain.fundamental_orbit_lengths():
         prod *= n
@@ -70,10 +119,10 @@ def test_chain_on_shell_perms_confirms_order(lat, stab_result):
     assert chain.base[:9] == list(range(9))
 
 
-def test_generic_schreier_sims_on_stabilizer_generators(stab_result):
+def test_generic_schreier_sims_on_stabilizer_generators(lat, stab_result):
     ext_gens = [
         extended_perm(bp, vp)
-        for bp, vp in zip(stab_result.block_perms, stab_result.group.generators)
+        for bp, vp in zip(stab_result.block_perms, _root_perms(lat, stab_result))
     ]
     order, chain = schreier_sims(ext_gens, base_prefix=tuple(range(9)))
     assert order == STABILIZER_ORDER
@@ -85,8 +134,8 @@ def test_block_action_numbers(lat, stab_result, class_block):
     assert action.image_order == BLOCK_IMAGE_ORDER
     assert action.kernel_order == 2
     assert action.all_even
-    assert action.image_order * action.kernel_order == stab_result.group.order()
-    image_order, _ = schreier_sims(list(action.generator_images))
+    assert action.image_order * action.kernel_order == stab_result.chain.order()
+    image_order, _ = schreier_sims(list(stab_result.block_perms))
     assert image_order == BLOCK_IMAGE_ORDER
 
 
@@ -95,15 +144,15 @@ def test_block_action_rejects_inconsistent_generator(lat, stab_result, class_blo
     from dataclasses import replace
 
     bad_perms = list(stab_result.block_perms)
-    idx = stab_result.isometries.index(negation_isometry())
+    idx = stab_result.isometries.index(NEGATION)
     bad_perms[idx] = (1, 0, 2, 3, 4, 5, 6, 7, 8)
     broken = replace(stab_result, block_perms=tuple(bad_perms))
     with pytest.raises(CheckFailure) as exc:
         block_action(lat, broken, class_block)
-    # -1 fixes every class, and the class table lists block 0's classes first.
+    # -1 fixes every class, so it induces the identity on the blocks.
     assert exc.value.stage == "block-action"
-    assert exc.value.check.description == "generator %d image of block 0" % idx
-    assert (exc.value.check.expected, exc.value.check.actual) == (1, 0)
+    assert exc.value.check.description == "generator %d block permutation" % idx
+    assert (exc.value.check.expected, exc.value.check.actual) == (bad_perms[idx], identity_perm(9))
 
 
 def _reference_block_check(lat, result, partition):
@@ -112,8 +161,8 @@ def _reference_block_check(lat, result, partition):
     shell = enumerate_shell(lat, 4)
     index_of = {v: i for i, v in enumerate(shell)}
     block_indices = [frozenset(index_of[v] for v in b.vectors) for b in partition.blocks]
-    for iso, bp in zip(result.isometries, result.block_perms):
-        vec_perm = shell4_perm(lat, iso.matrix, index_of)
+    for m, bp in zip(result.isometries, result.block_perms):
+        vec_perm = shell4_perm(lat, m, index_of)
         for b, indices in enumerate(block_indices):
             if frozenset(vec_perm[i] for i in indices) != block_indices[bp[b]]:
                 raise ValueError("generator does not map block %d onto block %d" % (b, bp[b]))
@@ -164,13 +213,11 @@ def test_block_action_rejects_non_isometry(lat, stab_result, class_block):
     import pytest
     from dataclasses import replace
 
-    from e8nine.autgroup import Isometry
-
     rows = list(identity_matrix(8))
     rows[0], rows[1] = rows[1], rows[0]
     swap01 = tuple(rows)
     assert not is_gram_isometry(lat, swap01)
-    isos = (Isometry(matrix=swap01),) + stab_result.isometries[1:]
+    isos = (swap01,) + stab_result.isometries[1:]
     with pytest.raises(CheckFailure) as exc:
         block_action(lat, replace(stab_result, isometries=isos), class_block)
     assert exc.value.check.description == "generator 0 preserves Gram"
@@ -180,7 +227,7 @@ def _with_chain(result, gens, base_prefix):
     from dataclasses import replace
 
     _, chain = schreier_sims(gens, base_prefix=base_prefix)
-    return replace(result, group=PermutationGroup(generators=(), chain=chain))
+    return replace(result, chain=chain)
 
 
 def test_block_action_rejects_bad_chain(lat, stab_result, class_block):
@@ -208,8 +255,8 @@ def test_block_action_rejects_bad_chain(lat, stab_result, class_block):
             assert (exc.value.check.expected, exc.value.check.actual) == values
 
 
-def test_one_block_stabilizer(lat, stab_result, spread):
-    report = one_block_stabilizer_analysis(lat, stab_result, spread)
+def test_one_block_stabilizer(lat, stab_result, class_block):
+    report = one_block_stabilizer_analysis(lat, stab_result, class_block)
     assert report.stabilizer_order == 40320
     assert report.other_blocks_image_order == ONE_BLOCK_IMAGE_ORDER
     assert report.points_image_order == ONE_BLOCK_IMAGE_ORDER
@@ -217,7 +264,7 @@ def test_one_block_stabilizer(lat, stab_result, spread):
     assert report.points_transitive
     assert report.kernel_order_blocks == 2
     assert report.kernel_order_points == 2
-    assert stab_result.group.chain.contains(negation_perm(lat))
+    assert stab_result.chain.contains(negation_perm(lat))
     # |L4(2)| from its order formula equals |A8| = 8!/2.
     l42 = (2**4 - 1) * (2**4 - 2) * (2**4 - 4) * (2**4 - 8)
     fact8 = 1
@@ -226,20 +273,20 @@ def test_one_block_stabilizer(lat, stab_result, spread):
     assert l42 == fact8 // 2 == ONE_BLOCK_IMAGE_ORDER
 
 
-def test_one_block_analysis_reads_the_chain(lat, stab_result, spread):
+def test_one_block_analysis_reads_the_chain(lat, stab_result, class_block):
     # A chain over two of the generators (neither is -1) holds a subgroup of
     # order 4 that fixes block 0; the analysis must report that subgroup.
     from dataclasses import replace
 
     ext_gens = [
         extended_perm(bp, vp)
-        for bp, vp in zip(stab_result.block_perms, stab_result.group.generators)
+        for bp, vp in zip(stab_result.block_perms, _root_perms(lat, stab_result))
     ]
     neg = negation_perm(lat)
     assert neg not in ext_gens[1:3]
     order, chain = schreier_sims(ext_gens[1:3], base_prefix=tuple(range(9)))
-    partial = replace(stab_result, group=PermutationGroup(generators=(), chain=chain))
-    report = one_block_stabilizer_analysis(lat, partial, spread)
+    partial = replace(stab_result, chain=chain)
+    report = one_block_stabilizer_analysis(lat, partial, class_block)
     assert report.stabilizer_order == order == 4
     assert report.other_blocks_image_order == report.points_image_order == 4
     assert not report.other_blocks_transitive
@@ -250,7 +297,7 @@ def test_one_block_analysis_reads_the_chain(lat, stab_result, spread):
 def test_random_words_preserve_gram_and_partition(lat, stab_result, block_of_vector):
     rng = random.Random(99)
     table = block_of_vector
-    mats = [iso.matrix for iso in stab_result.isometries]
+    mats = list(stab_result.isometries)
     sample_vectors = list(table)[::97]
     for _ in range(12):
         length = rng.randint(1, 20)
@@ -294,9 +341,9 @@ def test_action_on_shell_is_faithful(lat, stab_result):
     # shell permutation and distinct generators induce distinct permutations.
     shell = enumerate_shell(lat, 4)
     index = {v: i for i, v in enumerate(shell)}
-    perms = [shell4_perm(lat, iso.matrix, index) for iso in stab_result.isometries]
+    perms = [shell4_perm(lat, m, index) for m in stab_result.isometries]
     assert len(set(perms)) == len(perms)
-    assert _matrices_from_perms(shell, perms) == [iso.matrix for iso in stab_result.isometries]
+    assert _matrices_from_perms(shell, perms) == list(stab_result.isometries)
 
 
 def test_root_action_is_faithful(lat, stab_result):
@@ -304,15 +351,14 @@ def test_root_action_is_faithful(lat, stab_result):
     # generator's matrix is recoverable from its root permutation.
     roots = enumerate_shell(lat, 2)
     index = {v: i for i, v in enumerate(roots)}
-    gens = list(stab_result.group.generators)
+    gens = [root_perm(lat, m, index) for m in stab_result.isometries]
     assert all(len(g) == 240 for g in gens)
-    assert gens == [root_perm(lat, iso.matrix, index) for iso in stab_result.isometries]
     assert len(set(gens)) == len(gens)
-    assert _matrices_from_perms(roots, gens) == [iso.matrix for iso in stab_result.isometries]
-    chain = stab_result.group.chain
+    assert _matrices_from_perms(roots, gens) == list(stab_result.isometries)
+    chain = stab_result.chain
     assert chain.degree == 249
     assert chain.base[:9] == list(range(9))
-    neg = root_perm(lat, negation_isometry().matrix, index)
+    neg = root_perm(lat, NEGATION, index)
     assert negation_perm(lat) == extended_perm(identity_perm(9), neg)
 
 
@@ -326,12 +372,12 @@ def test_point_action_from_root_lifts_matches_matrix_mod2(lat, stab_result, spre
     space = spread.spaces[0]
     points = nonzero_elements(space)
     cases = [
-        (extended_perm(bp, root_perm(lat, iso.matrix, index)), iso.matrix)
-        for iso, bp in zip(stab_result.isometries, stab_result.block_perms)
+        (extended_perm(bp, root_perm(lat, m, index)), m)
+        for m, bp in zip(stab_result.isometries, stab_result.block_perms)
         if bp[0] == 0
     ]
-    assert negation_isometry().matrix in [m for _, m in cases]
-    strong = stab_result.group.chain.strong_generators(from_level=1)
+    assert NEGATION in [m for _, m in cases]
+    strong = stab_result.chain.strong_generators(from_level=1)
     root_parts = [tuple(x - 9 for x in g[9:]) for g in strong]
     cases += list(zip(strong, _matrices_from_perms(roots, root_parts)))
     assert len(cases) > 10
@@ -344,12 +390,12 @@ def test_point_action_from_root_lifts_matches_matrix_mod2(lat, stab_result, spre
                 if (p >> i) & 1:
                     img ^= rows2[i]
             images.append(points.index(img))
-        assert space_point_perms(lat, space, [g]) == [tuple(images)]
+        assert space_point_perms(lat, points, [g]) == [tuple(images)]
 
 
-def test_membership_of_generator_products(stab_result):
-    chain = stab_result.group.chain
-    gens = list(stab_result.group.generators)
+def test_membership_of_generator_products(lat, stab_result):
+    chain = stab_result.chain
+    gens = _root_perms(lat, stab_result)
     bps = list(stab_result.block_perms)
     rng = random.Random(5)
     for _ in range(10):
@@ -358,27 +404,51 @@ def test_membership_of_generator_products(stab_result):
         assert chain.contains(ext)
 
 
-def test_frame_search_finds_identity_first(lat, frame_array, spread, partition):
-    spread_index = {s: i for i, s in enumerate(spread.spaces)}
+def test_frame_search_finds_identity_first(lat, frame_array, partition):
     reps = frame_reps(lat, frame_array.rows[0][0])
     source = search_source(lat, reps, block_of_class_table(lat, partition))
-    found = isometries_between_frames(lat, source, reps, spread_index, cap=1)
+    found = isometries_between_frames(lat, source, reps, cap=1)
     assert found[0][0] == identity_matrix(8)
     assert found[0][1] == tuple(range(9))
 
 
-def test_frame_search_is_deterministic(lat, frame_array, spread, partition):
-    spread_index = {s: i for i, s in enumerate(spread.spaces)}
+def test_frame_search_is_deterministic(lat, frame_array, partition):
     src = frame_reps(lat, frame_array.rows[0][0])
     source = search_source(lat, src, block_of_class_table(lat, partition))
     tgt = frame_reps(lat, frame_array.rows[2][5])
-    first = isometries_between_frames(lat, source, tgt, spread_index, cap=8)
-    second = isometries_between_frames(lat, source, tgt, spread_index, cap=8)
+    first = isometries_between_frames(lat, source, tgt, cap=8)
+    second = isometries_between_frames(lat, source, tgt, cap=8)
     assert first == second
     assert len(first) == 8
     for m, bp in first:
         assert is_gram_isometry(lat, m)
         assert bp[0] == 2
+
+
+def test_frame_search_checks_blocks_the_probes_never_read(lat, frame_array, class_block):
+    # The probes read the blocks of 112 of the 135 classes. Swapping the blocks
+    # of two classes they never read leaves the DFS as it is, so only the
+    # block permutation in finalize, read on all 135 classes, sees the swap.
+    src = frame_reps(lat, frame_array.rows[0][0])
+    supports, class_of = _frame_supports(lat, src)
+    probed = {
+        reduce_mod2(src[k]) ^ class_of[cs]
+        for supp, cs_list in supports.items()
+        for k in range(8)
+        if k not in supp
+        for cs in cs_list
+    }
+    assert len(probed) == 112
+    seed = reduce_mod2(src[0]) ^ reduce_mod2(src[1])
+    unread = [c for c in sorted(class_block) if c not in probed and c != seed]
+    c1 = next(c for c in unread if class_block[c] != class_block[seed])
+    c2 = next(c for c in unread if class_block[c] not in (class_block[c1], class_block[seed]))
+    swapped = dict(class_block)
+    swapped[c1], swapped[c2] = class_block[c2], class_block[c1]
+    found = isometries_between_frames(lat, search_source(lat, src, class_block), src, cap=48)
+    found_swapped = isometries_between_frames(lat, search_source(lat, src, swapped), src, cap=48)
+    assert found_swapped != found
+    assert all(block_perm(swapped, m) == bp for m, bp in found_swapped)
 
 
 def test_matrix_mod2_rows():
@@ -406,7 +476,9 @@ def _reference_isometries(lat, src_reps, tgt_reps, block_of, spread_index, cap):
 
     Each probe forms the norm-4 vector w = r_k + rho and its image from the
     assigned target vectors and looks both up in the vector-to-block table.
-    Same slot order, exploration order and final checks as the search.
+    Same slot order and exploration order as the search; its final check
+    reads the block permutation off the spread (`_spread_block_perm`), not
+    off the class table.
     """
     src_supports = _inner_supports(lat, src_reps)
     order = _greedy_slot_order(src_supports)
@@ -441,7 +513,7 @@ def _reference_isometries(lat, src_reps, tgt_reps, block_of, spread_index, cap):
         m = tuple(tuple(x // r_det for x in row) for row in num)
         if mat_mul(mat_mul(m, lat.gram), transpose(m)) != lat.gram:
             return False
-        bp = spread_block_perm(spread_index, m)
+        bp = _spread_block_perm(spread_index, m)
         if bp is not None:
             found.append((m, bp))
         return len(found) >= cap
@@ -500,7 +572,7 @@ def test_frame_search_matches_vector_arithmetic_reference(
     source = search_source(lat, src, block_of_class_table(lat, partition))
     for j, k in ((0, 0), (1, 0), (2, 5)):
         tgt = frame_reps(lat, frame_array.rows[j][k])
-        found = isometries_between_frames(lat, source, tgt, spread_index, cap=48)
+        found = isometries_between_frames(lat, source, tgt, cap=48)
         assert len(found) == 48
         assert found == _reference_isometries(lat, src, tgt, block_of_vector, spread_index, 48)
 

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from operator import add, itemgetter, mul
+from functools import reduce
+from operator import add, itemgetter, mul, xor
 
 import pytest
 
 from e8nine import blocks as bl
 from e8nine import cli, gf2
-from e8nine.autgroup import _apply_mod2, matrix_mod2_rows
+from e8nine.autgroup import matrix_mod2_rows
 from e8nine.blocks import (
     Norm4Partition,
     block_of_class_table,
@@ -550,8 +551,12 @@ def test_pipeline_on_a_congruent_gram_maps_onto_a_verified_partition(lat, ft, la
     assert verify_partition(lat, mapped).passed
     recovered = spread_from_partition(ft, mapped, labels)
     u2 = matrix_mod2_rows(u)
+
+    def image_mod2(bits):
+        return reduce(xor, (u2[i] for i in range(8) if bits >> i & 1), 0)
+
     assert recovered.spaces == tuple(
-        F2Subspace(rows=rref([_apply_mod2(u2, r) for r in s.rows])) for s in state.spread.spaces
+        F2Subspace(rows=rref([image_mod2(r) for r in s.rows])) for s in state.spread.spaces
     )
 
 

@@ -64,11 +64,11 @@ def test_partition_round_trip(partition):
 
 
 def test_generators_round_trip(stab_result):
-    isos = list(stab_result.isometries)
+    matrices = list(stab_result.isometries)
     bps = list(stab_result.block_perms)
-    text = serial.serialize_generators(isos, bps)
-    parsed_isos, parsed_bps = serial.parse_generators(text)
-    assert parsed_isos == isos
+    text = serial.serialize_generators(matrices, bps)
+    parsed_matrices, parsed_bps = serial.parse_generators(text)
+    assert parsed_matrices == matrices
     assert parsed_bps == bps
 
 
@@ -245,6 +245,69 @@ def test_malformed_artifact_is_a_parse_error(pipeline_state, tmp_path, capsys, n
     assert err.startswith("parse error: ") and "Traceback" not in err
 
 
+def _swap_rows_of_gen0(text):
+    lines = text.splitlines()
+    i = lines.index(_first_line(text, "gen 0 ")) + 1
+    e = lines[i].split()
+    lines[i] = " ".join(e[8:16] + e[:8] + e[16:])
+    return "\n".join(lines) + "\n"
+
+
+def _root_reflection_as_gen1(text):
+    from e8nine.lattice import build_lattice, enumerate_shell
+
+    lat = build_lattice()
+    r = enumerate_shell(lat, 2)[0]
+    g_r = [sum(lat.gram[i][j] * r[j] for j in range(8)) for i in range(8)]
+    m = [(1 if i == j else 0) - g_r[i] * r[j] for i in range(8) for j in range(8)]
+    lines = text.splitlines()
+    i = lines.index(_first_line(text, "gen 1 ")) + 1
+    lines[i] = " ".join(str(x) for x in m)
+    return "\n".join(lines) + "\n"
+
+
+def _swap_blocks_of_gen0(text):
+    line = _first_line(text, "gen 0 ")
+    head, bp = line.split()[:3], line.split()[3:]
+    bp[0], bp[1] = bp[1], bp[0]
+    return text.replace(line, " ".join(head + bp))
+
+
+# (how to corrupt generators.txt, the failure verify must name): the file
+# still parses, so each edit is a semantic failure, exit 1. Generator 0 is -1,
+# which fixes every block.
+BAD_GENERATORS = [
+    (_swap_rows_of_gen0, "generator 0 preserves Gram (expected True, got False)"),
+    (
+        _root_reflection_as_gen1,
+        "generator 1 induces its block permutation (expected {gen1}, got None)",
+    ),
+    (
+        _swap_blocks_of_gen0,
+        "generator 0 induces its block permutation"
+        " (expected (1, 0, 2, 3, 4, 5, 6, 7, 8), got (0, 1, 2, 3, 4, 5, 6, 7, 8))",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "corrupt, failure", BAD_GENERATORS, ids=["rows-swapped", "root-reflection", "blocks-swapped"]
+)
+def test_verify_rejects_bad_generator(pipeline_state, tmp_path, capsys, corrupt, failure):
+    out = str(tmp_path / "generators")
+    cli.write_artifacts(pipeline_state, out)
+    path = os.path.join(out, "generators.txt")
+    text = open(path).read()
+    bad = corrupt(text)
+    assert bad != text
+    with open(path, "w") as fh:
+        fh.write(bad)
+    capsys.readouterr()
+    assert cli.main(["verify", os.path.join(out, "spread.txt"), path]) == 1
+    gen1 = pipeline_state.stab.block_perms[1]
+    assert capsys.readouterr().err == "FAIL: generators: %s\n" % failure.format(gen1=gen1)
+
+
 def test_verify_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     data = random.Random(8).randbytes(1024)
     with pytest.raises(UnicodeDecodeError):
@@ -341,6 +404,19 @@ def test_certify_json_lists_every_stage_in_table_order(tmp_path, capsys):
     assert all(c["passed"] and c["wall_time_ms"] >= 0 for c in payload)
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["existing-file", "below-a-file"])
+def test_out_naming_a_file_is_an_output_error(tmp_path, capsys, sub):
+    existing = tmp_path / "file"
+    existing.write_text("kept\n")
+    out = os.path.join(str(existing), sub) if sub else str(existing)
+    assert cli.main(["certify", "--out", out]) == 2
+    captured = capsys.readouterr()
+    # No stage ran: nothing on stdout, one line on stderr.
+    assert captured.out == ""
+    assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
+    assert existing.read_text() == "kept\n"
+
+
 def test_stage_failure_writes_marker(tmp_path, monkeypatch, capsys):
     from e8nine.certs import Check, CheckFailure
 
@@ -393,7 +469,10 @@ def test_bad_block_permutation_fails_group_stage(tmp_path, monkeypatch, capsys):
     assert cli.main(["certify", "--out", out]) == 1
     first, second = open(os.path.join(out, "FAILED")).read().splitlines()
     assert first == "failed at stage: group"
-    assert second == "block-action: generator 0 image of block 0 (expected 1, got 0)"
+    assert second == (
+        "block-action: generator 0 block permutation"
+        " (expected (1, 0, 2, 3, 4, 5, 6, 7, 8), got (0, 1, 2, 3, 4, 5, 6, 7, 8))"
+    )
     assert "FAIL: " + second in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "generators.txt"))
 
