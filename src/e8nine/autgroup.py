@@ -7,8 +7,9 @@ orthogonality. The search prunes on two exact conditions long before the map
 is complete: a root supported on four frame members must land on a root
 (equivalently, supported 4-subsets map to supported 4-subsets), and every
 determined norm-4 vector must stay inside a consistent matching of the nine
-blocks. Survivors are tested for integrality on the lattice and for mapping
-the nine blocks onto themselves.
+blocks. Survivors are tested for integrality on the lattice; the block
+matching built by the search is then the map's block permutation, and
+`block_action` checks it, with the Gram, for every admitted generator.
 
 Both prunes run in frame coordinates and form no vectors. A frame is
 orthonormal at half scale (SPLAG ch. 4): a root rho outside it has doubled
@@ -47,6 +48,9 @@ from .permgroup import (
 STABILIZER_ORDER = 362880
 BLOCK_IMAGE_ORDER = 181440  # |A9|
 ONE_BLOCK_IMAGE_ORDER = 20160  # |A8| = |L4(2)|
+# Maps taken from each target frame: every run measured needed at most three
+# targets at this cap (classes A and B, and congruent Grams of both).
+MAPS_PER_TARGET = 12
 
 
 # -1 on row coordinate vectors: it fixes every block and every mod-2 class.
@@ -60,10 +64,6 @@ class BlockAction:
     image_order: int
     kernel_order: int
     all_even: bool
-
-
-class GenerationIncomplete(RuntimeError):
-    pass
 
 
 def is_gram_isometry(lat: Lattice, m: Mat) -> bool:
@@ -249,6 +249,12 @@ def search_source(
             blocks = tuple(class_block[slot_class[k] ^ c] for c in by_mask)
             probes[max(positions[-1], k)].append((k, positions, blocks))
 
+    # Every source block is matched by the seed or by a probe, so the block
+    # matching of every complete slot map is a full permutation.
+    seed_block = class_block[reduce_mod2(src_reps[0]) ^ reduce_mod2(src_reps[1])]
+    fixed = {seed_block}.union(b for level in probes for _, _, blocks in level for b in blocks)
+    CertBuilder("frame-search").check("source blocks the probes fix", 9, len(fixed))
+
     r_mat: Mat = tuple(src_reps[i] for i in order)
     return SearchSource(
         r_adj=adjugate(r_mat),
@@ -256,7 +262,7 @@ def search_source(
         new_subsets=tuple(map(tuple, new_subsets)),
         probes=tuple(map(tuple, probes)),
         class_block=class_block,
-        seed_block=class_block[reduce_mod2(src_reps[0]) ^ reduce_mod2(src_reps[1])],
+        seed_block=seed_block,
     )
 
 
@@ -274,8 +280,9 @@ def isometries_between_frames(
     goes to the target root on (pi(p0), .., pi(p3)) with sign mask m ^ m_e,
     where bit j of m_e says e_pj = -1; the probe vector r_k + rho goes to
     e_k t_pi(k) + rho', whose block is class_block[cls(t_pi(k)) ^ cls(rho')].
-    So a probe reads two tables and never forms a vector. Survivors are
-    checked for integrality, Gram and block permutation in `finalize`.
+    So a probe reads two tables and never forms a vector. `finalize` keeps
+    each integral survivor with tau, a full permutation since the probes fix
+    every source block (`search_source`), as its block permutation.
     """
     tgt_supports, tgt_class_of = _frame_supports(lat, tgt_reps)
     rows = _support_rows(tgt_supports, tgt_class_of)
@@ -303,13 +310,7 @@ def isometries_between_frames(
         num = mat_mul(r_adj, u_mat)
         if any(x % r_det for row in num for x in row):
             return
-        m = tuple(tuple(x // r_det for x in row) for row in num)
-        if not is_gram_isometry(lat, m):
-            return
-        bp = block_perm(class_block, m)
-        if bp is None:
-            return
-        found.append((m, bp))
+        found.append((tuple(tuple(x // r_det for x in row) for row in num), tuple(tau)))
         if len(found) >= cap:
             raise _Done
 
@@ -405,11 +406,12 @@ def compute_stabilizer(
 
     Negation is always included (it fixes every block). Each candidate joins
     the stabilizer chain as its block permutation followed by its (faithful)
-    permutation of the 240 roots. Targets and per-target caps escalate until
-    the chain certifies order 362880; running out of targets raises
-    GenerationIncomplete. `class_block` is the certified table of
-    `blocks.block_of_class_table`, which the search reads for the block of a
-    norm-4 vector and for each candidate's block permutation.
+    permutation of the 240 roots. One pass takes up to MAPS_PER_TARGET maps
+    from each target in turn and stops once the chain certifies order 362880;
+    a pass that ends below it returns the partial chain, which the group
+    stage's "group order" check rejects. `class_block` is the certified
+    table of `blocks.block_of_class_table`, which the search reads for the
+    block of a norm-4 vector.
     """
     source = search_source(lat, frame_reps(lat, arr.rows[0][0]), class_block)
     roots = enumerate_shell(lat, 2)
@@ -425,22 +427,18 @@ def compute_stabilizer(
             block_perms.append(bp)
 
     admit(NEGATION, identity_perm(9))
-
-    for cap in (12, 48, 2688):
-        for (j, k) in _target_schedule():
-            if chain.order() == STABILIZER_ORDER:
-                break
-            tgt_reps = frame_reps(lat, arr.rows[j][k])
-            for m, bp in isometries_between_frames(lat, source, tgt_reps, cap):
-                admit(m, bp)
-                if chain.order() == STABILIZER_ORDER:
-                    break
+    # A target is searched only when the maps before it fell short.
+    candidates = (
+        found
+        for j, k in _target_schedule()
+        for found in isometries_between_frames(
+            lat, source, frame_reps(lat, arr.rows[j][k]), MAPS_PER_TARGET
+        )
+    )
+    for m, bp in candidates:
+        admit(m, bp)
         if chain.order() == STABILIZER_ORDER:
             break
-    if chain.order() != STABILIZER_ORDER:
-        raise GenerationIncomplete(
-            "generation incomplete: reached order %d" % chain.order()
-        )
     return StabilizerResult(
         isometries=tuple(isometries), block_perms=tuple(block_perms), chain=chain
     )
@@ -453,8 +451,10 @@ def block_action(
 ) -> BlockAction:
     """Induced 9-point action: image A9 (order, evenness), kernel {+-1}.
 
-    Each generator M must map every block onto the block its permutation bp
-    claims, checked mod 2 on the 135 classes by `block_perm`:
+    The search tests its maps only for integrality, so this is where each
+    generator M is checked to preserve the Gram and to map every block onto
+    the block its permutation bp claims, mod 2 on the 135 classes by
+    `block_perm`:
     class_block[c (M mod 2)] == bp[class_block[c]]. That is exact once
     `blocks.block_of_class_table` has certified the table: M preserves
     the Gram (checked), so it maps a norm-4 vector v of block b to a norm-4

@@ -336,24 +336,29 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     lat = build_lattice()
     ft = gf2.build_forms(lat)
+    readers = {
+        serial.SPREAD_HEADER: ("spread", serial.parse_spread),
+        serial.FRAMES_HEADER: ("frames", serial.parse_frames),
+        serial.PARTITION_HEADER: ("partition", serial.parse_partition),
+        serial.GENERATORS_HEADER: ("generators", serial.parse_generators),
+        serial.CERTIFICATES_HEADER: ("certificates", None),  # a log, nothing to re-verify
+    }
     parsed: dict[str, object] = {}
+    path_of: dict[str, str] = {}
     try:
         for path in args.files:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
             header = text.splitlines()[0].strip() if text.strip() else ""
-            if header == serial.SPREAD_HEADER:
-                parsed["spread"] = serial.parse_spread(text)
-            elif header == serial.FRAMES_HEADER:
-                parsed["frames"] = serial.parse_frames(text)
-            elif header == serial.PARTITION_HEADER:
-                parsed["partition"] = serial.parse_partition(text)
-            elif header == serial.GENERATORS_HEADER:
-                parsed["generators"] = serial.parse_generators(text)
-            elif header == serial.CERTIFICATES_HEADER:
-                pass  # human-readable log, nothing to re-verify
-            else:
+            if header not in readers:
                 raise serial.ParseError("unrecognized header in %s" % path)
+            kind, parse = readers[header]
+            # One file per kind: a second would silently replace the first.
+            if kind in path_of:
+                raise serial.ParseError("two %s files: %s and %s" % (kind, path_of[kind], path))
+            path_of[kind] = path
+            if parse is not None:
+                parsed[kind] = parse(text)
     except (OSError, UnicodeDecodeError, serial.ParseError, ArithmeticError) as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2

@@ -142,15 +142,10 @@ class PairTables(NamedTuple):
     gram: Mat  # the root-pair Gram T: T[a][b] = r_a . r_b
     # each norm-4 vector v -> (s_a, a, s_b, b) with v = s_a r_a + s_b r_b
     decomposition: dict[Vec, tuple[int, int, int, int]]
-    # combinations[a][b]: the four vectors of the orthogonal pair a < b, in
-    # `_signed_sums` order; one dict per a, keyed by its orthogonal mates b > a
+    # combinations[a][b]: the four vectors r_a + r_b, r_a - r_b, -r_a + r_b,
+    # -r_a - r_b of the orthogonal pair a < b; one dict per a, keyed by its
+    # orthogonal mates b > a
     combinations: tuple[dict[int, tuple[Vec, Vec, Vec, Vec]], ...]
-
-
-def _signed_sums(ra: Vec, rb: Vec) -> tuple[Vec, Vec, Vec, Vec]:
-    """ra + rb, ra - rb, -ra + rb, -ra - rb."""
-    plus, minus = tuple(map(add, ra, rb)), tuple(map(sub, ra, rb))
-    return plus, minus, tuple(map(neg, minus)), tuple(map(neg, plus))
 
 
 @lru_cache(maxsize=None)
@@ -160,8 +155,9 @@ def pair_tables(gram: Mat) -> PairTables:
     The only place where root-pair inner products are computed: the frame
     checks, the pair census and the glue certificates all read T. T[a][b] =
     r_a . r_b lies in {0, +-1, +-2}. Each orthogonal pair a < b (T[a][b] == 0)
-    gives the four norm-4 vectors +-r_a +-r_b, kept in `combinations`; every
-    norm-4 vector arises this way, and the first pair met is kept in
+    gives the four norm-4 vectors +-r_a +-r_b, kept in `combinations`; no
+    other pair gives one (|+-r_a +-r_b|^2 = 4 +-2 T[a][b]). Every norm-4
+    vector arises this way, and the first pair met is kept in
     `decomposition` as (s_a, a, s_b, b) with v = s_a r_a + s_b r_b. The
     tables are cached per Gram matrix, so a congruent Gram gets its own.
     """
@@ -186,7 +182,7 @@ def pair_tables(gram: Mat) -> PairTables:
             if row[b] == 0:
                 plus, nplus = signed[tuple(map(add, ra, reps[b]))]
                 minus, nminus = signed[tuple(map(sub, ra, reps[b]))]
-                mates[b] = (plus, minus, nminus, nplus)  # `_signed_sums` order
+                mates[b] = (plus, minus, nminus, nplus)
                 # A vector and its negative go in together, at the first pair met.
                 if plus not in decomposition:
                     decomposition[plus], decomposition[nplus] = (1, a, 1, b), (-1, a, -1, b)
@@ -201,21 +197,15 @@ def frame_reps(lat: Lattice, frame: Frame) -> list[Vec]:
 
 
 def frame_combinations(lat: Lattice, frame: Frame) -> list[Vec]:
-    """The 112 signed vectors +-ra +-rb of one frame, four per pair a < b.
+    """The 112 norm-4 vectors +-ra +-rb of one frame, four per pair a < b.
 
-    The four vectors of an orthogonal pair are read from `pair_tables`. A
-    pair missing from that table (not orthogonal, or ids out of order in a
-    corrupted frame) is added up here, in the same order.
+    They are read from `pair_tables`, keyed by the frame's id order, which is
+    sorted (`Frame.roots`; `serial.parse_frames` rejects any other). A pair
+    missing from the table is not orthogonal and adds no vector:
+    +-ra +-rb has norm 4 only when ra . rb = 0.
     """
     table = pair_tables(lat.gram).combinations
-    out: list[Vec] = []
-    for a, b in itertools.combinations(frame.roots, 2):
-        four = table[a].get(b)
-        if four is None:
-            pairs = root_pairs(lat)
-            four = _signed_sums(pairs[a].rep, pairs[b].rep)
-        out.extend(four)
-    return out
+    return [v for a, b in itertools.combinations(frame.roots, 2) for v in table[a].get(b, ())]
 
 
 def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -> FrameArray:

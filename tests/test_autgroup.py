@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import random
 
+from e8nine import autgroup as ag
 from e8nine import cli
 from e8nine.autgroup import (
     _frame_supports,
     _greedy_slot_order,
     _target_schedule,
     BLOCK_IMAGE_ORDER,
+    MAPS_PER_TARGET,
     NEGATION,
     ONE_BLOCK_IMAGE_ORDER,
     STABILIZER_ORDER,
@@ -27,7 +29,7 @@ from e8nine.autgroup import (
 from e8nine.blocks import block_of_class_table
 from e8nine.certs import CheckFailure
 from e8nine.frames import frame_reps
-from e8nine.gf2 import F2Subspace, nonzero_elements, reduce_mod2, rref
+from e8nine.gf2 import F2Subspace, SpaceClass, nonzero_elements, reduce_mod2, rref
 from e8nine.intmat import Mat, adjugate, det, identity as identity_matrix, mat_mul, transpose
 from e8nine.lattice import enumerate_shell, inner
 from e8nine.permgroup import identity_perm, mult, schreier_sims
@@ -425,10 +427,13 @@ def test_frame_search_is_deterministic(lat, frame_array, partition):
         assert bp[0] == 2
 
 
-def test_frame_search_checks_blocks_the_probes_never_read(lat, frame_array, class_block):
+def test_frame_search_checks_blocks_the_probes_never_read(lat, frame_array, class_block, stab_result):
     # The probes read the blocks of 112 of the 135 classes. Swapping the blocks
-    # of two classes they never read leaves the DFS as it is, so only the
-    # block permutation in finalize, read on all 135 classes, sees the swap.
+    # of two classes they never read leaves the search as it is: it finds the
+    # same maps with the same block matchings. Only block_action, which reads
+    # all 135 classes, sees the swap.
+    import pytest
+
     src = frame_reps(lat, frame_array.rows[0][0])
     supports, class_of = _frame_supports(lat, src)
     probed = {
@@ -447,8 +452,74 @@ def test_frame_search_checks_blocks_the_probes_never_read(lat, frame_array, clas
     swapped[c1], swapped[c2] = class_block[c2], class_block[c1]
     found = isometries_between_frames(lat, search_source(lat, src, class_block), src, cap=48)
     found_swapped = isometries_between_frames(lat, search_source(lat, src, swapped), src, cap=48)
-    assert found_swapped != found
-    assert all(block_perm(swapped, m) == bp for m, bp in found_swapped)
+    assert found_swapped == found
+    assert all(block_perm(class_block, m) == bp for m, bp in found)
+    # Generator 1 is a map of this same search (f0 -> f0 is the first target),
+    # so block_action on the swapped table rejects it by name. The group stage
+    # run on the swapped table would search 31 more targets, which find no
+    # map, before it got there.
+    assert stab_result.isometries[1] in [m for m, _ in found[:MAPS_PER_TARGET]]
+    with pytest.raises(CheckFailure) as exc:
+        block_action(lat, stab_result, swapped)
+    assert str(exc.value) == (
+        "block-action: generator 1 block permutation (expected %r, got None)"
+        % (stab_result.block_perms[1],)
+    )
+
+
+def test_search_source_requires_every_block_fixed(lat, frame_array, class_block):
+    # With block 2 relabelled as block 1, no seed or probe reads block 2, so a
+    # complete slot map would leave its block matching partial.
+    import pytest
+
+    src = frame_reps(lat, frame_array.rows[0][0])
+    merged = {c: 1 if b == 2 else b for c, b in class_block.items()}
+    with pytest.raises(CheckFailure) as exc:
+        search_source(lat, src, merged)
+    assert str(exc.value) == "frame-search: source blocks the probes fix (expected 9, got 8)"
+
+
+def test_group_stage_names_an_incomplete_search(lat, spread, frame_array, partition, monkeypatch):
+    # One target frame at 12 maps does not generate the group; the stage's
+    # order check, not a traceback, reports it.
+    import pytest
+
+    monkeypatch.setattr(ag, "_target_schedule", lambda: [(0, 0)])
+    state = cli.PipelineState(lat=lat, spread=spread, arr=frame_array, partition=partition)
+    with pytest.raises(CheckFailure) as exc:
+        cli.stage_group(state)
+    assert str(exc.value) == "stabilizer-group: group order (expected 362880, got 24)"
+
+
+# A unimodular basis change whose congruent Gram (largest entry 16) needs a
+# third target frame at 12 maps per target, on class A.
+_U_THREE_TARGETS = (
+    (0, 0, 0, -1, -1, 0, 0, -1),
+    (1, 0, 0, 0, -1, 0, -1, -2),
+    (0, 0, -1, -1, -2, 1, 0, -1),
+    (0, 1, 0, -1, -1, 1, 1, 0),
+    (-1, 1, -1, 1, 2, -1, -1, -1),
+    (0, 0, 1, 0, 0, 0, 0, 1),
+    (0, -1, -1, 0, 0, -1, -1, -1),
+    (1, -1, 1, 0, -1, 0, 0, 0),
+)
+
+
+def test_single_pass_reaches_a_third_target(lat, monkeypatch):
+    gram = mat_mul(mat_mul(_U_THREE_TARGETS, lat.gram), transpose(_U_THREE_TARGETS))
+    calls = []
+    search = ag.isometries_between_frames
+
+    def counted(*args):
+        found = search(*args)
+        calls.append(len(found))
+        return found
+
+    monkeypatch.setattr(ag, "isometries_between_frames", counted)
+    state = cli.run_pipeline(SpaceClass.CLASS_A, gram_override=gram)
+    assert calls == [MAPS_PER_TARGET] * 3
+    assert state.stab.chain.order() == STABILIZER_ORDER
+    assert all(c.passed for c in state.certificates)
 
 
 def test_matrix_mod2_rows():

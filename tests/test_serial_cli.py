@@ -150,6 +150,24 @@ def test_verify_rejects_flipped_spread_class_label(pipeline_state, tmp_path, cap
     assert "spread-class: PASS" in capsys.readouterr().out.splitlines()
 
 
+def test_verify_rejects_two_files_of_one_kind(pipeline_state, tmp_path, capsys):
+    # A second spread would replace the first: in one order the bad label went
+    # unchecked and verify passed, in the other it failed.
+    out = str(tmp_path / "two")
+    cli.write_artifacts(pipeline_state, out)
+    good = os.path.join(out, "spread.txt")
+    bad = os.path.join(out, "bad_spread.txt")
+    with open(bad, "w") as fh:
+        fh.write(open(good).read().replace("class A\n", "class B\n"))
+    assert cli.main(["verify", bad]) == 1
+    for first, second in ((bad, good), (good, bad)):
+        capsys.readouterr()
+        assert cli.main(["verify", first, second]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: two spread files: %s and %s\n" % (first, second)
+
+
 def test_verify_rejects_frame_ids_out_of_order(mixed_frame_array, tmp_path, capsys):
     text = serial.serialize_frames(mixed_frame_array)
     lines = text.splitlines()
