@@ -35,9 +35,16 @@ combinations are exactly the vectors with d = +-2e_i +-2e_j.
 The glue certificate tests those shapes on exact integer codes: d is encoded
 as sum_i d_i 16^i, which is linear, so the code of s_a r_a + s_b r_b is
 s_a E[a] + s_b E[b] with one code E[a] per root pair and frame, and
-injective, because a norm-4 vector has every |d_i| <= 4 < 8. A vector
-without a decomposition (off the norm-4 shell) and a code of neither shape
-fall back to the tuple d read from the frame's rows r_i G.
+injective, because a norm-4 vector has every |d_i| <= 4 < 8. Both shapes
+have |v|^2 = sum_i d_i^2 / 2 = 4: no vector off the shell has either.
+
+Over the other 14 frames of a row the presentation follows by index 2. Let
+L_j, the half-scale E8 spanned by block j, have the block as its 240 roots
+(`certify_scaled_e8`), and let frame f of row j have Gram 2I (frames stage)
+and its 112 combinations in the block (`frames_outside_blocks`). Their span
+D8_f has index 2 in L_j (determinants 4 and 1); L_j is even, so the other
+coset is not D8_f + e_1 but one of {+-1/2}^8 vectors of one sign parity:
+the block's other 128 vectors, all that `certify_d8_glue` checks over f.
 """
 
 from __future__ import annotations
@@ -93,19 +100,20 @@ def doubled_frame_coordinates(lat: Lattice, reps: list[Vec]) -> Mat:
 
 
 TWO_I: Mat = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
-# Doubled frame coordinates +-2e_i +-2e_j (i < j) of the 112 frame combinations.
-COMBINATION_SHAPES = frozenset(
-    tuple(sa * 2 * (k == i) + sb * 2 * (k == j) for k in range(8))
+# Doubled frame coordinates d with every |d_i| <= 7 as the integer code
+# sum_i d_i 16^i: linear in d, and injective on that range (balanced base 16).
+# The codes of d = +-2e_i +-2e_j (i < j), the 112 frame combinations, and of
+# d in {+-1}^8, the glue vectors, with the parity of their minus signs.
+DIGIT_WEIGHTS = tuple(16**i for i in range(8))
+COMBINATION_CODES = frozenset(
+    2 * (sa * DIGIT_WEIGHTS[i] + sb * DIGIT_WEIGHTS[j])
     for i, j in itertools.combinations(range(8), 2)
     for sa in (1, -1)
     for sb in (1, -1)
 )
-GLUE_SHAPES = frozenset(itertools.product((1, -1), repeat=8))
-# Doubled frame coordinates d with every |d_i| <= 7 as the integer code
-# sum_i d_i 16^i: linear in d, and injective on that range (balanced base 16).
-DIGIT_WEIGHTS = tuple(16**i for i in range(8))
-COMBINATION_CODES = frozenset(sum(map(mul, d, DIGIT_WEIGHTS)) for d in COMBINATION_SHAPES)
-GLUE_PARITY = {sum(map(mul, d, DIGIT_WEIGHTS)): d.count(-1) % 2 for d in GLUE_SHAPES}
+GLUE_PARITY = {
+    sum(map(mul, d, DIGIT_WEIGHTS)): d.count(-1) % 2 for d in itertools.product((1, -1), repeat=8)
+}
 
 
 def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificate:
@@ -116,7 +124,6 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
     `doubled_frame_coordinates`, their 112 combinations are the minimal
     vectors of D8 = {c in Z^8 : sum(c) even}. Of the block's other vectors:
 
-    - none lies in D8 (d all even with sum(d) = 0 mod 4);
     - each has d in {+-1}^8, so c in {+-1/2}^8 and halved norm 2, and it lies
       in a coset D8 + g with g in (1/2 + Z)^8, making D8 + (D8 + g) = E8;
     - all have the parity of minus signs of the first, so any two differ by
@@ -126,23 +133,11 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
     The frame's 112 combinations and 128 glue vectors then make up the
     block's 240 distinct vectors (counted by `certify_scaled_e8`).
 
-    The frame Gram is the root-pair Gram T of `frames.pair_tables` at the
-    frame. Once it is 2I the eight r_i are a basis of the rational span and
-    v = sum_i (d_i / 2) r_i, so v -> d is injective: v is one of the frame's
-    combinations +-r_i +-r_j exactly when d = +-2e_i +-2e_j. That shape test
-    replaces a set of the 112 combinations.
-
-    The shapes are tested on integer codes, not on tuples. With
-    v = s_a r_a + s_b r_b from the decomposition table, d_i = v . r_i =
-    s_a T[a][i] + s_b T[b][i] by bilinearity, so the code of d is
-    s_a E[a] + s_b E[b], where E[a] = sum_i T[a][i] 16^i is read from the
-    frame's eight rows of T (T is symmetric). The code is exact: it is linear
-    in d, and injective because every |d_i| <= |T[a][i]| + |T[b][i]| <= 4 < 8.
-    So a code is in the 112 combination codes or the 256 glue codes exactly
-    when d has that shape. Two cases take the tuple path instead, with d
-    read from the frame's rows r_i G: a vector without a decomposition (off
-    the norm-4 shell, so |d_i| may exceed 7), and a code of neither shape,
-    whose d the failed checks report on.
+    Each vector v = s_a r_a + s_b r_b is classified by the code
+    s_a E[a] + s_b E[b] of its d (module docstring), E[a] = sum_i T[a][i] 16^i
+    read from the frame's rows of the symmetric root-pair Gram T. A vector
+    without a decomposition or with a code of neither shape fails the +-1/2
+    check; so do the vectors of D8 other than its 112 minimal ones.
     """
     tables = pair_tables(lat.gram)
     at_frame = itemgetter(*frame.roots)
@@ -151,26 +146,19 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
     cb.check("frame orthonormal at half scale", TWO_I, tuple(map(at_frame, t_rows)))
     codes = [sum(map(mul, col, DIGIT_WEIGHTS)) for col in zip(*t_rows)]  # E[a]
     glue = []  # (v, parity of minus signs) of each vector with d in {+-1}^8
-    other = []  # (v, d) of each vector of neither shape
+    other = []  # each vector of neither shape
     for v, dec in zip(block.vectors, map(tables.decomposition.get, block.vectors)):
-        if dec is not None:
-            sa, a, sb, b = dec
-            code = sa * codes[a] + sb * codes[b]
-            if code in COMBINATION_CODES:
-                continue
-            if code in GLUE_PARITY:
-                glue.append((v, GLUE_PARITY[code]))
-                continue
-        d = tuple(sum(map(mul, v, tables.rows[i])) for i in frame.roots)
-        if d in GLUE_SHAPES:
-            glue.append((v, d.count(-1) % 2))
-        elif d not in COMBINATION_SHAPES:
-            other.append((v, d))
+        if dec is None:
+            other.append(v)
+            continue
+        sa, a, sb, b = dec
+        code = sa * codes[a] + sb * codes[b]
+        if code in GLUE_PARITY:
+            glue.append((v, GLUE_PARITY[code]))
+        elif code not in COMBINATION_CODES:
+            other.append(v)
     cb.check("remaining vector count", 128, len(glue) + len(other))
-    # A glue shape has odd entries, so only the other vectors need the test.
-    inside = [v for v, d in other if all(x % 2 == 0 for x in d) and sum(d) % 4 == 0]
-    cb.check("remaining vectors outside D8", [], inside)
-    cb.check("remaining frame coordinates all +-1/2", [], [v for v, _ in other])
+    cb.check("remaining frame coordinates all +-1/2", [], other)
     # Every remaining vector is a glue vector now, so glue[0] is the first.
     parity = glue[0][1]
     other_coset = [v for v, p in glue if p != parity]
@@ -241,6 +229,19 @@ def build_partition(lat: Lattice, arr: FrameArray) -> Norm4Partition:
     `verify_partition` certifies them, as it certifies a parsed partition.
     """
     return Norm4Partition(blocks=tuple(row_to_block(lat, r, i) for i, r in enumerate(arr.rows)))
+
+
+def frames_outside_blocks(lat: Lattice, arr: FrameArray, p: Norm4Partition) -> list[tuple[int, int]]:
+    """The source of each frame with a combination outside its row's block.
+
+    An empty list is the index-2 premise that gives each block its
+    D8-plus-glue presentation over all 15 frames of its row (module docstring).
+    """
+    outside = []
+    for row, b in zip(arr.rows, p.blocks):
+        vset = set(b.vectors)
+        outside += [f.source for f in row if not vset.issuperset(frame_combinations(lat, f))]
+    return outside
 
 
 def block_of_class_table(lat: Lattice, p: Norm4Partition) -> dict[int, int]:

@@ -138,7 +138,6 @@ def frame_from_3space(
 class PairTables(NamedTuple):
     """The root-pair tables of one Gram matrix (`pair_tables`)."""
 
-    rows: Mat  # r_a G for each root pair a
     gram: Mat  # the root-pair Gram T: T[a][b] = r_a . r_b
     # each norm-4 vector v -> (s_a, a, s_b, b) with v = s_a r_a + s_b r_b
     decomposition: dict[Vec, tuple[int, int, int, int]]
@@ -150,7 +149,7 @@ class PairTables(NamedTuple):
 
 @lru_cache(maxsize=None)
 def pair_tables(gram: Mat) -> PairTables:
-    """The rows r_a G, the root-pair Gram T, and the norm-4 vectors of each pair.
+    """The root-pair Gram T and the norm-4 vectors of each pair.
 
     The only place where root-pair inner products are computed: the frame
     checks, the pair census and the glue certificates all read T. T[a][b] =
@@ -163,10 +162,9 @@ def pair_tables(gram: Mat) -> PairTables:
     """
     lat = Lattice(gram=gram)
     reps = [p.rep for p in root_pairs(lat)]
-    rg = tuple(row_times_mat(r, gram) for r in reps)
     # The Gram is symmetric, so T is: each product is taken once, for a <= b.
     t = [[0] * len(reps) for _ in reps]
-    for a, ga in enumerate(rg):
+    for a, ga in enumerate(row_times_mat(r, gram) for r in reps):
         for b in range(a, len(reps)):
             t[a][b] = t[b][a] = sum(map(mul, ga, reps[b]))
     pair_gram = tuple(map(tuple, t))
@@ -188,7 +186,7 @@ def pair_tables(gram: Mat) -> PairTables:
                     decomposition[plus], decomposition[nplus] = (1, a, 1, b), (-1, a, -1, b)
                 if minus not in decomposition:
                     decomposition[minus], decomposition[nminus] = (1, a, -1, b), (-1, a, 1, b)
-    return PairTables(rg, pair_gram, decomposition, combinations)
+    return PairTables(pair_gram, decomposition, combinations)
 
 
 def frame_reps(lat: Lattice, frame: Frame) -> list[Vec]:

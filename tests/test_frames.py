@@ -199,7 +199,6 @@ def test_gram_rows_give_every_inner_product(lat):
         other = Lattice(gram=gram)
         reps = [p.rep for p in root_pairs(other)]
         tables = pair_tables(gram)
-        assert tables.rows == tuple(row_times_mat(r, gram) for r in reps)
         for a, b in itertools.product(range(120), repeat=2):
             assert tables.gram[a][b] == inner(other, reps[a], reps[b])
 

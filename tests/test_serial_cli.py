@@ -150,6 +150,34 @@ def test_verify_rejects_flipped_spread_class_label(pipeline_state, tmp_path, cap
     assert "spread-class: PASS" in capsys.readouterr().out.splitlines()
 
 
+def test_verify_rejects_frames_that_do_not_match_the_partition(pipeline_state, tmp_path, capsys):
+    # Rows 0 and 1 of frames.txt trade their frames: each file alone passes,
+    # but every frame of those rows now has its combinations in the other
+    # row's block.
+    out = str(tmp_path / "rows")
+    cli.write_artifacts(pipeline_state, out)
+    frames, partition = os.path.join(out, "frames.txt"), os.path.join(out, "partition.txt")
+    capsys.readouterr()
+    assert cli.main(["verify", frames, partition]) == 0
+    assert "partition-vs-frames: PASS" in capsys.readouterr().out.splitlines()
+    lines = open(frames).read().splitlines()
+    i0, i1 = lines.index("row 0") + 1, lines.index("row 1") + 1
+    lines[i0 : i0 + 15], lines[i1 : i1 + 15] = lines[i1 : i1 + 15], lines[i0 : i0 + 15]
+    with open(frames, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert cli.main(["verify", frames]) == 0
+    assert cli.main(["verify", partition]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", frames, partition]) == 1
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == ["frames", "partition"]
+    sources = [(r, k) for r in (0, 1) for k in range(15)]
+    assert captured.err == (
+        "FAIL: partition-vs-frames: frames with a combination outside their row's block"
+        " (expected [], got %r)\n" % (sources,)
+    )
+
+
 def test_verify_rejects_two_files_of_one_kind(pipeline_state, tmp_path, capsys):
     # A second spread would replace the first: in one order the bad label went
     # unchecked and verify passed, in the other it failed.
