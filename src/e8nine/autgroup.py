@@ -21,24 +21,31 @@ partition the 135 isotropic points), so the probe vector w = r_k + rho lies
 in block class_block[cls(r_k) ^ cls(rho)] and its image e_k t_pi(k) + rho'
 in block class_block[cls(t_pi(k)) ^ cls(rho')]. A probe is a lookup of the
 target root's class by support and sign mask, then of its block.
+
+The group is certified on the nine blocks, with no chain over the roots:
+`block_action` proves that the kernel of the block action is {+-1}, so the
+order is twice that of the block images. `StabilizerResult` lists where each
+of the 12 certified values comes from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import mul
 
 from .blocks import doubled_frame_coordinates
 from .certs import CertBuilder
 from .frames import FrameArray, frame_reps
-from .gf2 import reduce_mod2
+from .gf2 import reduce_mod2, rref
 from .intmat import Mat, Vec, adjugate, det, mat_mul, row_times_mat, transpose
 from .lattice import Lattice, enumerate_shell
 from .permgroup import (
     Perm,
     StabChain,
     identity_perm,
+    inverse,
+    mult,
     orbit_of,
     perm_parity,
     schreier_sims,
@@ -117,16 +124,6 @@ def _image_perm(vectors: list[Vec], m: Mat, index: dict[Vec, int]) -> Perm:
 def shell4_perm(lat: Lattice, m: Mat, shell4_index: dict[Vec, int]) -> Perm:
     """The permutation the matrix induces on the canonical norm-4 shell."""
     return _image_perm(enumerate_shell(lat, 4), m, shell4_index)
-
-
-def root_perm(lat: Lattice, m: Mat, root_index: dict[Vec, int]) -> Perm:
-    """The permutation the matrix induces on the 240 sorted roots."""
-    return _image_perm(enumerate_shell(lat, 2), m, root_index)
-
-
-def extended_perm(block_perm: Perm, vec_perm: Perm) -> Perm:
-    """One permutation of blocks (points 0..8) followed by root points."""
-    return tuple(block_perm) + tuple(9 + x for x in vec_perm)
 
 
 class _Done(Exception):
@@ -364,30 +361,24 @@ def isometries_between_frames(
 
 @dataclass
 class StabilizerResult:
-    """Generator matrices, their block permutations and a stabilizer chain.
+    """Generator matrices (-1 first), their block permutations, and the
+    frame search they came from. The 12 "stabilizer-group" values come from:
 
-    The chain acts on 9 + 240 points, the nine blocks first and then the
-    roots. The action on the roots is faithful: the roots span E8, so an
-    isometry is determined by the images of eight independent roots. The
-    block points are a function of the matrix, so the extended action
-    represents exactly the same group; starting the base at the blocks keeps
-    the first fundamental orbits within nine points.
+    - image order, all even: a 9-point Schreier-Sims in `block_action`;
+    - kernel order 2: `block_action`'s argument (GF(2) endomorphisms of the
+      block spaces, -1 as generator 0, the root supports over `source`);
+    - group order: image order times kernel order;
+    - block-0 stabilizer order: group order / 9, block 0's orbit length;
+    - orders and transitivity on the other eight blocks and on the 15 points,
+      and both kernel orders: Schreier generators of the block-0 stabilizer
+      on 9 blocks + 135 points mod 2 (`one_block_stabilizer_analysis`);
+    - kernels contain negation: -1 is generator 0, fixes block 0 and is the
+      identity mod 2.
     """
 
     isometries: tuple[Mat, ...]  # matrices acting on row coordinate vectors
     block_perms: tuple[Perm, ...]  # 9-point permutation per generator
-    chain: StabChain  # over blocks (0..8) + roots (9..248)
-
-
-def negation_perm(lat: Lattice) -> Perm:
-    """-1 on the 9 + 240 point domain: it fixes every block and negates each root.
-
-    The roots span E8, so a root permutation determines its matrix: this
-    permutation stands for -1 and for no other isometry.
-    """
-    roots = enumerate_shell(lat, 2)
-    index = {v: i for i, v in enumerate(roots)}
-    return extended_perm(identity_perm(9), tuple(index[tuple(-x for x in v)] for v in roots))
+    source: SearchSource  # the search's source frame f0
 
 
 def _target_schedule() -> list[tuple[int, int]]:
@@ -402,31 +393,21 @@ def compute_stabilizer(
     arr: FrameArray,
     class_block: dict[int, int],
 ) -> StabilizerResult:
-    """Search frame-to-frame maps until the generated group has the full order.
+    """Search frame-to-frame maps until their block permutations generate A9.
 
-    Negation is always included (it fixes every block). Each candidate joins
-    the stabilizer chain as its block permutation followed by its (faithful)
-    permutation of the 240 roots. One pass takes up to MAPS_PER_TARGET maps
-    from each target in turn and stops once the chain certifies order 362880;
-    a pass that ends below it returns the partial chain, which the group
-    stage's "group order" check rejects. `class_block` is the certified
-    table of `blocks.block_of_class_table`, which the search reads for the
-    block of a norm-4 vector.
+    Generator 0 is -1. A map joins when its block permutation enlarges a
+    degree-9 chain, until that chain has order 181440. The block action's
+    kernel is {+-1} (`block_action`), so a map lies in the group generated so
+    far exactly when its block permutation lies in that group's image: a
+    faithful chain would keep the same maps. One pass takes up to
+    MAPS_PER_TARGET maps from each target in turn; a pass that ends below A9
+    returns the partial list, which the "group order" check rejects.
+    `class_block` is the certified table of `blocks.block_of_class_table`.
     """
     source = search_source(lat, frame_reps(lat, arr.rows[0][0]), class_block)
-    roots = enumerate_shell(lat, 2)
-    root_index = {v: i for i, v in enumerate(roots)}
-
-    chain = StabChain(degree=9 + len(roots), base_prefix=tuple(range(9)))
-    isometries: list[Mat] = []
-    block_perms: list[Perm] = []
-
-    def admit(m: Mat, bp: Perm) -> None:
-        if chain.add_generator(extended_perm(bp, root_perm(lat, m, root_index))):
-            isometries.append(m)
-            block_perms.append(bp)
-
-    admit(NEGATION, identity_perm(9))
+    image = StabChain(degree=9)
+    isometries: list[Mat] = [NEGATION]
+    block_perms: list[Perm] = [identity_perm(9)]
     # A target is searched only when the maps before it fell short.
     candidates = (
         found
@@ -436,12 +417,40 @@ def compute_stabilizer(
         )
     )
     for m, bp in candidates:
-        admit(m, bp)
-        if chain.order() == STABILIZER_ORDER:
-            break
+        if image.add_generator(bp):
+            isometries.append(m)
+            block_perms.append(bp)
+            if image.order() == BLOCK_IMAGE_ORDER:
+                break
     return StabilizerResult(
-        isometries=tuple(isometries), block_perms=tuple(block_perms), chain=chain
+        isometries=tuple(isometries), block_perms=tuple(block_perms), source=source
     )
+
+
+def block_endomorphism_dimension(class_block: dict[int, int]) -> int:
+    """Dimension over GF(2) of the maps X of L/2L with V_b X in V_b for all b.
+
+    V_b is the span of the classes that class_block puts in block b. Unknown
+    X[i][j] is bit 8i + j: for v in a basis of V_b and w in a basis of its
+    annihilator {w : v . w = 0 on V_b}, the equation (v X) . w = 0 sets bit
+    8i + j where v_i = w_j = 1. A spread gives 144 equations of rank 63, so
+    only 0 and the identity preserve its nine spaces.
+    """
+    equations: list[int] = []
+    for b in range(9):
+        rows = rref([c for c, cb in class_block.items() if cb == b])
+        pivots = sum(r & -r for r in rows)
+        # Rows are reduced with lowest-bit pivots: one annihilator vector per
+        # free column f.
+        annihilator = [
+            1 << f | sum(r & -r for r in rows if r >> f & 1)
+            for f in range(8)
+            if not pivots >> f & 1
+        ]
+        equations += [
+            sum(w << 8 * i for i in range(8) if v >> i & 1) for v in rows for w in annihilator
+        ]
+    return 64 - len(rref(equations))
 
 
 def block_action(
@@ -462,31 +471,37 @@ def block_action(
     in the block its class names, so v M lies in block bp[b], and M, injective,
     maps the 240 vectors of block b onto block bp[b].
 
-    The kernel order comes from the stabilizer chain itself: base points 0..8
-    are the blocks, so the product of the orbit lengths at deeper levels is
-    the order of the pointwise block stabilizer. Its strong generators must be
-    the identity or global negation on the roots. A violated condition raises
-    CheckFailure naming it.
+    The kernel is {+-1} by three checks. An isometry M fixing every block
+    preserves each span V_b mod 2; only 0 and I do (dimension 1), so M is I
+    mod 2 and sends each root r to +-r (2 roots per anisotropic class, the
+    mod-2 stage). Roots with nonzero inner product get one sign; a root on a
+    4-support over the source frame meets its four frame roots, and the
+    supports join all pairs of slots, so the spanning frame roots share one
+    sign: M = +-1. Generator 0 is -1, so the order is twice the image order.
+    A violated condition raises CheckFailure naming it.
     """
     cb = CertBuilder("block-action")
     for i, (m, bp) in enumerate(zip(result.isometries, result.block_perms)):
         cb.check("generator %d preserves Gram" % i, True, is_gram_isometry(lat, m))
         cb.check("generator %d block permutation" % i, bp, block_perm(class_block, m))
+    cb.check("generator 0 is -1", True, result.isometries[:1] == (NEGATION,))
+    cb.check(
+        "GF(2) maps preserving the nine block spaces (dimension)",
+        1,
+        block_endomorphism_dimension(class_block),
+    )
+    joined = {
+        pair
+        for level in result.source.new_subsets
+        for supp in level
+        for pair in combinations(supp, 2)
+    }
+    cb.check("source frame slot pairs sharing a root support", 28, len(joined))
     image_order, _ = schreier_sims(list(result.block_perms))
-    all_even = all(perm_parity(p) == 0 for p in result.block_perms)
-
-    chain = result.chain
-    betas = [lv.beta for lv in chain.levels[:9]]
-    cb.check("stabilizer chain starts at the nine blocks", list(range(9)), betas)
-    kernel_order = chain.stabilizer_order_below(9)
-    neg = negation_perm(lat)
-    others = set(chain.strong_generators(from_level=9)) - {identity_perm(len(neg)), neg}
-    cb.check("kernel strong generators other than +-1", 0, len(others))
-    cb.check("image order times kernel order", chain.order(), image_order * kernel_order)
     return BlockAction(
         image_order=image_order,
-        kernel_order=kernel_order,
-        all_even=all_even,
+        kernel_order=2,
+        all_even=all(perm_parity(p) == 0 for p in result.block_perms),
     )
 
 
@@ -503,57 +518,49 @@ class OneBlockReport:
     kernel_order_points: int
 
 
-def space_point_perms(lat: Lattice, points: list[int], gens: list[Perm]) -> list[Perm]:
-    """The action of 9 + 240 point permutations on the 15 nonzero points
-    (mod-2 classes) of a 4-space they fix.
-
-    The action on L/2L is linear, so the image of a point p is the sum of the
-    images of two root classes c and c + p (every isotropic point is such a
-    sum); root i is extended point 9 + i.
-    """
-    cls = [reduce_mod2(r) for r in enumerate_shell(lat, 2)]
-    first: dict[int, int] = {}
-    for i, c in enumerate(cls):
-        first.setdefault(c, 9 + i)
-    point_index = {p: i for i, p in enumerate(points)}
-    lifts = [next((a, first[c ^ p]) for c, a in first.items() if c ^ p in first) for p in points]
-    return [
-        tuple(point_index[cls[g[a] - 9] ^ cls[g[b] - 9]] for a, b in lifts) for g in gens
-    ]
-
-
 def one_block_stabilizer_analysis(
-    lat: Lattice,
     result: StabilizerResult,
     class_block: dict[int, int],
+    group_order: int,
 ) -> OneBlockReport:
-    """Analyze the subgroup fixing block 0, read off the stabilizer chain.
+    """Analyze the subgroup G_0 fixing block 0, from Schreier generators.
 
-    The chain's first base point is block 0. For a complete chain the strong
-    generators fixing it generate its stabilizer, whose order is the product
-    of the deeper fundamental orbit lengths (Seress, Permutation Group
-    Algorithms, CUP 2003, ch. 4). Their block points give the action on the
-    other eight blocks; their root points give the (linear) action on the 15
-    nonzero points of the fixed 4-space, through space_point_perms. Those
-    points are the classes that the certified `class_block` puts in block 0,
-    since block 0 reduces onto that space. Both images must have order 20160
-    and be transitive, with kernels of order 2.
+    Each generator permutes the 9 blocks and, by its matrix mod 2, the 135
+    isotropic points; the kernel {+-1} acts trivially. A BFS from block 0
+    gives a transversal t_b (0 to b), and |G_0| = group_order / |orbit|. By
+    Schreier's lemma the t_b s t_{b s}^-1 generate the image of G_0 (Seress,
+    Permutation Group Algorithms, CUP 2003, ch. 4): on the other eight
+    blocks, and on the 15 points that the certified `class_block` puts in
+    block 0. Both images must have order 20160 and be transitive, with
+    kernels of order 2.
     """
-    chain = result.chain
-    if chain.base[:1] != [0]:
-        raise AssertionError("stabilizer chain does not start at block 0")
-    gens = chain.strong_generators(from_level=1)
-    if any(g[0] != 0 for g in gens):
-        raise AssertionError("strong generator below level 0 moves block 0")
-    stabilizer_order = chain.stabilizer_order_below(1)
+    points = sorted(class_block)
+    index = {c: 9 + i for i, c in enumerate(points)}
+    gens = []
+    for m, bp in zip(result.isometries, result.block_perms):
+        low, high = _nibble_images(matrix_mod2_rows(m))
+        gens.append(tuple(bp) + tuple(index[low[c & 15] ^ high[c >> 4]] for c in points))
+
+    orbit = [0]
+    transversal = {0: identity_perm(9 + len(points))}
+    for b in orbit:
+        for g in gens:
+            if g[b] not in transversal:
+                transversal[g[b]] = mult(transversal[b], g)
+                orbit.append(g[b])
+    schreier = [
+        mult(mult(transversal[b], g), inverse(transversal[g[b]])) for b in orbit for g in gens
+    ]
+    stabilizer_order = group_order // len(orbit)
 
     # Action on the other eight blocks (relabeled 0..7).
-    eight_perms = [tuple(g[b] - 1 for b in range(1, 9)) for g in gens]
+    eight_perms = [tuple(s[b] - 1 for b in range(1, 9)) for s in schreier]
     other_order, _ = schreier_sims(eight_perms)
     other_transitive = len(orbit_of(0, eight_perms)) == 8
 
-    points = sorted(c for c, b in class_block.items() if b == 0)
-    point_perms = space_point_perms(lat, points, gens)
+    block0 = [index[c] for c in points if class_block[c] == 0]
+    pos = {p: i for i, p in enumerate(block0)}
+    point_perms = [tuple(pos[s[p]] for p in block0) for s in schreier]
     points_order, _ = schreier_sims(point_perms)
     points_transitive = len(orbit_of(0, point_perms)) == 15
 

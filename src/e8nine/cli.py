@@ -185,12 +185,14 @@ def stage_group(state: PipelineState) -> Certificate:
     # after loading artifacts.
     class_block = bl.block_of_class_table(state.lat, state.partition)
     state.stab = ag.compute_stabilizer(state.lat, state.arr, class_block)
-    cb.check("group order", ag.STABILIZER_ORDER, state.stab.chain.order())
+    # block_action certifies the kernel {+-1}, so the order is image x kernel.
     action = ag.block_action(state.lat, state.stab, class_block)
+    order = action.image_order * action.kernel_order
+    cb.check("group order", ag.STABILIZER_ORDER, order)
     cb.check("block-action image order", ag.BLOCK_IMAGE_ORDER, action.image_order)
     cb.check("block-action kernel order", 2, action.kernel_order)
     cb.check("block images all even", True, action.all_even)
-    report = ag.one_block_stabilizer_analysis(state.lat, state.stab, class_block)
+    report = ag.one_block_stabilizer_analysis(state.stab, class_block, order)
     cb.check("block-0 stabilizer order", 40320, report.stabilizer_order)
     cb.check(
         "image order on other eight blocks",
@@ -206,13 +208,9 @@ def stage_group(state: PipelineState) -> Certificate:
     cb.check("transitive on 15 points", True, report.points_transitive)
     cb.check("kernel order on eight blocks", 2, report.kernel_order_blocks)
     cb.check("kernel order on 15 points", 2, report.kernel_order_points)
-    # -1 fixes every block and every mod-2 point, so lying in the group puts
-    # it in both kernels.
-    cb.check(
-        "kernels contain negation",
-        True,
-        state.stab.chain.contains(ag.negation_perm(state.lat)),
-    )
+    # -1 is generator 0 (checked by block_action): it fixes every block and
+    # is the identity mod 2, so it lies in both kernels.
+    cb.check("kernels contain negation", True, state.stab.isometries[0] == ag.NEGATION)
     return cb.done()
 
 
@@ -229,6 +227,9 @@ def run_pipeline(
     carries the state of the stages completed before it: whatever the failed
     stage set is dropped, so no uncertified artifact can be written.
     """
+    # A label string would pass the first stages and fail in stage_profiles.
+    if not isinstance(class_label, gf2.SpaceClass):
+        raise TypeError("class_label must be a gf2.SpaceClass, got %r" % (class_label,))
     state = PipelineState(class_label=class_label, gram_override=gram_override)
     for name in STAGES[: STAGES.index(upto) + 1]:
         completed = copy.copy(state)

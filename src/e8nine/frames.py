@@ -16,10 +16,10 @@ frame's 112 vectors without adding any.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations
 from operator import add, mul, neg, sub
 from typing import NamedTuple
 
@@ -203,7 +203,7 @@ def frame_combinations(lat: Lattice, frame: Frame) -> list[Vec]:
     +-ra +-rb has norm 4 only when ra . rb = 0.
     """
     table = pair_tables(lat.gram).combinations
-    return [v for a, b in itertools.combinations(frame.roots, 2) for v in table[a].get(b, ())]
+    return [v for a, b in combinations(frame.roots, 2) for v in table[a].get(b, ())]
 
 
 def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -> FrameArray:
@@ -239,7 +239,7 @@ def orthogonal_pair_census(lat: Lattice, arr: FrameArray) -> PairCensus:
     """
     per_pair = [row.count(0) for row in pair_tables(lat.gram).gram]
     frames = (f for row in arr.rows for f in row)
-    mult = Counter(itertools.chain.from_iterable(frame_combinations(lat, f) for f in frames))
+    mult = Counter(chain.from_iterable(frame_combinations(lat, f) for f in frames))
     return PairCensus(
         orthogonal_pair_count=sum(per_pair) // 2,
         per_pair_orthogonal_counts=tuple(per_pair),
@@ -274,7 +274,7 @@ def verify_frame_array(lat: Lattice, arr: FrameArray) -> Certificate:
     counts: dict[tuple[int, int], int] = {}
     for row in arr.rows:
         for f in row:
-            for a, b in itertools.combinations(f.roots, 2):
+            for a, b in combinations(f.roots, 2):
                 counts[(a, b)] = counts.get((a, b), 0) + 1
     cb.check("orthogonal pairs covered once", 3780, len(counts))
     cb.check("max frame multiplicity of a pair", 1, max(counts.values()))

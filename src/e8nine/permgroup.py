@@ -71,13 +71,12 @@ class _Level:
 class StabChain:
     """Incremental deterministic stabilizer chain (base and strong generators).
 
-    base_prefix heads the base; beyond it, a new base point is the smallest
-    point moved by the residue that forces it.
+    A new base point is the smallest point moved by the residue that forces it.
     """
 
-    def __init__(self, degree: int, base_prefix: tuple[int, ...] = ()):
+    def __init__(self, degree: int):
         self.degree = degree
-        self.levels: list[_Level] = [_Level(b, degree) for b in base_prefix]
+        self.levels: list[_Level] = []
         self._gens_by_id: list[Perm] = []
 
     @property
@@ -85,13 +84,9 @@ class StabChain:
         return [lv.beta for lv in self.levels]
 
     def order(self) -> int:
-        return self.stabilizer_order_below(0)
-
-    def stabilizer_order_below(self, level_idx: int) -> int:
-        """Order of the pointwise stabilizer of the first level_idx base points."""
         n = 1
-        for lv in self.levels[level_idx:]:
-            n *= len(lv.transversal)
+        for length in self.fundamental_orbit_lengths():
+            n *= length
         return n
 
     def fundamental_orbit_lengths(self) -> list[int]:
@@ -110,9 +105,6 @@ class StabChain:
                 return p
             p = mult(p, u_inv)
         return p
-
-    def contains(self, p: Perm) -> bool:
-        return is_identity(self.sift(p))
 
     def add_generator(self, p: Perm) -> bool:
         """Add a permutation; returns True if it enlarged the group."""
@@ -202,18 +194,11 @@ class StabChain:
                             progress = True
 
 
-def schreier_sims(
-    gens: list[Perm], base_prefix: tuple[int, ...] = ()
-) -> tuple[int, StabChain]:
-    """Exact group order plus the stabilizer chain for the given generators.
-
-    base_prefix forces those points to head the base (their levels may have
-    trivial orbits).
-    """
+def schreier_sims(gens: list[Perm]) -> tuple[int, StabChain]:
+    """Exact group order plus the stabilizer chain for the given generators."""
     if not gens:
         return 1, StabChain(degree=1)
-    degree = len(gens[0])
-    chain = StabChain(degree=degree, base_prefix=base_prefix)
+    chain = StabChain(degree=len(gens[0]))
     for g in gens:
         chain.add_generator(g)
     return chain.order(), chain

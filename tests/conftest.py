@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import chain_oracle
 from e8nine import autgroup as ag
 from e8nine import blocks as bl
 from e8nine import frames as fr
@@ -70,3 +71,9 @@ def class_block(lat, partition):
 @pytest.fixture(scope="session")
 def stab_result(lat, frame_array, class_block):
     return ag.compute_stabilizer(lat, frame_array, class_block)
+
+
+@pytest.fixture(scope="session")
+def oracle_chain(lat, stab_result):
+    """The faithful 9 + 240 point chain of the stabilizer (`chain_oracle`)."""
+    return chain_oracle.faithful_chain(lat, stab_result.isometries, stab_result.block_perms)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
+import pytest
+
+import chain_oracle as oracle
 from e8nine import autgroup as ag
 from e8nine import cli
 from e8nine.autgroup import (
@@ -14,17 +18,14 @@ from e8nine.autgroup import (
     ONE_BLOCK_IMAGE_ORDER,
     STABILIZER_ORDER,
     block_action,
+    block_endomorphism_dimension,
     block_perm,
-    extended_perm,
     is_gram_isometry,
     isometries_between_frames,
     matrix_mod2_rows,
-    negation_perm,
     one_block_stabilizer_analysis,
-    root_perm,
     search_source,
     shell4_perm,
-    space_point_perms,
 )
 from e8nine.blocks import block_of_class_table
 from e8nine.certs import CheckFailure
@@ -32,13 +33,7 @@ from e8nine.frames import frame_reps
 from e8nine.gf2 import F2Subspace, SpaceClass, nonzero_elements, reduce_mod2, rref
 from e8nine.intmat import Mat, adjugate, det, identity as identity_matrix, mat_mul, transpose
 from e8nine.lattice import enumerate_shell, inner
-from e8nine.permgroup import identity_perm, mult, schreier_sims
-
-
-def _root_perms(lat, result):
-    """Each generator's permutation of the 240 sorted roots."""
-    index = {v: i for i, v in enumerate(enumerate_shell(lat, 2))}
-    return [root_perm(lat, m, index) for m in result.isometries]
+from e8nine.permgroup import identity_perm, is_identity, mult, schreier_sims
 
 
 def _spread_block_perm(spread_index, m):
@@ -107,44 +102,46 @@ def test_block_perm_matches_spread_reference(lat, stab_result, spread, class_blo
     assert [block_perm(point_space, m) for m in cases] == want
 
 
-def test_group_order(stab_result):
-    assert stab_result.chain.order() == STABILIZER_ORDER
+def test_group_order(lat, stab_result, class_block, oracle_chain):
+    action = block_action(lat, stab_result, class_block)
+    assert action.image_order * action.kernel_order == STABILIZER_ORDER
+    assert oracle_chain.order() == STABILIZER_ORDER
 
 
-def test_chain_on_shell_perms_confirms_order(lat, stab_result):
-    # The chain certifies the order as the product of its orbit lengths.
-    chain = stab_result.chain
+def test_chain_on_shell_perms_confirms_order(lat, stab_result, oracle_chain):
+    # The faithful oracle chain on 9 blocks + 240 roots certifies the order as
+    # the product of its orbit lengths, and the kernel of the block action as
+    # {+-1}: -1 fixes every block and lies in the group, and the order is
+    # twice the order of the image on the blocks.
     prod = 1
-    for n in chain.fundamental_orbit_lengths():
+    for n in oracle_chain.fundamental_orbit_lengths():
         prod *= n
     assert prod == STABILIZER_ORDER
-    assert chain.base[:9] == list(range(9))
+    assert oracle_chain.degree == 249
+    assert oracle_chain.base[0] == 0
+    image_order, _ = schreier_sims(list(stab_result.block_perms))
+    assert prod == 2 * image_order
+    assert is_identity(oracle_chain.sift(oracle.negation_perm(lat)))
 
 
 def test_generic_schreier_sims_on_stabilizer_generators(lat, stab_result):
-    ext_gens = [
-        extended_perm(bp, vp)
-        for bp, vp in zip(stab_result.block_perms, _root_perms(lat, stab_result))
-    ]
-    order, chain = schreier_sims(ext_gens, base_prefix=tuple(range(9)))
+    ext_gens = oracle.faithful_perms(lat, stab_result.isometries, stab_result.block_perms)
+    order, chain = schreier_sims(ext_gens)
     assert order == STABILIZER_ORDER
-    assert chain.contains(ext_gens[0])
+    assert is_identity(chain.sift(ext_gens[0]))
 
 
-def test_block_action_numbers(lat, stab_result, class_block):
+def test_block_action_numbers(lat, stab_result, class_block, oracle_chain):
     action = block_action(lat, stab_result, class_block)
     assert action.image_order == BLOCK_IMAGE_ORDER
     assert action.kernel_order == 2
     assert action.all_even
-    assert action.image_order * action.kernel_order == stab_result.chain.order()
+    assert action.image_order * action.kernel_order == oracle_chain.order()
     image_order, _ = schreier_sims(list(stab_result.block_perms))
     assert image_order == BLOCK_IMAGE_ORDER
 
 
 def test_block_action_rejects_inconsistent_generator(lat, stab_result, class_block):
-    import pytest
-    from dataclasses import replace
-
     bad_perms = list(stab_result.block_perms)
     idx = stab_result.isometries.index(NEGATION)
     bad_perms[idx] = (1, 0, 2, 3, 4, 5, 6, 7, 8)
@@ -184,9 +181,6 @@ def _passes(check, *args):
 
 
 def test_block_action_matches_vector_reference(lat, stab_result, partition):
-    import pytest
-    from dataclasses import replace
-
     cases = [(stab_result, partition)]
     for i, bp in enumerate(stab_result.block_perms):
         for k in range(1, 9):
@@ -212,9 +206,6 @@ def test_block_action_matches_vector_reference(lat, stab_result, partition):
 
 
 def test_block_action_rejects_non_isometry(lat, stab_result, class_block):
-    import pytest
-    from dataclasses import replace
-
     rows = list(identity_matrix(8))
     rows[0], rows[1] = rows[1], rows[0]
     swap01 = tuple(rows)
@@ -225,40 +216,78 @@ def test_block_action_rejects_non_isometry(lat, stab_result, class_block):
     assert exc.value.check.description == "generator 0 preserves Gram"
 
 
-def _with_chain(result, gens, base_prefix):
-    from dataclasses import replace
+def _gf16_mul(a, b):
+    """Product in GF(16) = GF(2)[x]/(x^4 + x + 1), elements as 4-bit masks."""
+    out = 0
+    for i in range(4):
+        if b >> i & 1:
+            out ^= a << i
+    for i in (6, 5, 4):
+        if out >> i & 1:
+            out ^= 0b10011 << (i - 4)
+    return out
 
-    _, chain = schreier_sims(gens, base_prefix=base_prefix)
-    return replace(result, chain=chain)
+
+def _desarguesian_class_block(slopes):
+    """Points of GF(16)^2 = GF(2)^8 (x in bits 0-3, y in bits 4-7) on the lines
+    y = s x, one block per slope; None stands for the line x = 0."""
+    table = {}
+    for b, s in enumerate(slopes):
+        for t in range(1, 16):
+            table[t << 4 if s is None else t | _gf16_mul(s, t) << 4] = b
+    return table
 
 
-def test_block_action_rejects_bad_chain(lat, stab_result, class_block):
-    import pytest
-
-    neg = negation_perm(lat)
-    # A root permutation fixing every block that is not +-1: swap one root
-    # with its negative.
-    roots = enumerate_shell(lat, 2)
-    r = roots.index(tuple(-x for x in roots[0]))
-    flip = list(identity_perm(len(neg)))
-    flip[9], flip[9 + r] = 9 + r, 9
-    # The chain of <-1> has order 2, while the generators' block images
-    # still generate A9 over a kernel of order 2.
-    cases = (
-        ([neg], tuple(range(9, 18)), "stabilizer chain starts at the nine blocks", None),
-        ([neg, tuple(flip)], tuple(range(9)), "kernel strong generators other than +-1", None),
-        ([neg], tuple(range(9)), "image order times kernel order", (2, BLOCK_IMAGE_ORDER * 2)),
+def test_endomorphism_check_fails_on_a_desarguesian_spread(lat, stab_result, class_block):
+    # Nine lines of the Desarguesian spread of GF(16)^2: every GF(16)
+    # multiplication preserves each line, so the maps preserving all nine
+    # form an algebra of dimension 4 over GF(2), and the kernel argument
+    # must not accept it. The certified table gives the scalars alone.
+    slopes = [None, 0, 1, 2, 3, 4, 5, 6, 7]
+    table = _desarguesian_class_block(slopes)
+    assert len(table) == 135
+    for a in range(1, 16):
+        # y = s x is preserved by (x, y) -> (a x, a y).
+        assert all(
+            table[_gf16_mul(a, c & 15) | _gf16_mul(a, c >> 4) << 4] == b
+            for c, b in table.items()
+        )
+    assert block_endomorphism_dimension(table) == 4
+    assert block_endomorphism_dimension(class_block) == 1
+    negation_only = replace(stab_result, isometries=(NEGATION,), block_perms=(identity_perm(9),))
+    with pytest.raises(CheckFailure) as exc:
+        block_action(lat, negation_only, table)
+    assert str(exc.value) == (
+        "block-action: GF(2) maps preserving the nine block spaces (dimension) "
+        "(expected 1, got 4)"
     )
-    for gens, base_prefix, name, values in cases:
+
+
+def test_block_action_rejects_bad_kernel_premises(lat, stab_result, class_block):
+    # Each premise of the kernel argument fails by name: -1 heads the
+    # generators, and the source frame's root supports join its eight slots.
+    # Supports avoiding slot 7 join 21 of the 28 pairs.
+    isos, bps = stab_result.isometries, stab_result.block_perms
+    cases = (
+        (replace(stab_result, isometries=isos[1:], block_perms=bps[1:]), "generator 0 is -1"),
+        (replace(stab_result, isometries=isos[::-1], block_perms=bps[::-1]), "generator 0 is -1"),
+        (replace(stab_result, isometries=(), block_perms=()), "generator 0 is -1"),
+        (_without_slot_7(stab_result), "source frame slot pairs sharing a root support"),
+    )
+    values = {
+        "generator 0 is -1": (True, False),
+        "source frame slot pairs sharing a root support": (28, 21),
+    }
+    for result, name in cases:
         with pytest.raises(CheckFailure) as exc:
-            block_action(lat, _with_chain(stab_result, gens, base_prefix), class_block)
+            block_action(lat, result, class_block)
         assert exc.value.check.description == name
-        if values is not None:
-            assert (exc.value.check.expected, exc.value.check.actual) == values
+        assert (exc.value.check.expected, exc.value.check.actual) == values[name]
 
 
-def test_one_block_stabilizer(lat, stab_result, class_block):
-    report = one_block_stabilizer_analysis(lat, stab_result, class_block)
+def test_one_block_stabilizer(lat, stab_result, class_block, oracle_chain):
+    report = one_block_stabilizer_analysis(stab_result, class_block, STABILIZER_ORDER)
+    assert report == oracle.one_block_report(lat, oracle_chain, class_block)
     assert report.stabilizer_order == 40320
     assert report.other_blocks_image_order == ONE_BLOCK_IMAGE_ORDER
     assert report.points_image_order == ONE_BLOCK_IMAGE_ORDER
@@ -266,7 +295,6 @@ def test_one_block_stabilizer(lat, stab_result, class_block):
     assert report.points_transitive
     assert report.kernel_order_blocks == 2
     assert report.kernel_order_points == 2
-    assert stab_result.chain.contains(negation_perm(lat))
     # |L4(2)| from its order formula equals |A8| = 8!/2.
     l42 = (2**4 - 1) * (2**4 - 2) * (2**4 - 4) * (2**4 - 8)
     fact8 = 1
@@ -275,25 +303,24 @@ def test_one_block_stabilizer(lat, stab_result, class_block):
     assert l42 == fact8 // 2 == ONE_BLOCK_IMAGE_ORDER
 
 
-def test_one_block_analysis_reads_the_chain(lat, stab_result, class_block):
-    # A chain over two of the generators (neither is -1) holds a subgroup of
-    # order 4 that fixes block 0; the analysis must report that subgroup.
-    from dataclasses import replace
-
-    ext_gens = [
-        extended_perm(bp, vp)
-        for bp, vp in zip(stab_result.block_perms, _root_perms(lat, stab_result))
-    ]
-    neg = negation_perm(lat)
-    assert neg not in ext_gens[1:3]
-    order, chain = schreier_sims(ext_gens[1:3], base_prefix=tuple(range(9)))
-    partial = replace(stab_result, chain=chain)
-    report = one_block_stabilizer_analysis(lat, partial, class_block)
-    assert report.stabilizer_order == order == 4
+def test_one_block_analysis_reads_its_generators(lat, stab_result, class_block):
+    # Generators 1 and 2 fix block 0 and generate a group of order 4 that
+    # does not hold -1; with -1 the group has order 8. The analysis must
+    # report that subgroup as the faithful oracle chain reads it.
+    isos = (NEGATION,) + stab_result.isometries[1:3]
+    bps = (identity_perm(9),) + stab_result.block_perms[1:3]
+    assert all(bp[0] == 0 for bp in bps)
+    chain = oracle.faithful_chain(lat, isos, bps)
+    assert chain.order() == 8
+    without_negation = oracle.faithful_chain(lat, isos[1:], bps[1:])
+    assert not is_identity(without_negation.sift(oracle.negation_perm(lat)))
+    partial = replace(stab_result, isometries=isos, block_perms=bps)
+    report = one_block_stabilizer_analysis(partial, class_block, chain.order())
+    assert report == oracle.one_block_report(lat, chain, class_block)
+    assert report.stabilizer_order == 8
     assert report.other_blocks_image_order == report.points_image_order == 4
     assert not report.other_blocks_transitive
     assert not report.points_transitive
-    assert not chain.contains(neg)
 
 
 def test_random_words_preserve_gram_and_partition(lat, stab_result, block_of_vector):
@@ -348,38 +375,38 @@ def test_action_on_shell_is_faithful(lat, stab_result):
     assert _matrices_from_perms(shell, perms) == list(stab_result.isometries)
 
 
-def test_root_action_is_faithful(lat, stab_result):
-    # The chain acts on 9 block points + 240 roots. The roots span E8, so each
-    # generator's matrix is recoverable from its root permutation.
+def test_root_action_is_faithful(lat, stab_result, oracle_chain):
+    # The oracle chain acts on 9 block points + 240 roots. The roots span E8,
+    # so each generator's matrix is recoverable from its root permutation.
     roots = enumerate_shell(lat, 2)
-    index = {v: i for i, v in enumerate(roots)}
-    gens = [root_perm(lat, m, index) for m in stab_result.isometries]
+    index = oracle.root_index(lat)
+    gens = [oracle.root_perm(lat, m, index) for m in stab_result.isometries]
     assert all(len(g) == 240 for g in gens)
     assert len(set(gens)) == len(gens)
     assert _matrices_from_perms(roots, gens) == list(stab_result.isometries)
-    chain = stab_result.chain
-    assert chain.degree == 249
-    assert chain.base[:9] == list(range(9))
-    neg = root_perm(lat, NEGATION, index)
-    assert negation_perm(lat) == extended_perm(identity_perm(9), neg)
+    assert oracle_chain.degree == 249
+    neg = oracle.root_perm(lat, NEGATION, index)
+    assert oracle.negation_perm(lat) == oracle.extended_perm(identity_perm(9), neg)
 
 
-def test_point_action_from_root_lifts_matches_matrix_mod2(lat, stab_result, spread):
-    # The 15-point action is read off root images; it must equal the matrix
-    # acting mod 2 on the fixed 4-space. Checked on the admitted generators
-    # fixing block 0 (-1 among them) and on every strong generator of the
-    # block-0 stabilizer, whose matrix is recovered from its root points.
+def test_point_action_from_root_lifts_matches_matrix_mod2(lat, stab_result, spread, oracle_chain):
+    # The oracle's 15-point action is read off root images; it must equal the
+    # matrix acting mod 2 on the fixed 4-space, as the one-block analysis
+    # reads it. Checked on the admitted generators fixing block 0 (-1 among
+    # them) and on every strong generator of the oracle's block-0
+    # stabilizer, whose matrix is recovered from its root points.
     roots = enumerate_shell(lat, 2)
-    index = {v: i for i, v in enumerate(roots)}
+    index = oracle.root_index(lat)
     space = spread.spaces[0]
     points = nonzero_elements(space)
     cases = [
-        (extended_perm(bp, root_perm(lat, m, index)), m)
+        (oracle.extended_perm(bp, oracle.root_perm(lat, m, index)), m)
         for m, bp in zip(stab_result.isometries, stab_result.block_perms)
         if bp[0] == 0
     ]
     assert NEGATION in [m for _, m in cases]
-    strong = stab_result.chain.strong_generators(from_level=1)
+    assert oracle_chain.base[0] == 0
+    strong = oracle_chain.strong_generators(from_level=1)
     root_parts = [tuple(x - 9 for x in g[9:]) for g in strong]
     cases += list(zip(strong, _matrices_from_perms(roots, root_parts)))
     assert len(cases) > 10
@@ -392,18 +419,18 @@ def test_point_action_from_root_lifts_matches_matrix_mod2(lat, stab_result, spre
                 if (p >> i) & 1:
                     img ^= rows2[i]
             images.append(points.index(img))
-        assert space_point_perms(lat, points, [g]) == [tuple(images)]
+        assert oracle.space_point_perms(lat, points, [g]) == [tuple(images)]
 
 
-def test_membership_of_generator_products(lat, stab_result):
-    chain = stab_result.chain
-    gens = _root_perms(lat, stab_result)
+def test_membership_of_generator_products(lat, stab_result, oracle_chain):
+    index = oracle.root_index(lat)
+    gens = [oracle.root_perm(lat, m, index) for m in stab_result.isometries]
     bps = list(stab_result.block_perms)
     rng = random.Random(5)
     for _ in range(10):
         i, j = rng.randrange(len(gens)), rng.randrange(len(gens))
-        ext = extended_perm(mult(bps[i], bps[j]), mult(gens[i], gens[j]))
-        assert chain.contains(ext)
+        ext = oracle.extended_perm(mult(bps[i], bps[j]), mult(gens[i], gens[j]))
+        assert is_identity(oracle_chain.sift(ext))
 
 
 def test_frame_search_finds_identity_first(lat, frame_array, partition):
@@ -432,8 +459,6 @@ def test_frame_search_checks_blocks_the_probes_never_read(lat, frame_array, clas
     # of two classes they never read leaves the search as it is: it finds the
     # same maps with the same block matchings. Only block_action, which reads
     # all 135 classes, sees the swap.
-    import pytest
-
     src = frame_reps(lat, frame_array.rows[0][0])
     supports, class_of = _frame_supports(lat, src)
     probed = {
@@ -470,8 +495,6 @@ def test_frame_search_checks_blocks_the_probes_never_read(lat, frame_array, clas
 def test_search_source_requires_every_block_fixed(lat, frame_array, class_block):
     # With block 2 relabelled as block 1, no seed or probe reads block 2, so a
     # complete slot map would leave its block matching partial.
-    import pytest
-
     src = frame_reps(lat, frame_array.rows[0][0])
     merged = {c: 1 if b == 2 else b for c, b in class_block.items()}
     with pytest.raises(CheckFailure) as exc:
@@ -482,13 +505,43 @@ def test_search_source_requires_every_block_fixed(lat, frame_array, class_block)
 def test_group_stage_names_an_incomplete_search(lat, spread, frame_array, partition, monkeypatch):
     # One target frame at 12 maps does not generate the group; the stage's
     # order check, not a traceback, reports it.
-    import pytest
-
     monkeypatch.setattr(ag, "_target_schedule", lambda: [(0, 0)])
     state = cli.PipelineState(lat=lat, spread=spread, arr=frame_array, partition=partition)
     with pytest.raises(CheckFailure) as exc:
         cli.stage_group(state)
     assert str(exc.value) == "stabilizer-group: group order (expected 362880, got 24)"
+
+
+def _without_slot_7(result):
+    levels = tuple(tuple(s for s in level if 7 not in s) for level in result.source.new_subsets)
+    return replace(result, source=replace(result.source, new_subsets=levels))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda r: replace(r, isometries=r.isometries[::-1], block_perms=r.block_perms[::-1]),
+            "block-action: generator 0 is -1 (expected True, got False)",
+        ),
+        (
+            _without_slot_7,
+            "block-action: source frame slot pairs sharing a root support (expected 28, got 21)",
+        ),
+    ],
+    ids=["negation-last", "supports-miss-a-slot"],
+)
+def test_group_stage_names_a_failed_kernel_premise(
+    lat, spread, frame_array, partition, monkeypatch, mutate, message
+):
+    # The stage's order rests on the kernel argument; a search result that
+    # breaks one of its premises fails the stage by name, before any order.
+    compute = ag.compute_stabilizer
+    monkeypatch.setattr(ag, "compute_stabilizer", lambda *args: mutate(compute(*args)))
+    state = cli.PipelineState(lat=lat, spread=spread, arr=frame_array, partition=partition)
+    with pytest.raises(CheckFailure) as exc:
+        cli.stage_group(state)
+    assert str(exc.value) == message
 
 
 # A unimodular basis change whose congruent Gram (largest entry 16) needs a
@@ -518,8 +571,25 @@ def test_single_pass_reaches_a_third_target(lat, monkeypatch):
     monkeypatch.setattr(ag, "isometries_between_frames", counted)
     state = cli.run_pipeline(SpaceClass.CLASS_A, gram_override=gram)
     assert calls == [MAPS_PER_TARGET] * 3
-    assert state.stab.chain.order() == STABILIZER_ORDER
+    assert state.certificates[-1].checks[0].actual == STABILIZER_ORDER
     assert all(c.passed for c in state.certificates)
+
+
+@pytest.mark.parametrize("class_label", [SpaceClass.CLASS_A, SpaceClass.CLASS_B])
+@pytest.mark.parametrize("basis", [None, _U_THREE_TARGETS])
+def test_selection_matches_the_faithful_chain_oracle(lat, class_label, basis):
+    # A map enlarges the 9 + 240 point chain exactly when its block
+    # permutation enlarges the 9-point chain, so both keep the same maps and
+    # stop at the same one. The oracle also certifies order 362880 and the
+    # kernel {+-1} on each input.
+    gram = None if basis is None else mat_mul(mat_mul(basis, lat.gram), transpose(basis))
+    state = cli.run_pipeline(class_label, gram_override=gram)
+    class_block = block_of_class_table(state.lat, state.partition)
+    selected = oracle.select_generators(state.lat, state.arr, class_block)
+    assert selected == (list(state.stab.isometries), list(state.stab.block_perms))
+    chain = oracle.faithful_chain(state.lat, *selected)
+    assert chain.order() == STABILIZER_ORDER == 2 * schreier_sims(selected[1])[0]
+    assert is_identity(chain.sift(oracle.negation_perm(state.lat)))
 
 
 def test_matrix_mod2_rows():
@@ -649,12 +719,9 @@ def test_frame_search_matches_vector_arithmetic_reference(
 
 
 def test_stabilizer_search_rejects_split_class(lat, spread, frame_array, partition):
-    from dataclasses import replace
-
     b0, b1 = partition.blocks[0], partition.blocks[1]
     swapped = tuple(sorted(b0.vectors[1:] + (b1.vectors[0],)))
     broken = replace(partition, blocks=(replace(b0, vectors=swapped),) + partition.blocks[1:])
-    import pytest
 
     # The group stage builds the class table it searches with, so a stage run
     # on a state holding only the four inputs rejects the split class.

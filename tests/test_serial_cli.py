@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -417,6 +418,29 @@ def test_class_b_spread_stage(tmp_path, capsys):
     text = open(os.path.join(out, "spread.txt")).read()
     parsed = serial.parse_spread(text)
     assert parsed.class_label is SpaceClass.CLASS_B
+
+
+def test_class_b_certify_matches_pinned_digests(tmp_path, capsys):
+    # tests/class_b.sha256 is in `sha256sum -c` format for an `outB`
+    # directory; CI checks the same file against its own class-B run.
+    pinned = {}
+    with open(os.path.join(os.path.dirname(__file__), "class_b.sha256")) as fh:
+        for line in fh:
+            digest, path = line.split()
+            pinned[os.path.basename(path)] = digest
+    assert sorted(pinned) == [
+        "certificates.txt", "frames.txt", "generators.txt", "partition.txt", "spread.txt"
+    ]
+    out = tmp_path / "outB"
+    assert cli.main(["certify", "--class", "B", "--out", str(out)]) == 0
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_run_pipeline_rejects_a_label_string():
+    # "A" would run three stages and then fail with an IndexError.
+    with pytest.raises(TypeError, match=r"gf2\.SpaceClass, got 'A'"):
+        cli.run_pipeline("A")
 
 
 def test_partition_json_stops_before_group(tmp_path, capsys):
