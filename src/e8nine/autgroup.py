@@ -30,9 +30,9 @@ of the 12 certified values comes from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from operator import mul
+from typing import NamedTuple
 
 from .blocks import doubled_frame_coordinates
 from .certs import CertBuilder
@@ -64,8 +64,7 @@ MAPS_PER_TARGET = 12
 NEGATION: Mat = tuple(tuple(-1 if i == j else 0 for j in range(8)) for i in range(8))
 
 
-@dataclass(frozen=True)
-class BlockAction:
+class BlockAction(NamedTuple):
     """The induced action of the stabilizer on the nine blocks."""
 
     image_order: int
@@ -206,8 +205,7 @@ def _greedy_slot_order(supports) -> list[int]:
     return order
 
 
-@dataclass(frozen=True)
-class SearchSource:
+class SearchSource(NamedTuple):
     """The source frame's search tables, built once for every target.
 
     Slots are the frame's representatives r_0..r_7 in greedy slot order. By
@@ -359,7 +357,6 @@ def isometries_between_frames(
     return found
 
 
-@dataclass
 class StabilizerResult:
     """Generator matrices (-1 first), their block permutations, and the
     frame search they came from. The 12 "stabilizer-group" values come from:
@@ -376,9 +373,12 @@ class StabilizerResult:
       identity mod 2.
     """
 
-    isometries: tuple[Mat, ...]  # matrices acting on row coordinate vectors
-    block_perms: tuple[Perm, ...]  # 9-point permutation per generator
-    source: SearchSource  # the search's source frame f0
+    def __init__(
+        self, isometries: tuple[Mat, ...], block_perms: tuple[Perm, ...], source: SearchSource
+    ):
+        self.isometries = isometries  # matrices acting on row coordinate vectors
+        self.block_perms = block_perms  # 9-point permutation per generator
+        self.source = source  # the search's source frame f0
 
 
 def _target_schedule() -> list[tuple[int, int]]:
@@ -505,8 +505,7 @@ def block_action(
     )
 
 
-@dataclass(frozen=True)
-class OneBlockReport:
+class OneBlockReport(NamedTuple):
     """Stabilizer of block 0: its two order-20160 transitive quotients."""
 
     stabilizer_order: int
@@ -541,16 +540,19 @@ def one_block_stabilizer_analysis(
         low, high = _nibble_images(matrix_mod2_rows(m))
         gens.append(tuple(bp) + tuple(index[low[c & 15] ^ high[c >> 4]] for c in points))
 
+    identity = identity_perm(9 + len(points))
     orbit = [0]
-    transversal = {0: identity_perm(9 + len(points))}
+    transversal = {0: identity}
     for b in orbit:
         for g in gens:
             if g[b] not in transversal:
                 transversal[g[b]] = mult(transversal[b], g)
                 orbit.append(g[b])
-    schreier = [
+    products = (
         mult(mult(transversal[b], g), inverse(transversal[g[b]])) for b in orbit for g in gens
-    ]
+    )
+    # Repeats and the identity add nothing to either chain (class A: 16 of 45 remain).
+    schreier = [s for s in dict.fromkeys(products) if s != identity]
     stabilizer_order = group_order // len(orbit)
 
     # Action on the other eight blocks (relabeled 0..7).

@@ -50,8 +50,8 @@ the block's other 128 vectors, all that `certify_d8_glue` checks over f.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
 from .gf2 import F2Subspace, FormTable, SpaceClass, nonzero_elements, reduce_mod2, rref
@@ -61,14 +61,12 @@ from .frames import Frame, FrameArray, frame_combinations, pair_tables
 from .spreadsearch import Spread
 
 
-@dataclass(frozen=True)
-class Norm4Block:
+class Norm4Block(NamedTuple):
     row_index: int
     vectors: tuple[Vec, ...]  # 240 norm-4 vectors, sorted
 
 
-@dataclass(frozen=True)
-class Norm4Partition:
+class Norm4Partition(NamedTuple):
     blocks: tuple[Norm4Block, ...]
 
 

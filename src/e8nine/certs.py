@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     description: str
     expected: object
     actual: object
@@ -28,18 +27,19 @@ class CheckFailure(Exception):
         )
 
 
-@dataclass
 class Certificate:
     """A list of (description, expected, actual) checks for one stage.
 
     Expected and actual values are exact integers or exact structure hashes,
     never floats. wall_time_ms is informational only and is excluded from
-    serialized artifacts so runs stay byte-reproducible.
+    serialized artifacts so runs stay byte-reproducible. A plain class, as
+    the stage wrapper assigns wall_time_ms after the stage returns.
     """
 
-    stage: str
-    checks: list[Check] = field(default_factory=list)
-    wall_time_ms: int = 0
+    def __init__(self, stage: str):
+        self.stage = stage
+        self.checks: list[Check] = []
+        self.wall_time_ms = 0
 
     @property
     def passed(self) -> bool:

@@ -2,8 +2,9 @@
 
 The pipeline is the ordered stage table STAGES; every subcommand except
 verify runs a prefix of it. Stage <name> is the module-level function
-stage_<name>(state): it builds its part of the PipelineState and returns its
-certificate, which the _recorded decorator times and records.
+stage_<name>(state): it builds its part of the PipelineState (a plain class
+whose attributes the stages assign) and returns its certificate, which the
+_recorded decorator times and records. json is imported only for --json.
 
 Exit codes: 0 success, 1 verification failure, 2 input/parse error.
 """
@@ -11,13 +12,10 @@ Exit codes: 0 success, 1 verification failure, 2 input/parse error.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import autgroup as ag
 from . import blocks as bl
@@ -32,20 +30,33 @@ from .spreadsearch import Spread, find_spread, verify_spread
 STAGES = ("lattice", "mod2", "spaces", "profiles", "spread", "frames", "partition", "roundtrip", "group")
 
 
-@dataclass
 class PipelineState:
-    class_label: gf2.SpaceClass = gf2.SpaceClass.CLASS_A
-    gram_override: Mat | None = None  # None: the standard E8 Gram matrix
-    lat: Lattice = None
-    ft: gf2.FormTable = None
-    census: gf2.Mod2Census = None
-    labels: dict = None
-    members: list = None
-    spread: Spread = None
-    arr: fr.FrameArray = None
-    partition: bl.Norm4Partition = None
-    stab: ag.StabilizerResult = None
-    certificates: list[Certificate] = field(default_factory=list)
+    """What the stages have built so far; each stage sets its attributes.
+
+    Every attribute may be given by keyword, as when a stage runs on loaded
+    artifacts. Unset, the class is A, the Gram the standard one, the
+    certificates an empty list and every other attribute None.
+    """
+
+    def __init__(
+        self,
+        class_label: gf2.SpaceClass = gf2.SpaceClass.CLASS_A,
+        gram_override: Mat | None = None,  # None: the standard E8 Gram matrix
+        lat: Lattice | None = None,
+        ft: gf2.FormTable | None = None,
+        census: gf2.Mod2Census | None = None,
+        labels: dict | None = None,
+        members: list | None = None,
+        spread: Spread | None = None,
+        arr: fr.FrameArray | None = None,
+        partition: bl.Norm4Partition | None = None,
+        stab: ag.StabilizerResult | None = None,
+        certificates: list[Certificate] | None = None,
+    ):
+        self.class_label, self.gram_override = class_label, gram_override
+        self.lat, self.ft, self.census, self.labels, self.members = lat, ft, census, labels, members
+        self.spread, self.arr, self.partition, self.stab = spread, arr, partition, stab
+        self.certificates = [] if certificates is None else certificates
 
 
 class StageFailure(CheckFailure):
@@ -232,7 +243,7 @@ def run_pipeline(
         raise TypeError("class_label must be a gf2.SpaceClass, got %r" % (class_label,))
     state = PipelineState(class_label=class_label, gram_override=gram_override)
     for name in STAGES[: STAGES.index(upto) + 1]:
-        completed = copy.copy(state)
+        completed = PipelineState(**vars(state))  # shallow: the same certificate list
         try:
             globals()["stage_" + name](state)
         except CheckFailure as e:
@@ -286,6 +297,8 @@ def _print_certs(state: PipelineState, as_json: bool) -> None:
             }
             for c in state.certificates
         ]
+        import json  # only --json output needs it
+
         print(json.dumps(payload, indent=2))
     else:
         for c in state.certificates:

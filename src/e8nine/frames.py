@@ -17,7 +17,6 @@ frame's 112 vectors without adding any.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 from operator import add, mul, neg, sub
@@ -37,8 +36,7 @@ from .intmat import Mat, Vec, row_times_mat
 from .lattice import Lattice, enumerate_shell, root_pairs
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """Eight mutually orthogonal root pairs, tagged with their (V, W) origin."""
 
     roots: tuple[int, ...]  # 8 sorted root-pair ids
@@ -47,8 +45,7 @@ class Frame:
     source: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class FrameArray:
+class FrameArray(NamedTuple):
     rows: tuple[tuple[Frame, ...], ...]  # 9 rows of 15 frames
 
 
@@ -221,8 +218,7 @@ def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -
     return arr
 
 
-@dataclass(frozen=True)
-class PairCensus:
+class PairCensus(NamedTuple):
     orthogonal_pair_count: int
     per_pair_orthogonal_counts: tuple[int, ...]
     norm4_multiplicities: Counter[Vec]

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .certs import Check, CheckFailure
 from .intmat import Vec
@@ -30,8 +30,7 @@ def lift_bits(bits: int) -> Vec:
     return tuple((bits >> i) & 1 for i in range(8))
 
 
-@dataclass(frozen=True)
-class FormTable:
+class FormTable(NamedTuple):
     """Tabulated quadratic form q and polar form b on all 256 classes.
 
     b is stored one row per class as a 256-bit mask: bit y of brows[x]
@@ -88,15 +87,19 @@ class SpaceClass(enum.Enum):
     CLASS_B = "B"
 
 
-@dataclass(frozen=True, order=True)
-class F2Subspace:
+class _Rows(NamedTuple):
+    rows: tuple[int, ...]
+
+
+class F2Subspace(_Rows):
     """Subspace given by its reduced-row-echelon basis, pivots increasing.
 
     The representation is canonical: equal subspaces have equal rows, and
     tuple comparison of rows is the canonical ordering used throughout.
+    The one field lives in a NamedTuple base, so repr, equality, hash and
+    order follow rows alone; this subclass keeps an instance dict for the
+    cached mask, which stays out of the repr.
     """
-
-    rows: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -286,8 +289,7 @@ def double_profile(
     return hist
 
 
-@dataclass(frozen=True)
-class Mod2Census:
+class Mod2Census(NamedTuple):
     """Class statistics of the shells mod 2, plus the lifting table.
 
     Every anisotropic class holds exactly one antipodal root pair

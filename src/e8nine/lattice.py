@@ -7,10 +7,9 @@ inner products are exact integers computed through the Gram matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .intmat import Mat, Vec, det, is_symmetric
 
@@ -31,15 +30,13 @@ ROOT_NORM = 2
 LONG_NORM = 4
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """Rank-8 lattice described by the Gram matrix of its fixed basis."""
 
     gram: Mat
 
 
-@dataclass(frozen=True)
-class RootPair:
+class RootPair(NamedTuple):
     """Antipodal pair {r, -r} of norm-2 vectors, keyed by a canonical rep."""
 
     id: int
@@ -67,53 +64,39 @@ class NotPositiveDefinite(ValueError):
     pass
 
 
-def _ldl(gram: Mat) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Rational LDL data: Q(x) = sum_i d[i] * (x[i] + sum_{j>i} u[i][j] x[j])^2."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise NotPositiveDefinite("leading minor ratio %s <= 0" % d[i])
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                a[k][l] -= d[i] * u[i][k] * u[i][l]
-                a[l][k] = a[k][l]
-    return d, u
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
 @lru_cache(maxsize=None)
 def _int_ldl(gram: Mat):
     """Integer-scaled LDL: D * Q(x) = sum_i k[i] * (q[i]*x[i] + c_i(x))^2.
 
     c_i(x) = sum_{j>i} w[i][j] * x[j] with integer w, so the enumeration
-    recursion below runs entirely in integer arithmetic.
+    recursion below runs entirely in integer arithmetic. It scales the
+    rational LDL Q(x) = sum_i d[i] * (x[i] + sum_{j>i} u[i][j] x[j])^2, read
+    off fraction-free (Bareiss) elimination: with D_i the i-th leading
+    principal minor (D_0 = 1), pivot i is D_{i+1}, row i then holds
+    D_{i+1} * u[i][j], and d[i] = D_{i+1} / D_i.
     """
     n = len(gram)
-    d, u = _ldl(gram)
-    q = []
-    w = []
+    m = [list(row) for row in gram]
+    prev = 1  # D_i
+    d, q, w = [], [], []
     for i in range(n):
-        qi = 1
-        for j in range(i + 1, n):
-            qi = _lcm(qi, u[i][j].denominator)
+        piv = m[i][i]  # D_{i+1}; D_i > 0, so d[i] <= 0 iff piv <= 0
+        g = math.gcd(piv, prev)
+        num, den = piv // g, prev // g  # d[i] in lowest terms
+        if piv <= 0:
+            ratio = "%d/%d" % (num, den) if den != 1 else "%d" % num
+            raise NotPositiveDefinite("leading minor ratio %s <= 0" % ratio)
+        d.append((num, den))
+        # The lcm of the denominators of u[i][j] = m[i][j] / piv.
+        qi = math.lcm(*(piv // math.gcd(m[i][j], piv) for j in range(i + 1, n)))
         q.append(qi)
-        w.append([int(u[i][j] * qi) for j in range(n)])
-    scale = 1
-    for i in range(n):
-        scale = _lcm(scale, d[i].denominator * q[i] * q[i])
-    k = [
-        d[i].numerator * (scale // (d[i].denominator * q[i] * q[i]))
-        for i in range(n)
-    ]
+        w.append([0] * (i + 1) + [m[i][j] * qi // piv for j in range(i + 1, n)])
+        for a in range(i + 1, n):
+            for b in range(i + 1, n):
+                m[a][b] = (piv * m[a][b] - m[a][i] * m[i][b]) // prev
+        prev = piv
+    scale = math.lcm(*(den * qi * qi for (_, den), qi in zip(d, q)))
+    k = [num * (scale // (den * qi * qi)) for (num, den), qi in zip(d, q)]
     return scale, k, q, w
 
 

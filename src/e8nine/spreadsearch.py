@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .certs import CertBuilder, Certificate
 from .gf2 import (
@@ -15,8 +15,7 @@ from .gf2 import (
 )
 
 
-@dataclass(frozen=True)
-class Spread:
+class Spread(NamedTuple):
     """Ordered list of nine pairwise-disjoint isotropic 4-spaces of one class."""
 
     spaces: tuple[F2Subspace, ...]

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
-
 import pytest
 
 import chain_oracle as oracle
@@ -17,6 +15,7 @@ from e8nine.autgroup import (
     NEGATION,
     ONE_BLOCK_IMAGE_ORDER,
     STABILIZER_ORDER,
+    StabilizerResult,
     block_action,
     block_endomorphism_dimension,
     block_perm,
@@ -34,6 +33,11 @@ from e8nine.gf2 import F2Subspace, SpaceClass, nonzero_elements, reduce_mod2, rr
 from e8nine.intmat import Mat, adjugate, det, identity as identity_matrix, mat_mul, transpose
 from e8nine.lattice import enumerate_shell, inner
 from e8nine.permgroup import identity_perm, is_identity, mult, schreier_sims
+
+
+def _with(result, **changes):
+    """A search result with some of its attributes replaced."""
+    return StabilizerResult(**{**vars(result), **changes})
 
 
 def _spread_block_perm(spread_index, m):
@@ -145,7 +149,7 @@ def test_block_action_rejects_inconsistent_generator(lat, stab_result, class_blo
     bad_perms = list(stab_result.block_perms)
     idx = stab_result.isometries.index(NEGATION)
     bad_perms[idx] = (1, 0, 2, 3, 4, 5, 6, 7, 8)
-    broken = replace(stab_result, block_perms=tuple(bad_perms))
+    broken = _with(stab_result, block_perms=tuple(bad_perms))
     with pytest.raises(CheckFailure) as exc:
         block_action(lat, broken, class_block)
     # -1 fixes every class, so it induces the identity on the blocks.
@@ -188,10 +192,10 @@ def test_block_action_matches_vector_reference(lat, stab_result, partition):
             swapped[0], swapped[k] = swapped[k], swapped[0]
             perms = list(stab_result.block_perms)
             perms[i] = tuple(swapped)
-            cases.append((replace(stab_result, block_perms=tuple(perms)), partition))
+            cases.append((_with(stab_result, block_perms=tuple(perms)), partition))
     b0 = partition.blocks[0]
-    dropped = replace(
-        partition, blocks=(replace(b0, vectors=b0.vectors[1:]),) + partition.blocks[1:]
+    dropped = partition._replace(
+        blocks=(b0._replace(vectors=b0.vectors[1:]),) + partition.blocks[1:]
     )
     cases.append((stab_result, dropped))
     want = [True] + [False] * (len(cases) - 1)
@@ -212,7 +216,7 @@ def test_block_action_rejects_non_isometry(lat, stab_result, class_block):
     assert not is_gram_isometry(lat, swap01)
     isos = (swap01,) + stab_result.isometries[1:]
     with pytest.raises(CheckFailure) as exc:
-        block_action(lat, replace(stab_result, isometries=isos), class_block)
+        block_action(lat, _with(stab_result, isometries=isos), class_block)
     assert exc.value.check.description == "generator 0 preserves Gram"
 
 
@@ -254,7 +258,7 @@ def test_endomorphism_check_fails_on_a_desarguesian_spread(lat, stab_result, cla
         )
     assert block_endomorphism_dimension(table) == 4
     assert block_endomorphism_dimension(class_block) == 1
-    negation_only = replace(stab_result, isometries=(NEGATION,), block_perms=(identity_perm(9),))
+    negation_only = _with(stab_result, isometries=(NEGATION,), block_perms=(identity_perm(9),))
     with pytest.raises(CheckFailure) as exc:
         block_action(lat, negation_only, table)
     assert str(exc.value) == (
@@ -269,9 +273,9 @@ def test_block_action_rejects_bad_kernel_premises(lat, stab_result, class_block)
     # Supports avoiding slot 7 join 21 of the 28 pairs.
     isos, bps = stab_result.isometries, stab_result.block_perms
     cases = (
-        (replace(stab_result, isometries=isos[1:], block_perms=bps[1:]), "generator 0 is -1"),
-        (replace(stab_result, isometries=isos[::-1], block_perms=bps[::-1]), "generator 0 is -1"),
-        (replace(stab_result, isometries=(), block_perms=()), "generator 0 is -1"),
+        (_with(stab_result, isometries=isos[1:], block_perms=bps[1:]), "generator 0 is -1"),
+        (_with(stab_result, isometries=isos[::-1], block_perms=bps[::-1]), "generator 0 is -1"),
+        (_with(stab_result, isometries=(), block_perms=()), "generator 0 is -1"),
         (_without_slot_7(stab_result), "source frame slot pairs sharing a root support"),
     )
     values = {
@@ -314,7 +318,7 @@ def test_one_block_analysis_reads_its_generators(lat, stab_result, class_block):
     assert chain.order() == 8
     without_negation = oracle.faithful_chain(lat, isos[1:], bps[1:])
     assert not is_identity(without_negation.sift(oracle.negation_perm(lat)))
-    partial = replace(stab_result, isometries=isos, block_perms=bps)
+    partial = _with(stab_result, isometries=isos, block_perms=bps)
     report = one_block_stabilizer_analysis(partial, class_block, chain.order())
     assert report == oracle.one_block_report(lat, chain, class_block)
     assert report.stabilizer_order == 8
@@ -514,14 +518,14 @@ def test_group_stage_names_an_incomplete_search(lat, spread, frame_array, partit
 
 def _without_slot_7(result):
     levels = tuple(tuple(s for s in level if 7 not in s) for level in result.source.new_subsets)
-    return replace(result, source=replace(result.source, new_subsets=levels))
+    return _with(result, source=result.source._replace(new_subsets=levels))
 
 
 @pytest.mark.parametrize(
     "mutate, message",
     [
         (
-            lambda r: replace(r, isometries=r.isometries[::-1], block_perms=r.block_perms[::-1]),
+            lambda r: _with(r, isometries=r.isometries[::-1], block_perms=r.block_perms[::-1]),
             "block-action: generator 0 is -1 (expected True, got False)",
         ),
         (
@@ -721,7 +725,7 @@ def test_frame_search_matches_vector_arithmetic_reference(
 def test_stabilizer_search_rejects_split_class(lat, spread, frame_array, partition):
     b0, b1 = partition.blocks[0], partition.blocks[1]
     swapped = tuple(sorted(b0.vectors[1:] + (b1.vectors[0],)))
-    broken = replace(partition, blocks=(replace(b0, vectors=swapped),) + partition.blocks[1:])
+    broken = partition._replace(blocks=(b0._replace(vectors=swapped),) + partition.blocks[1:])
 
     # The group stage builds the class table it searches with, so a stage run
     # on a state holding only the four inputs rejects the split class.

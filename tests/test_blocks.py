@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import reduce
 from operator import add, itemgetter, mul, xor
 
@@ -109,8 +108,8 @@ def test_build_partition_rejects_pair_swapped_between_rows(lat, frame_array):
     x = next(c for c in f0.roots if c not in f1.roots)
     y = next(c for c in f1.roots if c not in f0.roots)
     rows = [list(row) for row in frame_array.rows]
-    rows[0][0] = replace(f0, roots=tuple(sorted(set(f0.roots) - {x} | {y})))
-    rows[1][0] = replace(f1, roots=tuple(sorted(set(f1.roots) - {y} | {x})))
+    rows[0][0] = f0._replace(roots=tuple(sorted(set(f0.roots) - {x} | {y})))
+    rows[1][0] = f1._replace(roots=tuple(sorted(set(f1.roots) - {y} | {x})))
     with pytest.raises(CheckFailure) as exc:
         bl.build_partition(lat, FrameArray(rows=tuple(map(tuple, rows))))
     assert exc.value.stage == "norm4-block"
@@ -162,7 +161,7 @@ def _swap_pair(block, out, into):
     """The block with the pair {out, -out} replaced by {into, -into}."""
     kept = [v for v in block.vectors if v not in (out, neg(out))]
     vectors = tuple(sorted(kept + [into, neg(into)]))
-    return replace(block, vectors=vectors)
+    return block._replace(vectors=vectors)
 
 
 OFF_HALF = "remaining frame coordinates all +-1/2"
@@ -233,7 +232,7 @@ def test_certify_scaled_e8_matches_reference(lat, partition):
     root = enumerate_shell(lat, 2)[0]
     w = next(v for v in b0.vectors if inner(lat, root, v) == 0)
     six = tuple(x + y for x, y in zip(root, w))
-    dropped = replace(b0, vectors=tuple(v for v in b0.vectors if v not in (w, neg(w))))
+    dropped = b0._replace(vectors=tuple(v for v in b0.vectors if v not in (w, neg(w))))
     for block, name in (
         (dropped, "vector count"),
         (_swap_pair(b0, b0.vectors[0], six), "all norms are 4"),
@@ -380,7 +379,7 @@ def test_certify_d8_glue_matches_matrix_product_reference(lat, partition, frame_
     kept = [v for v in b0.vectors if v != _glue(lat, b0, frame)[0]]
     for k in (2, 1, 4, 5):
         planted = tuple(k * x for x in r0)
-        cases.append((replace(b0, vectors=tuple(sorted(kept + [planted]))), frame))
+        cases.append((b0._replace(vectors=tuple(sorted(kept + [planted]))), frame))
     other = next(i for i in range(120) if i not in frame.roots)
     bent = Frame(roots=tuple(sorted(frame.roots[1:] + (other,))), source=frame.source)
     cases += [(b0, bent), (b0, frame_array.rows[1][0])]
@@ -403,7 +402,7 @@ def test_certify_d8_glue_rejects_d8_vector_among_glue(lat, partition, frame_arra
         assert doubled_coordinates(lat, frame, [planted]) == [(2 * k,) + (0,) * 7]
         vectors = tuple(sorted(kept + [planted]))
         with pytest.raises(CheckFailure) as exc:
-            certify_d8_glue(lat, replace(b0, vectors=vectors), frame)
+            certify_d8_glue(lat, b0._replace(vectors=vectors), frame)
         assert exc.value.check.description == OFF_HALF
         assert exc.value.check.actual == [planted]
 
@@ -422,8 +421,8 @@ def test_partition_stage_counts_frames_outside_their_block(lat, monkeypatch):
     def swapped(lat, arr):
         p = build(lat, arr)
         b0, b1 = p.blocks[:2]
-        blocks = (replace(b0, vectors=b1.vectors), replace(b1, vectors=b0.vectors))
-        return replace(p, blocks=blocks + p.blocks[2:])
+        blocks = (b0._replace(vectors=b1.vectors), b1._replace(vectors=b0.vectors))
+        return p._replace(blocks=blocks + p.blocks[2:])
 
     monkeypatch.setattr(bl, "build_partition", swapped)
     with pytest.raises(cli.StageFailure) as exc:
@@ -513,7 +512,7 @@ def test_planted_norm6_vector_fails_both_norm_checks(lat, partition):
         certify_scaled_e8(lat, planted)
     assert exc.value.check.description == "all norms are 4"
     assert exc.value.check.actual == sorted([six, neg(six)])
-    broken = replace(partition, blocks=(planted,) + partition.blocks[1:])
+    broken = partition._replace(blocks=(planted,) + partition.blocks[1:])
     with pytest.raises(CheckFailure) as exc:
         verify_partition(lat, broken)
     assert exc.value.stage == "scaled-e8 block 0"
@@ -534,9 +533,7 @@ def test_block_of_class_table_names_class_met_in_two_blocks(lat, partition):
     b0, b1 = partition.blocks[0], partition.blocks[1]
     out, into = b0.vectors[0], b1.vectors[0]
     new1 = _swap_pair(b1, into, out)
-    broken = replace(
-        partition, blocks=(_swap_pair(b0, out, into), new1) + partition.blocks[2:]
-    )
+    broken = partition._replace(blocks=(_swap_pair(b0, out, into), new1) + partition.blocks[2:])
     split = {reduce_mod2(out), reduce_mod2(into)}
     first = next(reduce_mod2(v) for v in new1.vectors if reduce_mod2(v) in split)
     with pytest.raises(CheckFailure) as exc:
@@ -548,7 +545,7 @@ def test_block_of_class_table_names_class_met_in_two_blocks(lat, partition):
 
 def test_block_of_class_table_counts_classes(lat, partition):
     with pytest.raises(CheckFailure) as exc:
-        block_of_class_table(lat, replace(partition, blocks=partition.blocks[:8]))
+        block_of_class_table(lat, partition._replace(blocks=partition.blocks[:8]))
     assert exc.value.check.description == "mod-2 classes of the blocks"
     assert exc.value.check.actual == 120
 
@@ -566,7 +563,7 @@ def test_block_of_class_table_requires_each_norm4_vector_once(lat, partition):
         ((b0.vectors[1],) + b0.vectors[1:], (2160, 2159)),
         ((eight,) + b0.vectors[1:], (2160, 2159)),
     ):
-        broken = replace(partition, blocks=(replace(b0, vectors=vectors),) + partition.blocks[1:])
+        broken = partition._replace(blocks=(b0._replace(vectors=vectors),) + partition.blocks[1:])
         with pytest.raises(CheckFailure) as exc:
             block_of_class_table(lat, broken)
         assert exc.value.check.description == (
@@ -586,7 +583,7 @@ def test_pipeline_on_a_congruent_gram_maps_onto_a_verified_partition(lat, ft, la
     # run's vectors into the standard basis.
     mapped = Norm4Partition(
         blocks=tuple(
-            replace(b, vectors=tuple(sorted(row_times_mat(v, u) for v in b.vectors)))
+            b._replace(vectors=tuple(sorted(row_times_mat(v, u) for v in b.vectors)))
             for b in state.partition.blocks
         )
     )
@@ -604,19 +601,12 @@ def test_pipeline_on_a_congruent_gram_maps_onto_a_verified_partition(lat, ft, la
 
 
 def test_verify_partition_catches_cross_block_swap(lat, partition):
-    from dataclasses import replace
-
     b0, b1 = partition.blocks[0], partition.blocks[1]
     v0, v1 = b0.vectors[0], b1.vectors[0]
     swapped0 = tuple(sorted(b0.vectors[1:] + (v1,)))
     swapped1 = tuple(sorted(b1.vectors[1:] + (v0,)))
-    broken = replace(
-        partition,
-        blocks=(
-            replace(b0, vectors=swapped0),
-            replace(b1, vectors=swapped1),
-        )
-        + partition.blocks[2:],
+    broken = partition._replace(
+        blocks=(b0._replace(vectors=swapped0), b1._replace(vectors=swapped1)) + partition.blocks[2:]
     )
     with pytest.raises(CheckFailure):
         verify_partition(lat, broken)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from operator import mul
 
@@ -180,7 +179,7 @@ def test_frame_combinations_match_arithmetic_reference(lat, frame_array):
         c = next(
             c for c in range(120) if c not in f.roots and tables.gram[f.roots[0]][c] != 0
         )
-        bent = dataclasses.replace(f, roots=tuple(sorted(f.roots[:1] + f.roots[2:] + (c,))))
+        bent = f._replace(roots=tuple(sorted(f.roots[:1] + f.roots[2:] + (c,))))
         pairs = itertools.combinations(bent.roots, 2)
         assert not all(b in tables.combinations[a] for a, b in pairs)
         got = {}
@@ -207,8 +206,8 @@ def test_verify_frame_array_rejects_non_orthogonal_frame(lat, frame_array):
     row = list(frame_array.rows[0])
     f0, f1 = row[0], row[1]
     # Swapping one pair id between two frames keeps the row covering.
-    row[0] = dataclasses.replace(f0, roots=(f1.roots[0],) + f0.roots[1:])
-    row[1] = dataclasses.replace(f1, roots=(f0.roots[0],) + f1.roots[1:])
+    row[0] = f0._replace(roots=(f1.roots[0],) + f0.roots[1:])
+    row[1] = f1._replace(roots=(f0.roots[0],) + f1.roots[1:])
     bad = FrameArray(rows=(tuple(row),) + frame_array.rows[1:])
     reps = [p.rep for p in root_pairs(lat)]
     expected = [

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -161,7 +160,7 @@ def test_dropped_augmentation_condition_fails_level_count(ft, monkeypatch, augme
 
 def test_missing_point_fails_first_level_count(ft):
     lost = ft.isotropic_points()[0]
-    short = dataclasses.replace(ft, iso_mask=ft.iso_mask & ~(1 << lost))
+    short = ft._replace(iso_mask=ft.iso_mask & ~(1 << lost))
     with pytest.raises(CheckFailure) as info:
         gf2.enumerate_isotropic_4spaces(short)
     assert info.value.check.description == "totally isotropic 1-spaces"

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from e8nine.intmat import det, is_symmetric
+from e8nine import lattice as lt
+from e8nine.intmat import det, identity, is_symmetric, mat_mul, transpose
 from e8nine.lattice import (
     E8_GRAM,
+    NotPositiveDefinite,
     build_lattice,
     enumerate_shell,
     inner,
@@ -186,3 +190,80 @@ def test_recognize_not_positive_definite():
         for i in range(8)
     )
     assert not recognize_even_unimodular_e8(indefinite)
+
+
+def fraction_ldl(gram):
+    """Rational LDL: Q(x) = sum_i d[i] * (x[i] + sum_{j>i} u[i][j] x[j])^2."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    d = [Fraction(0)] * n
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = a[i][i]
+        if d[i] <= 0:
+            raise NotPositiveDefinite("leading minor ratio %s <= 0" % d[i])
+        for j in range(i + 1, n):
+            u[i][j] = a[i][j] / d[i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                a[k][l] -= d[i] * u[i][k] * u[i][l]
+                a[l][k] = a[k][l]
+    return d, u
+
+
+def fraction_int_ldl(gram):
+    """(scale, k, q, w) scaled from the rational LDL by common denominators."""
+    n = len(gram)
+    d, u = fraction_ldl(gram)
+    q = [math.lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    w = [[int(u[i][j] * q[i]) for j in range(n)] for i in range(n)]
+    scale = math.lcm(*(d[i].denominator * q[i] * q[i] for i in range(n)))
+    k = [d[i].numerator * (scale // (d[i].denominator * q[i] * q[i])) for i in range(n)]
+    return scale, k, q, w
+
+
+def _rebased_grams():
+    """E8_GRAM under the suite's unimodular basis changes and ten seeded ones."""
+    from test_autgroup import _U_THREE_TARGETS
+    from test_frames import _congruent_grams
+
+    grams = [_congruent_grams(build_lattice())[1]]
+    grams.append(mat_mul(mat_mul(_U_THREE_TARGETS, E8_GRAM), transpose(_U_THREE_TARGETS)))
+    rng = random.Random(17)
+    for _ in range(10):
+        u = [list(row) for row in identity(8)]
+        for _ in range(24):
+            i, j = rng.sample(range(8), 2)
+            u[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(u[i], u[j])]
+        grams.append(mat_mul(mat_mul(u, E8_GRAM), transpose(u)))
+    return grams
+
+
+def test_integer_ldl_matches_the_fraction_ldl(monkeypatch):
+    grams = [E8_GRAM, D8_GRAM, D4_GRAM, A2_GRAM] + _rebased_grams()
+    assert [lt._int_ldl.__wrapped__(g) for g in grams] == [fraction_int_ldl(g) for g in grams]
+    # E8_GRAM and the suite's two rebased Grams, on both shells.
+    shown = [grams[0]] + grams[4:6]
+    shells = [(shell_of_gram(g, 2), shell_of_gram(g, 4)) for g in shown]
+    monkeypatch.setattr(lt, "_int_ldl", fraction_int_ldl)
+    assert shells == [(shell_of_gram(g, 2), shell_of_gram(g, 4)) for g in shown]
+    assert [(len(s2), len(s4)) for s2, s4 in shells] == [(240, 2160)] * 3
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        ((-2,),),
+        ((2, 3), (3, 2)),
+        ((2, 1, 0), (1, 2, 2), (0, 2, 1)),
+        tuple(tuple(-2 if i == j == 7 else (2 if i == j else 0) for j in range(8)) for i in range(8)),
+    ],
+)
+def test_indefinite_gram_raises_as_the_fraction_ldl_does(gram):
+    with pytest.raises(NotPositiveDefinite) as want:
+        fraction_ldl(gram)
+    with pytest.raises(NotPositiveDefinite) as got:
+        lt._int_ldl.__wrapped__(gram)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(NotPositiveDefinite):
+        shell_of_gram(gram, 2)

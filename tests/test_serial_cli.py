@@ -522,8 +522,6 @@ def test_sub_certificate_failure_marker_names_pipeline_stage(tmp_path, monkeypat
 
 
 def test_bad_block_permutation_fails_group_stage(tmp_path, monkeypatch, capsys):
-    from dataclasses import replace
-
     from e8nine import autgroup as ag
 
     compute = ag.compute_stabilizer
@@ -532,7 +530,7 @@ def test_bad_block_permutation_fails_group_stage(tmp_path, monkeypatch, capsys):
         # -1 is the first generator and fixes every block; claim it swaps 0 and 1.
         result = compute(*args)
         perms = ((1, 0, 2, 3, 4, 5, 6, 7, 8),) + result.block_perms[1:]
-        return replace(result, block_perms=perms)
+        return ag.StabilizerResult(result.isometries, perms, result.source)
 
     monkeypatch.setattr(ag, "compute_stabilizer", misreported)
     out = str(tmp_path / "failed")
