@@ -1,13 +1,22 @@
-"""Deterministic Schreier-Sims: stabilizer chains for permutation groups.
+"""Permutation groups as Sims tables, built by Knuth's Algorithms A and B.
 
 Permutations are tuples mapping point index to point index. Composition is
-left to right: mult(p, q) applies p first, then q. Transversals are stored as
-explicit permutations and only ever extended, never rebuilt, so each Schreier
-generator is sifted at most once; the chain is complete when the processing
-queue drains, and the group order is the product of fundamental orbit sizes.
+left to right: mult(p, q) applies p first, then q.
+
+StabChain(n) is a Sims table on the fixed base 0..n-1 (D. E. Knuth,
+"Efficient representation of perm groups", Combinatorica 11 (1991) 57-68).
+Level k holds S_k, generators fixing 0..k-1, and T_k, one element of <S_k>
+taking k to each point of its orbit, stored inverted for sifting. Whenever
+add_generator returns, T_k covers the orbit of k under <S_k> and <S_{k+1}>
+is the stabilizer of k in <S_k>, so |<S_0>| is the product of the orbit
+lengths. Recursion goes down one level per call and skips trivial levels in
+a loop, so its depth is at most the number of base points plus one.
 """
 
 from __future__ import annotations
+
+import math
+from collections import deque
 
 Perm = tuple[int, ...]
 
@@ -17,7 +26,7 @@ def identity_perm(n: int) -> Perm:
 
 
 def is_identity(p: Perm) -> bool:
-    return all(i == x for i, x in enumerate(p))
+    return p == tuple(range(len(p)))
 
 
 def mult(p: Perm, q: Perm) -> Perm:
@@ -54,144 +63,79 @@ def check_perm(p: Perm, degree: int) -> None:
         raise ValueError("not a permutation of degree %d" % degree)
 
 
-class _Level:
-    __slots__ = ("beta", "gen_ids", "orbit_order", "transversal", "transversal_inv", "processed")
-
-    def __init__(self, beta: int, degree: int):
-        self.beta = beta
-        self.gen_ids: list[int] = []
-        ident = identity_perm(degree)
-        self.orbit_order: list[int] = [beta]
-        self.transversal: dict[int, Perm] = {beta: ident}
-        self.transversal_inv: dict[int, Perm] = {beta: ident}
-        # (orbit point, generator id) pairs whose Schreier generator was sifted
-        self.processed: set[tuple[int, int]] = set()
-
-
 class StabChain:
-    """Incremental deterministic stabilizer chain (base and strong generators).
-
-    A new base point is the smallest point moved by the residue that forces it.
-    """
+    """A Sims table on the fixed base 0..degree-1 (see the module docstring)."""
 
     def __init__(self, degree: int):
         self.degree = degree
-        self.levels: list[_Level] = []
-        self._gens_by_id: list[Perm] = []
+        ident = identity_perm(degree)
+        self._gens: list[list[Perm]] = [[] for _ in range(degree)]  # S_k
+        # T_k as {point j: inverse of the element taking k to j}
+        self._inv_reps: list[dict[int, Perm]] = [{k: ident} for k in range(degree)]
 
     @property
     def base(self) -> list[int]:
-        return [lv.beta for lv in self.levels]
+        """The points whose orbit is nontrivial, in increasing order."""
+        return [k for k, reps in enumerate(self._inv_reps) if len(reps) > 1]
 
     def order(self) -> int:
-        n = 1
-        for length in self.fundamental_orbit_lengths():
-            n *= length
-        return n
+        return math.prod(self.fundamental_orbit_lengths())
 
     def fundamental_orbit_lengths(self) -> list[int]:
-        return [len(lv.transversal) for lv in self.levels]
+        return [len(self._inv_reps[k]) for k in self.base]
 
     def strong_generators(self, from_level: int = 0) -> list[Perm]:
-        """Generators fixing the first from_level base points; for a complete
-        chain they generate the pointwise stabilizer of those points."""
-        return [self._gens_by_id[gid] for lv in self.levels[from_level:] for gid in lv.gen_ids]
+        """The generators stored at levels >= base[from_level]: they fix
+        base[:from_level] and generate its pointwise stabilizer."""
+        base = self.base
+        start = base[from_level] if from_level < len(base) else self.degree
+        return list(dict.fromkeys(g for gens in self._gens[start:] for g in gens))
 
-    def sift(self, p: Perm, from_level: int = 0) -> Perm:
-        """Factor p through the chain; identity residue means membership."""
-        for lv in self.levels[from_level:]:
-            u_inv = lv.transversal_inv.get(p[lv.beta])
-            if u_inv is None:
-                return p
-            p = mult(p, u_inv)
+    def sift(self, p: Perm, level: int = 0) -> Perm:
+        """Divide p by T_level, ..., T_{degree-1} in turn; an identity residue
+        means p lies in <S_level>."""
+        for k in range(level, self.degree):
+            j = p[k]
+            if j != k:
+                u_inv = self._inv_reps[k].get(j)
+                if u_inv is None:
+                    return p
+                p = mult(p, u_inv)
         return p
 
     def add_generator(self, p: Perm) -> bool:
         """Add a permutation; returns True if it enlarged the group."""
         check_perm(p, self.degree)
-        residue = self.sift(p)
-        if is_identity(residue):
+        return self._add(0, p)
+
+    def _add(self, k: int, g: Perm) -> bool:
+        """Algorithm A: put g in S_k unless it sifts to the identity from k,
+        then close level k by Algorithm B."""
+        if is_identity(self.sift(g, k)):
             return False
-        self._install(residue)
-        self._run_to_completion()
+        # Algorithm B at a trivial orbit that g fixes passes g itself down.
+        while g[k] == k and len(self._inv_reps[k]) == 1:
+            self._gens[k].append(g)
+            k += 1
+        gens, inv_reps = self._gens[k], self._inv_reps[k]
+        gens.append(g)
+        # Algorithm B: close the orbit of k under S_k; each h that takes k to
+        # a known point gives the Schreier generator h t^-1 for level k + 1.
+        todo = deque(mult(inverse(u_inv), g) for u_inv in inv_reps.values())
+        schreier = []
+        while todo:
+            h = todo.popleft()
+            u_inv = inv_reps.get(h[k])
+            if u_inv is None:
+                inv_reps[h[k]] = inverse(h)
+                todo.extend(mult(h, s) for s in gens)
+            else:
+                schreier.append(mult(h, u_inv))
+        # Those that move k + 1 go first, so that the others meet its orbit
+        # instead of being stored on a trivial level.
+        for s in sorted(schreier, key=lambda x: x[k + 1] == k + 1):
+            self._add(k + 1, s)
         return True
-
-    # -- internals ---------------------------------------------------------
-
-    def _next_base_point(self, residue: Perm) -> int:
-        used = set(self.base)
-        for i, x in enumerate(residue):
-            if i != x and i not in used:
-                return i
-        raise AssertionError("residue moves no usable point")
-
-    def _install(self, residue: Perm) -> None:
-        """Attach a sifted residue to the first level whose base point it moves.
-
-        The generator joins the generating sets of that level and of every
-        shallower level, so their orbits are extended as well.
-        """
-        idx = 0
-        while idx < len(self.levels) and residue[self.levels[idx].beta] == self.levels[idx].beta:
-            idx += 1
-        if idx == len(self.levels):
-            self.levels.append(_Level(self._next_base_point(residue), self.degree))
-        gid = len(self._gens_by_id)
-        self._gens_by_id.append(residue)
-        self.levels[idx].gen_ids.append(gid)
-        for i in range(idx + 1):
-            self._extend_orbit(i)
-
-    def _extend_orbit(self, level_idx: int) -> None:
-        """Grow the fundamental orbit under the current generator set.
-
-        Existing transversal entries are kept unchanged, so already-processed
-        Schreier pairs stay valid.
-        """
-        lv = self.levels[level_idx]
-        gens = self.strong_generators(level_idx)
-        frontier = list(lv.orbit_order)
-        while frontier:
-            nxt = []
-            for point in frontier:
-                u = lv.transversal[point]
-                for g in gens:
-                    img = g[point]
-                    if img not in lv.transversal:
-                        ug = mult(u, g)
-                        lv.transversal[img] = ug
-                        lv.transversal_inv[img] = inverse(ug)
-                        lv.orbit_order.append(img)
-                        nxt.append(img)
-            frontier = nxt
-
-    def _run_to_completion(self) -> None:
-        """Sift every unprocessed Schreier generator until none remain."""
-        progress = True
-        while progress:
-            progress = False
-            for idx in range(len(self.levels) - 1, -1, -1):
-                lv = self.levels[idx]
-                # Each generator id sits in the level where it was installed.
-                gids = [gid for deeper in self.levels[idx:] for gid in deeper.gen_ids]
-                for gid in gids:
-                    g = self._gens_by_id[gid]
-                    for point in list(lv.orbit_order):
-                        key = (point, gid)
-                        if key in lv.processed:
-                            continue
-                        if g[point] not in lv.transversal:
-                            self._extend_orbit(idx)
-                        lv.processed.add(key)
-                        schreier = mult(
-                            mult(lv.transversal[point], g), lv.transversal_inv[g[point]]
-                        )
-                        if is_identity(schreier):
-                            continue
-                        residue = self.sift(schreier, from_level=idx + 1)
-                        if not is_identity(residue):
-                            self._install(residue)
-                            progress = True
 
 
 def schreier_sims(gens: list[Perm]) -> tuple[int, StabChain]:
@@ -206,14 +150,10 @@ def schreier_sims(gens: list[Perm]) -> tuple[int, StabChain]:
 
 def orbit_of(point: int, gens: list[Perm]) -> set[int]:
     seen = {point}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    todo = [point]
+    for x in todo:
+        for g in gens:
+            if g[x] not in seen:
+                seen.add(g[x])
+                todo.append(g[x])
     return seen

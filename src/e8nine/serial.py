@@ -163,12 +163,11 @@ def parse_generators(text: str) -> tuple[list[Mat], list[Perm]]:
     Gram and induces its block line is for verification."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     _expect_header(lines, GENERATORS_HEADER)
-    if len(lines) < 2 or not lines[1].startswith("count "):
-        raise ParseError("missing generator count")
-    try:
-        count = int(lines[1].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError("bad count line") from None
+    count_line = lines[1] if len(lines) > 1 else ""
+    digits = count_line.removeprefix("count ")
+    if digits == count_line or not (digits.isascii() and digits.isdigit()):
+        raise ParseError("bad count line %r, expected 'count N'" % count_line)
+    count = int(digits)
     if len(lines) != 2 + 2 * count:
         raise ParseError("expected %d generator entries" % count)
     matrices = []

@@ -61,13 +61,8 @@ def negation_perm(lat):
 
 
 def faithful_chain(lat, isometries, block_perms) -> StabChain:
-    """The chain of the generated group on 9 + 240 points.
-
-    Generators that move block 0 go in first, so block 0 heads the base
-    whenever the group moves it.
-    """
-    perms = sorted(faithful_perms(lat, isometries, block_perms), key=lambda g: g[0] == 0)
-    return schreier_sims(perms)[1]
+    """The chain of the generated group on 9 + 240 points."""
+    return schreier_sims(faithful_perms(lat, isometries, block_perms))[1]
 
 
 def select_generators(lat, arr, class_block):

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
+import sys
 
 import pytest
 
 from e8nine.permgroup import (
+    StabChain,
     check_perm,
     identity_perm,
     inverse,
@@ -16,8 +20,8 @@ from e8nine.permgroup import (
 )
 
 
-def closure_order(perms, n):
-    """Brute-force oracle: size of the semigroup closure (a group, since finite)."""
+def closure(perms, n):
+    """Brute-force oracle: the semigroup closure (a group, since finite)."""
     group = {identity_perm(n)} | set(perms)
     frontier = list(perms)
     while frontier:
@@ -29,7 +33,7 @@ def closure_order(perms, n):
                     group.add(r)
                     nxt.append(r)
         frontier = nxt
-    return len(group)
+    return group
 
 
 def test_three_cycle_on_nine_points():
@@ -55,7 +59,21 @@ def test_order_matches_brute_force_closure():
         n = rng.choice([5, 6, 7])
         k = rng.choice([1, 2, 2, 3])
         perms = [tuple(rng.sample(range(n), n)) for _ in range(k)]
-        assert schreier_sims(perms)[0] == closure_order(perms, n)
+        assert schreier_sims(perms)[0] == len(closure(perms, n))
+        # Generator selection keeps a map exactly when add_generator returns
+        # True, so the bool must say whether the closure grew; the last
+        # generator, a product of the first, must not grow it.
+        perms.append(mult(perms[0], perms[-1]))
+        chain = StabChain(n)
+        group = {identity_perm(n)}
+        for i, p in enumerate(perms):
+            grown = closure(perms[: i + 1], n)
+            assert chain.add_generator(p) == (len(grown) > len(group))
+            group = grown
+            assert chain.order() == len(group)
+        if n <= 6:
+            sifted = {q for q in itertools.permutations(range(n)) if is_identity(chain.sift(q))}
+            assert sifted == group
 
 
 def test_membership_and_sift():
@@ -122,3 +140,25 @@ def test_mult_and_inverse_match_their_definitions():
         assert pq == tuple(q[p[i]] for i in range(n))
         assert mult(p, inverse(p)) == identity_perm(n)
         assert mult(inverse(p), p) == identity_perm(n)
+
+
+def test_long_orbit_and_long_base_within_the_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        # One orbit of 1200 points: orbit closure must not recurse per point.
+        assert schreier_sims([tuple(range(1, 1200)) + (0,)])[0] == 1200
+        # S_60 from a 60-cycle and a transposition: a base of 59 points.
+        cycle = tuple(range(1, 60)) + (0,)
+        swap = (1, 0) + tuple(range(2, 60))
+        order, chain = schreier_sims([cycle, swap])
+        assert order == math.factorial(60)
+        assert chain.base == list(range(59))
+        # Degree 1500 moving only the last three points: the 1497 trivial
+        # levels before them cost no recursion.
+        fixed = tuple(range(1497))
+        order, chain = schreier_sims([fixed + (1498, 1499, 1497), fixed + (1498, 1497, 1499)])
+        assert order == 6
+        assert chain.base == [1497, 1498]
+    finally:
+        sys.setrecursionlimit(limit)

@@ -266,6 +266,8 @@ MALFORMED = [
         "generators.txt",
         lambda t: t.replace(_first_line(t, "gen 0 "), _first_line(t, "gen 0 ")[:-1] + "x"),
     ),
+    ("generators.txt", lambda t: t.replace("\ncount 5\n", "\ncount 5 junk\n")),
+    ("generators.txt", lambda t: t.replace("\ncount 5\n", "\ncount +5\n")),
 ]
 PARSERS = {"spread.txt": serial.parse_spread, "generators.txt": serial.parse_generators}
 
@@ -273,7 +275,14 @@ PARSERS = {"spread.txt": serial.parse_spread, "generators.txt": serial.parse_gen
 @pytest.mark.parametrize(
     "name, corrupt",
     MALFORMED,
-    ids=["class-no-label", "space-rows-not-rref", "gen-header-short", "block-id-not-int"],
+    ids=[
+        "class-no-label",
+        "space-rows-not-rref",
+        "gen-header-short",
+        "block-id-not-int",
+        "count-trailing-junk",
+        "count-signed",
+    ],
 )
 def test_malformed_artifact_is_a_parse_error(pipeline_state, tmp_path, capsys, name, corrupt):
     out = str(tmp_path / "malformed")
