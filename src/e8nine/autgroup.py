@@ -19,8 +19,9 @@ coordinates are cs moved by pi and signed by e. The nine blocks are unions of
 mod-2 classes (block j reduces onto spread space j, and the nine spaces
 partition the 135 isotropic points), so the probe vector w = r_k + rho lies
 in block class_block[cls(r_k) ^ cls(rho)] and its image e_k t_pi(k) + rho'
-in block class_block[cls(t_pi(k)) ^ cls(rho')]. A probe is a lookup of the
-target root's class by support and sign mask, then of its block.
+in block class_block[cls(t_pi(k)) ^ cls(rho')]. A probe looks up the target
+root's class by support and sign mask in `_support_rows`, the one table per
+frame (the source's is built the same way), then the class's block.
 
 The group is certified on the nine blocks, with no chain over the roots:
 `block_action` proves that the kernel of the block action is {+-1}, so the
@@ -39,7 +40,7 @@ from .certs import CertBuilder
 from .frames import FrameArray, frame_reps
 from .gf2 import reduce_mod2, rref
 from .intmat import Mat, Vec, adjugate, det, mat_mul, row_times_mat, transpose
-from .lattice import Lattice, enumerate_shell
+from .lattice import Lattice, enumerate_shell, root_pairs
 from .permgroup import (
     Perm,
     StabChain,
@@ -125,66 +126,44 @@ def shell4_perm(lat: Lattice, m: Mat, shell4_index: dict[Vec, int]) -> Perm:
     return _image_perm(enumerate_shell(lat, 4), m, shell4_index)
 
 
-class _Done(Exception):
-    pass
-
-
-def _frame_supports(lat: Lattice, reps: list[Vec]):
-    """Root expansion data over one frame's eight representatives.
-
-    Each root's doubled frame coordinates cs = rho G R^T come from one
-    `doubled_frame_coordinates` matrix. Every root outside the frame has four
-    entries +-1 and four 0, so it is (sum of 4 signed members)/2; the 14
-    possible supports each carry all 16 sign patterns. The same pass records
-    each such root's mod-2 class, keyed by cs.
-    """
-    to_frame = doubled_frame_coordinates(lat, reps)
-    supports: dict[frozenset[int], list[Vec]] = {}
-    class_of: dict[Vec, int] = {}
-    for rho in enumerate_shell(lat, 2):
-        cs = row_times_mat(rho, to_frame)
-        if 2 in cs or -2 in cs:
-            continue  # the frame's own pair
-        supp = frozenset(i for i, c in enumerate(cs) if c)
-        if len(supp) != 4:
-            raise AssertionError("root support of size %d over a frame" % len(supp))
-        supports.setdefault(supp, []).append(cs)
-        class_of[cs] = reduce_mod2(rho)
-    if len(supports) != 14 or any(len(v) != 16 for v in supports.values()):
-        raise AssertionError("frame support structure is not 14 x 16")
-    return supports, class_of
-
-
-def _classes_by_sign_mask(
-    cs_list: list[Vec], class_of: dict[Vec, int], slots: list[int]
-) -> list[int]:
-    """The 16 root classes on one support, indexed by sign mask: bit j is set
-    when the coordinate at slots[j] is -1."""
-    by_mask = [0] * 16
-    for cs in cs_list:
-        by_mask[sum(1 << j for j, q in enumerate(slots) if cs[q] < 0)] = class_of[cs]
-    return by_mask
-
-
-def _support_rows(supports, class_of) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Root classes of a target frame by ordered support and sign mask.
+def _support_rows(lat: Lattice, reps: list[Vec]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Root classes by ordered support and sign mask: the one table per frame.
 
     rows[(q0, q1, q2, q3)][m] is the class of the root supported on
-    {q0, .., q3} whose coordinate at q_j is -1 exactly when bit j of m is set.
-    Every ordering of each supported 4-subset is a key, so key membership is
-    also the support test.
+    {q0, .., q3} whose doubled coordinate at q_j is -1 exactly when bit j of
+    m is set. Every ordering of each supported 4-subset is a key, so key
+    membership is also the support test. One pass over the 120 root pairs:
+    a rep rho gives cs = rho G R^T by one `doubled_frame_coordinates` matrix,
+    and -rho has the complementary sign mask and the same class. Every root
+    outside the frame has four entries +-1 and four 0, so it is (sum of 4
+    signed members)/2; the 14 possible supports each carry all 16 masks.
     """
+    to_frame = doubled_frame_coordinates(lat, reps)
+    by_support: dict[tuple[int, ...], list[int]] = {}
+    # Descending reps meet each support first at its largest root, minus its
+    # least, so supports (and the source's probes) keep sorted-shell order.
+    for pair in reversed(root_pairs(lat)):
+        cs = row_times_mat(pair.rep, to_frame)
+        if 2 in cs or -2 in cs:
+            continue  # the frame's own pair
+        slots = tuple(i for i, c in enumerate(cs) if c)
+        if len(slots) != 4:
+            raise AssertionError("root support of size %d over a frame" % len(slots))
+        by_mask = by_support.setdefault(slots, [-1] * 16)
+        m = sum(1 << j for j, q in enumerate(slots) if cs[q] < 0)
+        by_mask[m] = by_mask[m ^ 15] = reduce_mod2(pair.rep)
+    if len(by_support) != 14 or any(-1 in v for v in by_support.values()):
+        raise AssertionError("frame support structure is not 14 x 16")
+
     reorder = [
         (perm, tuple(sum(((m >> j) & 1) << perm[j] for j in range(4)) for m in range(16)))
         for perm in permutations(range(4))
     ]
-    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for supp, cs_list in supports.items():
-        slots = sorted(supp)
-        by_mask = _classes_by_sign_mask(cs_list, class_of, slots)
-        for perm, sorted_mask in reorder:
-            rows[tuple(slots[i] for i in perm)] = tuple(by_mask[x] for x in sorted_mask)
-    return rows
+    return {
+        tuple(slots[i] for i in perm): tuple(by_mask[x] for x in sorted_mask)
+        for slots, by_mask in by_support.items()
+        for perm, sorted_mask in reorder
+    }
 
 
 def _greedy_slot_order(supports) -> list[int]:
@@ -212,7 +191,8 @@ class SearchSource(NamedTuple):
     depth t, new_subsets lists the supported 4-subsets (as sorted slot tuples)
     whose last slot is t, and probes lists (k, slots, blocks): blocks[m] is
     the block of w = r_k + rho for the root rho on those slots with sign
-    mask m, read as class_block[cls(r_k) ^ cls(rho)].
+    mask m, read as class_block[cls(r_k) ^ cls(rho)], with cls from the
+    frame's `_support_rows`, the one table per frame that targets build too.
     """
 
     r_adj: Mat  # adjugate of the slot-ordered representatives
@@ -227,17 +207,18 @@ def search_source(
     lat: Lattice, src_reps: list[Vec], class_block: dict[int, int]
 ) -> SearchSource:
     """Slot order, supported subsets and probe templates of a source frame."""
-    supports, class_of = _frame_supports(lat, src_reps)
-    order = _greedy_slot_order(supports)
+    rows = _support_rows(lat, src_reps)
+    subsets = dict.fromkeys(map(frozenset, rows))
+    order = _greedy_slot_order(subsets)
     pos_of = {slot: p for p, slot in enumerate(order)}
     slot_class = [reduce_mod2(src_reps[i]) for i in order]
 
     new_subsets: list[list[tuple[int, ...]]] = [[] for _ in range(8)]
     probes: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(8)]
-    for supp, cs_list in supports.items():
+    for supp in subsets:
         positions = tuple(sorted(pos_of[i] for i in supp))
         new_subsets[positions[-1]].append(positions)
-        by_mask = _classes_by_sign_mask(cs_list, class_of, [order[p] for p in positions])
+        by_mask = rows[tuple(order[p] for p in positions)]
         for k in range(8):
             if k in positions:
                 continue
@@ -275,12 +256,13 @@ def isometries_between_frames(
     goes to the target root on (pi(p0), .., pi(p3)) with sign mask m ^ m_e,
     where bit j of m_e says e_pj = -1; the probe vector r_k + rho goes to
     e_k t_pi(k) + rho', whose block is class_block[cls(t_pi(k)) ^ cls(rho')].
-    So a probe reads two tables and never forms a vector. `finalize` keeps
-    each integral survivor with tau, a full permutation since the probes fix
-    every source block (`search_source`), as its block permutation.
+    So a probe reads two tables, the target's `_support_rows` (the one table
+    per frame, as for the source) and class_block, and never forms a
+    vector. `finalize` keeps each integral survivor with tau, a full
+    permutation since the probes fix every source block (`search_source`),
+    as its block permutation.
     """
-    tgt_supports, tgt_class_of = _frame_supports(lat, tgt_reps)
-    rows = _support_rows(tgt_supports, tgt_class_of)
+    rows = _support_rows(lat, tgt_reps)
     tgt_class = [reduce_mod2(t) for t in tgt_reps]
     class_block = source.class_block
     new_subsets, probes = source.new_subsets, source.probes
@@ -298,18 +280,17 @@ def isometries_between_frames(
     used = [False] * 8
     found: list[tuple[Mat, Perm]] = []
 
-    def finalize() -> None:
+    def finalize() -> bool:
         u_mat = tuple(
             tuple(-x for x in tgt_reps[q]) if n else tgt_reps[q] for q, n in zip(pi, minus)
         )
         num = mat_mul(r_adj, u_mat)
         if any(x % r_det for row in num for x in row):
-            return
+            return False
         found.append((tuple(tuple(x // r_det for x in row) for row in num), tuple(tau)))
-        if len(found) >= cap:
-            raise _Done
+        return len(found) >= cap
 
-    def rec(t: int) -> None:
+    def rec(t: int) -> bool:
         for q in range(8):
             if used[q]:
                 continue
@@ -339,21 +320,16 @@ def isometries_between_frames(
                                 break
                         if not ok:
                             break
-                if ok:
-                    if t == 7:
-                        finalize()
-                    else:
-                        rec(t + 1)
+                if ok and (finalize() if t == 7 else rec(t + 1)):
+                    return True
                 for b_src in trail:
                     tau_used[tau[b_src]] = False
                     tau[b_src] = -1
             used[q] = False
             pi[t] = -1
+        return False
 
-    try:
-        rec(0)
-    except _Done:
-        pass
+    rec(0)
     return found
 
 

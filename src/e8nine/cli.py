@@ -367,6 +367,8 @@ def cmd_verify(args) -> int:
             path_of[kind] = path
             if parse is not None:
                 parsed[kind] = parse(text)
+        if not parsed:
+            raise serial.ParseError("no checkable artifact among %s" % " ".join(args.files))
     except (OSError, UnicodeDecodeError, serial.ParseError, ArithmeticError) as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2

@@ -1,10 +1,15 @@
 """Line-oriented plain-text artifact formats with format-version headers.
 
 All integers are decimal; GF(2) vectors are two lowercase hex digits. Every
-writer is deterministic so repeated runs produce byte-identical files.
+writer is deterministic so repeated runs produce byte-identical files. The
+parsers read integers only in the form the writers print them: `int()` alone
+would also take "+0", "-0", "007", "1_0", non-ASCII digits and, in base 16,
+"0x11".
 """
 
 from __future__ import annotations
+
+import re
 
 from .blocks import Norm4Block, Norm4Partition
 from .certs import Certificate
@@ -23,6 +28,19 @@ CERTIFICATES_HEADER = "e8nine-certificates 1"
 
 class ParseError(ValueError):
     pass
+
+
+# Token lines as the writers print them: tokens joined by single spaces.
+_INT_LINE = re.compile("(?:0|-?[1-9][0-9]*)(?: (?:0|-?[1-9][0-9]*))*")
+_HEX_LINE = re.compile("[0-9a-f]{2}(?: [0-9a-f]{2})*")
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    """The integers of a line of 0|-?[1-9][0-9]* tokens; ValueError for any
+    other line."""
+    if not _INT_LINE.fullmatch(text):
+        raise ValueError("not plain decimal integers: %r" % text)
+    return tuple(map(int, text.split(" ")))
 
 
 def _expect_header(lines: list[str], header: str) -> None:
@@ -53,10 +71,9 @@ def parse_spread(text: str) -> Spread:
         raise ParseError("unknown class label %r" % label_txt) from None
     spaces = []
     for ln in lines[2:]:
-        try:
-            rows = tuple(int(tok, 16) for tok in ln.split())
-        except ValueError:
-            raise ParseError("bad hex row in %r" % ln) from None
+        if not _HEX_LINE.fullmatch(ln):
+            raise ParseError("bad hex row in %r" % ln)
+        rows = tuple(int(tok, 16) for tok in ln.split(" "))
         if len(rows) != 4 or any(not 0 < r < 256 for r in rows):
             raise ParseError("each space needs 4 hex basis rows: %r" % ln)
         # F2Subspace equality compares rows, so only the rref basis names a space.
@@ -92,7 +109,7 @@ def parse_frames(text: str) -> FrameArray:
             if i >= len(lines):
                 raise ParseError("truncated frame row %d" % r)
             try:
-                ids = tuple(int(tok) for tok in lines[i].split())
+                ids = _ints(lines[i])
             except ValueError:
                 raise ParseError("bad id line %r" % lines[i]) from None
             if len(ids) != 8 or any(not 0 <= x < 120 for x in ids):
@@ -133,7 +150,7 @@ def parse_partition(text: str) -> Norm4Partition:
             if i >= len(lines):
                 raise ParseError("truncated block %d" % r)
             try:
-                v = tuple(int(tok) for tok in lines[i].split())
+                v = _ints(lines[i])
             except ValueError:
                 raise ParseError("bad vector line %r" % lines[i]) from None
             if len(v) != 8:
@@ -165,7 +182,7 @@ def parse_generators(text: str) -> tuple[list[Mat], list[Perm]]:
     _expect_header(lines, GENERATORS_HEADER)
     count_line = lines[1] if len(lines) > 1 else ""
     digits = count_line.removeprefix("count ")
-    if digits == count_line or not (digits.isascii() and digits.isdigit()):
+    if digits == count_line or not re.fullmatch("0|[1-9][0-9]*", digits):
         raise ParseError("bad count line %r, expected 'count N'" % count_line)
     count = int(digits)
     if len(lines) != 2 + 2 * count:
@@ -173,17 +190,18 @@ def parse_generators(text: str) -> tuple[list[Mat], list[Perm]]:
     matrices = []
     perms = []
     for i in range(count):
-        head = lines[2 + 2 * i].split()
-        if head[:3] != ["gen", str(i), "blocks"] or len(head) != 12:
-            raise ParseError("bad generator header %r" % lines[2 + 2 * i])
+        head = lines[2 + 2 * i]
+        ids = head.removeprefix("gen %d blocks " % i)
+        if ids == head:
+            raise ParseError("bad generator header %r" % head)
         try:
-            bp = tuple(int(x) for x in head[3:])
+            bp = _ints(ids)
         except ValueError:
-            raise ParseError("bad block id in %r" % lines[2 + 2 * i]) from None
+            raise ParseError("bad block id in %r" % head) from None
         if sorted(bp) != list(range(9)):
             raise ParseError("generator %d block line is not a permutation" % i)
         try:
-            entries = [int(tok) for tok in lines[3 + 2 * i].split()]
+            entries = _ints(lines[3 + 2 * i])
         except ValueError:
             raise ParseError("bad matrix line for generator %d" % i) from None
         if len(entries) != 64:

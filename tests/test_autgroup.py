@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import pytest
 
@@ -7,8 +8,8 @@ import chain_oracle as oracle
 from e8nine import autgroup as ag
 from e8nine import cli
 from e8nine.autgroup import (
-    _frame_supports,
     _greedy_slot_order,
+    _support_rows,
     _target_schedule,
     BLOCK_IMAGE_ORDER,
     MAPS_PER_TARGET,
@@ -30,9 +31,18 @@ from e8nine.blocks import block_of_class_table
 from e8nine.certs import CheckFailure
 from e8nine.frames import frame_reps
 from e8nine.gf2 import F2Subspace, SpaceClass, nonzero_elements, reduce_mod2, rref
-from e8nine.intmat import Mat, adjugate, det, identity as identity_matrix, mat_mul, transpose
-from e8nine.lattice import enumerate_shell, inner
+from e8nine.intmat import (
+    Mat,
+    adjugate,
+    det,
+    identity as identity_matrix,
+    mat_mul,
+    row_times_mat,
+    transpose,
+)
+from e8nine.lattice import Lattice, enumerate_shell, inner
 from e8nine.permgroup import identity_perm, is_identity, mult, schreier_sims
+from test_frames import _congruent_basis, _congruent_grams
 
 
 def _with(result, **changes):
@@ -464,13 +474,12 @@ def test_frame_search_checks_blocks_the_probes_never_read(lat, frame_array, clas
     # same maps with the same block matchings. Only block_action, which reads
     # all 135 classes, sees the swap.
     src = frame_reps(lat, frame_array.rows[0][0])
-    supports, class_of = _frame_supports(lat, src)
     probed = {
-        reduce_mod2(src[k]) ^ class_of[cs]
-        for supp, cs_list in supports.items()
+        reduce_mod2(src[k]) ^ c
+        for slots, by_mask in _support_rows(lat, src).items()
         for k in range(8)
-        if k not in supp
-        for cs in cs_list
+        if k not in slots
+        for c in by_mask
     }
     assert len(probed) == 112
     seed = reduce_mod2(src[0]) ^ reduce_mod2(src[1])
@@ -700,13 +709,40 @@ def _reference_isometries(lat, src_reps, tgt_reps, block_of, spread_index, cap):
     return found
 
 
+def _inner_support_rows(lat, reps):
+    """`_support_rows` rebuilt from `_inner_supports`: for every ordering of
+    each support and every sign mask over that ordering, the root's class."""
+    classes = {}
+    rows = {}
+    for supp, cs_list in _inner_supports(lat, reps, classes).items():
+        for key in itertools.permutations(sorted(supp)):
+            by_mask = [None] * 16
+            for cs in cs_list:
+                by_mask[sum(1 << j for j, q in enumerate(key) if cs[q] < 0)] = classes[cs]
+            rows[key] = tuple(by_mask)
+    assert len(classes) == 224
+    return rows
+
+
 def test_frame_supports_match_inner_supports(lat, frame_array):
+    # Every ordered support and sign mask names the class the eight `inner`
+    # calls give: on all 135 frames of the standard Gram, and on row 0 carried
+    # by U^-1 to the congruent Gram U G U^T, where classes are read in the
+    # other basis.
     for row in frame_array.rows:
         for frame in row:
             reps = frame_reps(lat, frame)
-            classes = {}
-            assert _frame_supports(lat, reps) == (_inner_supports(lat, reps, classes), classes)
-            assert len(classes) == 224
+            rows = _support_rows(lat, reps)
+            assert len(rows) == 14 * 24
+            assert rows == _inner_support_rows(lat, reps)
+    u = _congruent_basis()
+    u_inv = adjugate(u)
+    assert det(u) == 1
+    other = Lattice(gram=_congruent_grams(lat)[1])
+    for frame in frame_array.rows[0]:
+        reps = [tuple(row_times_mat(r, u_inv)) for r in frame_reps(lat, frame)]
+        assert {inner(other, r, s) for r in reps for s in reps} == {0, 2}
+        assert _support_rows(other, reps) == _inner_support_rows(other, reps)
 
 
 def test_frame_search_matches_vector_arithmetic_reference(

@@ -114,10 +114,16 @@ def test_orthogonal_pair_census(lat, frame_array):
     assert set(census.norm4_multiplicities.values()) == {7}
 
 
-def _congruent_grams(lat):
-    """The standard Gram and one congruent to it by a unimodular U."""
+def _congruent_basis():
+    """The unimodular U of `_congruent_grams`."""
     u = [list(row) for row in identity(8)]
     u[0][5], u[3][1] = 1, -2
+    return u
+
+
+def _congruent_grams(lat):
+    """The standard Gram and one congruent to it by a unimodular U."""
+    u = _congruent_basis()
     return (lat.gram, mat_mul(mat_mul(u, lat.gram), transpose(u)))
 
 

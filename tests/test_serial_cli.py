@@ -256,8 +256,25 @@ def _space0_not_rref(text):
     return text.replace(space0, " ".join(rows))
 
 
+def _retoken(line_no, index, edit):
+    """Rewrite token `index` of line `line_no` of an artifact by `edit`."""
+
+    def corrupt(text):
+        lines = text.splitlines()
+        tokens = lines[line_no].split()
+        tokens[index] = edit(tokens[index])
+        lines[line_no] = " ".join(tokens)
+        return "\n".join(lines) + "\n"
+
+    return corrupt
+
+
+# ASCII digit d -> the fullwidth digit U+FF10 + d, which int() reads as d.
+_FULLWIDTH_DIGITS = {ord("0") + d: 0xFF10 + d for d in range(10)}
+
 # (artifact, how to corrupt its text): each edit used to escape as an
-# IndexError, ValueError or KeyError with a traceback.
+# IndexError, ValueError or KeyError with a traceback, or, from "spread-row-0x"
+# on, to parse, with the edited token read as the value it replaced.
 MALFORMED = [
     ("spread.txt", lambda t: t.replace("class A\n", "class \n")),
     ("spread.txt", _space0_not_rref),
@@ -268,8 +285,22 @@ MALFORMED = [
     ),
     ("generators.txt", lambda t: t.replace("\ncount 5\n", "\ncount 5 junk\n")),
     ("generators.txt", lambda t: t.replace("\ncount 5\n", "\ncount +5\n")),
+    ("spread.txt", _retoken(2, 0, lambda tok: "0x" + tok)),
+    ("frames.txt", _retoken(2, 0, lambda tok: "+" + tok)),
+    ("frames.txt", _retoken(2, 1, lambda tok: "0" + tok)),
+    ("partition.txt", _retoken(2, 0, lambda tok: tok.translate(_FULLWIDTH_DIGITS))),
+    ("partition.txt", _retoken(2, 1, lambda tok: "-0_" + tok[1:] if tok[0] == "-" else "0_" + tok)),
+    ("generators.txt", lambda t: t.replace("\ngen 0 blocks 0 ", "\ngen 0 blocks +0 ")),
+    ("generators.txt", lambda t: t.replace("\ngen 0 blocks 0 1 ", "\ngen 0 blocks 0 1\u3000")),
+    ("generators.txt", _retoken(3, 1, lambda tok: "-" + tok)),
+    ("generators.txt", lambda t: t.replace("\ncount 5\n", "\ncount 05\n")),
 ]
-PARSERS = {"spread.txt": serial.parse_spread, "generators.txt": serial.parse_generators}
+PARSERS = {
+    "spread.txt": serial.parse_spread,
+    "frames.txt": serial.parse_frames,
+    "partition.txt": serial.parse_partition,
+    "generators.txt": serial.parse_generators,
+}
 
 
 @pytest.mark.parametrize(
@@ -282,6 +313,15 @@ PARSERS = {"spread.txt": serial.parse_spread, "generators.txt": serial.parse_gen
         "block-id-not-int",
         "count-trailing-junk",
         "count-signed",
+        "spread-row-0x",
+        "frame-id-signed",
+        "frame-id-leading-zero",
+        "vector-non-ascii-digits",
+        "vector-underscore",
+        "block-id-signed",
+        "block-ids-non-ascii-space",
+        "matrix-entry-minus-zero",
+        "count-leading-zero",
     ],
 )
 def test_malformed_artifact_is_a_parse_error(pipeline_state, tmp_path, capsys, name, corrupt):
@@ -293,12 +333,27 @@ def test_malformed_artifact_is_a_parse_error(pipeline_state, tmp_path, capsys, n
     assert bad != text
     with pytest.raises(serial.ParseError):
         PARSERS[name](bad)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(bad)
     capsys.readouterr()
     assert cli.main(["verify", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+def test_verify_with_nothing_to_check_is_a_parse_error(pipeline_state, tmp_path, capsys):
+    # certificates.txt is a log that verify does not re-check, so on its own
+    # it would have passed with no output.
+    out = str(tmp_path / "log-only")
+    cli.write_artifacts(pipeline_state, out)
+    path = os.path.join(out, "certificates.txt")
+    capsys.readouterr()
+    assert cli.main(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: no checkable artifact among %s\n" % path
+    assert cli.main(["verify", path, os.path.join(out, "spread.txt")]) == 0
+    assert capsys.readouterr().out == "spread: PASS (75 checks)\nspread-class: PASS\n"
 
 
 def _swap_rows_of_gen0(text):
