@@ -31,15 +31,16 @@ of the 12 certified values comes from.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .blocks import doubled_frame_coordinates
 from .certs import CertBuilder
 from .frames import FrameArray, frame_reps
 from .gf2 import reduce_mod2, rref
-from .intmat import Mat, Vec, adjugate, det, mat_mul, row_times_mat, transpose
+from .intmat import Mat, Vec, adjugate, det, mat_mul, transpose
 from .lattice import Lattice, enumerate_shell, root_pairs
 from .permgroup import (
     Perm,
@@ -126,24 +127,41 @@ def shell4_perm(lat: Lattice, m: Mat, shell4_index: dict[Vec, int]) -> Perm:
     return _image_perm(enumerate_shell(lat, 4), m, shell4_index)
 
 
+@lru_cache(maxsize=None)
+def _orderings() -> tuple[tuple[itemgetter, itemgetter], ...]:
+    """Per ordering of a support's four slots, the getters that reorder the
+    slots and re-read the 16 sign masks in the new slot order; built on first
+    use, once per process."""
+    return tuple(
+        (
+            itemgetter(*perm),
+            itemgetter(*(sum((m >> j & 1) << perm[j] for j in range(4)) for m in range(16))),
+        )
+        for perm in permutations(range(4))
+    )
+
+
 def _support_rows(lat: Lattice, reps: list[Vec]) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Root classes by ordered support and sign mask: the one table per frame.
 
     rows[(q0, q1, q2, q3)][m] is the class of the root supported on
     {q0, .., q3} whose doubled coordinate at q_j is -1 exactly when bit j of
     m is set. Every ordering of each supported 4-subset is a key, so key
-    membership is also the support test. One pass over the 120 root pairs:
-    a rep rho gives cs = rho G R^T by one `doubled_frame_coordinates` matrix,
-    and -rho has the complementary sign mask and the same class. Every root
-    outside the frame has four entries +-1 and four 0, so it is (sum of 4
-    signed members)/2; the 14 possible supports each carry all 16 masks.
+    membership is also the support test; the keys and rows are read by the
+    24 getter pairs of `_orderings`. One pass over the 120 root pairs: a rep
+    rho gives cs = rho G R^T by the columns of one
+    `doubled_frame_coordinates` matrix, transposed once, and -rho has the
+    complementary sign mask and the same class. Every root outside the frame
+    has four entries +-1 and four 0, so it is (sum of 4 signed members)/2;
+    the 14 possible supports each carry all 16 masks.
     """
-    to_frame = doubled_frame_coordinates(lat, reps)
+    cols = transpose(doubled_frame_coordinates(lat, reps))
     by_support: dict[tuple[int, ...], list[int]] = {}
     # Descending reps meet each support first at its largest root, minus its
     # least, so supports (and the source's probes) keep sorted-shell order.
     for pair in reversed(root_pairs(lat)):
-        cs = row_times_mat(pair.rep, to_frame)
+        rep = pair.rep
+        cs = [sum(map(mul, rep, col)) for col in cols]
         if 2 in cs or -2 in cs:
             continue  # the frame's own pair
         slots = tuple(i for i, c in enumerate(cs) if c)
@@ -151,18 +169,13 @@ def _support_rows(lat: Lattice, reps: list[Vec]) -> dict[tuple[int, ...], tuple[
             raise AssertionError("root support of size %d over a frame" % len(slots))
         by_mask = by_support.setdefault(slots, [-1] * 16)
         m = sum(1 << j for j, q in enumerate(slots) if cs[q] < 0)
-        by_mask[m] = by_mask[m ^ 15] = reduce_mod2(pair.rep)
+        by_mask[m] = by_mask[m ^ 15] = reduce_mod2(rep)
     if len(by_support) != 14 or any(-1 in v for v in by_support.values()):
         raise AssertionError("frame support structure is not 14 x 16")
-
-    reorder = [
-        (perm, tuple(sum(((m >> j) & 1) << perm[j] for j in range(4)) for m in range(16)))
-        for perm in permutations(range(4))
-    ]
     return {
-        tuple(slots[i] for i in perm): tuple(by_mask[x] for x in sorted_mask)
+        slot_order(slots): mask_order(by_mask)
         for slots, by_mask in by_support.items()
-        for perm, sorted_mask in reorder
+        for slot_order, mask_order in _orderings()
     }
 
 

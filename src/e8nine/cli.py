@@ -357,7 +357,7 @@ def cmd_verify(args) -> int:
         for path in args.files:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-            header = text.splitlines()[0].strip() if text.strip() else ""
+            header = text.split("\n", 1)[0]
             if header not in readers:
                 raise serial.ParseError("unrecognized header in %s" % path)
             kind, parse = readers[header]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations
-from operator import add, mul, neg, sub
+from operator import mul
 from typing import NamedTuple
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
@@ -27,7 +27,7 @@ from .gf2 import (
     F2Subspace,
     FormTable,
     Mod2Census,
-    element_mask,
+    bits_of_mask,
     perp_mask,
     rref,
     span_elements,
@@ -77,15 +77,17 @@ def frame_from_3space(
     W-perp is 5-dimensional and contains W; among the three nonzero cosets of
     W in W-perp exactly one consists of anisotropic classes (q is constant on
     each coset since W is isotropic and orthogonal to W-perp). Lifting those
-    eight classes through the class-to-pair table yields the frame.
+    eight classes through the class-to-pair table yields the frame. W-perp's
+    32 elements are read off its mask by `bits_of_mask`, and V's membership
+    test reads V's cached `mask`.
     """
     if w.dim != 3 or v.dim != 4:
         raise ValueError("expected dim(V)=4, dim(W)=3")
-    w_elems = set(span_elements(w))
-    if not w_elems <= set(span_elements(v)):
+    w_elems = span_elements(w)
+    v_mask = v.mask
+    if any(not v_mask >> e & 1 for e in w_elems[1:]):
         raise ValueError("W is not a subspace of V")
-    perp = perp_mask(ft, w)
-    perp_elems = [x for x in range(256) if (perp >> x) & 1]
+    perp_elems = bits_of_mask(perp_mask(ft, w))
     if len(perp_elems) != 32:
         raise AssertionError("W-perp has %d elements, expected 32" % len(perp_elems))
 
@@ -98,7 +100,6 @@ def frame_from_3space(
     if len(coset_reps) != 3:
         raise AssertionError("expected 3 nonzero cosets of W in W-perp")
 
-    v_mask = element_mask(v)
     aniso = []
     completing = []
     for rep in coset_reps:
@@ -144,6 +145,20 @@ class PairTables(NamedTuple):
     combinations: tuple[dict[int, tuple[Vec, Vec, Vec, Vec]], ...]
 
 
+def _code_weights(lat: Lattice) -> Vec:
+    """Weights B^0..B^7 of the integer code of `pair_tables`: code(v) = sum v_i B^i.
+
+    B = 2M + 1, with M the largest |coordinate| in the norm-4 shell and in 2r
+    for every root r; these bound the shell and every sum r_a +- r_b. Two
+    vectors with coordinates in [-M, M] differ by at most 2M < B in each
+    coordinate, so equal codes mean equal vectors. Both shells are closed
+    under negation, so their largest coordinate is their largest |coordinate|.
+    """
+    shell2, shell4 = enumerate_shell(lat, 2), enumerate_shell(lat, 4)
+    base = 2 * max(max(map(max, shell4)), 2 * max(map(max, shell2))) + 1
+    return tuple(base**i for i in range(8))
+
+
 @lru_cache(maxsize=None)
 def pair_tables(gram: Mat) -> PairTables:
     """The root-pair Gram T and the norm-4 vectors of each pair.
@@ -156,6 +171,12 @@ def pair_tables(gram: Mat) -> PairTables:
     vector arises this way, and the first pair met is kept in
     `decomposition` as (s_a, a, s_b, b) with v = s_a r_a + s_b r_b. The
     tables are cached per Gram matrix, so a congruent Gram gets its own.
+
+    No sum is formed coordinate by coordinate: the code of `_code_weights`
+    is linear, so r_a +- r_b is looked up by code(r_a) +- code(r_b). Its
+    base makes a code name at most one vector within the bounds of the
+    shell and of every sum r_a +- r_b, and a sum off the shell raises
+    KeyError. The tables hold the shell's own tuples, one object per vector.
     """
     lat = Lattice(gram=gram)
     reps = [p.rep for p in root_pairs(lat)]
@@ -165,18 +186,18 @@ def pair_tables(gram: Mat) -> PairTables:
         for b in range(a, len(reps)):
             t[a][b] = t[b][a] = sum(map(mul, ga, reps[b]))
     pair_gram = tuple(map(tuple, t))
-    # Each norm-4 vector with its negative, as the shell's own tuples: the
-    # tables hold one object per vector, not one per pair it arises from.
-    shell4 = {v: v for v in enumerate_shell(lat, 4)}
-    signed = {v: (v, shell4[tuple(map(neg, v))]) for v in shell4}
+    weights = _code_weights(lat)
+    by_code = {sum(map(mul, v, weights)): v for v in enumerate_shell(lat, 4)}
+    codes = [sum(map(mul, r, weights)) for r in reps]
     decomposition: dict[Vec, tuple[int, int, int, int]] = {}
     combinations = tuple({} for _ in reps)
     for a, row in enumerate(pair_gram):
-        ra, mates = reps[a], combinations[a]
+        ca, mates = codes[a], combinations[a]
         for b in range(a + 1, len(reps)):
             if row[b] == 0:
-                plus, nplus = signed[tuple(map(add, ra, reps[b]))]
-                minus, nminus = signed[tuple(map(sub, ra, reps[b]))]
+                cb = codes[b]
+                plus, minus = by_code[ca + cb], by_code[ca - cb]
+                nplus, nminus = by_code[-ca - cb], by_code[cb - ca]
                 mates[b] = (plus, minus, nminus, nplus)
                 # A vector and its negative go in together, at the first pair met.
                 if plus not in decomposition:

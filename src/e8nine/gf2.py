@@ -18,11 +18,15 @@ from .lattice import Lattice, enumerate_shell, norm, root_pairs
 
 
 def reduce_mod2(v: Vec) -> int:
-    bits = 0
-    for i, x in enumerate(v):
-        if x & 1:
-            bits |= 1 << i
-    return bits
+    """The class of v mod 2: bit i is the parity of coordinate i.
+
+    x << i & (1 << i) is bit i set to x's parity, for negative x as well.
+    """
+    a, b, c, d, e, f, g, h = v
+    return (
+        a & 1 | b << 1 & 2 | c << 2 & 4 | d << 3 & 8
+        | e << 4 & 16 | f << 5 & 32 | g << 6 & 64 | h << 7 & 128
+    )
 
 
 def lift_bits(bits: int) -> Vec:
@@ -166,7 +170,8 @@ def perp_mask(ft: FormTable, space: F2Subspace) -> int:
     return mask
 
 
-def _bits_of_mask(mask: int) -> list[int]:
+def bits_of_mask(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, lowest first."""
     out = []
     while mask:
         low = mask & -mask
@@ -221,7 +226,7 @@ def enumerate_isotropic_4spaces(ft: FormTable) -> list[F2Subspace]:
             ext = allowed.get(pivots)
             if ext is None:
                 ext = allowed[pivots] = _augmenting_points(pivots)
-            for p in _bits_of_mask(cand & ext):
+            for p in bits_of_mask(cand & ext):
                 nxt.append(((p,) + rows, cand & ~ft.brows[p], pivots | (p & -p)))
         if len(nxt) != expected:
             raise CheckFailure(

@@ -4,7 +4,9 @@ All integers are decimal; GF(2) vectors are two lowercase hex digits. Every
 writer is deterministic so repeated runs produce byte-identical files. The
 parsers read integers only in the form the writers print them: `int()` alone
 would also take "+0", "-0", "007", "1_0", non-ASCII digits and, in base 16,
-"0x11".
+"0x11". Lines are split at "\\n" alone, and the header, `class X`, `row i`
+and `block i` lines must equal the writers' lines: no whitespace around or
+inside them is ignored.
 """
 
 from __future__ import annotations
@@ -43,8 +45,14 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(map(int, text.split(" ")))
 
 
+def _lines(text: str) -> list[str]:
+    """The non-empty lines of text, split at "\\n" only: str.splitlines()
+    also splits at "\\x0c", "\\x85", U+2028 and other separators."""
+    return [ln for ln in text.split("\n") if ln]
+
+
 def _expect_header(lines: list[str], header: str) -> None:
-    if not lines or lines[0].strip() != header:
+    if not lines or lines[0] != header:
         raise ParseError("missing or wrong header, expected %r" % header)
 
 
@@ -59,12 +67,12 @@ def serialize_spread(s: Spread) -> str:
 
 
 def parse_spread(text: str) -> Spread:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _lines(text)
     _expect_header(lines, SPREAD_HEADER)
-    class_line = lines[1].split() if len(lines) == 11 else []
-    if len(class_line) != 2 or class_line[0] != "class":
+    class_line = lines[1] if len(lines) == 11 else ""
+    label_txt = class_line.removeprefix("class ")
+    if label_txt == class_line:
         raise ParseError("spread file must be header, class line, 9 spaces")
-    label_txt = class_line[1]
     try:
         label = SpaceClass(label_txt)
     except ValueError:
@@ -96,12 +104,12 @@ def serialize_frames(arr: FrameArray) -> str:
 
 
 def parse_frames(text: str) -> FrameArray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _lines(text)
     _expect_header(lines, FRAMES_HEADER)
     rows: list[tuple[Frame, ...]] = []
     i = 1
     for r in range(9):
-        if i >= len(lines) or lines[i].strip() != "row %d" % r:
+        if i >= len(lines) or lines[i] != "row %d" % r:
             raise ParseError("expected 'row %d' marker" % r)
         i += 1
         frames = []
@@ -137,12 +145,12 @@ def serialize_partition(p: Norm4Partition) -> str:
 
 
 def parse_partition(text: str) -> Norm4Partition:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _lines(text)
     _expect_header(lines, PARTITION_HEADER)
     blocks = []
     i = 1
     for r in range(9):
-        if i >= len(lines) or lines[i].strip() != "block %d" % r:
+        if i >= len(lines) or lines[i] != "block %d" % r:
             raise ParseError("expected 'block %d' marker" % r)
         i += 1
         vectors = []
@@ -178,7 +186,7 @@ def serialize_generators(matrices: list[Mat], block_perms: list[Perm]) -> str:
 def parse_generators(text: str) -> tuple[list[Mat], list[Perm]]:
     """Generator matrices and block lines; whether a matrix preserves the
     Gram and induces its block line is for verification."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _lines(text)
     _expect_header(lines, GENERATORS_HEADER)
     count_line = lines[1] if len(lines) > 1 else ""
     digits = count_line.removeprefix("count ")

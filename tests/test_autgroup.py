@@ -42,7 +42,7 @@ from e8nine.intmat import (
 )
 from e8nine.lattice import Lattice, enumerate_shell, inner
 from e8nine.permgroup import identity_perm, is_identity, mult, schreier_sims
-from test_frames import _congruent_basis, _congruent_grams
+from test_frames import _U_THREE_TARGETS, _congruent_basis, _congruent_grams
 
 
 def _with(result, **changes):
@@ -555,20 +555,6 @@ def test_group_stage_names_a_failed_kernel_premise(
     with pytest.raises(CheckFailure) as exc:
         cli.stage_group(state)
     assert str(exc.value) == message
-
-
-# A unimodular basis change whose congruent Gram (largest entry 16) needs a
-# third target frame at 12 maps per target, on class A.
-_U_THREE_TARGETS = (
-    (0, 0, 0, -1, -1, 0, 0, -1),
-    (1, 0, 0, 0, -1, 0, -1, -2),
-    (0, 0, -1, -1, -2, 1, 0, -1),
-    (0, 1, 0, -1, -1, 1, 1, 0),
-    (-1, 1, -1, 1, 2, -1, -1, -1),
-    (0, 0, 1, 0, 0, 0, 0, 1),
-    (0, -1, -1, 0, 0, -1, -1, -1),
-    (1, -1, 1, 0, -1, 0, 0, 0),
-)
 
 
 def test_single_pass_reaches_a_third_target(lat, monkeypatch):

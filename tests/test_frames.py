@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import itertools
-from operator import mul
+from operator import add, mul, neg, sub
 
 import pytest
 
+from e8nine import frames
 from e8nine.certs import CheckFailure
 from e8nine.frames import (
     FrameArray,
     PairCensus,
+    PairTables,
+    _code_weights,
     frame_combinations,
     frame_from_3space,
     frame_reps,
@@ -70,6 +73,13 @@ def test_frame_construction_invariants(lat, ft, census, spread):
             assert reduce_mod2(s) in nonzero_elements(w)
 
 
+def test_frame_from_3space_rejects_w_outside_v(ft, census, spread):
+    # Spread spaces meet only in 0, so no 3-space of one lies in another.
+    v, w = spread.spaces[0], three_spaces(spread.spaces[1])[0]
+    with pytest.raises(ValueError, match="not a subspace"):
+        frame_from_3space(ft, census, v, w)
+
+
 def test_exactly_one_anisotropic_coset_for_all_135(lat, ft, census, spread):
     # frame_from_3space raises unless the anisotropic coset is unique,
     # so building every (V, W) frame is itself the check.
@@ -125,6 +135,108 @@ def _congruent_grams(lat):
     """The standard Gram and one congruent to it by a unimodular U."""
     u = _congruent_basis()
     return (lat.gram, mat_mul(mat_mul(u, lat.gram), transpose(u)))
+
+
+# A unimodular basis change whose congruent Gram (largest entry 16) needs a
+# third target frame at 12 maps per target, on class A. Its norm-4 shell has
+# coordinates up to 17, its roots up to 11.
+_U_THREE_TARGETS = (
+    (0, 0, 0, -1, -1, 0, 0, -1),
+    (1, 0, 0, 0, -1, 0, -1, -2),
+    (0, 0, -1, -1, -2, 1, 0, -1),
+    (0, 1, 0, -1, -1, 1, 1, 0),
+    (-1, 1, -1, 1, 2, -1, -1, -1),
+    (0, 0, 1, 0, 0, 0, 0, 1),
+    (0, -1, -1, 0, 0, -1, -1, -1),
+    (1, -1, 1, 0, -1, 0, 0, 0),
+)
+
+
+def _kernel_grams(lat):
+    """The standard Gram, the congruent one of `_congruent_grams` and the
+    one of `_U_THREE_TARGETS`, whose coordinates are the largest."""
+    u = _U_THREE_TARGETS
+    return _congruent_grams(lat) + (mat_mul(mat_mul(u, lat.gram), transpose(u)),)
+
+
+def _reference_pair_tables(gram):
+    """`pair_tables` by tuple arithmetic, as before the integer code."""
+    lat = Lattice(gram=gram)
+    reps = [p.rep for p in root_pairs(lat)]
+    t = [[0] * len(reps) for _ in reps]
+    for a, ga in enumerate(row_times_mat(r, gram) for r in reps):
+        for b in range(a, len(reps)):
+            t[a][b] = t[b][a] = sum(map(mul, ga, reps[b]))
+    pair_gram = tuple(map(tuple, t))
+    shell4 = {v: v for v in enumerate_shell(lat, 4)}
+    signed = {v: (v, shell4[tuple(map(neg, v))]) for v in shell4}
+    decomposition = {}
+    combinations = tuple({} for _ in reps)
+    for a, row in enumerate(pair_gram):
+        ra, mates = reps[a], combinations[a]
+        for b in range(a + 1, len(reps)):
+            if row[b] == 0:
+                plus, nplus = signed[tuple(map(add, ra, reps[b]))]
+                minus, nminus = signed[tuple(map(sub, ra, reps[b]))]
+                mates[b] = (plus, minus, nminus, nplus)
+                if plus not in decomposition:
+                    decomposition[plus], decomposition[nplus] = (1, a, 1, b), (-1, a, -1, b)
+                if minus not in decomposition:
+                    decomposition[minus], decomposition[nminus] = (1, a, -1, b), (-1, a, 1, b)
+    return PairTables(pair_gram, decomposition, combinations)
+
+
+def test_pair_tables_match_tuple_arithmetic_reference(lat):
+    for gram in _kernel_grams(lat):
+        tables, want = pair_tables(gram), _reference_pair_tables(gram)
+        assert tables.gram == want.gram
+        assert tables.decomposition == want.decomposition
+        assert list(tables.decomposition) == list(want.decomposition)
+        assert tables.combinations == want.combinations
+        # One object per vector: the shell's own tuples, never a new sum.
+        shell4 = {id(v) for v in enumerate_shell(Lattice(gram=gram), 4)}
+        held = list(tables.decomposition)
+        held += [v for mates in tables.combinations for vs in mates.values() for v in vs]
+        assert len(held) == 2160 + 4 * 3780
+        assert all(id(v) in shell4 for v in held)
+
+
+def test_code_base_comes_from_the_shells(lat):
+    # B = 2M + 1, M the larger of the norm-4 shell's largest coordinate and
+    # twice the roots': (10, 6), (25, 15) and (17, 11) on the three Grams.
+    assert [_code_weights(Lattice(gram=g))[1] for g in _kernel_grams(lat)] == [25, 61, 45]
+    # Base 16 gives (10, 0, ..) and (-6, 1, 0, ..) one code, and the standard
+    # norm-4 shell reaches 10.
+    assert max(map(max, enumerate_shell(lat, 4))) == 10
+    ten, minus_six = (10,) + (0,) * 7, (-6, 1) + (0,) * 6
+    base16 = tuple(16**i for i in range(8))
+    assert sum(map(mul, ten, base16)) == sum(map(mul, minus_six, base16))
+    weights = _code_weights(lat)
+    assert sum(map(mul, ten, weights)) != sum(map(mul, minus_six, weights))
+    # One code per vector among the shell and every sum r_a +- r_b.
+    for gram in _kernel_grams(lat):
+        other = Lattice(gram=gram)
+        weights = _code_weights(other)
+        reps = [p.rep for p in root_pairs(other)]
+        vectors = set(enumerate_shell(other, 4))
+        pairs = itertools.combinations(reps, 2)
+        vectors.update(tuple(map(op, ra, rb)) for ra, rb in pairs for op in (add, sub))
+        assert len({sum(map(mul, v, weights)) for v in vectors}) == len(vectors)
+
+
+def test_pair_tables_raise_on_a_sum_off_the_shell(lat, monkeypatch):
+    # Drop one norm-4 vector from the shell that the tables read.
+    gram = _congruent_grams(lat)[1]
+    shell4 = enumerate_shell(Lattice(gram=gram), 4)
+    short = shell4[:7] + shell4[8:]
+    monkeypatch.setattr(
+        frames, "enumerate_shell", lambda o, n: short if n == 4 else enumerate_shell(o, n)
+    )
+    # Drop the cached tables so the call rebuilds them; a call that raises
+    # caches nothing.
+    frames.pair_tables.cache_clear()
+    with pytest.raises(KeyError):
+        frames.pair_tables(gram)
 
 
 def _reference_orthogonal_pair_census(lat, arr):

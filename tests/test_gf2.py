@@ -19,7 +19,9 @@ from e8nine.gf2 import (
     rref,
     subspace_from,
 )
-from e8nine.lattice import enumerate_shell, neg
+from e8nine.intmat import mat_mul, transpose
+from e8nine.lattice import Lattice, enumerate_shell, neg
+from test_frames import _U_THREE_TARGETS
 
 
 def test_reduce_mod2_basics():
@@ -30,6 +32,17 @@ def test_reduce_mod2_basics():
         w = tuple(rng.randint(-3, 3) for _ in range(8))
         shifted = tuple(a + 2 * b for a, b in zip(v, w))
         assert reduce_mod2(v) == reduce_mod2(shifted)
+
+
+def test_reduce_mod2_matches_per_coordinate_reference(lat):
+    # Both shells of the standard Gram and of the Gram with the largest
+    # coordinates, negative ones included.
+    u = _U_THREE_TARGETS
+    for gram in (lat.gram, mat_mul(mat_mul(u, lat.gram), transpose(u))):
+        other = Lattice(gram=gram)
+        for n in (2, 4):
+            for v in enumerate_shell(other, n):
+                assert reduce_mod2(v) == sum((x % 2) << i for i, x in enumerate(v))
 
 
 def test_roots_reduce_two_per_class(lat):

@@ -15,7 +15,9 @@ from e8nine import cli, serial
 from e8nine.certs import CertBuilder
 from e8nine.frames import FrameArray
 from e8nine.gf2 import SpaceClass
+from e8nine.intmat import mat_mul, transpose
 from e8nine.lattice import Lattice
+from test_frames import _U_THREE_TARGETS
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +86,38 @@ def test_parse_errors():
         serial.parse_partition(serial.PARTITION_HEADER + "\nblock 0\n1 2 3\n")
     with pytest.raises(serial.ParseError):
         serial.parse_generators(serial.GENERATORS_HEADER + "\ncount 1\n")
+
+
+# sha256 of the five artifacts of classes A and B on the `_U_THREE_TARGETS`
+# Gram, whose norm-4 coordinates reach 17: the pair tables' integer code
+# must keep them byte for byte.
+U_THREE_TARGETS_SHA256 = {
+    SpaceClass.CLASS_A: {
+        "spread.txt": "20085a39d46e5853ddae7a061370e0c58a98aa3befcd5b1073d8daebb8456516",
+        "frames.txt": "f780dacdd2671dadcfdf90131b2101e15d69e63857501417756355b421ad84fb",
+        "partition.txt": "ba2e5b20e0c65cd81a27c880ae134a460cee50176dbd6d32b775edf324244930",
+        "generators.txt": "93b658a6169b6d71df7401cf6ca9fea32b85ad5aa045a984b00325fbb479909b",
+        "certificates.txt": "eff65152fee4da418650d8adb381c780bc58f360d575e4ee3fefc97c95f8bb60",
+    },
+    SpaceClass.CLASS_B: {
+        "spread.txt": "46fe60ffb8760793edb72de4c1fd63b83df231cadd2961fbaad411ffe4faaeb7",
+        "frames.txt": "3d31396f6f42e565993ef41c9463b853eb82f67b043409dc61c1ca5ec337c2d2",
+        "partition.txt": "fe50b299da3920cda144cb04fe512d491169de58bb1fc3b00968410e0b23c78c",
+        "generators.txt": "799024497b993d3b120e40e7ac594542ce0fb20d1bc72b248e6e105770a74d33",
+        "certificates.txt": "082f5e8376b381605bf58dfa797a5596acc5b90bd155c42f9707237aa517cbdc",
+    },
+}
+
+
+@pytest.mark.parametrize("class_label", [SpaceClass.CLASS_A, SpaceClass.CLASS_B])
+def test_large_coordinate_artifacts_are_pinned(lat, tmp_path, class_label):
+    u = _U_THREE_TARGETS
+    state = cli.run_pipeline(class_label, gram_override=mat_mul(mat_mul(u, lat.gram), transpose(u)))
+    out = str(tmp_path / class_label.value)
+    cli.write_artifacts(state, out)
+    for name, digest in U_THREE_TARGETS_SHA256[class_label].items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
 def test_write_artifacts_and_verify(pipeline_state, tmp_path):
@@ -294,6 +328,11 @@ MALFORMED = [
     ("generators.txt", lambda t: t.replace("\ngen 0 blocks 0 1 ", "\ngen 0 blocks 0 1\u3000")),
     ("generators.txt", _retoken(3, 1, lambda tok: "-" + tok)),
     ("generators.txt", lambda t: t.replace("\ncount 5\n", "\ncount 05\n")),
+    ("spread.txt", lambda t: t.replace("\nclass A\n", "\nclass  A\n")),
+    ("spread.txt", lambda t: t.replace("\nclass A\n", "\nclass\u3000A\n")),
+    ("frames.txt", lambda t: t.replace("\nrow 3\n", "\nrow 3\x0c\n")),
+    ("partition.txt", lambda t: t.replace("\nblock 4\n", "\nblock 4 \n")),
+    ("generators.txt", lambda t: "  " + t),
 ]
 PARSERS = {
     "spread.txt": serial.parse_spread,
@@ -322,6 +361,11 @@ PARSERS = {
         "block-ids-non-ascii-space",
         "matrix-entry-minus-zero",
         "count-leading-zero",
+        "class-line-double-space",
+        "class-line-non-ascii-space",
+        "row-marker-form-feed",
+        "block-marker-trailing-space",
+        "header-leading-spaces",
     ],
 )
 def test_malformed_artifact_is_a_parse_error(pipeline_state, tmp_path, capsys, name, corrupt):
