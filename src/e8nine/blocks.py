@@ -63,7 +63,7 @@ from .spreadsearch import Spread
 
 class Norm4Block(NamedTuple):
     row_index: int
-    vectors: tuple[Vec, ...]  # 240 norm-4 vectors, sorted
+    vectors: tuple[Vec, ...]  # 240 norm-4 vectors: sorted when built, in file order when parsed
 
 
 class Norm4Partition(NamedTuple):

@@ -355,7 +355,7 @@ def cmd_verify(args) -> int:
     path_of: dict[str, str] = {}
     try:
         for path in args.files:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8", newline="") as fh:  # "\r" is read as written
                 text = fh.read()
             header = text.split("\n", 1)[0]
             if header not in readers:

@@ -1,17 +1,20 @@
 """Line-oriented plain-text artifact formats with format-version headers.
 
 All integers are decimal; GF(2) vectors are two lowercase hex digits. Every
-writer is deterministic so repeated runs produce byte-identical files. The
-parsers read integers only in the form the writers print them: `int()` alone
-would also take "+0", "-0", "007", "1_0", non-ASCII digits and, in base 16,
-"0x11". Lines are split at "\\n" alone, and the header, `class X`, `row i`
-and `block i` lines must equal the writers' lines: no whitespace around or
-inside them is ignored.
+writer is deterministic so repeated runs produce byte-identical files.
+
+Each parser is its writer's inverse. It reads its lines by position, checks
+ranges, entry counts, increasing frame ids, rref spread rows and block
+lines, and accepts the text only if the writer prints exactly that text for
+what was read. That one comparison covers headers, markers, counts, token
+forms ("+0", "007", "1_0", non-ASCII digits and "0x11" all pass `int()`),
+whitespace, "\\r", blank lines and trailing text. Parsers do not normalise:
+a partition block keeps its file order. Every ParseError names a line.
 """
 
 from __future__ import annotations
 
-import re
+from os.path import commonprefix
 
 from .blocks import Norm4Block, Norm4Partition
 from .certs import Certificate
@@ -32,28 +35,28 @@ class ParseError(ValueError):
     pass
 
 
-# Token lines as the writers print them: tokens joined by single spaces.
-_INT_LINE = re.compile("(?:0|-?[1-9][0-9]*)(?: (?:0|-?[1-9][0-9]*))*")
-_HEX_LINE = re.compile("[0-9a-f]{2}(?: [0-9a-f]{2})*")
+def _error(what: str, lines: list[str], i: int) -> ParseError:
+    return ParseError("%s at line %d: %r" % (what, i + 1, lines[i]))
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    """The integers of a line of 0|-?[1-9][0-9]* tokens; ValueError for any
-    other line."""
-    if not _INT_LINE.fullmatch(text):
-        raise ValueError("not plain decimal integers: %r" % text)
-    return tuple(map(int, text.split(" ")))
+def _ints(lines: list[str], i: int, prefix: str = "", base: int = 10) -> tuple[int, ...]:
+    """The integers of lines[i] after `prefix`, read by int() between single spaces."""
+    if i >= len(lines):
+        raise ParseError("the file ends before line %d" % (i + 1))
+    try:
+        return tuple(int(tok, base) for tok in lines[i].removeprefix(prefix).split(" "))
+    except ValueError:
+        raise _error("not %s integers" % ("decimal" if base == 10 else "hex"), lines, i) from None
 
 
-def _lines(text: str) -> list[str]:
-    """The non-empty lines of text, split at "\\n" only: str.splitlines()
-    also splits at "\\x0c", "\\x85", U+2028 and other separators."""
-    return [ln for ln in text.split("\n") if ln]
-
-
-def _expect_header(lines: list[str], header: str) -> None:
-    if not lines or lines[0] != header:
-        raise ParseError("missing or wrong header, expected %r" % header)
+def _check_written(text: str, written: str) -> None:
+    """ParseError at the first line where text is not what the writer prints;
+    lines are shown with their "\\n", and '' is the end of the file."""
+    if text != written:
+        start = text.rfind("\n", 0, len(commonprefix((text, written)))) + 1
+        read, want = ("".join(t[start:].partition("\n")[:2]) for t in (text, written))
+        line = text.count("\n", 0, start) + 1
+        raise ParseError("line %d reads %r, the writer prints %r" % (line, read, want))
 
 
 # -- spread ------------------------------------------------------------------
@@ -67,28 +70,23 @@ def serialize_spread(s: Spread) -> str:
 
 
 def parse_spread(text: str) -> Spread:
-    lines = _lines(text)
-    _expect_header(lines, SPREAD_HEADER)
-    class_line = lines[1] if len(lines) == 11 else ""
-    label_txt = class_line.removeprefix("class ")
-    if label_txt == class_line:
-        raise ParseError("spread file must be header, class line, 9 spaces")
-    try:
-        label = SpaceClass(label_txt)
-    except ValueError:
-        raise ParseError("unknown class label %r" % label_txt) from None
+    lines = text.split("\n")
     spaces = []
-    for ln in lines[2:]:
-        if not _HEX_LINE.fullmatch(ln):
-            raise ParseError("bad hex row in %r" % ln)
-        rows = tuple(int(tok, 16) for tok in ln.split(" "))
+    for i in range(2, 11):
+        rows = _ints(lines, i, base=16)
         if len(rows) != 4 or any(not 0 < r < 256 for r in rows):
-            raise ParseError("each space needs 4 hex basis rows: %r" % ln)
+            raise _error("a space needs 4 hex basis rows", lines, i)
         # F2Subspace equality compares rows, so only the rref basis names a space.
         if rref(rows) != rows:
-            raise ParseError("space rows not in reduced row echelon form in %r" % ln)
+            raise _error("space rows not in reduced row echelon form", lines, i)
         spaces.append(F2Subspace(rows=rows))
-    return Spread(spaces=tuple(spaces), class_label=label)
+    try:  # line 2 exists: lines 3-11 were read
+        label = SpaceClass(lines[1].removeprefix("class "))
+    except ValueError:
+        raise _error("unknown class label", lines, 1) from None
+    spread = Spread(spaces=tuple(spaces), class_label=label)
+    _check_written(text, serialize_spread(spread))
+    return spread
 
 
 # -- frame array ---------------------------------------------------------------
@@ -99,37 +97,26 @@ def serialize_frames(arr: FrameArray) -> str:
     for i, row in enumerate(arr.rows):
         out.append("row %d" % i)
         for f in row:
-            out.append(" ".join(str(pid) for pid in f.roots))
+            out.append(" ".join(map(str, f.roots)))
     return "\n".join(out) + "\n"
 
 
 def parse_frames(text: str) -> FrameArray:
-    lines = _lines(text)
-    _expect_header(lines, FRAMES_HEADER)
-    rows: list[tuple[Frame, ...]] = []
-    i = 1
+    lines = text.split("\n")
+    rows = []
     for r in range(9):
-        if i >= len(lines) or lines[i] != "row %d" % r:
-            raise ParseError("expected 'row %d' marker" % r)
-        i += 1
         frames = []
-        for k in range(15):
-            if i >= len(lines):
-                raise ParseError("truncated frame row %d" % r)
-            try:
-                ids = _ints(lines[i])
-            except ValueError:
-                raise ParseError("bad id line %r" % lines[i]) from None
+        for k, i in enumerate(range(2 + 16 * r, 17 + 16 * r)):  # after row r's marker
+            ids = _ints(lines, i)
             if len(ids) != 8 or any(not 0 <= x < 120 for x in ids):
-                raise ParseError("frame line needs 8 pair ids in 0..119")
+                raise _error("a frame line needs 8 pair ids in 0..119", lines, i)
             if any(x >= y for x, y in zip(ids, ids[1:])):
-                raise ParseError("frame ids not strictly increasing in %r" % lines[i])
+                raise _error("frame ids not strictly increasing", lines, i)
             frames.append(Frame(roots=ids, source=(r, k)))
-            i += 1
         rows.append(tuple(frames))
-    if i != len(lines):
-        raise ParseError("trailing content after 9 rows")
-    return FrameArray(rows=tuple(rows))
+    arr = FrameArray(rows=tuple(rows))
+    _check_written(text, serialize_frames(arr))
+    return arr
 
 
 # -- partition -----------------------------------------------------------------
@@ -140,36 +127,25 @@ def serialize_partition(p: Norm4Partition) -> str:
     for b in p.blocks:
         out.append("block %d" % b.row_index)
         for v in b.vectors:
-            out.append(" ".join(str(x) for x in v))
+            out.append(" ".join(map(str, v)))
     return "\n".join(out) + "\n"
 
 
 def parse_partition(text: str) -> Norm4Partition:
-    lines = _lines(text)
-    _expect_header(lines, PARTITION_HEADER)
+    # Blocks keep their file order; spans, norms and overlaps belong to verification.
+    lines = text.split("\n")
     blocks = []
-    i = 1
     for r in range(9):
-        if i >= len(lines) or lines[i] != "block %d" % r:
-            raise ParseError("expected 'block %d' marker" % r)
-        i += 1
         vectors = []
-        for _ in range(240):
-            if i >= len(lines):
-                raise ParseError("truncated block %d" % r)
-            try:
-                v = _ints(lines[i])
-            except ValueError:
-                raise ParseError("bad vector line %r" % lines[i]) from None
+        for i in range(2 + 241 * r, 242 + 241 * r):  # after block r's marker
+            v = _ints(lines, i)
             if len(v) != 8:
-                raise ParseError("vector needs 8 coordinates: %r" % lines[i])
+                raise _error("a vector needs 8 coordinates", lines, i)
             vectors.append(v)
-            i += 1
-        # Semantic checks (duplicates, spans, norms) belong to verification.
-        blocks.append(Norm4Block(row_index=r, vectors=tuple(sorted(vectors))))
-    if i != len(lines):
-        raise ParseError("trailing content after 9 blocks")
-    return Norm4Partition(blocks=tuple(blocks))
+        blocks.append(Norm4Block(row_index=r, vectors=tuple(vectors)))
+    p = Norm4Partition(blocks=tuple(blocks))
+    _check_written(text, serialize_partition(p))
+    return p
 
 
 # -- generators ------------------------------------------------------------------
@@ -178,7 +154,7 @@ def parse_partition(text: str) -> Norm4Partition:
 def serialize_generators(matrices: list[Mat], block_perms: list[Perm]) -> str:
     out = [GENERATORS_HEADER, "count %d" % len(matrices)]
     for i, (m, bp) in enumerate(zip(matrices, block_perms)):
-        out.append("gen %d blocks %s" % (i, " ".join(str(x) for x in bp)))
+        out.append("gen %d blocks %s" % (i, " ".join(map(str, bp))))
         out.append(" ".join(str(x) for row in m for x in row))
     return "\n".join(out) + "\n"
 
@@ -186,36 +162,19 @@ def serialize_generators(matrices: list[Mat], block_perms: list[Perm]) -> str:
 def parse_generators(text: str) -> tuple[list[Mat], list[Perm]]:
     """Generator matrices and block lines; whether a matrix preserves the
     Gram and induces its block line is for verification."""
-    lines = _lines(text)
-    _expect_header(lines, GENERATORS_HEADER)
-    count_line = lines[1] if len(lines) > 1 else ""
-    digits = count_line.removeprefix("count ")
-    if digits == count_line or not re.fullmatch("0|[1-9][0-9]*", digits):
-        raise ParseError("bad count line %r, expected 'count N'" % count_line)
-    count = int(digits)
-    if len(lines) != 2 + 2 * count:
-        raise ParseError("expected %d generator entries" % count)
-    matrices = []
-    perms = []
+    lines = text.split("\n")
+    count = _ints(lines, 1, "count ")[0]
+    matrices, perms = [], []
     for i in range(count):
-        head = lines[2 + 2 * i]
-        ids = head.removeprefix("gen %d blocks " % i)
-        if ids == head:
-            raise ParseError("bad generator header %r" % head)
-        try:
-            bp = _ints(ids)
-        except ValueError:
-            raise ParseError("bad block id in %r" % head) from None
+        bp = _ints(lines, 2 + 2 * i, "gen %d blocks " % i)
         if sorted(bp) != list(range(9)):
-            raise ParseError("generator %d block line is not a permutation" % i)
-        try:
-            entries = _ints(lines[3 + 2 * i])
-        except ValueError:
-            raise ParseError("bad matrix line for generator %d" % i) from None
+            raise _error("the block line is not a permutation of 0..8", lines, 2 + 2 * i)
+        entries = _ints(lines, 3 + 2 * i)
         if len(entries) != 64:
-            raise ParseError("generator %d matrix needs 64 entries" % i)
-        matrices.append(tuple(tuple(entries[8 * r : 8 * r + 8]) for r in range(8)))
+            raise _error("a generator matrix needs 64 entries", lines, 3 + 2 * i)
+        matrices.append(tuple(entries[8 * r : 8 * r + 8] for r in range(8)))
         perms.append(bp)
+    _check_written(text, serialize_generators(matrices, perms))
     return matrices, perms
 
 

@@ -6,7 +6,7 @@ import chain_oracle
 from e8nine import autgroup as ag
 from e8nine import blocks as bl
 from e8nine import frames as fr
-from e8nine import gf2
+from e8nine import gf2, serial
 from e8nine.lattice import build_lattice
 from e8nine.spreadsearch import find_spread
 
@@ -77,3 +77,16 @@ def stab_result(lat, frame_array, class_block):
 def oracle_chain(lat, stab_result):
     """The faithful 9 + 240 point chain of the stabilizer (`chain_oracle`)."""
     return chain_oracle.faithful_chain(lat, stab_result.isometries, stab_result.block_perms)
+
+
+@pytest.fixture(scope="session")
+def artifact_texts(spread, frame_array, partition, stab_result):
+    """The text of each class-A artifact that the parsers read, by file name."""
+    return {
+        "spread.txt": serial.serialize_spread(spread),
+        "frames.txt": serial.serialize_frames(frame_array),
+        "partition.txt": serial.serialize_partition(partition),
+        "generators.txt": serial.serialize_generators(
+            list(stab_result.isometries), list(stab_result.block_perms)
+        ),
+    }

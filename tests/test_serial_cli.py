@@ -333,6 +333,12 @@ MALFORMED = [
     ("frames.txt", lambda t: t.replace("\nrow 3\n", "\nrow 3\x0c\n")),
     ("partition.txt", lambda t: t.replace("\nblock 4\n", "\nblock 4 \n")),
     ("generators.txt", lambda t: "  " + t),
+    ("spread.txt", lambda t: t.replace("\n", "\r\n")),
+    ("partition.txt", lambda t: t.replace("\n", "\r")),
+    ("frames.txt", lambda t: t.replace("\nrow 3\n", "\n\nrow 3\n")),
+    ("spread.txt", lambda t: t.replace("\nclass A\n", "\nclass A\n\n")),
+    ("generators.txt", lambda t: t.replace("\ngen 1 ", "\n\ngen 1 ")),
+    ("partition.txt", lambda t: t + "\n"),
 ]
 PARSERS = {
     "spread.txt": serial.parse_spread,
@@ -342,32 +348,37 @@ PARSERS = {
 }
 
 
-@pytest.mark.parametrize(
-    "name, corrupt",
-    MALFORMED,
-    ids=[
-        "class-no-label",
-        "space-rows-not-rref",
-        "gen-header-short",
-        "block-id-not-int",
-        "count-trailing-junk",
-        "count-signed",
-        "spread-row-0x",
-        "frame-id-signed",
-        "frame-id-leading-zero",
-        "vector-non-ascii-digits",
-        "vector-underscore",
-        "block-id-signed",
-        "block-ids-non-ascii-space",
-        "matrix-entry-minus-zero",
-        "count-leading-zero",
-        "class-line-double-space",
-        "class-line-non-ascii-space",
-        "row-marker-form-feed",
-        "block-marker-trailing-space",
-        "header-leading-spaces",
-    ],
-)
+MALFORMED_IDS = [
+    "class-no-label",
+    "space-rows-not-rref",
+    "gen-header-short",
+    "block-id-not-int",
+    "count-trailing-junk",
+    "count-signed",
+    "spread-row-0x",
+    "frame-id-signed",
+    "frame-id-leading-zero",
+    "vector-non-ascii-digits",
+    "vector-underscore",
+    "block-id-signed",
+    "block-ids-non-ascii-space",
+    "matrix-entry-minus-zero",
+    "count-leading-zero",
+    "class-line-double-space",
+    "class-line-non-ascii-space",
+    "row-marker-form-feed",
+    "block-marker-trailing-space",
+    "header-leading-spaces",
+    "crlf-line-endings",
+    "cr-line-endings",
+    "blank-line-before-row-marker",
+    "blank-line-after-class-line",
+    "blank-line-between-gen-lines",
+    "blank-line-at-end",
+]
+
+
+@pytest.mark.parametrize("name, corrupt", MALFORMED, ids=MALFORMED_IDS)
 def test_malformed_artifact_is_a_parse_error(pipeline_state, tmp_path, capsys, name, corrupt):
     out = str(tmp_path / "malformed")
     cli.write_artifacts(pipeline_state, out)
@@ -383,6 +394,80 @@ def test_malformed_artifact_is_a_parse_error(pipeline_state, tmp_path, capsys, n
     assert cli.main(["verify", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, corrupt", MALFORMED, ids=MALFORMED_IDS)
+def test_malformed_parse_error_names_a_line(artifact_texts, name, corrupt):
+    with pytest.raises(serial.ParseError, match=r"\bline [1-9][0-9]*\b"):
+        PARSERS[name](corrupt(artifact_texts[name]))
+
+
+def test_parse_error_names_the_line_read_and_the_line_written(artifact_texts):
+    partition = artifact_texts["partition.txt"]
+    last = partition.split("\n")[-2]
+    cases = [
+        (serial.parse_partition, partition + "\n", "line 2171 reads '\\n', the writer prints ''"),
+        (
+            serial.parse_partition,
+            partition[:-1],
+            "line 2170 reads %r, the writer prints %r" % (last, last + "\n"),
+        ),
+        (
+            serial.parse_frames,
+            artifact_texts["frames.txt"].replace("\nrow 3\n", "\n\nrow 3\n"),
+            "not decimal integers at line 51: 'row 3'",
+        ),
+        (
+            serial.parse_generators,
+            "\n".join(artifact_texts["generators.txt"].split("\n")[:4]),
+            "the file ends before line 5",
+        ),
+        (
+            serial.parse_spread,
+            artifact_texts["spread.txt"].replace("\n", "\r\n"),
+            "unknown class label at line 2: 'class A\\r'",
+        ),
+    ]
+    for parse, text, message in cases:
+        with pytest.raises(serial.ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+
+def test_partition_block_keeps_its_file_order(artifact_texts, tmp_path, capsys):
+    # Parsers do not sort: a reordered block is read as written, and stays a
+    # valid block for verification.
+    lines = artifact_texts["partition.txt"].split("\n")
+    lines[2:242] = reversed(lines[2:242])
+    text = "\n".join(lines)
+    parsed = serial.parse_partition(text)
+    assert [" ".join(map(str, v)) for v in parsed.blocks[0].vectors] == lines[2:242]
+    assert serial.serialize_partition(parsed) == text
+    path = tmp_path / "partition.txt"
+    path.write_text(text)
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "partition: PASS (10 checks)\n"
+
+
+def test_verify_rejects_a_partition_of_another_spread(artifact_texts, tmp_path, capsys):
+    # A class-B spread, correctly labelled, with the class-A partition: each
+    # file passes alone, and the partition's nine spaces are class A's.
+    spread_b = cli.run_pipeline(SpaceClass.CLASS_B, upto="spread").spread
+    spread, partition = tmp_path / "spread.txt", tmp_path / "partition.txt"
+    spread.write_text(serial.serialize_spread(spread_b))
+    partition.write_text(artifact_texts["partition.txt"])
+    capsys.readouterr()
+    assert cli.main(["verify", str(spread), str(partition)]) == 1
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+        "spread",
+        "spread-class",
+        "partition",
+    ]
+    assert captured.err.startswith(
+        "FAIL: partition-vs-spread: partition projects onto the spread (expected "
+    )
 
 
 def test_verify_with_nothing_to_check_is_a_parse_error(pipeline_state, tmp_path, capsys):
