@@ -23,7 +23,9 @@ in block class_block[cls(t_pi(k)) ^ cls(rho')]. A probe looks up the target
 root's class by support and sign mask in `_support_rows`, the one table per
 frame (the source's is built the same way), then the class's block.
 
-The group is certified on the nine blocks, with no chain over the roots:
+Generators are chosen by a 9-point chain of block permutations that takes
+each map as the search finds it; the search stops at the map that completes
+A9. The group is certified on the nine blocks, with no chain over the roots:
 `block_action` proves that the kernel of the block action is {+-1}, so the
 order is twice that of the block images. `StabilizerResult` lists where each
 of the 12 certified values comes from.
@@ -31,6 +33,7 @@ of the 12 certified values comes from.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import itemgetter, mul
@@ -57,8 +60,9 @@ from .permgroup import (
 STABILIZER_ORDER = 362880
 BLOCK_IMAGE_ORDER = 181440  # |A9|
 ONE_BLOCK_IMAGE_ORDER = 20160  # |A8| = |L4(2)|
-# Maps taken from each target frame: every run measured needed at most three
-# targets at this cap (classes A and B, and congruent Grams of both).
+# Most maps searched from one target frame; the search stops early at the map
+# that completes A9. Every run measured needed at most three targets at this
+# cap (classes A and B, and congruent Grams of both).
 MAPS_PER_TARGET = 12
 
 
@@ -260,6 +264,7 @@ def isometries_between_frames(
     source: SearchSource,
     tgt_reps: list[Vec],
     cap: int,
+    stop: Callable[[Mat, Perm], bool] | None = None,
 ) -> list[tuple[Mat, Perm]]:
     """Up to cap isometries mapping the source frame onto a target, found by DFS.
 
@@ -273,7 +278,8 @@ def isometries_between_frames(
     per frame, as for the source) and class_block, and never forms a
     vector. `finalize` keeps each integral survivor with tau, a full
     permutation since the probes fix every source block (`search_source`),
-    as its block permutation.
+    as its block permutation. `stop(m, bp)`, if given, sees each map as it
+    is found; the search returns at once when it says True, or at the cap.
     """
     rows = _support_rows(lat, tgt_reps)
     tgt_class = [reduce_mod2(t) for t in tgt_reps]
@@ -300,46 +306,48 @@ def isometries_between_frames(
         num = mat_mul(r_adj, u_mat)
         if any(x % r_det for row in num for x in row):
             return False
-        found.append((tuple(tuple(x // r_det for x in row) for row in num), tuple(tau)))
-        return len(found) >= cap
+        m, bp = tuple(tuple(x // r_det for x in row) for row in num), tuple(tau)
+        found.append((m, bp))
+        return (stop is not None and stop(m, bp)) or len(found) >= cap
 
     def rec(t: int) -> bool:
         for q in range(8):
             if used[q]:
                 continue
-            used[q] = True
             pi[t] = q
+            # The support test reads only pi, so it runs once for both signs.
+            if not all((pi[a], pi[b], pi[c], pi[d]) in rows for a, b, c, d in new_subsets[t]):
+                continue
+            used[q] = True
             for n in (0, 1):
                 minus[t] = n
-                ok = all((pi[a], pi[b], pi[c], pi[d]) in rows for a, b, c, d in new_subsets[t])
+                ok = True
                 trail: list[int] = []
-                if ok:
-                    for k, (a, b, c, d), blocks in probes[t]:
-                        row = rows[pi[a], pi[b], pi[c], pi[d]]
-                        m_e = minus[a] | minus[b] << 1 | minus[c] << 2 | minus[d] << 3
-                        c_k = tgt_class[pi[k]]
-                        for m, b_src in enumerate(blocks):
-                            b_img = class_block[c_k ^ row[m ^ m_e]]
-                            cur = tau[b_src]
-                            if cur == -1:
-                                if tau_used[b_img]:
-                                    ok = False
-                                    break
-                                tau[b_src] = b_img
-                                tau_used[b_img] = True
-                                trail.append(b_src)
-                            elif cur != b_img:
+                for k, (a, b, c, d), blocks in probes[t]:
+                    row = rows[pi[a], pi[b], pi[c], pi[d]]
+                    m_e = minus[a] | minus[b] << 1 | minus[c] << 2 | minus[d] << 3
+                    c_k = tgt_class[pi[k]]
+                    for m, b_src in enumerate(blocks):
+                        b_img = class_block[c_k ^ row[m ^ m_e]]
+                        cur = tau[b_src]
+                        if cur == -1:
+                            if tau_used[b_img]:
                                 ok = False
                                 break
-                        if not ok:
+                            tau[b_src] = b_img
+                            tau_used[b_img] = True
+                            trail.append(b_src)
+                        elif cur != b_img:
+                            ok = False
                             break
+                    if not ok:
+                        break
                 if ok and (finalize() if t == 7 else rec(t + 1)):
                     return True
                 for b_src in trail:
                     tau_used[tau[b_src]] = False
                     tau[b_src] = -1
             used[q] = False
-            pi[t] = -1
         return False
 
     rec(0)
@@ -388,29 +396,32 @@ def compute_stabilizer(
     degree-9 chain, until that chain has order 181440. The block action's
     kernel is {+-1} (`block_action`), so a map lies in the group generated so
     far exactly when its block permutation lies in that group's image: a
-    faithful chain would keep the same maps. One pass takes up to
-    MAPS_PER_TARGET maps from each target in turn; a pass that ends below A9
-    returns the partial list, which the "group order" check rejects.
-    `class_block` is the certified table of `blocks.block_of_class_table`.
+    faithful chain would keep the same maps. The chain takes each map as the
+    search finds it, up to MAPS_PER_TARGET from each target in turn, and the
+    search stops at the map that completes A9 (Seress, Permutation Group
+    Algorithms, CUP 2003, ch. 4: sifting stops at the known order). A pass
+    that ends below A9 returns the partial list, which the "group order"
+    check rejects. `class_block` is the certified table of
+    `blocks.block_of_class_table`.
     """
     source = search_source(lat, frame_reps(lat, arr.rows[0][0]), class_block)
     image = StabChain(degree=9)
     isometries: list[Mat] = [NEGATION]
     block_perms: list[Perm] = [identity_perm(9)]
-    # A target is searched only when the maps before it fell short.
-    candidates = (
-        found
-        for j, k in _target_schedule()
-        for found in isometries_between_frames(
-            lat, source, frame_reps(lat, arr.rows[j][k]), MAPS_PER_TARGET
-        )
-    )
-    for m, bp in candidates:
+
+    def take(m: Mat, bp: Perm) -> bool:
         if image.add_generator(bp):
             isometries.append(m)
             block_perms.append(bp)
-            if image.order() == BLOCK_IMAGE_ORDER:
-                break
+        return image.order() == BLOCK_IMAGE_ORDER
+
+    for j, k in _target_schedule():
+        # A target is searched only when the maps before it fell short.
+        isometries_between_frames(
+            lat, source, frame_reps(lat, arr.rows[j][k]), MAPS_PER_TARGET, take
+        )
+        if image.order() == BLOCK_IMAGE_ORDER:
+            break
     return StabilizerResult(
         isometries=tuple(isometries), block_perms=tuple(block_perms), source=source
     )

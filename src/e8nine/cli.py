@@ -369,7 +369,7 @@ def cmd_verify(args) -> int:
                 parsed[kind] = parse(text)
         if not parsed:
             raise serial.ParseError("no checkable artifact among %s" % " ".join(args.files))
-    except (OSError, UnicodeDecodeError, serial.ParseError, ArithmeticError) as e:
+    except (OSError, UnicodeDecodeError, serial.ParseError) as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2
 

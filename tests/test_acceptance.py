@@ -3,12 +3,15 @@
 Every expected number is asserted with zero tolerance. Each test prints one
 pass/fail line (run with -s to see them as they happen). The module builds
 the pipeline in criterion order, so each criterion is timed on its own work.
+A last test checks that tests/class_a.sha256, which CI runs `sha256sum -c`
+on, pins the reference digests.
 """
 
 from __future__ import annotations
 
 import filecmp
 import hashlib
+import os
 import subprocess
 import sys
 import time
@@ -24,7 +27,8 @@ from e8nine.spreadsearch import find_spread, verify_spread
 STATE: dict = {}
 
 # sha256 of the five `certify --out` artifacts of the standard run, the same
-# values as `reference_sha256` in perfbench/spec.json.
+# values as `reference_sha256` in perfbench/spec.json and as
+# tests/class_a.sha256, which CI checks with `sha256sum -c`.
 REFERENCE_SHA256 = {
     "spread.txt": "f05b923a10a7f98e75bb7aca40dc920e56c5e6bae532e544c931b173fd442ee8",
     "frames.txt": "f9e5627866485df1a3753c168fdb6b70b377a78f1261bfce58fb482e09c127c7",
@@ -220,4 +224,13 @@ def test_criterion_11_byte_identical_runs(tmp_path):
     print(
         "ACCEPTANCE 11: %-58s PASS (%.2f s)"
         % ("two certify runs produce byte-identical artifacts", elapsed)
+    )
+
+
+def test_class_a_digest_file_matches_the_reference():
+    # CI checks the CLI's out/ with this file; it must pin the same digests.
+    with open(os.path.join(os.path.dirname(__file__), "class_a.sha256"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == "".join(
+        "%s  out/%s\n" % (REFERENCE_SHA256[name], name) for name in sorted(REFERENCE_SHA256)
     )

@@ -557,21 +557,58 @@ def test_group_stage_names_a_failed_kernel_premise(
     assert str(exc.value) == message
 
 
-def test_single_pass_reaches_a_third_target(lat, monkeypatch):
-    gram = mat_mul(mat_mul(_U_THREE_TARGETS, lat.gram), transpose(_U_THREE_TARGETS))
-    calls = []
+def _counted_search(monkeypatch):
+    """Patch the frame search to record each target's list of maps."""
+    lists = []
     search = ag.isometries_between_frames
 
     def counted(*args):
         found = search(*args)
-        calls.append(len(found))
+        lists.append(found)
         return found
 
     monkeypatch.setattr(ag, "isometries_between_frames", counted)
+    return lists
+
+
+def test_single_pass_reaches_a_third_target(lat, monkeypatch):
+    gram = mat_mul(mat_mul(_U_THREE_TARGETS, lat.gram), transpose(_U_THREE_TARGETS))
+    lists = _counted_search(monkeypatch)
     state = cli.run_pipeline(SpaceClass.CLASS_A, gram_override=gram)
-    assert calls == [MAPS_PER_TARGET] * 3
+    assert [len(found) for found in lists] == [MAPS_PER_TARGET, MAPS_PER_TARGET, 1]
     assert state.certificates[-1].checks[0].actual == STABILIZER_ORDER
     assert all(c.passed for c in state.certificates)
+    # The third target's one map is the last generator, and it completes A9.
+    bps = list(state.stab.block_perms)
+    assert lists[-1] == [(state.stab.isometries[-1], bps[-1])]
+    assert schreier_sims(bps[:-1])[0] < BLOCK_IMAGE_ORDER == schreier_sims(bps)[0]
+
+
+def test_search_stops_at_the_map_that_completes_a9(lat, frame_array, class_block, monkeypatch):
+    # f0 -> f0 gives 12 maps below A9; the first map of the next target
+    # completes it, and the search takes no other map from that target.
+    lists = _counted_search(monkeypatch)
+    result = ag.compute_stabilizer(lat, frame_array, class_block)
+    assert [len(found) for found in lists] == [MAPS_PER_TARGET, 1]
+    assert (result.isometries[-1], result.block_perms[-1]) == lists[-1][0]
+    assert schreier_sims(list(result.block_perms))[0] == BLOCK_IMAGE_ORDER
+
+    # A stop sees each map as it is found, the cap-th too, and the search
+    # returns at its True.
+    src = frame_reps(lat, frame_array.rows[0][0])
+    source = search_source(lat, src, class_block)
+    tgt = frame_reps(lat, frame_array.rows[1][0])
+    full = isometries_between_frames(lat, source, tgt, MAPS_PER_TARGET)
+    assert len(full) == MAPS_PER_TARGET
+    for n, want in ((3, full[:3]), (MAPS_PER_TARGET + 1, full)):
+        seen = []
+
+        def stop(m, bp):
+            seen.append((m, bp))
+            return len(seen) == n
+
+        assert isometries_between_frames(lat, source, tgt, MAPS_PER_TARGET, stop) == want
+        assert seen == want
 
 
 @pytest.mark.parametrize("class_label", [SpaceClass.CLASS_A, SpaceClass.CLASS_B])

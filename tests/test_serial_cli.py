@@ -559,6 +559,19 @@ def test_verify_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     assert err.startswith("parse error: ") and "Traceback" not in err
 
 
+def test_verify_lets_an_arithmetic_error_in_a_parser_propagate(artifact_texts, tmp_path, monkeypatch):
+    # Only unreadable or malformed input exits 2; a fault in the program
+    # itself must show its traceback.
+    def broken(text):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(serial, "parse_spread", broken)
+    path = tmp_path / "spread.txt"
+    path.write_text(artifact_texts["spread.txt"])
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["verify", str(path)])
+
+
 def test_cmd_enumerate_ok(capsys):
     assert cli.main(["enumerate"]) == 0
     out = capsys.readouterr().out
