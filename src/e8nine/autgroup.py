@@ -21,7 +21,10 @@ partition the 135 isotropic points), so the probe vector w = r_k + rho lies
 in block class_block[cls(r_k) ^ cls(rho)] and its image e_k t_pi(k) + rho'
 in block class_block[cls(t_pi(k)) ^ cls(rho')]. A probe looks up the target
 root's class by support and sign mask in `_support_rows`, the one table per
-frame (the source's is built the same way), then the class's block.
+frame (the source's is built the same way), then the class's block. That
+table reads cs from the root-pair Gram T (`frames.root_pair_gram`), which
+the glue certificates read too: the rep of pair a has cs = T[a] at the
+frame's ids, and no matrix product is formed.
 
 Generators are chosen by a 9-point chain of block permutations that takes
 each map as the search finds it; the search stops at the map that completes
@@ -39,9 +42,8 @@ from itertools import combinations, permutations
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .blocks import doubled_frame_coordinates
 from .certs import CertBuilder
-from .frames import FrameArray, frame_reps
+from .frames import Frame, FrameArray, frame_reps, root_pair_gram
 from .gf2 import reduce_mod2, rref
 from .intmat import Mat, Vec, adjugate, det, mat_mul, transpose
 from .lattice import Lattice, enumerate_shell, root_pairs
@@ -145,27 +147,28 @@ def _orderings() -> tuple[tuple[itemgetter, itemgetter], ...]:
     )
 
 
-def _support_rows(lat: Lattice, reps: list[Vec]) -> dict[tuple[int, ...], tuple[int, ...]]:
+def _support_rows(lat: Lattice, frame: Frame) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Root classes by ordered support and sign mask: the one table per frame.
 
     rows[(q0, q1, q2, q3)][m] is the class of the root supported on
     {q0, .., q3} whose doubled coordinate at q_j is -1 exactly when bit j of
     m is set. Every ordering of each supported 4-subset is a key, so key
     membership is also the support test; the keys and rows are read by the
-    24 getter pairs of `_orderings`. One pass over the 120 root pairs: a rep
-    rho gives cs = rho G R^T by the columns of one
-    `doubled_frame_coordinates` matrix, transposed once, and -rho has the
-    complementary sign mask and the same class. Every root outside the frame
-    has four entries +-1 and four 0, so it is (sum of 4 signed members)/2;
-    the 14 possible supports each carry all 16 masks.
+    24 getter pairs of `_orderings`. One pass over the 120 root pairs: the
+    rep rho of pair a has cs = T[a] at the frame's ids, read from the
+    root-pair Gram T (`frames.root_pair_gram`) as `blocks.certify_d8_glue`
+    reads it, and -rho has the complementary sign mask and the same class.
+    Every root outside the frame has four entries +-1 and four 0, so it is
+    (sum of 4 signed members)/2; the 14 possible supports each carry all 16
+    masks.
     """
-    cols = transpose(doubled_frame_coordinates(lat, reps))
+    at_frame = itemgetter(*frame.roots)
+    pair_gram = root_pair_gram(lat.gram)
     by_support: dict[tuple[int, ...], list[int]] = {}
     # Descending reps meet each support first at its largest root, minus its
     # least, so supports (and the source's probes) keep sorted-shell order.
     for pair in reversed(root_pairs(lat)):
-        rep = pair.rep
-        cs = [sum(map(mul, rep, col)) for col in cols]
+        cs = at_frame(pair_gram[pair.id])
         if 2 in cs or -2 in cs:
             continue  # the frame's own pair
         slots = tuple(i for i, c in enumerate(cs) if c)
@@ -173,7 +176,7 @@ def _support_rows(lat: Lattice, reps: list[Vec]) -> dict[tuple[int, ...], tuple[
             raise AssertionError("root support of size %d over a frame" % len(slots))
         by_mask = by_support.setdefault(slots, [-1] * 16)
         m = sum(1 << j for j, q in enumerate(slots) if cs[q] < 0)
-        by_mask[m] = by_mask[m ^ 15] = reduce_mod2(rep)
+        by_mask[m] = by_mask[m ^ 15] = reduce_mod2(pair.rep)
     if len(by_support) != 14 or any(-1 in v for v in by_support.values()):
         raise AssertionError("frame support structure is not 14 x 16")
     return {
@@ -220,11 +223,10 @@ class SearchSource(NamedTuple):
     seed_block: int  # block of reps[0] + reps[1]
 
 
-def search_source(
-    lat: Lattice, src_reps: list[Vec], class_block: dict[int, int]
-) -> SearchSource:
+def search_source(lat: Lattice, frame: Frame, class_block: dict[int, int]) -> SearchSource:
     """Slot order, supported subsets and probe templates of a source frame."""
-    rows = _support_rows(lat, src_reps)
+    src_reps = frame_reps(lat, frame)
+    rows = _support_rows(lat, frame)
     subsets = dict.fromkeys(map(frozenset, rows))
     order = _greedy_slot_order(subsets)
     pos_of = {slot: p for p, slot in enumerate(order)}
@@ -262,7 +264,7 @@ def search_source(
 def isometries_between_frames(
     lat: Lattice,
     source: SearchSource,
-    tgt_reps: list[Vec],
+    frame: Frame,
     cap: int,
     stop: Callable[[Mat, Perm], bool] | None = None,
 ) -> list[tuple[Mat, Perm]]:
@@ -281,7 +283,8 @@ def isometries_between_frames(
     as its block permutation. `stop(m, bp)`, if given, sees each map as it
     is found; the search returns at once when it says True, or at the cap.
     """
-    rows = _support_rows(lat, tgt_reps)
+    tgt_reps = frame_reps(lat, frame)
+    rows = _support_rows(lat, frame)
     tgt_class = [reduce_mod2(t) for t in tgt_reps]
     class_block = source.class_block
     new_subsets, probes = source.new_subsets, source.probes
@@ -404,7 +407,7 @@ def compute_stabilizer(
     check rejects. `class_block` is the certified table of
     `blocks.block_of_class_table`.
     """
-    source = search_source(lat, frame_reps(lat, arr.rows[0][0]), class_block)
+    source = search_source(lat, arr.rows[0][0], class_block)
     image = StabChain(degree=9)
     isometries: list[Mat] = [NEGATION]
     block_perms: list[Perm] = [identity_perm(9)]
@@ -417,9 +420,7 @@ def compute_stabilizer(
 
     for j, k in _target_schedule():
         # A target is searched only when the maps before it fell short.
-        isometries_between_frames(
-            lat, source, frame_reps(lat, arr.rows[j][k]), MAPS_PER_TARGET, take
-        )
+        isometries_between_frames(lat, source, arr.rows[j][k], MAPS_PER_TARGET, take)
         if image.order() == BLOCK_IMAGE_ORDER:
             break
     return StabilizerResult(

@@ -27,10 +27,12 @@ s_a (r_a . r_i) + s_b (r_b . r_i): two rows of the 120 x 120 root-pair Gram,
 restricted to the frame and added. That Gram, the decomposition of each
 norm-4 vector and the four vectors +-r_a +-r_b of each orthogonal pair are
 `frames.pair_tables`, built once per Gram matrix and shared with the
-frame-array checks; a row's 240 vectors and the recovered frame are read
-from it too. Over a frame with Gram 2I the eight roots are a rational basis
-and v = sum_i (d_i / 2) r_i, so v -> d is injective and the frame's 112
-combinations are exactly the vectors with d = +-2e_i +-2e_j.
+frame-array checks and the frame search of `autgroup`, whose probes read a
+root pair's doubled coordinates as its row of T at the frame's ids; a row's
+240 vectors and the recovered frame are read from it too. Over a frame with
+Gram 2I the eight roots are a rational basis and v = sum_i (d_i / 2) r_i,
+so v -> d is injective and the frame's 112 combinations are exactly the
+vectors with d = +-2e_i +-2e_j.
 
 The glue certificate tests those shapes on exact integer codes: d is encoded
 as sum_i d_i 16^i, which is linear, so the code of s_a r_a + s_b r_b is
@@ -55,7 +57,7 @@ from typing import NamedTuple
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
 from .gf2 import F2Subspace, FormTable, SpaceClass, nonzero_elements, reduce_mod2, rref
-from .intmat import Mat, Vec, mat_mul, transpose
+from .intmat import Mat, Vec
 from .lattice import Lattice, norm4_set
 from .frames import Frame, FrameArray, frame_combinations, pair_tables
 from .spreadsearch import Spread
@@ -87,16 +89,6 @@ def row_to_block(lat: Lattice, row: tuple[Frame, ...], row_index: int) -> Norm4B
     return Norm4Block(row_index=row_index, vectors=tuple(sorted(vectors)))
 
 
-def doubled_frame_coordinates(lat: Lattice, reps: list[Vec]) -> Mat:
-    """The matrix G R^T taking a row vector v to d with d_i = v . r_i.
-
-    Over a frame with r_i . r_i = 2 and r_i . r_j = 0, v = sum_i (d_i / 2) r_i,
-    so d is twice the coordinate vector of v in the orthonormal half-scale
-    frame.
-    """
-    return mat_mul(lat.gram, transpose(reps))
-
-
 TWO_I: Mat = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
 # Doubled frame coordinates d with every |d_i| <= 7 as the integer code
 # sum_i d_i 16^i: linear in d, and injective on that range (balanced base 16).
@@ -118,8 +110,8 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
     """Certify the D8-plus-glue structure of a block relative to one frame.
 
     The frame Gram is 2I, so the eight representatives are orthonormal at
-    half scale and, in the coordinates c = d / 2 of
-    `doubled_frame_coordinates`, their 112 combinations are the minimal
+    half scale and, in the coordinates c = d / 2 with d_i = v . r_i (module
+    docstring), their 112 combinations are the minimal
     vectors of D8 = {c in Z^8 : sum(c) even}. Of the block's other vectors:
 
     - each has d in {+-1}^8, so c in {+-1/2}^8 and halved norm 2, and it lies

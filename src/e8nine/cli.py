@@ -422,6 +422,8 @@ def cmd_verify(args) -> int:
                         bp,
                         ag.block_perm(point_space, m),
                     )
+            # As block_action requires: the kernel {+-1} is counted through generator 0.
+            cb.check("generator 0 is -1", True, matrices[:1] == [ag.NEGATION])
             print("generators: PASS (%d checks)" % len(cb.done().checks))
     except CheckFailure as e:
         print("FAIL: %s" % e, file=sys.stderr)

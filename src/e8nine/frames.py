@@ -2,16 +2,17 @@
 
 For a 3-space W inside an isotropic 4-space V, the quotient W-perp / W is a
 2-space whose three nonzero cosets are: the one completing W into V, a second
-isotropic coset, and exactly one anisotropic coset. The eight classes of that
-anisotropic coset lift to eight mutually orthogonal root pairs, a frame.
+isotropic coset, and exactly one anisotropic coset. So a frame is W-perp's
+eight anisotropic classes, read off its mask (`frame_from_3space`); they lift
+to eight mutually orthogonal root pairs.
 
-The module also owns the root-pair tables (`pair_tables`), built once per
-Gram matrix: the one place where root-pair inner products are computed, read
-by the frame-array checker, the pair census and the glue certificates of
-`blocks`. Beside the root-pair Gram they hold one decomposition
-s_a r_a + s_b r_b per norm-4 vector and the table from each orthogonal pair
-to its four vectors +-r_a +-r_b, from which `frame_combinations` reads a
-frame's 112 vectors without adding any.
+The module also owns the root-pair tables, built once per Gram matrix. The
+root-pair Gram (`root_pair_gram`) is the one place where root-pair inner
+products are computed, read by the frame-array checker, the pair census,
+the glue certificates of `blocks` and the frame search of `autgroup`.
+`pair_tables` adds one decomposition s_a r_a + s_b r_b per norm-4 vector and
+the table from each orthogonal pair to its four vectors +-r_a +-r_b, from
+which `frame_combinations` reads a frame's 112 vectors without adding any.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .gf2 import (
     rref,
     span_elements,
 )
-from .intmat import Mat, Vec, row_times_mat
+from .intmat import Mat, Vec
 from .lattice import Lattice, enumerate_shell, root_pairs
 
 
@@ -72,65 +73,25 @@ def frame_from_3space(
     w: F2Subspace,
     source: tuple[int, int] = (-1, -1),
 ) -> Frame:
-    """Build the frame attached to W inside V.
+    """Build the frame attached to W inside V: W-perp's anisotropic classes.
 
-    W-perp is 5-dimensional and contains W; among the three nonzero cosets of
-    W in W-perp exactly one consists of anisotropic classes (q is constant on
-    each coset since W is isotropic and orthogonal to W-perp). Lifting those
-    eight classes through the class-to-pair table yields the frame. W-perp's
-    32 elements are read off its mask by `bits_of_mask`, and V's membership
-    test reads V's cached `mask`.
+    W is isotropic and orthogonal to W-perp, so q is constant on each coset
+    of W in W-perp. Of the three nonzero cosets, the one completing W into V
+    and one more are isotropic, so eight classes of W-perp are anisotropic,
+    all in the third coset. They are read off the masks, and any other count
+    raises CheckFailure: eight means exactly one anisotropic coset. Lifting
+    the eight through the class-to-pair table yields the frame.
     """
     if w.dim != 3 or v.dim != 4:
         raise ValueError("expected dim(V)=4, dim(W)=3")
-    w_elems = span_elements(w)
-    v_mask = v.mask
-    if any(not v_mask >> e & 1 for e in w_elems[1:]):
+    if w.mask & ~v.mask:
         raise ValueError("W is not a subspace of V")
-    perp_elems = bits_of_mask(perp_mask(ft, w))
-    if len(perp_elems) != 32:
-        raise AssertionError("W-perp has %d elements, expected 32" % len(perp_elems))
-
-    coset_reps: list[int] = []
-    seen: set[int] = set(w_elems)
-    for x in perp_elems:
-        if x not in seen:
-            coset_reps.append(x)
-            seen.update(x ^ e for e in w_elems)
-    if len(coset_reps) != 3:
-        raise AssertionError("expected 3 nonzero cosets of W in W-perp")
-
-    aniso = []
-    completing = []
-    for rep in coset_reps:
-        qs = {ft.q[rep ^ e] for e in w_elems}
-        if len(qs) != 1:
-            raise AssertionError("q is not constant on a coset of W")
-        if qs == {1}:
-            aniso.append(rep)
-        elif (v_mask >> rep) & 1:
-            completing.append(rep)
-    if len(aniso) != 1:
+    aniso = bits_of_mask(perp_mask(ft, w) & ~ft.iso_mask & ~1)
+    if len(aniso) != 8:
         raise CheckFailure(
-            "frame",
-            Check("anisotropic cosets of W-perp/W for W=%s" % (w.rows,), 1, len(aniso)),
+            "frame", Check("anisotropic classes of W-perp for W=%s" % (w.rows,), 8, len(aniso))
         )
-    if len(completing) != 1:
-        raise CheckFailure(
-            "frame",
-            Check("cosets completing W into V for W=%s" % (w.rows,), 1, len(completing)),
-        )
-    r = aniso[0]
-    ids = []
-    for e in w_elems:
-        cls = r ^ e
-        pid = census.pair_of_class.get(cls)
-        if pid is None:
-            raise AssertionError("class %02x carries no root pair" % cls)
-        ids.append(pid)
-    if len(set(ids)) != 8:
-        raise AssertionError("frame classes lift to fewer than 8 pairs")
-    return Frame(roots=tuple(sorted(ids)), source=source)
+    return Frame(roots=tuple(sorted(census.pair_of_class[c] for c in aniso)), source=source)
 
 
 class PairTables(NamedTuple):
@@ -160,15 +121,37 @@ def _code_weights(lat: Lattice) -> Vec:
 
 
 @lru_cache(maxsize=None)
+def root_pair_gram(gram: Mat) -> Mat:
+    """The root-pair Gram T: T[a][b] = r_a . r_b, in {0, +-1, +-2}.
+
+    The only place where root-pair inner products are computed; `pair_tables`
+    holds T, and the frame search reads it alone. Row a is read off one
+    integer: with column k of the reps packed as P_k = sum_b r_b[k] 256^b,
+    sum_j r_a[j] (G P)_j = sum_b T[a][b] 256^b, exactly, by linearity. The
+    Gram is positive definite (its shells are enumerated), so |T[a][b]| <= 2
+    by Cauchy-Schwarz, and with 2 added at every place the digits of that sum
+    in base 256 are the T[a][b] + 2.
+    """
+    reps = [p.rep for p in root_pairs(Lattice(gram=gram))]
+    packed = [sum(r[k] << 8 * b for b, r in enumerate(reps)) for k in range(8)]
+    packed_g = [sum(map(mul, row, packed)) for row in gram]
+    twos = int.from_bytes(b"\x02" * len(reps), "little")
+    entry = (-2, -1, 0, 1, 2).__getitem__  # digit T + 2 -> T
+    return tuple(
+        tuple(map(entry, (sum(map(mul, r, packed_g)) + twos).to_bytes(len(reps), "little")))
+        for r in reps
+    )
+
+
+@lru_cache(maxsize=None)
 def pair_tables(gram: Mat) -> PairTables:
     """The root-pair Gram T and the norm-4 vectors of each pair.
 
-    The only place where root-pair inner products are computed: the frame
-    checks, the pair census and the glue certificates all read T. T[a][b] =
-    r_a . r_b lies in {0, +-1, +-2}. Each orthogonal pair a < b (T[a][b] == 0)
-    gives the four norm-4 vectors +-r_a +-r_b, kept in `combinations`; no
-    other pair gives one (|+-r_a +-r_b|^2 = 4 +-2 T[a][b]). Every norm-4
-    vector arises this way, and the first pair met is kept in
+    T is `root_pair_gram`, read by the frame checks, the pair census, the
+    glue certificates and the frame search. Each orthogonal pair
+    a < b (T[a][b] == 0) gives the four norm-4 vectors +-r_a +-r_b, kept in
+    `combinations`; no other pair gives one (|+-r_a +-r_b|^2 = 4 +-2 T[a][b]).
+    Every norm-4 vector arises this way, and the first pair met is kept in
     `decomposition` as (s_a, a, s_b, b) with v = s_a r_a + s_b r_b. The
     tables are cached per Gram matrix, so a congruent Gram gets its own.
 
@@ -180,12 +163,7 @@ def pair_tables(gram: Mat) -> PairTables:
     """
     lat = Lattice(gram=gram)
     reps = [p.rep for p in root_pairs(lat)]
-    # The Gram is symmetric, so T is: each product is taken once, for a <= b.
-    t = [[0] * len(reps) for _ in reps]
-    for a, ga in enumerate(row_times_mat(r, gram) for r in reps):
-        for b in range(a, len(reps)):
-            t[a][b] = t[b][a] = sum(map(mul, ga, reps[b]))
-    pair_gram = tuple(map(tuple, t))
+    pair_gram = root_pair_gram(gram)
     weights = _code_weights(lat)
     by_code = {sum(map(mul, v, weights)): v for v in enumerate_shell(lat, 4)}
     codes = [sum(map(mul, r, weights)) for r in reps]

@@ -111,8 +111,11 @@ class F2Subspace(_Rows):
 
     @cached_property
     def mask(self) -> int:
-        """element_mask of the space, computed once per instance."""
-        return element_mask(self)
+        """Bit e set for each nonzero element e, computed once per instance.
+
+        span_elements lists 0 first and each element once, so the sum is the OR.
+        """
+        return sum(1 << e for e in span_elements(self)[1:])
 
 
 def rref(vectors: list[int]) -> tuple[int, ...]:
@@ -145,14 +148,6 @@ def span_elements(space: F2Subspace) -> list[int]:
 
 def nonzero_elements(space: F2Subspace) -> list[int]:
     return sorted(e for e in span_elements(space) if e)
-
-
-def element_mask(space: F2Subspace) -> int:
-    mask = 0
-    for e in span_elements(space):
-        if e:
-            mask |= 1 << e
-    return mask
 
 
 def intersection_dim(a: F2Subspace, b: F2Subspace) -> int:

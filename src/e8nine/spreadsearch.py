@@ -9,7 +9,7 @@ from .gf2 import (
     F2Subspace,
     FormTable,
     SpaceClass,
-    element_mask,
+    bits_of_mask,
     intersection_dim,
     nonzero_elements,
 )
@@ -36,17 +36,14 @@ def find_spread(class_members: list[F2Subspace], label: SpaceClass) -> Spread:
     members = sorted(class_members)
     if len(members) != 135:
         raise ValueError("expected 135 class members, got %d" % len(members))
-    masks = [element_mask(s) for s in members]
+    masks = [s.mask for s in members]
     full = 0
     for m in masks:
         full |= m
     containing: dict[int, list[int]] = {}
     for i, m in enumerate(masks):
-        mm = m
-        while mm:
-            low = mm & -mm
-            containing.setdefault(low.bit_length() - 1, []).append(i)
-            mm ^= low
+        for p in bits_of_mask(m):
+            containing.setdefault(p, []).append(i)
 
     chosen: list[int] = [0]
     covered = masks[0]
@@ -77,11 +74,14 @@ def verify_spread(s: Spread, ft: FormTable) -> Certificate:
     """Re-check every spread invariant; fails naming the first violation."""
     cb = CertBuilder("spread")
     cb.check("number of spaces", 9, len(s.spaces))
+    points: set[int] = set()
     for i, sp in enumerate(s.spaces):
         cb.check("space %d dimension" % i, 4, sp.dim)
-        cb.check("space %d point count" % i, 15, len(nonzero_elements(sp)))
-        bad_q = [e for e in nonzero_elements(sp) if ft.q[e] != 0]
+        elems = nonzero_elements(sp)
+        cb.check("space %d point count" % i, 15, len(elems))
+        bad_q = [e for e in elems if ft.q[e] != 0]
         cb.check("space %d isotropic points" % i, [], bad_q)
+        points.update(elems)
         bad_b = [
             (r1, r2)
             for r1 in sp.rows
@@ -96,9 +96,6 @@ def verify_spread(s: Spread, ft: FormTable) -> Certificate:
                 0,
                 intersection_dim(s.spaces[i], s.spaces[j]),
             )
-    points: set[int] = set()
-    for sp in s.spaces:
-        points.update(nonzero_elements(sp))
     cb.check("isotropic points covered", 135, len(points))
     cb.check("distinct spaces", 9, len(set(s.spaces)))
     return cb.done()

@@ -24,7 +24,6 @@ from e8nine.autgroup import (
     isometries_between_frames,
     search_source,
 )
-from e8nine.frames import frame_reps
 from e8nine.gf2 import reduce_mod2
 from e8nine.lattice import enumerate_shell
 from e8nine.permgroup import StabChain, identity_perm, orbit_of, schreier_sims
@@ -72,7 +71,7 @@ def select_generators(lat, arr, class_block):
     chain, stopping once the chain has order 362880: the group stage's
     selection before it certified the group on the nine blocks.
     """
-    source = search_source(lat, frame_reps(lat, arr.rows[0][0]), class_block)
+    source = search_source(lat, arr.rows[0][0], class_block)
     index = root_index(lat)
     chain = StabChain(degree=249)
     isometries, block_perms = [], []
@@ -80,9 +79,7 @@ def select_generators(lat, arr, class_block):
     searched = (
         found
         for j, k in _target_schedule()
-        for found in isometries_between_frames(
-            lat, source, frame_reps(lat, arr.rows[j][k]), MAPS_PER_TARGET
-        )
+        for found in isometries_between_frames(lat, source, arr.rows[j][k], MAPS_PER_TARGET)
     )
     for m, bp in itertools.chain([(NEGATION, identity_perm(9))], searched):
         if chain.add_generator(extended_perm(bp, root_perm(lat, m, index))):

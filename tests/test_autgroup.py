@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import itemgetter
 import pytest
 
 import chain_oracle as oracle
@@ -29,7 +30,7 @@ from e8nine.autgroup import (
 )
 from e8nine.blocks import block_of_class_table
 from e8nine.certs import CheckFailure
-from e8nine.frames import frame_reps
+from e8nine.frames import Frame, frame_reps
 from e8nine.gf2 import F2Subspace, SpaceClass, nonzero_elements, reduce_mod2, rref
 from e8nine.intmat import (
     Mat,
@@ -40,9 +41,9 @@ from e8nine.intmat import (
     row_times_mat,
     transpose,
 )
-from e8nine.lattice import Lattice, enumerate_shell, inner
+from e8nine.lattice import Lattice, enumerate_shell, inner, root_pairs
 from e8nine.permgroup import identity_perm, is_identity, mult, schreier_sims
-from test_frames import _U_THREE_TARGETS, _congruent_basis, _congruent_grams
+from test_frames import _U_THREE_TARGETS, _congruent_basis
 
 
 def _with(result, **changes):
@@ -448,17 +449,16 @@ def test_membership_of_generator_products(lat, stab_result, oracle_chain):
 
 
 def test_frame_search_finds_identity_first(lat, frame_array, partition):
-    reps = frame_reps(lat, frame_array.rows[0][0])
-    source = search_source(lat, reps, block_of_class_table(lat, partition))
-    found = isometries_between_frames(lat, source, reps, cap=1)
+    f0 = frame_array.rows[0][0]
+    source = search_source(lat, f0, block_of_class_table(lat, partition))
+    found = isometries_between_frames(lat, source, f0, cap=1)
     assert found[0][0] == identity_matrix(8)
     assert found[0][1] == tuple(range(9))
 
 
 def test_frame_search_is_deterministic(lat, frame_array, partition):
-    src = frame_reps(lat, frame_array.rows[0][0])
-    source = search_source(lat, src, block_of_class_table(lat, partition))
-    tgt = frame_reps(lat, frame_array.rows[2][5])
+    source = search_source(lat, frame_array.rows[0][0], block_of_class_table(lat, partition))
+    tgt = frame_array.rows[2][5]
     first = isometries_between_frames(lat, source, tgt, cap=8)
     second = isometries_between_frames(lat, source, tgt, cap=8)
     assert first == second
@@ -473,10 +473,11 @@ def test_frame_search_checks_blocks_the_probes_never_read(lat, frame_array, clas
     # of two classes they never read leaves the search as it is: it finds the
     # same maps with the same block matchings. Only block_action, which reads
     # all 135 classes, sees the swap.
-    src = frame_reps(lat, frame_array.rows[0][0])
+    f0 = frame_array.rows[0][0]
+    src = frame_reps(lat, f0)
     probed = {
         reduce_mod2(src[k]) ^ c
-        for slots, by_mask in _support_rows(lat, src).items()
+        for slots, by_mask in _support_rows(lat, f0).items()
         for k in range(8)
         if k not in slots
         for c in by_mask
@@ -488,8 +489,8 @@ def test_frame_search_checks_blocks_the_probes_never_read(lat, frame_array, clas
     c2 = next(c for c in unread if class_block[c] not in (class_block[c1], class_block[seed]))
     swapped = dict(class_block)
     swapped[c1], swapped[c2] = class_block[c2], class_block[c1]
-    found = isometries_between_frames(lat, search_source(lat, src, class_block), src, cap=48)
-    found_swapped = isometries_between_frames(lat, search_source(lat, src, swapped), src, cap=48)
+    found = isometries_between_frames(lat, search_source(lat, f0, class_block), f0, cap=48)
+    found_swapped = isometries_between_frames(lat, search_source(lat, f0, swapped), f0, cap=48)
     assert found_swapped == found
     assert all(block_perm(class_block, m) == bp for m, bp in found)
     # Generator 1 is a map of this same search (f0 -> f0 is the first target),
@@ -508,10 +509,9 @@ def test_frame_search_checks_blocks_the_probes_never_read(lat, frame_array, clas
 def test_search_source_requires_every_block_fixed(lat, frame_array, class_block):
     # With block 2 relabelled as block 1, no seed or probe reads block 2, so a
     # complete slot map would leave its block matching partial.
-    src = frame_reps(lat, frame_array.rows[0][0])
     merged = {c: 1 if b == 2 else b for c, b in class_block.items()}
     with pytest.raises(CheckFailure) as exc:
-        search_source(lat, src, merged)
+        search_source(lat, frame_array.rows[0][0], merged)
     assert str(exc.value) == "frame-search: source blocks the probes fix (expected 9, got 8)"
 
 
@@ -595,9 +595,8 @@ def test_search_stops_at_the_map_that_completes_a9(lat, frame_array, class_block
 
     # A stop sees each map as it is found, the cap-th too, and the search
     # returns at its True.
-    src = frame_reps(lat, frame_array.rows[0][0])
-    source = search_source(lat, src, class_block)
-    tgt = frame_reps(lat, frame_array.rows[1][0])
+    source = search_source(lat, frame_array.rows[0][0], class_block)
+    tgt = frame_array.rows[1][0]
     full = isometries_between_frames(lat, source, tgt, MAPS_PER_TARGET)
     assert len(full) == MAPS_PER_TARGET
     for n, want in ((3, full[:3]), (MAPS_PER_TARGET + 1, full)):
@@ -635,11 +634,13 @@ def test_matrix_mod2_rows():
 
 
 def _inner_supports(lat, reps, classes=None):
-    """Supports over a frame read with eight `inner` calls per root; fills
-    `classes` with each such root's mod-2 class by coordinates."""
+    """Supports over a frame read from the inner products rho . r_i, taken
+    as rho G R^T by one matrix product per frame, not from `pair_tables`;
+    fills `classes` with each such root's mod-2 class by coordinates."""
+    to_frame = mat_mul(lat.gram, transpose(reps))
     supports = {}
     for rho in enumerate_shell(lat, 2):
-        cs = tuple(inner(lat, rho, r) for r in reps)
+        cs = row_times_mat(rho, to_frame)
         if any(abs(c) == 2 for c in cs):
             continue
         supports.setdefault(frozenset(i for i, c in enumerate(cs) if c), []).append(cs)
@@ -732,6 +733,11 @@ def _reference_isometries(lat, src_reps, tgt_reps, block_of, spread_index, cap):
     return found
 
 
+# The four entries of a root on an ordered support, by sign mask: entry j is
+# -1 exactly when bit j is set.
+_ENTRIES_OF_MASK = tuple(tuple(-1 if m >> j & 1 else 1 for j in range(4)) for m in range(16))
+
+
 def _inner_support_rows(lat, reps):
     """`_support_rows` rebuilt from `_inner_supports`: for every ordering of
     each support and every sign mask over that ordering, the root's class."""
@@ -739,46 +745,58 @@ def _inner_support_rows(lat, reps):
     rows = {}
     for supp, cs_list in _inner_supports(lat, reps, classes).items():
         for key in itertools.permutations(sorted(supp)):
-            by_mask = [None] * 16
-            for cs in cs_list:
-                by_mask[sum(1 << j for j, q in enumerate(key) if cs[q] < 0)] = classes[cs]
-            rows[key] = tuple(by_mask)
+            at_key = itemgetter(*key)
+            by_entries = {at_key(cs): classes[cs] for cs in cs_list}
+            rows[key] = tuple(map(by_entries.get, _ENTRIES_OF_MASK))
     assert len(classes) == 224
     return rows
 
 
+def _carried_frame(lat, u_inv, other, frame):
+    """The frame's root pairs on the congruent Gram U G U^T of `other`: a
+    vector with standard coordinates r has coordinates r U^-1 there, so the
+    pairs are looked up by canonical rep, the larger of +-r U^-1."""
+    ids = {p.rep: p.id for p in root_pairs(other)}
+    carried = (row_times_mat(r, u_inv) for r in frame_reps(lat, frame))
+    roots = sorted(ids[max(r, tuple(-x for x in r))] for r in carried)
+    return Frame(roots=tuple(roots), source=frame.source)
+
+
 def test_frame_supports_match_inner_supports(lat, frame_array):
-    # Every ordered support and sign mask names the class the eight `inner`
-    # calls give: on all 135 frames of the standard Gram, and on row 0 carried
-    # by U^-1 to the congruent Gram U G U^T, where classes are read in the
-    # other basis.
-    for row in frame_array.rows:
-        for frame in row:
-            reps = frame_reps(lat, frame)
-            rows = _support_rows(lat, reps)
+    # Every ordered support and sign mask names the class the inner products
+    # give, on all 135 frames: on the standard Gram, and carried by
+    # U^-1 to the congruent Gram U G U^T of `_congruent_basis` and of
+    # `_U_THREE_TARGETS`, where root-pair ids name other pairs and classes
+    # are read in the other basis.
+    frames = [f for row in frame_array.rows for f in row]
+    assert [_carried_frame(lat, identity_matrix(8), lat, f) for f in frames] == frames
+    for u in (identity_matrix(8), _congruent_basis(), _U_THREE_TARGETS):
+        other = Lattice(gram=mat_mul(mat_mul(u, lat.gram), transpose(u)))
+        u_inv = [[det(u) * x for x in row] for row in adjugate(u)]  # det(U) = +-1
+        for frame in frames:
+            carried = _carried_frame(lat, u_inv, other, frame)
+            reps = frame_reps(other, carried)
+            assert {inner(other, r, s) for r in reps for s in reps} == {0, 2}
+            rows = _support_rows(other, carried)
             assert len(rows) == 14 * 24
-            assert rows == _inner_support_rows(lat, reps)
-    u = _congruent_basis()
-    u_inv = adjugate(u)
-    assert det(u) == 1
-    other = Lattice(gram=_congruent_grams(lat)[1])
-    for frame in frame_array.rows[0]:
-        reps = [tuple(row_times_mat(r, u_inv)) for r in frame_reps(lat, frame)]
-        assert {inner(other, r, s) for r in reps for s in reps} == {0, 2}
-        assert _support_rows(other, reps) == _inner_support_rows(other, reps)
+            assert rows == _inner_support_rows(other, reps)
 
 
 def test_frame_search_matches_vector_arithmetic_reference(
     lat, frame_array, spread, partition, block_of_vector
 ):
     spread_index = {s: i for i, s in enumerate(spread.spaces)}
-    src = frame_reps(lat, frame_array.rows[0][0])
-    source = search_source(lat, src, block_of_class_table(lat, partition))
+    f0 = frame_array.rows[0][0]
+    source = search_source(lat, f0, block_of_class_table(lat, partition))
+    src = frame_reps(lat, f0)
     for j, k in ((0, 0), (1, 0), (2, 5)):
-        tgt = frame_reps(lat, frame_array.rows[j][k])
+        tgt = frame_array.rows[j][k]
         found = isometries_between_frames(lat, source, tgt, cap=48)
         assert len(found) == 48
-        assert found == _reference_isometries(lat, src, tgt, block_of_vector, spread_index, 48)
+        want = _reference_isometries(
+            lat, src, frame_reps(lat, tgt), block_of_vector, spread_index, 48
+        )
+        assert found == want
 
 
 def test_stabilizer_search_rejects_split_class(lat, spread, frame_array, partition):

@@ -13,7 +13,6 @@ from e8nine.blocks import (
     block_of_class_table,
     certify_d8_glue,
     certify_scaled_e8,
-    doubled_frame_coordinates,
     recover_frame,
     row_to_block,
     spread_from_partition,
@@ -143,9 +142,15 @@ def test_certify_d8_glue_one_frame(lat, partition, frame_array):
     }
 
 
+def _to_frame(lat, reps):
+    """The matrix G R^T taking a row vector v to its doubled frame coordinates
+    d_i = v . r_i: the matrix product that `src/` reads off the root-pair Gram."""
+    return mat_mul(lat.gram, transpose(reps))
+
+
 def test_doubled_frame_coordinates_reconstruct_vectors(lat, partition, frame_array):
     reps = frame_reps(lat, frame_array.rows[0][0])
-    to_frame = doubled_frame_coordinates(lat, reps)
+    to_frame = _to_frame(lat, reps)
     for v in partition.blocks[0].vectors:
         d = row_times_mat(v, to_frame)
         rebuilt = tuple(sum(di * r[k] for di, r in zip(d, reps)) for k in range(8))
@@ -268,7 +273,7 @@ def _reference_certify_d8_glue(lat, block, frame):
     """certify_d8_glue as it was before the tables: one matrix product per vector."""
     reps = frame_reps(lat, frame)
     cb = CertBuilder("d8-glue block %d frame %s" % (block.row_index, frame.source))
-    to_frame = doubled_frame_coordinates(lat, reps)
+    to_frame = _to_frame(lat, reps)
     two_i = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
     cb.check("frame orthonormal at half scale", two_i, mat_mul(reps, to_frame))
     combos = set(frame_combinations(lat, frame))
@@ -333,7 +338,7 @@ def test_doubled_coordinates_match_matrix_product(lat, frame_array):
     vectors = shell4 + roots[:8] + [tuple(2 * x for x in roots[1]), six]
     for row in frame_array.rows:
         for f in row:
-            to_frame = doubled_frame_coordinates(lat, frame_reps(lat, f))
+            to_frame = _to_frame(lat, frame_reps(lat, f))
             want = [row_times_mat(v, to_frame) for v in vectors]
             assert doubled_coordinates(lat, f, vectors) == want
 

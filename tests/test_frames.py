@@ -17,6 +17,7 @@ from e8nine.frames import (
     frame_reps,
     orthogonal_pair_census,
     pair_tables,
+    root_pair_gram,
     three_spaces,
     verify_frame_array,
 )
@@ -80,9 +81,28 @@ def test_frame_from_3space_rejects_w_outside_v(ft, census, spread):
         frame_from_3space(ft, census, v, w)
 
 
+def test_frame_from_3space_requires_eight_anisotropic_classes(ft, census, spread):
+    # W-perp's anisotropic classes, found here by q and b, are the frame's
+    # eight. With one of them marked isotropic in the form table, seven are
+    # left, and the count check rejects W by name before any lift.
+    v = spread.spaces[0]
+    w = three_spaces(v)[0]
+    aniso = [x for x in range(256) if ft.q[x] and not any(ft.b(x, r) for r in w.rows)]
+    assert len(aniso) == 8
+    bad = ft._replace(iso_mask=ft.iso_mask | 1 << aniso[3])
+    with pytest.raises(CheckFailure) as exc:
+        frame_from_3space(bad, census, v, w)
+    assert str(exc.value) == (
+        "frame: anisotropic classes of W-perp for W=%s (expected 8, got 7)" % (w.rows,)
+    )
+    pairs = sorted(census.pair_of_class[c] for c in aniso)
+    assert frame_from_3space(ft, census, v, w).roots == tuple(pairs)
+
+
 def test_exactly_one_anisotropic_coset_for_all_135(lat, ft, census, spread):
-    # frame_from_3space raises unless the anisotropic coset is unique,
-    # so building every (V, W) frame is itself the check.
+    # frame_from_3space raises unless W-perp has exactly eight anisotropic
+    # classes, one coset of W, so building every (V, W) frame is itself the
+    # check.
     count = 0
     for i, v in enumerate(spread.spaces):
         for j, w in enumerate(three_spaces(v)):
@@ -190,6 +210,7 @@ def test_pair_tables_match_tuple_arithmetic_reference(lat):
     for gram in _kernel_grams(lat):
         tables, want = pair_tables(gram), _reference_pair_tables(gram)
         assert tables.gram == want.gram
+        assert tables.gram is root_pair_gram(gram)  # the one T the frame search reads
         assert tables.decomposition == want.decomposition
         assert list(tables.decomposition) == list(want.decomposition)
         assert tables.combinations == want.combinations

@@ -548,6 +548,35 @@ def test_verify_rejects_bad_generator(pipeline_state, tmp_path, capsys, corrupt,
     assert capsys.readouterr().err == "FAIL: generators: %s\n" % failure.format(gen1=gen1)
 
 
+def _identity_as_gen0(text):
+    lines = text.splitlines()
+    i = lines.index(_first_line(text, "gen 0 ")) + 1
+    lines[i] = " ".join("1" if k % 9 == 0 else "0" for k in range(64))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda text: "e8nine-generators 1\ncount 0\n", _identity_as_gen0],
+    ids=["count-0", "identity"],
+)
+def test_verify_requires_negation_as_generator_0(pipeline_state, tmp_path, capsys, corrupt):
+    # The order counts the kernel {+-1} through generator 0. An empty list,
+    # or the identity in place of -1, passes every other generator check.
+    out = str(tmp_path / "generators")
+    cli.write_artifacts(pipeline_state, out)
+    path = os.path.join(out, "generators.txt")
+    with open(path) as fh:
+        bad = corrupt(fh.read())
+    with open(path, "w") as fh:
+        fh.write(bad)
+    capsys.readouterr()
+    assert cli.main(["verify", os.path.join(out, "spread.txt"), path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "FAIL: generators: generator 0 is -1 (expected True, got False)\n"
+    assert "generators: PASS" not in captured.out
+
+
 def test_verify_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     data = random.Random(8).randbytes(1024)
     with pytest.raises(UnicodeDecodeError):
