@@ -22,9 +22,9 @@ in block class_block[cls(r_k) ^ cls(rho)] and its image e_k t_pi(k) + rho'
 in block class_block[cls(t_pi(k)) ^ cls(rho')]. A probe looks up the target
 root's class by support and sign mask in `_support_rows`, the one table per
 frame (the source's is built the same way), then the class's block. That
-table reads cs from the root-pair Gram T (`frames.root_pair_gram`), which
-the glue certificates read too: the rep of pair a has cs = T[a] at the
-frame's ids, and no matrix product is formed.
+table reads cs = T[a] at the frame's ids for the rep of pair a, as the glue
+certificates read the root-pair Gram T: column a of the frame's eight rows
+(`frames.root_pair_gram_row`), and no matrix product is formed.
 
 Generators are chosen by a 9-point chain of block permutations that takes
 each map as the search finds it; the search stops at the map that completes
@@ -43,8 +43,8 @@ from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .certs import CertBuilder
-from .frames import Frame, FrameArray, frame_reps, root_pair_gram
-from .gf2 import reduce_mod2, rref
+from .frames import Frame, FrameArray, frame_reps, root_pair_gram_row
+from .gf2 import rank, reduce_mod2, rref
 from .intmat import Mat, Vec, adjugate, det, mat_mul, transpose
 from .lattice import Lattice, enumerate_shell, root_pairs
 from .permgroup import (
@@ -155,20 +155,19 @@ def _support_rows(lat: Lattice, frame: Frame) -> dict[tuple[int, ...], tuple[int
     m is set. Every ordering of each supported 4-subset is a key, so key
     membership is also the support test; the keys and rows are read by the
     24 getter pairs of `_orderings`. One pass over the 120 root pairs: the
-    rep rho of pair a has cs = T[a] at the frame's ids, read from the
-    root-pair Gram T (`frames.root_pair_gram`) as `blocks.certify_d8_glue`
-    reads it, and -rho has the complementary sign mask and the same class.
+    rep rho of pair a has cs = T[a] at the frame's ids, read as column a of
+    the frame's own rows T[i] (`frames.root_pair_gram_row`; T is symmetric),
+    and -rho has the complementary sign mask and the same class.
     Every root outside the frame has four entries +-1 and four 0, so it is
     (sum of 4 signed members)/2; the 14 possible supports each carry all 16
     masks.
     """
-    at_frame = itemgetter(*frame.roots)
-    pair_gram = root_pair_gram(lat.gram)
+    columns = list(zip(*(root_pair_gram_row(lat.gram, i) for i in frame.roots)))
     by_support: dict[tuple[int, ...], list[int]] = {}
     # Descending reps meet each support first at its largest root, minus its
     # least, so supports (and the source's probes) keep sorted-shell order.
     for pair in reversed(root_pairs(lat)):
-        cs = at_frame(pair_gram[pair.id])
+        cs = columns[pair.id]
         if 2 in cs or -2 in cs:
             continue  # the frame's own pair
         slots = tuple(i for i, c in enumerate(cs) if c)
@@ -367,8 +366,8 @@ class StabilizerResult:
     - group order: image order times kernel order;
     - block-0 stabilizer order: group order / 9, block 0's orbit length;
     - orders and transitivity on the other eight blocks and on the 15 points,
-      and both kernel orders: Schreier generators of the block-0 stabilizer
-      on 9 blocks + 135 points mod 2 (`one_block_stabilizer_analysis`);
+      and both kernel orders: Schreier generators of the block-0 stabilizer on
+      9 blocks and block 0's 15 points mod 2 (`one_block_stabilizer_analysis`);
     - kernels contain negation: -1 is generator 0, fixes block 0 and is the
       identity mod 2.
     """
@@ -435,7 +434,7 @@ def block_endomorphism_dimension(class_block: dict[int, int]) -> int:
     X[i][j] is bit 8i + j: for v in a basis of V_b and w in a basis of its
     annihilator {w : v . w = 0 on V_b}, the equation (v X) . w = 0 sets bit
     8i + j where v_i = w_j = 1. A spread gives 144 equations of rank 63, so
-    only 0 and the identity preserve its nine spaces.
+    only 0 and the identity preserve its nine spaces (rank by `gf2.rank`).
     """
     equations: list[int] = []
     for b in range(9):
@@ -451,7 +450,7 @@ def block_endomorphism_dimension(class_block: dict[int, int]) -> int:
         equations += [
             sum(w << 8 * i for i in range(8) if v >> i & 1) for v in rows for w in annihilator
         ]
-    return 64 - len(rref(equations))
+    return 64 - rank(equations)
 
 
 def block_action(
@@ -525,45 +524,47 @@ def one_block_stabilizer_analysis(
 ) -> OneBlockReport:
     """Analyze the subgroup G_0 fixing block 0, from Schreier generators.
 
-    Each generator permutes the 9 blocks and, by its matrix mod 2, the 135
-    isotropic points; the kernel {+-1} acts trivially. A BFS from block 0
-    gives a transversal t_b (0 to b), and |G_0| = group_order / |orbit|. By
-    Schreier's lemma the t_b s t_{b s}^-1 generate the image of G_0 (Seress,
-    Permutation Group Algorithms, CUP 2003, ch. 4): on the other eight
-    blocks, and on the 15 points that the certified `class_block` puts in
-    block 0. Both images must have order 20160 and be transitive, with
+    Each generator permutes the 9 blocks and, by its matrix mod 2
+    (`_nibble_images`), the isotropic points. A BFS from block 0 gives a
+    transversal t_b (0 to b), kept as its block permutation and its images
+    of the 15 points that the certified `class_block` puts in block 0, and
+    |G_0| = group_order / |orbit|. By Schreier's lemma the t_b s t_{b s}^-1
+    generate the image of G_0 (Seress, Permutation Group Algorithms, CUP
+    2003, ch. 4), formed directly on the other eight blocks and on block 0's
+    15 points. Both images must have order 20160 and be transitive, with
     kernels of order 2.
     """
-    points = sorted(class_block)
-    index = {c: 9 + i for i, c in enumerate(points)}
-    gens = []
-    for m, bp in zip(result.isometries, result.block_perms):
-        low, high = _nibble_images(matrix_mod2_rows(m))
-        gens.append(tuple(bp) + tuple(index[low[c & 15] ^ high[c >> 4]] for c in points))
-
-    identity = identity_perm(9 + len(points))
+    block0 = sorted(c for c, b in class_block.items() if b == 0)
+    nibbles = [_nibble_images(matrix_mod2_rows(m)) for m in result.isometries]
+    gens = list(zip(result.block_perms, nibbles))
     orbit = [0]
-    transversal = {0: identity}
+    # t_b as its block permutation and {t_b(point i of block 0): i}, read back as t_b^-1.
+    transversal = {0: (identity_perm(9), {c: i for i, c in enumerate(block0)})}
     for b in orbit:
-        for g in gens:
-            if g[b] not in transversal:
-                transversal[g[b]] = mult(transversal[b], g)
-                orbit.append(g[b])
-    products = (
-        mult(mult(transversal[b], g), inverse(transversal[g[b]])) for b in orbit for g in gens
-    )
-    # Repeats and the identity add nothing to either chain (class A: 16 of 45 remain).
-    schreier = [s for s in dict.fromkeys(products) if s != identity]
+        t, back = transversal[b]
+        for bp, (low, high) in gens:
+            if bp[b] not in transversal:
+                images = (low[c & 15] ^ high[c >> 4] for c in back)
+                transversal[bp[b]] = (mult(t, bp), {c: i for i, c in enumerate(images)})
+                orbit.append(bp[b])
+    products = []
+    for b in orbit:
+        t, points = transversal[b]
+        for bp, (low, high) in gens:
+            u, back = transversal[bp[b]]
+            on_points = tuple(back[low[c & 15] ^ high[c >> 4]] for c in points)
+            products.append((mult(mult(t, bp), inverse(u)), on_points))
+    # Both chains read only the pair: repeats and the identity add nothing
+    # (class A: 16 of 45 remain).
+    schreier = [s for s in dict.fromkeys(products) if s != (identity_perm(9), identity_perm(15))]
     stabilizer_order = group_order // len(orbit)
 
     # Action on the other eight blocks (relabeled 0..7).
-    eight_perms = [tuple(s[b] - 1 for b in range(1, 9)) for s in schreier]
+    eight_perms = [tuple(s[b] - 1 for b in range(1, 9)) for s, _ in schreier]
     other_order, _ = schreier_sims(eight_perms)
     other_transitive = len(orbit_of(0, eight_perms)) == 8
 
-    block0 = [index[c] for c in points if class_block[c] == 0]
-    pos = {p: i for i, p in enumerate(block0)}
-    point_perms = [tuple(pos[s[p]] for p in block0) for s in schreier]
+    point_perms = [p for _, p in schreier]
     points_order, _ = schreier_sims(point_perms)
     points_transitive = len(orbit_of(0, point_perms)) == 15
 

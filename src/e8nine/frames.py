@@ -7,9 +7,11 @@ eight anisotropic classes, read off its mask (`frame_from_3space`); they lift
 to eight mutually orthogonal root pairs.
 
 The module also owns the root-pair tables, built once per Gram matrix. The
-root-pair Gram (`root_pair_gram`) is the one place where root-pair inner
-products are computed, read by the frame-array checker, the pair census,
-the glue certificates of `blocks` and the frame search of `autgroup`.
+root-pair Gram T is the one place where root-pair inner products are
+computed, one cached row at a time (`root_pair_gram_row`): the frame search
+of `autgroup` reads the eight rows of each frame it searches, and the
+frame-array checker, the pair census and the glue certificates of `blocks`
+read all 120 (`root_pair_gram`).
 `pair_tables` adds one decomposition s_a r_a + s_b r_b per norm-4 vector and
 the table from each orthogonal pair to its four vectors +-r_a +-r_b, from
 which `frame_combinations` reads a frame's 112 vectors without adding any.
@@ -121,26 +123,33 @@ def _code_weights(lat: Lattice) -> Vec:
 
 
 @lru_cache(maxsize=None)
-def root_pair_gram(gram: Mat) -> Mat:
-    """The root-pair Gram T: T[a][b] = r_a . r_b, in {0, +-1, +-2}.
-
-    The only place where root-pair inner products are computed; `pair_tables`
-    holds T, and the frame search reads it alone. Row a is read off one
-    integer: with column k of the reps packed as P_k = sum_b r_b[k] 256^b,
-    sum_j r_a[j] (G P)_j = sum_b T[a][b] 256^b, exactly, by linearity. The
-    Gram is positive definite (its shells are enumerated), so |T[a][b]| <= 2
-    by Cauchy-Schwarz, and with 2 added at every place the digits of that sum
-    in base 256 are the T[a][b] + 2.
-    """
+def _packed_gram(gram: Mat) -> tuple[list[Vec], list[int]]:
+    """The root-pair reps and the columns G P_k of `root_pair_gram_row`."""
     reps = [p.rep for p in root_pairs(Lattice(gram=gram))]
     packed = [sum(r[k] << 8 * b for b, r in enumerate(reps)) for k in range(8)]
-    packed_g = [sum(map(mul, row, packed)) for row in gram]
-    twos = int.from_bytes(b"\x02" * len(reps), "little")
-    entry = (-2, -1, 0, 1, 2).__getitem__  # digit T + 2 -> T
-    return tuple(
-        tuple(map(entry, (sum(map(mul, r, packed_g)) + twos).to_bytes(len(reps), "little")))
-        for r in reps
-    )
+    return reps, [sum(map(mul, row, packed)) for row in gram]
+
+
+@lru_cache(maxsize=None)
+def root_pair_gram_row(gram: Mat, a: int) -> tuple[int, ...]:
+    """Row a of the root-pair Gram T: T[a][b] = r_a . r_b, in {0, +-1, +-2}.
+
+    Read off one integer: with column k of the reps packed as
+    P_k = sum_b r_b[k] 256^b, sum_j r_a[j] (G P)_j = sum_b T[a][b] 256^b,
+    exactly, by linearity. The Gram is positive definite (its shells are
+    enumerated), so |T[a][b]| <= 2 by Cauchy-Schwarz, and with 2 added at
+    every place the digits of that sum in base 256 are the T[a][b] + 2.
+    Cached per row: the frame search builds only the rows it reads.
+    """
+    reps, packed_g = _packed_gram(gram)
+    total = sum(map(mul, reps[a], packed_g)) + int.from_bytes(b"\x02" * len(reps), "little")
+    return tuple(map((-2, -1, 0, 1, 2).__getitem__, total.to_bytes(len(reps), "little")))
+
+
+@lru_cache(maxsize=None)
+def root_pair_gram(gram: Mat) -> Mat:
+    """The root-pair Gram T: the tuple of its rows `root_pair_gram_row`."""
+    return tuple(root_pair_gram_row(gram, a) for a in range(len(_packed_gram(gram)[0])))
 
 
 @lru_cache(maxsize=None)

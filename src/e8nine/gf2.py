@@ -134,6 +134,18 @@ def rref(vectors: list[int]) -> tuple[int, ...]:
     return tuple(basis)
 
 
+def rank(vectors: list[int]) -> int:
+    """Rank over GF(2) by pivots: each vector is reduced by the stored row of
+    its lowest set bit until it is 0 or that bit is a new pivot."""
+    pivot_rows: dict[int, int] = {}
+    for v in vectors:
+        while v and v & -v in pivot_rows:
+            v ^= pivot_rows[v & -v]
+        if v:
+            pivot_rows[v & -v] = v
+    return len(pivot_rows)
+
+
 def subspace_from(vectors: list[int]) -> F2Subspace:
     return F2Subspace(rows=rref(vectors))
 

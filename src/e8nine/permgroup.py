@@ -5,12 +5,13 @@ left to right: mult(p, q) applies p first, then q.
 
 StabChain(n) is a Sims table on the fixed base 0..n-1 (D. E. Knuth,
 "Efficient representation of perm groups", Combinatorica 11 (1991) 57-68).
-Level k holds S_k, generators fixing 0..k-1, and T_k, one element of <S_k>
-taking k to each point of its orbit, stored inverted for sifting. Whenever
-add_generator returns, T_k covers the orbit of k under <S_k> and <S_{k+1}>
-is the stabilizer of k in <S_k>, so |<S_0>| is the product of the orbit
-lengths. Recursion goes down one level per call and skips trivial levels in
-a loop, so its depth is at most the number of base points plus one.
+Level k holds S_k, generators fixing 0..k-1, and T_k, one element u of
+<S_k> taking k to each point of its orbit, kept beside u^-1: closing an
+orbit extends u, and sifting divides by u^-1. Whenever add_generator
+returns, T_k covers the orbit of k under <S_k> and <S_{k+1}> is the
+stabilizer of k in <S_k>, so |<S_0>| is the product of the orbit lengths.
+Recursion goes down one level per call and skips trivial levels in a loop,
+so its depth is at most the number of base points plus one.
 """
 
 from __future__ import annotations
@@ -70,19 +71,19 @@ class StabChain:
         self.degree = degree
         ident = identity_perm(degree)
         self._gens: list[list[Perm]] = [[] for _ in range(degree)]  # S_k
-        # T_k as {point j: inverse of the element taking k to j}
-        self._inv_reps: list[dict[int, Perm]] = [{k: ident} for k in range(degree)]
+        # T_k as {point j: (u, u^-1)}, u the element taking k to j
+        self._reps: list[dict[int, tuple[Perm, Perm]]] = [{k: (ident,) * 2} for k in range(degree)]
 
     @property
     def base(self) -> list[int]:
         """The points whose orbit is nontrivial, in increasing order."""
-        return [k for k, reps in enumerate(self._inv_reps) if len(reps) > 1]
+        return [k for k, reps in enumerate(self._reps) if len(reps) > 1]
 
     def order(self) -> int:
         return math.prod(self.fundamental_orbit_lengths())
 
     def fundamental_orbit_lengths(self) -> list[int]:
-        return [len(self._inv_reps[k]) for k in self.base]
+        return [len(self._reps[k]) for k in self.base]
 
     def strong_generators(self, from_level: int = 0) -> list[Perm]:
         """The generators stored at levels >= base[from_level]: they fix
@@ -97,10 +98,10 @@ class StabChain:
         for k in range(level, self.degree):
             j = p[k]
             if j != k:
-                u_inv = self._inv_reps[k].get(j)
-                if u_inv is None:
+                rep = self._reps[k].get(j)
+                if rep is None:
                     return p
-                p = mult(p, u_inv)
+                p = mult(p, rep[1])
         return p
 
     def add_generator(self, p: Perm) -> bool:
@@ -114,23 +115,23 @@ class StabChain:
         if is_identity(self.sift(g, k)):
             return False
         # Algorithm B at a trivial orbit that g fixes passes g itself down.
-        while g[k] == k and len(self._inv_reps[k]) == 1:
+        while g[k] == k and len(self._reps[k]) == 1:
             self._gens[k].append(g)
             k += 1
-        gens, inv_reps = self._gens[k], self._inv_reps[k]
+        gens, reps = self._gens[k], self._reps[k]
         gens.append(g)
         # Algorithm B: close the orbit of k under S_k; each h that takes k to
         # a known point gives the Schreier generator h t^-1 for level k + 1.
-        todo = deque(mult(inverse(u_inv), g) for u_inv in inv_reps.values())
+        todo = deque(mult(u, g) for u, _ in reps.values())
         schreier = []
         while todo:
             h = todo.popleft()
-            u_inv = inv_reps.get(h[k])
-            if u_inv is None:
-                inv_reps[h[k]] = inverse(h)
+            rep = reps.get(h[k])
+            if rep is None:
+                reps[h[k]] = (h, inverse(h))
                 todo.extend(mult(h, s) for s in gens)
             else:
-                schreier.append(mult(h, u_inv))
+                schreier.append(mult(h, rep[1]))
         # Those that move k + 1 go first, so that the others meet its orbit
         # instead of being stored on a trivial level.
         for s in sorted(schreier, key=lambda x: x[k + 1] == k + 1):

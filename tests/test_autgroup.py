@@ -28,9 +28,9 @@ from e8nine.autgroup import (
     search_source,
     shell4_perm,
 )
-from e8nine.blocks import block_of_class_table
+from e8nine.blocks import Norm4Partition, block_of_class_table
 from e8nine.certs import CheckFailure
-from e8nine.frames import Frame, frame_reps
+from e8nine.frames import Frame, FrameArray, frame_reps, root_pair_gram_row
 from e8nine.gf2 import F2Subspace, SpaceClass, nonzero_elements, reduce_mod2, rref
 from e8nine.intmat import (
     Mat,
@@ -303,6 +303,20 @@ def test_block_action_rejects_bad_kernel_premises(lat, stab_result, class_block)
 def test_one_block_stabilizer(lat, stab_result, class_block, oracle_chain):
     report = one_block_stabilizer_analysis(stab_result, class_block, STABILIZER_ORDER)
     assert report == oracle.one_block_report(lat, oracle_chain, class_block)
+    # Class B and the Gram of `_congruent_basis` put other classes in block
+    # 0, and their generators map them otherwise; the oracle reads the
+    # points off the roots.
+    u = _congruent_basis()
+    for class_label, gram in (
+        (SpaceClass.CLASS_B, None),
+        (SpaceClass.CLASS_A, mat_mul(mat_mul(u, lat.gram), transpose(u))),
+    ):
+        state = cli.run_pipeline(class_label, gram_override=gram)
+        other_block = block_of_class_table(state.lat, state.partition)
+        assert other_block != class_block
+        chain = oracle.faithful_chain(state.lat, state.stab.isometries, state.stab.block_perms)
+        other = one_block_stabilizer_analysis(state.stab, other_block, STABILIZER_ORDER)
+        assert other == oracle.one_block_report(state.lat, chain, other_block) == report
     assert report.stabilizer_order == 40320
     assert report.other_blocks_image_order == ONE_BLOCK_IMAGE_ORDER
     assert report.points_image_order == ONE_BLOCK_IMAGE_ORDER
@@ -336,6 +350,44 @@ def test_one_block_analysis_reads_its_generators(lat, stab_result, class_block):
     assert report.other_blocks_image_order == report.points_image_order == 4
     assert not report.other_blocks_transitive
     assert not report.points_transitive
+
+
+def test_group_stage_builds_only_the_rows_of_the_frames_it_searches(
+    lat, frame_array, partition, monkeypatch
+):
+    # The class-A artifacts carried by U^-1 to a Gram U G U^T that no other
+    # test uses, so no row of its root-pair Gram is cached when the stage
+    # runs. The stage searches from frame (0, 0) to itself and to frame
+    # (1, 0), and builds their 15 rows of the 120, the rows it reads.
+    u = [list(row) for row in identity_matrix(8)]
+    u[3][4] = 1
+    other = Lattice(gram=mat_mul(mat_mul(u, lat.gram), transpose(u)))
+    u_inv = [[det(u) * x for x in row] for row in adjugate(u)]
+    arr = FrameArray(
+        rows=tuple(
+            tuple(_carried_frame(lat, u_inv, other, f) for f in row) for row in frame_array.rows
+        )
+    )
+    carried = Norm4Partition(
+        blocks=tuple(
+            b._replace(vectors=tuple(row_times_mat(v, u_inv) for v in b.vectors))
+            for b in partition.blocks
+        )
+    )
+    targets = []
+    search = ag.isometries_between_frames
+
+    def recorded(lat, source, frame, *args):
+        targets.append(frame)
+        return search(lat, source, frame, *args)
+
+    monkeypatch.setattr(ag, "isometries_between_frames", recorded)
+    before = root_pair_gram_row.cache_info().currsize
+    cert = cli.stage_group(cli.PipelineState(lat=other, arr=arr, partition=carried))
+    built = root_pair_gram_row.cache_info().currsize - before
+    assert cert.checks[0].actual == STABILIZER_ORDER
+    assert [f.source for f in targets] == [(0, 0), (1, 0)]
+    assert built == len({a for f in targets for a in f.roots}) == 15
 
 
 def test_random_words_preserve_gram_and_partition(lat, stab_result, block_of_vector):

@@ -18,6 +18,7 @@ from e8nine.frames import (
     orthogonal_pair_census,
     pair_tables,
     root_pair_gram,
+    root_pair_gram_row,
     three_spaces,
     verify_frame_array,
 )
@@ -220,6 +221,16 @@ def test_pair_tables_match_tuple_arithmetic_reference(lat):
         held += [v for mates in tables.combinations for vs in mates.values() for v in vs]
         assert len(held) == 2160 + 4 * 3780
         assert all(id(v) in shell4 for v in held)
+
+
+def test_root_pair_gram_is_the_tuple_of_its_cached_rows(lat):
+    # The frame search reads single rows; the whole T is the same rows.
+    for gram in _kernel_grams(lat):
+        pair_gram = root_pair_gram(gram)
+        assert len(pair_gram) == 120
+        for a in range(120):
+            assert root_pair_gram_row(gram, a) == pair_gram[a]
+            assert root_pair_gram_row(gram, a) is root_pair_gram_row(gram, a)
 
 
 def test_code_base_comes_from_the_shells(lat):

@@ -465,8 +465,14 @@ def test_verify_rejects_a_partition_of_another_spread(artifact_texts, tmp_path, 
         "spread-class",
         "partition",
     ]
-    assert captured.err.startswith(
-        "FAIL: partition-vs-spread: partition projects onto the spread (expected "
+    # The two classes share no space, so the failure names all nine of each:
+    # the spread's that the partition misses, then the partition's own, the
+    # spaces of the class-A spread.
+    spread_a = serial.parse_spread(artifact_texts["spread.txt"])
+    assert not set(spread_a.spaces) & set(spread_b.spaces)
+    assert captured.err == (
+        "FAIL: partition-vs-spread: partition projects onto the spread (expected %r, got %r)\n"
+        % ([s.rows for s in sorted(spread_b.spaces)], [s.rows for s in sorted(spread_a.spaces)])
     )
 
 
