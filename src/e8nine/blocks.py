@@ -20,25 +20,21 @@ certificates short:
   frame, so the pairs c orthogonal to a pair a with r_a + r_c in the block
   are the other seven members of a's frame in that row.
 
-Frame coordinates come from tables, not matrix products. Every norm-4 vector
-is s_a r_a + s_b r_b for two orthogonal root pairs (SPLAG ch. 4), so by
-bilinearity its doubled coordinate over a frame root r_i is
-s_a (r_a . r_i) + s_b (r_b . r_i): two rows of the 120 x 120 root-pair Gram,
-restricted to the frame and added. That Gram, the decomposition of each
-norm-4 vector and the four vectors +-r_a +-r_b of each orthogonal pair are
-`frames.pair_tables`, built once per Gram matrix and shared with the
-frame-array checks and the frame search of `autgroup`, whose probes read a
-root pair's doubled coordinates as its row of T at the frame's ids; a row's
-240 vectors and the recovered frame are read from it too. Over a frame with
-Gram 2I the eight roots are a rational basis and v = sum_i (d_i / 2) r_i,
-so v -> d is injective and the frame's 112 combinations are exactly the
-vectors with d = +-2e_i +-2e_j.
+Frame coordinates are one dot product per vector. Over a frame with Gram
+2I the eight roots are a rational basis and v = sum_i (d_i / 2) r_i with
+d_i = v . r_i, so v -> d is injective and the frame's 112 combinations are
+exactly the vectors with d = +-2e_i +-2e_j.
 
-The glue certificate tests those shapes on exact integer codes: d is encoded
-as sum_i d_i 16^i, which is linear, so the code of s_a r_a + s_b r_b is
-s_a E[a] + s_b E[b] with one code E[a] per root pair and frame, and
-injective, because a norm-4 vector has every |d_i| <= 4 < 8. Both shapes
-have |v|^2 = sum_i d_i^2 / 2 = 4: no vector off the shell has either.
+The glue certificate tests that shape and d in {+-1}^8, both of norm
+sum_i d_i^2 / 2 = 4, on exact integer codes: d is encoded
+as sum_i d_i 16^i, which is v . W_f with W_f = G sum_i 16^i r_i by
+bilinearity (`_frame_code_weights`). This balanced base-16 code is injective
+for |d_i| <= 7, and a norm-4 vector has every |d_i| <= 2 by Cauchy-Schwarz.
+Off the shell it is not: g + 16 r_0 - r_1 has the code of a glue vector g.
+So a vector outside the norm-4 set counts as neither shape. The recovered
+frame and a row's 240 vectors are read from `frames` alone: the inner
+products of one vector with every root pair (`frames.root_pair_products`)
+and the norm-4 codes (`frames.norm4_codes`).
 
 Over the other 14 frames of a row the presentation follows by index 2. Let
 L_j, the half-scale E8 spanned by block j, have the block as its 240 roots
@@ -59,7 +55,15 @@ from .certs import CertBuilder, Certificate, Check, CheckFailure
 from .gf2 import F2Subspace, FormTable, SpaceClass, nonzero_elements, reduce_mod2, rref
 from .intmat import Mat, Vec
 from .lattice import Lattice, norm4_set
-from .frames import Frame, FrameArray, frame_combinations, pair_tables
+from .frames import (
+    Frame,
+    FrameArray,
+    frame_combinations,
+    frame_reps,
+    norm4_codes,
+    root_pair_gram_row,
+    root_pair_products,
+)
 from .spreadsearch import Spread
 
 
@@ -81,11 +85,7 @@ def row_to_block(lat: Lattice, row: tuple[Frame, ...], row_index: int) -> Norm4B
     vectors: set[Vec] = set()
     for f in row:
         vectors.update(frame_combinations(lat, f))
-    if len(vectors) != 240:
-        raise CheckFailure(
-            "norm4-block",
-            Check("row %d deduplicated size" % row_index, 240, len(vectors)),
-        )
+    CertBuilder("norm4-block").check("row %d deduplicated size" % row_index, 240, len(vectors))
     return Norm4Block(row_index=row_index, vectors=tuple(sorted(vectors)))
 
 
@@ -106,6 +106,12 @@ GLUE_PARITY = {
 }
 
 
+def _frame_code_weights(lat: Lattice, frame: Frame) -> Vec:
+    """W_f = G sum_i 16^i r_i, so v . W_f = sum_i d_i 16^i with d_i = v . r_i."""
+    packed = [sum(map(mul, col, DIGIT_WEIGHTS)) for col in zip(*frame_reps(lat, frame))]
+    return tuple(sum(map(mul, row, packed)) for row in lat.gram)
+
+
 def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificate:
     """Certify the D8-plus-glue structure of a block relative to one frame.
 
@@ -123,26 +129,22 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
     The frame's 112 combinations and 128 glue vectors then make up the
     block's 240 distinct vectors (counted by `certify_scaled_e8`).
 
-    Each vector v = s_a r_a + s_b r_b is classified by the code
-    s_a E[a] + s_b E[b] of its d (module docstring), E[a] = sum_i T[a][i] 16^i
-    read from the frame's rows of the symmetric root-pair Gram T. A vector
-    without a decomposition or with a code of neither shape fails the +-1/2
-    check; so do the vectors of D8 other than its 112 minimal ones.
+    The frame Gram is read from the frame's eight rows of the root-pair Gram
+    T. Each norm-4 vector is classified by the code v . W_f of its d (module
+    docstring). A vector off the norm-4 shell, where the code is not
+    injective, or with a code of neither shape fails the +-1/2 check; so do
+    the vectors of D8 other than its 112 minimal ones.
     """
-    tables = pair_tables(lat.gram)
     at_frame = itemgetter(*frame.roots)
-    t_rows = at_frame(tables.gram)  # row i is T[r_i], column a is T[a] at the frame
+    t_rows = [root_pair_gram_row(lat.gram, i) for i in frame.roots]
     cb = CertBuilder("d8-glue block %d frame %s" % (block.row_index, frame.source))
     cb.check("frame orthonormal at half scale", TWO_I, tuple(map(at_frame, t_rows)))
-    codes = [sum(map(mul, col, DIGIT_WEIGHTS)) for col in zip(*t_rows)]  # E[a]
+    weights = _frame_code_weights(lat, frame)
+    shell4 = norm4_set(lat)
     glue = []  # (v, parity of minus signs) of each vector with d in {+-1}^8
     other = []  # each vector of neither shape
-    for v, dec in zip(block.vectors, map(tables.decomposition.get, block.vectors)):
-        if dec is None:
-            other.append(v)
-            continue
-        sa, a, sb, b = dec
-        code = sa * codes[a] + sb * codes[b]
+    for v in block.vectors:
+        code = sum(map(mul, v, weights)) if v in shell4 else None  # None: neither shape
         if code in GLUE_PARITY:
             glue.append((v, GLUE_PARITY[code]))
         elif code not in COMBINATION_CODES:
@@ -157,28 +159,32 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
 
 
 def recover_frame(lat: Lattice, block: Norm4Block) -> Frame | None:
-    """The frame of the block's first vector, read off the block alone.
+    """The frame of the block's first vector v, read off the block alone.
 
-    That vector is s_a r_a + s_b r_b (its decomposition in
-    `frames.pair_tables`); the frame is pair a with every pair c such that
-    r_a . r_c = 0 and r_a + r_c (read from the pair table) lies in the block.
-    In a true block those c are the other seven members of a's frame in the
-    block's row, since the row covers every root pair once and each
-    orthogonal pair lies in exactly one frame. None if the first vector has
-    no decomposition.
+    A norm-4 v is s_a r_a + s_b r_b for orthogonal root pairs a, b, and then
+    v . r_a = 2 s_a; conversely v . r_a = +-2 makes v -+ r_a a root
+    orthogonal to r_a. Pair a is the least id with v . r_a = +-2
+    (`frames.root_pair_products`, exact on the norm-4 shell). The frame is a
+    with every pair c such that r_a . r_c = 0 and r_a + r_c (looked up by
+    code, `frames.norm4_codes`) lies in the block. In a true block those c
+    are the other seven members of a's frame in the block's row, since the
+    row covers every root pair once and each orthogonal pair lies in exactly
+    one frame. None if v is off the shell or no pair has v . r_a = +-2.
     The source (row, -1) marks a frame not taken from the frame array.
     """
-    tables = pair_tables(lat.gram)
-    first = tables.decomposition.get(block.vectors[0])
-    if first is None:
+    v = block.vectors[0]
+    if v not in norm4_set(lat):
         return None
-    a = first[1]
+    products = root_pair_products(lat.gram, v)
+    a = next((a for a, t in enumerate(products) if t in (2, -2)), None)
+    if a is None:
+        return None
+    codes, by_code = norm4_codes(lat.gram)
     vset = set(block.vectors)
-    # r_a + r_c leads the four vectors of the orthogonal pair {a, c} either way round.
     roots = [a] + [
         c
-        for c, t in enumerate(tables.gram[a])
-        if t == 0 and tables.combinations[min(a, c)][max(a, c)][0] in vset
+        for c, t in enumerate(root_pair_gram_row(lat.gram, a))
+        if t == 0 and by_code[codes[a] + codes[c]] in vset
     ]
     return Frame(roots=tuple(sorted(roots)), source=(block.row_index, -1))
 
@@ -254,17 +260,11 @@ def block_of_class_table(lat: Lattice, p: Norm4Partition) -> dict[int, int]:
                     "norm4-partition",
                     Check("mod-2 class %d in one block" % cls, first, b.row_index),
                 )
-    if len(table) != 135:
-        raise CheckFailure(
-            "norm4-partition", Check("mod-2 classes of the blocks", 135, len(table))
-        )
+    cb = CertBuilder("norm4-partition")
+    cb.check("mod-2 classes of the blocks", 135, len(table))
     held = [v for b in p.blocks for v in b.vectors]
     counts = (len(held), len(norm4_set(lat).intersection(held)))
-    if counts != (2160, 2160):
-        raise CheckFailure(
-            "norm4-partition",
-            Check("vectors held by the blocks, distinct norm-4 among them", (2160, 2160), counts),
-        )
+    cb.check("vectors held by the blocks, distinct norm-4 among them", (2160, 2160), counts)
     return table
 
 
@@ -278,40 +278,21 @@ def spread_from_partition(
     Each block's 240 vectors must reduce onto exactly 15 distinct nonzero
     isotropic classes spanning a totally isotropic 4-space.
     """
+    cb = CertBuilder("partition-roundtrip")
     spaces = []
     for b in p.blocks:
         classes = sorted({reduce_mod2(v) for v in b.vectors})
-        if 0 in classes:
-            raise CheckFailure(
-                "partition-roundtrip",
-                Check("block %d avoids the zero class" % b.row_index, True, False),
-            )
-        if len(classes) != 15:
-            raise CheckFailure(
-                "partition-roundtrip",
-                Check("block %d projects onto 15 points" % b.row_index, 15, len(classes)),
-            )
+        cb.check("block %d avoids the zero class" % b.row_index, True, 0 not in classes)
+        cb.check("block %d projects onto 15 points" % b.row_index, 15, len(classes))
         bad_q = [c for c in classes if ft.q[c] != 0]
-        if bad_q:
-            raise CheckFailure(
-                "partition-roundtrip",
-                Check("block %d classes isotropic" % b.row_index, [], bad_q),
-            )
-        rows = rref(classes)
-        space = F2Subspace(rows=rows)
-        if space.dim != 4 or nonzero_elements(space) != classes:
-            raise CheckFailure(
-                "partition-roundtrip",
-                Check("block %d classes form a 4-space" % b.row_index, True, False),
-            )
+        cb.check("block %d classes isotropic" % b.row_index, [], bad_q)
+        space = F2Subspace(rows=rref(classes))
+        is_space = space.dim == 4 and nonzero_elements(space) == classes
+        cb.check("block %d classes form a 4-space" % b.row_index, True, is_space)
         spaces.append(space)
     label = labels[spaces[0]]
     for s in spaces:
-        if labels[s] is not label:
-            raise CheckFailure(
-                "partition-roundtrip",
-                Check("recovered spaces share a class", label, labels[s]),
-            )
+        cb.check("recovered spaces share a class", label, labels[s])
     return Spread(spaces=tuple(spaces), class_label=label)
 
 

@@ -315,7 +315,8 @@ def cmd_run(args) -> int:
 
     With --out, the artifacts of the certified stages are written; after a
     failure they sit next to a FAILED marker whose first line names the
-    pipeline stage and whose second line is the violated check.
+    pipeline stage and whose second line is the violated check. A path that
+    cannot be written is an output error (exit 2), not a failed check.
     """
     if args.out:
         # Checked before any stage runs: exit 1 means a failed check.
@@ -333,11 +334,15 @@ def cmd_run(args) -> int:
     _print_certs(state, as_json=args.json)
     if args.out:
         # Under --json stdout carries the JSON listing alone.
-        for path in write_artifacts(state, args.out):
-            print("wrote %s" % path, file=sys.stderr if args.json else sys.stdout)
-        if failure is not None:
-            with open(os.path.join(args.out, "FAILED"), "w") as fh:
-                fh.write("failed at stage: %s\n%s\n" % (failure.name, failure))
+        try:
+            for path in write_artifacts(state, args.out):
+                print("wrote %s" % path, file=sys.stderr if args.json else sys.stdout)
+            if failure is not None:
+                with open(os.path.join(args.out, "FAILED"), "w") as fh:
+                    fh.write("failed at stage: %s\n%s\n" % (failure.name, failure))
+        except OSError as e:
+            print("output error: %s" % e, file=sys.stderr)
+            return 2
     return 0 if failure is None else 1
 
 

@@ -6,15 +6,15 @@ isotropic coset, and exactly one anisotropic coset. So a frame is W-perp's
 eight anisotropic classes, read off its mask (`frame_from_3space`); they lift
 to eight mutually orthogonal root pairs.
 
-The module also owns the root-pair tables, built once per Gram matrix. The
-root-pair Gram T is the one place where root-pair inner products are
-computed, one cached row at a time (`root_pair_gram_row`): the frame search
-of `autgroup` reads the eight rows of each frame it searches, and the
-frame-array checker, the pair census and the glue certificates of `blocks`
-read all 120 (`root_pair_gram`).
-`pair_tables` adds one decomposition s_a r_a + s_b r_b per norm-4 vector and
-the table from each orthogonal pair to its four vectors +-r_a +-r_b, from
-which `frame_combinations` reads a frame's 112 vectors without adding any.
+The module also reads root-pair inner products off one packed dot product
+(`root_pair_products`): v . r_b for all 120 root pairs b at once. The
+root-pair Gram T is that read for each rep, cached row by row
+(`root_pair_gram_row`): the frame search of `autgroup` and the glue
+certificates of `blocks` read a frame's eight rows, and the frame-array
+checker, the pair census and `frame_combinations` read all 120
+(`root_pair_gram`). A norm-4 vector is named by one integer code, linear
+in the vector (`norm4_codes`), so a frame's 112 vectors +-r_a +-r_b are
+looked up by the codes of its reps, never added coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import chain, combinations
 from operator import mul
 from typing import NamedTuple
 
-from .certs import CertBuilder, Certificate, Check, CheckFailure
+from .certs import CertBuilder, Certificate
 from .gf2 import (
     F2Subspace,
     FormTable,
@@ -89,27 +89,12 @@ def frame_from_3space(
     if w.mask & ~v.mask:
         raise ValueError("W is not a subspace of V")
     aniso = bits_of_mask(perp_mask(ft, w) & ~ft.iso_mask & ~1)
-    if len(aniso) != 8:
-        raise CheckFailure(
-            "frame", Check("anisotropic classes of W-perp for W=%s" % (w.rows,), 8, len(aniso))
-        )
+    CertBuilder("frame").check("anisotropic classes of W-perp for W=%s" % (w.rows,), 8, len(aniso))
     return Frame(roots=tuple(sorted(census.pair_of_class[c] for c in aniso)), source=source)
 
 
-class PairTables(NamedTuple):
-    """The root-pair tables of one Gram matrix (`pair_tables`)."""
-
-    gram: Mat  # the root-pair Gram T: T[a][b] = r_a . r_b
-    # each norm-4 vector v -> (s_a, a, s_b, b) with v = s_a r_a + s_b r_b
-    decomposition: dict[Vec, tuple[int, int, int, int]]
-    # combinations[a][b]: the four vectors r_a + r_b, r_a - r_b, -r_a + r_b,
-    # -r_a - r_b of the orthogonal pair a < b; one dict per a, keyed by its
-    # orthogonal mates b > a
-    combinations: tuple[dict[int, tuple[Vec, Vec, Vec, Vec]], ...]
-
-
 def _code_weights(lat: Lattice) -> Vec:
-    """Weights B^0..B^7 of the integer code of `pair_tables`: code(v) = sum v_i B^i.
+    """Weights B^0..B^7 of the integer code of `norm4_codes`: code(v) = sum v_i B^i.
 
     B = 2M + 1, with M the largest |coordinate| in the norm-4 shell and in 2r
     for every root r; these bound the shell and every sum r_a +- r_b. Two
@@ -124,26 +109,35 @@ def _code_weights(lat: Lattice) -> Vec:
 
 @lru_cache(maxsize=None)
 def _packed_gram(gram: Mat) -> tuple[list[Vec], list[int]]:
-    """The root-pair reps and the columns G P_k of `root_pair_gram_row`."""
+    """The root-pair reps and the columns G P_k of `root_pair_products`."""
     reps = [p.rep for p in root_pairs(Lattice(gram=gram))]
     packed = [sum(r[k] << 8 * b for b, r in enumerate(reps)) for k in range(8)]
     return reps, [sum(map(mul, row, packed)) for row in gram]
+
+
+def root_pair_products(gram: Mat, v: Vec) -> tuple[int, ...]:
+    """(v . r_b)_b over the 120 root-pair reps, read off one integer.
+
+    With column k of the reps packed as P_k = sum_b r_b[k] 256^b,
+    sum_j v[j] (G P)_j = sum_b (v . r_b) 256^b, exactly, by linearity. For
+    v with every |v . r_b| <= 2, the digits of that sum with 2 added at every
+    place, in base 256, are the v . r_b + 2. Roots and norm-4 vectors
+    qualify: the Gram is positive definite (its shells are enumerated), so
+    |v . r|^2 <= |v|^2 |r|^2 <= 8 by Cauchy-Schwarz.
+    """
+    reps, packed_g = _packed_gram(gram)
+    total = sum(map(mul, v, packed_g)) + int.from_bytes(b"\x02" * len(reps), "little")
+    return tuple(map((-2, -1, 0, 1, 2).__getitem__, total.to_bytes(len(reps), "little")))
 
 
 @lru_cache(maxsize=None)
 def root_pair_gram_row(gram: Mat, a: int) -> tuple[int, ...]:
     """Row a of the root-pair Gram T: T[a][b] = r_a . r_b, in {0, +-1, +-2}.
 
-    Read off one integer: with column k of the reps packed as
-    P_k = sum_b r_b[k] 256^b, sum_j r_a[j] (G P)_j = sum_b T[a][b] 256^b,
-    exactly, by linearity. The Gram is positive definite (its shells are
-    enumerated), so |T[a][b]| <= 2 by Cauchy-Schwarz, and with 2 added at
-    every place the digits of that sum in base 256 are the T[a][b] + 2.
-    Cached per row: the frame search builds only the rows it reads.
+    `root_pair_products` of rep a, cached per row: the frame search builds
+    only the rows it reads.
     """
-    reps, packed_g = _packed_gram(gram)
-    total = sum(map(mul, reps[a], packed_g)) + int.from_bytes(b"\x02" * len(reps), "little")
-    return tuple(map((-2, -1, 0, 1, 2).__getitem__, total.to_bytes(len(reps), "little")))
+    return root_pair_products(gram, _packed_gram(gram)[0][a])
 
 
 @lru_cache(maxsize=None)
@@ -153,45 +147,20 @@ def root_pair_gram(gram: Mat) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def pair_tables(gram: Mat) -> PairTables:
-    """The root-pair Gram T and the norm-4 vectors of each pair.
+def norm4_codes(gram: Mat) -> tuple[tuple[int, ...], dict[int, Vec]]:
+    """The code of each root-pair rep, and each norm-4 vector by its code.
 
-    T is `root_pair_gram`, read by the frame checks, the pair census, the
-    glue certificates and the frame search. Each orthogonal pair
-    a < b (T[a][b] == 0) gives the four norm-4 vectors +-r_a +-r_b, kept in
-    `combinations`; no other pair gives one (|+-r_a +-r_b|^2 = 4 +-2 T[a][b]).
-    Every norm-4 vector arises this way, and the first pair met is kept in
-    `decomposition` as (s_a, a, s_b, b) with v = s_a r_a + s_b r_b. The
-    tables are cached per Gram matrix, so a congruent Gram gets its own.
-
-    No sum is formed coordinate by coordinate: the code of `_code_weights`
-    is linear, so r_a +- r_b is looked up by code(r_a) +- code(r_b). Its
-    base makes a code name at most one vector within the bounds of the
-    shell and of every sum r_a +- r_b, and a sum off the shell raises
-    KeyError. The tables hold the shell's own tuples, one object per vector.
+    The code of `_code_weights` is linear, so r_a +- r_b has code
+    code(r_a) +- code(r_b), and its base makes a code name at most one
+    vector within the bounds of the shell and of every sum r_a +- r_b: a sum
+    off the shell is no key. The map holds the shell's own tuples, one
+    object per vector. Cached per Gram matrix, so a congruent Gram gets its
+    own.
     """
     lat = Lattice(gram=gram)
-    reps = [p.rep for p in root_pairs(lat)]
-    pair_gram = root_pair_gram(gram)
     weights = _code_weights(lat)
     by_code = {sum(map(mul, v, weights)): v for v in enumerate_shell(lat, 4)}
-    codes = [sum(map(mul, r, weights)) for r in reps]
-    decomposition: dict[Vec, tuple[int, int, int, int]] = {}
-    combinations = tuple({} for _ in reps)
-    for a, row in enumerate(pair_gram):
-        ca, mates = codes[a], combinations[a]
-        for b in range(a + 1, len(reps)):
-            if row[b] == 0:
-                cb = codes[b]
-                plus, minus = by_code[ca + cb], by_code[ca - cb]
-                nplus, nminus = by_code[-ca - cb], by_code[cb - ca]
-                mates[b] = (plus, minus, nminus, nplus)
-                # A vector and its negative go in together, at the first pair met.
-                if plus not in decomposition:
-                    decomposition[plus], decomposition[nplus] = (1, a, 1, b), (-1, a, -1, b)
-                if minus not in decomposition:
-                    decomposition[minus], decomposition[nminus] = (1, a, -1, b), (-1, a, 1, b)
-    return PairTables(pair_gram, decomposition, combinations)
+    return tuple(sum(map(mul, p.rep, weights)) for p in root_pairs(lat)), by_code
 
 
 def frame_reps(lat: Lattice, frame: Frame) -> list[Vec]:
@@ -202,13 +171,22 @@ def frame_reps(lat: Lattice, frame: Frame) -> list[Vec]:
 def frame_combinations(lat: Lattice, frame: Frame) -> list[Vec]:
     """The 112 norm-4 vectors +-ra +-rb of one frame, four per pair a < b.
 
-    They are read from `pair_tables`, keyed by the frame's id order, which is
-    sorted (`Frame.roots`; `serial.parse_frames` rejects any other). A pair
-    missing from the table is not orthogonal and adds no vector:
-    +-ra +-rb has norm 4 only when ra . rb = 0.
+    r_a + r_b, r_a - r_b, -r_a + r_b and -r_a - r_b are looked up by their
+    codes c_a + c_b, c_a - c_b, c_b - c_a and -c_a - c_b (`norm4_codes`), in
+    the frame's id order, which is sorted (`Frame.roots`;
+    `serial.parse_frames` rejects any other). A pair that is not orthogonal
+    (T[a][b] != 0) adds no vector: +-ra +-rb has norm 4 only when
+    ra . rb = 0. An orthogonal pair whose sum is not in the shell raises
+    KeyError.
     """
-    table = pair_tables(lat.gram).combinations
-    return [v for a, b in combinations(frame.roots, 2) for v in table[a].get(b, ())]
+    codes, by_code = norm4_codes(lat.gram)
+    pair_gram = root_pair_gram(lat.gram)
+    out = []
+    for a, b in combinations(frame.roots, 2):
+        if not pair_gram[a][b]:
+            ca, cb = codes[a], codes[b]
+            out += by_code[ca + cb], by_code[ca - cb], by_code[cb - ca], by_code[-ca - cb]
+    return out
 
 
 def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -> FrameArray:
@@ -237,11 +215,11 @@ def orthogonal_pair_census(lat: Lattice, arr: FrameArray) -> PairCensus:
 
     The orthogonal mates of pair a are the zeros of row a of the root-pair
     Gram T (T[a][a] = 2); each unordered pair is counted from both ends.
-    Every orthogonal pair {a, b} gives four norm-4 vectors +-ra +-rb, read
-    from the pair table by `frame_combinations`; tallied over the 135 frames,
-    each norm-4 vector of the lattice must arise seven times.
+    Every orthogonal pair {a, b} gives four norm-4 vectors +-ra +-rb, looked
+    up by code in `frame_combinations`; tallied over the 135 frames, each
+    norm-4 vector of the lattice must arise seven times.
     """
-    per_pair = [row.count(0) for row in pair_tables(lat.gram).gram]
+    per_pair = [row.count(0) for row in root_pair_gram(lat.gram)]
     frames = (f for row in arr.rows for f in row)
     mult = Counter(chain.from_iterable(frame_combinations(lat, f) for f in frames))
     return PairCensus(
@@ -262,7 +240,7 @@ def verify_frame_array(lat: Lattice, arr: FrameArray) -> Certificate:
     """
     cb = CertBuilder("frame-array")
     cb.check("row count", 9, len(arr.rows))
-    pair_gram = pair_tables(lat.gram).gram
+    pair_gram = root_pair_gram(lat.gram)
     for i, row in enumerate(arr.rows):
         cb.check("row %d frame count" % i, 15, len(row))
         ids = sorted(pid for f in row for pid in f.roots)

@@ -12,7 +12,7 @@ from collections import Counter
 from functools import cached_property
 from typing import NamedTuple
 
-from .certs import Check, CheckFailure
+from .certs import CertBuilder
 from .intmat import Vec
 from .lattice import Lattice, enumerate_shell, norm, root_pairs
 
@@ -225,6 +225,7 @@ def enumerate_isotropic_4spaces(ft: FormTable) -> list[F2Subspace]:
     The count at each level must be the polar space's (ISOTROPIC_LEVEL_COUNTS);
     a wrong count raises CheckFailure naming the level.
     """
+    cb = CertBuilder("isotropic-4-spaces")
     allowed: dict[int, int] = {}
     level: list[tuple[tuple[int, ...], int, int]] = [((), ft.iso_mask, 0)]
     for dim, expected in enumerate(ISOTROPIC_LEVEL_COUNTS, 1):
@@ -235,11 +236,7 @@ def enumerate_isotropic_4spaces(ft: FormTable) -> list[F2Subspace]:
                 ext = allowed[pivots] = _augmenting_points(pivots)
             for p in bits_of_mask(cand & ext):
                 nxt.append(((p,) + rows, cand & ~ft.brows[p], pivots | (p & -p)))
-        if len(nxt) != expected:
-            raise CheckFailure(
-                "isotropic-4-spaces",
-                Check("totally isotropic %d-spaces" % dim, expected, len(nxt)),
-            )
+        cb.check("totally isotropic %d-spaces" % dim, expected, len(nxt))
         level = nxt
     return sorted(F2Subspace(rows=rows) for rows, _, _ in level)
 

@@ -687,7 +687,7 @@ def test_matrix_mod2_rows():
 
 def _inner_supports(lat, reps, classes=None):
     """Supports over a frame read from the inner products rho . r_i, taken
-    as rho G R^T by one matrix product per frame, not from `pair_tables`;
+    as rho G R^T by one matrix product per frame, not from the root-pair Gram;
     fills `classes` with each such root's mod-2 class by coordinates."""
     to_frame = mat_mul(lat.gram, transpose(reps))
     supports = {}

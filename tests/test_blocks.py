@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from functools import reduce
-from operator import add, itemgetter, mul, xor
+from operator import mul, xor
 
 import pytest
 
@@ -19,7 +19,7 @@ from e8nine.blocks import (
     verify_partition,
 )
 from e8nine.certs import CertBuilder, CheckFailure
-from e8nine.frames import Frame, FrameArray, frame_combinations, frame_reps, pair_tables
+from e8nine.frames import Frame, FrameArray, frame_combinations, frame_reps
 from e8nine.gf2 import F2Subspace, nonzero_elements, reduce_mod2, rref
 from e8nine.intmat import (
     adjugate,
@@ -32,12 +32,14 @@ from e8nine.intmat import (
     transpose,
 )
 from e8nine.lattice import (
+    Lattice,
     enumerate_shell,
     inner,
     neg,
     recognize_even_unimodular_e8,
     root_pairs,
 )
+from test_frames import _kernel_grams
 
 
 def test_each_frame_contributes_112_signed_vectors(lat, frame_array):
@@ -81,21 +83,30 @@ def test_certify_scaled_e8_all_blocks(lat, partition):
 
 
 def test_recovered_frame_is_the_row_frame_of_the_first_pair(lat, partition, frame_array):
-    decomposition = pair_tables(lat.gram).decomposition
+    # a is the least pair with r_a in a decomposition s_a r_a + s_b r_b of
+    # the first vector v, that is with v . r_a = +-2. A parsed block keeps
+    # its file order, so any of its vectors can come first; sorted blocks
+    # start with a vector whose least and largest such pairs share a frame.
+    reps = [p.rep for p in root_pairs(lat)]
     for b, row in zip(partition.blocks, frame_array.rows):
-        a = decomposition[b.vectors[0]][1]
-        want = next(f for f in row if a in f.roots)
-        frame = recover_frame(lat, b)
-        assert frame.roots == want.roots
-        assert frame.source == (b.row_index, -1)
+        for k in range(0, 240, 16):
+            v = b.vectors[k]
+            a = min(i for i, r in enumerate(reps) if abs(inner(lat, v, r)) == 2)
+            want = next(f for f in row if a in f.roots)
+            moved = (v,) + b.vectors[:k] + b.vectors[k + 1 :]
+            frame = recover_frame(lat, b._replace(vectors=moved))
+            assert frame.roots == want.roots
+            assert frame.source == (b.row_index, -1)
 
 
 def test_certify_scaled_e8_names_a_vector_without_decomposition(lat, partition, monkeypatch):
-    tables = pair_tables(lat.gram)
     b0 = partition.blocks[0]
-    pruned = {v: d for v, d in tables.decomposition.items() if v != b0.vectors[0]}
-    # blocks binds the table's owner, frames.pair_tables, by name.
-    monkeypatch.setattr(bl, "pair_tables", lambda gram: tables._replace(decomposition=pruned))
+    # A first vector off the norm-4 shell has no decomposition.
+    doubled = b0._replace(vectors=(tuple(2 * x for x in b0.vectors[0]),) + b0.vectors[1:])
+    assert recover_frame(lat, doubled) is None
+    # No pair with v . r_a = +-2 for the first vector v. blocks binds
+    # frames.root_pair_products by name.
+    monkeypatch.setattr(bl, "root_pair_products", lambda gram, v: (0,) * 120)
     assert recover_frame(lat, b0) is None
     with pytest.raises(CheckFailure) as exc:
         certify_scaled_e8(lat, b0)
@@ -303,44 +314,35 @@ def _outcome(certify, lat, block, frame):
     return ("passed", cert.stage, cert.checks)
 
 
-def doubled_coordinates(lat, frame, vectors):
-    """The doubled frame coordinates d of each vector, read from `pair_tables`.
-
-    The tuple form of what certify_d8_glue encodes as integers: with
-    v = s_a r_a + s_b r_b from the decomposition table, d_i = v . r_i =
-    s_a T[a][i] + s_b T[b][i] by bilinearity. A vector without a
-    decomposition is off the norm-4 shell; its d is read from the frame's
-    rows r_i G.
-    """
-    tables = pair_tables(lat.gram)
-    at_frame = itemgetter(*frame.roots)
-    t_frame = [at_frame(t) for t in tables.gram]
-    signed = {1: t_frame, -1: [neg(t) for t in t_frame]}
-    frame_rows = [row_times_mat(r, lat.gram) for r in frame_reps(lat, frame)]
-    coords = []
-    for v in vectors:
-        dec = tables.decomposition.get(v)
-        if dec is None:
-            coords.append(tuple(sum(map(mul, v, r)) for r in frame_rows))
-        else:
-            sa, a, sb, b = dec
-            coords.append(tuple(map(add, signed[sa][a], signed[sb][b])))
-    return coords
+def test_frame_code_weights_are_the_matrix_product_times_digit_weights(lat, frame_array):
+    # W_f = G R^T (16^0, ..., 16^7)^T, so v . W_f = sum_i d_i 16^i: the code
+    # of v's doubled frame coordinates d = v G R^T.
+    digits = tuple(16**i for i in range(8))
+    for gram in _kernel_grams(lat):
+        other = Lattice(gram=gram)
+        for row in frame_array.rows:
+            for f in row:
+                to_frame = _to_frame(other, frame_reps(other, f))
+                want = tuple(sum(map(mul, r, digits)) for r in to_frame)
+                assert bl._frame_code_weights(other, f) == want
 
 
-def test_doubled_coordinates_match_matrix_product(lat, frame_array):
-    # Every norm-4 vector through the decomposition table, and off-shell
-    # vectors (roots, doubled roots, a norm-6 vector) through the r_i G rows.
-    roots, shell4 = enumerate_shell(lat, 2), enumerate_shell(lat, 4)
-    w = next(v for v in shell4 if inner(lat, roots[0], v) == 0)
-    six = tuple(x + y for x, y in zip(roots[0], w))
-    assert inner(lat, six, six) == 6
-    vectors = shell4 + roots[:8] + [tuple(2 * x for x in roots[1]), six]
-    for row in frame_array.rows:
-        for f in row:
-            to_frame = _to_frame(lat, frame_reps(lat, f))
-            want = [row_times_mat(v, to_frame) for v in vectors]
-            assert doubled_coordinates(lat, f, vectors) == want
+def test_certify_d8_glue_rejects_a_code_alias_off_the_shell(lat, partition, frame_array):
+    # g + 16 r_0 - r_1 has d = d_g + (32, -2, 0, ..., 0), whose code equals
+    # g's: the balanced base-16 code is injective only for |d_i| <= 7. Only
+    # the norm-4 set rejects it.
+    b0, frame = partition.blocks[0], frame_array.rows[0][0]
+    r0, r1 = frame_reps(lat, frame)[:2]
+    g = _glue(lat, b0, frame)[0]
+    alias = tuple(x + 16 * y - z for x, y, z in zip(g, r0, r1))
+    weights = bl._frame_code_weights(lat, frame)
+    assert sum(map(mul, alias, weights)) == sum(map(mul, g, weights))
+    assert inner(lat, alias, alias) == 488
+    vectors = tuple(sorted([v for v in b0.vectors if v != g] + [alias]))
+    with pytest.raises(CheckFailure) as exc:
+        certify_d8_glue(lat, b0._replace(vectors=vectors), frame)
+    assert exc.value.check.description == OFF_HALF
+    assert exc.value.check.actual == [alias]
 
 
 INSIDE_D8 = "remaining vectors outside D8"
@@ -396,15 +398,16 @@ def test_certify_d8_glue_rejects_d8_vector_among_glue(lat, partition, frame_arra
     # k r0 has doubled frame coordinates d = (2k, 0, ..., 0), so frame
     # coordinates c = (k, 0, ..., 0): in D8 for k = 2 and 4, outside D8 but
     # not a +-1/2 glue vector for k = 1 and 5. None is on the norm-4 shell,
-    # so none has a decomposition, and each fails the +-1/2 check.
+    # and each fails the +-1/2 check.
     b0 = partition.blocks[0]
     frame = frame_array.rows[0][0]
     r0 = root_pairs(lat)[frame.roots[0]].rep
+    to_frame = _to_frame(lat, frame_reps(lat, frame))
     dropped = _glue(lat, b0, frame)[0]
     kept = [v for v in b0.vectors if v != dropped]
     for k in (2, 1, 4, 5):
         planted = tuple(k * x for x in r0)
-        assert doubled_coordinates(lat, frame, [planted]) == [(2 * k,) + (0,) * 7]
+        assert row_times_mat(planted, to_frame) == (2 * k,) + (0,) * 7
         vectors = tuple(sorted(kept + [planted]))
         with pytest.raises(CheckFailure) as exc:
             certify_d8_glue(lat, b0._replace(vectors=vectors), frame)

@@ -8,17 +8,18 @@ import pytest
 from e8nine import frames
 from e8nine.certs import CheckFailure
 from e8nine.frames import (
+    Frame,
     FrameArray,
     PairCensus,
-    PairTables,
     _code_weights,
     frame_combinations,
     frame_from_3space,
     frame_reps,
+    norm4_codes,
     orthogonal_pair_census,
-    pair_tables,
     root_pair_gram,
     root_pair_gram_row,
+    root_pair_products,
     three_spaces,
     verify_frame_array,
 )
@@ -180,47 +181,39 @@ def _kernel_grams(lat):
     return _congruent_grams(lat) + (mat_mul(mat_mul(u, lat.gram), transpose(u)),)
 
 
-def _reference_pair_tables(gram):
-    """`pair_tables` by tuple arithmetic, as before the integer code."""
+def _reference_pair_combinations(gram):
+    """T, and each orthogonal pair a < b -> r_a + r_b, r_a - r_b, -r_a + r_b,
+    -r_a - r_b, by tuple arithmetic, as before the integer code."""
     lat = Lattice(gram=gram)
     reps = [p.rep for p in root_pairs(lat)]
     t = [[0] * len(reps) for _ in reps]
+    combos = {}
     for a, ga in enumerate(row_times_mat(r, gram) for r in reps):
+        ra = reps[a]
         for b in range(a, len(reps)):
-            t[a][b] = t[b][a] = sum(map(mul, ga, reps[b]))
-    pair_gram = tuple(map(tuple, t))
-    shell4 = {v: v for v in enumerate_shell(lat, 4)}
-    signed = {v: (v, shell4[tuple(map(neg, v))]) for v in shell4}
-    decomposition = {}
-    combinations = tuple({} for _ in reps)
-    for a, row in enumerate(pair_gram):
-        ra, mates = reps[a], combinations[a]
-        for b in range(a + 1, len(reps)):
-            if row[b] == 0:
-                plus, nplus = signed[tuple(map(add, ra, reps[b]))]
-                minus, nminus = signed[tuple(map(sub, ra, reps[b]))]
-                mates[b] = (plus, minus, nminus, nplus)
-                if plus not in decomposition:
-                    decomposition[plus], decomposition[nplus] = (1, a, 1, b), (-1, a, -1, b)
-                if minus not in decomposition:
-                    decomposition[minus], decomposition[nminus] = (1, a, -1, b), (-1, a, 1, b)
-    return PairTables(pair_gram, decomposition, combinations)
+            rb = reps[b]
+            t[a][b] = t[b][a] = sum(map(mul, ga, rb))
+            if not t[a][b]:
+                plus, minus = tuple(map(add, ra, rb)), tuple(map(sub, ra, rb))
+                combos[a, b] = (plus, minus, tuple(map(neg, minus)), tuple(map(neg, plus)))
+    return tuple(map(tuple, t)), combos
 
 
-def test_pair_tables_match_tuple_arithmetic_reference(lat):
+def test_norm4_codes_match_tuple_arithmetic_reference(lat):
     for gram in _kernel_grams(lat):
-        tables, want = pair_tables(gram), _reference_pair_tables(gram)
-        assert tables.gram == want.gram
-        assert tables.gram is root_pair_gram(gram)  # the one T the frame search reads
-        assert tables.decomposition == want.decomposition
-        assert list(tables.decomposition) == list(want.decomposition)
-        assert tables.combinations == want.combinations
-        # One object per vector: the shell's own tuples, never a new sum.
-        shell4 = {id(v) for v in enumerate_shell(Lattice(gram=gram), 4)}
-        held = list(tables.decomposition)
-        held += [v for mates in tables.combinations for vs in mates.values() for v in vs]
-        assert len(held) == 2160 + 4 * 3780
-        assert all(id(v) in shell4 for v in held)
+        codes, by_code = norm4_codes(gram)
+        assert norm4_codes(gram) is norm4_codes(gram)
+        # One entry per norm-4 vector: the shell's own tuples, never a new sum.
+        shell4 = enumerate_shell(Lattice(gram=gram), 4)
+        assert len(codes) == 120 and len(by_code) == 2160
+        assert {id(v) for v in by_code.values()} == {id(v) for v in shell4}
+        pair_gram, want = _reference_pair_combinations(gram)
+        assert root_pair_gram(gram) == pair_gram  # the T that picks the pairs
+        assert len(want) == 3780
+        for (a, b), vectors in want.items():
+            ca, cb = codes[a], codes[b]
+            got = by_code[ca + cb], by_code[ca - cb], by_code[cb - ca], by_code[-ca - cb]
+            assert got == vectors
 
 
 def test_root_pair_gram_is_the_tuple_of_its_cached_rows(lat):
@@ -256,19 +249,27 @@ def test_code_base_comes_from_the_shells(lat):
         assert len({sum(map(mul, v, weights)) for v in vectors}) == len(vectors)
 
 
-def test_pair_tables_raise_on_a_sum_off_the_shell(lat, monkeypatch):
-    # Drop one norm-4 vector from the shell that the tables read.
+def test_frame_combinations_raise_on_a_sum_off_the_shell(lat, monkeypatch):
+    # A "frame" of all 120 ids meets every orthogonal pair, so its
+    # combinations are the 3780 pairs' four vectors each.
     gram = _congruent_grams(lat)[1]
-    shell4 = enumerate_shell(Lattice(gram=gram), 4)
+    other = Lattice(gram=gram)
+    every_pair = Frame(roots=tuple(range(120)), source=(-1, -1))
+    assert len(frame_combinations(other, every_pair)) == 4 * 3780
+    # Drop one norm-4 vector from the shell that the code map reads.
+    shell4 = enumerate_shell(other, 4)
     short = shell4[:7] + shell4[8:]
     monkeypatch.setattr(
         frames, "enumerate_shell", lambda o, n: short if n == 4 else enumerate_shell(o, n)
     )
-    # Drop the cached tables so the call rebuilds them; a call that raises
-    # caches nothing.
-    frames.pair_tables.cache_clear()
-    with pytest.raises(KeyError):
-        frames.pair_tables(gram)
+    # Drop the cached map so the call rebuilds it short, and drop the short
+    # map again afterwards.
+    frames.norm4_codes.cache_clear()
+    try:
+        with pytest.raises(KeyError):
+            frame_combinations(other, every_pair)
+    finally:
+        frames.norm4_codes.cache_clear()
 
 
 def _reference_orthogonal_pair_census(lat, arr):
@@ -315,7 +316,7 @@ def _reference_frame_combinations(lat, frame):
 
 
 def test_frame_combinations_match_arithmetic_reference(lat, frame_array):
-    # The table holds orthogonal pairs a < b only. A pair that is not
+    # Only orthogonal pairs a < b are looked up. A pair that is not
     # orthogonal gives no vector: +-ra +-rb then has norm 2 or 6. So every
     # frame gets the norm-4 vectors of the reference: on the standard Gram all
     # 112 for each of the 135 frames; on the congruent Gram, whose root-pair
@@ -323,15 +324,13 @@ def test_frame_combinations_match_arithmetic_reference(lat, frame_array):
     frames = [f for row in frame_array.rows for f in row]
     for gram in _congruent_grams(lat):
         other = Lattice(gram=gram)
-        tables = pair_tables(gram)
+        pair_gram = root_pair_gram(gram)
         shell4 = set(enumerate_shell(other, 4))
         f = frames[0]
-        c = next(
-            c for c in range(120) if c not in f.roots and tables.gram[f.roots[0]][c] != 0
-        )
+        c = next(c for c in range(120) if c not in f.roots and pair_gram[f.roots[0]][c] != 0)
         bent = f._replace(roots=tuple(sorted(f.roots[:1] + f.roots[2:] + (c,))))
         pairs = itertools.combinations(bent.roots, 2)
-        assert not all(b in tables.combinations[a] for a, b in pairs)
+        assert any(pair_gram[a][b] for a, b in pairs)
         got = {}
         for frame in frames + [bent]:
             want = [v for v in _reference_frame_combinations(other, frame) if v in shell4]
@@ -340,16 +339,19 @@ def test_frame_combinations_match_arithmetic_reference(lat, frame_array):
         assert len(got[bent]) < 112
         if gram == lat.gram:
             assert {len(got[frame]) for frame in frames} == {112}
-    assert sum(map(len, tables.combinations)) == 3780
+        assert sum(row[a + 1 :].count(0) for a, row in enumerate(pair_gram)) == 3780
 
 
 def test_gram_rows_give_every_inner_product(lat):
     for gram in _congruent_grams(lat):
         other = Lattice(gram=gram)
         reps = [p.rep for p in root_pairs(other)]
-        tables = pair_tables(gram)
+        pair_gram = root_pair_gram(gram)
         for a, b in itertools.product(range(120), repeat=2):
-            assert tables.gram[a][b] == inner(other, reps[a], reps[b])
+            assert pair_gram[a][b] == inner(other, reps[a], reps[b])
+        # Any root or norm-4 vector, not only a rep: every |v . r_b| <= 2.
+        for v in enumerate_shell(other, 2)[::7] + enumerate_shell(other, 4)[::31]:
+            assert root_pair_products(gram, v) == tuple(inner(other, v, r) for r in reps)
 
 
 def test_verify_frame_array_rejects_non_orthogonal_frame(lat, frame_array):

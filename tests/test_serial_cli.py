@@ -728,6 +728,18 @@ def test_out_naming_a_file_is_an_output_error(tmp_path, capsys, sub):
     assert existing.read_text() == "kept\n"
 
 
+def test_unwritable_artifact_is_an_output_error(tmp_path, capsys):
+    # A directory where spread.txt goes: the stages run, then the write fails.
+    # Exit 1 would mean a failed check.
+    out = tmp_path / "out"
+    (out / "spread.txt").mkdir(parents=True)
+    assert cli.main(["spread", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert (out / "spread.txt").is_dir()
+
+
 def test_stage_failure_writes_marker(tmp_path, monkeypatch, capsys):
     from e8nine.certs import Check, CheckFailure
 
