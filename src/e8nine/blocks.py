@@ -1,9 +1,16 @@
-"""Norm-4 partition: each frame-array row spans a half-scale copy of E8.
+"""Norm-4 partition: nine half-scale copies of E8, one per spread space.
 
-A row's 15 frames yield 240 norm-4 vectors. Dividing the inner product by 2
-makes that set a copy of E8 in which any one frame supplies an orthonormal
-basis, its 112 combinations span a D8, and the remaining 128 vectors are the
-glue extending D8 to E8.
+Block j holds the norm-4 vectors whose mod-2 class is a point of spread
+space j (`build_partition`): 15 points of 16 vectors, 240 in all. At half
+the inner product it is a copy of E8 in which any frame of row j is an
+orthonormal basis, its 112 combinations span a D8, and the other 128
+vectors are the glue extending D8 to E8.
+
+Row j of the frame array spans block j: its combinations lie in block j
+(`frames_outside_blocks`), the blocks are disjoint (`block_of_class_table`)
+and the frames stage's census reaches every norm-4 vector, 7 times. So each
+vector of block j is a combination of a frame whose row i puts it in block
+i, and disjointness makes i = j.
 
 Two standard lattice facts (Conway-Sloane, SPLAG ch. 4 and 16) keep the
 certificates short:
@@ -32,9 +39,7 @@ bilinearity (`_frame_code_weights`). This balanced base-16 code is injective
 for |d_i| <= 7, and a norm-4 vector has every |d_i| <= 2 by Cauchy-Schwarz.
 Off the shell it is not: g + 16 r_0 - r_1 has the code of a glue vector g.
 So a vector outside the norm-4 set counts as neither shape. The recovered
-frame and a row's 240 vectors are read from `frames` alone: the inner
-products of one vector with every root pair (`frames.root_pair_products`)
-and the norm-4 codes (`frames.norm4_codes`).
+frame is read off `frames.root_pair_products` and `frames.norm4_codes`.
 
 Over the other 14 frames of a row the presentation follows by index 2. Let
 L_j, the half-scale E8 spanned by block j, have the block as its 240 roots
@@ -52,13 +57,13 @@ from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
-from .gf2 import F2Subspace, FormTable, SpaceClass, nonzero_elements, reduce_mod2, rref
+from .gf2 import F2Subspace, FormTable, SpaceClass, bits_of_mask, nonzero_elements, reduce_mod2, rref
 from .intmat import Mat, Vec
-from .lattice import Lattice, norm4_set
+from .lattice import Lattice, enumerate_shell, norm4_set
 from .frames import (
     Frame,
     FrameArray,
-    frame_combinations,
+    frame_codes,
     frame_reps,
     norm4_codes,
     root_pair_gram_row,
@@ -74,19 +79,6 @@ class Norm4Block(NamedTuple):
 
 class Norm4Partition(NamedTuple):
     blocks: tuple[Norm4Block, ...]
-
-
-def row_to_block(lat: Lattice, row: tuple[Frame, ...], row_index: int) -> Norm4Block:
-    """Collect the deduplicated 240 norm-4 vectors of one row.
-
-    Each of the 15 frames contributes 4 * 28 = 112 signed vectors; across the
-    row every vector recurs in 7 frames, so the union has 15 * 112 / 7 = 240.
-    """
-    vectors: set[Vec] = set()
-    for f in row:
-        vectors.update(frame_combinations(lat, f))
-    CertBuilder("norm4-block").check("row %d deduplicated size" % row_index, 240, len(vectors))
-    return Norm4Block(row_index=row_index, vectors=tuple(sorted(vectors)))
 
 
 TWO_I: Mat = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
@@ -219,24 +211,34 @@ def certify_scaled_e8(lat: Lattice, block: Norm4Block) -> Certificate:
     return cb.done()
 
 
-def build_partition(lat: Lattice, arr: FrameArray) -> Norm4Partition:
-    """Nine blocks, one per frame-array row, built and not yet certified.
+def build_partition(lat: Lattice, spread: Spread) -> Norm4Partition:
+    """Block j: the norm-4 vectors, in shell order, with a class in spread space j.
 
-    `verify_partition` certifies them, as it certifies a parsed partition.
+    Not yet certified: `verify_partition` certifies the blocks, as it does a
+    parsed partition, and `frames_outside_blocks` ties them to the rows.
     """
-    return Norm4Partition(blocks=tuple(row_to_block(lat, r, i) for i, r in enumerate(arr.rows)))
+    space_of = {c: j for j, s in enumerate(spread.spaces) for c in bits_of_mask(s.mask)}
+    blocks: list[list[Vec]] = [[] for _ in spread.spaces]
+    for v in enumerate_shell(lat, 4):  # a certified spread's spaces hold every class
+        blocks[space_of[reduce_mod2(v)]].append(v)
+    return Norm4Partition(blocks=tuple(Norm4Block(j, tuple(b)) for j, b in enumerate(blocks)))
 
 
 def frames_outside_blocks(lat: Lattice, arr: FrameArray, p: Norm4Partition) -> list[tuple[int, int]]:
     """The source of each frame with a combination outside its row's block.
 
     An empty list is the index-2 premise that gives each block its
-    D8-plus-glue presentation over all 15 frames of its row (module docstring).
+    D8-plus-glue presentation over all 15 frames of its row, and it ties
+    row j to block j (module docstring). Compared as sets of
+    `frames.norm4_codes` codes, given to shell vectors alone: off the shell
+    v + B e_0 - e_1 (B the code base) has v's code and could stand in for v.
     """
+    by_code = norm4_codes(lat.gram)[1]
+    code_of = dict(zip(by_code.values(), by_code))  # keyed by the shell's vectors alone
     outside = []
     for row, b in zip(arr.rows, p.blocks):
-        vset = set(b.vectors)
-        outside += [f.source for f in row if not vset.issuperset(frame_combinations(lat, f))]
+        held = set(map(code_of.get, b.vectors))  # None for a vector off the shell
+        outside += [f.source for f in row if not held.issuperset(frame_codes(lat, f))]
     return outside
 
 

@@ -166,10 +166,11 @@ def stage_frames(state: PipelineState) -> Certificate:
 @_recorded
 def stage_partition(state: PipelineState) -> Certificate:
     cb = CertBuilder("norm4-partition")
-    state.partition = bl.build_partition(state.lat, state.arr)
+    state.partition = bl.build_partition(state.lat, state.spread)
     cb.cert.checks.extend(bl.verify_partition(state.lat, state.partition).checks)
     # The blocks above are half-scale E8s and the frames have Gram 2I, so by
-    # index 2 (blocks module docstring) only a frame listed here can fail.
+    # index 2 (blocks module docstring) only a frame listed here can fail;
+    # the blocks come from the spread, and this check ties the rows to them.
     outside = bl.frames_outside_blocks(state.lat, state.arr, state.partition)
     cb.check("D8-plus-glue certificates failing (of 135)", 0, len(outside))
     return cb.done()
@@ -177,6 +178,12 @@ def stage_partition(state: PipelineState) -> Certificate:
 
 @_recorded
 def stage_roundtrip(state: PipelineState) -> Certificate:
+    """Project the partition mod 2 onto spaces and compare them with the spread.
+
+    In `certify` this stage cannot fail: `blocks.build_partition` builds the
+    blocks from the spread's classes. In `verify`, on a parsed partition, the same
+    projection is the real check `partition-vs-spread`.
+    """
     cb = CertBuilder("partition-roundtrip")
     recovered = bl.spread_from_partition(state.ft, state.partition, state.labels)
     cb.check(

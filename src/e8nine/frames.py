@@ -11,10 +11,11 @@ The module also reads root-pair inner products off one packed dot product
 root-pair Gram T is that read for each rep, cached row by row
 (`root_pair_gram_row`): the frame search of `autgroup` and the glue
 certificates of `blocks` read a frame's eight rows, and the frame-array
-checker, the pair census and `frame_combinations` read all 120
+checker, the pair census and `frame_codes` read all 120
 (`root_pair_gram`). A norm-4 vector is named by one integer code, linear
 in the vector (`norm4_codes`), so a frame's 112 vectors +-r_a +-r_b are
-looked up by the codes of its reps, never added coordinate by coordinate.
+the codes c_a +- c_b of its reps (`frame_codes`), compared as integers and
+turned into vectors only by lookup in the shell.
 """
 
 from __future__ import annotations
@@ -168,25 +169,27 @@ def frame_reps(lat: Lattice, frame: Frame) -> list[Vec]:
     return [pairs[i].rep for i in frame.roots]
 
 
-def frame_combinations(lat: Lattice, frame: Frame) -> list[Vec]:
-    """The 112 norm-4 vectors +-ra +-rb of one frame, four per pair a < b.
+def frame_codes(lat: Lattice, frame: Frame) -> list[int]:
+    """The 112 codes c_a + c_b, c_a - c_b, c_b - c_a, -c_a - c_b (`norm4_codes`).
 
-    r_a + r_b, r_a - r_b, -r_a + r_b and -r_a - r_b are looked up by their
-    codes c_a + c_b, c_a - c_b, c_b - c_a and -c_a - c_b (`norm4_codes`), in
-    the frame's id order, which is sorted (`Frame.roots`;
-    `serial.parse_frames` rejects any other). A pair that is not orthogonal
-    (T[a][b] != 0) adds no vector: +-ra +-rb has norm 4 only when
-    ra . rb = 0. An orthogonal pair whose sum is not in the shell raises
-    KeyError.
+    Those of r_a + r_b, r_a - r_b, -r_a + r_b, -r_a - r_b, for each pair a < b
+    in the frame's id order, which is sorted (`Frame.roots`;
+    `serial.parse_frames` rejects any other). A pair with T[a][b] != 0 adds
+    none: +-ra +-rb has norm 4 only when ra . rb = 0.
     """
-    codes, by_code = norm4_codes(lat.gram)
+    codes = norm4_codes(lat.gram)[0]
     pair_gram = root_pair_gram(lat.gram)
     out = []
     for a, b in combinations(frame.roots, 2):
         if not pair_gram[a][b]:
             ca, cb = codes[a], codes[b]
-            out += by_code[ca + cb], by_code[ca - cb], by_code[cb - ca], by_code[-ca - cb]
+            out += ca + cb, ca - cb, cb - ca, -ca - cb
     return out
+
+
+def frame_combinations(lat: Lattice, frame: Frame) -> list[Vec]:
+    """The vectors of `frame_codes`, in order; a code off the shell raises KeyError."""
+    return list(map(norm4_codes(lat.gram)[1].__getitem__, frame_codes(lat, frame)))
 
 
 def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -> FrameArray:
@@ -215,17 +218,18 @@ def orthogonal_pair_census(lat: Lattice, arr: FrameArray) -> PairCensus:
 
     The orthogonal mates of pair a are the zeros of row a of the root-pair
     Gram T (T[a][a] = 2); each unordered pair is counted from both ends.
-    Every orthogonal pair {a, b} gives four norm-4 vectors +-ra +-rb, looked
-    up by code in `frame_combinations`; tallied over the 135 frames, each
-    norm-4 vector of the lattice must arise seven times.
+    Every orthogonal pair {a, b} gives four norm-4 vectors +-ra +-rb; their
+    codes (`frame_codes`) are tallied over the 135 frames, and each tallied
+    code is mapped back to its norm-4 vector, so a code off the shell raises
+    KeyError. Each norm-4 vector of the lattice must arise seven times.
     """
     per_pair = [row.count(0) for row in root_pair_gram(lat.gram)]
-    frames = (f for row in arr.rows for f in row)
-    mult = Counter(chain.from_iterable(frame_combinations(lat, f) for f in frames))
+    tally = Counter(chain.from_iterable(frame_codes(lat, f) for row in arr.rows for f in row))
+    by_code = norm4_codes(lat.gram)[1]
     return PairCensus(
         orthogonal_pair_count=sum(per_pair) // 2,
         per_pair_orthogonal_counts=tuple(per_pair),
-        norm4_multiplicities=mult,
+        norm4_multiplicities=Counter({by_code[c]: m for c, m in tally.items()}),
     )
 
 

@@ -100,60 +100,77 @@ def _int_ldl(gram: Mat):
     return scale, k, q, w
 
 
-def shell_of_gram(gram: Mat, target_norm: int) -> list[Vec]:
-    """All nonzero integer vectors of the exact given norm under the form.
+def shells_of_gram(gram: Mat, norms: tuple[int, ...]) -> dict[int, list[Vec]]:
+    """All nonzero integer vectors of each given norm, from one descent.
 
-    Fincke-Pohst style recursion with exact integer bounds; the output is
-    the full shell sorted by coordinate tuple, which is the determinism
-    contract. Raises NotPositiveDefinite on indefinite input.
+    Fincke-Pohst style recursion to the largest norm N, in exact integers:
+    x[i] ranges exactly over |q[i] x[i] + c_i| <= isqrt(budget // k[i]), each
+    child gets its partial sums c_j (j < i) from its parent, and x[0] is
+    solved, not scanned: norm m needs k[0] (q[0] x[0] + c_0)^2 to equal the
+    budget left less (N - m) * scale. Each shell is sorted by coordinate
+    tuple, the determinism contract. Raises NotPositiveDefinite on indefinite input.
     """
     n = len(gram)
     scale, k, q, w = _int_ldl(gram)
-    budget_total = target_norm * scale
-    found: list[Vec] = []
+    top = max(norms)
+    shells: dict[int, list[Vec]] = {m: [] for m in norms}
+    targets = [((top - m) * scale, shells[m]) for m in sorted(shells, reverse=True) if m > 0]
+    cols = [[w[j][i] for j in range(i)] for i in range(n)]  # x[i]'s weight in each c_j, j < i
     x = [0] * n
 
-    def descend(level: int, budget: int) -> None:
-        if level < 0:
-            if budget == 0 and any(x):
-                found.append(tuple(x))
-            return
-        ki = k[level]
-        qi = q[level]
-        wrow = w[level]
-        c = sum(wrow[j] * x[j] for j in range(level + 1, n))
-        # |qi*x + c| <= sqrt(budget/ki); over-approximate then filter exactly.
-        s = math.isqrt(budget * ki) // ki + 1
-        lo = -(s + c) // qi - 1
-        hi = (s - c) // qi + 1
-        for xi in range(lo, hi + 1):
-            t = qi * xi + c
-            term = ki * t * t
-            if term <= budget:
-                x[level] = xi
-                descend(level - 1, budget - term)
-        x[level] = 0
+    def solve_last(budget: int, c0: int) -> None:
+        for off, out in targets:
+            sq, rem = divmod(budget - off, k[0])
+            if sq < 0:
+                break
+            s = math.isqrt(sq)
+            if rem or s * s != sq:
+                continue
+            for t in (s, -s) if s else (0,):
+                x0, rem = divmod(t - c0, q[0])
+                if not rem:
+                    x[0] = x0
+                    out.append(tuple(x))
 
-    descend(n - 1, budget_total)
-    found.sort()
-    return found
+    def descend(i: int, budget: int, c: list[int]) -> None:
+        ki, qi, ci, col = k[i], q[i], c[i], cols[i]
+        s = math.isqrt(budget // ki)
+        for xi in range(-((s + ci) // qi), (s - ci) // qi + 1):
+            t = qi * xi + ci
+            x[i] = xi
+            if i == 1:
+                solve_last(budget - ki * t * t, c[0] + col[0] * xi)
+            else:
+                descend(i - 1, budget - ki * t * t, [a + b * xi for a, b in zip(c, col)])
+        x[i] = 0
+
+    descend(n - 1, top * scale, [0] * n) if n > 1 else solve_last(top * scale, 0)
+    for out in shells.values():
+        out.sort()
+    return shells
+
+
+def shell_of_gram(gram: Mat, target_norm: int) -> list[Vec]:
+    """All nonzero integer vectors of the exact given norm, sorted (`shells_of_gram`)."""
+    return shells_of_gram(gram, (target_norm,))[target_norm]
 
 
 @lru_cache(maxsize=None)
-def _shell_cached(gram: Mat, target_norm: int) -> tuple[Vec, ...]:
-    return tuple(shell_of_gram(gram, target_norm))
+def _shells_cached(gram: Mat) -> dict[int, tuple[Vec, ...]]:
+    """The norm-2 and norm-4 shells, from one descent to norm 4."""
+    return {m: tuple(s) for m, s in shells_of_gram(gram, (ROOT_NORM, LONG_NORM)).items()}
 
 
 def enumerate_shell(lat: Lattice, target_norm: int) -> list[Vec]:
     """The norm-2 or norm-4 shell of the lattice, in sorted coordinate order."""
     if target_norm not in (ROOT_NORM, LONG_NORM):
         raise ValueError("unsupported shell norm %r" % (target_norm,))
-    return list(_shell_cached(lat.gram, target_norm))
+    return list(_shells_cached(lat.gram)[target_norm])
 
 
 @lru_cache(maxsize=None)
 def _norm4_set_cached(gram: Mat) -> frozenset[Vec]:
-    return frozenset(_shell_cached(gram, LONG_NORM))
+    return frozenset(_shells_cached(gram)[LONG_NORM])
 
 
 def norm4_set(lat: Lattice) -> frozenset[Vec]:
@@ -185,7 +202,7 @@ def _recognize(gram: Mat, want_det: int, want_min_count: int) -> bool:
     if any(gram[i][i] % 2 for i in range(len(gram))):
         return False
     try:
-        minimal = _shell_cached(gram, 2)
+        minimal = shell_of_gram(gram, ROOT_NORM)
     except NotPositiveDefinite:
         return False
     if det(gram) != want_det:

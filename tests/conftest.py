@@ -52,8 +52,8 @@ def frame_array(lat, ft, census, spread):
 
 
 @pytest.fixture(scope="session")
-def partition(lat, frame_array):
-    return bl.build_partition(lat, frame_array)
+def partition(lat, spread):
+    return bl.build_partition(lat, spread)
 
 
 @pytest.fixture(scope="session")

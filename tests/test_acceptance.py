@@ -44,7 +44,7 @@ def _report(num: int, label: str, elapsed: float, budget: float) -> None:
 
 
 def test_criterion_01_shell_counts():
-    lt._shell_cached.cache_clear()
+    lt._shells_cached.cache_clear()
     lt._int_ldl.cache_clear()
     t0 = time.perf_counter()
     lat = lt.build_lattice()
@@ -141,7 +141,7 @@ def test_criterion_06_frame_array():
 def test_criterion_07_partition_and_recognition():
     lat, arr = STATE["lat"], STATE["arr"]
     t0 = time.perf_counter()
-    partition = bl.build_partition(lat, arr)
+    partition = bl.build_partition(lat, STATE["spread"])
     for b in partition.blocks:
         assert bl.certify_scaled_e8(lat, b).passed
     glue_checked = 0

@@ -9,17 +9,24 @@ from e8nine import blocks as bl
 from e8nine import cli, gf2
 from e8nine.autgroup import matrix_mod2_rows
 from e8nine.blocks import (
+    Norm4Block,
     Norm4Partition,
     block_of_class_table,
     certify_d8_glue,
     certify_scaled_e8,
     recover_frame,
-    row_to_block,
     spread_from_partition,
     verify_partition,
 )
 from e8nine.certs import CertBuilder, CheckFailure
-from e8nine.frames import Frame, FrameArray, frame_combinations, frame_reps
+from e8nine.frames import (
+    Frame,
+    FrameArray,
+    _code_weights,
+    frame_combinations,
+    frame_reps,
+    verify_frame_array,
+)
 from e8nine.gf2 import F2Subspace, nonzero_elements, reduce_mod2, rref
 from e8nine.intmat import (
     adjugate,
@@ -36,6 +43,7 @@ from e8nine.lattice import (
     enumerate_shell,
     inner,
     neg,
+    norm4_set,
     recognize_even_unimodular_e8,
     root_pairs,
 )
@@ -49,10 +57,25 @@ def test_each_frame_contributes_112_signed_vectors(lat, frame_array):
         assert len(set(combos)) == 112
 
 
-def test_row_to_block_has_240(lat, frame_array):
-    block = row_to_block(lat, frame_array.rows[0], 0)
-    assert len(block.vectors) == 240
-    assert block.vectors == tuple(sorted(block.vectors))
+def _reference_row_to_block(lat, row, row_index):
+    """The union of one row's frame combinations, sorted: the block read off
+    the frame array, independent of the mod-2 classes."""
+    vectors = set()
+    for f in row:
+        vectors.update(frame_combinations(lat, f))
+    return Norm4Block(row_index=row_index, vectors=tuple(sorted(vectors)))
+
+
+@pytest.mark.parametrize("class_label", [gf2.SpaceClass.CLASS_A, gf2.SpaceClass.CLASS_B])
+def test_partition_from_mod2_classes_equals_each_rows_combinations(lat, class_label):
+    for gram in _kernel_grams(lat):
+        state = cli.run_pipeline(class_label, gram_override=gram, upto="frames")
+        built = bl.build_partition(state.lat, state.spread)
+        assert len(built.blocks) == 9
+        for j, (block, row) in enumerate(zip(built.blocks, state.arr.rows)):
+            want = _reference_row_to_block(state.lat, row, j)
+            assert len(want.vectors) == 240
+            assert block == want
 
 
 def test_block_vector_arises_from_seven_frames(lat, frame_array, partition):
@@ -113,26 +136,32 @@ def test_certify_scaled_e8_names_a_vector_without_decomposition(lat, partition, 
     assert exc.value.check.description == "first vector is s_a r_a + s_b r_b"
 
 
-def test_build_partition_rejects_pair_swapped_between_rows(lat, frame_array):
+def test_build_partition_rejects_pair_swapped_between_rows(lat, frame_array, spread, partition):
+    # The partition comes from the spread, so the array is rejected by its
+    # own checker, and the two frames that traded a pair are the ones whose
+    # combinations leave their row's block.
     f0, f1 = frame_array.rows[0][0], frame_array.rows[1][0]
     x = next(c for c in f0.roots if c not in f1.roots)
     y = next(c for c in f1.roots if c not in f0.roots)
     rows = [list(row) for row in frame_array.rows]
     rows[0][0] = f0._replace(roots=tuple(sorted(set(f0.roots) - {x} | {y})))
     rows[1][0] = f1._replace(roots=tuple(sorted(set(f1.roots) - {y} | {x})))
+    bad = FrameArray(rows=tuple(map(tuple, rows)))
     with pytest.raises(CheckFailure) as exc:
-        bl.build_partition(lat, FrameArray(rows=tuple(map(tuple, rows))))
-    assert exc.value.stage == "norm4-block"
-    assert exc.value.check.description == "row 0 deduplicated size"
-    assert exc.value.check.actual != 240
+        verify_frame_array(lat, bad)
+    assert exc.value.stage == "frame-array"
+    assert exc.value.check.description == "row 0 covers each pair once"
+    assert bl.build_partition(lat, spread) == partition
+    assert bl.frames_outside_blocks(lat, bad, partition) == [(0, 0), (1, 0)]
 
 
-def test_build_partition_rejects_a_row_met_twice(lat, frame_array):
-    # Each row alone yields a half-scale E8, so only the check across blocks
-    # in block_of_class_table can see that rows 0 and 1 are the same.
-    bad = FrameArray(rows=(frame_array.rows[0],) * 2 + frame_array.rows[2:])
+def test_build_partition_rejects_a_row_met_twice(lat, partition):
+    # Each block alone is a half-scale E8, so only the check across blocks
+    # in block_of_class_table can see that blocks 0 and 1 are the same.
+    b0 = partition.blocks[0]
+    bad = partition._replace(blocks=(b0, b0._replace(row_index=1)) + partition.blocks[2:])
     with pytest.raises(CheckFailure) as exc:
-        verify_partition(lat, bl.build_partition(lat, bad))
+        verify_partition(lat, bad)
     assert exc.value.stage == "norm4-partition"
     assert exc.value.check.description.startswith("mod-2 class ")
     assert exc.value.check.description.endswith(" in one block")
@@ -419,6 +448,23 @@ def test_frames_outside_blocks_is_empty_on_the_real_array(lat, frame_array, part
     assert bl.frames_outside_blocks(lat, frame_array, partition) == []
 
 
+def test_frames_outside_blocks_gives_an_off_shell_alias_no_code(lat, frame_array, partition):
+    # v + 25 e_0 - e_1 has v's code (base 25) and lies off the norm-4 shell.
+    # Had it a code, it would stand in for v, and no frame would be listed.
+    b0 = partition.blocks[0]
+    v = frame_combinations(lat, frame_array.rows[0][0])[0]
+    alias = (25, -1, 0, 1, 2, 1, 0, 0)
+    weights = _code_weights(lat)
+    assert weights[1] == 25 and alias == (v[0] + 25, v[1] - 1) + v[2:]
+    assert sum(map(mul, alias, weights)) == sum(map(mul, v, weights))
+    assert alias not in norm4_set(lat)
+    vectors = tuple(alias if u == v else u for u in b0.vectors)
+    broken = partition._replace(blocks=(b0._replace(vectors=vectors),) + partition.blocks[1:])
+    with_v = [f.source for f in frame_array.rows[0] if v in frame_combinations(lat, f)]
+    assert with_v == [(0, 0), (0, 5), (0, 6), (0, 11), (0, 12), (0, 13), (0, 14)]
+    assert bl.frames_outside_blocks(lat, frame_array, broken) == with_v
+
+
 def test_partition_stage_counts_frames_outside_their_block(lat, monkeypatch):
     # Blocks 0 and 1 trade their vectors and keep their row index: each block
     # is still a half-scale E8 and the nine still partition the shell, so
@@ -426,8 +472,8 @@ def test_partition_stage_counts_frames_outside_their_block(lat, monkeypatch):
     # other block, are counted.
     build = bl.build_partition
 
-    def swapped(lat, arr):
-        p = build(lat, arr)
+    def swapped(lat, spread):
+        p = build(lat, spread)
         b0, b1 = p.blocks[:2]
         blocks = (b0._replace(vectors=b1.vectors), b1._replace(vectors=b0.vectors))
         return p._replace(blocks=blocks + p.blocks[2:])
@@ -436,7 +482,7 @@ def test_partition_stage_counts_frames_outside_their_block(lat, monkeypatch):
     with pytest.raises(cli.StageFailure) as exc:
         cli.run_pipeline(upto="partition")
     assert exc.value.name == "partition"
-    assert verify_partition(lat, swapped(lat, exc.value.state.arr)).passed
+    assert verify_partition(lat, swapped(lat, exc.value.state.spread)).passed
     assert str(exc.value) == (
         "norm4-partition: D8-plus-glue certificates failing (of 135) (expected 0, got 30)"
     )

@@ -268,6 +268,9 @@ def test_frame_combinations_raise_on_a_sum_off_the_shell(lat, monkeypatch):
     try:
         with pytest.raises(KeyError):
             frame_combinations(other, every_pair)
+        # The census tallies codes, and maps each back to the shell.
+        with pytest.raises(KeyError):
+            orthogonal_pair_census(other, FrameArray(rows=((every_pair,),)))
     finally:
         frames.norm4_codes.cache_clear()
 

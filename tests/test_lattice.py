@@ -21,6 +21,7 @@ from e8nine.lattice import (
     recognize_even_unimodular_e8,
     root_pairs,
     shell_of_gram,
+    shells_of_gram,
 )
 
 # D8 simple-root Gram: chain of seven nodes with the eighth attached to node 6.
@@ -102,6 +103,52 @@ def test_shell_negation_closure_and_order(lat):
         assert all(neg(v) in as_set for v in shell)
         assert shell == sorted(shell)
         assert shell == enumerate_shell(lat, n)
+
+
+def reference_shell(gram, target_norm):
+    """One descent per norm, without the shortcuts of `shells_of_gram`.
+
+    Each level scans an over-approximated range of x[i] and filters it, and
+    recomputes c_i(x) from the coordinates above; the last coordinate is
+    scanned too, and a leaf keeps x when the budget is exactly spent.
+    """
+    n = len(gram)
+    scale, k, q, w = lt._int_ldl(gram)
+    found = []
+    x = [0] * n
+
+    def descend(level, budget):
+        if level < 0:
+            if budget == 0 and any(x):
+                found.append(tuple(x))
+            return
+        ki, qi = k[level], q[level]
+        c = sum(w[level][j] * x[j] for j in range(level + 1, n))
+        s = math.isqrt(budget * ki) // ki + 1
+        for xi in range(-(s + c) // qi - 1, (s - c) // qi + 2):
+            t = qi * xi + c
+            if ki * t * t <= budget:
+                x[level] = xi
+                descend(level - 1, budget - ki * t * t)
+        x[level] = 0
+
+    descend(n - 1, target_norm * scale)
+    return sorted(found)
+
+
+def test_one_descent_matches_the_per_norm_reference():
+    grams = [E8_GRAM, D8_GRAM, D4_GRAM, A2_GRAM, ((2,),), ((4,),)] + _rebased_grams()
+    for gram in grams:
+        want = {m: reference_shell(gram, m) for m in (2, 4)}
+        assert shells_of_gram(gram, (2, 4)) == want
+        assert {m: shell_of_gram(gram, m) for m in (2, 4)} == want
+    assert [len(shell_of_gram(g, 4)) for g in (((2,),), ((4,),))] == [0, 2]
+    # Several targets under one descent, odd norms included: the leaf test
+    # k[0] t^2 = budget - (N - m) scale is a square test for each m.
+    cube = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    for gram, norms in ((A2_GRAM, (2, 6, 8)), (cube, (1, 2, 3, 4, 5)), (D4_GRAM, (4, 2, 6))):
+        assert shells_of_gram(gram, norms) == {m: reference_shell(gram, m) for m in norms}
+    assert shells_of_gram(A2_GRAM, (0, 2))[0] == []
 
 
 def test_shell_enumerator_against_box_oracle():
@@ -267,3 +314,5 @@ def test_indefinite_gram_raises_as_the_fraction_ldl_does(gram):
     assert str(got.value) == str(want.value)
     with pytest.raises(NotPositiveDefinite):
         shell_of_gram(gram, 2)
+    with pytest.raises(NotPositiveDefinite):
+        shells_of_gram(gram, (2, 4))
