@@ -9,7 +9,7 @@ is complete: a root supported on four frame members must land on a root
 determined norm-4 vector must stay inside a consistent matching of the nine
 blocks. Survivors are tested for integrality on the lattice; the block
 matching built by the search is then the map's block permutation, and
-`block_action` checks it, with the Gram, for every admitted generator.
+`verify_generators` checks it, with the Gram, for every admitted generator.
 
 Both prunes run in frame coordinates and form no vectors. A frame is
 orthonormal at half scale (SPLAG ch. 4): a root rho outside it has doubled
@@ -30,19 +30,20 @@ Generators are chosen by a 9-point chain of block permutations that takes
 each map as the search finds it; the search stops at the map that completes
 A9. The group is certified on the nine blocks, with no chain over the roots:
 `block_action` proves that the kernel of the block action is {+-1}, so the
-order is twice that of the block images. `StabilizerResult` lists where each
-of the 12 certified values comes from.
+order is twice that of the block images. `verify_group` lists where each
+of the 12 certified values comes from; `certify`'s group stage and `verify`
+both run it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import combinations, permutations
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .certs import CertBuilder
+from .certs import CertBuilder, Certificate
 from .frames import Frame, FrameArray, frame_reps, root_pair_gram_row
 from .gf2 import rank, reduce_mod2, rref
 from .intmat import Mat, Vec, adjugate, det, mat_mul, transpose
@@ -105,7 +106,7 @@ def block_perm(point_block: dict[int, int], m: Mat) -> Perm | None:
 
     point_block gives the block (0..8) of each of the 135 isotropic points of
     L/2L: the certified `blocks.block_of_class_table`, or a verified spread's
-    point-to-space table. Every point of block b must land in one block
+    `spreadsearch.point_space_table`. Every point of block b must land in one block
     bp[b], and the nine images must be distinct; otherwise None. The matrix
     mod 2 is invertible when it preserves the Gram, so it then maps the
     points of block b onto those of block bp[b].
@@ -356,28 +357,13 @@ def isometries_between_frames(
     return found
 
 
-class StabilizerResult:
-    """Generator matrices (-1 first), their block permutations, and the
-    frame search they came from. The 12 "stabilizer-group" values come from:
+class StabilizerResult(NamedTuple):
+    """Generators (-1 first) and the search's source frame f0; `verify_generators`
+    and `verify_group` certify them."""
 
-    - image order, all even: a 9-point Schreier-Sims in `block_action`;
-    - kernel order 2: `block_action`'s argument (GF(2) endomorphisms of the
-      block spaces, -1 as generator 0, the root supports over `source`);
-    - group order: image order times kernel order;
-    - block-0 stabilizer order: group order / 9, block 0's orbit length;
-    - orders and transitivity on the other eight blocks and on the 15 points,
-      and both kernel orders: Schreier generators of the block-0 stabilizer on
-      9 blocks and block 0's 15 points mod 2 (`one_block_stabilizer_analysis`);
-    - kernels contain negation: -1 is generator 0, fixes block 0 and is the
-      identity mod 2.
-    """
-
-    def __init__(
-        self, isometries: tuple[Mat, ...], block_perms: tuple[Perm, ...], source: SearchSource
-    ):
-        self.isometries = isometries  # matrices acting on row coordinate vectors
-        self.block_perms = block_perms  # 9-point permutation per generator
-        self.source = source  # the search's source frame f0
+    isometries: tuple[Mat, ...]  # matrices acting on row coordinate vectors
+    block_perms: tuple[Perm, ...]  # 9-point permutation per generator
+    source: SearchSource
 
 
 def _target_schedule() -> list[tuple[int, int]]:
@@ -422,9 +408,7 @@ def compute_stabilizer(
         isometries_between_frames(lat, source, arr.rows[j][k], MAPS_PER_TARGET, take)
         if image.order() == BLOCK_IMAGE_ORDER:
             break
-    return StabilizerResult(
-        isometries=tuple(isometries), block_perms=tuple(block_perms), source=source
-    )
+    return StabilizerResult(tuple(isometries), tuple(block_perms), source)
 
 
 def block_endomorphism_dimension(class_block: dict[int, int]) -> int:
@@ -453,56 +437,88 @@ def block_endomorphism_dimension(class_block: dict[int, int]) -> int:
     return 64 - rank(equations)
 
 
-def block_action(
-    lat: Lattice,
-    result: StabilizerResult,
-    class_block: dict[int, int],
-) -> BlockAction:
+def verify_generators(
+    lat: Lattice, point_block: dict[int, int], matrices: Sequence[Mat], block_perms: Sequence[Perm]
+) -> Certificate:
+    """Each generator preserves the Gram and induces its block permutation; -1 is generator 0.
+
+    The search tests its maps only for integrality, and a file only claims
+    them. point_block is the certified `blocks.block_of_class_table` or a
+    verified spread's `spreadsearch.point_space_table`, the same table. The
+    block check (`block_perm`) is exact: M preserves the Gram (checked), so it
+    maps a norm-4 vector v of block b to one of class c(v) (M mod 2); the
+    blocks hold every norm-4 vector once, in the block its class names, so v M
+    lies in block bp[b], and M, injective, maps block b onto block bp[b].
+    """
+    cb = CertBuilder("generators")
+    for i, (m, bp) in enumerate(zip(matrices, block_perms)):
+        cb.check("generator %d preserves Gram" % i, True, is_gram_isometry(lat, m))
+        cb.check("generator %d induces its block permutation" % i, bp, block_perm(point_block, m))
+    cb.check("generator 0 is -1", True, tuple(matrices[:1]) == (NEGATION,))
+    return cb.done()
+
+
+def block_action(result: StabilizerResult, class_block: dict[int, int]) -> BlockAction:
     """Induced 9-point action: image A9 (order, evenness), kernel {+-1}.
 
-    The search tests its maps only for integrality, so this is where each
-    generator M is checked to preserve the Gram and to map every block onto
-    the block its permutation bp claims, mod 2 on the 135 classes by
-    `block_perm`:
-    class_block[c (M mod 2)] == bp[class_block[c]]. That is exact once
-    `blocks.block_of_class_table` has certified the table: M preserves
-    the Gram (checked), so it maps a norm-4 vector v of block b to a norm-4
-    vector of class c(v) (M mod 2); the blocks hold every norm-4 vector once,
-    in the block its class names, so v M lies in block bp[b], and M, injective,
-    maps the 240 vectors of block b onto block bp[b].
-
-    The kernel is {+-1} by three checks. An isometry M fixing every block
-    preserves each span V_b mod 2; only 0 and I do (dimension 1), so M is I
-    mod 2 and sends each root r to +-r (2 roots per anisotropic class, the
-    mod-2 stage). Roots with nonzero inner product get one sign; a root on a
-    4-support over the source frame meets its four frame roots, and the
-    supports join all pairs of slots, so the spanning frame roots share one
-    sign: M = +-1. Generator 0 is -1, so the order is twice the image order.
-    A violated condition raises CheckFailure naming it.
+    Premise: the generators passed `verify_generators`, so each maps block b
+    onto block bp[b], and generator 0 is -1. The kernel is {+-1} by two
+    checks. An isometry M fixing every block preserves each span V_b mod 2;
+    only 0 and I do (dimension 1), so M is I mod 2 and sends each root r to
+    +-r (2 roots per anisotropic class, the mod-2 stage). Roots with nonzero
+    inner product get one sign; a root on a 4-support over the source frame
+    meets its four frame roots, and the supports join all pairs of slots, so
+    the spanning frame roots share one sign: M = +-1. Generator 0 is -1, so
+    the order is twice the image order. A failed check raises CheckFailure.
     """
     cb = CertBuilder("block-action")
-    for i, (m, bp) in enumerate(zip(result.isometries, result.block_perms)):
-        cb.check("generator %d preserves Gram" % i, True, is_gram_isometry(lat, m))
-        cb.check("generator %d block permutation" % i, bp, block_perm(class_block, m))
-    cb.check("generator 0 is -1", True, result.isometries[:1] == (NEGATION,))
-    cb.check(
-        "GF(2) maps preserving the nine block spaces (dimension)",
-        1,
-        block_endomorphism_dimension(class_block),
-    )
-    joined = {
-        pair
-        for level in result.source.new_subsets
-        for supp in level
-        for pair in combinations(supp, 2)
-    }
+    dimension = block_endomorphism_dimension(class_block)
+    cb.check("GF(2) maps preserving the nine block spaces (dimension)", 1, dimension)
+    supports = (supp for level in result.source.new_subsets for supp in level)
+    joined = {pair for supp in supports for pair in combinations(supp, 2)}
     cb.check("source frame slot pairs sharing a root support", 28, len(joined))
     image_order, _ = schreier_sims(list(result.block_perms))
-    return BlockAction(
-        image_order=image_order,
-        kernel_order=2,
-        all_even=all(perm_parity(p) == 0 for p in result.block_perms),
+    all_even = all(perm_parity(p) == 0 for p in result.block_perms)
+    return BlockAction(image_order=image_order, kernel_order=2, all_even=all_even)
+
+
+def verify_group(stab: StabilizerResult, class_block: dict[int, int]) -> Certificate:
+    """The 12 "stabilizer-group" checks of generators that passed `verify_generators`.
+
+    class_block is the table those checks read. The values come from:
+
+    - image order, all even: a 9-point Schreier-Sims in `block_action`;
+    - kernel order 2: `block_action`'s argument (GF(2) endomorphisms of the
+      block spaces, -1 as generator 0, the root supports over the source);
+    - group order: image order times kernel order;
+    - block-0 stabilizer order: group order / 9, block 0's orbit length;
+    - orders and transitivity on the other eight blocks and on the 15 points,
+      and both kernel orders: Schreier generators of the block-0 stabilizer on
+      9 blocks and block 0's 15 points mod 2 (`one_block_stabilizer_analysis`);
+    - kernels contain negation: -1 is generator 0, fixes block 0 and is the
+      identity mod 2.
+    """
+    cb = CertBuilder("stabilizer-group")
+    action = block_action(stab, class_block)
+    order = action.image_order * action.kernel_order
+    cb.check("group order", STABILIZER_ORDER, order)
+    cb.check("block-action image order", BLOCK_IMAGE_ORDER, action.image_order)
+    cb.check("block-action kernel order", 2, action.kernel_order)
+    cb.check("block images all even", True, action.all_even)
+    report = one_block_stabilizer_analysis(stab, class_block, order)
+    cb.check("block-0 stabilizer order", 40320, report.stabilizer_order)
+    cb.check(
+        "image order on other eight blocks", ONE_BLOCK_IMAGE_ORDER, report.other_blocks_image_order
     )
+    cb.check("transitive on other eight blocks", True, report.other_blocks_transitive)
+    cb.check(
+        "image order on 15 fixed-space points", ONE_BLOCK_IMAGE_ORDER, report.points_image_order
+    )
+    cb.check("transitive on 15 points", True, report.points_transitive)
+    cb.check("kernel order on eight blocks", 2, report.kernel_order_blocks)
+    cb.check("kernel order on 15 points", 2, report.kernel_order_points)
+    cb.check("kernels contain negation", True, stab.isometries[0] == NEGATION)
+    return cb.done()
 
 
 class OneBlockReport(NamedTuple):

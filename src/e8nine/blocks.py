@@ -57,7 +57,7 @@ from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
-from .gf2 import F2Subspace, FormTable, SpaceClass, bits_of_mask, nonzero_elements, reduce_mod2, rref
+from .gf2 import F2Subspace, FormTable, SpaceClass, nonzero_elements, reduce_mod2, rref
 from .intmat import Mat, Vec
 from .lattice import Lattice, enumerate_shell, norm4_set
 from .frames import (
@@ -69,7 +69,7 @@ from .frames import (
     root_pair_gram_row,
     root_pair_products,
 )
-from .spreadsearch import Spread
+from .spreadsearch import Spread, point_space_table
 
 
 class Norm4Block(NamedTuple):
@@ -217,7 +217,7 @@ def build_partition(lat: Lattice, spread: Spread) -> Norm4Partition:
     Not yet certified: `verify_partition` certifies the blocks, as it does a
     parsed partition, and `frames_outside_blocks` ties them to the rows.
     """
-    space_of = {c: j for j, s in enumerate(spread.spaces) for c in bits_of_mask(s.mask)}
+    space_of = point_space_table(spread)
     blocks: list[list[Vec]] = [[] for _ in spread.spaces]
     for v in enumerate_shell(lat, 4):  # a certified spread's spaces hold every class
         blocks[space_of[reduce_mod2(v)]].append(v)
@@ -296,6 +296,27 @@ def spread_from_partition(
     for s in spaces:
         cb.check("recovered spaces share a class", label, labels[s])
     return Spread(spaces=tuple(spaces), class_label=label)
+
+
+def partition_vs_spread(ft: FormTable, p: Norm4Partition, spread: Spread, labels) -> Certificate:
+    """The partition projects onto the spread (`spread_from_partition`); a
+    failure names only the spaces on each side that the other lacks."""
+    spaces, got = sorted(spread.spaces), sorted(spread_from_partition(ft, p, labels).spaces)
+    cb = CertBuilder("partition-vs-spread")
+    cb.check(
+        "partition projects onto the spread",
+        [s.rows for s in spaces if s not in got],
+        [s.rows for s in got if s not in spaces],
+    )
+    return cb.done()
+
+
+def partition_vs_frames(lat: Lattice, arr: FrameArray, p: Norm4Partition) -> Certificate:
+    """The 135 D8-plus-glue presentations of a verified partition and frame array."""
+    cb = CertBuilder("partition-vs-frames")
+    outside = frames_outside_blocks(lat, arr, p)
+    cb.check("frames with a combination outside their row's block", [], outside)
+    return cb.done()
 
 
 def verify_partition(lat: Lattice, p: Norm4Partition) -> Certificate:

@@ -1,10 +1,10 @@
 """Command-line front end and the end-to-end certification pipeline.
 
-The pipeline is the ordered stage table STAGES; every subcommand except
-verify runs a prefix of it. Stage <name> is the module-level function
-stage_<name>(state): it builds its part of the PipelineState (a plain class
-whose attributes the stages assign) and returns its certificate, which the
-_recorded decorator times and records. json is imported only for --json.
+The pipeline is the ordered stage table STAGES; every subcommand but verify,
+which runs the checker table `verifiers`, runs a prefix of it. Stage <name>
+is stage_<name>(state): it builds its part of the PipelineState (a plain
+class whose attributes the stages assign) and returns its certificate, which
+the _recorded decorator times and records. json is imported only for --json.
 
 Exit codes: 0 success, 1 verification failure, 2 input/parse error.
 """
@@ -22,10 +22,10 @@ from . import blocks as bl
 from . import frames as fr
 from . import gf2
 from . import serial
+from . import spreadsearch as ss
 from .certs import CertBuilder, Certificate, CheckFailure
 from .intmat import Mat, det
 from .lattice import Lattice, build_lattice, enumerate_shell
-from .spreadsearch import Spread, find_spread, verify_spread
 
 STAGES = ("lattice", "mod2", "spaces", "profiles", "spread", "frames", "partition", "roundtrip", "group")
 
@@ -47,7 +47,7 @@ class PipelineState:
         census: gf2.Mod2Census | None = None,
         labels: dict | None = None,
         members: list | None = None,
-        spread: Spread | None = None,
+        spread: ss.Spread | None = None,
         arr: fr.FrameArray | None = None,
         partition: bl.Norm4Partition | None = None,
         stab: ag.StabilizerResult | None = None,
@@ -112,12 +112,7 @@ def stage_spaces(state: PipelineState) -> Certificate:
     spaces = gf2.enumerate_isotropic_4spaces(state.ft)
     cb.check("totally isotropic 4-spaces", 270, len(spaces))
     state.labels = gf2.classify(spaces)
-    sizes = sorted(
-        [
-            sum(1 for v in state.labels.values() if v is gf2.SpaceClass.CLASS_A),
-            sum(1 for v in state.labels.values() if v is gf2.SpaceClass.CLASS_B),
-        ]
-    )
+    sizes = sorted(list(state.labels.values()).count(c) for c in gf2.SpaceClass)
     cb.check("class sizes", [135, 135], sizes)
     state.members = gf2.class_members(state.labels, state.class_label)
     return cb.done()
@@ -141,8 +136,8 @@ def stage_profiles(state: PipelineState) -> Certificate:
 
 @_recorded
 def stage_spread(state: PipelineState) -> Certificate:
-    state.spread = find_spread(state.members, state.class_label)
-    return verify_spread(state.spread, state.ft)
+    state.spread = ss.find_spread(state.members, state.class_label)
+    return ss.verify_spread(state.spread, state.ft)
 
 
 @_recorded
@@ -197,39 +192,12 @@ def stage_roundtrip(state: PipelineState) -> Certificate:
 
 @_recorded
 def stage_group(state: PipelineState) -> Certificate:
-    cb = CertBuilder("stabilizer-group")
-    # One certified table for the search, the block action and the one-block
-    # analysis; the stage runs from a state that holds the partition alone, as
-    # after loading artifacts.
+    # One certified table for the search and both checkers; the stage runs
+    # from a state that holds the partition alone, as after loading artifacts.
     class_block = bl.block_of_class_table(state.lat, state.partition)
     state.stab = ag.compute_stabilizer(state.lat, state.arr, class_block)
-    # block_action certifies the kernel {+-1}, so the order is image x kernel.
-    action = ag.block_action(state.lat, state.stab, class_block)
-    order = action.image_order * action.kernel_order
-    cb.check("group order", ag.STABILIZER_ORDER, order)
-    cb.check("block-action image order", ag.BLOCK_IMAGE_ORDER, action.image_order)
-    cb.check("block-action kernel order", 2, action.kernel_order)
-    cb.check("block images all even", True, action.all_even)
-    report = ag.one_block_stabilizer_analysis(state.stab, class_block, order)
-    cb.check("block-0 stabilizer order", 40320, report.stabilizer_order)
-    cb.check(
-        "image order on other eight blocks",
-        ag.ONE_BLOCK_IMAGE_ORDER,
-        report.other_blocks_image_order,
-    )
-    cb.check("transitive on other eight blocks", True, report.other_blocks_transitive)
-    cb.check(
-        "image order on 15 fixed-space points",
-        ag.ONE_BLOCK_IMAGE_ORDER,
-        report.points_image_order,
-    )
-    cb.check("transitive on 15 points", True, report.points_transitive)
-    cb.check("kernel order on eight blocks", 2, report.kernel_order_blocks)
-    cb.check("kernel order on 15 points", 2, report.kernel_order_points)
-    # -1 is generator 0 (checked by block_action): it fixes every block and
-    # is the identity mod 2, so it lies in both kernels.
-    cb.check("kernels contain negation", True, state.stab.isometries[0] == ag.NEGATION)
-    return cb.done()
+    ag.verify_generators(state.lat, class_block, state.stab.isometries, state.stab.block_perms)
+    return ag.verify_group(state.stab, class_block)
 
 
 def run_pipeline(
@@ -275,12 +243,8 @@ def write_artifacts(state: PipelineState, out_dir: str) -> list[str]:
     if state.partition is not None:
         put("partition.txt", serial.serialize_partition(state.partition))
     if state.stab is not None:
-        put(
-            "generators.txt",
-            serial.serialize_generators(
-                list(state.stab.isometries), list(state.stab.block_perms)
-            ),
-        )
+        isometries, perms = state.stab.isometries, state.stab.block_perms
+        put("generators.txt", serial.serialize_generators(list(isometries), list(perms)))
     put("certificates.txt", serial.serialize_certificates(state.certificates))
     return written
 
@@ -353,9 +317,42 @@ def cmd_run(args) -> int:
     return 0 if failure is None else 1
 
 
-def cmd_verify(args) -> int:
+def verifiers(parsed: dict) -> tuple:
+    """verify's checkers in print order: (name, artifact kinds read, checker).
+
+    Each returns its claim's Certificate from the functions certify runs. The
+    generators are read against the verified spread: its `point_space_table`
+    is the group stage's class table, and the search's source, frame (0, 0),
+    is built from space 0 and its first 3-space.
+    """
     lat = build_lattice()
     ft = gf2.build_forms(lat)
+    sp, arr, part, gens = map(parsed.get, ("spread", "frames", "partition", "generators"))
+    labels = functools.cache(lambda: gf2.classify(gf2.enumerate_isotropic_4spaces(ft)))
+
+    def group() -> Certificate:
+        class_block, v = ss.point_space_table(sp), sp.spaces[0]
+        f0 = fr.frame_from_3space(ft, gf2.mod2_census(lat, ft), v, fr.three_spaces(v)[0], (0, 0))
+        source = ag.search_source(lat, f0, class_block)
+        return ag.verify_group(ag.StabilizerResult(*map(tuple, gens), source), class_block)
+
+    return (
+        ("spread", {"spread"}, lambda: ss.verify_spread(sp, ft)),
+        ("spread-class", {"spread"}, lambda: ss.verify_spread_class(sp, labels())),
+        ("frames", {"frames"}, lambda: fr.verify_frame_array(lat, arr)),
+        ("partition", {"partition"}, lambda: bl.verify_partition(lat, part)),
+        ("partition-vs-spread", {"partition", "spread"},
+            lambda: bl.partition_vs_spread(ft, part, sp, labels())),
+        ("partition-vs-frames", {"partition", "frames"},
+            lambda: bl.partition_vs_frames(lat, arr, part)),
+        ("generators", {"spread", "generators"},
+            lambda: ag.verify_generators(lat, ss.point_space_table(sp), *gens)),
+        ("stabilizer-group", {"spread", "generators"}, group),
+    )
+
+
+def cmd_verify(args) -> int:
+    """Read the artifacts, then run and print each checker whose kinds were all given."""
     readers = {
         serial.SPREAD_HEADER: ("spread", serial.parse_spread),
         serial.FRAMES_HEADER: ("frames", serial.parse_frames),
@@ -381,64 +378,18 @@ def cmd_verify(args) -> int:
                 parsed[kind] = parse(text)
         if not parsed:
             raise serial.ParseError("no checkable artifact among %s" % " ".join(args.files))
+        if "generators" in parsed and "spread" not in parsed:
+            # Its block lines name the spread's spaces: alone it proves nothing.
+            path = path_of["generators"]
+            raise serial.ParseError("%s needs a spread.txt: its blocks are spread spaces" % path)
     except (OSError, UnicodeDecodeError, serial.ParseError) as e:
         print("parse error: %s" % e, file=sys.stderr)
         return 2
 
     try:
-        if "spread" in parsed:
-            spread = parsed["spread"]
-            cert = verify_spread(spread, ft)
-            print("spread: PASS (%d checks)" % len(cert.checks))
-            # The nine spaces are pairwise disjoint, so they share one class.
-            labels = gf2.classify(gf2.enumerate_isotropic_4spaces(ft))
-            cb = CertBuilder("spread-class")
-            cb.check("class of the spread's spaces", spread.class_label, labels[spread.spaces[0]])
-            print("spread-class: PASS")
-        if "frames" in parsed:
-            cert = fr.verify_frame_array(lat, parsed["frames"])
-            print("frames: PASS (%d checks)" % len(cert.checks))
-        if "partition" in parsed:
-            cert = bl.verify_partition(lat, parsed["partition"])
-            print("partition: PASS (%d checks)" % len(cert.checks))
-            if "spread" in parsed:
-                recovered = bl.spread_from_partition(ft, parsed["partition"], labels)
-                spaces, got = sorted(parsed["spread"].spaces), sorted(recovered.spaces)
-                cb = CertBuilder("partition-vs-spread")
-                # Each side names only its spaces that the other lacks.
-                cb.check(
-                    "partition projects onto the spread",
-                    [s.rows for s in spaces if s not in got],
-                    [s.rows for s in got if s not in spaces],
-                )
-                print("partition-vs-spread: PASS")
-            if "frames" in parsed:
-                # With both files verified: the 135 D8-plus-glue presentations.
-                outside = bl.frames_outside_blocks(lat, parsed["frames"], parsed["partition"])
-                cb = CertBuilder("partition-vs-frames")
-                cb.check("frames with a combination outside their row's block", [], outside)
-                print("partition-vs-frames: PASS")
-        if "generators" in parsed:
-            matrices, bps = parsed["generators"]
-            cb = CertBuilder("generators")
-            for i, m in enumerate(matrices):
-                cb.check("generator %d preserves Gram" % i, True, ag.is_gram_isometry(lat, m))
-            if "spread" in parsed:
-                # The verified spread's nine spaces partition the 135 points.
-                point_space = {
-                    p: j
-                    for j, sp in enumerate(parsed["spread"].spaces)
-                    for p in gf2.nonzero_elements(sp)
-                }
-                for i, (m, bp) in enumerate(zip(matrices, bps)):
-                    cb.check(
-                        "generator %d induces its block permutation" % i,
-                        bp,
-                        ag.block_perm(point_space, m),
-                    )
-            # As block_action requires: the kernel {+-1} is counted through generator 0.
-            cb.check("generator 0 is -1", True, matrices[:1] == [ag.NEGATION])
-            print("generators: PASS (%d checks)" % len(cb.done().checks))
+        for name, kinds, check in verifiers(parsed):
+            if kinds <= parsed.keys():
+                print("%s: PASS (%d checks)" % (name, len(check().checks)))
     except CheckFailure as e:
         print("FAIL: %s" % e, file=sys.stderr)
         return 1

@@ -22,6 +22,11 @@ class Spread(NamedTuple):
     class_label: SpaceClass
 
 
+def point_space_table(s: Spread) -> dict[int, int]:
+    """The space of each point; on a verified spread, each of the 135 once."""
+    return {p: j for j, sp in enumerate(s.spaces) for p in bits_of_mask(sp.mask)}
+
+
 class SpreadNotFound(RuntimeError):
     """No spread exists in the search space; signals an implementation bug."""
 
@@ -98,4 +103,11 @@ def verify_spread(s: Spread, ft: FormTable) -> Certificate:
             )
     cb.check("isotropic points covered", 135, len(points))
     cb.check("distinct spaces", 9, len(set(s.spaces)))
+    return cb.done()
+
+
+def verify_spread_class(s: Spread, labels: dict[F2Subspace, SpaceClass]) -> Certificate:
+    """The label is space 0's class; a verified spread's nine share one."""
+    cb = CertBuilder("spread-class")
+    cb.check("class of the spread's spaces", s.class_label, labels[s.spaces[0]])
     return cb.done()

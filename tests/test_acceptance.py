@@ -177,7 +177,8 @@ def test_criterion_09_group_order_and_block_action():
     t0 = time.perf_counter()
     class_block = bl.block_of_class_table(lat, partition)
     result = ag.compute_stabilizer(lat, arr, class_block)
-    action = ag.block_action(lat, result, class_block)
+    ag.verify_generators(lat, class_block, result.isometries, result.block_perms)
+    action = ag.block_action(result, class_block)
     elapsed = time.perf_counter() - t0
     assert action.image_order * action.kernel_order == 362880
     # The faithful chain on 9 blocks + 240 roots confirms the order by brute force.

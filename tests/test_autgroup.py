@@ -17,7 +17,6 @@ from e8nine.autgroup import (
     NEGATION,
     ONE_BLOCK_IMAGE_ORDER,
     STABILIZER_ORDER,
-    StabilizerResult,
     block_action,
     block_endomorphism_dimension,
     block_perm,
@@ -27,6 +26,7 @@ from e8nine.autgroup import (
     one_block_stabilizer_analysis,
     search_source,
     shell4_perm,
+    verify_generators,
 )
 from e8nine.blocks import Norm4Partition, block_of_class_table
 from e8nine.certs import CheckFailure
@@ -48,7 +48,7 @@ from test_frames import _U_THREE_TARGETS, _congruent_basis
 
 def _with(result, **changes):
     """A search result with some of its attributes replaced."""
-    return StabilizerResult(**{**vars(result), **changes})
+    return result._replace(**changes)
 
 
 def _spread_block_perm(spread_index, m):
@@ -118,7 +118,7 @@ def test_block_perm_matches_spread_reference(lat, stab_result, spread, class_blo
 
 
 def test_group_order(lat, stab_result, class_block, oracle_chain):
-    action = block_action(lat, stab_result, class_block)
+    action = block_action(stab_result, class_block)
     assert action.image_order * action.kernel_order == STABILIZER_ORDER
     assert oracle_chain.order() == STABILIZER_ORDER
 
@@ -147,7 +147,7 @@ def test_generic_schreier_sims_on_stabilizer_generators(lat, stab_result):
 
 
 def test_block_action_numbers(lat, stab_result, class_block, oracle_chain):
-    action = block_action(lat, stab_result, class_block)
+    action = block_action(stab_result, class_block)
     assert action.image_order == BLOCK_IMAGE_ORDER
     assert action.kernel_order == 2
     assert action.all_even
@@ -160,12 +160,11 @@ def test_block_action_rejects_inconsistent_generator(lat, stab_result, class_blo
     bad_perms = list(stab_result.block_perms)
     idx = stab_result.isometries.index(NEGATION)
     bad_perms[idx] = (1, 0, 2, 3, 4, 5, 6, 7, 8)
-    broken = _with(stab_result, block_perms=tuple(bad_perms))
     with pytest.raises(CheckFailure) as exc:
-        block_action(lat, broken, class_block)
+        verify_generators(lat, class_block, stab_result.isometries, tuple(bad_perms))
     # -1 fixes every class, so it induces the identity on the blocks.
-    assert exc.value.stage == "block-action"
-    assert exc.value.check.description == "generator %d block permutation" % idx
+    assert exc.value.stage == "generators"
+    assert exc.value.check.description == "generator %d induces its block permutation" % idx
     assert (exc.value.check.expected, exc.value.check.actual) == (bad_perms[idx], identity_perm(9))
 
 
@@ -183,8 +182,11 @@ def _reference_block_check(lat, result, partition):
 
 
 def _block_action_of_partition(lat, result, partition):
-    """block_action on the class table certified from the partition, as the group stage runs it."""
-    return block_action(lat, result, block_of_class_table(lat, partition))
+    """The generator checks and block_action on the class table certified
+    from the partition, as the group stage runs them."""
+    class_block = block_of_class_table(lat, partition)
+    verify_generators(lat, class_block, result.isometries, result.block_perms)
+    return block_action(result, class_block)
 
 
 def _passes(check, *args):
@@ -227,7 +229,7 @@ def test_block_action_rejects_non_isometry(lat, stab_result, class_block):
     assert not is_gram_isometry(lat, swap01)
     isos = (swap01,) + stab_result.isometries[1:]
     with pytest.raises(CheckFailure) as exc:
-        block_action(lat, _with(stab_result, isometries=isos), class_block)
+        verify_generators(lat, class_block, isos, stab_result.block_perms)
     assert exc.value.check.description == "generator 0 preserves Gram"
 
 
@@ -271,7 +273,7 @@ def test_endomorphism_check_fails_on_a_desarguesian_spread(lat, stab_result, cla
     assert block_endomorphism_dimension(class_block) == 1
     negation_only = _with(stab_result, isometries=(NEGATION,), block_perms=(identity_perm(9),))
     with pytest.raises(CheckFailure) as exc:
-        block_action(lat, negation_only, table)
+        block_action(negation_only, table)
     assert str(exc.value) == (
         "block-action: GF(2) maps preserving the nine block spaces (dimension) "
         "(expected 1, got 4)"
@@ -280,9 +282,15 @@ def test_endomorphism_check_fails_on_a_desarguesian_spread(lat, stab_result, cla
 
 def test_block_action_rejects_bad_kernel_premises(lat, stab_result, class_block):
     # Each premise of the kernel argument fails by name: -1 heads the
-    # generators, and the source frame's root supports join its eight slots.
-    # Supports avoiding slot 7 join 21 of the 28 pairs.
+    # generators (`verify_generators`), and the source frame's root supports
+    # join its eight slots (`block_action`). Supports avoiding slot 7 join 21
+    # of the 28 pairs.
     isos, bps = stab_result.isometries, stab_result.block_perms
+
+    def checked(result):
+        verify_generators(lat, class_block, result.isometries, result.block_perms)
+        block_action(result, class_block)
+
     cases = (
         (_with(stab_result, isometries=isos[1:], block_perms=bps[1:]), "generator 0 is -1"),
         (_with(stab_result, isometries=isos[::-1], block_perms=bps[::-1]), "generator 0 is -1"),
@@ -290,14 +298,14 @@ def test_block_action_rejects_bad_kernel_premises(lat, stab_result, class_block)
         (_without_slot_7(stab_result), "source frame slot pairs sharing a root support"),
     )
     values = {
-        "generator 0 is -1": (True, False),
-        "source frame slot pairs sharing a root support": (28, 21),
+        "generator 0 is -1": ("generators", True, False),
+        "source frame slot pairs sharing a root support": ("block-action", 28, 21),
     }
     for result, name in cases:
         with pytest.raises(CheckFailure) as exc:
-            block_action(lat, result, class_block)
+            checked(result)
         assert exc.value.check.description == name
-        assert (exc.value.check.expected, exc.value.check.actual) == values[name]
+        assert (exc.value.stage, exc.value.check.expected, exc.value.check.actual) == values[name]
 
 
 def test_one_block_stabilizer(lat, stab_result, class_block, oracle_chain):
@@ -523,7 +531,7 @@ def test_frame_search_is_deterministic(lat, frame_array, partition):
 def test_frame_search_checks_blocks_the_probes_never_read(lat, frame_array, class_block, stab_result):
     # The probes read the blocks of 112 of the 135 classes. Swapping the blocks
     # of two classes they never read leaves the search as it is: it finds the
-    # same maps with the same block matchings. Only block_action, which reads
+    # same maps with the same block matchings. Only verify_generators, which reads
     # all 135 classes, sees the swap.
     f0 = frame_array.rows[0][0]
     src = frame_reps(lat, f0)
@@ -546,14 +554,14 @@ def test_frame_search_checks_blocks_the_probes_never_read(lat, frame_array, clas
     assert found_swapped == found
     assert all(block_perm(class_block, m) == bp for m, bp in found)
     # Generator 1 is a map of this same search (f0 -> f0 is the first target),
-    # so block_action on the swapped table rejects it by name. The group stage
+    # so verify_generators on the swapped table rejects it by name. The group stage
     # run on the swapped table would search 31 more targets, which find no
     # map, before it got there.
     assert stab_result.isometries[1] in [m for m, _ in found[:MAPS_PER_TARGET]]
     with pytest.raises(CheckFailure) as exc:
-        block_action(lat, stab_result, swapped)
+        verify_generators(lat, swapped, stab_result.isometries, stab_result.block_perms)
     assert str(exc.value) == (
-        "block-action: generator 1 block permutation (expected %r, got None)"
+        "generators: generator 1 induces its block permutation (expected %r, got None)"
         % (stab_result.block_perms[1],)
     )
 
@@ -587,7 +595,7 @@ def _without_slot_7(result):
     [
         (
             lambda r: _with(r, isometries=r.isometries[::-1], block_perms=r.block_perms[::-1]),
-            "block-action: generator 0 is -1 (expected True, got False)",
+            "generators: generator 0 is -1 (expected True, got False)",
         ),
         (
             _without_slot_7,

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from e8nine import autgroup as ag
 from e8nine import blocks as bl
 from e8nine import cli, serial
 from e8nine.certs import CertBuilder
@@ -182,7 +183,7 @@ def test_verify_rejects_flipped_spread_class_label(pipeline_state, tmp_path, cap
     # The unmodified artifacts pass with the label check among them.
     cli.write_artifacts(pipeline_state, out)
     assert cli.main(["verify"] + [p for p in written if "certificates" not in p]) == 0
-    assert "spread-class: PASS" in capsys.readouterr().out.splitlines()
+    assert "spread-class: PASS (1 checks)" in capsys.readouterr().out.splitlines()
 
 
 def test_verify_rejects_frames_that_do_not_match_the_partition(pipeline_state, tmp_path, capsys):
@@ -194,7 +195,7 @@ def test_verify_rejects_frames_that_do_not_match_the_partition(pipeline_state, t
     frames, partition = os.path.join(out, "frames.txt"), os.path.join(out, "partition.txt")
     capsys.readouterr()
     assert cli.main(["verify", frames, partition]) == 0
-    assert "partition-vs-frames: PASS" in capsys.readouterr().out.splitlines()
+    assert "partition-vs-frames: PASS (1 checks)" in capsys.readouterr().out.splitlines()
     lines = open(frames).read().splitlines()
     i0, i1 = lines.index("row 0") + 1, lines.index("row 1") + 1
     lines[i0 : i0 + 15], lines[i1 : i1 + 15] = lines[i1 : i1 + 15], lines[i0 : i0 + 15]
@@ -488,7 +489,7 @@ def test_verify_with_nothing_to_check_is_a_parse_error(pipeline_state, tmp_path,
     assert captured.out == ""
     assert captured.err == "parse error: no checkable artifact among %s\n" % path
     assert cli.main(["verify", path, os.path.join(out, "spread.txt")]) == 0
-    assert capsys.readouterr().out == "spread: PASS (75 checks)\nspread-class: PASS\n"
+    assert capsys.readouterr().out == "spread: PASS (75 checks)\nspread-class: PASS (1 checks)\n"
 
 
 def _swap_rows_of_gen0(text):
@@ -581,6 +582,68 @@ def test_verify_requires_negation_as_generator_0(pipeline_state, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.err == "FAIL: generators: generator 0 is -1 (expected True, got False)\n"
     assert "generators: PASS" not in captured.out
+
+
+def _first_generators(text, n):
+    """generators.txt cut to its first n generators, with its count line to match."""
+    lines = text.split("\n")
+    return "\n".join([lines[0], "count %d" % n] + lines[2 : 2 + 2 * n]) + "\n"
+
+
+@pytest.mark.parametrize("count, order", [(2, 4), (4, 24)])
+def test_verify_rejects_generators_of_a_smaller_group(
+    artifact_texts, tmp_path, capsys, count, order
+):
+    # Every generator kept passes its own checks; only the group they
+    # generate, of order 4 or 24, shows that the file was cut.
+    spread, generators = tmp_path / "spread.txt", tmp_path / "generators.txt"
+    spread.write_text(artifact_texts["spread.txt"])
+    generators.write_text(_first_generators(artifact_texts["generators.txt"], count))
+    capsys.readouterr()
+    assert cli.main(["verify", str(spread), str(generators)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "generators: PASS (%d checks)" % (2 * count + 1)
+    assert captured.err == (
+        "FAIL: stabilizer-group: group order (expected 362880, got %d)\n" % order
+    )
+
+
+def test_verify_generators_without_spread_is_a_parse_error(artifact_texts, tmp_path, capsys):
+    # The gen lines name the spread's spaces, so alone the file proves nothing.
+    path = tmp_path / "generators.txt"
+    path.write_text(artifact_texts["generators.txt"])
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "parse error: %s needs a spread.txt: its blocks are spread spaces\n" % path
+    )
+
+
+@pytest.mark.parametrize("class_label", [SpaceClass.CLASS_A, SpaceClass.CLASS_B])
+def test_certify_and_verify_make_the_same_group_checks(class_label, monkeypatch):
+    # verify reads only spread.txt and generators.txt: its class table is the
+    # spread's, and its source frame is built from spread space 0.
+    state = cli.run_pipeline(class_label)
+    gens = serial.serialize_generators(list(state.stab.isometries), list(state.stab.block_perms))
+    parsed = {
+        "spread": serial.parse_spread(serial.serialize_spread(state.spread)),
+        "generators": serial.parse_generators(gens),
+    }
+    sources = []
+    search_source = ag.search_source
+
+    def recorded(lat, frame, class_block):
+        sources.append(frame)
+        return search_source(lat, frame, class_block)
+
+    monkeypatch.setattr(ag, "search_source", recorded)
+    check = {name: checker for name, _, checker in cli.verifiers(parsed)}["stabilizer-group"]
+    certified = state.certificates[-1]
+    assert certified.stage == "stabilizer-group" and len(certified.checks) == 12
+    assert check().checks == certified.checks
+    assert sources == [state.arr.rows[0][0]]
 
 
 def test_verify_non_utf8_file_is_a_parse_error(tmp_path, capsys):
@@ -775,8 +838,6 @@ def test_sub_certificate_failure_marker_names_pipeline_stage(tmp_path, monkeypat
 
 
 def test_bad_block_permutation_fails_group_stage(tmp_path, monkeypatch, capsys):
-    from e8nine import autgroup as ag
-
     compute = ag.compute_stabilizer
 
     def misreported(*args):
@@ -791,7 +852,7 @@ def test_bad_block_permutation_fails_group_stage(tmp_path, monkeypatch, capsys):
     first, second = open(os.path.join(out, "FAILED")).read().splitlines()
     assert first == "failed at stage: group"
     assert second == (
-        "block-action: generator 0 block permutation"
+        "generators: generator 0 induces its block permutation"
         " (expected (1, 0, 2, 3, 4, 5, 6, 7, 8), got (0, 1, 2, 3, 4, 5, 6, 7, 8))"
     )
     assert "FAIL: " + second in capsys.readouterr().err
