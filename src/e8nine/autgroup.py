@@ -19,12 +19,16 @@ coordinates are cs moved by pi and signed by e. The nine blocks are unions of
 mod-2 classes (block j reduces onto spread space j, and the nine spaces
 partition the 135 isotropic points), so the probe vector w = r_k + rho lies
 in block class_block[cls(r_k) ^ cls(rho)] and its image e_k t_pi(k) + rho'
-in block class_block[cls(t_pi(k)) ^ cls(rho')]. A probe looks up the target
-root's class by support and sign mask in `_support_rows`, the one table per
-frame (the source's is built the same way), then the class's block. That
-table reads cs = T[a] at the frame's ids for the rep of pair a, as the glue
-certificates read the root-pair Gram T: column a of the frame's eight rows
-(`frames.root_pair_gram_row`), and no matrix product is formed.
+in block class_block[cls(t_pi(k)) ^ cls(rho')]. class_block is the verified
+spread's point-to-space table (`spreadsearch.point_space_table`); the
+partition's checker (`blocks.block_of_class_table`) proves it to be the
+block of each class. A probe looks up the target root's class by support
+and sign mask in `_support_rows`, the one table per frame (the source's is
+built the same way, and reused when the source is the target), then the
+class's block. That table reads cs = T[a] at the frame's ids for the rep of
+pair a, as the glue certificates read the root-pair Gram T: column a of the
+frame's eight rows (`frames.root_pair_gram_row`), and no matrix product is
+formed.
 
 Generators are chosen by a 9-point chain of block permutations that takes
 each map as the search finds it; the search stops at the map that completes
@@ -39,15 +43,15 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations, product
 from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .certs import CertBuilder, Certificate
 from .frames import Frame, FrameArray, frame_reps, root_pair_gram_row
-from .gf2 import rank, reduce_mod2, rref
+from .gf2 import rank, root_pair_classes, rref
 from .intmat import Mat, Vec, adjugate, det, mat_mul, transpose
-from .lattice import Lattice, enumerate_shell, root_pairs
+from .lattice import Lattice, enumerate_shell
 from .permgroup import (
     Perm,
     StabChain,
@@ -105,8 +109,9 @@ def block_perm(point_block: dict[int, int], m: Mat) -> Perm | None:
     """The permutation of the nine blocks that the matrix induces mod 2, or None.
 
     point_block gives the block (0..8) of each of the 135 isotropic points of
-    L/2L: the certified `blocks.block_of_class_table`, or a verified spread's
-    `spreadsearch.point_space_table`. Every point of block b must land in one block
+    L/2L: a verified spread's `spreadsearch.point_space_table`, which the
+    partition's checker `blocks.block_of_class_table` proves to be the block
+    of each class. Every point of block b must land in one block
     bp[b], and the nine images must be distinct; otherwise None. The matrix
     mod 2 is invertible when it preserves the Gram, so it then maps the
     points of block b onto those of block bp[b].
@@ -148,6 +153,10 @@ def _orderings() -> tuple[tuple[itemgetter, itemgetter], ...]:
     )
 
 
+# The sign mask of a root's four nonzero doubled coordinates: bit j set for -1.
+SIGN_MASK = {d: sum(1 << j for j, x in enumerate(d) if x < 0) for d in product((1, -1), repeat=4)}
+
+
 def _support_rows(lat: Lattice, frame: Frame) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Root classes by ordered support and sign mask: the one table per frame.
 
@@ -158,25 +167,26 @@ def _support_rows(lat: Lattice, frame: Frame) -> dict[tuple[int, ...], tuple[int
     24 getter pairs of `_orderings`. One pass over the 120 root pairs: the
     rep rho of pair a has cs = T[a] at the frame's ids, read as column a of
     the frame's own rows T[i] (`frames.root_pair_gram_row`; T is symmetric),
-    and -rho has the complementary sign mask and the same class.
-    Every root outside the frame has four entries +-1 and four 0, so it is
-    (sum of 4 signed members)/2; the 14 possible supports each carry all 16
-    masks.
+    and -rho has the complementary sign mask and the same class, read off
+    `gf2.root_pair_classes`. Every root outside the frame has four entries
+    +-1 and four 0, so it is (sum of 4 signed members)/2; the 14 possible
+    supports each carry all 16 masks.
     """
     columns = list(zip(*(root_pair_gram_row(lat.gram, i) for i in frame.roots)))
+    classes = root_pair_classes(lat)
     by_support: dict[tuple[int, ...], list[int]] = {}
     # Descending reps meet each support first at its largest root, minus its
     # least, so supports (and the source's probes) keep sorted-shell order.
-    for pair in reversed(root_pairs(lat)):
-        cs = columns[pair.id]
+    for a in reversed(range(len(columns))):
+        cs = columns[a]
         if 2 in cs or -2 in cs:
             continue  # the frame's own pair
-        slots = tuple(i for i, c in enumerate(cs) if c)
+        slots = tuple(compress(range(8), cs))
         if len(slots) != 4:
             raise AssertionError("root support of size %d over a frame" % len(slots))
         by_mask = by_support.setdefault(slots, [-1] * 16)
-        m = sum(1 << j for j, q in enumerate(slots) if cs[q] < 0)
-        by_mask[m] = by_mask[m ^ 15] = reduce_mod2(pair.rep)
+        m = SIGN_MASK[tuple(compress(cs, cs))]
+        by_mask[m] = by_mask[m ^ 15] = classes[a]
     if len(by_support) != 14 or any(-1 in v for v in by_support.values()):
         raise AssertionError("frame support structure is not 14 x 16")
     return {
@@ -213,6 +223,7 @@ class SearchSource(NamedTuple):
     the block of w = r_k + rho for the root rho on those slots with sign
     mask m, read as class_block[cls(r_k) ^ cls(rho)], with cls from the
     frame's `_support_rows`, the one table per frame that targets build too.
+    The source's own table is kept for a search that targets the source.
     """
 
     r_adj: Mat  # adjugate of the slot-ordered representatives
@@ -221,6 +232,8 @@ class SearchSource(NamedTuple):
     probes: tuple[tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...], ...]
     class_block: dict[int, int]
     seed_block: int  # block of reps[0] + reps[1]
+    roots: tuple[int, ...]  # the source frame's root-pair ids
+    rows: dict[tuple[int, ...], tuple[int, ...]]  # the source frame's `_support_rows`
 
 
 def search_source(lat: Lattice, frame: Frame, class_block: dict[int, int]) -> SearchSource:
@@ -230,7 +243,8 @@ def search_source(lat: Lattice, frame: Frame, class_block: dict[int, int]) -> Se
     subsets = dict.fromkeys(map(frozenset, rows))
     order = _greedy_slot_order(subsets)
     pos_of = {slot: p for p, slot in enumerate(order)}
-    slot_class = [reduce_mod2(src_reps[i]) for i in order]
+    classes = root_pair_classes(lat)
+    slot_class = [classes[frame.roots[i]] for i in order]
 
     new_subsets: list[list[tuple[int, ...]]] = [[] for _ in range(8)]
     probes: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(8)]
@@ -246,7 +260,7 @@ def search_source(lat: Lattice, frame: Frame, class_block: dict[int, int]) -> Se
 
     # Every source block is matched by the seed or by a probe, so the block
     # matching of every complete slot map is a full permutation.
-    seed_block = class_block[reduce_mod2(src_reps[0]) ^ reduce_mod2(src_reps[1])]
+    seed_block = class_block[classes[frame.roots[0]] ^ classes[frame.roots[1]]]
     fixed = {seed_block}.union(b for level in probes for _, _, blocks in level for b in blocks)
     CertBuilder("frame-search").check("source blocks the probes fix", 9, len(fixed))
 
@@ -258,6 +272,8 @@ def search_source(lat: Lattice, frame: Frame, class_block: dict[int, int]) -> Se
         probes=tuple(map(tuple, probes)),
         class_block=class_block,
         seed_block=seed_block,
+        roots=frame.roots,
+        rows=rows,
     )
 
 
@@ -277,15 +293,17 @@ def isometries_between_frames(
     where bit j of m_e says e_pj = -1; the probe vector r_k + rho goes to
     e_k t_pi(k) + rho', whose block is class_block[cls(t_pi(k)) ^ cls(rho')].
     So a probe reads two tables, the target's `_support_rows` (the one table
-    per frame, as for the source) and class_block, and never forms a
+    per frame, as for the source; the source's own when the target is the
+    source) and class_block, and never forms a
     vector. `finalize` keeps each integral survivor with tau, a full
     permutation since the probes fix every source block (`search_source`),
     as its block permutation. `stop(m, bp)`, if given, sees each map as it
     is found; the search returns at once when it says True, or at the cap.
     """
     tgt_reps = frame_reps(lat, frame)
-    rows = _support_rows(lat, frame)
-    tgt_class = [reduce_mod2(t) for t in tgt_reps]
+    rows = source.rows if frame.roots == source.roots else _support_rows(lat, frame)
+    classes = root_pair_classes(lat)
+    tgt_class = [classes[q] for q in frame.roots]
     class_block = source.class_block
     new_subsets, probes = source.new_subsets, source.probes
     r_adj, r_det = source.r_adj, source.r_det
@@ -389,7 +407,8 @@ def compute_stabilizer(
     search stops at the map that completes A9 (Seress, Permutation Group
     Algorithms, CUP 2003, ch. 4: sifting stops at the known order). A pass
     that ends below A9 returns the partial list, which the "group order"
-    check rejects. `class_block` is the certified table of
+    check rejects. `class_block` is the verified spread's
+    `spreadsearch.point_space_table`, the block of each class by
     `blocks.block_of_class_table`.
     """
     source = search_source(lat, arr.rows[0][0], class_block)
@@ -443,8 +462,8 @@ def verify_generators(
     """Each generator preserves the Gram and induces its block permutation; -1 is generator 0.
 
     The search tests its maps only for integrality, and a file only claims
-    them. point_block is the certified `blocks.block_of_class_table` or a
-    verified spread's `spreadsearch.point_space_table`, the same table. The
+    them. point_block is a verified spread's `spreadsearch.point_space_table`,
+    the same table as the partition's `blocks.block_of_class_table`. The
     block check (`block_perm`) is exact: M preserves the Gram (checked), so it
     maps a norm-4 vector v of block b to one of class c(v) (M mod 2); the
     blocks hold every norm-4 vector once, in the block its class names, so v M

@@ -53,7 +53,7 @@ the block's other 128 vectors, all that `certify_d8_glue` checks over f.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter, mul
+from operator import itemgetter, mul, neg
 from typing import NamedTuple
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
@@ -150,7 +150,9 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
     return cb.done()
 
 
-def recover_frame(lat: Lattice, block: Norm4Block) -> Frame | None:
+def recover_frame(
+    lat: Lattice, block: Norm4Block, vset: set[Vec] | None = None
+) -> Frame | None:
     """The frame of the block's first vector v, read off the block alone.
 
     A norm-4 v is s_a r_a + s_b r_b for orthogonal root pairs a, b, and then
@@ -163,6 +165,7 @@ def recover_frame(lat: Lattice, block: Norm4Block) -> Frame | None:
     row covers every root pair once and each orthogonal pair lies in exactly
     one frame. None if v is off the shell or no pair has v . r_a = +-2.
     The source (row, -1) marks a frame not taken from the frame array.
+    vset, if given, is the set of the block's vectors.
     """
     v = block.vectors[0]
     if v not in norm4_set(lat):
@@ -172,7 +175,8 @@ def recover_frame(lat: Lattice, block: Norm4Block) -> Frame | None:
     if a is None:
         return None
     codes, by_code = norm4_codes(lat.gram)
-    vset = set(block.vectors)
+    if vset is None:
+        vset = set(block.vectors)
     roots = [a] + [
         c
         for c, t in enumerate(root_pair_gram_row(lat.gram, a))
@@ -194,15 +198,15 @@ def certify_scaled_e8(lat: Lattice, block: Norm4Block) -> Certificate:
     span D8 and one glue vector adds g.
     """
     cb = CertBuilder("scaled-e8 block %d" % block.row_index)
-    cb.check("vector count", 240, len(block.vectors))
-    cb.check("distinct vectors", 240, len(set(block.vectors)))
     vset = set(block.vectors)
-    missing_neg = [v for v in block.vectors if tuple(-x for x in v) not in vset]
+    cb.check("vector count", 240, len(block.vectors))
+    cb.check("distinct vectors", 240, len(vset))
+    missing_neg = [v for v in block.vectors if tuple(map(neg, v)) not in vset]
     cb.check("closed under negation", [], missing_neg)
     shell4 = norm4_set(lat)
     bad_norm = [v for v in block.vectors if v not in shell4]
     cb.check("all norms are 4", [], bad_norm)
-    frame = recover_frame(lat, block)
+    frame = recover_frame(lat, block, vset)
     cb.check("first vector is s_a r_a + s_b r_b", True, frame is not None)
     cb.check("recovered frame size", 8, len(frame.roots))
     # certify_d8_glue raises at its first failed check; its checks complete
@@ -249,13 +253,15 @@ def block_of_class_table(lat: Lattice, p: Norm4Partition) -> dict[int, int]:
     partition the 135 isotropic points, so a norm-4 vector's class names its
     block. A class met in two blocks raises CheckFailure naming the class.
     The blocks must also hold the 2160 norm-4 vectors once each: then every
-    norm-4 vector lies in the block its class names, which is what the
-    frame-to-frame search and `autgroup.block_action` read the table for.
+    norm-4 vector lies in the block its class names. On blocks built from a
+    spread the table is the spread's `point_space_table`, which the group
+    stage's search and checkers read for that reason.
     """
     table: dict[int, int] = {}
     for b in p.blocks:
-        for v in b.vectors:
-            cls = reduce_mod2(v)
+        # The block's classes in the file order of their first vectors, so the
+        # class named is that of the first vector met in an earlier block.
+        for cls in dict.fromkeys(map(reduce_mod2, b.vectors)):
             first = table.setdefault(cls, b.row_index)
             if first != b.row_index:
                 raise CheckFailure(
@@ -264,7 +270,7 @@ def block_of_class_table(lat: Lattice, p: Norm4Partition) -> dict[int, int]:
                 )
     cb = CertBuilder("norm4-partition")
     cb.check("mod-2 classes of the blocks", 135, len(table))
-    held = [v for b in p.blocks for v in b.vectors]
+    held = list(itertools.chain.from_iterable(b.vectors for b in p.blocks))
     counts = (len(held), len(norm4_set(lat).intersection(held)))
     cb.check("vectors held by the blocks, distinct norm-4 among them", (2160, 2160), counts)
     return table

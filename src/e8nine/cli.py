@@ -192,9 +192,9 @@ def stage_roundtrip(state: PipelineState) -> Certificate:
 
 @_recorded
 def stage_group(state: PipelineState) -> Certificate:
-    # One certified table for the search and both checkers; the stage runs
-    # from a state that holds the partition alone, as after loading artifacts.
-    class_block = bl.block_of_class_table(state.lat, state.partition)
+    # One table for the search and both checkers: the verified spread's, which
+    # the partition stage's `block_of_class_table` proves to be the blocks'.
+    class_block = ss.point_space_table(state.spread)
     state.stab = ag.compute_stabilizer(state.lat, state.arr, class_block)
     ag.verify_generators(state.lat, class_block, state.stab.isometries, state.stab.block_perms)
     return ag.verify_group(state.stab, class_block)
@@ -332,7 +332,8 @@ def verifiers(parsed: dict) -> tuple:
 
     def group() -> Certificate:
         class_block, v = ss.point_space_table(sp), sp.spaces[0]
-        f0 = fr.frame_from_3space(ft, gf2.mod2_census(lat, ft), v, fr.three_spaces(v)[0], (0, 0))
+        pair_of_class = {c: a for a, c in enumerate(gf2.root_pair_classes(lat))}
+        f0 = fr.frame_from_3space(ft, pair_of_class, v, fr.three_spaces(v)[0], (0, 0))
         source = ag.search_source(lat, f0, class_block)
         return ag.verify_group(ag.StabilizerResult(*map(tuple, gens), source), class_block)
 

@@ -71,7 +71,7 @@ def three_spaces(v: F2Subspace) -> list[F2Subspace]:
 
 def frame_from_3space(
     ft: FormTable,
-    census: Mod2Census,
+    pair_of_class: dict[int, int],
     v: F2Subspace,
     w: F2Subspace,
     source: tuple[int, int] = (-1, -1),
@@ -83,7 +83,8 @@ def frame_from_3space(
     and one more are isotropic, so eight classes of W-perp are anisotropic,
     all in the third coset. They are read off the masks, and any other count
     raises CheckFailure: eight means exactly one anisotropic coset. Lifting
-    the eight through the class-to-pair table yields the frame.
+    the eight through the class-to-pair table (`Mod2Census.pair_of_class`,
+    or `gf2.root_pair_classes` read backwards) yields the frame.
     """
     if w.dim != 3 or v.dim != 4:
         raise ValueError("expected dim(V)=4, dim(W)=3")
@@ -91,7 +92,7 @@ def frame_from_3space(
         raise ValueError("W is not a subspace of V")
     aniso = bits_of_mask(perp_mask(ft, w) & ~ft.iso_mask & ~1)
     CertBuilder("frame").check("anisotropic classes of W-perp for W=%s" % (w.rows,), 8, len(aniso))
-    return Frame(roots=tuple(sorted(census.pair_of_class[c] for c in aniso)), source=source)
+    return Frame(roots=tuple(sorted(pair_of_class[c] for c in aniso)), source=source)
 
 
 def _code_weights(lat: Lattice) -> Vec:
@@ -197,7 +198,7 @@ def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -
     arr = FrameArray(
         rows=tuple(
             tuple(
-                frame_from_3space(ft, census, v, w, source=(i, j))
+                frame_from_3space(ft, census.pair_of_class, v, w, source=(i, j))
                 for j, w in enumerate(three_spaces(v))
             )
             for i, v in enumerate(spread.spaces)
@@ -257,11 +258,9 @@ def verify_frame_array(lat: Lattice, arr: FrameArray) -> Certificate:
                 if pair_gram[f.roots[a]][f.roots[b]]
             ]
             cb.check("frame (%d,%d) orthogonal" % (i, j), [], bad)
-    counts: dict[tuple[int, int], int] = {}
-    for row in arr.rows:
-        for f in row:
-            for a, b in combinations(f.roots, 2):
-                counts[(a, b)] = counts.get((a, b), 0) + 1
+    counts = Counter(
+        chain.from_iterable(combinations(f.roots, 2) for row in arr.rows for f in row)
+    )
     cb.check("orthogonal pairs covered once", 3780, len(counts))
     cb.check("max frame multiplicity of a pair", 1, max(counts.values()))
     return cb.done()

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .certs import CertBuilder
-from .intmat import Vec
+from .intmat import Mat, Vec
 from .lattice import Lattice, enumerate_shell, norm, root_pairs
 
 
@@ -27,6 +27,19 @@ def reduce_mod2(v: Vec) -> int:
         a & 1 | b << 1 & 2 | c << 2 & 4 | d << 3 & 8
         | e << 4 & 16 | f << 5 & 32 | g << 6 & 64 | h << 7 & 128
     )
+
+
+@lru_cache(maxsize=None)
+def _root_pair_classes_cached(gram: Mat) -> tuple[int, ...]:
+    return tuple(reduce_mod2(p.rep) for p in root_pairs(Lattice(gram=gram)))
+
+
+def root_pair_classes(lat: Lattice) -> tuple[int, ...]:
+    """The class of each root pair's rep, by pair id: 120 reductions, once per Gram.
+
+    The mod-2 census checks that the 120 classes are distinct and anisotropic.
+    """
+    return _root_pair_classes_cached(lat.gram)
 
 
 def lift_bits(bits: int) -> Vec:
@@ -72,13 +85,10 @@ def build_forms(lat: Lattice) -> FormTable:
             if (y & gmasks[i]).bit_count() & 1:
                 row |= 1 << y
         basis_rows.append(row)
-    brows = []
-    for x in range(256):
-        row = 0
-        for i in range(8):
-            if (x >> i) & 1:
-                row ^= basis_rows[i]
-        brows.append(row)
+    # Linear in x: x is x & (x - 1), its lowest bit cleared, plus that bit.
+    brows = [0] * 256
+    for x in range(1, 256):
+        brows[x] = brows[x & (x - 1)] ^ basis_rows[(x & -x).bit_length() - 1]
     iso = 0
     for x in range(1, 256):
         if q[x] == 0:
@@ -322,13 +332,12 @@ def _multiplicity(counts: Counter) -> int | list[int]:
 
 def mod2_census(lat: Lattice, ft: FormTable) -> Mod2Census:
     pair_of_class: dict[int, int] = {}
-    for pair in root_pairs(lat):
-        bits = reduce_mod2(pair.rep)
+    for pair_id, bits in enumerate(root_pair_classes(lat)):
         if ft.q[bits] != 1:
             raise AssertionError("root reduces to an isotropic class")
         if bits in pair_of_class:
             raise AssertionError("two root pairs share class %02x" % bits)
-        pair_of_class[bits] = pair.id
+        pair_of_class[bits] = pair_id
     roots_in_class = Counter(map(reduce_mod2, enumerate_shell(lat, 2)))
     norm4_in_class = Counter(map(reduce_mod2, enumerate_shell(lat, 4)))
     if any(ft.q[bits] != 0 or bits == 0 for bits in norm4_in_class):

@@ -4,16 +4,18 @@ All integers are decimal; GF(2) vectors are two lowercase hex digits. Every
 writer is deterministic so repeated runs produce byte-identical files.
 
 Each parser is its writer's inverse. It reads its lines by position, checks
-ranges, entry counts, increasing frame ids, rref spread rows and block
-lines, and accepts the text only if the writer prints exactly that text for
-what was read. That one comparison covers headers, markers, counts, token
-forms ("+0", "007", "1_0", non-ASCII digits and "0x11" all pass `int()`),
-whitespace, "\\r", blank lines and trailing text. Parsers do not normalise:
-a partition block keeps its file order. Every ParseError names a line.
+the `row` and `block` marker lines where they sit, ranges, entry counts,
+increasing frame ids, rref spread rows and block lines, and accepts the
+text only if the writer prints exactly that text for what was read. That
+one comparison covers headers, counts, token forms ("+0", "007", "1_0",
+non-ASCII digits and "0x11" all pass `int()`), whitespace, "\\r", blank
+lines and trailing text. Parsers do not normalise: a partition block keeps
+its file order. Every ParseError names a line.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from os.path import commonprefix
 
 from .blocks import Norm4Block, Norm4Partition
@@ -43,10 +45,19 @@ def _ints(lines: list[str], i: int, prefix: str = "", base: int = 10) -> tuple[i
     """The integers of lines[i] after `prefix`, read by int() between single spaces."""
     if i >= len(lines):
         raise ParseError("the file ends before line %d" % (i + 1))
+    toks = lines[i].removeprefix(prefix).split(" ")
     try:
-        return tuple(int(tok, base) for tok in lines[i].removeprefix(prefix).split(" "))
+        return tuple(map(int, toks, repeat(base, len(toks))))
     except ValueError:
         raise _error("not %s integers" % ("decimal" if base == 10 else "hex"), lines, i) from None
+
+
+def _marker(lines: list[str], i: int, marker: str) -> None:
+    """ParseError unless line i is the marker the writer prints there, named
+    as `_check_written` names a line: a line moved down is found where it sits."""
+    if lines[i : i + 1] != [marker]:
+        read = lines[i] + "\n" if i + 1 < len(lines) else "".join(lines[i:])
+        raise ParseError("line %d reads %r, the writer prints %r" % (i + 1, read, marker + "\n"))
 
 
 def _check_written(text: str, written: str) -> None:
@@ -105,8 +116,9 @@ def parse_frames(text: str) -> FrameArray:
     lines = text.split("\n")
     rows = []
     for r in range(9):
+        _marker(lines, 1 + 16 * r, "row %d" % r)
         frames = []
-        for k, i in enumerate(range(2 + 16 * r, 17 + 16 * r)):  # after row r's marker
+        for k, i in enumerate(range(2 + 16 * r, 17 + 16 * r)):
             ids = _ints(lines, i)
             if len(ids) != 8 or any(not 0 <= x < 120 for x in ids):
                 raise _error("a frame line needs 8 pair ids in 0..119", lines, i)
@@ -126,8 +138,7 @@ def serialize_partition(p: Norm4Partition) -> str:
     out = [PARTITION_HEADER]
     for b in p.blocks:
         out.append("block %d" % b.row_index)
-        for v in b.vectors:
-            out.append(" ".join(map(str, v)))
+        out += map("%d %d %d %d %d %d %d %d".__mod__, b.vectors)
     return "\n".join(out) + "\n"
 
 
@@ -136,8 +147,9 @@ def parse_partition(text: str) -> Norm4Partition:
     lines = text.split("\n")
     blocks = []
     for r in range(9):
+        _marker(lines, 1 + 241 * r, "block %d" % r)
         vectors = []
-        for i in range(2 + 241 * r, 242 + 241 * r):  # after block r's marker
+        for i in range(2 + 241 * r, 242 + 241 * r):
             v = _ints(lines, i)
             if len(v) != 8:
                 raise _error("a vector needs 8 coordinates", lines, i)

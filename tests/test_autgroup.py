@@ -31,7 +31,7 @@ from e8nine.autgroup import (
 from e8nine.blocks import Norm4Partition, block_of_class_table
 from e8nine.certs import CheckFailure
 from e8nine.frames import Frame, FrameArray, frame_reps, root_pair_gram_row
-from e8nine.gf2 import F2Subspace, SpaceClass, nonzero_elements, reduce_mod2, rref
+from e8nine.gf2 import F2Subspace, SpaceClass, lift_bits, nonzero_elements, reduce_mod2, rref
 from e8nine.intmat import (
     Mat,
     adjugate,
@@ -43,6 +43,7 @@ from e8nine.intmat import (
 )
 from e8nine.lattice import Lattice, enumerate_shell, inner, root_pairs
 from e8nine.permgroup import identity_perm, is_identity, mult, schreier_sims
+from e8nine.spreadsearch import point_space_table
 from test_frames import _U_THREE_TARGETS, _congruent_basis
 
 
@@ -361,12 +362,13 @@ def test_one_block_analysis_reads_its_generators(lat, stab_result, class_block):
 
 
 def test_group_stage_builds_only_the_rows_of_the_frames_it_searches(
-    lat, frame_array, partition, monkeypatch
+    lat, spread, frame_array, partition, monkeypatch
 ):
     # The class-A artifacts carried by U^-1 to a Gram U G U^T that no other
     # test uses, so no row of its root-pair Gram is cached when the stage
     # runs. The stage searches from frame (0, 0) to itself and to frame
-    # (1, 0), and builds their 15 rows of the 120, the rows it reads.
+    # (1, 0), and builds their 15 rows of the 120, the rows it reads. Its
+    # class table is the carried spread's, which is the carried blocks'.
     u = [list(row) for row in identity_matrix(8)]
     u[3][4] = 1
     other = Lattice(gram=mat_mul(mat_mul(u, lat.gram), transpose(u)))
@@ -382,6 +384,15 @@ def test_group_stage_builds_only_the_rows_of_the_frames_it_searches(
             for b in partition.blocks
         )
     )
+    def carried_class(c):
+        return reduce_mod2(row_times_mat(lift_bits(c), u_inv))
+
+    carried_spread = spread._replace(
+        spaces=tuple(
+            F2Subspace(rows=rref(list(map(carried_class, sp.rows)))) for sp in spread.spaces
+        )
+    )
+    assert point_space_table(carried_spread) == block_of_class_table(other, carried)
     targets = []
     search = ag.isometries_between_frames
 
@@ -391,11 +402,29 @@ def test_group_stage_builds_only_the_rows_of_the_frames_it_searches(
 
     monkeypatch.setattr(ag, "isometries_between_frames", recorded)
     before = root_pair_gram_row.cache_info().currsize
-    cert = cli.stage_group(cli.PipelineState(lat=other, arr=arr, partition=carried))
+    cert = cli.stage_group(cli.PipelineState(lat=other, spread=carried_spread, arr=arr))
     built = root_pair_gram_row.cache_info().currsize - before
     assert cert.checks[0].actual == STABILIZER_ORDER
     assert [f.source for f in targets] == [(0, 0), (1, 0)]
     assert built == len({a for f in targets for a in f.roots}) == 15
+
+
+def test_group_stage_builds_one_support_table_per_frame(
+    lat, spread, frame_array, monkeypatch
+):
+    # The search targets frame (0, 0), its own source, then frame (1, 0); the
+    # source's table is carried on SearchSource, so only two are built.
+    built = []
+    support_rows = ag._support_rows
+
+    def recorded(lat, frame):
+        built.append(frame.source)
+        return support_rows(lat, frame)
+
+    monkeypatch.setattr(ag, "_support_rows", recorded)
+    cert = cli.stage_group(cli.PipelineState(lat=lat, spread=spread, arr=frame_array))
+    assert cert.checks[0].actual == STABILIZER_ORDER
+    assert built == [(0, 0), (1, 0)]
 
 
 def test_random_words_preserve_gram_and_partition(lat, stab_result, block_of_vector):
@@ -857,19 +886,6 @@ def test_frame_search_matches_vector_arithmetic_reference(
             lat, src, frame_reps(lat, tgt), block_of_vector, spread_index, 48
         )
         assert found == want
-
-
-def test_stabilizer_search_rejects_split_class(lat, spread, frame_array, partition):
-    b0, b1 = partition.blocks[0], partition.blocks[1]
-    swapped = tuple(sorted(b0.vectors[1:] + (b1.vectors[0],)))
-    broken = partition._replace(blocks=(b0._replace(vectors=swapped),) + partition.blocks[1:])
-
-    # The group stage builds the class table it searches with, so a stage run
-    # on a state holding only the four inputs rejects the split class.
-    state = cli.PipelineState(lat=lat, spread=spread, arr=frame_array, partition=broken)
-    with pytest.raises(CheckFailure) as exc:
-        cli.stage_group(state)
-    assert exc.value.check.description.startswith("mod-2 class ")
 
 
 def test_target_schedule_visits_every_frame_once():

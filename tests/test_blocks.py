@@ -47,6 +47,7 @@ from e8nine.lattice import (
     recognize_even_unimodular_e8,
     root_pairs,
 )
+from e8nine.spreadsearch import point_space_table
 from test_frames import _kernel_grams
 
 
@@ -595,6 +596,51 @@ def test_block_of_class_table_names_class_met_in_two_blocks(lat, partition):
     assert exc.value.stage == "norm4-partition"
     assert exc.value.check.description == "mod-2 class %d in one block" % first
     assert (exc.value.check.expected, exc.value.check.actual) == (0, 1)
+
+
+def test_partition_checker_rejects_split_class(lat, partition):
+    # Block 0 gives up its first vector for block 1's: the partition
+    # checker's class table meets block 1's first class in block 0 too.
+    b0, b1 = partition.blocks[0], partition.blocks[1]
+    swapped = tuple(sorted(b0.vectors[1:] + (b1.vectors[0],)))
+    broken = partition._replace(blocks=(b0._replace(vectors=swapped),) + partition.blocks[1:])
+    with pytest.raises(CheckFailure) as exc:
+        block_of_class_table(lat, broken)
+    assert str(exc.value) == "norm4-partition: mod-2 class 3 in one block (expected 0, got 1)"
+
+
+def test_split_class_is_named_at_its_first_vector_in_file_order(lat, partition):
+    # Two pairs swapped between blocks 0 and 1, each block read in a rotated
+    # file order: four classes are met in both blocks, and the table names
+    # the class of block 1's first such vector in file order (class 158),
+    # not in sorted order (class 123).
+    b0, b1 = partition.blocks[0], partition.blocks[1]
+    outs, intos = (b0.vectors[0], b0.vectors[100]), (b1.vectors[0], b1.vectors[100])
+
+    def swap(block, old, new):
+        kept = [v for v in block.vectors if v not in old and neg(v) not in old]
+        vectors = sorted(kept + [w for x in new for w in (x, neg(x))])
+        return block._replace(vectors=tuple(vectors[120:] + vectors[:120]))
+
+    rotated = (swap(b0, outs, intos), swap(b1, intos, outs))
+    in_order = tuple(b._replace(vectors=tuple(sorted(b.vectors))) for b in rotated)
+    for blocks, cls in ((rotated, 158), (in_order, 123)):
+        with pytest.raises(CheckFailure) as exc:
+            block_of_class_table(lat, partition._replace(blocks=blocks + partition.blocks[2:]))
+        assert str(exc.value) == (
+            "norm4-partition: mod-2 class %d in one block (expected 0, got 1)" % cls
+        )
+
+
+@pytest.mark.parametrize("class_label", [gf2.SpaceClass.CLASS_A, gf2.SpaceClass.CLASS_B])
+def test_point_space_table_is_the_block_of_class_table(lat, class_label):
+    # The group stage reads the spread's table; the partition stage proves
+    # it to be the blocks' on the standard Gram and on congruent ones.
+    for gram in _kernel_grams(lat):
+        state = cli.run_pipeline(class_label, gram_override=gram, upto="partition")
+        table = block_of_class_table(state.lat, state.partition)
+        assert point_space_table(state.spread) == table
+        assert len(table) == 135
 
 
 def test_block_of_class_table_counts_classes(lat, partition):

@@ -66,7 +66,7 @@ def test_frame_construction_invariants(lat, ft, census, spread):
     pairs = root_pairs(lat)
     v = spread.spaces[0]
     for j, w in enumerate(three_spaces(v)):
-        f = frame_from_3space(ft, census, v, w, source=(0, j))
+        f = frame_from_3space(ft, census.pair_of_class, v, w, source=(0, j))
         assert len(f.roots) == 8
         reps = [pairs[i].rep for i in f.roots]
         for a, b in itertools.combinations(reps, 2):
@@ -80,7 +80,7 @@ def test_frame_from_3space_rejects_w_outside_v(ft, census, spread):
     # Spread spaces meet only in 0, so no 3-space of one lies in another.
     v, w = spread.spaces[0], three_spaces(spread.spaces[1])[0]
     with pytest.raises(ValueError, match="not a subspace"):
-        frame_from_3space(ft, census, v, w)
+        frame_from_3space(ft, census.pair_of_class, v, w)
 
 
 def test_frame_from_3space_requires_eight_anisotropic_classes(ft, census, spread):
@@ -93,12 +93,12 @@ def test_frame_from_3space_requires_eight_anisotropic_classes(ft, census, spread
     assert len(aniso) == 8
     bad = ft._replace(iso_mask=ft.iso_mask | 1 << aniso[3])
     with pytest.raises(CheckFailure) as exc:
-        frame_from_3space(bad, census, v, w)
+        frame_from_3space(bad, census.pair_of_class, v, w)
     assert str(exc.value) == (
         "frame: anisotropic classes of W-perp for W=%s (expected 8, got 7)" % (w.rows,)
     )
     pairs = sorted(census.pair_of_class[c] for c in aniso)
-    assert frame_from_3space(ft, census, v, w).roots == tuple(pairs)
+    assert frame_from_3space(ft, census.pair_of_class, v, w).roots == tuple(pairs)
 
 
 def test_exactly_one_anisotropic_coset_for_all_135(lat, ft, census, spread):
@@ -108,7 +108,7 @@ def test_exactly_one_anisotropic_coset_for_all_135(lat, ft, census, spread):
     count = 0
     for i, v in enumerate(spread.spaces):
         for j, w in enumerate(three_spaces(v)):
-            frame_from_3space(ft, census, v, w, source=(i, j))
+            frame_from_3space(ft, census.pair_of_class, v, w, source=(i, j))
             count += 1
     assert count == 135
 

@@ -67,6 +67,18 @@ def test_partition_round_trip(partition):
     assert [b.vectors for b in parsed.blocks] == [b.vectors for b in partition.blocks]
 
 
+@pytest.mark.parametrize("class_label", [SpaceClass.CLASS_A, SpaceClass.CLASS_B])
+def test_partition_vector_lines_are_the_joined_coordinates(class_label):
+    # The writer prints each vector with one "%d" format; the text is the one
+    # that joins each vector's str coordinates.
+    partition = cli.run_pipeline(class_label, upto="partition").partition
+    want = [serial.PARTITION_HEADER]
+    for b in partition.blocks:
+        want.append("block %d" % b.row_index)
+        want += (" ".join(map(str, v)) for v in b.vectors)
+    assert serial.serialize_partition(partition) == "\n".join(want) + "\n"
+
+
 def test_generators_round_trip(stab_result):
     matrices = list(stab_result.isometries)
     bps = list(stab_result.block_perms)
@@ -416,7 +428,7 @@ def test_parse_error_names_the_line_read_and_the_line_written(artifact_texts):
         (
             serial.parse_frames,
             artifact_texts["frames.txt"].replace("\nrow 3\n", "\n\nrow 3\n"),
-            "not decimal integers at line 51: 'row 3'",
+            "line 50 reads '\\n', the writer prints 'row 3\\n'",
         ),
         (
             serial.parse_generators,
