@@ -6,11 +6,11 @@ the inner product it is a copy of E8 in which any frame of row j is an
 orthonormal basis, its 112 combinations span a D8, and the other 128
 vectors are the glue extending D8 to E8.
 
-Row j of the frame array spans block j: its combinations lie in block j
-(`frames_outside_blocks`), the blocks are disjoint (`block_of_class_table`)
-and the frames stage's census reaches every norm-4 vector, 7 times. So each
-vector of block j is a combination of a frame whose row i puts it in block
-i, and disjointness makes i = j.
+Row j of the frame array spans block j. A combination +-r_a +-r_b has the
+class cls(a) ^ cls(b), and each norm-4 vector lies in just the block its
+class names (`block_of_class_table`), so row j's lie in block j alone
+(`frames_outside_blocks`). The frames stage's census reaches every norm-4
+vector, so each vector of block j is a combination of some row, row j.
 
 Two standard lattice facts (Conway-Sloane, SPLAG ch. 4 and 16) keep the
 certificates short:
@@ -58,14 +58,15 @@ from typing import NamedTuple
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
 from .gf2 import F2Subspace, FormTable, SpaceClass, nonzero_elements, reduce_mod2, rref
+from .gf2 import root_pair_classes
 from .intmat import Mat, Vec
 from .lattice import Lattice, enumerate_shell, norm4_set
 from .frames import (
     Frame,
     FrameArray,
-    frame_codes,
     frame_reps,
     norm4_codes,
+    root_pair_gram,
     root_pair_gram_row,
     root_pair_products,
 )
@@ -228,21 +229,21 @@ def build_partition(lat: Lattice, spread: Spread) -> Norm4Partition:
     return Norm4Partition(blocks=tuple(Norm4Block(j, tuple(b)) for j, b in enumerate(blocks)))
 
 
-def frames_outside_blocks(lat: Lattice, arr: FrameArray, p: Norm4Partition) -> list[tuple[int, int]]:
-    """The source of each frame with a combination outside its row's block.
+def frames_outside_blocks(lat: Lattice, arr: FrameArray, class_block: dict[int, int]) -> list:
+    """The source of each frame of row j with a combination outside block j.
 
-    An empty list is the index-2 premise that gives each block its
-    D8-plus-glue presentation over all 15 frames of its row, and it ties
-    row j to block j (module docstring). Compared as sets of
-    `frames.norm4_codes` codes, given to shell vectors alone: off the shell
-    v + B e_0 - e_1 (B the code base) has v's code and could stand in for v.
+    A frame's pair with T[a][b] == 0 gives +-r_a +-r_b, of class cls(a) ^ cls(b)
+    (`gf2.root_pair_classes`), whose block the proved table class_block names
+    (`block_of_class_table`, or a verified spread's `point_space_table`). An
+    empty list is the index-2 premise of the module docstring: row j in block j.
     """
-    by_code = norm4_codes(lat.gram)[1]
-    code_of = dict(zip(by_code.values(), by_code))  # keyed by the shell's vectors alone
+    cls, pair_gram = root_pair_classes(lat), root_pair_gram(lat.gram)
     outside = []
-    for row, b in zip(arr.rows, p.blocks):
-        held = set(map(code_of.get, b.vectors))  # None for a vector off the shell
-        outside += [f.source for f in row if not held.issuperset(frame_codes(lat, f))]
+    for j, row in enumerate(arr.rows):
+        for f in row:
+            pairs = itertools.combinations(f.roots, 2)
+            if {class_block[cls[a] ^ cls[b]] for a, b in pairs if not pair_gram[a][b]} - {j}:
+                outside.append(f.source)
     return outside
 
 
@@ -305,23 +306,42 @@ def spread_from_partition(
 
 
 def partition_vs_spread(ft: FormTable, p: Norm4Partition, spread: Spread, labels) -> Certificate:
-    """The partition projects onto the spread (`spread_from_partition`); a
-    failure names only the spaces on each side that the other lacks."""
-    spaces, got = sorted(spread.spaces), sorted(spread_from_partition(ft, p, labels).spaces)
+    """Block j projects onto spread space j (`spread_from_partition`); a
+    failure names the differing spaces in index order, the spread's first."""
+    got = spread_from_partition(ft, p, labels).spaces
+    differ = [(s.rows, g.rows) for s, g in zip(spread.spaces, got) if s != g]
     cb = CertBuilder("partition-vs-spread")
-    cb.check(
-        "partition projects onto the spread",
-        [s.rows for s in spaces if s not in got],
-        [s.rows for s in got if s not in spaces],
-    )
+    cb.check("partition projects onto the spread", [s for s, _ in differ], [g for _, g in differ])
     return cb.done()
 
 
 def partition_vs_frames(lat: Lattice, arr: FrameArray, p: Norm4Partition) -> Certificate:
     """The 135 D8-plus-glue presentations of a verified partition and frame array."""
     cb = CertBuilder("partition-vs-frames")
-    outside = frames_outside_blocks(lat, arr, p)
+    outside = frames_outside_blocks(lat, arr, block_of_class_table(lat, p))
     cb.check("frames with a combination outside their row's block", [], outside)
+    return cb.done()
+
+
+def frames_vs_spread(lat: Lattice, arr: FrameArray, space_of: dict[int, int]) -> Certificate:
+    """Row j of a verified frame array holds the frames of spread space j.
+
+    space_of is a verified spread's `point_space_table`. An empty list means
+    that the classes cls(a) ^ cls(b) of each frame's pairs, orthogonal by
+    the frame-array checker, lie in V_j, its row's space. Then the frame's 8
+    classes, distinct as the root pairs' are (the mod-2 census), lie in one
+    coset x0 + V_j with q(x0) = 1. V_j is its own perp, so x0 is not in it,
+    and q(x0 + v) = 1 + b(x0, v) for v in V_j: the anisotropic elements of
+    the coset are x0 + W, W = V_j meet x0-perp a 3-space. These 8 are the
+    frame's classes and W-perp's anisotropic ones, so the frame is
+    `frames.frame_from_3space(V_j, W)`. A row's 15 frames are distinct
+    (each root pair once per row) and a frame names its W (the sums of its
+    classes), so row j holds exactly the 15 frames of V_j's 3-spaces, as a
+    set.
+    """
+    cb = CertBuilder("frames-vs-spread")
+    outside = frames_outside_blocks(lat, arr, space_of)
+    cb.check("frames with a combination outside their row's spread space", [], outside)
     return cb.done()
 
 

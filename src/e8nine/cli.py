@@ -163,10 +163,10 @@ def stage_partition(state: PipelineState) -> Certificate:
     cb = CertBuilder("norm4-partition")
     state.partition = bl.build_partition(state.lat, state.spread)
     cb.cert.checks.extend(bl.verify_partition(state.lat, state.partition).checks)
-    # The blocks above are half-scale E8s and the frames have Gram 2I, so by
-    # index 2 (blocks module docstring) only a frame listed here can fail;
-    # the blocks come from the spread, and this check ties the rows to them.
-    outside = bl.frames_outside_blocks(state.lat, state.arr, state.partition)
+    # Only a frame listed here can fail (index 2, blocks module docstring). The
+    # partition's own class table, not the spread's, ties the rows to its blocks.
+    class_block = bl.block_of_class_table(state.lat, state.partition)
+    outside = bl.frames_outside_blocks(state.lat, state.arr, class_block)
     cb.check("D8-plus-glue certificates failing (of 135)", 0, len(outside))
     return cb.done()
 
@@ -321,17 +321,19 @@ def verifiers(parsed: dict) -> tuple:
     """verify's checkers in print order: (name, artifact kinds read, checker).
 
     Each returns its claim's Certificate from the functions certify runs. The
-    generators are read against the verified spread: its `point_space_table`
-    is the group stage's class table, and the search's source, frame (0, 0),
-    is built from space 0 and its first 3-space.
+    frames and the generators are read against the verified spread: its
+    `point_space_table`, built once, is the group stage's class table, and
+    the search's source, frame (0, 0), is built from space 0 and its first
+    3-space.
     """
     lat = build_lattice()
     ft = gf2.build_forms(lat)
     sp, arr, part, gens = map(parsed.get, ("spread", "frames", "partition", "generators"))
     labels = functools.cache(lambda: gf2.classify(gf2.enumerate_isotropic_4spaces(ft)))
+    space_of = functools.cache(lambda: ss.point_space_table(sp))
 
     def group() -> Certificate:
-        class_block, v = ss.point_space_table(sp), sp.spaces[0]
+        class_block, v = space_of(), sp.spaces[0]
         pair_of_class = {c: a for a, c in enumerate(gf2.root_pair_classes(lat))}
         f0 = fr.frame_from_3space(ft, pair_of_class, v, fr.three_spaces(v)[0], (0, 0))
         source = ag.search_source(lat, f0, class_block)
@@ -346,8 +348,9 @@ def verifiers(parsed: dict) -> tuple:
             lambda: bl.partition_vs_spread(ft, part, sp, labels())),
         ("partition-vs-frames", {"partition", "frames"},
             lambda: bl.partition_vs_frames(lat, arr, part)),
+        ("frames-vs-spread", {"frames", "spread"}, lambda: bl.frames_vs_spread(lat, arr, space_of())),
         ("generators", {"spread", "generators"},
-            lambda: ag.verify_generators(lat, ss.point_space_table(sp), *gens)),
+            lambda: ag.verify_generators(lat, space_of(), *gens)),
         ("stabilizer-group", {"spread", "generators"}, group),
     )
 

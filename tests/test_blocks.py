@@ -153,7 +153,7 @@ def test_build_partition_rejects_pair_swapped_between_rows(lat, frame_array, spr
     assert exc.value.stage == "frame-array"
     assert exc.value.check.description == "row 0 covers each pair once"
     assert bl.build_partition(lat, spread) == partition
-    assert bl.frames_outside_blocks(lat, bad, partition) == [(0, 0), (1, 0)]
+    assert bl.frames_outside_blocks(lat, bad, block_of_class_table(lat, partition)) == [(0, 0), (1, 0)]
 
 
 def test_build_partition_rejects_a_row_met_twice(lat, partition):
@@ -445,13 +445,17 @@ def test_certify_d8_glue_rejects_d8_vector_among_glue(lat, partition, frame_arra
         assert exc.value.check.actual == [planted]
 
 
-def test_frames_outside_blocks_is_empty_on_the_real_array(lat, frame_array, partition):
-    assert bl.frames_outside_blocks(lat, frame_array, partition) == []
+def test_frames_outside_blocks_is_empty_on_the_real_array(lat, frame_array, partition, spread):
+    assert bl.frames_outside_blocks(lat, frame_array, block_of_class_table(lat, partition)) == []
+    # Against the spread's table as well, and a row is read as a set.
+    reversed_row = frame_array._replace(rows=(frame_array.rows[0][::-1],) + frame_array.rows[1:])
+    assert bl.frames_outside_blocks(lat, reversed_row, point_space_table(spread)) == []
 
 
-def test_frames_outside_blocks_gives_an_off_shell_alias_no_code(lat, frame_array, partition):
-    # v + 25 e_0 - e_1 has v's code (base 25) and lies off the norm-4 shell.
-    # Had it a code, it would stand in for v, and no frame would be listed.
+def test_an_off_shell_alias_partition_is_rejected_by_name(lat, frame_array, partition):
+    # v + 25 e_0 - e_1 has v's norm-4 code (base 25) and lies off the shell.
+    # frames_outside_blocks reads no code, and the partition's own checkers
+    # reject the block that holds the alias in place of v.
     b0 = partition.blocks[0]
     v = frame_combinations(lat, frame_array.rows[0][0])[0]
     alias = (25, -1, 0, 1, 2, 1, 0, 0)
@@ -461,9 +465,62 @@ def test_frames_outside_blocks_gives_an_off_shell_alias_no_code(lat, frame_array
     assert alias not in norm4_set(lat)
     vectors = tuple(alias if u == v else u for u in b0.vectors)
     broken = partition._replace(blocks=(b0._replace(vectors=vectors),) + partition.blocks[1:])
-    with_v = [f.source for f in frame_array.rows[0] if v in frame_combinations(lat, f)]
-    assert with_v == [(0, 0), (0, 5), (0, 6), (0, 11), (0, 12), (0, 13), (0, 14)]
-    assert bl.frames_outside_blocks(lat, frame_array, broken) == with_v
+    with pytest.raises(CheckFailure) as exc:
+        block_of_class_table(lat, broken)
+    assert str(exc.value) == "norm4-partition: mod-2 classes of the blocks (expected 135, got 136)"
+    with pytest.raises(CheckFailure) as exc:
+        verify_partition(lat, broken)
+    assert (exc.value.stage, exc.value.check.description) == (
+        "scaled-e8 block 0",
+        "closed under negation",
+    )
+
+
+def _outside_by_vectors(lat, arr, p):
+    """Reference: the frames of row j whose combinations are not all vectors of block j."""
+    outside = []
+    for row, b in zip(arr.rows, p.blocks):
+        held = set(b.vectors)
+        outside += [f.source for f in row if not held.issuperset(frame_combinations(lat, f))]
+    return outside
+
+
+def _trade_pair(arr, f, g):
+    """Frames f and g trade the least pair of each that the other lacks."""
+    x, y = min(set(f.roots) - set(g.roots)), min(set(g.roots) - set(f.roots))
+    traded = {
+        f.source: f._replace(roots=tuple(sorted(set(f.roots) - {x} | {y}))),
+        g.source: g._replace(roots=tuple(sorted(set(g.roots) - {y} | {x}))),
+    }
+    return FrameArray(rows=tuple(tuple(traded.get(h.source, h) for h in row) for row in arr.rows))
+
+
+def test_frames_outside_blocks_equals_the_vector_reference(lat, frame_array, partition):
+    # The class table decides each combination's block as the block's own
+    # vectors do, on arrays with pairs traded within and across rows, rows
+    # swapped and the classes mixed, against partitions of both classes and
+    # one with blocks 0 and 1 traded under their row indexes.
+    state_b = cli.run_pipeline(gf2.SpaceClass.CLASS_B, upto="partition")
+    b0, b1 = partition.blocks[:2]
+    traded = (b0._replace(vectors=b1.vectors), b1._replace(vectors=b0.vectors))
+    partitions = [partition, state_b.partition, partition._replace(blocks=traded + partition.blocks[2:])]
+    arrays = [frame_array, state_b.arr]
+    for arr in (frame_array, state_b.arr):
+        rows = arr.rows
+        arrays += [_trade_pair(arr, rows[r][k], rows[r][(k + 1 + r) % 15]) for r in range(9) for k in (0, 7)]
+        arrays += [_trade_pair(arr, rows[r][k], rows[(r + 1) % 9][k]) for r in range(9) for k in (0, 9)]
+        arrays += [arr._replace(rows=rows[1:r + 1] + rows[:1] + rows[r + 1:]) for r in range(1, 9)]
+    arrays.append(frame_array._replace(rows=frame_array.rows[:4] + state_b.arr.rows[4:]))
+    counts = []
+    for p in partitions:
+        table = block_of_class_table(lat, p)
+        for arr in arrays:
+            want = _outside_by_vectors(lat, arr, p)
+            assert bl.frames_outside_blocks(lat, arr, table) == want
+            counts.append(len(want))
+    # Each class's array against its own partition and the other's.
+    assert counts[:2] == [0, 130] and counts[len(arrays) : len(arrays) + 2] == [130, 0]
+    assert len(counts) == 3 * 91 and len(set(counts)) > 10
 
 
 def test_partition_stage_counts_frames_outside_their_block(lat, monkeypatch):

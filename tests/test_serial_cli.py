@@ -478,15 +478,91 @@ def test_verify_rejects_a_partition_of_another_spread(artifact_texts, tmp_path, 
         "spread-class",
         "partition",
     ]
-    # The two classes share no space, so the failure names all nine of each:
-    # the spread's that the partition misses, then the partition's own, the
-    # spaces of the class-A spread.
+    # The two classes share no space, so the failure names all nine of each
+    # in index order: the spread's, then the partition's own, the spaces of
+    # the class-A spread.
     spread_a = serial.parse_spread(artifact_texts["spread.txt"])
     assert not set(spread_a.spaces) & set(spread_b.spaces)
     assert captured.err == (
         "FAIL: partition-vs-spread: partition projects onto the spread (expected %r, got %r)\n"
-        % ([s.rows for s in sorted(spread_b.spaces)], [s.rows for s in sorted(spread_a.spaces)])
+        % ([s.rows for s in spread_b.spaces], [s.rows for s in spread_a.spaces])
     )
+
+
+def _swap_first_two(text, marker, size):
+    """The lines after `marker 0` and `marker 1` trade places; the markers stay."""
+    lines = text.split("\n")
+    i0, i1 = lines.index(marker + " 0") + 1, lines.index(marker + " 1") + 1
+    lines[i0 : i0 + size], lines[i1 : i1 + size] = lines[i1 : i1 + size], lines[i0 : i0 + size]
+    return "\n".join(lines)
+
+
+def test_verify_rejects_a_partition_with_two_blocks_swapped(artifact_texts, tmp_path, capsys):
+    # Block j is defined by spread space j, and the generators' block lines
+    # use the spread's numbering: the same nine spaces in another order fail.
+    spread, partition, gens = (tmp_path / n for n in ("spread.txt", "partition.txt", "generators.txt"))
+    spread.write_text(artifact_texts["spread.txt"])
+    partition.write_text(_swap_first_two(artifact_texts["partition.txt"], "block", 240))
+    gens.write_text(artifact_texts["generators.txt"])
+    capsys.readouterr()
+    assert cli.main(["verify", str(spread), str(partition), str(gens)]) == 1
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+        "spread",
+        "spread-class",
+        "partition",
+    ]
+    v0, v1 = serial.parse_spread(artifact_texts["spread.txt"]).spaces[:2]
+    assert captured.err == (
+        "FAIL: partition-vs-spread: partition projects onto the spread (expected %r, got %r)\n"
+        % ([v0.rows, v1.rows], [v1.rows, v0.rows])
+    )
+
+
+def test_verify_rejects_frames_with_rows_of_other_spread_spaces(artifact_texts, tmp_path, capsys):
+    # Rows 0 and 1 trade their frames: the array alone passes, but each frame
+    # of those rows has its combinations' classes in the other row's space.
+    spread, frames = tmp_path / "spread.txt", tmp_path / "frames.txt"
+    spread.write_text(artifact_texts["spread.txt"])
+    frames.write_text(_swap_first_two(artifact_texts["frames.txt"], "row", 15))
+    capsys.readouterr()
+    assert cli.main(["verify", str(spread), str(frames)]) == 1
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [
+        "spread",
+        "spread-class",
+        "frames",
+    ]
+    sources = [(r, k) for r in (0, 1) for k in range(15)]
+    assert captured.err == (
+        "FAIL: frames-vs-spread: frames with a combination outside their row's spread space"
+        " (expected [], got %r)\n" % (sources,)
+    )
+
+
+def test_verify_of_all_files_prints_every_row_and_reads_the_spread_table_once(
+    pipeline_state, tmp_path, capsys, monkeypatch
+):
+    out = str(tmp_path / "all")
+    written = cli.write_artifacts(pipeline_state, out)
+    calls = []
+    table = cli.ss.point_space_table
+    monkeypatch.setattr(cli.ss, "point_space_table", lambda sp: calls.append(sp) or table(sp))
+    capsys.readouterr()
+    assert cli.main(["verify"] + written) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "spread: PASS (75 checks)",
+        "spread-class: PASS (1 checks)",
+        "frames: PASS (156 checks)",
+        "partition: PASS (10 checks)",
+        "partition-vs-spread: PASS (1 checks)",
+        "partition-vs-frames: PASS (1 checks)",
+        "frames-vs-spread: PASS (1 checks)",
+        "generators: PASS (11 checks)",
+        "stabilizer-group: PASS (12 checks)",
+    ]
+    # frames-vs-spread, generators and stabilizer-group share one table.
+    assert len(calls) == 1
 
 
 def test_verify_with_nothing_to_check_is_a_parse_error(pipeline_state, tmp_path, capsys):
