@@ -8,9 +8,11 @@ vectors are the glue extending D8 to E8.
 
 Row j of the frame array spans block j. A combination +-r_a +-r_b has the
 class cls(a) ^ cls(b), and each norm-4 vector lies in just the block its
-class names (`block_of_class_table`), so row j's lie in block j alone
-(`frames_outside_blocks`). The frames stage's census reaches every norm-4
-vector, so each vector of block j is a combination of some row, row j.
+class names, by the table `verify_partition` proves and returns. So row j's
+lie in block j alone (`frames_outside_blocks`), and block j's classes are
+spread space j's points (`partition_vs_spread`), with no vector reduced
+again. The frames stage's census reaches every norm-4 vector, so each vector
+of block j is a combination of some row, row j.
 
 Two standard lattice facts (Conway-Sloane, SPLAG ch. 4 and 16) keep the
 certificates short:
@@ -305,20 +307,27 @@ def spread_from_partition(
     return Spread(spaces=tuple(spaces), class_label=label)
 
 
-def partition_vs_spread(ft: FormTable, p: Norm4Partition, spread: Spread, labels) -> Certificate:
-    """Block j projects onto spread space j (`spread_from_partition`); a
-    failure names the differing spaces in index order, the spread's first."""
-    got = spread_from_partition(ft, p, labels).spaces
-    differ = [(s.rows, g.rows) for s, g in zip(spread.spaces, got) if s != g]
+def partition_vs_spread(class_block: dict[int, int], spread: Spread) -> Certificate:
+    """Block j's classes in `verify_partition`'s table span spread space j; a
+    failure names the differing spaces in index order, the spread's first.
+
+    No check of `spread_from_partition` is lost. Block j spans L = sqrt2 E8 in
+    E8 (`certify_scaled_e8`), whose dual L/2 holds E8, so 2E8 lies in L and
+    L/2E8 is a 4-space (order 2^8 / [E8:L]), totally singular as L's norms and
+    products are even multiples of 2. No norm-4 vector lies in 2E8, so block
+    j's classes are points of it: all 15, as the 135 lie in one block each.
+    """
+    got = [rref([c for c, b in class_block.items() if b == j]) for j in range(9)]
+    differ = [(s.rows, g) for s, g in zip(spread.spaces, got) if s.rows != g]
     cb = CertBuilder("partition-vs-spread")
     cb.check("partition projects onto the spread", [s for s, _ in differ], [g for _, g in differ])
     return cb.done()
 
 
-def partition_vs_frames(lat: Lattice, arr: FrameArray, p: Norm4Partition) -> Certificate:
-    """The 135 D8-plus-glue presentations of a verified partition and frame array."""
+def partition_vs_frames(lat: Lattice, arr: FrameArray, class_block: dict[int, int]) -> Certificate:
+    """The 135 D8-plus-glue presentations, on `verify_partition`'s class table."""
     cb = CertBuilder("partition-vs-frames")
-    outside = frames_outside_blocks(lat, arr, block_of_class_table(lat, p))
+    outside = frames_outside_blocks(lat, arr, class_block)
     cb.check("frames with a combination outside their row's block", [], outside)
     return cb.done()
 
@@ -345,14 +354,14 @@ def frames_vs_spread(lat: Lattice, arr: FrameArray, space_of: dict[int, int]) ->
     return cb.done()
 
 
-def verify_partition(lat: Lattice, p: Norm4Partition) -> Certificate:
+def verify_partition(lat: Lattice, p: Norm4Partition) -> tuple[Certificate, dict[int, int]]:
     """The partition's one checker, for a built or a parsed partition.
 
     Nine blocks, each a half-scale E8 by `certify_scaled_e8` (240 distinct
     norm-4 vectors), then `block_of_class_table`: the blocks hold the 2160
-    norm-4 vectors once each, with each mod-2 class in one block. Sizes,
-    norms, disjointness and coverage follow from those two and are not
-    checked again.
+    norm-4 vectors once each, with each mod-2 class in one block, the table
+    returned with the certificate. Sizes, norms, disjointness and coverage
+    follow from those two and are not checked again.
     """
     cb = CertBuilder("norm4-partition")
     cb.check("blocks", 9, len(p.blocks))
@@ -361,5 +370,4 @@ def verify_partition(lat: Lattice, p: Norm4Partition) -> Certificate:
     # The check stays so that certificates.txt keeps its lines.
     for b in p.blocks:
         cb.check("block %d scaled-E8" % b.row_index, True, certify_scaled_e8(lat, b).passed)
-    block_of_class_table(lat, p)
-    return cb.done()
+    return cb.done(), block_of_class_table(lat, p)

@@ -162,10 +162,10 @@ def stage_frames(state: PipelineState) -> Certificate:
 def stage_partition(state: PipelineState) -> Certificate:
     cb = CertBuilder("norm4-partition")
     state.partition = bl.build_partition(state.lat, state.spread)
-    cb.cert.checks.extend(bl.verify_partition(state.lat, state.partition).checks)
+    cert, class_block = bl.verify_partition(state.lat, state.partition)
+    cb.cert.checks.extend(cert.checks)
     # Only a frame listed here can fail (index 2, blocks module docstring). The
     # partition's own class table, not the spread's, ties the rows to its blocks.
-    class_block = bl.block_of_class_table(state.lat, state.partition)
     outside = bl.frames_outside_blocks(state.lat, state.arr, class_block)
     cb.check("D8-plus-glue certificates failing (of 135)", 0, len(outside))
     return cb.done()
@@ -176,8 +176,8 @@ def stage_roundtrip(state: PipelineState) -> Certificate:
     """Project the partition mod 2 onto spaces and compare them with the spread.
 
     In `certify` this stage cannot fail: `blocks.build_partition` builds the
-    blocks from the spread's classes. In `verify`, on a parsed partition, the same
-    projection is the real check `partition-vs-spread`.
+    blocks from the spread's classes. `verify` checks a parsed partition by
+    `partition-vs-spread`, on the class table the partition's checker proved.
     """
     cb = CertBuilder("partition-roundtrip")
     recovered = bl.spread_from_partition(state.ft, state.partition, state.labels)
@@ -324,13 +324,13 @@ def verifiers(parsed: dict) -> tuple:
     frames and the generators are read against the verified spread: its
     `point_space_table`, built once, is the group stage's class table, and
     the search's source, frame (0, 0), is built from space 0 and its first
-    3-space.
+    3-space. The partition rows share the class table its checker proves.
     """
     lat = build_lattice()
     ft = gf2.build_forms(lat)
     sp, arr, part, gens = map(parsed.get, ("spread", "frames", "partition", "generators"))
-    labels = functools.cache(lambda: gf2.classify(gf2.enumerate_isotropic_4spaces(ft)))
     space_of = functools.cache(lambda: ss.point_space_table(sp))
+    proved = functools.cache(lambda: bl.verify_partition(lat, part))  # (certificate, class table)
 
     def group() -> Certificate:
         class_block, v = space_of(), sp.spaces[0]
@@ -341,13 +341,14 @@ def verifiers(parsed: dict) -> tuple:
 
     return (
         ("spread", {"spread"}, lambda: ss.verify_spread(sp, ft)),
-        ("spread-class", {"spread"}, lambda: ss.verify_spread_class(sp, labels())),
+        ("spread-class", {"spread"},
+            lambda: ss.verify_spread_class(sp, gf2.classify(gf2.enumerate_isotropic_4spaces(ft)))),
         ("frames", {"frames"}, lambda: fr.verify_frame_array(lat, arr)),
-        ("partition", {"partition"}, lambda: bl.verify_partition(lat, part)),
+        ("partition", {"partition"}, lambda: proved()[0]),
         ("partition-vs-spread", {"partition", "spread"},
-            lambda: bl.partition_vs_spread(ft, part, sp, labels())),
+            lambda: bl.partition_vs_spread(proved()[1], sp)),
         ("partition-vs-frames", {"partition", "frames"},
-            lambda: bl.partition_vs_frames(lat, arr, part)),
+            lambda: bl.partition_vs_frames(lat, arr, proved()[1])),
         ("frames-vs-spread", {"frames", "spread"}, lambda: bl.frames_vs_spread(lat, arr, space_of())),
         ("generators", {"spread", "generators"},
             lambda: ag.verify_generators(lat, space_of(), *gens)),

@@ -188,11 +188,6 @@ def frame_codes(lat: Lattice, frame: Frame) -> list[int]:
     return out
 
 
-def frame_combinations(lat: Lattice, frame: Frame) -> list[Vec]:
-    """The vectors of `frame_codes`, in order; a code off the shell raises KeyError."""
-    return list(map(norm4_codes(lat.gram)[1].__getitem__, frame_codes(lat, frame)))
-
-
 def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -> FrameArray:
     """Assemble the 9 x 15 array; `verify_frame_array` certifies it."""
     arr = FrameArray(

@@ -61,9 +61,6 @@ class FormTable(NamedTuple):
     def b(self, x: int, y: int) -> int:
         return (self.brows[x] >> y) & 1
 
-    def isotropic_points(self) -> list[int]:
-        return [x for x in range(1, 256) if (self.iso_mask >> x) & 1]
-
 
 def build_forms(lat: Lattice) -> FormTable:
     """Tabulate q from lift norms and b from the Gram matrix mod 2.
@@ -254,28 +251,18 @@ def enumerate_isotropic_4spaces(ft: FormTable) -> list[F2Subspace]:
 def classify(spaces: list[F2Subspace]) -> dict[F2Subspace, SpaceClass]:
     """Split the 270 isotropic 4-spaces into the two families of 135.
 
-    Two 4-spaces lie in the same family iff their intersection has even
-    dimension; CLASS_A is the family of the canonically first space. The
-    relation is re-verified to be an equivalence over every pair, which
-    guards against corrupted input: the intersection of two spaces has
-    2^d - 1 nonzero elements, so d is the bit length of that count.
+    The maximal totally singular spaces of a plus-type quadric form two
+    families, two in one family iff they meet in even dimension (Taylor, The
+    Geometry of the Classical Groups, 1992); CLASS_A holds the canonically
+    first space. Premises certified elsewhere: plus type (the mod2 stage's 135
+    singular points), totally singular input, and the class sizes 135 + 135.
     """
-    spaces = sorted(spaces)
     if len(spaces) != 270:
         raise ValueError("expected the full list of 270 spaces, got %d" % len(spaces))
-    masks = [s.mask for s in spaces]
-    parity = [(masks[0] & m).bit_count().bit_length() & 1 for m in masks]
-    for i, (ma, pa) in enumerate(zip(masks, parity)):
-        for j in range(i + 1, len(masks)):
-            if ((ma & masks[j]).bit_count().bit_length() ^ pa ^ parity[j]) & 1:
-                raise ValueError(
-                    "intersection parity is not an equivalence: %r vs %r"
-                    % (spaces[i], spaces[j])
-                )
-    return {
-        s: SpaceClass.CLASS_B if par else SpaceClass.CLASS_A
-        for s, par in zip(spaces, parity)
-    }
+    first = min(spaces).mask
+    family = (SpaceClass.CLASS_A, SpaceClass.CLASS_B)
+    # The spaces share 2^d - 1 nonzero elements, d = dim of the intersection.
+    return {s: family[(first & s.mask).bit_count().bit_length() & 1] for s in spaces}
 
 
 def class_members(

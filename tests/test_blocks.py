@@ -23,7 +23,6 @@ from e8nine.frames import (
     Frame,
     FrameArray,
     _code_weights,
-    frame_combinations,
     frame_reps,
     verify_frame_array,
 )
@@ -48,7 +47,7 @@ from e8nine.lattice import (
     root_pairs,
 )
 from e8nine.spreadsearch import point_space_table
-from test_frames import _kernel_grams
+from test_frames import _kernel_grams, frame_combinations
 
 
 def test_each_frame_contributes_112_signed_vectors(lat, frame_array):
@@ -540,7 +539,8 @@ def test_partition_stage_counts_frames_outside_their_block(lat, monkeypatch):
     with pytest.raises(cli.StageFailure) as exc:
         cli.run_pipeline(upto="partition")
     assert exc.value.name == "partition"
-    assert verify_partition(lat, swapped(lat, exc.value.state.spread)).passed
+    cert, table = verify_partition(lat, swapped(lat, exc.value.state.spread))
+    assert cert.passed and len(table) == 135
     assert str(exc.value) == (
         "norm4-partition: D8-plus-glue certificates failing (of 135) (expected 0, got 30)"
     )
@@ -608,8 +608,12 @@ def test_block_classes_are_the_spread_spaces(partition, spread):
         assert classes == nonzero_elements(space)
 
 
-def test_verify_partition(lat, partition):
-    assert verify_partition(lat, partition).passed
+def test_verify_partition(lat, partition, spread):
+    # The certificate, and the class table it proves: on blocks built from a
+    # spread, the spread's own.
+    cert, table = verify_partition(lat, partition)
+    assert cert.passed
+    assert table == block_of_class_table(lat, partition) == point_space_table(spread)
 
 
 def test_planted_norm6_vector_fails_both_norm_checks(lat, partition):
@@ -745,8 +749,10 @@ def test_pipeline_on_a_congruent_gram_maps_onto_a_verified_partition(lat, ft, la
         )
     )
     assert mapped != state.partition
-    assert verify_partition(lat, mapped).passed
+    cert, table = verify_partition(lat, mapped)
+    assert cert.passed
     recovered = spread_from_partition(ft, mapped, labels)
+    assert table == point_space_table(recovered)
     u2 = matrix_mod2_rows(u)
 
     def image_mod2(bits):

@@ -12,7 +12,7 @@ from e8nine.frames import (
     FrameArray,
     PairCensus,
     _code_weights,
-    frame_combinations,
+    frame_codes,
     frame_from_3space,
     frame_reps,
     norm4_codes,
@@ -26,6 +26,11 @@ from e8nine.frames import (
 from e8nine.gf2 import nonzero_elements, reduce_mod2, rref, subspace_from
 from e8nine.intmat import identity, mat_mul, row_times_mat, transpose
 from e8nine.lattice import Lattice, enumerate_shell, inner, norm, root_pairs
+
+
+def frame_combinations(lat, frame):
+    """The vectors of `frame_codes`, in order; a code off the shell raises KeyError."""
+    return list(map(norm4_codes(lat.gram)[1].__getitem__, frame_codes(lat, frame)))
 
 
 def test_three_spaces_count_and_membership(spread):

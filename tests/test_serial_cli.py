@@ -12,7 +12,7 @@ import pytest
 
 from e8nine import autgroup as ag
 from e8nine import blocks as bl
-from e8nine import cli, serial
+from e8nine import cli, gf2, serial
 from e8nine.certs import CertBuilder
 from e8nine.frames import FrameArray
 from e8nine.gf2 import SpaceClass
@@ -563,6 +563,32 @@ def test_verify_of_all_files_prints_every_row_and_reads_the_spread_table_once(
     ]
     # frames-vs-spread, generators and stabilizer-group share one table.
     assert len(calls) == 1
+
+
+def test_certify_and_verify_prove_the_class_table_once_and_reduce_each_vector_once(
+    tmp_path, capsys, monkeypatch
+):
+    # The partition's checker proves the class table once per run, and the
+    # rows after it read that table: verify of the four class-A files reduces
+    # the 120 root-pair reps and the 2160 partition vectors mod 2 once each.
+    tables, reduced = [], []
+    table, reduce = bl.block_of_class_table, gf2.reduce_mod2
+    monkeypatch.setattr(bl, "block_of_class_table", lambda lat, p: tables.append(p) or table(lat, p))
+    for module in (gf2, bl):  # every module that binds reduce_mod2
+        monkeypatch.setattr(module, "reduce_mod2", lambda v: reduced.append(v) or reduce(v))
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--out", str(out)]) == 0
+    assert len(tables) == 1
+    tables.clear()
+    reduced.clear()
+    # The root-pair classes are cached per Gram; drop them so verify reduces them.
+    gf2._root_pair_classes_cached.cache_clear()
+    files = [str(out / n) for n in ("spread.txt", "frames.txt", "partition.txt", "generators.txt")]
+    capsys.readouterr()
+    assert cli.main(["verify"] + files) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9
+    assert len(tables) == 1
+    assert len(reduced) == 120 + 2160
 
 
 def test_verify_with_nothing_to_check_is_a_parse_error(pipeline_state, tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from e8nine.certs import CheckFailure
 from e8nine.gf2 import (
+    F2Subspace,
     SpaceClass,
     class_members,
     intersection_dim,
@@ -81,6 +82,23 @@ def test_verify_rejects_overlapping_member(members_a, spread, ft):
     with pytest.raises(CheckFailure) as err:
         verify_spread(broken, ft)
     assert "disjoint" in str(err.value)
+
+
+def test_verify_rejects_a_space_that_is_not_totally_isotropic(spread, ft):
+    # <e_0, .., e_3> mod 2 holds anisotropic points, which the check on q sees.
+    # With q read as 0 on every class only the polar form sees it, on the rows.
+    fake = F2Subspace(rows=(1, 2, 4, 8))
+    broken = spread._replace(spaces=spread.spaces[:3] + (fake,) + spread.spaces[4:])
+    with pytest.raises(CheckFailure) as err:
+        verify_spread(broken, ft)
+    assert str(err.value) == (
+        "spread: space 3 isotropic points (expected [], got [1, 2, 4, 5, 8, 10, 12, 13, 14, 15])"
+    )
+    with pytest.raises(CheckFailure) as err:
+        verify_spread(broken, ft._replace(q=(0,) * 256))
+    assert err.value.check.description == "space 3 totally isotropic"
+    assert err.value.check.actual == [(r1, r2) for r1 in fake.rows for r2 in fake.rows if ft.b(r1, r2)]
+    assert err.value.check.actual
 
 
 def test_find_spread_requires_full_class(members_a):
