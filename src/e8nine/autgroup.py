@@ -36,7 +36,7 @@ A9. The group is certified on the nine blocks, with no chain over the roots:
 `block_action` proves that the kernel of the block action is {+-1}, so the
 order is twice that of the block images. `verify_group` lists where each
 of the 12 certified values comes from; `certify`'s group stage and `verify`
-both run it.
+both run it, on a frame and none of the search's tables (`SearchSource`).
 """
 
 from __future__ import annotations
@@ -376,12 +376,10 @@ def isometries_between_frames(
 
 
 class StabilizerResult(NamedTuple):
-    """Generators (-1 first) and the search's source frame f0; `verify_generators`
-    and `verify_group` certify them."""
+    """Generators, -1 first; `verify_generators` and `verify_group` certify them."""
 
     isometries: tuple[Mat, ...]  # matrices acting on row coordinate vectors
     block_perms: tuple[Perm, ...]  # 9-point permutation per generator
-    source: SearchSource
 
 
 def _target_schedule() -> list[tuple[int, int]]:
@@ -427,7 +425,7 @@ def compute_stabilizer(
         isometries_between_frames(lat, source, arr.rows[j][k], MAPS_PER_TARGET, take)
         if image.order() == BLOCK_IMAGE_ORDER:
             break
-    return StabilizerResult(tuple(isometries), tuple(block_perms), source)
+    return StabilizerResult(tuple(isometries), tuple(block_perms))
 
 
 def block_endomorphism_dimension(class_block: dict[int, int]) -> int:
@@ -477,7 +475,9 @@ def verify_generators(
     return cb.done()
 
 
-def block_action(result: StabilizerResult, class_block: dict[int, int]) -> BlockAction:
+def block_action(
+    lat: Lattice, frame: Frame, result: StabilizerResult, class_block: dict[int, int]
+) -> BlockAction:
     """Induced 9-point action: image A9 (order, evenness), kernel {+-1}.
 
     Premise: the generators passed `verify_generators`, so each maps block b
@@ -485,30 +485,32 @@ def block_action(result: StabilizerResult, class_block: dict[int, int]) -> Block
     checks. An isometry M fixing every block preserves each span V_b mod 2;
     only 0 and I do (dimension 1), so M is I mod 2 and sends each root r to
     +-r (2 roots per anisotropic class, the mod-2 stage). Roots with nonzero
-    inner product get one sign; a root on a 4-support over the source frame
-    meets its four frame roots, and the supports join all pairs of slots, so
-    the spanning frame roots share one sign: M = +-1. Generator 0 is -1, so
-    the order is twice the image order. A failed check raises CheckFailure.
+    inner product get one sign; a root's support over the frame, a column of
+    the frame's eight rows of T, meets its four frame roots, and the supports
+    join all pairs of slots, so the spanning frame roots share one sign:
+    M = +-1. Generator 0 is -1, so the order is twice the image order.
     """
     cb = CertBuilder("block-action")
     dimension = block_endomorphism_dimension(class_block)
     cb.check("GF(2) maps preserving the nine block spaces (dimension)", 1, dimension)
-    supports = (supp for level in result.source.new_subsets for supp in level)
-    joined = {pair for supp in supports for pair in combinations(supp, 2)}
+    columns = zip(*(root_pair_gram_row(lat.gram, i) for i in frame.roots))
+    joined = {pair for cs in columns for pair in combinations(compress(range(8), cs), 2)}
     cb.check("source frame slot pairs sharing a root support", 28, len(joined))
     image_order, _ = schreier_sims(list(result.block_perms))
     all_even = all(perm_parity(p) == 0 for p in result.block_perms)
     return BlockAction(image_order=image_order, kernel_order=2, all_even=all_even)
 
 
-def verify_group(stab: StabilizerResult, class_block: dict[int, int]) -> Certificate:
+def verify_group(
+    lat: Lattice, frame: Frame, stab: StabilizerResult, class_block: dict[int, int]
+) -> Certificate:
     """The 12 "stabilizer-group" checks of generators that passed `verify_generators`.
 
     class_block is the table those checks read. The values come from:
 
     - image order, all even: a 9-point Schreier-Sims in `block_action`;
     - kernel order 2: `block_action`'s argument (GF(2) endomorphisms of the
-      block spaces, -1 as generator 0, the root supports over the source);
+      block spaces, -1 as generator 0, the root supports over the frame);
     - group order: image order times kernel order;
     - block-0 stabilizer order: group order / 9, block 0's orbit length;
     - orders and transitivity on the other eight blocks and on the 15 points,
@@ -518,7 +520,7 @@ def verify_group(stab: StabilizerResult, class_block: dict[int, int]) -> Certifi
       identity mod 2.
     """
     cb = CertBuilder("stabilizer-group")
-    action = block_action(stab, class_block)
+    action = block_action(lat, frame, stab, class_block)
     order = action.image_order * action.kernel_order
     cb.check("group order", STABILIZER_ORDER, order)
     cb.check("block-action image order", BLOCK_IMAGE_ORDER, action.image_order)

@@ -9,10 +9,10 @@ vectors are the glue extending D8 to E8.
 Row j of the frame array spans block j. A combination +-r_a +-r_b has the
 class cls(a) ^ cls(b), and each norm-4 vector lies in just the block its
 class names, by the table `verify_partition` proves and returns. So row j's
-lie in block j alone (`frames_outside_blocks`), and block j's classes are
-spread space j's points (`partition_vs_spread`), with no vector reduced
-again. The frames stage's census reaches every norm-4 vector, so each vector
-of block j is a combination of some row, row j.
+lie in block j alone (`frames_outside_blocks`), and block j's classes span
+spread space j (`block_spaces`), with no vector reduced again. The frames
+stage's census reaches every norm-4 vector, so each vector of block j is a
+combination of some row, row j.
 
 Two standard lattice facts (Conway-Sloane, SPLAG ch. 4 and 16) keep the
 certificates short:
@@ -287,7 +287,8 @@ def spread_from_partition(
     """Project each block mod 2 and reassemble the spread it came from.
 
     Each block's 240 vectors must reduce onto exactly 15 distinct nonzero
-    isotropic classes spanning a totally isotropic 4-space.
+    isotropic classes spanning a totally isotropic 4-space. The reference for
+    the tests and the benchmark; the round trip reads `block_spaces`.
     """
     cb = CertBuilder("partition-roundtrip")
     spaces = []
@@ -307,6 +308,11 @@ def spread_from_partition(
     return Spread(spaces=tuple(spaces), class_label=label)
 
 
+def block_spaces(class_block: dict[int, int]) -> list[F2Subspace]:
+    """Space j: the span of the classes that `verify_partition`'s table puts in block j."""
+    return [F2Subspace(rows=rref([c for c, b in class_block.items() if b == j])) for j in range(9)]
+
+
 def partition_vs_spread(class_block: dict[int, int], spread: Spread) -> Certificate:
     """Block j's classes in `verify_partition`'s table span spread space j; a
     failure names the differing spaces in index order, the spread's first.
@@ -317,27 +323,21 @@ def partition_vs_spread(class_block: dict[int, int], spread: Spread) -> Certific
     products are even multiples of 2. No norm-4 vector lies in 2E8, so block
     j's classes are points of it: all 15, as the 135 lie in one block each.
     """
-    got = [rref([c for c, b in class_block.items() if b == j]) for j in range(9)]
-    differ = [(s.rows, g) for s, g in zip(spread.spaces, got) if s.rows != g]
+    differ = [(s.rows, g.rows) for s, g in zip(spread.spaces, block_spaces(class_block)) if s != g]
     cb = CertBuilder("partition-vs-spread")
     cb.check("partition projects onto the spread", [s for s, _ in differ], [g for _, g in differ])
     return cb.done()
 
 
-def partition_vs_frames(lat: Lattice, arr: FrameArray, class_block: dict[int, int]) -> Certificate:
-    """The 135 D8-plus-glue presentations, on `verify_partition`'s class table."""
-    cb = CertBuilder("partition-vs-frames")
-    outside = frames_outside_blocks(lat, arr, class_block)
-    cb.check("frames with a combination outside their row's block", [], outside)
-    return cb.done()
+def frames_vs_class_table(
+    lat: Lattice, arr: FrameArray, class_block: dict[int, int], stage: str, block: str
+) -> Certificate:
+    """Row j of a verified frame array lies in block j of a proved class table.
 
-
-def frames_vs_spread(lat: Lattice, arr: FrameArray, space_of: dict[int, int]) -> Certificate:
-    """Row j of a verified frame array holds the frames of spread space j.
-
-    space_of is a verified spread's `point_space_table`. An empty list means
-    that the classes cls(a) ^ cls(b) of each frame's pairs, orthogonal by
-    the frame-array checker, lie in V_j, its row's space. Then the frame's 8
+    On `verify_partition`'s table an empty list is the index-2 premise of the
+    module docstring. On a verified spread's `point_space_table` it means that
+    the classes cls(a) ^ cls(b) of each frame's pairs, orthogonal by the
+    frame-array checker, lie in V_j, row j's space. Then the frame's 8
     classes, distinct as the root pairs' are (the mod-2 census), lie in one
     coset x0 + V_j with q(x0) = 1. V_j is its own perp, so x0 is not in it,
     and q(x0 + v) = 1 + b(x0, v) for v in V_j: the anisotropic elements of
@@ -346,11 +346,11 @@ def frames_vs_spread(lat: Lattice, arr: FrameArray, space_of: dict[int, int]) ->
     `frames.frame_from_3space(V_j, W)`. A row's 15 frames are distinct
     (each root pair once per row) and a frame names its W (the sums of its
     classes), so row j holds exactly the 15 frames of V_j's 3-spaces, as a
-    set.
+    set. stage and block name the check.
     """
-    cb = CertBuilder("frames-vs-spread")
-    outside = frames_outside_blocks(lat, arr, space_of)
-    cb.check("frames with a combination outside their row's spread space", [], outside)
+    cb = CertBuilder(stage)
+    outside = frames_outside_blocks(lat, arr, class_block)
+    cb.check("frames with a combination outside their row's %s" % block, [], outside)
     return cb.done()
 
 

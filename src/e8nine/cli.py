@@ -50,13 +50,14 @@ class PipelineState:
         spread: ss.Spread | None = None,
         arr: fr.FrameArray | None = None,
         partition: bl.Norm4Partition | None = None,
+        class_block: dict | None = None,
         stab: ag.StabilizerResult | None = None,
         certificates: list[Certificate] | None = None,
     ):
         self.class_label, self.gram_override = class_label, gram_override
         self.lat, self.ft, self.census, self.labels, self.members = lat, ft, census, labels, members
-        self.spread, self.arr, self.partition, self.stab = spread, arr, partition, stab
-        self.certificates = [] if certificates is None else certificates
+        self.spread, self.arr, self.partition, self.class_block = spread, arr, partition, class_block
+        self.stab, self.certificates = stab, [] if certificates is None else certificates
 
 
 class StageFailure(CheckFailure):
@@ -143,7 +144,8 @@ def stage_spread(state: PipelineState) -> Certificate:
 @_recorded
 def stage_frames(state: PipelineState) -> Certificate:
     cb = CertBuilder("frames")
-    state.arr = fr.build_frame_array(state.lat, state.ft, state.census, state.spread)
+    state.arr = fr.build_frame_array(state.ft, state.census, state.spread)
+    fr.verify_frame_array(state.lat, state.arr)  # as verify's frames row; certificates.txt omits it
     census = fr.orthogonal_pair_census(state.lat, state.arr)
     cb.check("orthogonal pair count", 3780, census.orthogonal_pair_count)
     cb.check(
@@ -162,31 +164,27 @@ def stage_frames(state: PipelineState) -> Certificate:
 def stage_partition(state: PipelineState) -> Certificate:
     cb = CertBuilder("norm4-partition")
     state.partition = bl.build_partition(state.lat, state.spread)
-    cert, class_block = bl.verify_partition(state.lat, state.partition)
+    cert, state.class_block = bl.verify_partition(state.lat, state.partition)
     cb.cert.checks.extend(cert.checks)
     # Only a frame listed here can fail (index 2, blocks module docstring). The
     # partition's own class table, not the spread's, ties the rows to its blocks.
-    outside = bl.frames_outside_blocks(state.lat, state.arr, class_block)
+    outside = bl.frames_outside_blocks(state.lat, state.arr, state.class_block)
     cb.check("D8-plus-glue certificates failing (of 135)", 0, len(outside))
     return cb.done()
 
 
 @_recorded
 def stage_roundtrip(state: PipelineState) -> Certificate:
-    """Project the partition mod 2 onto spaces and compare them with the spread.
+    """Compare the spaces of the partition's proved class table with the spread.
 
+    `blocks.block_spaces` reads them, as for `verify`'s partition-vs-spread.
     In `certify` this stage cannot fail: `blocks.build_partition` builds the
-    blocks from the spread's classes. `verify` checks a parsed partition by
-    `partition-vs-spread`, on the class table the partition's checker proved.
+    blocks from the spread's classes.
     """
     cb = CertBuilder("partition-roundtrip")
-    recovered = bl.spread_from_partition(state.ft, state.partition, state.labels)
-    cb.check(
-        "recovered spaces equal the spread",
-        sorted(state.spread.spaces),
-        sorted(recovered.spaces),
-    )
-    cb.check("recovered class label", state.spread.class_label, recovered.class_label)
+    recovered = bl.block_spaces(state.class_block)
+    cb.check("recovered spaces equal the spread", sorted(state.spread.spaces), sorted(recovered))
+    cb.check("recovered class label", state.spread.class_label, state.labels[recovered[0]])
     return cb.done()
 
 
@@ -197,7 +195,7 @@ def stage_group(state: PipelineState) -> Certificate:
     class_block = ss.point_space_table(state.spread)
     state.stab = ag.compute_stabilizer(state.lat, state.arr, class_block)
     ag.verify_generators(state.lat, class_block, state.stab.isometries, state.stab.block_perms)
-    return ag.verify_group(state.stab, class_block)
+    return ag.verify_group(state.lat, state.arr.rows[0][0], state.stab, class_block)
 
 
 def run_pipeline(
@@ -323,7 +321,7 @@ def verifiers(parsed: dict) -> tuple:
     Each returns its claim's Certificate from the functions certify runs. The
     frames and the generators are read against the verified spread: its
     `point_space_table`, built once, is the group stage's class table, and
-    the search's source, frame (0, 0), is built from space 0 and its first
+    the group checker's frame (0, 0) is built from space 0 and its first
     3-space. The partition rows share the class table its checker proves.
     """
     lat = build_lattice()
@@ -333,11 +331,10 @@ def verifiers(parsed: dict) -> tuple:
     proved = functools.cache(lambda: bl.verify_partition(lat, part))  # (certificate, class table)
 
     def group() -> Certificate:
-        class_block, v = space_of(), sp.spaces[0]
+        v = sp.spaces[0]
         pair_of_class = {c: a for a, c in enumerate(gf2.root_pair_classes(lat))}
         f0 = fr.frame_from_3space(ft, pair_of_class, v, fr.three_spaces(v)[0], (0, 0))
-        source = ag.search_source(lat, f0, class_block)
-        return ag.verify_group(ag.StabilizerResult(*map(tuple, gens), source), class_block)
+        return ag.verify_group(lat, f0, ag.StabilizerResult(*map(tuple, gens)), space_of())
 
     return (
         ("spread", {"spread"}, lambda: ss.verify_spread(sp, ft)),
@@ -348,8 +345,9 @@ def verifiers(parsed: dict) -> tuple:
         ("partition-vs-spread", {"partition", "spread"},
             lambda: bl.partition_vs_spread(proved()[1], sp)),
         ("partition-vs-frames", {"partition", "frames"},
-            lambda: bl.partition_vs_frames(lat, arr, proved()[1])),
-        ("frames-vs-spread", {"frames", "spread"}, lambda: bl.frames_vs_spread(lat, arr, space_of())),
+            lambda: bl.frames_vs_class_table(lat, arr, proved()[1], "partition-vs-frames", "block")),
+        ("frames-vs-spread", {"frames", "spread"},
+            lambda: bl.frames_vs_class_table(lat, arr, space_of(), "frames-vs-spread", "spread space")),
         ("generators", {"spread", "generators"},
             lambda: ag.verify_generators(lat, space_of(), *gens)),
         ("stabilizer-group", {"spread", "generators"}, group),

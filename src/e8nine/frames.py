@@ -188,9 +188,9 @@ def frame_codes(lat: Lattice, frame: Frame) -> list[int]:
     return out
 
 
-def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -> FrameArray:
-    """Assemble the 9 x 15 array; `verify_frame_array` certifies it."""
-    arr = FrameArray(
+def build_frame_array(ft: FormTable, census: Mod2Census, spread) -> FrameArray:
+    """The 9 x 15 array, unchecked: the frames stage runs `verify_frame_array`."""
+    return FrameArray(
         rows=tuple(
             tuple(
                 frame_from_3space(ft, census.pair_of_class, v, w, source=(i, j))
@@ -199,8 +199,6 @@ def build_frame_array(lat: Lattice, ft: FormTable, census: Mod2Census, spread) -
             for i, v in enumerate(spread.spaces)
         )
     )
-    verify_frame_array(lat, arr)
-    return arr
 
 
 class PairCensus(NamedTuple):

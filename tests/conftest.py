@@ -47,8 +47,8 @@ def spread(members_a):
 
 
 @pytest.fixture(scope="session")
-def frame_array(lat, ft, census, spread):
-    return fr.build_frame_array(lat, ft, census, spread)
+def frame_array(ft, census, spread):
+    return fr.build_frame_array(ft, census, spread)
 
 
 @pytest.fixture(scope="session")

@@ -125,9 +125,11 @@ def test_criterion_05_spread():
 def test_criterion_06_frame_array():
     lat, ft, census, spread = STATE["lat"], STATE["ft"], STATE["census"], STATE["spread"]
     t0 = time.perf_counter()
-    arr = fr.build_frame_array(lat, ft, census, spread)
+    arr = fr.build_frame_array(ft, census, spread)
+    certified = fr.verify_frame_array(lat, arr).passed
     pair_census = fr.orthogonal_pair_census(lat, arr)
     elapsed = time.perf_counter() - t0
+    assert certified
     assert len(arr.rows) == 9 and all(len(r) == 15 for r in arr.rows)
     for row in arr.rows:
         assert sorted(pid for f in row for pid in f.roots) == list(range(120))
@@ -178,7 +180,7 @@ def test_criterion_09_group_order_and_block_action():
     class_block = bl.block_of_class_table(lat, partition)
     result = ag.compute_stabilizer(lat, arr, class_block)
     ag.verify_generators(lat, class_block, result.isometries, result.block_perms)
-    action = ag.block_action(result, class_block)
+    action = ag.block_action(lat, arr.rows[0][0], result, class_block)
     elapsed = time.perf_counter() - t0
     assert action.image_order * action.kernel_order == 362880
     # The faithful chain on 9 blocks + 240 roots confirms the order by brute force.

@@ -118,8 +118,8 @@ def test_block_perm_matches_spread_reference(lat, stab_result, spread, class_blo
     assert [block_perm(point_space, m) for m in cases] == want
 
 
-def test_group_order(lat, stab_result, class_block, oracle_chain):
-    action = block_action(stab_result, class_block)
+def test_group_order(lat, frame_array, stab_result, class_block, oracle_chain):
+    action = block_action(lat, frame_array.rows[0][0], stab_result, class_block)
     assert action.image_order * action.kernel_order == STABILIZER_ORDER
     assert oracle_chain.order() == STABILIZER_ORDER
 
@@ -147,8 +147,8 @@ def test_generic_schreier_sims_on_stabilizer_generators(lat, stab_result):
     assert is_identity(chain.sift(ext_gens[0]))
 
 
-def test_block_action_numbers(lat, stab_result, class_block, oracle_chain):
-    action = block_action(stab_result, class_block)
+def test_block_action_numbers(lat, frame_array, stab_result, class_block, oracle_chain):
+    action = block_action(lat, frame_array.rows[0][0], stab_result, class_block)
     assert action.image_order == BLOCK_IMAGE_ORDER
     assert action.kernel_order == 2
     assert action.all_even
@@ -182,12 +182,12 @@ def _reference_block_check(lat, result, partition):
                 raise ValueError("generator does not map block %d onto block %d" % (b, bp[b]))
 
 
-def _block_action_of_partition(lat, result, partition):
+def _block_action_of_partition(lat, frame, result, partition):
     """The generator checks and block_action on the class table certified
     from the partition, as the group stage runs them."""
     class_block = block_of_class_table(lat, partition)
     verify_generators(lat, class_block, result.isometries, result.block_perms)
-    return block_action(result, class_block)
+    return block_action(lat, frame, result, class_block)
 
 
 def _passes(check, *args):
@@ -198,7 +198,7 @@ def _passes(check, *args):
     return True
 
 
-def test_block_action_matches_vector_reference(lat, stab_result, partition):
+def test_block_action_matches_vector_reference(lat, frame_array, stab_result, partition):
     cases = [(stab_result, partition)]
     for i, bp in enumerate(stab_result.block_perms):
         for k in range(1, 9):
@@ -214,11 +214,12 @@ def test_block_action_matches_vector_reference(lat, stab_result, partition):
     cases.append((stab_result, dropped))
     want = [True] + [False] * (len(cases) - 1)
     assert [_passes(_reference_block_check, lat, r, p) for r, p in cases] == want
-    assert [_passes(_block_action_of_partition, lat, r, p) for r, p in cases] == want
+    f0 = frame_array.rows[0][0]
+    assert [_passes(_block_action_of_partition, lat, f0, r, p) for r, p in cases] == want
     # The dropped vector's class is still met in block 0, so the class table
     # alone would pass; the coverage premise is what rejects it.
     with pytest.raises(CheckFailure) as exc:
-        _block_action_of_partition(lat, stab_result, dropped)
+        _block_action_of_partition(lat, f0, stab_result, dropped)
     assert exc.value.check.description == "vectors held by the blocks, distinct norm-4 among them"
     assert exc.value.check.actual == (2159, 2159)
 
@@ -256,7 +257,9 @@ def _desarguesian_class_block(slopes):
     return table
 
 
-def test_endomorphism_check_fails_on_a_desarguesian_spread(lat, stab_result, class_block):
+def test_endomorphism_check_fails_on_a_desarguesian_spread(
+    lat, frame_array, stab_result, class_block
+):
     # Nine lines of the Desarguesian spread of GF(16)^2: every GF(16)
     # multiplication preserves each line, so the maps preserving all nine
     # form an algebra of dimension 4 over GF(2), and the kernel argument
@@ -274,37 +277,38 @@ def test_endomorphism_check_fails_on_a_desarguesian_spread(lat, stab_result, cla
     assert block_endomorphism_dimension(class_block) == 1
     negation_only = _with(stab_result, isometries=(NEGATION,), block_perms=(identity_perm(9),))
     with pytest.raises(CheckFailure) as exc:
-        block_action(negation_only, table)
+        block_action(lat, frame_array.rows[0][0], negation_only, table)
     assert str(exc.value) == (
         "block-action: GF(2) maps preserving the nine block spaces (dimension) "
         "(expected 1, got 4)"
     )
 
 
-def test_block_action_rejects_bad_kernel_premises(lat, stab_result, class_block):
+def test_block_action_rejects_bad_kernel_premises(lat, frame_array, stab_result, class_block):
     # Each premise of the kernel argument fails by name: -1 heads the
-    # generators (`verify_generators`), and the source frame's root supports
-    # join its eight slots (`block_action`). Supports avoiding slot 7 join 21
-    # of the 28 pairs.
+    # generators (`verify_generators`), and the frame's root supports join
+    # its eight slots (`block_action`). Supports avoiding slot 7 join 21 of
+    # the 28 pairs.
     isos, bps = stab_result.isometries, stab_result.block_perms
+    f0 = frame_array.rows[0][0]
 
-    def checked(result):
+    def checked(result, frame):
         verify_generators(lat, class_block, result.isometries, result.block_perms)
-        block_action(result, class_block)
+        block_action(lat, frame, result, class_block)
 
     cases = (
-        (_with(stab_result, isometries=isos[1:], block_perms=bps[1:]), "generator 0 is -1"),
-        (_with(stab_result, isometries=isos[::-1], block_perms=bps[::-1]), "generator 0 is -1"),
-        (_with(stab_result, isometries=(), block_perms=()), "generator 0 is -1"),
-        (_without_slot_7(stab_result), "source frame slot pairs sharing a root support"),
+        (_with(stab_result, isometries=isos[1:], block_perms=bps[1:]), f0, "generator 0 is -1"),
+        (_with(stab_result, isometries=isos[::-1], block_perms=bps[::-1]), f0, "generator 0 is -1"),
+        (_with(stab_result, isometries=(), block_perms=()), f0, "generator 0 is -1"),
+        (stab_result, _without_slot_7(f0), "source frame slot pairs sharing a root support"),
     )
     values = {
         "generator 0 is -1": ("generators", True, False),
         "source frame slot pairs sharing a root support": ("block-action", 28, 21),
     }
-    for result, name in cases:
+    for result, frame, name in cases:
         with pytest.raises(CheckFailure) as exc:
-            checked(result)
+            checked(result, frame)
         assert exc.value.check.description == name
         assert (exc.value.stage, exc.value.check.expected, exc.value.check.actual) == values[name]
 
@@ -614,33 +618,45 @@ def test_group_stage_names_an_incomplete_search(lat, spread, frame_array, partit
     assert str(exc.value) == "stabilizer-group: group order (expected 362880, got 24)"
 
 
-def _without_slot_7(result):
-    levels = tuple(tuple(s for s in level if 7 not in s) for level in result.source.new_subsets)
-    return _with(result, source=result.source._replace(new_subsets=levels))
+def _without_slot_7(frame):
+    """The frame cut to its first seven pairs: no root support meets slot 7."""
+    return frame._replace(roots=frame.roots[:7])
+
+
+def _frame_0_without_slot_7(arr):
+    row0 = (_without_slot_7(arr.rows[0][0]),) + arr.rows[0][1:]
+    return arr._replace(rows=(row0,) + arr.rows[1:])
 
 
 @pytest.mark.parametrize(
-    "mutate, message",
+    "mutate, mutate_arr, message",
     [
         (
             lambda r: _with(r, isometries=r.isometries[::-1], block_perms=r.block_perms[::-1]),
+            lambda arr: arr,
             "generators: generator 0 is -1 (expected True, got False)",
         ),
         (
-            _without_slot_7,
+            lambda r: r,
+            _frame_0_without_slot_7,
             "block-action: source frame slot pairs sharing a root support (expected 28, got 21)",
         ),
     ],
     ids=["negation-last", "supports-miss-a-slot"],
 )
 def test_group_stage_names_a_failed_kernel_premise(
-    lat, spread, frame_array, partition, monkeypatch, mutate, message
+    lat, spread, frame_array, partition, monkeypatch, mutate, mutate_arr, message
 ):
-    # The stage's order rests on the kernel argument; a search result that
-    # breaks one of its premises fails the stage by name, before any order.
+    # The stage's order rests on the kernel argument; a search result or a
+    # frame (0, 0) that breaks one of its premises fails the stage by name,
+    # before any order. The search runs on the certified array, and the
+    # group checker reads frame (0, 0) of the stage's array.
     compute = ag.compute_stabilizer
-    monkeypatch.setattr(ag, "compute_stabilizer", lambda *args: mutate(compute(*args)))
-    state = cli.PipelineState(lat=lat, spread=spread, arr=frame_array, partition=partition)
+    monkeypatch.setattr(
+        ag, "compute_stabilizer", lambda lat, arr, cb: mutate(compute(lat, frame_array, cb))
+    )
+    arr = mutate_arr(frame_array)
+    state = cli.PipelineState(lat=lat, spread=spread, arr=arr, partition=partition)
     with pytest.raises(CheckFailure) as exc:
         cli.stage_group(state)
     assert str(exc.value) == message

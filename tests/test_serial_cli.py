@@ -13,11 +13,12 @@ import pytest
 from e8nine import autgroup as ag
 from e8nine import blocks as bl
 from e8nine import cli, gf2, serial
-from e8nine.certs import CertBuilder
+from e8nine.certs import CertBuilder, CheckFailure
 from e8nine.frames import FrameArray
-from e8nine.gf2 import SpaceClass
+from e8nine.gf2 import F2Subspace, SpaceClass, nonzero_elements, rref
 from e8nine.intmat import mat_mul, transpose
 from e8nine.lattice import Lattice
+from test_blocks import _trade_pair
 from test_frames import _U_THREE_TARGETS
 
 
@@ -279,6 +280,38 @@ def test_repeated_pairs_fail_frames_stage(mixed_frame_array, tmp_path, monkeypat
     assert second == "frame-array: orthogonal pairs covered once (expected 3780, got 3556)"
     assert "FAIL: " + second in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "frames.txt"))
+
+
+def test_frames_stage_runs_the_frame_array_checker(lat, ft, census, spread, frame_array, monkeypatch):
+    # The builder checks nothing; the stage runs verify's frames checker on
+    # what it built. Frames (0, 0) and (0, 1) trade a pair: row 0 still
+    # covers each pair once, but frame (0, 0) is no longer orthogonal.
+    traded = _trade_pair(frame_array, *frame_array.rows[0][:2])
+    monkeypatch.setattr(cli.fr, "build_frame_array", lambda *args: traded)
+    state = cli.PipelineState(lat=lat, ft=ft, census=census, spread=spread)
+    with pytest.raises(CheckFailure) as exc:
+        cli.stage_frames(state)
+    assert str(exc.value) == (
+        "frame-array: frame (0,0) orthogonal (expected [], got [(0, 1), (1, 2), (1, 5), (1, 6)])"
+    )
+
+
+def test_roundtrip_stage_reads_the_partition_class_table(spread, labels, class_block):
+    # The round trip reads the class table that the partition stage proved,
+    # not the vectors. Moving one class of block 0 to block 1 leaves block 0's
+    # other 14 points spanning V0, and gives block 1 the 5-space V1 + c.
+    state = cli.PipelineState(spread=spread, labels=labels, class_block=class_block)
+    assert cli.stage_roundtrip(state).passed
+    v0, v1 = spread.spaces[:2]
+    c = min(nonzero_elements(v0))
+    state = cli.PipelineState(spread=spread, labels=labels, class_block={**class_block, c: 1})
+    with pytest.raises(CheckFailure) as exc:
+        cli.stage_roundtrip(state)
+    got = [v for v in spread.spaces if v != v1] + [F2Subspace(rows=rref(nonzero_elements(v1) + [c]))]
+    assert str(exc.value) == (
+        "partition-roundtrip: recovered spaces equal the spread (expected %r, got %r)"
+        % (sorted(spread.spaces), sorted(got))
+    )
 
 
 def test_verify_truncated_file_exits_2(pipeline_state, tmp_path):
@@ -569,19 +602,31 @@ def test_certify_and_verify_prove_the_class_table_once_and_reduce_each_vector_on
     tmp_path, capsys, monkeypatch
 ):
     # The partition's checker proves the class table once per run, and the
-    # rows after it read that table: verify of the four class-A files reduces
-    # the 120 root-pair reps and the 2160 partition vectors mod 2 once each.
-    tables, reduced = [], []
+    # checks after it read that table. certify reduces the 120 root-pair reps,
+    # the 240 roots and 2160 norm-4 vectors of the mod-2 census, and the 2160
+    # vectors once each to build the partition and to prove its table; its
+    # round trip reads the table, not the vectors. verify of the four class-A
+    # files reduces the 120 reps and the 2160 partition vectors once each,
+    # and reads the group checker's frame, not the search's source tables.
+    tables, reduced, roundtrips, sources = [], [], [], []
     table, reduce = bl.block_of_class_table, gf2.reduce_mod2
+    roundtrip, source = bl.spread_from_partition, ag.search_source
     monkeypatch.setattr(bl, "block_of_class_table", lambda lat, p: tables.append(p) or table(lat, p))
     for module in (gf2, bl):  # every module that binds reduce_mod2
         monkeypatch.setattr(module, "reduce_mod2", lambda v: reduced.append(v) or reduce(v))
+    monkeypatch.setattr(bl, "spread_from_partition", lambda *a: roundtrips.append(a) or roundtrip(*a))
+    monkeypatch.setattr(ag, "search_source", lambda *a: sources.append(a) or source(*a))
+    # The root-pair classes are cached per Gram; drop them so each run reduces them.
+    gf2._root_pair_classes_cached.cache_clear()
     out = tmp_path / "out"
     assert cli.main(["certify", "--out", str(out)]) == 0
     assert len(tables) == 1
+    assert len(reduced) == 120 + 240 + 3 * 2160
+    assert roundtrips == []
+    assert len(sources) == 1  # the search's own
     tables.clear()
     reduced.clear()
-    # The root-pair classes are cached per Gram; drop them so verify reduces them.
+    sources.clear()
     gf2._root_pair_classes_cached.cache_clear()
     files = [str(out / n) for n in ("spread.txt", "frames.txt", "partition.txt", "generators.txt")]
     capsys.readouterr()
@@ -589,6 +634,7 @@ def test_certify_and_verify_prove_the_class_table_once_and_reduce_each_vector_on
     assert len(capsys.readouterr().out.splitlines()) == 9
     assert len(tables) == 1
     assert len(reduced) == 120 + 2160
+    assert sources == []
 
 
 def test_verify_with_nothing_to_check_is_a_parse_error(pipeline_state, tmp_path, capsys):
@@ -738,26 +784,26 @@ def test_verify_generators_without_spread_is_a_parse_error(artifact_texts, tmp_p
 @pytest.mark.parametrize("class_label", [SpaceClass.CLASS_A, SpaceClass.CLASS_B])
 def test_certify_and_verify_make_the_same_group_checks(class_label, monkeypatch):
     # verify reads only spread.txt and generators.txt: its class table is the
-    # spread's, and its source frame is built from spread space 0.
+    # spread's, and its group checker's frame is built from spread space 0.
     state = cli.run_pipeline(class_label)
     gens = serial.serialize_generators(list(state.stab.isometries), list(state.stab.block_perms))
     parsed = {
         "spread": serial.parse_spread(serial.serialize_spread(state.spread)),
         "generators": serial.parse_generators(gens),
     }
-    sources = []
-    search_source = ag.search_source
+    frames = []
+    verify_group = ag.verify_group
 
-    def recorded(lat, frame, class_block):
-        sources.append(frame)
-        return search_source(lat, frame, class_block)
+    def recorded(lat, frame, stab, class_block):
+        frames.append(frame)
+        return verify_group(lat, frame, stab, class_block)
 
-    monkeypatch.setattr(ag, "search_source", recorded)
+    monkeypatch.setattr(ag, "verify_group", recorded)
     check = {name: checker for name, _, checker in cli.verifiers(parsed)}["stabilizer-group"]
     certified = state.certificates[-1]
     assert certified.stage == "stabilizer-group" and len(certified.checks) == 12
     assert check().checks == certified.checks
-    assert sources == [state.arr.rows[0][0]]
+    assert frames == [state.arr.rows[0][0]]
 
 
 def test_verify_non_utf8_file_is_a_parse_error(tmp_path, capsys):
@@ -958,7 +1004,7 @@ def test_bad_block_permutation_fails_group_stage(tmp_path, monkeypatch, capsys):
         # -1 is the first generator and fixes every block; claim it swaps 0 and 1.
         result = compute(*args)
         perms = ((1, 0, 2, 3, 4, 5, 6, 7, 8),) + result.block_perms[1:]
-        return ag.StabilizerResult(result.isometries, perms, result.source)
+        return ag.StabilizerResult(result.isometries, perms)
 
     monkeypatch.setattr(ag, "compute_stabilizer", misreported)
     out = str(tmp_path / "failed")
