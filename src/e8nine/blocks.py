@@ -17,61 +17,50 @@ combination of some row, row j.
 Two standard lattice facts (Conway-Sloane, SPLAG ch. 4 and 16) keep the
 certificates short:
 
+- 240 distinct norm-4 vectors with even inner products are, at half scale,
+  roots of the even lattice L they span. Its roots form a simply-laced root
+  system of rank at most 8, and E8 is the only one with 240 roots; so the
+  block is all of L's roots and L is a half-scale E8 (`certify_scaled_e8`).
 - In coordinates over a frame orthonormal at half scale, D8 is
   {c in Z^8 : sum(c) even}. For any g in (1/2 + Z)^8 the union D8 + (D8 + g)
-  is even, unimodular and of rank 8, so it is E8, the only such lattice; two
-  glue vectors in {+-1/2}^8 lie in the same coset of D8 exactly when their
-  numbers of minus signs have the same parity.
-- So one D8-plus-glue certificate proves a block to be a half-scale E8: its
-  112 combinations and 128 glue vectors are the 240 roots of D8 + (D8 + g),
-  which span it. The frame is recovered from the block itself: a row covers
-  every root pair once and each orthogonal pair of root pairs lies in one
-  frame, so the pairs c orthogonal to a pair a with r_a + r_c in the block
-  are the other seven members of a's frame in that row.
+  is even, unimodular and of rank 8, so it is E8; two glue vectors in
+  {+-1/2}^8 lie in the same coset of D8 exactly when their numbers of minus
+  signs have the same parity.
 
-Frame coordinates are one dot product per vector. Over a frame with Gram
-2I the eight roots are a rational basis and v = sum_i (d_i / 2) r_i with
+So the D8-plus-glue presentation over each of a row's 15 frames follows by
+index 2. Let L_j, the half-scale E8 spanned by block j, have the block as
+its 240 roots (`certify_scaled_e8`), and let frame f of row j have Gram 2I
+(frames stage) and its 112 combinations in the block
+(`frames_outside_blocks`). Their span D8_f has index 2 in L_j (determinants
+4 and 1); L_j is even, so the other coset is not D8_f + e_1 but one of
+{+-1/2}^8 vectors of one sign parity: the block's other 128 vectors.
+
+`certify_d8_glue` checks that presentation over one frame directly, and the
+tests run it over all 135 frames as the oracle for this argument. Frame
+coordinates are one dot product per vector. Over a frame with Gram 2I the
+eight roots are a rational basis and v = sum_i (d_i / 2) r_i with
 d_i = v . r_i, so v -> d is injective and the frame's 112 combinations are
-exactly the vectors with d = +-2e_i +-2e_j.
-
-The glue certificate tests that shape and d in {+-1}^8, both of norm
-sum_i d_i^2 / 2 = 4, on exact integer codes: d is encoded
-as sum_i d_i 16^i, which is v . W_f with W_f = G sum_i 16^i r_i by
-bilinearity (`_frame_code_weights`). This balanced base-16 code is injective
-for |d_i| <= 7, and a norm-4 vector has every |d_i| <= 2 by Cauchy-Schwarz.
-Off the shell it is not: g + 16 r_0 - r_1 has the code of a glue vector g.
-So a vector outside the norm-4 set counts as neither shape. The recovered
-frame is read off `frames.root_pair_products` and `frames.norm4_codes`.
-
-Over the other 14 frames of a row the presentation follows by index 2. Let
-L_j, the half-scale E8 spanned by block j, have the block as its 240 roots
-(`certify_scaled_e8`), and let frame f of row j have Gram 2I (frames stage)
-and its 112 combinations in the block (`frames_outside_blocks`). Their span
-D8_f has index 2 in L_j (determinants 4 and 1); L_j is even, so the other
-coset is not D8_f + e_1 but one of {+-1/2}^8 vectors of one sign parity:
-the block's other 128 vectors, all that `certify_d8_glue` checks over f.
+exactly the vectors with d = +-2e_i +-2e_j. The certificate tests that shape
+and d in {+-1}^8, both of norm sum_i d_i^2 / 2 = 4, on exact integer codes:
+d is encoded as sum_i d_i 16^i, which is v . W_f with W_f = G sum_i 16^i r_i
+by bilinearity (`_frame_code_weights`). This balanced base-16 code is
+injective for |d_i| <= 7, and a norm-4 vector has every |d_i| <= 2 by
+Cauchy-Schwarz. Off the shell it is not: g + 16 r_0 - r_1 has the code of a
+glue vector g. So a vector outside the norm-4 set counts as neither shape.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter, mul, neg
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
-from .gf2 import F2Subspace, FormTable, SpaceClass, nonzero_elements, reduce_mod2, rref
+from .gf2 import F2Subspace, FormTable, SpaceClass, lift_bits, nonzero_elements, reduce_mod2, rref
 from .gf2 import root_pair_classes
 from .intmat import Mat, Vec
-from .lattice import Lattice, enumerate_shell, norm4_set
-from .frames import (
-    Frame,
-    FrameArray,
-    frame_reps,
-    norm4_codes,
-    root_pair_gram,
-    root_pair_gram_row,
-    root_pair_products,
-)
+from .lattice import Lattice, enumerate_shell, inner, norm4_set
+from .frames import Frame, FrameArray, frame_reps, root_pair_gram, root_pair_gram_row
 from .spreadsearch import Spread, point_space_table
 
 
@@ -122,7 +111,10 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
       D8 to the same E8.
 
     The frame's 112 combinations and 128 glue vectors then make up the
-    block's 240 distinct vectors (counted by `certify_scaled_e8`).
+    block's 240 distinct vectors (counted by `certify_scaled_e8`). Neither
+    `certify` nor `verify` runs this: the module docstring's index-2 argument
+    gives the presentation over every frame, and the tests run it over all
+    135 frames as that argument's oracle.
 
     The frame Gram is read from the frame's eight rows of the root-pair Gram
     T. Each norm-4 vector is classified by the code v . W_f of its d (module
@@ -153,68 +145,31 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
     return cb.done()
 
 
-def recover_frame(
-    lat: Lattice, block: Norm4Block, vset: set[Vec] | None = None
-) -> Frame | None:
-    """The frame of the block's first vector v, read off the block alone.
+def certify_scaled_e8(lat: Lattice, block: Norm4Block, classes: list[int]) -> Certificate:
+    """Certify one block as a half-scale E8 by its root count.
 
-    A norm-4 v is s_a r_a + s_b r_b for orthogonal root pairs a, b, and then
-    v . r_a = 2 s_a; conversely v . r_a = +-2 makes v -+ r_a a root
-    orthogonal to r_a. Pair a is the least id with v . r_a = +-2
-    (`frames.root_pair_products`, exact on the norm-4 shell). The frame is a
-    with every pair c such that r_a . r_c = 0 and r_a + r_c (looked up by
-    code, `frames.norm4_codes`) lies in the block. In a true block those c
-    are the other seven members of a's frame in the block's row, since the
-    row covers every root pair once and each orthogonal pair lies in exactly
-    one frame. None if v is off the shell or no pair has v . r_a = +-2.
-    The source (row, -1) marks a frame not taken from the frame array.
-    vset, if given, is the set of the block's vectors.
-    """
-    v = block.vectors[0]
-    if v not in norm4_set(lat):
-        return None
-    products = root_pair_products(lat.gram, v)
-    a = next((a for a, t in enumerate(products) if t in (2, -2)), None)
-    if a is None:
-        return None
-    codes, by_code = norm4_codes(lat.gram)
-    if vset is None:
-        vset = set(block.vectors)
-    roots = [a] + [
-        c
-        for c, t in enumerate(root_pair_gram_row(lat.gram, a))
-        if t == 0 and by_code[codes[a] + codes[c]] in vset
-    ]
-    return Frame(roots=tuple(sorted(roots)), source=(block.row_index, -1))
+    classes are the block's distinct mod-2 classes (`block_classes`). The
+    checks: 240 vectors, all distinct, all of norm 4, all inner products even.
+    At half scale the vectors then have norm 2 and integral products, so they
+    are roots of the even positive-definite lattice L they span. The roots of
+    such a lattice form a simply-laced root system of rank at most 8, and E8
+    is the only one with 240 roots (SPLAG ch. 4; Humphreys, Introduction to
+    Lie Algebras, 11). So the block is all of L's roots, hence closed under
+    negation, and L, spanned by the roots of E8, is a half-scale E8.
 
-
-def certify_scaled_e8(lat: Lattice, block: Norm4Block) -> Certificate:
-    """Certify one block as a half-scale E8 copy by D8 plus glue.
-
-    After the checks on the vectors themselves (240, distinct, closed under
-    negation, all of norm 4), a frame is recovered from the block
-    (`recover_frame`) and must have 8 pairs. `certify_d8_glue` over it, whose
-    checks end this certificate, shows the block's 240 vectors to be, at half
-    scale, the 112 roots of D8 and the 128 roots of one coset D8 + g with g in
-    (1/2 + Z)^8. So the block lies in D8 + (D8 + g), an even unimodular
-    lattice of rank 8 and hence E8 (SPLAG ch. 16), and it spans it: D8's roots
-    span D8 and one glue vector adds g.
+    v . w mod 2 is the polar form b(cls v, cls w) of `gf2`, read here off the
+    classes' 0/1 lifts. b is bilinear, and b(x, x) = 0 as E8 is even, so every
+    product is even exactly when b vanishes on each pair of rows of the
+    classes' rref basis: 6 pairs for a true block's 4 rows.
     """
     cb = CertBuilder("scaled-e8 block %d" % block.row_index)
-    vset = set(block.vectors)
     cb.check("vector count", 240, len(block.vectors))
-    cb.check("distinct vectors", 240, len(vset))
-    missing_neg = [v for v in block.vectors if tuple(map(neg, v)) not in vset]
-    cb.check("closed under negation", [], missing_neg)
+    cb.check("distinct vectors", 240, len(set(block.vectors)))
     shell4 = norm4_set(lat)
-    bad_norm = [v for v in block.vectors if v not in shell4]
-    cb.check("all norms are 4", [], bad_norm)
-    frame = recover_frame(lat, block, vset)
-    cb.check("first vector is s_a r_a + s_b r_b", True, frame is not None)
-    cb.check("recovered frame size", 8, len(frame.roots))
-    # certify_d8_glue raises at its first failed check; its checks complete
-    # this certificate.
-    cb.cert.checks.extend(certify_d8_glue(lat, block, frame).checks)
+    cb.check("all norms are 4", [], [v for v in block.vectors if v not in shell4])
+    pairs = itertools.combinations(rref(classes), 2)
+    odd = [(x, y) for x, y in pairs if inner(lat, lift_bits(x), lift_bits(y)) & 1]
+    cb.check("inner products even: classes pairwise orthogonal", [], odd)
     return cb.done()
 
 
@@ -249,22 +204,32 @@ def frames_outside_blocks(lat: Lattice, arr: FrameArray, class_block: dict[int, 
     return outside
 
 
-def block_of_class_table(lat: Lattice, p: Norm4Partition) -> dict[int, int]:
+def block_classes(p: Norm4Partition) -> list[list[int]]:
+    """Each block's distinct mod-2 classes, in the file order of their first
+    vectors: one reduction per vector, shared by `certify_scaled_e8` and
+    `block_of_class_table`."""
+    return [list(dict.fromkeys(map(reduce_mod2, b.vectors))) for b in p.blocks]
+
+
+def block_of_class_table(
+    lat: Lattice, p: Norm4Partition, classes: list[list[int]]
+) -> dict[int, int]:
     """The block of each mod-2 class, checked on every vector of every block.
 
-    Block j reduces onto the 15 points of spread space j and the nine spaces
-    partition the 135 isotropic points, so a norm-4 vector's class names its
-    block. A class met in two blocks raises CheckFailure naming the class.
-    The blocks must also hold the 2160 norm-4 vectors once each: then every
-    norm-4 vector lies in the block its class names. On blocks built from a
-    spread the table is the spread's `point_space_table`, which the group
-    stage's search and checkers read for that reason.
+    classes are `block_classes(p)`. Block j reduces onto the 15 points of
+    spread space j and the nine spaces partition the 135 isotropic points, so
+    a norm-4 vector's class names its block. A class met in two blocks raises
+    CheckFailure naming the class. The blocks must also hold the 2160 norm-4
+    vectors once each: then every norm-4 vector lies in the block its class
+    names. On blocks built from a spread the table is the spread's
+    `point_space_table`, which the group stage's search and checkers read for
+    that reason.
     """
     table: dict[int, int] = {}
-    for b in p.blocks:
-        # The block's classes in the file order of their first vectors, so the
-        # class named is that of the first vector met in an earlier block.
-        for cls in dict.fromkeys(map(reduce_mod2, b.vectors)):
+    for b, block_cls in zip(p.blocks, classes):
+        # In the file order of their first vectors, so the class named is
+        # that of the first vector met in an earlier block.
+        for cls in block_cls:
             first = table.setdefault(cls, b.row_index)
             if first != b.row_index:
                 raise CheckFailure(
@@ -317,11 +282,12 @@ def partition_vs_spread(class_block: dict[int, int], spread: Spread) -> Certific
     """Block j's classes in `verify_partition`'s table span spread space j; a
     failure names the differing spaces in index order, the spread's first.
 
-    No check of `spread_from_partition` is lost. Block j spans L = sqrt2 E8 in
-    E8 (`certify_scaled_e8`), whose dual L/2 holds E8, so 2E8 lies in L and
-    L/2E8 is a 4-space (order 2^8 / [E8:L]), totally singular as L's norms and
-    products are even multiples of 2. No norm-4 vector lies in 2E8, so block
-    j's classes are points of it: all 15, as the 135 lie in one block each.
+    No check of `spread_from_partition` is lost. `certify_scaled_e8` checks
+    that b vanishes on the span of block j's classes, and q(cls v) = 0 for a
+    norm-4 v, so that span is totally singular: at most a 4-space, with at
+    most 15 nonzero points. No norm-4 vector is 0 mod 2 (v = 2w would give w
+    norm 1), so block j's classes are such points: all 15 of a 4-space, as the
+    135 lie in one block each.
     """
     differ = [(s.rows, g.rows) for s, g in zip(spread.spaces, block_spaces(class_block)) if s != g]
     cb = CertBuilder("partition-vs-spread")
@@ -360,14 +326,16 @@ def verify_partition(lat: Lattice, p: Norm4Partition) -> tuple[Certificate, dict
     Nine blocks, each a half-scale E8 by `certify_scaled_e8` (240 distinct
     norm-4 vectors), then `block_of_class_table`: the blocks hold the 2160
     norm-4 vectors once each, with each mod-2 class in one block, the table
-    returned with the certificate. Sizes, norms, disjointness and coverage
-    follow from those two and are not checked again.
+    returned with the certificate. Both read the classes of one
+    `block_classes` pass. Sizes, norms, disjointness and coverage follow from
+    those two and are not checked again.
     """
     cb = CertBuilder("norm4-partition")
     cb.check("blocks", 9, len(p.blocks))
     # "block %d scaled-E8" cannot fail: certify_scaled_e8 raises CheckFailure
     # at its first failed check, so every certificate it returns has passed.
     # The check stays so that certificates.txt keeps its lines.
-    for b in p.blocks:
-        cb.check("block %d scaled-E8" % b.row_index, True, certify_scaled_e8(lat, b).passed)
-    return cb.done(), block_of_class_table(lat, p)
+    classes = block_classes(p)
+    for b, cls in zip(p.blocks, classes):
+        cb.check("block %d scaled-E8" % b.row_index, True, certify_scaled_e8(lat, b, cls).passed)
+    return cb.done(), block_of_class_table(lat, p, classes)

@@ -44,8 +44,7 @@ class Frame(NamedTuple):
     """Eight mutually orthogonal root pairs, tagged with their (V, W) origin."""
 
     roots: tuple[int, ...]  # 8 sorted root-pair ids
-    # (spread space index 0..8, 3-space index 0..14); 3-space index -1 for a
-    # frame recovered from a block (blocks.recover_frame)
+    # (spread space index 0..8, 3-space index 0..14)
     source: tuple[int, int]
 
 

@@ -65,7 +65,7 @@ def block_of_vector(partition):
 @pytest.fixture(scope="session")
 def class_block(lat, partition):
     """The certified block of each mod-2 class (`blocks.block_of_class_table`)."""
-    return bl.block_of_class_table(lat, partition)
+    return bl.block_of_class_table(lat, partition, bl.block_classes(partition))
 
 
 @pytest.fixture(scope="session")

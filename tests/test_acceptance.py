@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion, exact values, timed budgets.
 
 Every expected number is asserted with zero tolerance. Each test prints one
-pass/fail line (run with -s to see them as they happen). The module builds
-the pipeline in criterion order, so each criterion is timed on its own work.
+pass/fail line (run with -s to see them as they happen). Each criterion
+takes its inputs from the session fixtures of conftest.py and times only its
+own work, so any one of them runs alone.
 A last test checks that tests/class_a.sha256, which CI runs `sha256sum -c`
 on, pins the reference digests.
 """
@@ -23,8 +24,6 @@ from e8nine import frames as fr
 from e8nine import gf2
 from e8nine import lattice as lt
 from e8nine.spreadsearch import find_spread, verify_spread
-
-STATE: dict = {}
 
 # sha256 of the five `certify --out` artifacts of the standard run, the same
 # values as `reference_sha256` in perfbench/spec.json and as
@@ -53,12 +52,10 @@ def test_criterion_01_shell_counts():
     elapsed = time.perf_counter() - t0
     assert n2 == 240
     assert n4 == 2160
-    STATE["lat"] = lat
     _report(1, "shell counts 240 and 2160", elapsed, 1.0)
 
 
-def test_criterion_02_mod2_census():
-    lat = STATE["lat"]
+def test_criterion_02_mod2_census(lat):
     t0 = time.perf_counter()
     ft = gf2.build_forms(lat)
     census = gf2.mod2_census(lat, ft)
@@ -67,13 +64,10 @@ def test_criterion_02_mod2_census():
     assert census.anisotropic_count == 120
     assert census.roots_per_anisotropic == 2
     assert census.norm4_per_isotropic == 16
-    STATE["ft"] = ft
-    STATE["census"] = census
     _report(2, "mod-2 census 135 + 120, lifts 2 and 16", elapsed, 1.0)
 
 
-def test_criterion_03_spaces_and_classes():
-    ft = STATE["ft"]
+def test_criterion_03_spaces_and_classes(ft):
     t0 = time.perf_counter()
     spaces = gf2.enumerate_isotropic_4spaces(ft)
     labels = gf2.classify(spaces)
@@ -86,13 +80,11 @@ def test_criterion_03_spaces_and_classes():
         )
     )
     assert sizes == [135, 135]
-    STATE["labels"] = labels
-    STATE["members"] = gf2.class_members(labels, gf2.SpaceClass.CLASS_A)
     _report(3, "270 isotropic 4-spaces in two parity classes of 135", elapsed, 10.0)
 
 
-def test_criterion_04_intersection_profiles():
-    members = STATE["members"]
+def test_criterion_04_intersection_profiles(members_a):
+    members = members_a
     t0 = time.perf_counter()
     v1 = members[0]
     prof = gf2.intersection_profile(v1, members[1:])
@@ -105,12 +97,10 @@ def test_criterion_04_intersection_profiles():
     _report(4, "profiles {0:64, 2:70} and {28, 35, 35, 35}", elapsed, 5.0)
 
 
-def test_criterion_05_spread():
-    members = STATE["members"]
-    ft = STATE["ft"]
+def test_criterion_05_spread(members_a, ft):
     t0 = time.perf_counter()
-    spread = find_spread(members, gf2.SpaceClass.CLASS_A)
-    again = find_spread(members, gf2.SpaceClass.CLASS_A)
+    spread = find_spread(members_a, gf2.SpaceClass.CLASS_A)
+    again = find_spread(members_a, gf2.SpaceClass.CLASS_A)
     elapsed = time.perf_counter() - t0
     assert verify_spread(spread, ft).passed
     assert again == spread
@@ -118,12 +108,10 @@ def test_criterion_05_spread():
     for s in spread.spaces:
         points.update(gf2.nonzero_elements(s))
     assert len(points) == 135
-    STATE["spread"] = spread
     _report(5, "deterministic spread of nine disjoint 4-spaces", elapsed, 30.0)
 
 
-def test_criterion_06_frame_array():
-    lat, ft, census, spread = STATE["lat"], STATE["ft"], STATE["census"], STATE["spread"]
+def test_criterion_06_frame_array(lat, ft, census, spread):
     t0 = time.perf_counter()
     arr = fr.build_frame_array(ft, census, spread)
     certified = fr.verify_frame_array(lat, arr).passed
@@ -136,18 +124,16 @@ def test_criterion_06_frame_array():
     assert pair_census.orthogonal_pair_count == 3780
     assert set(pair_census.norm4_multiplicities.values()) == {7}
     assert len(pair_census.norm4_multiplicities) == 2160
-    STATE["arr"] = arr
     _report(6, "9 x 15 frame array, rows cover 120, 3780 pairs, 7-fold", elapsed, 10.0)
 
 
-def test_criterion_07_partition_and_recognition():
-    lat, arr = STATE["lat"], STATE["arr"]
+def test_criterion_07_partition_and_recognition(lat, frame_array, spread):
     t0 = time.perf_counter()
-    partition = bl.build_partition(lat, STATE["spread"])
-    for b in partition.blocks:
-        assert bl.certify_scaled_e8(lat, b).passed
+    partition = bl.build_partition(lat, spread)
+    for b, classes in zip(partition.blocks, bl.block_classes(partition)):
+        assert bl.certify_scaled_e8(lat, b, classes).passed
     glue_checked = 0
-    for b, row in zip(partition.blocks, arr.rows):
+    for b, row in zip(partition.blocks, frame_array.rows):
         for f in row:
             assert bl.certify_d8_glue(lat, b, f).passed
             glue_checked += 1
@@ -155,17 +141,10 @@ def test_criterion_07_partition_and_recognition():
     assert glue_checked == 135
     total = sum(len(b.vectors) for b in partition.blocks)
     assert total == 2160
-    STATE["partition"] = partition
-    _report(7, "nine scaled-E8 blocks, D8-plus-glue for all 135 pairs", elapsed, 60.0)
+    _report(7, "nine scaled-E8 blocks, D8-plus-glue for all 135 frames", elapsed, 60.0)
 
 
-def test_criterion_08_round_trip():
-    ft, partition, labels, spread = (
-        STATE["ft"],
-        STATE["partition"],
-        STATE["labels"],
-        STATE["spread"],
-    )
+def test_criterion_08_round_trip(ft, partition, labels, spread):
     t0 = time.perf_counter()
     recovered = bl.spread_from_partition(ft, partition, labels)
     elapsed = time.perf_counter() - t0
@@ -174,13 +153,12 @@ def test_criterion_08_round_trip():
     _report(8, "partition projects back onto the original spread", elapsed, 5.0)
 
 
-def test_criterion_09_group_order_and_block_action():
-    lat, arr, partition = STATE["lat"], STATE["arr"], STATE["partition"]
+def test_criterion_09_group_order_and_block_action(lat, frame_array, partition):
     t0 = time.perf_counter()
-    class_block = bl.block_of_class_table(lat, partition)
-    result = ag.compute_stabilizer(lat, arr, class_block)
+    class_block = bl.block_of_class_table(lat, partition, bl.block_classes(partition))
+    result = ag.compute_stabilizer(lat, frame_array, class_block)
     ag.verify_generators(lat, class_block, result.isometries, result.block_perms)
-    action = ag.block_action(lat, arr.rows[0][0], result, class_block)
+    action = ag.block_action(lat, frame_array.rows[0][0], result, class_block)
     elapsed = time.perf_counter() - t0
     assert action.image_order * action.kernel_order == 362880
     # The faithful chain on 9 blocks + 240 roots confirms the order by brute force.
@@ -188,15 +166,12 @@ def test_criterion_09_group_order_and_block_action():
     assert action.image_order == 181440
     assert action.all_even
     assert action.kernel_order == 2
-    STATE["stab"] = result
-    STATE["class_block"] = class_block
     _report(9, "stabilizer order 362880, image A9, kernel +-identity", elapsed, 600.0)
 
 
-def test_criterion_10_one_block_stabilizer():
-    lat, result, class_block = STATE["lat"], STATE["stab"], STATE["class_block"]
+def test_criterion_10_one_block_stabilizer(stab_result, class_block):
     t0 = time.perf_counter()
-    report = ag.one_block_stabilizer_analysis(result, class_block, 362880)
+    report = ag.one_block_stabilizer_analysis(stab_result, class_block, 362880)
     elapsed = time.perf_counter() - t0
     assert report.other_blocks_image_order == 20160
     assert report.other_blocks_transitive

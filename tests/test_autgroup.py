@@ -28,7 +28,7 @@ from e8nine.autgroup import (
     shell4_perm,
     verify_generators,
 )
-from e8nine.blocks import Norm4Partition, block_of_class_table
+from e8nine.blocks import Norm4Partition
 from e8nine.certs import CheckFailure
 from e8nine.frames import Frame, FrameArray, frame_reps, root_pair_gram_row
 from e8nine.gf2 import F2Subspace, SpaceClass, lift_bits, nonzero_elements, reduce_mod2, rref
@@ -44,6 +44,7 @@ from e8nine.intmat import (
 from e8nine.lattice import Lattice, enumerate_shell, inner, root_pairs
 from e8nine.permgroup import identity_perm, is_identity, mult, schreier_sims
 from e8nine.spreadsearch import point_space_table
+from test_blocks import _class_table
 from test_frames import _U_THREE_TARGETS, _congruent_basis
 
 
@@ -185,7 +186,7 @@ def _reference_block_check(lat, result, partition):
 def _block_action_of_partition(lat, frame, result, partition):
     """The generator checks and block_action on the class table certified
     from the partition, as the group stage runs them."""
-    class_block = block_of_class_table(lat, partition)
+    class_block = _class_table(lat, partition)
     verify_generators(lat, class_block, result.isometries, result.block_perms)
     return block_action(lat, frame, result, class_block)
 
@@ -325,7 +326,7 @@ def test_one_block_stabilizer(lat, stab_result, class_block, oracle_chain):
         (SpaceClass.CLASS_A, mat_mul(mat_mul(u, lat.gram), transpose(u))),
     ):
         state = cli.run_pipeline(class_label, gram_override=gram)
-        other_block = block_of_class_table(state.lat, state.partition)
+        other_block = _class_table(state.lat, state.partition)
         assert other_block != class_block
         chain = oracle.faithful_chain(state.lat, state.stab.isometries, state.stab.block_perms)
         other = one_block_stabilizer_analysis(state.stab, other_block, STABILIZER_ORDER)
@@ -396,7 +397,7 @@ def test_group_stage_builds_only_the_rows_of_the_frames_it_searches(
             F2Subspace(rows=rref(list(map(carried_class, sp.rows)))) for sp in spread.spaces
         )
     )
-    assert point_space_table(carried_spread) == block_of_class_table(other, carried)
+    assert point_space_table(carried_spread) == _class_table(other, carried)
     targets = []
     search = ag.isometries_between_frames
 
@@ -543,14 +544,14 @@ def test_membership_of_generator_products(lat, stab_result, oracle_chain):
 
 def test_frame_search_finds_identity_first(lat, frame_array, partition):
     f0 = frame_array.rows[0][0]
-    source = search_source(lat, f0, block_of_class_table(lat, partition))
+    source = search_source(lat, f0, _class_table(lat, partition))
     found = isometries_between_frames(lat, source, f0, cap=1)
     assert found[0][0] == identity_matrix(8)
     assert found[0][1] == tuple(range(9))
 
 
 def test_frame_search_is_deterministic(lat, frame_array, partition):
-    source = search_source(lat, frame_array.rows[0][0], block_of_class_table(lat, partition))
+    source = search_source(lat, frame_array.rows[0][0], _class_table(lat, partition))
     tgt = frame_array.rows[2][5]
     first = isometries_between_frames(lat, source, tgt, cap=8)
     second = isometries_between_frames(lat, source, tgt, cap=8)
@@ -724,7 +725,7 @@ def test_selection_matches_the_faithful_chain_oracle(lat, class_label, basis):
     # kernel {+-1} on each input.
     gram = None if basis is None else mat_mul(mat_mul(basis, lat.gram), transpose(basis))
     state = cli.run_pipeline(class_label, gram_override=gram)
-    class_block = block_of_class_table(state.lat, state.partition)
+    class_block = _class_table(state.lat, state.partition)
     selected = oracle.select_generators(state.lat, state.arr, class_block)
     assert selected == (list(state.stab.isometries), list(state.stab.block_perms))
     chain = oracle.faithful_chain(state.lat, *selected)
@@ -892,7 +893,7 @@ def test_frame_search_matches_vector_arithmetic_reference(
 ):
     spread_index = {s: i for i, s in enumerate(spread.spaces)}
     f0 = frame_array.rows[0][0]
-    source = search_source(lat, f0, block_of_class_table(lat, partition))
+    source = search_source(lat, f0, _class_table(lat, partition))
     src = frame_reps(lat, f0)
     for j, k in ((0, 0), (1, 0), (2, 5)):
         tgt = frame_array.rows[j][k]

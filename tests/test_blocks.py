@@ -11,10 +11,10 @@ from e8nine.autgroup import matrix_mod2_rows
 from e8nine.blocks import (
     Norm4Block,
     Norm4Partition,
+    block_classes,
     block_of_class_table,
     certify_d8_glue,
     certify_scaled_e8,
-    recover_frame,
     spread_from_partition,
     verify_partition,
 )
@@ -87,56 +87,37 @@ def test_block_vector_arises_from_seven_frames(lat, frame_array, partition):
     assert set(membership.values()) == {7}
 
 
+EVEN = "inner products even: classes pairwise orthogonal"
+
+
+def _class_table(lat, p):
+    """block_of_class_table on the partition's classes, as verify_partition reads them."""
+    return block_of_class_table(lat, p, block_classes(p))
+
+
+def _scaled_e8(lat, block):
+    """certify_scaled_e8 on the block's classes, as verify_partition reads them."""
+    return certify_scaled_e8(lat, block, block_classes(Norm4Partition(blocks=(block,)))[0])
+
+
 def test_certify_scaled_e8_all_blocks(lat, partition):
-    # The four vector checks, the recovered frame, then the D8-plus-glue
-    # checks over that frame.
-    for b in partition.blocks:
-        cert = certify_scaled_e8(lat, b)
+    # The three vector checks, then the products mod 2 on the 6 pairs of
+    # rows of the rref basis of the block's 15 classes.
+    for b, classes in zip(partition.blocks, block_classes(partition)):
+        assert len(classes) == 15 and len(rref(classes)) == 4
+        cert = certify_scaled_e8(lat, b, classes)
         assert cert.passed
-        checks = [(c.description, c.actual) for c in cert.checks]
-        assert checks[4:6] == [
-            ("first vector is s_a r_a + s_b r_b", True),
-            ("recovered frame size", 8),
+        assert [(c.description, c.expected, c.actual) for c in cert.checks] == [
+            ("vector count", 240, 240),
+            ("distinct vectors", 240, 240),
+            ("all norms are 4", [], []),
+            (EVEN, [], []),
         ]
-        assert checks[6:] == [
-            (c.description, c.actual)
-            for c in certify_d8_glue(lat, b, recover_frame(lat, b)).checks
-        ]
-        assert dict(checks)["remaining vector count"] == 128
 
 
-def test_recovered_frame_is_the_row_frame_of_the_first_pair(lat, partition, frame_array):
-    # a is the least pair with r_a in a decomposition s_a r_a + s_b r_b of
-    # the first vector v, that is with v . r_a = +-2. A parsed block keeps
-    # its file order, so any of its vectors can come first; sorted blocks
-    # start with a vector whose least and largest such pairs share a frame.
-    reps = [p.rep for p in root_pairs(lat)]
-    for b, row in zip(partition.blocks, frame_array.rows):
-        for k in range(0, 240, 16):
-            v = b.vectors[k]
-            a = min(i for i, r in enumerate(reps) if abs(inner(lat, v, r)) == 2)
-            want = next(f for f in row if a in f.roots)
-            moved = (v,) + b.vectors[:k] + b.vectors[k + 1 :]
-            frame = recover_frame(lat, b._replace(vectors=moved))
-            assert frame.roots == want.roots
-            assert frame.source == (b.row_index, -1)
-
-
-def test_certify_scaled_e8_names_a_vector_without_decomposition(lat, partition, monkeypatch):
-    b0 = partition.blocks[0]
-    # A first vector off the norm-4 shell has no decomposition.
-    doubled = b0._replace(vectors=(tuple(2 * x for x in b0.vectors[0]),) + b0.vectors[1:])
-    assert recover_frame(lat, doubled) is None
-    # No pair with v . r_a = +-2 for the first vector v. blocks binds
-    # frames.root_pair_products by name.
-    monkeypatch.setattr(bl, "root_pair_products", lambda gram, v: (0,) * 120)
-    assert recover_frame(lat, b0) is None
-    with pytest.raises(CheckFailure) as exc:
-        certify_scaled_e8(lat, b0)
-    assert exc.value.check.description == "first vector is s_a r_a + s_b r_b"
-
-
-def test_build_partition_rejects_pair_swapped_between_rows(lat, frame_array, spread, partition):
+def test_build_partition_rejects_pair_swapped_between_rows(
+    lat, frame_array, spread, partition, class_block
+):
     # The partition comes from the spread, so the array is rejected by its
     # own checker, and the two frames that traded a pair are the ones whose
     # combinations leave their row's block.
@@ -152,7 +133,7 @@ def test_build_partition_rejects_pair_swapped_between_rows(lat, frame_array, spr
     assert exc.value.stage == "frame-array"
     assert exc.value.check.description == "row 0 covers each pair once"
     assert bl.build_partition(lat, spread) == partition
-    assert bl.frames_outside_blocks(lat, bad, block_of_class_table(lat, partition)) == [(0, 0), (1, 0)]
+    assert bl.frames_outside_blocks(lat, bad, class_block) == [(0, 0), (1, 0)]
 
 
 def test_build_partition_rejects_a_row_met_twice(lat, partition):
@@ -214,18 +195,19 @@ OTHER_COSET = "one glue coset: each glue vector extends D8 to E8"
 
 
 def test_certify_scaled_e8_rejects_cross_block_pair_swap(lat, partition):
-    # Block 1's first vector s_a r_a + s_b r_b becomes the block's first
-    # vector. Its pair a keeps the seven partners of its row-0 frame (those
-    # combinations are still in the block) and gains b, since r_a + r_b is
-    # the swapped-in vector or its negative.
+    # Block 1's first pair {v, -v} in place of block 0's: the block keeps
+    # 240 distinct norm-4 vectors and is closed under negation, but v's class
+    # 3 joins block 0's 15, and their rref basis has five rows, four pairs of
+    # which have an odd product.
     b0, b1 = partition.blocks[0], partition.blocks[1]
     broken = _swap_pair(b0, b0.vectors[0], b1.vectors[0])
     assert broken.vectors[0] == b1.vectors[0]
     with pytest.raises(CheckFailure) as exc:
-        certify_scaled_e8(lat, broken)
-    assert exc.value.stage == "scaled-e8 block 0"
-    assert exc.value.check.description == "recovered frame size"
-    assert exc.value.check.actual == 9
+        _scaled_e8(lat, broken)
+    assert str(exc.value) == (
+        "scaled-e8 block 0: " + EVEN
+        + " (expected [], got [(65, 228), (65, 40), (228, 80), (40, 80)])"
+    )
 
 
 def _reference_certify_scaled_e8(lat, block):
@@ -262,17 +244,28 @@ def _scaled_e8_outcome(certify, lat, block):
 
 
 def test_certify_scaled_e8_matches_reference(lat, partition):
-    for b in partition.blocks:
+    state_b = cli.run_pipeline(gf2.SpaceClass.CLASS_B, upto="partition")
+    for b in partition.blocks + state_b.partition.blocks:
         assert _scaled_e8_outcome(_reference_certify_scaled_e8, lat, b) == ("passed",)
-        assert _scaled_e8_outcome(certify_scaled_e8, lat, b) == ("passed",)
-    # Each of block 1's 120 pairs swapped in for block 0's first pair: both
-    # raise, each at a check of its own argument.
+        assert _scaled_e8_outcome(_scaled_e8, lat, b) == ("passed",)
     b0, b1 = partition.blocks[0], partition.blocks[1]
+    # Each of block 1's 120 pairs swapped in for block 0's first pair; 60
+    # pairs of each block; block 0 with block 1's first vector in place of its
+    # own; and the 120 vectors v > -v of each block, 240 distinct norm-4
+    # vectors not closed under negation. Each raises under both, each at a
+    # check of its own argument.
     swaps = [_swap_pair(b0, b0.vectors[0], into) for into in b1.vectors if into > neg(into)]
     assert len(swaps) == 120
+    halves = [[v for v in b.vectors if v > neg(v)] for b in (b0, b1)]
+    mixed = [u for v in halves[0][:60] + halves[1][:60] for u in (v, neg(v))]
+    first_moved = (b1.vectors[0],) + b0.vectors[1:]
+    for vectors in (mixed, first_moved, halves[0] + halves[1]):
+        assert len(set(vectors)) == 240 and norm4_set(lat).issuperset(vectors)
+        swaps.append(b0._replace(vectors=tuple(vectors)))
     for block in swaps:
         assert _scaled_e8_outcome(_reference_certify_scaled_e8, lat, block)[0] == "raised"
-        assert _scaled_e8_outcome(certify_scaled_e8, lat, block)[0] == "raised"
+        got = _scaled_e8_outcome(_scaled_e8, lat, block)
+        assert got[:2] == ("raised", "scaled-e8 block 0") and got[2].description == EVEN
     # A dropped pair and a planted norm-6 pair fail the same shared check.
     root = enumerate_shell(lat, 2)[0]
     w = next(v for v in b0.vectors if inner(lat, root, v) == 0)
@@ -284,7 +277,20 @@ def test_certify_scaled_e8_matches_reference(lat, partition):
     ):
         want = _scaled_e8_outcome(_reference_certify_scaled_e8, lat, block)
         assert want[0] == "raised" and want[2].description == name
-        assert _scaled_e8_outcome(certify_scaled_e8, lat, block) == want
+        assert _scaled_e8_outcome(_scaled_e8, lat, block) == want
+
+
+@pytest.mark.parametrize("class_label", [gf2.SpaceClass.CLASS_A, gf2.SpaceClass.CLASS_B])
+def test_glue_presentation_holds_over_every_frame(lat, class_label):
+    # The oracle for the index-2 argument, which certify and verify use in
+    # place of any glue certificate: on the standard Gram and on congruent
+    # ones, every frame of row j presents block j as D8 plus one glue coset.
+    for gram in _kernel_grams(lat):
+        state = cli.run_pipeline(class_label, gram_override=gram, upto="partition")
+        pairs = [(b, f) for b, row in zip(state.partition.blocks, state.arr.rows) for f in row]
+        assert len(pairs) == 135
+        for b, f in pairs:
+            assert certify_d8_glue(state.lat, b, f).passed
 
 
 def test_certify_d8_glue_rejects_cross_block_pair_swaps(lat, partition, frame_array):
@@ -445,7 +451,7 @@ def test_certify_d8_glue_rejects_d8_vector_among_glue(lat, partition, frame_arra
 
 
 def test_frames_outside_blocks_is_empty_on_the_real_array(lat, frame_array, partition, spread):
-    assert bl.frames_outside_blocks(lat, frame_array, block_of_class_table(lat, partition)) == []
+    assert bl.frames_outside_blocks(lat, frame_array, _class_table(lat, partition)) == []
     # Against the spread's table as well, and a row is read as a set.
     reversed_row = frame_array._replace(rows=(frame_array.rows[0][::-1],) + frame_array.rows[1:])
     assert bl.frames_outside_blocks(lat, reversed_row, point_space_table(spread)) == []
@@ -465,14 +471,11 @@ def test_an_off_shell_alias_partition_is_rejected_by_name(lat, frame_array, part
     vectors = tuple(alias if u == v else u for u in b0.vectors)
     broken = partition._replace(blocks=(b0._replace(vectors=vectors),) + partition.blocks[1:])
     with pytest.raises(CheckFailure) as exc:
-        block_of_class_table(lat, broken)
+        _class_table(lat, broken)
     assert str(exc.value) == "norm4-partition: mod-2 classes of the blocks (expected 135, got 136)"
     with pytest.raises(CheckFailure) as exc:
         verify_partition(lat, broken)
-    assert (exc.value.stage, exc.value.check.description) == (
-        "scaled-e8 block 0",
-        "closed under negation",
-    )
+    assert str(exc.value) == "scaled-e8 block 0: all norms are 4 (expected [], got [%r])" % (alias,)
 
 
 def _outside_by_vectors(lat, arr, p):
@@ -512,7 +515,7 @@ def test_frames_outside_blocks_equals_the_vector_reference(lat, frame_array, par
     arrays.append(frame_array._replace(rows=frame_array.rows[:4] + state_b.arr.rows[4:]))
     counts = []
     for p in partitions:
-        table = block_of_class_table(lat, p)
+        table = _class_table(lat, p)
         for arr in arrays:
             want = _outside_by_vectors(lat, arr, p)
             assert bl.frames_outside_blocks(lat, arr, table) == want
@@ -613,7 +616,7 @@ def test_verify_partition(lat, partition, spread):
     # spread, the spread's own.
     cert, table = verify_partition(lat, partition)
     assert cert.passed
-    assert table == block_of_class_table(lat, partition) == point_space_table(spread)
+    assert table == _class_table(lat, partition) == point_space_table(spread)
 
 
 def test_planted_norm6_vector_fails_both_norm_checks(lat, partition):
@@ -625,7 +628,7 @@ def test_planted_norm6_vector_fails_both_norm_checks(lat, partition):
     assert inner(lat, six, six) == 6
     planted = _swap_pair(b0, b0.vectors[0], six)
     with pytest.raises(CheckFailure) as exc:
-        certify_scaled_e8(lat, planted)
+        _scaled_e8(lat, planted)
     assert exc.value.check.description == "all norms are 4"
     assert exc.value.check.actual == sorted([six, neg(six)])
     broken = partition._replace(blocks=(planted,) + partition.blocks[1:])
@@ -637,7 +640,7 @@ def test_planted_norm6_vector_fails_both_norm_checks(lat, partition):
 
 
 def test_block_of_class_table_agrees_with_every_vector(lat, partition, block_of_vector):
-    table = block_of_class_table(lat, partition)
+    table = _class_table(lat, partition)
     assert len(table) == 135
     assert all(table[reduce_mod2(v)] == b for v, b in block_of_vector.items())
 
@@ -653,7 +656,7 @@ def test_block_of_class_table_names_class_met_in_two_blocks(lat, partition):
     split = {reduce_mod2(out), reduce_mod2(into)}
     first = next(reduce_mod2(v) for v in new1.vectors if reduce_mod2(v) in split)
     with pytest.raises(CheckFailure) as exc:
-        block_of_class_table(lat, broken)
+        _class_table(lat, broken)
     assert exc.value.stage == "norm4-partition"
     assert exc.value.check.description == "mod-2 class %d in one block" % first
     assert (exc.value.check.expected, exc.value.check.actual) == (0, 1)
@@ -666,7 +669,7 @@ def test_partition_checker_rejects_split_class(lat, partition):
     swapped = tuple(sorted(b0.vectors[1:] + (b1.vectors[0],)))
     broken = partition._replace(blocks=(b0._replace(vectors=swapped),) + partition.blocks[1:])
     with pytest.raises(CheckFailure) as exc:
-        block_of_class_table(lat, broken)
+        _class_table(lat, broken)
     assert str(exc.value) == "norm4-partition: mod-2 class 3 in one block (expected 0, got 1)"
 
 
@@ -687,7 +690,7 @@ def test_split_class_is_named_at_its_first_vector_in_file_order(lat, partition):
     in_order = tuple(b._replace(vectors=tuple(sorted(b.vectors))) for b in rotated)
     for blocks, cls in ((rotated, 158), (in_order, 123)):
         with pytest.raises(CheckFailure) as exc:
-            block_of_class_table(lat, partition._replace(blocks=blocks + partition.blocks[2:]))
+            _class_table(lat, partition._replace(blocks=blocks + partition.blocks[2:]))
         assert str(exc.value) == (
             "norm4-partition: mod-2 class %d in one block (expected 0, got 1)" % cls
         )
@@ -699,14 +702,14 @@ def test_point_space_table_is_the_block_of_class_table(lat, class_label):
     # it to be the blocks' on the standard Gram and on congruent ones.
     for gram in _kernel_grams(lat):
         state = cli.run_pipeline(class_label, gram_override=gram, upto="partition")
-        table = block_of_class_table(state.lat, state.partition)
+        table = _class_table(state.lat, state.partition)
         assert point_space_table(state.spread) == table
         assert len(table) == 135
 
 
 def test_block_of_class_table_counts_classes(lat, partition):
     with pytest.raises(CheckFailure) as exc:
-        block_of_class_table(lat, partition._replace(blocks=partition.blocks[:8]))
+        _class_table(lat, partition._replace(blocks=partition.blocks[:8]))
     assert exc.value.check.description == "mod-2 classes of the blocks"
     assert exc.value.check.actual == 120
 
@@ -726,7 +729,7 @@ def test_block_of_class_table_requires_each_norm4_vector_once(lat, partition):
     ):
         broken = partition._replace(blocks=(b0._replace(vectors=vectors),) + partition.blocks[1:])
         with pytest.raises(CheckFailure) as exc:
-            block_of_class_table(lat, broken)
+            _class_table(lat, broken)
         assert exc.value.check.description == (
             "vectors held by the blocks, distinct norm-4 among them"
         )

@@ -604,14 +604,15 @@ def test_certify_and_verify_prove_the_class_table_once_and_reduce_each_vector_on
     # The partition's checker proves the class table once per run, and the
     # checks after it read that table. certify reduces the 120 root-pair reps,
     # the 240 roots and 2160 norm-4 vectors of the mod-2 census, and the 2160
-    # vectors once each to build the partition and to prove its table; its
-    # round trip reads the table, not the vectors. verify of the four class-A
+    # vectors once each to build the partition and to prove its blocks and
+    # table (`blocks.block_classes`, shared by both); its round trip reads
+    # the table, not the vectors. verify of the four class-A
     # files reduces the 120 reps and the 2160 partition vectors once each,
     # and reads the group checker's frame, not the search's source tables.
     tables, reduced, roundtrips, sources = [], [], [], []
     table, reduce = bl.block_of_class_table, gf2.reduce_mod2
     roundtrip, source = bl.spread_from_partition, ag.search_source
-    monkeypatch.setattr(bl, "block_of_class_table", lambda lat, p: tables.append(p) or table(lat, p))
+    monkeypatch.setattr(bl, "block_of_class_table", lambda *a: tables.append(a[1]) or table(*a))
     for module in (gf2, bl):  # every module that binds reduce_mod2
         monkeypatch.setattr(module, "reduce_mod2", lambda v: reduced.append(v) or reduce(v))
     monkeypatch.setattr(bl, "spread_from_partition", lambda *a: roundtrips.append(a) or roundtrip(*a))
@@ -635,6 +636,22 @@ def test_certify_and_verify_prove_the_class_table_once_and_reduce_each_vector_on
     assert len(tables) == 1
     assert len(reduced) == 120 + 2160
     assert sources == []
+
+
+def test_certify_and_verify_make_no_glue_certificate(tmp_path, capsys, monkeypatch):
+    # Each block is a half-scale E8 by its root count, and the presentation
+    # over each frame follows by index 2: neither command runs
+    # certify_d8_glue, which the acceptance criteria run as the oracle.
+    calls, glue = [], bl.certify_d8_glue
+    monkeypatch.setattr(bl, "certify_d8_glue", lambda *a: calls.append(a) or glue(*a))
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--out", str(out)]) == 0
+    assert calls == []
+    files = [str(out / n) for n in ("spread.txt", "frames.txt", "partition.txt", "generators.txt")]
+    capsys.readouterr()
+    assert cli.main(["verify"] + files) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9
+    assert calls == []
 
 
 def test_verify_with_nothing_to_check_is_a_parse_error(pipeline_state, tmp_path, capsys):
@@ -981,16 +998,19 @@ def test_stage_failure_writes_marker(tmp_path, monkeypatch, capsys):
 
 
 def test_sub_certificate_failure_marker_names_pipeline_stage(tmp_path, monkeypatch, capsys):
-    def failing_scaled_e8(lat, block):
+    def failing_scaled_e8(lat, block, classes):
         cb = CertBuilder("scaled-e8 block %d" % block.row_index)
-        cb.check("recovered frame size", 8, 9)
+        cb.check("inner products even: classes pairwise orthogonal", [], [(1, 2)])
 
     monkeypatch.setattr(bl, "certify_scaled_e8", failing_scaled_e8)
     out = str(tmp_path / "failed")
     assert cli.main(["partition", "--out", out]) == 1
     first, second = open(os.path.join(out, "FAILED")).read().splitlines()
     assert first == "failed at stage: partition"
-    assert second == "scaled-e8 block 0: recovered frame size (expected 8, got 9)"
+    assert second == (
+        "scaled-e8 block 0: inner products even: classes pairwise orthogonal"
+        " (expected [], got [(1, 2)])"
+    )
     # Only certified stages leave artifacts: the partition was built before
     # its certificate failed, so partition.txt must not be written.
     assert os.path.exists(os.path.join(out, "frames.txt"))
