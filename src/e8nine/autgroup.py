@@ -26,9 +26,10 @@ block of each class. A probe looks up the target root's class by support
 and sign mask in `_support_rows`, the one table per frame (the source's is
 built the same way, and reused when the source is the target), then the
 class's block. That table reads cs = T[a] at the frame's ids for the rep of
-pair a, as the glue certificates read the root-pair Gram T: column a of the
-frame's eight rows (`frames.root_pair_gram_row`), and no matrix product is
-formed.
+pair a, as `blocks.certify_d8_glue` (the tests' oracle) reads the root-pair
+Gram T: column a of the frame's eight rows (`frames.root_pair_gram_row`),
+and no matrix product is formed. It builds the row of an ordering of a
+support only when the search first reads it.
 
 Generators are chosen by a 9-point chain of block permutations that takes
 each map as the search finds it; the search stops at the map that completes
@@ -140,37 +141,48 @@ def shell4_perm(lat: Lattice, m: Mat, shell4_index: dict[Vec, int]) -> Perm:
 
 
 @lru_cache(maxsize=None)
-def _orderings() -> tuple[tuple[itemgetter, itemgetter], ...]:
-    """Per ordering of a support's four slots, the getters that reorder the
-    slots and re-read the 16 sign masks in the new slot order; built on first
-    use, once per process."""
-    return tuple(
-        (
-            itemgetter(*perm),
-            itemgetter(*(sum((m >> j & 1) << perm[j] for j in range(4)) for m in range(16))),
-        )
+def _orderings() -> dict[tuple[int, ...], itemgetter]:
+    """Per ordering of a support's four slots (slot j of the ordering is
+    slot perm[j] of the sorted support), the getter that re-reads the 16
+    sign masks in the new slot order; built on first use, once per process."""
+    return {
+        perm: itemgetter(*(sum((m >> j & 1) << perm[j] for j in range(4)) for m in range(16)))
         for perm in permutations(range(4))
-    )
+    }
 
 
 # The sign mask of a root's four nonzero doubled coordinates: bit j set for -1.
 SIGN_MASK = {d: sum(1 << j for j, x in enumerate(d) if x < 0) for d in product((1, -1), repeat=4)}
 
 
-def _support_rows(lat: Lattice, frame: Frame) -> dict[tuple[int, ...], tuple[int, ...]]:
+class SupportRows(dict):
+    """A frame's `_support_rows`: the row of an ordering is built on first read."""
+
+    def __init__(self, by_support: dict[tuple[int, ...], list[int]]):
+        super().__init__()
+        self.by_support = by_support
+        self.ordered = {key for slots in by_support for key in permutations(slots)}
+
+    def __missing__(self, key: tuple[int, ...]) -> tuple[int, ...]:
+        slots = tuple(sorted(key))
+        row = self[key] = _orderings()[tuple(map(slots.index, key))](self.by_support[slots])
+        return row
+
+
+def _support_rows(lat: Lattice, frame: Frame) -> SupportRows:
     """Root classes by ordered support and sign mask: the one table per frame.
 
     rows[(q0, q1, q2, q3)][m] is the class of the root supported on
     {q0, .., q3} whose doubled coordinate at q_j is -1 exactly when bit j of
-    m is set. Every ordering of each supported 4-subset is a key, so key
-    membership is also the support test; the keys and rows are read by the
-    24 getter pairs of `_orderings`. One pass over the 120 root pairs: the
-    rep rho of pair a has cs = T[a] at the frame's ids, read as column a of
-    the frame's own rows T[i] (`frames.root_pair_gram_row`; T is symmetric),
-    and -rho has the complementary sign mask and the same class, read off
-    `gf2.root_pair_classes`. Every root outside the frame has four entries
-    +-1 and four 0, so it is (sum of 4 signed members)/2; the 14 possible
-    supports each carry all 16 masks.
+    m is set. rows.by_support holds the row of each supported 4-subset in
+    sorted slot order, and rows.ordered every ordering of each, so membership
+    there is the support test; `_orderings` reorders a row. One pass over the
+    120 root pairs: the rep rho of pair a has cs = T[a] at the frame's ids,
+    read as column a of the frame's own rows T[i] (`frames.root_pair_gram_row`;
+    T is symmetric), and -rho has the complementary sign mask and the same
+    class, read off `gf2.root_pair_classes`. Every root outside the frame has
+    four entries +-1 and four 0, so it is (sum of 4 signed members)/2; the 14
+    possible supports each carry all 16 masks.
     """
     columns = list(zip(*(root_pair_gram_row(lat.gram, i) for i in frame.roots)))
     classes = root_pair_classes(lat)
@@ -189,11 +201,7 @@ def _support_rows(lat: Lattice, frame: Frame) -> dict[tuple[int, ...], tuple[int
         by_mask[m] = by_mask[m ^ 15] = classes[a]
     if len(by_support) != 14 or any(-1 in v for v in by_support.values()):
         raise AssertionError("frame support structure is not 14 x 16")
-    return {
-        slot_order(slots): mask_order(by_mask)
-        for slots, by_mask in by_support.items()
-        for slot_order, mask_order in _orderings()
-    }
+    return SupportRows(by_support)
 
 
 def _greedy_slot_order(supports) -> list[int]:
@@ -223,7 +231,10 @@ class SearchSource(NamedTuple):
     the block of w = r_k + rho for the root rho on those slots with sign
     mask m, read as class_block[cls(r_k) ^ cls(rho)], with cls from the
     frame's `_support_rows`, the one table per frame that targets build too.
-    The source's own table is kept for a search that targets the source.
+    Only masks m < 8 are kept: -rho has mask m ^ 15 and the same class, and
+    slot maps send complementary masks to complementary masks, so its probe
+    repeats rho's. The source's own table is kept for a search that targets
+    the source.
     """
 
     r_adj: Mat  # adjugate of the slot-ordered representatives
@@ -233,14 +244,14 @@ class SearchSource(NamedTuple):
     class_block: dict[int, int]
     seed_block: int  # block of reps[0] + reps[1]
     roots: tuple[int, ...]  # the source frame's root-pair ids
-    rows: dict[tuple[int, ...], tuple[int, ...]]  # the source frame's `_support_rows`
+    rows: SupportRows  # the source frame's `_support_rows`
 
 
 def search_source(lat: Lattice, frame: Frame, class_block: dict[int, int]) -> SearchSource:
     """Slot order, supported subsets and probe templates of a source frame."""
     src_reps = frame_reps(lat, frame)
     rows = _support_rows(lat, frame)
-    subsets = dict.fromkeys(map(frozenset, rows))
+    subsets = dict.fromkeys(map(frozenset, rows.by_support))
     order = _greedy_slot_order(subsets)
     pos_of = {slot: p for p, slot in enumerate(order)}
     classes = root_pair_classes(lat)
@@ -255,7 +266,7 @@ def search_source(lat: Lattice, frame: Frame, class_block: dict[int, int]) -> Se
         for k in range(8):
             if k in positions:
                 continue
-            blocks = tuple(class_block[slot_class[k] ^ c] for c in by_mask)
+            blocks = tuple(class_block[slot_class[k] ^ c] for c in by_mask[:8])
             probes[max(positions[-1], k)].append((k, positions, blocks))
 
     # Every source block is matched by the seed or by a probe, so the block
@@ -302,6 +313,7 @@ def isometries_between_frames(
     """
     tgt_reps = frame_reps(lat, frame)
     rows = source.rows if frame.roots == source.roots else _support_rows(lat, frame)
+    ordered = rows.ordered
     classes = root_pair_classes(lat)
     tgt_class = [classes[q] for q in frame.roots]
     class_block = source.class_block
@@ -337,7 +349,7 @@ def isometries_between_frames(
                 continue
             pi[t] = q
             # The support test reads only pi, so it runs once for both signs.
-            if not all((pi[a], pi[b], pi[c], pi[d]) in rows for a, b, c, d in new_subsets[t]):
+            if not all((pi[a], pi[b], pi[c], pi[d]) in ordered for a, b, c, d in new_subsets[t]):
                 continue
             used[q] = True
             for n in (0, 1):
@@ -402,15 +414,15 @@ def compute_stabilizer(
     far exactly when its block permutation lies in that group's image: a
     faithful chain would keep the same maps. The chain takes each map as the
     search finds it, up to MAPS_PER_TARGET from each target in turn, and the
-    search stops at the map that completes A9 (Seress, Permutation Group
-    Algorithms, CUP 2003, ch. 4: sifting stops at the known order). A pass
-    that ends below A9 returns the partial list, which the "group order"
-    check rejects. `class_block` is the verified spread's
+    chain and the search stop at the map that completes A9 (Seress,
+    Permutation Group Algorithms, CUP 2003, ch. 4: sifting stops at the
+    known order). A pass that ends below A9 returns the partial list, which
+    the "group order" check rejects. `class_block` is the verified spread's
     `spreadsearch.point_space_table`, the block of each class by
     `blocks.block_of_class_table`.
     """
     source = search_source(lat, arr.rows[0][0], class_block)
-    image = StabChain(degree=9)
+    image = StabChain(degree=9, bound=BLOCK_IMAGE_ORDER)
     isometries: list[Mat] = [NEGATION]
     block_perms: list[Perm] = [identity_perm(9)]
 
@@ -448,9 +460,10 @@ def block_endomorphism_dimension(class_block: dict[int, int]) -> int:
             for f in range(8)
             if not pivots >> f & 1
         ]
-        equations += [
-            sum(w << 8 * i for i in range(8) if v >> i & 1) for v in rows for w in annihilator
-        ]
+        for v in rows:
+            # v's bits, one per byte: w < 256, so w * lanes carries into no lane.
+            lanes = sum(1 << 8 * i for i in range(8) if v >> i & 1)
+            equations += [w * lanes for w in annihilator]
     return 64 - rank(equations)
 
 
@@ -496,8 +509,9 @@ def block_action(
     columns = zip(*(root_pair_gram_row(lat.gram, i) for i in frame.roots))
     joined = {pair for cs in columns for pair in combinations(compress(range(8), cs), 2)}
     cb.check("source frame slot pairs sharing a root support", 28, len(joined))
-    image_order, _ = schreier_sims(list(result.block_perms))
     all_even = all(perm_parity(p) == 0 for p in result.block_perms)
+    bound = BLOCK_IMAGE_ORDER if all_even else None  # even images lie in A9
+    image_order, _ = schreier_sims(list(result.block_perms), bound)
     return BlockAction(image_order=image_order, kernel_order=2, all_even=all_even)
 
 
@@ -508,14 +522,16 @@ def verify_group(
 
     class_block is the table those checks read. The values come from:
 
-    - image order, all even: a 9-point Schreier-Sims in `block_action`;
+    - image order, all even: a 9-point Schreier-Sims in `block_action`, stopped
+      at the proved bound |A9| when every image is even;
     - kernel order 2: `block_action`'s argument (GF(2) endomorphisms of the
       block spaces, -1 as generator 0, the root supports over the frame);
     - group order: image order times kernel order;
     - block-0 stabilizer order: group order / 9, block 0's orbit length;
     - orders and transitivity on the other eight blocks and on the 15 points,
       and both kernel orders: Schreier generators of the block-0 stabilizer on
-      9 blocks and block 0's 15 points mod 2 (`one_block_stabilizer_analysis`);
+      9 blocks and block 0's 15 points mod 2 (`one_block_stabilizer_analysis`),
+      both stopped at the proved bound |G_0| / 2 when -1 is generator 0;
     - kernels contain negation: -1 is generator 0, fixes block 0 and is the
       identity mod 2.
     """
@@ -569,7 +585,8 @@ def one_block_stabilizer_analysis(
     generate the image of G_0 (Seress, Permutation Group Algorithms, CUP
     2003, ch. 4), formed directly on the other eight blocks and on block 0's
     15 points. Both images must have order 20160 and be transitive, with
-    kernels of order 2.
+    kernels of order 2. When -1 is generator 0 it lies in both kernels (it
+    fixes every block and is I mod 2), so both chains stop at |G_0| / 2.
     """
     block0 = sorted(c for c, b in class_block.items() if b == 0)
     nibbles = [_nibble_images(matrix_mod2_rows(m)) for m in result.isometries]
@@ -595,14 +612,15 @@ def one_block_stabilizer_analysis(
     # (class A: 16 of 45 remain).
     schreier = [s for s in dict.fromkeys(products) if s != (identity_perm(9), identity_perm(15))]
     stabilizer_order = group_order // len(orbit)
+    bound = stabilizer_order // 2 if tuple(result.isometries[:1]) == (NEGATION,) else None
 
     # Action on the other eight blocks (relabeled 0..7).
     eight_perms = [tuple(s[b] - 1 for b in range(1, 9)) for s, _ in schreier]
-    other_order, _ = schreier_sims(eight_perms)
+    other_order, _ = schreier_sims(eight_perms, bound)
     other_transitive = len(orbit_of(0, eight_perms)) == 8
 
     point_perms = [p for _, p in schreier]
-    points_order, _ = schreier_sims(point_perms)
+    points_order, _ = schreier_sims(point_perms, bound)
     points_transitive = len(orbit_of(0, point_perms)) == 15
 
     return OneBlockReport(

@@ -9,13 +9,14 @@ to eight mutually orthogonal root pairs.
 The module also reads root-pair inner products off one packed dot product
 (`root_pair_products`): v . r_b for all 120 root pairs b at once. The
 root-pair Gram T is that read for each rep, cached row by row
-(`root_pair_gram_row`): the frame search of `autgroup` and the glue
-certificates of `blocks` read a frame's eight rows, and the frame-array
-checker, `frame_codes` and `blocks.frames_outside_blocks` read all 120
-(`root_pair_gram`). A norm-4 vector is named by one integer code, linear
-in the vector (`norm4_codes`), so a frame's 112 vectors +-r_a +-r_b are
-the codes c_a +- c_b of its reps (`frame_codes`). The pair census is their
-one reader: it tallies them as integers and maps each back to the shell.
+(`root_pair_gram_row`): the frame search of `autgroup` reads a frame's
+eight rows, as does the tests' oracle for the D8-plus-glue presentation,
+`blocks.certify_d8_glue`, and the frame-array checker, `frame_codes` and
+`blocks.frames_outside_blocks` read all 120 (`root_pair_gram`). A norm-4
+vector is named by one integer code, linear in the vector (`norm4_codes`),
+so a frame's 112 vectors +-r_a +-r_b are the codes c_a +- c_b of its reps
+(`frame_codes`). The pair census is their one reader: it tallies them as
+integers and maps each back to the shell.
 """
 
 from __future__ import annotations

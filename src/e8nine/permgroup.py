@@ -12,6 +12,15 @@ returns, T_k covers the orbit of k under <S_k> and <S_{k+1}> is the
 stabilizer of k in <S_k>, so |<S_0>| is the product of the orbit lengths.
 Recursion goes down one level per call and skips trivial levels in a loop,
 so its depth is at most the number of base points plus one.
+
+StabChain(n, bound) stops at a proved order bound (Seress, Permutation
+Group Algorithms, CUP 2003, ch. 4). The elements of T_k fix 0..k-1 and send
+k to distinct points, so the products of one element per level are distinct
+group elements: the product of the level sizes bounds the order from below
+even before closure ends. Once it reaches the bound it is the order, and
+the chain stops closing orbits and taking generators. Such a chain answers
+only order(); its levels need not be closed, so sift must not be used on
+it. Without a bound, closure is exact.
 """
 
 from __future__ import annotations
@@ -67,30 +76,17 @@ def check_perm(p: Perm, degree: int) -> None:
 class StabChain:
     """A Sims table on the fixed base 0..degree-1 (see the module docstring)."""
 
-    def __init__(self, degree: int):
+    def __init__(self, degree: int, bound: int | None = None):
         self.degree = degree
+        self._bound = bound  # a proved upper bound on the order, or None
+        self._done = False  # the order has reached the bound
         ident = identity_perm(degree)
         self._gens: list[list[Perm]] = [[] for _ in range(degree)]  # S_k
         # T_k as {point j: (u, u^-1)}, u the element taking k to j
         self._reps: list[dict[int, tuple[Perm, Perm]]] = [{k: (ident,) * 2} for k in range(degree)]
 
-    @property
-    def base(self) -> list[int]:
-        """The points whose orbit is nontrivial, in increasing order."""
-        return [k for k, reps in enumerate(self._reps) if len(reps) > 1]
-
     def order(self) -> int:
-        return math.prod(self.fundamental_orbit_lengths())
-
-    def fundamental_orbit_lengths(self) -> list[int]:
-        return [len(self._reps[k]) for k in self.base]
-
-    def strong_generators(self, from_level: int = 0) -> list[Perm]:
-        """The generators stored at levels >= base[from_level]: they fix
-        base[:from_level] and generate its pointwise stabilizer."""
-        base = self.base
-        start = base[from_level] if from_level < len(base) else self.degree
-        return list(dict.fromkeys(g for gens in self._gens[start:] for g in gens))
+        return math.prod(map(len, self._reps))
 
     def sift(self, p: Perm, level: int = 0) -> Perm:
         """Divide p by T_level, ..., T_{degree-1} in turn; an identity residue
@@ -110,9 +106,9 @@ class StabChain:
         return self._add(0, p)
 
     def _add(self, k: int, g: Perm) -> bool:
-        """Algorithm A: put g in S_k unless it sifts to the identity from k,
-        then close level k by Algorithm B."""
-        if is_identity(self.sift(g, k)):
+        """Algorithm A: put g in S_k unless the chain is done or g sifts to
+        the identity from k, then close level k by Algorithm B."""
+        if self._done or is_identity(self.sift(g, k)):
             return False
         # Algorithm B at a trivial orbit that g fixes passes g itself down.
         while g[k] == k and len(self._reps[k]) == 1:
@@ -129,6 +125,9 @@ class StabChain:
             rep = reps.get(h[k])
             if rep is None:
                 reps[h[k]] = (h, inverse(h))
+                if self._bound is not None and self.order() >= self._bound:
+                    self._done = True
+                    return True
                 todo.extend(mult(h, s) for s in gens)
             else:
                 schreier.append(mult(h, rep[1]))
@@ -139,12 +138,15 @@ class StabChain:
         return True
 
 
-def schreier_sims(gens: list[Perm]) -> tuple[int, StabChain]:
-    """Exact group order plus the stabilizer chain for the given generators."""
+def schreier_sims(gens: list[Perm], bound: int | None = None) -> tuple[int, StabChain]:
+    """Group order plus the stabilizer chain for the given generators; exact
+    unless the chain stops at bound, a proved upper bound on the order."""
     if not gens:
         return 1, StabChain(degree=1)
-    chain = StabChain(degree=len(gens[0]))
+    chain = StabChain(degree=len(gens[0]), bound=bound)
     for g in gens:
+        if chain._done:
+            break
         chain.add_generator(g)
     return chain.order(), chain
 

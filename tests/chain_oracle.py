@@ -9,6 +9,8 @@ by its permutation of the 240 sorted roots (points 9..248). The roots span
 E8, so this action is faithful, and Schreier-Sims on it gives the order, the
 kernel and the block-0 stabilizer directly. Tests compare the pipeline with
 it, as they compare the index-2 argument with the 135 glue certificates.
+The module also reads an exact chain's base, orbit lengths and strong
+generators, which only the tests need.
 """
 
 from __future__ import annotations
@@ -107,6 +109,24 @@ def space_point_perms(lat, points, gens):
     return [tuple(point_index[cls[g[a] - 9] ^ cls[g[b] - 9]] for a, b in lifts) for g in gens]
 
 
+def base(chain):
+    """The points whose orbit is nontrivial, in increasing order."""
+    return [k for k, reps in enumerate(chain._reps) if len(reps) > 1]
+
+
+def fundamental_orbit_lengths(chain):
+    return [len(chain._reps[k]) for k in base(chain)]
+
+
+def strong_generators(chain, from_level=0):
+    """The generators stored at levels >= base[from_level] of an exact chain:
+    they fix base[:from_level] and generate its pointwise stabilizer. A chain
+    stopped at an order bound holds no complete strong generating set."""
+    points = base(chain)
+    start = points[from_level] if from_level < len(points) else chain.degree
+    return list(dict.fromkeys(g for gens in chain._gens[start:] for g in gens))
+
+
 def one_block_report(lat, chain, class_block) -> OneBlockReport:
     """The block-0 stabilizer read off a faithful chain.
 
@@ -114,11 +134,11 @@ def one_block_report(lat, chain, class_block) -> OneBlockReport:
     its stabilizer, whose order is the product of the deeper orbit lengths;
     a chain whose base omits block 0 fixes it throughout.
     """
-    level = 1 if chain.base[:1] == [0] else 0
-    gens = chain.strong_generators(from_level=level)
+    level = 1 if base(chain)[:1] == [0] else 0
+    gens = strong_generators(chain, from_level=level)
     assert all(g[0] == 0 for g in gens)
     order = 1
-    for n in chain.fundamental_orbit_lengths()[level:]:
+    for n in fundamental_orbit_lengths(chain)[level:]:
         order *= n
     eight = [tuple(g[b] - 1 for b in range(1, 9)) for g in gens]
     points = sorted(c for c, b in class_block.items() if b == 0)

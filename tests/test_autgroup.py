@@ -131,11 +131,11 @@ def test_chain_on_shell_perms_confirms_order(lat, stab_result, oracle_chain):
     # {+-1}: -1 fixes every block and lies in the group, and the order is
     # twice the order of the image on the blocks.
     prod = 1
-    for n in oracle_chain.fundamental_orbit_lengths():
+    for n in oracle.fundamental_orbit_lengths(oracle_chain):
         prod *= n
     assert prod == STABILIZER_ORDER
     assert oracle_chain.degree == 249
-    assert oracle_chain.base[0] == 0
+    assert oracle.base(oracle_chain)[0] == 0
     image_order, _ = schreier_sims(list(stab_result.block_perms))
     assert prod == 2 * image_order
     assert is_identity(oracle_chain.sift(oracle.negation_perm(lat)))
@@ -156,6 +156,25 @@ def test_block_action_numbers(lat, frame_array, stab_result, class_block, oracle
     assert action.image_order * action.kernel_order == oracle_chain.order()
     image_order, _ = schreier_sims(list(stab_result.block_perms))
     assert image_order == BLOCK_IMAGE_ORDER
+
+
+def test_block_action_closes_odd_images_exactly(lat, frame_array, stab_result, class_block):
+    # Only even images lie in A9, so only they let the chain stop at 181440.
+    # With a transposition appended (its matrix is never read here, and
+    # verify_generators would reject it), the images generate S9: the
+    # closure must run to 362880, and the group order check names it.
+    swap = (1, 0, 2, 3, 4, 5, 6, 7, 8)
+    odd = _with(
+        stab_result,
+        isometries=stab_result.isometries + (NEGATION,),
+        block_perms=stab_result.block_perms + (swap,),
+    )
+    f0 = frame_array.rows[0][0]
+    action = block_action(lat, f0, odd, class_block)
+    assert (action.image_order, action.all_even) == (2 * BLOCK_IMAGE_ORDER, False)
+    with pytest.raises(CheckFailure) as exc:
+        ag.verify_group(lat, f0, odd, class_block)
+    assert str(exc.value) == "stabilizer-group: group order (expected 362880, got 725760)"
 
 
 def test_block_action_rejects_inconsistent_generator(lat, stab_result, class_block):
@@ -366,6 +385,20 @@ def test_one_block_analysis_reads_its_generators(lat, stab_result, class_block):
     assert not report.points_transitive
 
 
+def test_one_block_analysis_without_negation_is_exact(lat, stab_result, class_block):
+    # Without -1 as generator 0 the kernels need not hold -1, so no bound of
+    # |G_0| / 2 applies: generators 1 and 2 alone generate a group of order 4
+    # that acts faithfully on both, and both images must have order 4.
+    isos, bps = stab_result.isometries[1:3], stab_result.block_perms[1:3]
+    chain = oracle.faithful_chain(lat, isos, bps)
+    assert chain.order() == 4
+    partial = _with(stab_result, isometries=isos, block_perms=bps)
+    report = one_block_stabilizer_analysis(partial, class_block, chain.order())
+    assert report == oracle.one_block_report(lat, chain, class_block)
+    assert report.other_blocks_image_order == report.points_image_order == 4
+    assert report.kernel_order_blocks == report.kernel_order_points == 1
+
+
 def test_group_stage_builds_only_the_rows_of_the_frames_it_searches(
     lat, spread, frame_array, partition, monkeypatch
 ):
@@ -514,8 +547,8 @@ def test_point_action_from_root_lifts_matches_matrix_mod2(lat, stab_result, spre
         if bp[0] == 0
     ]
     assert NEGATION in [m for _, m in cases]
-    assert oracle_chain.base[0] == 0
-    strong = oracle_chain.strong_generators(from_level=1)
+    assert oracle.base(oracle_chain)[0] == 0
+    strong = oracle.strong_generators(oracle_chain, from_level=1)
     root_parts = [tuple(x - 9 for x in g[9:]) for g in strong]
     cases += list(zip(strong, _matrices_from_perms(roots, root_parts)))
     assert len(cases) > 10
@@ -571,7 +604,7 @@ def test_frame_search_checks_blocks_the_probes_never_read(lat, frame_array, clas
     src = frame_reps(lat, f0)
     probed = {
         reduce_mod2(src[k]) ^ c
-        for slots, by_mask in _support_rows(lat, f0).items()
+        for slots, by_mask in _support_rows(lat, f0).by_support.items()
         for k in range(8)
         if k not in slots
         for c in by_mask
@@ -884,8 +917,12 @@ def test_frame_supports_match_inner_supports(lat, frame_array):
             reps = frame_reps(other, carried)
             assert {inner(other, r, s) for r in reps for s in reps} == {0, 2}
             rows = _support_rows(other, carried)
-            assert len(rows) == 14 * 24
-            assert rows == _inner_support_rows(other, reps)
+            want = _inner_support_rows(other, reps)
+            assert len(want) == 14 * 24
+            assert rows.ordered == set(want)
+            # Each ordering's row is built on its first read, through the lookup.
+            assert {key: rows[key] for key in want} == want
+            assert rows == want
 
 
 def test_frame_search_matches_vector_arithmetic_reference(

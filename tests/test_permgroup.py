@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from chain_oracle import base, fundamental_orbit_lengths, strong_generators
 from e8nine.permgroup import (
     StabChain,
     check_perm,
@@ -59,7 +60,12 @@ def test_order_matches_brute_force_closure():
         n = rng.choice([5, 6, 7])
         k = rng.choice([1, 2, 2, 3])
         perms = [tuple(rng.sample(range(n), n)) for _ in range(k)]
-        assert schreier_sims(perms)[0] == len(closure(perms, n))
+        order = len(closure(perms, n))
+        assert schreier_sims(perms)[0] == order
+        # A bound equal to the order stops the chain there; one above it
+        # lets closure run to the true order.
+        assert schreier_sims(perms, order)[0] == order
+        assert schreier_sims(perms, 2 * order)[0] == order
         # Generator selection keeps a map exactly when add_generator returns
         # True, so the bool must say whether the closure grew; the last
         # generator, a product of the first, must not grow it.
@@ -76,6 +82,18 @@ def test_order_matches_brute_force_closure():
             assert sifted == group
 
 
+def test_a_chain_at_its_bound_takes_no_more_generators():
+    # The bound is trusted: once the level sizes reach it, a later generator
+    # is not taken, even one outside the group (here an odd one beside A9).
+    a = (1, 2, 0, 3, 4, 5, 6, 7, 8)
+    b = (1, 2, 3, 4, 5, 6, 7, 8, 0)
+    swap = (1, 0, 2, 3, 4, 5, 6, 7, 8)
+    assert schreier_sims([a, b, swap])[0] == 362880
+    order, chain = schreier_sims([a, b, swap], 181440)
+    assert order == 181440
+    assert not chain.add_generator(swap)
+
+
 def test_membership_and_sift():
     order, chain = schreier_sims([(1, 0, 2, 3), (1, 2, 3, 0)])
     assert is_identity(chain.sift((1, 0, 2, 3)))
@@ -89,7 +107,7 @@ def test_membership_and_sift():
 def test_order_is_product_of_fundamental_orbits():
     order, chain = schreier_sims([(1, 0, 2, 3), (1, 2, 3, 0)])
     prod = 1
-    for n in chain.fundamental_orbit_lengths():
+    for n in fundamental_orbit_lengths(chain):
         prod *= n
     assert prod == order == 24
 
@@ -121,13 +139,13 @@ def test_strong_generators_generate_the_group():
     gens = [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)]
     order, chain = schreier_sims(gens)
     assert order == 120
-    regenerated = schreier_sims(chain.strong_generators())[0]
+    regenerated = schreier_sims(strong_generators(chain))[0]
     assert regenerated == 120
     # Stabilizer of the first base point from deeper strong generators.
-    beta = chain.base[0]
-    deeper = chain.strong_generators(from_level=1)
+    beta = base(chain)[0]
+    deeper = strong_generators(chain, from_level=1)
     assert all(g[beta] == beta for g in deeper)
-    assert schreier_sims(deeper)[0] == order // chain.fundamental_orbit_lengths()[0]
+    assert schreier_sims(deeper)[0] == order // fundamental_orbit_lengths(chain)[0]
 
 
 def test_mult_and_inverse_match_their_definitions():
@@ -153,12 +171,12 @@ def test_long_orbit_and_long_base_within_the_default_recursion_limit():
         swap = (1, 0) + tuple(range(2, 60))
         order, chain = schreier_sims([cycle, swap])
         assert order == math.factorial(60)
-        assert chain.base == list(range(59))
+        assert base(chain) == list(range(59))
         # Degree 1500 moving only the last three points: the 1497 trivial
         # levels before them cost no recursion.
         fixed = tuple(range(1497))
         order, chain = schreier_sims([fixed + (1498, 1499, 1497), fixed + (1498, 1497, 1499)])
         assert order == 6
-        assert chain.base == [1497, 1498]
+        assert base(chain) == [1497, 1498]
     finally:
         sys.setrecursionlimit(limit)
