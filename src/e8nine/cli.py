@@ -318,7 +318,9 @@ def cmd_run(args) -> int:
 def verifiers(parsed: dict) -> tuple:
     """verify's checkers in print order: (name, artifact kinds read, checker).
 
-    Each returns its claim's Certificate from the functions certify runs. The
+    Each returns its claim's Certificate from the functions certify runs.
+    The spread's label is its family (`gf2.family`, certify's rule) against
+    `gf2.first_isotropic_4space`, so no row builds the 270 spaces. The
     frames and the generators are read against the verified spread: its
     `point_space_table`, built once, is the group stage's class table, and
     the group checker's frame (0, 0) is built from space 0 and its first
@@ -338,8 +340,7 @@ def verifiers(parsed: dict) -> tuple:
 
     return (
         ("spread", {"spread"}, lambda: ss.verify_spread(sp, ft)),
-        ("spread-class", {"spread"},
-            lambda: ss.verify_spread_class(sp, gf2.classify(gf2.enumerate_isotropic_4spaces(ft)))),
+        ("spread-class", {"spread"}, lambda: ss.verify_spread_class(sp, gf2.first_isotropic_4space(ft))),
         ("frames", {"frames"}, lambda: fr.verify_frame_array(lat, arr)),
         ("partition", {"partition"}, lambda: proved()[0]),
         ("partition-vs-spread", {"partition", "spread"},

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .certs import CertBuilder
 from .intmat import Mat, Vec
-from .lattice import Lattice, enumerate_shell, norm, root_pairs
+from .lattice import Lattice, enumerate_shell, root_pairs
 
 
 def reduce_mod2(v: Vec) -> int:
@@ -65,31 +65,36 @@ class FormTable(NamedTuple):
 def build_forms(lat: Lattice) -> FormTable:
     """Tabulate q from lift norms and b from the Gram matrix mod 2.
 
-    q is well defined because norms are even. b is bilinear over GF(2), so
-    b(x, y) is the parity of y masked by the Gram-parity rows of x's bits;
-    this keeps b independent of q, making the polarization identity a real
-    cross-check between the two.
+    q is well defined because norms are even. The exact norm of each 0/1
+    lift comes by recurrence over its top bit k: norm(u + e_k) = norm(u) +
+    2 u.e_k + G_kk, where u.e_k is the sum of row k of G over u's bits,
+    itself built by doubling. b is bilinear over GF(2), so b(x, y) is the
+    parity of y masked by the Gram-parity rows of x's bits; this keeps b
+    independent of q, making the polarization identity a real cross-check
+    between the two.
     """
-    lifts = [lift_bits(x) for x in range(256)]
-    q = tuple((norm(lat, lifts[x]) // 2) & 1 for x in range(256))
-    gmasks = [
-        sum((lat.gram[i][j] & 1) << j for j in range(8)) for i in range(8)
-    ]
+    gram = lat.gram
+    norms = [0]
+    for k in range(8):
+        dots = [0]
+        for j in range(k):
+            dots += [d + gram[k][j] for d in dots]
+        norms += [n + 2 * d + gram[k][k] for n, d in zip(norms, dots)]
+    q = tuple(n >> 1 & 1 for n in norms)
     basis_rows = []
     for i in range(8):
+        # Bit y of row i is the parity of G_ij over y's bits j. Doubling over
+        # bit k: the upper half is the lower half, complemented when G_ik is odd.
         row = 0
-        for y in range(256):
-            if (y & gmasks[i]).bit_count() & 1:
-                row |= 1 << y
+        for k in range(8):
+            half = 1 << k
+            row |= (row ^ ((1 << half) - 1) if gram[i][k] & 1 else row) << half
         basis_rows.append(row)
     # Linear in x: x is x & (x - 1), its lowest bit cleared, plus that bit.
     brows = [0] * 256
     for x in range(1, 256):
         brows[x] = brows[x & (x - 1)] ^ basis_rows[(x & -x).bit_length() - 1]
-    iso = 0
-    for x in range(1, 256):
-        if q[x] == 0:
-            iso |= 1 << x
+    iso = sum(1 << x for x in range(1, 256) if not q[x])
     return FormTable(q=q, brows=tuple(brows), iso_mask=iso)
 
 
@@ -248,21 +253,66 @@ def enumerate_isotropic_4spaces(ft: FormTable) -> list[F2Subspace]:
     return sorted(F2Subspace(rows=rows) for rows, _, _ in level)
 
 
-def classify(spaces: list[F2Subspace]) -> dict[F2Subspace, SpaceClass]:
-    """Split the 270 isotropic 4-spaces into the two families of 135.
+def first_isotropic_4space(ft: FormTable) -> F2Subspace:
+    """The canonically first totally isotropic 4-space, min(enumerate_isotropic_4spaces(ft)).
+
+    A depth-first search over rref rows in lexicographic order. Each new row
+    is an isotropic point orthogonal to the rows chosen so far, with its
+    pivot (lowest set bit) above theirs, so it has no bit at their pivots;
+    and the chosen rows must be zero at its pivot. Every leaf at depth 4 is
+    then the rref basis of a totally isotropic 4-space (polarization
+    identity), each such space is one leaf, and the children are tried in
+    increasing order, so the first leaf reached is the least rows tuple. The
+    pivot masks are built in the call: no table outlives it. The level
+    counts of the enumeration are not re-checked here. Premise, for
+    `verify`: its spread row passes before this row runs, so at least one
+    such space exists.
+    """
+    low_bit = [0] * 8  # bit x set iff x's lowest set bit is b
+    for x in range(1, 256):
+        low_bit[(x & -x).bit_length() - 1] |= 1 << x
+
+    def extend(rows: tuple[int, ...], cand: int, pivot: int, used: int) -> tuple[int, ...] | None:
+        if len(rows) == 4:
+            return rows
+        heads = 0
+        for b in range(pivot + 1, 8):
+            if not used >> b & 1:  # the chosen rows are zero at pivot b
+                heads |= low_bit[b]
+        for p in bits_of_mask(cand & heads):
+            found = extend(rows + (p,), cand & ~ft.brows[p], (p & -p).bit_length() - 1, used | p)
+            if found:
+                return found
+        return None
+
+    found = extend((), ft.iso_mask, -1, 0)
+    if found is None:
+        raise ValueError("no totally isotropic 4-space")
+    return F2Subspace(rows=found)
+
+
+def family(first: F2Subspace, s: F2Subspace) -> SpaceClass:
+    """The family of the isotropic 4-space s, CLASS_A being that of `first`.
 
     The maximal totally singular spaces of a plus-type quadric form two
     families, two in one family iff they meet in even dimension (Taylor, The
-    Geometry of the Classical Groups, 1992); CLASS_A holds the canonically
-    first space. Premises certified elsewhere: plus type (the mod2 stage's 135
-    singular points), totally singular input, and the class sizes 135 + 135.
+    Geometry of the Classical Groups, 1992).
+    """
+    return (SpaceClass.CLASS_A, SpaceClass.CLASS_B)[intersection_dim(first, s) & 1]
+
+
+def classify(spaces: list[F2Subspace]) -> dict[F2Subspace, SpaceClass]:
+    """Split the 270 isotropic 4-spaces into the two families of 135 by `family`.
+
+    CLASS_A holds the canonically first space, the one `first_isotropic_4space`
+    finds without the enumeration. Premises certified elsewhere: plus type
+    (the mod2 stage's 135 singular points), totally singular input, and the
+    class sizes 135 + 135.
     """
     if len(spaces) != 270:
         raise ValueError("expected the full list of 270 spaces, got %d" % len(spaces))
-    first = min(spaces).mask
-    family = (SpaceClass.CLASS_A, SpaceClass.CLASS_B)
-    # The spaces share 2^d - 1 nonzero elements, d = dim of the intersection.
-    return {s: family[(first & s.mask).bit_count().bit_length() & 1] for s in spaces}
+    first = min(spaces)
+    return {s: family(first, s) for s in spaces}
 
 
 def class_members(

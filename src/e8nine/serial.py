@@ -7,10 +7,11 @@ Each parser is its writer's inverse. It reads its lines by position, checks
 the `row` and `block` marker lines where they sit, ranges, entry counts,
 increasing frame ids, rref spread rows and block lines, and accepts the
 text only if the writer prints exactly that text for what was read. That
-one comparison covers headers, counts, token forms ("+0", "007", "1_0",
-non-ASCII digits and "0x11" all pass `int()`), whitespace, "\\r", blank
-lines and trailing text. Parsers do not normalise: a partition block keeps
-its file order. Every ParseError names a line.
+one comparison covers headers, counts (a partition line's 8 among them),
+token forms ("+0", "007", "1_0", non-ASCII digits and "0x11" all pass
+`int()`), whitespace, "\\r", blank lines and trailing text. Parsers do
+not normalise: a partition block keeps its file order. Every ParseError
+names a line.
 """
 
 from __future__ import annotations
@@ -144,17 +145,21 @@ def serialize_partition(p: Norm4Partition) -> str:
 
 def parse_partition(text: str) -> Norm4Partition:
     # Blocks keep their file order; spans, norms and overlaps belong to verification.
+    # A block's 240 lines are read as one run of integers, 8 to a vector: the
+    # round trip refuses any line that does not hold exactly its 8.
     lines = text.split("\n")
     blocks = []
     for r in range(9):
         _marker(lines, 1 + 241 * r, "block %d" % r)
-        vectors = []
-        for i in range(2 + 241 * r, 242 + 241 * r):
-            v = _ints(lines, i)
-            if len(v) != 8:
-                raise _error("a vector needs 8 coordinates", lines, i)
-            vectors.append(v)
-        blocks.append(Norm4Block(row_index=r, vectors=tuple(vectors)))
+        start = 2 + 241 * r
+        try:
+            coords = map(int, " ".join(lines[start : start + 240]).split(" "))
+            vectors = tuple(zip(*[coords] * 8))
+        except ValueError:
+            for i in range(start, start + 240):
+                _ints(lines, i)  # raises, naming the first line int() refuses
+            raise
+        blocks.append(Norm4Block(row_index=r, vectors=vectors))
     p = Norm4Partition(blocks=tuple(blocks))
     _check_written(text, serialize_partition(p))
     return p

@@ -10,6 +10,7 @@ from .gf2 import (
     FormTable,
     SpaceClass,
     bits_of_mask,
+    family,
     intersection_dim,
     nonzero_elements,
 )
@@ -106,8 +107,11 @@ def verify_spread(s: Spread, ft: FormTable) -> Certificate:
     return cb.done()
 
 
-def verify_spread_class(s: Spread, labels: dict[F2Subspace, SpaceClass]) -> Certificate:
-    """The label is space 0's class; a verified spread's nine share one."""
+def verify_spread_class(s: Spread, first: F2Subspace) -> Certificate:
+    """The label is space 0's family (`gf2.family`), class A being that of
+    `first`, the canonically first isotropic 4-space; a verified spread's
+    nine spaces share one family. `verify` passes
+    `gf2.first_isotropic_4space`, the space `certify` labels class A."""
     cb = CertBuilder("spread-class")
-    cb.check("class of the spread's spaces", s.class_label, labels[s.spaces[0]])
+    cb.check("class of the spread's spaces", s.class_label, family(first, s.spaces[0]))
     return cb.done()

@@ -14,14 +14,16 @@ from e8nine.gf2 import (
     double_profile,
     intersection_dim,
     intersection_profile,
+    lift_bits,
     nonzero_elements,
     reduce_mod2,
     rref,
     subspace_from,
 )
-from e8nine.intmat import mat_mul, transpose
-from e8nine.lattice import Lattice, enumerate_shell, neg
-from test_frames import _U_THREE_TARGETS
+from e8nine.intmat import identity, mat_mul, transpose
+from e8nine.lattice import Lattice, enumerate_shell, inner, neg, norm
+from test_frames import _U_THREE_TARGETS, _kernel_grams
+from test_lattice import _rebased_grams
 
 
 def test_reduce_mod2_basics():
@@ -84,13 +86,50 @@ def test_b_symmetric_exhaustive(ft):
 
 
 def test_b_matches_lifted_inner_products_exhaustive(lat, ft):
-    from e8nine.gf2 import lift_bits
-    from e8nine.lattice import inner
-
     lifts = [lift_bits(x) for x in range(256)]
     for x in range(256):
         for y in range(256):
             assert ft.b(x, y) == inner(lat, lifts[x], lifts[y]) & 1
+
+
+def _suite_grams(lat):
+    """The standard Gram and every congruent Gram the suite builds: those of
+    `test_frames._kernel_grams`, the seeded ones of `test_lattice._rebased_grams`
+    and the one `test_autgroup` carries the class-A artifacts to."""
+    u = [list(row) for row in identity(8)]
+    u[3][4] = 1
+    grams = _kernel_grams(lat) + tuple(_rebased_grams()[2:])
+    return grams + (mat_mul(mat_mul(u, lat.gram), transpose(u)),)
+
+
+def test_forms_match_lift_norms_and_products_on_congruent_grams(lat):
+    # build_forms gets the lift norms by recurrence and the polar rows by
+    # doubling; the references are the norm and inner product of the lifts.
+    lifts = [lift_bits(x) for x in range(256)]
+    for gram in _kernel_grams(lat):
+        other = Lattice(gram=gram)
+        ft = gf2.build_forms(other)
+        assert ft.q == tuple(norm(other, v) // 2 & 1 for v in lifts)
+        for i in range(8):
+            assert [ft.b(1 << i, y) for y in range(256)] == [
+                inner(other, lifts[1 << i], v) & 1 for v in lifts
+            ]
+        assert ft.iso_mask == sum(1 << x for x in range(1, 256) if ft.q[x] == 0)
+        for x in range(256):  # b is the polar form of q on every basis
+            for y in range(256):
+                assert ft.q[x ^ y] == ft.q[x] ^ ft.q[y] ^ ft.b(x, y)
+
+
+def test_first_isotropic_4space_is_the_least_of_the_enumeration(lat):
+    grams = _suite_grams(lat)
+    assert len(set(grams)) == 14
+    firsts = set()
+    for gram in grams:
+        ft = gf2.build_forms(Lattice(gram=gram))
+        first = gf2.first_isotropic_4space(ft)
+        assert first == min(gf2.enumerate_isotropic_4spaces(ft))
+        firsts.add(first)
+    assert len(firsts) > 1  # the Grams give the search different forms
 
 
 def test_rref_canonical():

@@ -18,6 +18,7 @@ from e8nine.frames import FrameArray
 from e8nine.gf2 import F2Subspace, SpaceClass, nonzero_elements, rref
 from e8nine.intmat import mat_mul, transpose
 from e8nine.lattice import Lattice
+from e8nine.spreadsearch import find_spread
 from test_blocks import _trade_pair
 from test_frames import _U_THREE_TARGETS
 
@@ -197,6 +198,26 @@ def test_verify_rejects_flipped_spread_class_label(pipeline_state, tmp_path, cap
     cli.write_artifacts(pipeline_state, out)
     assert cli.main(["verify"] + [p for p in written if "certificates" not in p]) == 0
     assert "spread-class: PASS (1 checks)" in capsys.readouterr().out.splitlines()
+
+
+def test_verify_rejects_class_b_spread_relabelled_a(labels, tmp_path, capsys):
+    # The other flip: the class-B spread's spaces are not in the family of
+    # the canonically first space.
+    spread_b = find_spread(gf2.class_members(labels, SpaceClass.CLASS_B), SpaceClass.CLASS_B)
+    text = serial.serialize_spread(spread_b)
+    assert "class B\n" in text
+    path = tmp_path / "spread.txt"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["spread: PASS (75 checks)", "spread-class: PASS (1 checks)"]
+    path.write_text(text.replace("class B\n", "class A\n"))
+    assert cli.main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["spread: PASS (75 checks)"]
+    assert captured.err == (
+        "FAIL: spread-class: class of the spread's spaces"
+        " (expected <SpaceClass.CLASS_A: 'A'>, got <SpaceClass.CLASS_B: 'B'>)\n"
+    )
 
 
 def test_verify_rejects_frames_that_do_not_match_the_partition(pipeline_state, tmp_path, capsys):
@@ -448,6 +469,31 @@ def test_malformed_parse_error_names_a_line(artifact_texts, name, corrupt):
         PARSERS[name](corrupt(artifact_texts[name]))
 
 
+def test_partition_parse_names_the_line_of_a_non_integer_token(artifact_texts):
+    # Block 3's marker is line 725; its vector 10 is line 736.
+    lines = artifact_texts["partition.txt"].split("\n")
+    assert lines[724] == "block 3"
+    i = 724 + 11
+    lines[i] = lines[i].replace(" ", " x", 1)
+    with pytest.raises(serial.ParseError) as info:
+        serial.parse_partition("\n".join(lines))
+    assert str(info.value) == "not decimal integers at line 736: %r" % lines[i]
+
+
+def test_partition_parse_names_a_line_of_7_coordinates_before_one_of_9(artifact_texts):
+    # The block still holds 1920 integers, which group by 8 into the written
+    # vectors; the round trip names the first line that is not as written.
+    text = artifact_texts["partition.txt"]
+    lines = text.split("\n")
+    i = 724 + 11
+    head, last = lines[i].rsplit(" ", 1)
+    written = lines[i]
+    lines[i], lines[i + 1] = head, last + " " + lines[i + 1]
+    with pytest.raises(serial.ParseError) as info:
+        serial.parse_partition("\n".join(lines))
+    assert str(info.value) == "line 736 reads %r, the writer prints %r" % (head + "\n", written + "\n")
+
+
 def test_parse_error_names_the_line_read_and_the_line_written(artifact_texts):
     partition = artifact_texts["partition.txt"]
     last = partition.split("\n")[-2]
@@ -636,6 +682,26 @@ def test_certify_and_verify_prove_the_class_table_once_and_reduce_each_vector_on
     assert len(tables) == 1
     assert len(reduced) == 120 + 2160
     assert sources == []
+
+
+def test_verify_enumerates_and_classifies_no_space(pipeline_state, tmp_path, capsys, monkeypatch):
+    # The spread's label is read against the first isotropic 4-space, found
+    # by its own search: verify of the five class-A files builds none of the
+    # 270 spaces that certify's spaces stage enumerates and labels.
+    calls = {name: [] for name in ("enumerate_isotropic_4spaces", "classify", "first_isotropic_4space")}
+    for name, seen in calls.items():
+        real = getattr(gf2, name)
+        monkeypatch.setattr(gf2, name, lambda *a, seen=seen, real=real: seen.append(a) or real(*a))
+    out = str(tmp_path / "five")
+    files = cli.write_artifacts(pipeline_state, out)
+    assert len(files) == 5
+    assert cli.main(["verify"] + files) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "enumerate_isotropic_4spaces": 0,
+        "classify": 0,
+        "first_isotropic_4space": 1,
+    }
 
 
 def test_certify_and_verify_make_no_glue_certificate(tmp_path, capsys, monkeypatch):
