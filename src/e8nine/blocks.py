@@ -58,7 +58,7 @@ from typing import NamedTuple
 from .certs import CertBuilder, Certificate, Check, CheckFailure
 from .gf2 import F2Subspace, FormTable, SpaceClass, lift_bits, nonzero_elements, reduce_mod2, rref
 from .gf2 import root_pair_classes
-from .intmat import Mat, Vec
+from .intmat import Vec
 from .lattice import Lattice, enumerate_shell, inner, norm4_set
 from .frames import Frame, FrameArray, frame_reps, root_pair_gram, root_pair_gram_row
 from .spreadsearch import Spread, point_space_table
@@ -73,26 +73,9 @@ class Norm4Partition(NamedTuple):
     blocks: tuple[Norm4Block, ...]
 
 
-TWO_I: Mat = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
-# Doubled frame coordinates d with every |d_i| <= 7 as the integer code
-# sum_i d_i 16^i: linear in d, and injective on that range (balanced base 16).
-# The codes of d = +-2e_i +-2e_j (i < j), the 112 frame combinations, and of
-# d in {+-1}^8, the glue vectors, with the parity of their minus signs.
-DIGIT_WEIGHTS = tuple(16**i for i in range(8))
-COMBINATION_CODES = frozenset(
-    2 * (sa * DIGIT_WEIGHTS[i] + sb * DIGIT_WEIGHTS[j])
-    for i, j in itertools.combinations(range(8), 2)
-    for sa in (1, -1)
-    for sb in (1, -1)
-)
-GLUE_PARITY = {
-    sum(map(mul, d, DIGIT_WEIGHTS)): d.count(-1) % 2 for d in itertools.product((1, -1), repeat=8)
-}
-
-
 def _frame_code_weights(lat: Lattice, frame: Frame) -> Vec:
     """W_f = G sum_i 16^i r_i, so v . W_f = sum_i d_i 16^i with d_i = v . r_i."""
-    packed = [sum(map(mul, col, DIGIT_WEIGHTS)) for col in zip(*frame_reps(lat, frame))]
+    packed = [sum(c * 16**i for i, c in enumerate(col)) for col in zip(*frame_reps(lat, frame))]
     return tuple(sum(map(mul, row, packed)) for row in lat.gram)
 
 
@@ -122,19 +105,33 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
     injective, or with a code of neither shape fails the +-1/2 check; so do
     the vectors of D8 other than its 112 minimal ones.
     """
+    # The codes sum_i d_i 16^i of d = +-2e_i +-2e_j (i < j), the 112 frame
+    # combinations, and of d in {+-1}^8, the glue vectors, with the parity of
+    # their minus signs.
+    combination_codes = {
+        2 * (sa * 16**i + sb * 16**j)
+        for i, j in itertools.combinations(range(8), 2)
+        for sa in (1, -1)
+        for sb in (1, -1)
+    }
+    glue_parity = {
+        sum(di * 16**i for i, di in enumerate(d)): d.count(-1) % 2
+        for d in itertools.product((1, -1), repeat=8)
+    }
+    two_i = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
     at_frame = itemgetter(*frame.roots)
     t_rows = [root_pair_gram_row(lat.gram, i) for i in frame.roots]
     cb = CertBuilder("d8-glue block %d frame %s" % (block.row_index, frame.source))
-    cb.check("frame orthonormal at half scale", TWO_I, tuple(map(at_frame, t_rows)))
+    cb.check("frame orthonormal at half scale", two_i, tuple(map(at_frame, t_rows)))
     weights = _frame_code_weights(lat, frame)
     shell4 = norm4_set(lat)
     glue = []  # (v, parity of minus signs) of each vector with d in {+-1}^8
     other = []  # each vector of neither shape
     for v in block.vectors:
         code = sum(map(mul, v, weights)) if v in shell4 else None  # None: neither shape
-        if code in GLUE_PARITY:
-            glue.append((v, GLUE_PARITY[code]))
-        elif code not in COMBINATION_CODES:
+        if code in glue_parity:
+            glue.append((v, glue_parity[code]))
+        elif code not in combination_codes:
             other.append(v)
     cb.check("remaining vector count", 128, len(glue) + len(other))
     cb.check("remaining frame coordinates all +-1/2", [], other)

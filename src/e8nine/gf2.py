@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -204,91 +205,80 @@ def bits_of_mask(mask: int) -> list[int]:
 ISOTROPIC_LEVEL_COUNTS = (135, 1575, 2025, 270)
 
 
-def _augmenting_points(pivots: int) -> int:
-    """Mask of the vectors p that may head an rref basis with pivot bits `pivots`.
+def _closed_table() -> list[int]:
+    """closed[p]: the points that may not follow p as a later rref row.
 
-    p must be zero at every pivot and have a set bit below the lowest one
-    (with no pivots, any nonzero p).
+    Two kinds: points with a bit at or below p's pivot (lowest set bit), so
+    later pivots increase; and points whose own pivot is a set bit of p, so
+    p is zero at every later pivot. Built by doubling over p's top bit k: p =
+    2^k has pivot k, and for u < 2^k, u + 2^k keeps u's pivot and adds the
+    points of pivot k.
     """
-    below = (pivots & -pivots) - 1 if pivots else 0xFF
-    mask = 0
-    for x in range(1, 256):
-        if x & below and not x & pivots:
-            mask |= 1 << x
-    return mask
+    full = (1 << 256) - 1
+    closed = [0]
+    below = 0  # points with a bit below k
+    for k in range(8):
+        upto = full ^ sum(1 << x for x in range(0, 256, 2 << k))  # a bit at or below k
+        closed += [upto] + [c | (upto & ~below) for c in closed[1:]]
+        below = upto
+    return closed
+
+
+def _isotropic_leaves(ft: FormTable, per_depth: list[int]) -> Iterator[tuple[int, ...]]:
+    """Depth-first, the rref rows of every totally isotropic 4-space in sorted
+    order; per_depth[k - 1] counts the nodes reached at depth k.
+
+    A node's rows have increasing pivots, and its children are the isotropic
+    points orthogonal to every row and closed by none (`_closed_table`),
+    tried in increasing order. A child p then has its pivot above the rows'
+    pivots, so it is zero at them, and the rows are zero at its pivot: the
+    rows plus p are a reduced row echelon basis, and q vanishes on their span
+    by the polarization identity. Conversely the rref rows s1 < ... < sk of a
+    totally isotropic k-space pass every rule, so each such space is exactly
+    one node, (s1, ..., sk) at depth k, and the leaves come in sorted order.
+    """
+    closed = _closed_table()
+    brows = ft.brows
+
+    def walk(rows: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
+        depth = len(rows)
+        for p in bits_of_mask(cand):
+            per_depth[depth] += 1
+            if depth == 3:
+                yield rows + (p,)
+            else:
+                yield from walk(rows + (p,), cand & ~brows[p] & ~closed[p])
+
+    return walk((), ft.iso_mask)
 
 
 def enumerate_isotropic_4spaces(ft: FormTable) -> list[F2Subspace]:
-    """All totally isotropic 4-spaces, each built exactly once.
+    """All totally isotropic 4-spaces in canonical order: the whole search
+    (`_isotropic_leaves`).
 
-    Canonical augmentation (McKay 1998; Read 1978) on rref bases. A totally
-    isotropic space T is kept as its rref rows (pivot = lowest set bit,
-    pivots increasing), the mask of isotropic points orthogonal to T and the
-    OR of its pivot bits. T is extended only by an isotropic point p
-    orthogonal to T that is zero at every pivot of T and has a set bit below
-    T's lowest pivot. That bit is then p's pivot, and T's rows have no bits
-    below their own pivots, so they are zero at it: (p,) + T.rows is already
-    the rref of T + <p>, and q vanishes on it by the polarization identity.
-    Conversely a k-space S with rref rows s1 < ... < sk arises only from the
-    parent spanned by s2..sk with p = s1, so every subspace is built exactly
-    once: no rref call and no dedup. Points of T itself are never candidates,
-    since each is 1 at some pivot of T.
-
-    The count at each level must be the polar space's (ISOTROPIC_LEVEL_COUNTS);
-    a wrong count raises CheckFailure naming the level.
+    Each totally isotropic k-space is one node at depth k, so the nodes per
+    depth must be the polar space's counts (ISOTROPIC_LEVEL_COUNTS); a wrong
+    count raises CheckFailure naming the level.
     """
     cb = CertBuilder("isotropic-4-spaces")
-    allowed: dict[int, int] = {}
-    level: list[tuple[tuple[int, ...], int, int]] = [((), ft.iso_mask, 0)]
+    per_depth = [0] * 4
+    spaces = [F2Subspace(rows=rows) for rows in _isotropic_leaves(ft, per_depth)]
     for dim, expected in enumerate(ISOTROPIC_LEVEL_COUNTS, 1):
-        nxt = []
-        for rows, cand, pivots in level:
-            ext = allowed.get(pivots)
-            if ext is None:
-                ext = allowed[pivots] = _augmenting_points(pivots)
-            for p in bits_of_mask(cand & ext):
-                nxt.append(((p,) + rows, cand & ~ft.brows[p], pivots | (p & -p)))
-        cb.check("totally isotropic %d-spaces" % dim, expected, len(nxt))
-        level = nxt
-    return sorted(F2Subspace(rows=rows) for rows, _, _ in level)
+        cb.check("totally isotropic %d-spaces" % dim, expected, per_depth[dim - 1])
+    return spaces
 
 
 def first_isotropic_4space(ft: FormTable) -> F2Subspace:
-    """The canonically first totally isotropic 4-space, min(enumerate_isotropic_4spaces(ft)).
+    """The canonically first totally isotropic 4-space: the search
+    (`_isotropic_leaves`) stopped at its first leaf.
 
-    A depth-first search over rref rows in lexicographic order. Each new row
-    is an isotropic point orthogonal to the rows chosen so far, with its
-    pivot (lowest set bit) above theirs, so it has no bit at their pivots;
-    and the chosen rows must be zero at its pivot. Every leaf at depth 4 is
-    then the rref basis of a totally isotropic 4-space (polarization
-    identity), each such space is one leaf, and the children are tried in
-    increasing order, so the first leaf reached is the least rows tuple. The
-    pivot masks are built in the call: no table outlives it. The level
-    counts of the enumeration are not re-checked here. Premise, for
+    The level counts of the enumeration are not re-checked here. Premise, for
     `verify`: its spread row passes before this row runs, so at least one
     such space exists.
     """
-    low_bit = [0] * 8  # bit x set iff x's lowest set bit is b
-    for x in range(1, 256):
-        low_bit[(x & -x).bit_length() - 1] |= 1 << x
-
-    def extend(rows: tuple[int, ...], cand: int, pivot: int, used: int) -> tuple[int, ...] | None:
-        if len(rows) == 4:
-            return rows
-        heads = 0
-        for b in range(pivot + 1, 8):
-            if not used >> b & 1:  # the chosen rows are zero at pivot b
-                heads |= low_bit[b]
-        for p in bits_of_mask(cand & heads):
-            found = extend(rows + (p,), cand & ~ft.brows[p], (p & -p).bit_length() - 1, used | p)
-            if found:
-                return found
-        return None
-
-    found = extend((), ft.iso_mask, -1, 0)
-    if found is None:
-        raise ValueError("no totally isotropic 4-space")
-    return F2Subspace(rows=found)
+    for rows in _isotropic_leaves(ft, [0] * 4):
+        return F2Subspace(rows=rows)
+    raise ValueError("no totally isotropic 4-space")
 
 
 def family(first: F2Subspace, s: F2Subspace) -> SpaceClass:

@@ -178,9 +178,18 @@ def _rref_dedup_reference(ft):
     return sorted(F2Subspace(rows=r) for r in level)
 
 
-def test_enumeration_matches_rref_dedup_reference(ft, spaces270):
-    assert spaces270 == _rref_dedup_reference(ft)
-    assert len(set(spaces270)) == 270
+def test_enumeration_matches_rref_dedup_reference(lat, ft):
+    # The enumeration and the first space share one search; the reference
+    # is independent of it. Run on the standard Gram and on a congruent Gram
+    # whose first space differs.
+    standard = gf2.first_isotropic_4space(ft)
+    tables = (gf2.build_forms(Lattice(gram=gram)) for gram in _suite_grams(lat))
+    other = next(t for t in tables if gf2.first_isotropic_4space(t) != standard)
+    for table in (ft, other):
+        reference = _rref_dedup_reference(table)
+        assert len(set(reference)) == 270
+        assert gf2.enumerate_isotropic_4spaces(table) == reference
+        assert gf2.first_isotropic_4space(table) == reference[0]
 
 
 def test_every_isotropic_point_lies_in_30_spaces(ft, spaces270):
@@ -192,22 +201,31 @@ def test_every_isotropic_point_lies_in_30_spaces(ft, spaces270):
     assert set(tally.values()) == {30}
 
 
-def _augmenting_without_bit_below(pivots):
-    return sum(1 << x for x in range(1, 256) if not x & pivots)
+def _augmenting_without_bit_below():
+    """The closed table without "a bit at or below p's pivot": closed[p] is
+    only the points whose pivot is a set bit of p, p itself among them."""
+    return [sum(1 << x for x in range(1, 256) if p & x & -x) for p in range(256)]
 
 
-def _augmenting_without_zero_at_pivots(pivots):
-    below = (pivots & -pivots) - 1 if pivots else 0xFF
-    return sum(1 << x for x in range(1, 256) if x & below)
+def _augmenting_without_zero_at_pivots():
+    """The closed table without "pivot at a set bit of p": closed[p] is only
+    the points with a bit at or below p's pivot."""
+    return [sum(1 << x for x in range(1, 256) if x & ((p & -p) * 2 - 1)) for p in range(256)]
+
+
+def test_closed_table_is_the_union_of_its_two_rules():
+    both = zip(_augmenting_without_bit_below(), _augmenting_without_zero_at_pivots())
+    assert gf2._closed_table()[1:] == [a | b for a, b in both][1:]  # 0 is never a row
 
 
 @pytest.mark.parametrize(
-    "augmenting, got",
+    "table, got",
     [(_augmenting_without_bit_below, 3 * 1575), (_augmenting_without_zero_at_pivots, 2 * 1575)],
 )
-def test_dropped_augmentation_condition_fails_level_count(ft, monkeypatch, augmenting, got):
-    # Either condition alone lets a line arise from more than one parent.
-    monkeypatch.setattr(gf2, "_augmenting_points", augmenting)
+def test_dropped_augmentation_condition_fails_level_count(ft, monkeypatch, table, got):
+    # Either rule alone lets a line be reached from more than one basis:
+    # from 3 of its ordered pairs of points, or from 2.
+    monkeypatch.setattr(gf2, "_closed_table", table)
     with pytest.raises(CheckFailure) as info:
         gf2.enumerate_isotropic_4spaces(ft)
     assert info.value.stage == "isotropic-4-spaces"
