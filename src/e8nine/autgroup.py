@@ -144,11 +144,15 @@ def shell4_perm(lat: Lattice, m: Mat, shell4_index: dict[Vec, int]) -> Perm:
 def _orderings() -> dict[tuple[int, ...], itemgetter]:
     """Per ordering of a support's four slots (slot j of the ordering is
     slot perm[j] of the sorted support), the getter that re-reads the 16
-    sign masks in the new slot order; built on first use, once per process."""
-    return {
-        perm: itemgetter(*(sum((m >> j & 1) << perm[j] for j in range(4)) for m in range(16)))
-        for perm in permutations(range(4))
-    }
+    sign masks in the new slot order; built on first use, once per process.
+    Mask m moves bit j to bit perm[j], built by doubling from m less its low bit."""
+    getters = {}
+    for perm in permutations(range(4)):
+        masks = [0] * 16
+        for m in range(1, 16):
+            masks[m] = masks[m & (m - 1)] | 1 << perm[(m & -m).bit_length() - 1]
+        getters[perm] = itemgetter(*masks)
+    return getters
 
 
 # The sign mask of a root's four nonzero doubled coordinates: bit j set for -1.
@@ -570,6 +574,19 @@ class OneBlockReport(NamedTuple):
     kernel_order_points: int
 
 
+def _schreier_pairs(
+    orbit: list[int], transversal: dict[int, tuple[Perm, dict[int, int]]], gens: list
+):
+    """The Schreier generators t_b s t_{b s}^-1 of G_0, as pairs (on the nine
+    blocks, on block 0's 15 points), formed one at a time in BFS order."""
+    for b in orbit:
+        t, points = transversal[b]
+        for bp, (low, high) in gens:
+            u, back = transversal[bp[b]]
+            on_points = tuple(back[low[c & 15] ^ high[c >> 4]] for c in points)
+            yield mult(mult(t, bp), inverse(u)), on_points
+
+
 def one_block_stabilizer_analysis(
     result: StabilizerResult,
     class_block: dict[int, int],
@@ -587,6 +604,17 @@ def one_block_stabilizer_analysis(
     15 points. Both images must have order 20160 and be transitive, with
     kernels of order 2. When -1 is generator 0 it lies in both kernels (it
     fixes every block and is I mod 2), so both chains stop at |G_0| / 2.
+
+    The pairs are formed in BFS order only while a chain still takes them
+    (`_schreier_pairs`): each goes to every chain still below the bound, and
+    none is formed once both have reached it (class A forms 20 of 45).
+    Repeats and the identity are skipped. Transitivity is read off the
+    generators each chain took. A chain that reaches the bound holds that
+    many distinct elements of the group they generate, a subgroup of an
+    image of order at most the bound, so they generate the whole image. A
+    chain below the bound was fed every pair, and each pair it did not take
+    sifted to the identity in its closed levels, so it lies in the group of
+    those taken. With no bound every pair is fed.
     """
     block0 = sorted(c for c, b in class_block.items() if b == 0)
     nibbles = [_nibble_images(matrix_mod2_rows(m)) for m in result.isometries]
@@ -601,34 +629,38 @@ def one_block_stabilizer_analysis(
                 images = (low[c & 15] ^ high[c >> 4] for c in back)
                 transversal[bp[b]] = (mult(t, bp), {c: i for i, c in enumerate(images)})
                 orbit.append(bp[b])
-    products = []
-    for b in orbit:
-        t, points = transversal[b]
-        for bp, (low, high) in gens:
-            u, back = transversal[bp[b]]
-            on_points = tuple(back[low[c & 15] ^ high[c >> 4]] for c in points)
-            products.append((mult(mult(t, bp), inverse(u)), on_points))
-    # Both chains read only the pair: repeats and the identity add nothing
-    # (class A: 16 of 45 remain).
-    schreier = [s for s in dict.fromkeys(products) if s != (identity_perm(9), identity_perm(15))]
     stabilizer_order = group_order // len(orbit)
     bound = stabilizer_order // 2 if tuple(result.isometries[:1]) == (NEGATION,) else None
 
-    # Action on the other eight blocks (relabeled 0..7).
-    eight_perms = [tuple(s[b] - 1 for b in range(1, 9)) for s, _ in schreier]
-    other_order, _ = schreier_sims(eight_perms, bound)
-    other_transitive = len(orbit_of(0, eight_perms)) == 8
+    # The action on the other eight blocks (relabeled 0..7) and on the 15 points.
+    eight, points = StabChain(degree=8, bound=bound), StabChain(degree=15, bound=bound)
+    eight_gens: list[Perm] = []
+    point_gens: list[Perm] = []
 
-    point_perms = [p for _, p in schreier]
-    points_order, _ = schreier_sims(point_perms, bound)
-    points_transitive = len(orbit_of(0, point_perms)) == 15
+    def below(chain: StabChain) -> bool:
+        return bound is None or chain.order() < bound
+
+    seen = {(identity_perm(9), identity_perm(15))}
+    for pair in _schreier_pairs(orbit, transversal, gens):
+        if pair in seen:
+            continue
+        seen.add(pair)
+        on_blocks, on_points = pair
+        on_eight = tuple(on_blocks[b] - 1 for b in range(1, 9))
+        if below(eight) and eight.add_generator(on_eight):
+            eight_gens.append(on_eight)
+        if below(points) and points.add_generator(on_points):
+            point_gens.append(on_points)
+        if not (below(eight) or below(points)):
+            break
+    other_order, points_order = eight.order(), points.order()
 
     return OneBlockReport(
         stabilizer_order=stabilizer_order,
         other_blocks_image_order=other_order,
-        other_blocks_transitive=other_transitive,
+        other_blocks_transitive=len(orbit_of(0, eight_gens)) == 8,
         points_image_order=points_order,
-        points_transitive=points_transitive,
+        points_transitive=len(orbit_of(0, point_gens)) == 15,
         kernel_order_blocks=stabilizer_order // other_order,
         kernel_order_points=stabilizer_order // points_order,
     )

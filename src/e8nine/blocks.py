@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 from .certs import CertBuilder, Certificate, Check, CheckFailure
 from .gf2 import F2Subspace, FormTable, SpaceClass, lift_bits, nonzero_elements, reduce_mod2, rref
-from .gf2 import root_pair_classes
+from .gf2 import norm4_classes, root_pair_classes
 from .intmat import Vec
 from .lattice import Lattice, enumerate_shell, inner, norm4_set
 from .frames import Frame, FrameArray, frame_reps, root_pair_gram, root_pair_gram_row
@@ -173,13 +173,17 @@ def certify_scaled_e8(lat: Lattice, block: Norm4Block, classes: list[int]) -> Ce
 def build_partition(lat: Lattice, spread: Spread) -> Norm4Partition:
     """Block j: the norm-4 vectors, in shell order, with a class in spread space j.
 
+    The classes are the census's (`gf2.norm4_classes`), so no vector is
+    reduced again here.
+
     Not yet certified: `verify_partition` certifies the blocks, as it does a
     parsed partition, and `frames_outside_blocks` ties them to the rows.
     """
     space_of = point_space_table(spread)
     blocks: list[list[Vec]] = [[] for _ in spread.spaces]
-    for v in enumerate_shell(lat, 4):  # a certified spread's spaces hold every class
-        blocks[space_of[reduce_mod2(v)]].append(v)
+    # A certified spread's spaces hold every class.
+    for v, c in zip(enumerate_shell(lat, 4), norm4_classes(lat)):
+        blocks[space_of[c]].append(v)
     return Norm4Partition(blocks=tuple(Norm4Block(j, tuple(b)) for j, b in enumerate(blocks)))
 
 

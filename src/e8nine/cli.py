@@ -401,26 +401,41 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="e8nine",
-        description="Construct and certify the nine-block structures of the E8 lattice.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, upto, help_text in (
+    """Parse argv and run its subcommand.
+
+    Only the subparser that argv[0] names is built; with no subcommand or an
+    unknown one, all six are, so help and errors list every name. The usage
+    line and each subparser's prog are fixed, so they read the same either way.
+    """
+    # The subcommands: name, last stage of STAGES (None for verify) and help.
+    commands = (
         ("enumerate", "profiles", "shell and mod-2 geometry counts"),
         ("spread", "spread", "run the pipeline through the spread search"),
         ("frames", "frames", "run the pipeline through the frame array"),
         ("partition", "roundtrip", "run the pipeline through the norm-4 round trip"),
         ("certify", "group", "full pipeline, artifacts, certificates"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+        ("verify", None, "re-verify previously written artifacts"),
+    )
+    argv = sys.argv[1:] if argv is None else argv
+    names = [name for name, _, _ in commands]
+    parser = argparse.ArgumentParser(
+        prog="e8nine",
+        usage="e8nine [-h] {%s} ..." % ",".join(names),
+        description="Construct and certify the nine-block structures of the E8 lattice.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    wanted = argv[0] if argv and argv[0] in names else None
+    for name, upto, help_text in commands:
+        if wanted not in (None, name):
+            continue
+        p = sub.add_parser(name, prog="e8nine " + name, help=help_text)
+        if upto is None:
+            p.add_argument("files", nargs="+")
+            continue
         p.add_argument("--class", dest="space_class", choices=("A", "B"), default="A")
         p.add_argument("--out", default=None, help="directory for artifact files")
         p.add_argument("--json", action="store_true")
         p.set_defaults(upto=upto)
-
-    p_verify = sub.add_parser("verify", help="re-verify previously written artifacts")
-    p_verify.add_argument("files", nargs="+")
 
     args = parser.parse_args(argv)
     if args.command == "verify":

@@ -7,7 +7,8 @@ eight anisotropic classes, read off its mask (`frame_from_3space`); they lift
 to eight mutually orthogonal root pairs.
 
 The module also reads root-pair inner products off one packed dot product
-(`root_pair_products`): v . r_b for all 120 root pairs b at once. The
+(`root_pair_products`): v . r_b for all 120 root pairs b at once, its base-256
+digits decoded in C by one byte translation and a signed-byte view. The
 root-pair Gram T is that read for each rep, cached row by row
 (`root_pair_gram_row`): the frame search of `autgroup` reads a frame's
 eight rows, as does the tests' oracle for the D8-plus-glue presentation,
@@ -109,6 +110,10 @@ def _code_weights(lat: Lattice) -> Vec:
     return tuple(base**i for i in range(8))
 
 
+# Byte d, a digit 0..4 of `root_pair_products`, becomes the signed byte d - 2.
+_SIGNED_DIGIT = bytes(range(254, 256)) + bytes(range(254))
+
+
 @lru_cache(maxsize=None)
 def _packed_gram(gram: Mat) -> tuple[list[Vec], list[int]]:
     """The root-pair reps and the columns G P_k of `root_pair_products`."""
@@ -125,11 +130,14 @@ def root_pair_products(gram: Mat, v: Vec) -> tuple[int, ...]:
     v with every |v . r_b| <= 2, the digits of that sum with 2 added at every
     place, in base 256, are the v . r_b + 2. Roots and norm-4 vectors
     qualify: the Gram is positive definite (its shells are enumerated), so
-    |v . r|^2 <= |v|^2 |r|^2 <= 8 by Cauchy-Schwarz.
+    |v . r|^2 <= |v|^2 |r|^2 <= 8 by Cauchy-Schwarz. The digits are decoded
+    in C: `bytes.translate` maps digit d to the byte of d - 2 (`_SIGNED_DIGIT`),
+    and a signed-char view reads each byte as that integer.
     """
     reps, packed_g = _packed_gram(gram)
     total = sum(map(mul, v, packed_g)) + int.from_bytes(b"\x02" * len(reps), "little")
-    return tuple(map((-2, -1, 0, 1, 2).__getitem__, total.to_bytes(len(reps), "little")))
+    digits = total.to_bytes(len(reps), "little").translate(_SIGNED_DIGIT)
+    return tuple(memoryview(digits).cast("b"))
 
 
 @lru_cache(maxsize=None)

@@ -43,6 +43,20 @@ def root_pair_classes(lat: Lattice) -> tuple[int, ...]:
     return _root_pair_classes_cached(lat.gram)
 
 
+@lru_cache(maxsize=None)
+def _norm4_classes_cached(gram: Mat) -> tuple[int, ...]:
+    return tuple(map(reduce_mod2, enumerate_shell(Lattice(gram=gram), 4)))
+
+
+def norm4_classes(lat: Lattice) -> tuple[int, ...]:
+    """The class of each norm-4 vector, in shell order: 2160 reductions, once per Gram.
+
+    The mod-2 census counts them and `blocks.build_partition` files each
+    vector by its class.
+    """
+    return _norm4_classes_cached(lat.gram)
+
+
 def lift_bits(bits: int) -> Vec:
     """The 0/1 coordinate lift of a GF(2) vector."""
     return tuple((bits >> i) & 1 for i in range(8))
@@ -366,7 +380,7 @@ def mod2_census(lat: Lattice, ft: FormTable) -> Mod2Census:
             raise AssertionError("two root pairs share class %02x" % bits)
         pair_of_class[bits] = pair_id
     roots_in_class = Counter(map(reduce_mod2, enumerate_shell(lat, 2)))
-    norm4_in_class = Counter(map(reduce_mod2, enumerate_shell(lat, 4)))
+    norm4_in_class = Counter(norm4_classes(lat))
     if any(ft.q[bits] != 0 or bits == 0 for bits in norm4_in_class):
         raise AssertionError("norm-4 vector in a non-isotropic class")
     return Mod2Census(

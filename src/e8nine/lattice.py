@@ -180,10 +180,17 @@ def norm4_set(lat: Lattice) -> frozenset[Vec]:
 
 @lru_cache(maxsize=None)
 def _root_pairs_cached(gram: Mat) -> tuple[RootPair, ...]:
-    lat = Lattice(gram=gram)
-    roots = enumerate_shell(lat, ROOT_NORM)
-    reps = sorted({max(v, neg(v)) for v in roots})
-    if 2 * len(reps) != len(roots):
+    """The reps are the upper half of the sorted norm-2 shell.
+
+    Negation reverses lexicographic order, so a sorted shell closed under
+    negation has shell[k] == -shell[N-1-k], and the larger of {r, -r} sits in
+    the upper half. One comparison checks that closure: the lower half is the
+    upper half negated and reversed.
+    """
+    roots = _shells_cached(gram)[ROOT_NORM]
+    half = len(roots) // 2
+    reps = roots[half:]
+    if roots[:half] != tuple(map(neg, reversed(reps))):
         raise AssertionError("roots do not split into antipodal pairs")
     return tuple(RootPair(id=i, rep=r) for i, r in enumerate(reps))
 

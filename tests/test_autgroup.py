@@ -42,7 +42,7 @@ from e8nine.intmat import (
     transpose,
 )
 from e8nine.lattice import Lattice, enumerate_shell, inner, root_pairs
-from e8nine.permgroup import identity_perm, is_identity, mult, schreier_sims
+from e8nine.permgroup import identity_perm, inverse, is_identity, mult, orbit_of, schreier_sims
 from e8nine.spreadsearch import point_space_table
 from test_blocks import _class_table
 from test_frames import _U_THREE_TARGETS, _congruent_basis
@@ -363,6 +363,89 @@ def test_one_block_stabilizer(lat, stab_result, class_block, oracle_chain):
     for k in range(2, 9):
         fact8 *= k
     assert l42 == fact8 // 2 == ONE_BLOCK_IMAGE_ORDER
+
+
+def _eager_one_block_report(result, class_block, group_order):
+    """The one-block report with all 9 x len(gens) Schreier products formed
+    first and one `schreier_sims` per chain, transitivity read off them all."""
+    block0 = sorted(c for c, b in class_block.items() if b == 0)
+    nibbles = [ag._nibble_images(matrix_mod2_rows(m)) for m in result.isometries]
+    gens = list(zip(result.block_perms, nibbles))
+    orbit = [0]
+    transversal = {0: (identity_perm(9), {c: i for i, c in enumerate(block0)})}
+    for b in orbit:
+        t, back = transversal[b]
+        for bp, (low, high) in gens:
+            if bp[b] not in transversal:
+                images = (low[c & 15] ^ high[c >> 4] for c in back)
+                transversal[bp[b]] = (mult(t, bp), {c: i for i, c in enumerate(images)})
+                orbit.append(bp[b])
+    products = []
+    for b in orbit:
+        t, points = transversal[b]
+        for bp, (low, high) in gens:
+            u, back = transversal[bp[b]]
+            on_points = tuple(back[low[c & 15] ^ high[c >> 4]] for c in points)
+            products.append((mult(mult(t, bp), inverse(u)), on_points))
+    assert len(products) == 9 * len(gens)
+    schreier = [s for s in dict.fromkeys(products) if s != (identity_perm(9), identity_perm(15))]
+    order = group_order // len(orbit)
+    bound = order // 2 if result.isometries[:1] == (NEGATION,) else None
+    eight = [tuple(s[b] - 1 for b in range(1, 9)) for s, _ in schreier]
+    points = [p for _, p in schreier]
+    eight_order, points_order = schreier_sims(eight, bound)[0], schreier_sims(points, bound)[0]
+    return ag.OneBlockReport(
+        stabilizer_order=order,
+        other_blocks_image_order=eight_order,
+        other_blocks_transitive=len(orbit_of(0, eight)) == 8,
+        points_image_order=points_order,
+        points_transitive=len(orbit_of(0, points)) == 15,
+        kernel_order_blocks=order // eight_order,
+        kernel_order_points=order // points_order,
+    )
+
+
+def test_one_block_analysis_forms_pairs_only_while_a_chain_takes_them(
+    lat, stab_result, class_block, monkeypatch
+):
+    # The analysis equals the eager reference on classes A and B, and with
+    # generator 0 (-1) dropped, where no bound applies and every pair is fed.
+    # Class A forms 20 of its 45 pairs.
+    formed = []
+    real = ag._schreier_pairs
+
+    def counted(*args):
+        for pair in real(*args):
+            formed.append(pair)
+            yield pair
+
+    monkeypatch.setattr(ag, "_schreier_pairs", counted)
+    state_b = cli.run_pipeline(SpaceClass.CLASS_B)
+    without_negation = _with(
+        stab_result, isometries=stab_result.isometries[1:], block_perms=stab_result.block_perms[1:]
+    )
+    cases = [
+        ("A", stab_result, class_block),
+        ("B", state_b.stab, _class_table(state_b.lat, state_b.partition)),
+        ("A without -1", without_negation, class_block),
+    ]
+    counts = {}
+    for name, result, table in cases:
+        formed.clear()
+        report = one_block_stabilizer_analysis(result, table, STABILIZER_ORDER)
+        assert report == _eager_one_block_report(result, table, STABILIZER_ORDER), name
+        counts[name] = len(formed)
+    assert counts["A"] <= 20
+    assert counts["B"] < 9 * len(state_b.stab.isometries)
+    assert counts["A without -1"] == 9 * (len(stab_result.isometries) - 1)
+
+
+def test_orderings_match_the_bit_by_bit_definition():
+    getters = ag._orderings()
+    assert sorted(getters) == sorted(itertools.permutations(range(4)))
+    for perm, getter in getters.items():
+        want = tuple(sum((m >> j & 1) << perm[j] for j in range(4)) for m in range(16))
+        assert getter(range(16)) == want
 
 
 def test_one_block_analysis_reads_its_generators(lat, stab_result, class_block):

@@ -357,9 +357,15 @@ def test_gram_rows_give_every_inner_product(lat):
         pair_gram = root_pair_gram(gram)
         for a, b in itertools.product(range(120), repeat=2):
             assert pair_gram[a][b] == inner(other, reps[a], reps[b])
-        # Any root or norm-4 vector, not only a rep: every |v . r_b| <= 2.
-        for v in enumerate_shell(other, 2)[::7] + enumerate_shell(other, 4)[::31]:
-            assert root_pair_products(gram, v) == tuple(inner(other, v, r) for r in reps)
+        # Every root and norm-4 vector, not only a rep: every |v . r_b| <= 2.
+        # inner(v, r) is v . (G r); the norm-4 vectors reach the digits -2 and 2.
+        g_reps = [[sum(map(mul, row, r)) for row in gram] for r in reps]
+        digits = set()
+        for v in enumerate_shell(other, 2) + enumerate_shell(other, 4):
+            products = root_pair_products(gram, v)
+            assert products == tuple(sum(map(mul, v, gr)) for gr in g_reps)
+            digits.update(products)
+        assert digits == {-2, -1, 0, 1, 2}
 
 
 def test_verify_frame_array_rejects_non_orthogonal_frame(lat, frame_array):

@@ -309,23 +309,32 @@ def test_census_multiplicities(lat, ft, census):
 def test_census_records_measured_multiplicities(lat, ft, monkeypatch):
     from e8nine import cli
 
-    # Drop the first vector of a shell: its class holds one fewer than the rest.
-    shell = gf2.enumerate_shell
+    # Drop the first root, or the class of the first norm-4 vector (the census
+    # counts the norm-4 shell's classes, `gf2.norm4_classes`): that class
+    # holds one fewer than the rest.
+    shell, classes = gf2.enumerate_shell, gf2.norm4_classes
     for n, field, check in (
         (2, "roots_per_anisotropic", "roots per anisotropic class"),
         (4, "norm4_per_isotropic", "norm-4 vectors per isotropic class"),
     ):
-        def dropped(lt, m, n=n):
-            vectors = shell(lt, m)
-            return vectors[1:] if m == n else vectors
+        with monkeypatch.context() as mp:
+            if n == 2:
+                mp.setattr(gf2, "enumerate_shell", lambda lt, m: shell(lt, m)[m == 2 :])
+            else:
+                mp.setattr(gf2, "norm4_classes", lambda lt: classes(lt)[1:])
+            census = gf2.mod2_census(lat, ft)
+            assert getattr(census, field) == ([1, 2] if n == 2 else [15, 16])
+            with pytest.raises(cli.StageFailure) as exc:
+                cli.run_pipeline(upto="mod2")
+            assert (exc.value.name, exc.value.check.description) == ("mod2", check)
+            assert exc.value.check.actual == getattr(census, field)
 
-        monkeypatch.setattr(gf2, "enumerate_shell", dropped)
-        census = gf2.mod2_census(lat, ft)
-        assert getattr(census, field) == ([1, 2] if n == 2 else [15, 16])
-        with pytest.raises(cli.StageFailure) as exc:
-            cli.run_pipeline(upto="mod2")
-        assert (exc.value.name, exc.value.check.description) == ("mod2", check)
-        assert exc.value.check.actual == getattr(census, field)
+
+def test_norm4_classes_are_the_shell_reduced_in_order(lat):
+    for gram in _kernel_grams(lat):
+        other = Lattice(gram=gram)
+        want = tuple(reduce_mod2(v) for v in enumerate_shell(other, 4))
+        assert gf2.norm4_classes(other) == want
 
 
 def test_subspace_from_matches_rref():

@@ -173,6 +173,29 @@ def test_root_pairs(lat):
     assert covered == shell
 
 
+def test_root_pairs_are_the_sorted_larger_of_each_antipodal_pair():
+    # The reps are read as the upper half of the sorted shell; the reference
+    # takes the larger of {r, -r} for every root and sorts.
+    for gram in [E8_GRAM] + _rebased_grams():
+        shell = enumerate_shell(lt.Lattice(gram=gram), 2)
+        reference = sorted({max(v, neg(v)) for v in shell})
+        assert [p.rep for p in root_pairs(lt.Lattice(gram=gram))] == reference
+
+
+@pytest.mark.parametrize("tamper", ["drop the first root", "swap two lower roots"])
+def test_root_pairs_reject_a_shell_that_is_not_antipodal(monkeypatch, tamper):
+    shells = dict(lt._shells_cached(E8_GRAM))
+    roots = list(shells[2])
+    if tamper == "drop the first root":
+        del roots[0]
+    else:
+        roots[0], roots[1] = roots[1], roots[0]
+    shells[2] = tuple(roots)
+    monkeypatch.setattr(lt, "_shells_cached", lambda gram: shells)
+    with pytest.raises(AssertionError, match="roots do not split into antipodal pairs"):
+        lt._root_pairs_cached.__wrapped__(E8_GRAM)
+
+
 def test_root_inner_product_range_exhaustive(lat):
     roots = enumerate_shell(lat, 2)
     gram = lat.gram

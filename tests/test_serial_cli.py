@@ -649,10 +649,10 @@ def test_certify_and_verify_prove_the_class_table_once_and_reduce_each_vector_on
 ):
     # The partition's checker proves the class table once per run, and the
     # checks after it read that table. certify reduces the 120 root-pair reps,
-    # the 240 roots and 2160 norm-4 vectors of the mod-2 census, and the 2160
-    # vectors once each to build the partition and to prove its blocks and
-    # table (`blocks.block_classes`, shared by both); its round trip reads
-    # the table, not the vectors. verify of the four class-A
+    # the 240 roots and the 2160 norm-4 vectors of the mod-2 census, whose
+    # classes (`gf2.norm4_classes`) also build the partition, and the 2160
+    # vectors once more to prove its blocks and table (`blocks.block_classes`,
+    # shared by both); its round trip reads the table, not the vectors. verify of the four class-A
     # files reduces the 120 reps and the 2160 partition vectors once each,
     # and reads the group checker's frame, not the search's source tables.
     tables, reduced, roundtrips, sources = [], [], [], []
@@ -663,18 +663,20 @@ def test_certify_and_verify_prove_the_class_table_once_and_reduce_each_vector_on
         monkeypatch.setattr(module, "reduce_mod2", lambda v: reduced.append(v) or reduce(v))
     monkeypatch.setattr(bl, "spread_from_partition", lambda *a: roundtrips.append(a) or roundtrip(*a))
     monkeypatch.setattr(ag, "search_source", lambda *a: sources.append(a) or source(*a))
-    # The root-pair classes are cached per Gram; drop them so each run reduces them.
+    # The root-pair and norm-4 classes are cached per Gram; drop them so each run reduces them.
     gf2._root_pair_classes_cached.cache_clear()
+    gf2._norm4_classes_cached.cache_clear()
     out = tmp_path / "out"
     assert cli.main(["certify", "--out", str(out)]) == 0
     assert len(tables) == 1
-    assert len(reduced) == 120 + 240 + 3 * 2160
+    assert len(reduced) == 120 + 240 + 2 * 2160
     assert roundtrips == []
     assert len(sources) == 1  # the search's own
     tables.clear()
     reduced.clear()
     sources.clear()
     gf2._root_pair_classes_cached.cache_clear()
+    gf2._norm4_classes_cached.cache_clear()
     files = [str(out / n) for n in ("spread.txt", "frames.txt", "partition.txt", "generators.txt")]
     capsys.readouterr()
     assert cli.main(["verify"] + files) == 0
