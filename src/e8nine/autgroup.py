@@ -48,7 +48,7 @@ from itertools import combinations, compress, permutations, product
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .certs import CertBuilder, Certificate
+from .certs import Certificate
 from .frames import Frame, FrameArray, frame_reps, root_pair_gram_row
 from .gf2 import rank, root_pair_classes, rref
 from .intmat import Mat, Vec, adjugate, det, mat_mul, transpose
@@ -129,15 +129,11 @@ def block_perm(point_block: dict[int, int], m: Mat) -> Perm | None:
     return tuple(bp)
 
 
-def _image_perm(vectors: list[Vec], m: Mat, index: dict[Vec, int]) -> Perm:
-    """The permutation v -> v m of a sorted vector list, through its index."""
-    cols = tuple(zip(*m))
-    return tuple(index[tuple(sum(map(mul, v, c)) for c in cols)] for v in vectors)
-
-
 def shell4_perm(lat: Lattice, m: Mat, shell4_index: dict[Vec, int]) -> Perm:
-    """The permutation the matrix induces on the canonical norm-4 shell."""
-    return _image_perm(enumerate_shell(lat, 4), m, shell4_index)
+    """The permutation v -> v m of the canonical norm-4 shell, through its index."""
+    cols = tuple(zip(*m))
+    shell4 = enumerate_shell(lat, 4)
+    return tuple(shell4_index[tuple(sum(map(mul, v, c)) for c in cols)] for v in shell4)
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +184,7 @@ def _support_rows(lat: Lattice, frame: Frame) -> SupportRows:
     four entries +-1 and four 0, so it is (sum of 4 signed members)/2; the 14
     possible supports each carry all 16 masks.
     """
-    columns = list(zip(*(root_pair_gram_row(lat.gram, i) for i in frame.roots)))
+    columns = list(zip(*(root_pair_gram_row(lat, i) for i in frame.roots)))
     classes = root_pair_classes(lat)
     by_support: dict[tuple[int, ...], list[int]] = {}
     # Descending reps meet each support first at its largest root, minus its
@@ -277,7 +273,7 @@ def search_source(lat: Lattice, frame: Frame, class_block: dict[int, int]) -> Se
     # matching of every complete slot map is a full permutation.
     seed_block = class_block[classes[frame.roots[0]] ^ classes[frame.roots[1]]]
     fixed = {seed_block}.union(b for level in probes for _, _, blocks in level for b in blocks)
-    CertBuilder("frame-search").check("source blocks the probes fix", 9, len(fixed))
+    Certificate("frame-search").check("source blocks the probes fix", 9, len(fixed))
 
     r_mat: Mat = tuple(src_reps[i] for i in order)
     return SearchSource(
@@ -484,12 +480,12 @@ def verify_generators(
     blocks hold every norm-4 vector once, in the block its class names, so v M
     lies in block bp[b], and M, injective, maps block b onto block bp[b].
     """
-    cb = CertBuilder("generators")
+    cb = Certificate("generators")
     for i, (m, bp) in enumerate(zip(matrices, block_perms)):
         cb.check("generator %d preserves Gram" % i, True, is_gram_isometry(lat, m))
         cb.check("generator %d induces its block permutation" % i, bp, block_perm(point_block, m))
     cb.check("generator 0 is -1", True, tuple(matrices[:1]) == (NEGATION,))
-    return cb.done()
+    return cb
 
 
 def block_action(
@@ -507,10 +503,10 @@ def block_action(
     join all pairs of slots, so the spanning frame roots share one sign:
     M = +-1. Generator 0 is -1, so the order is twice the image order.
     """
-    cb = CertBuilder("block-action")
+    cb = Certificate("block-action")
     dimension = block_endomorphism_dimension(class_block)
     cb.check("GF(2) maps preserving the nine block spaces (dimension)", 1, dimension)
-    columns = zip(*(root_pair_gram_row(lat.gram, i) for i in frame.roots))
+    columns = zip(*(root_pair_gram_row(lat, i) for i in frame.roots))
     joined = {pair for cs in columns for pair in combinations(compress(range(8), cs), 2)}
     cb.check("source frame slot pairs sharing a root support", 28, len(joined))
     all_even = all(perm_parity(p) == 0 for p in result.block_perms)
@@ -539,7 +535,7 @@ def verify_group(
     - kernels contain negation: -1 is generator 0, fixes block 0 and is the
       identity mod 2.
     """
-    cb = CertBuilder("stabilizer-group")
+    cb = Certificate("stabilizer-group")
     action = block_action(lat, frame, stab, class_block)
     order = action.image_order * action.kernel_order
     cb.check("group order", STABILIZER_ORDER, order)
@@ -559,7 +555,7 @@ def verify_group(
     cb.check("kernel order on eight blocks", 2, report.kernel_order_blocks)
     cb.check("kernel order on 15 points", 2, report.kernel_order_points)
     cb.check("kernels contain negation", True, stab.isometries[0] == NEGATION)
-    return cb.done()
+    return cb
 
 
 class OneBlockReport(NamedTuple):

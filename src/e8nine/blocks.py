@@ -55,7 +55,7 @@ import itertools
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .certs import CertBuilder, Certificate, Check, CheckFailure
+from .certs import Certificate
 from .gf2 import F2Subspace, FormTable, SpaceClass, lift_bits, nonzero_elements, reduce_mod2, rref
 from .gf2 import norm4_classes, root_pair_classes
 from .intmat import Vec
@@ -120,8 +120,8 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
     }
     two_i = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
     at_frame = itemgetter(*frame.roots)
-    t_rows = [root_pair_gram_row(lat.gram, i) for i in frame.roots]
-    cb = CertBuilder("d8-glue block %d frame %s" % (block.row_index, frame.source))
+    t_rows = [root_pair_gram_row(lat, i) for i in frame.roots]
+    cb = Certificate("d8-glue block %d frame %s" % (block.row_index, frame.source))
     cb.check("frame orthonormal at half scale", two_i, tuple(map(at_frame, t_rows)))
     weights = _frame_code_weights(lat, frame)
     shell4 = norm4_set(lat)
@@ -139,7 +139,7 @@ def certify_d8_glue(lat: Lattice, block: Norm4Block, frame: Frame) -> Certificat
     parity = glue[0][1]
     other_coset = [v for v, p in glue if p != parity]
     cb.check("one glue coset: each glue vector extends D8 to E8", [], other_coset)
-    return cb.done()
+    return cb
 
 
 def certify_scaled_e8(lat: Lattice, block: Norm4Block, classes: list[int]) -> Certificate:
@@ -159,7 +159,7 @@ def certify_scaled_e8(lat: Lattice, block: Norm4Block, classes: list[int]) -> Ce
     product is even exactly when b vanishes on each pair of rows of the
     classes' rref basis: 6 pairs for a true block's 4 rows.
     """
-    cb = CertBuilder("scaled-e8 block %d" % block.row_index)
+    cb = Certificate("scaled-e8 block %d" % block.row_index)
     cb.check("vector count", 240, len(block.vectors))
     cb.check("distinct vectors", 240, len(set(block.vectors)))
     shell4 = norm4_set(lat)
@@ -167,7 +167,7 @@ def certify_scaled_e8(lat: Lattice, block: Norm4Block, classes: list[int]) -> Ce
     pairs = itertools.combinations(rref(classes), 2)
     odd = [(x, y) for x, y in pairs if inner(lat, lift_bits(x), lift_bits(y)) & 1]
     cb.check("inner products even: classes pairwise orthogonal", [], odd)
-    return cb.done()
+    return cb
 
 
 def build_partition(lat: Lattice, spread: Spread) -> Norm4Partition:
@@ -195,7 +195,7 @@ def frames_outside_blocks(lat: Lattice, arr: FrameArray, class_block: dict[int, 
     (`block_of_class_table`, or a verified spread's `point_space_table`). An
     empty list is the index-2 premise of the module docstring: row j in block j.
     """
-    cls, pair_gram = root_pair_classes(lat), root_pair_gram(lat.gram)
+    cls, pair_gram = root_pair_classes(lat), root_pair_gram(lat)
     outside = []
     for j, row in enumerate(arr.rows):
         for f in row:
@@ -226,6 +226,7 @@ def block_of_class_table(
     `point_space_table`, which the group stage's search and checkers read for
     that reason.
     """
+    cb = Certificate("norm4-partition")
     table: dict[int, int] = {}
     for b, block_cls in zip(p.blocks, classes):
         # In the file order of their first vectors, so the class named is
@@ -233,11 +234,7 @@ def block_of_class_table(
         for cls in block_cls:
             first = table.setdefault(cls, b.row_index)
             if first != b.row_index:
-                raise CheckFailure(
-                    "norm4-partition",
-                    Check("mod-2 class %d in one block" % cls, first, b.row_index),
-                )
-    cb = CertBuilder("norm4-partition")
+                cb.check("mod-2 class %d in one block" % cls, first, b.row_index)
     cb.check("mod-2 classes of the blocks", 135, len(table))
     held = list(itertools.chain.from_iterable(b.vectors for b in p.blocks))
     counts = (len(held), len(norm4_set(lat).intersection(held)))
@@ -256,7 +253,7 @@ def spread_from_partition(
     isotropic classes spanning a totally isotropic 4-space. The reference for
     the tests and the benchmark; the round trip reads `block_spaces`.
     """
-    cb = CertBuilder("partition-roundtrip")
+    cb = Certificate("partition-roundtrip")
     spaces = []
     for b in p.blocks:
         classes = sorted({reduce_mod2(v) for v in b.vectors})
@@ -291,9 +288,9 @@ def partition_vs_spread(class_block: dict[int, int], spread: Spread) -> Certific
     135 lie in one block each.
     """
     differ = [(s.rows, g.rows) for s, g in zip(spread.spaces, block_spaces(class_block)) if s != g]
-    cb = CertBuilder("partition-vs-spread")
+    cb = Certificate("partition-vs-spread")
     cb.check("partition projects onto the spread", [s for s, _ in differ], [g for _, g in differ])
-    return cb.done()
+    return cb
 
 
 def frames_vs_class_table(
@@ -315,10 +312,10 @@ def frames_vs_class_table(
     classes), so row j holds exactly the 15 frames of V_j's 3-spaces, as a
     set. stage and block name the check.
     """
-    cb = CertBuilder(stage)
+    cb = Certificate(stage)
     outside = frames_outside_blocks(lat, arr, class_block)
     cb.check("frames with a combination outside their row's %s" % block, [], outside)
-    return cb.done()
+    return cb
 
 
 def verify_partition(lat: Lattice, p: Norm4Partition) -> tuple[Certificate, dict[int, int]]:
@@ -331,7 +328,7 @@ def verify_partition(lat: Lattice, p: Norm4Partition) -> tuple[Certificate, dict
     `block_classes` pass. Sizes, norms, disjointness and coverage follow from
     those two and are not checked again.
     """
-    cb = CertBuilder("norm4-partition")
+    cb = Certificate("norm4-partition")
     cb.check("blocks", 9, len(p.blocks))
     # "block %d scaled-E8" cannot fail: certify_scaled_e8 raises CheckFailure
     # at its first failed check, so every certificate it returns has passed.
@@ -339,4 +336,4 @@ def verify_partition(lat: Lattice, p: Norm4Partition) -> tuple[Certificate, dict
     classes = block_classes(p)
     for b, cls in zip(p.blocks, classes):
         cb.check("block %d scaled-E8" % b.row_index, True, certify_scaled_e8(lat, b, cls).passed)
-    return cb.done(), block_of_class_table(lat, p, classes)
+    return cb, block_of_class_table(lat, p, classes)

@@ -30,6 +30,7 @@ class CheckFailure(Exception):
 class Certificate:
     """A list of (description, expected, actual) checks for one stage.
 
+    `check` records each check and raises CheckFailure at the first failure.
     Expected and actual values are exact integers or exact structure hashes,
     never floats. wall_time_ms is informational only and is excluded from
     serialized artifacts so runs stay byte-reproducible. A plain class, as
@@ -45,18 +46,8 @@ class Certificate:
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
 
-
-class CertBuilder:
-    """Accumulates checks; the first failure raises CheckFailure."""
-
-    def __init__(self, stage: str):
-        self.cert = Certificate(stage=stage)
-
     def check(self, description: str, expected: object, actual: object) -> None:
         c = Check(description=description, expected=expected, actual=actual)
-        self.cert.checks.append(c)
+        self.checks.append(c)
         if not c.ok:
-            raise CheckFailure(self.cert.stage, c)
-
-    def done(self) -> Certificate:
-        return self.cert
+            raise CheckFailure(self.stage, c)

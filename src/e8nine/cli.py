@@ -23,7 +23,7 @@ from . import frames as fr
 from . import gf2
 from . import serial
 from . import spreadsearch as ss
-from .certs import CertBuilder, Certificate, CheckFailure
+from .certs import Certificate, CheckFailure
 from .intmat import Mat, det
 from .lattice import Lattice, build_lattice, enumerate_shell
 
@@ -85,43 +85,43 @@ def _recorded(stage):
 
 @_recorded
 def stage_lattice(state: PipelineState) -> Certificate:
-    cb = CertBuilder("lattice")
+    cb = Certificate("lattice")
     gram = state.gram_override
     state.lat = build_lattice() if gram is None else Lattice(gram=gram)
     cb.check("Gram determinant", 1, det(state.lat.gram))
     cb.check("Gram diagonal even", [], [x for i, x in enumerate(state.lat.gram) if x[i] % 2])
     cb.check("norm-2 shell size", 240, len(enumerate_shell(state.lat, 2)))
     cb.check("norm-4 shell size", 2160, len(enumerate_shell(state.lat, 4)))
-    return cb.done()
+    return cb
 
 
 @_recorded
 def stage_mod2(state: PipelineState) -> Certificate:
-    cb = CertBuilder("mod2-census")
+    cb = Certificate("mod2-census")
     state.ft = gf2.build_forms(state.lat)
     state.census = gf2.mod2_census(state.lat, state.ft)
     cb.check("isotropic classes", 135, state.census.isotropic_count)
     cb.check("anisotropic classes", 120, state.census.anisotropic_count)
     cb.check("roots per anisotropic class", 2, state.census.roots_per_anisotropic)
     cb.check("norm-4 vectors per isotropic class", 16, state.census.norm4_per_isotropic)
-    return cb.done()
+    return cb
 
 
 @_recorded
 def stage_spaces(state: PipelineState) -> Certificate:
-    cb = CertBuilder("isotropic-4-spaces")
+    cb = Certificate("isotropic-4-spaces")
     spaces = gf2.enumerate_isotropic_4spaces(state.ft)
     cb.check("totally isotropic 4-spaces", 270, len(spaces))
     state.labels = gf2.classify(spaces)
     sizes = sorted(list(state.labels.values()).count(c) for c in gf2.SpaceClass)
     cb.check("class sizes", [135, 135], sizes)
     state.members = gf2.class_members(state.labels, state.class_label)
-    return cb.done()
+    return cb
 
 
 @_recorded
 def stage_profiles(state: PipelineState) -> Certificate:
-    cb = CertBuilder("intersection-profiles")
+    cb = Certificate("intersection-profiles")
     members = state.members
     v1 = members[0]
     prof = gf2.intersection_profile(v1, members[1:])
@@ -132,7 +132,7 @@ def stage_profiles(state: PipelineState) -> Certificate:
     cb.check(
         "double profile", {(0, 0): 28, (0, 2): 35, (2, 0): 35, (2, 2): 35}, dprof
     )
-    return cb.done()
+    return cb
 
 
 @_recorded
@@ -143,7 +143,7 @@ def stage_spread(state: PipelineState) -> Certificate:
 
 @_recorded
 def stage_frames(state: PipelineState) -> Certificate:
-    cb = CertBuilder("frames")
+    cb = Certificate("frames")
     state.arr = fr.build_frame_array(state.ft, state.census, state.spread)
     fr.verify_frame_array(state.lat, state.arr)  # as verify's frames row; certificates.txt omits it
     census = fr.orthogonal_pair_census(state.lat, state.arr)
@@ -157,20 +157,18 @@ def stage_frames(state: PipelineState) -> Certificate:
     cb.check(
         "derivations per norm-4 vector", {7}, set(census.norm4_multiplicities.values())
     )
-    return cb.done()
+    return cb
 
 
 @_recorded
 def stage_partition(state: PipelineState) -> Certificate:
-    cb = CertBuilder("norm4-partition")
     state.partition = bl.build_partition(state.lat, state.spread)
-    cert, state.class_block = bl.verify_partition(state.lat, state.partition)
-    cb.cert.checks.extend(cert.checks)
+    cb, state.class_block = bl.verify_partition(state.lat, state.partition)
     # Only a frame listed here can fail (index 2, blocks module docstring). The
     # partition's own class table, not the spread's, ties the rows to its blocks.
     outside = bl.frames_outside_blocks(state.lat, state.arr, state.class_block)
     cb.check("D8-plus-glue certificates failing (of 135)", 0, len(outside))
-    return cb.done()
+    return cb
 
 
 @_recorded
@@ -181,11 +179,11 @@ def stage_roundtrip(state: PipelineState) -> Certificate:
     In `certify` this stage cannot fail: `blocks.build_partition` builds the
     blocks from the spread's classes.
     """
-    cb = CertBuilder("partition-roundtrip")
+    cb = Certificate("partition-roundtrip")
     recovered = bl.block_spaces(state.class_block)
     cb.check("recovered spaces equal the spread", sorted(state.spread.spaces), sorted(recovered))
     cb.check("recovered class label", state.spread.class_label, state.labels[recovered[0]])
-    return cb.done()
+    return cb
 
 
 @_recorded

@@ -17,7 +17,8 @@ eight rows, as does the tests' oracle for the D8-plus-glue presentation,
 vector is named by one integer code, linear in the vector (`norm4_codes`),
 so a frame's 112 vectors +-r_a +-r_b are the codes c_a +- c_b of its reps
 (`frame_codes`). The pair census is their one reader: it tallies them as
-integers and maps each back to the shell.
+integers and maps each back to the shell. These tables take the `Lattice`
+and are cached per lattice (equal Grams share one entry).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import chain, combinations
 from operator import mul
 from typing import NamedTuple
 
-from .certs import CertBuilder, Certificate
+from .certs import Certificate
 from .gf2 import (
     F2Subspace,
     FormTable,
@@ -92,7 +93,7 @@ def frame_from_3space(
     if w.mask & ~v.mask:
         raise ValueError("W is not a subspace of V")
     aniso = bits_of_mask(perp_mask(ft, w) & ~ft.iso_mask & ~1)
-    CertBuilder("frame").check("anisotropic classes of W-perp for W=%s" % (w.rows,), 8, len(aniso))
+    Certificate("frame").check("anisotropic classes of W-perp for W=%s" % (w.rows,), 8, len(aniso))
     return Frame(roots=tuple(sorted(pair_of_class[c] for c in aniso)), source=source)
 
 
@@ -115,14 +116,14 @@ _SIGNED_DIGIT = bytes(range(254, 256)) + bytes(range(254))
 
 
 @lru_cache(maxsize=None)
-def _packed_gram(gram: Mat) -> tuple[list[Vec], list[int]]:
+def _packed_gram(lat: Lattice) -> tuple[list[Vec], list[int]]:
     """The root-pair reps and the columns G P_k of `root_pair_products`."""
-    reps = [p.rep for p in root_pairs(Lattice(gram=gram))]
+    reps = [p.rep for p in root_pairs(lat)]
     packed = [sum(r[k] << 8 * b for b, r in enumerate(reps)) for k in range(8)]
-    return reps, [sum(map(mul, row, packed)) for row in gram]
+    return reps, [sum(map(mul, row, packed)) for row in lat.gram]
 
 
-def root_pair_products(gram: Mat, v: Vec) -> tuple[int, ...]:
+def root_pair_products(lat: Lattice, v: Vec) -> tuple[int, ...]:
     """(v . r_b)_b over the 120 root-pair reps, read off one integer.
 
     With column k of the reps packed as P_k = sum_b r_b[k] 256^b,
@@ -134,40 +135,38 @@ def root_pair_products(gram: Mat, v: Vec) -> tuple[int, ...]:
     in C: `bytes.translate` maps digit d to the byte of d - 2 (`_SIGNED_DIGIT`),
     and a signed-char view reads each byte as that integer.
     """
-    reps, packed_g = _packed_gram(gram)
+    reps, packed_g = _packed_gram(lat)
     total = sum(map(mul, v, packed_g)) + int.from_bytes(b"\x02" * len(reps), "little")
     digits = total.to_bytes(len(reps), "little").translate(_SIGNED_DIGIT)
     return tuple(memoryview(digits).cast("b"))
 
 
 @lru_cache(maxsize=None)
-def root_pair_gram_row(gram: Mat, a: int) -> tuple[int, ...]:
+def root_pair_gram_row(lat: Lattice, a: int) -> tuple[int, ...]:
     """Row a of the root-pair Gram T: T[a][b] = r_a . r_b, in {0, +-1, +-2}.
 
     `root_pair_products` of rep a, cached per row: the frame search builds
     only the rows it reads.
     """
-    return root_pair_products(gram, _packed_gram(gram)[0][a])
+    return root_pair_products(lat, _packed_gram(lat)[0][a])
 
 
 @lru_cache(maxsize=None)
-def root_pair_gram(gram: Mat) -> Mat:
+def root_pair_gram(lat: Lattice) -> Mat:
     """The root-pair Gram T: the tuple of its rows `root_pair_gram_row`."""
-    return tuple(root_pair_gram_row(gram, a) for a in range(len(_packed_gram(gram)[0])))
+    return tuple(root_pair_gram_row(lat, a) for a in range(len(root_pairs(lat))))
 
 
 @lru_cache(maxsize=None)
-def norm4_codes(gram: Mat) -> tuple[tuple[int, ...], dict[int, Vec]]:
+def norm4_codes(lat: Lattice) -> tuple[tuple[int, ...], dict[int, Vec]]:
     """The code of each root-pair rep, and each norm-4 vector by its code.
 
     The code of `_code_weights` is linear, so r_a +- r_b has code
     code(r_a) +- code(r_b), and its base makes a code name at most one
     vector within the bounds of the shell and of every sum r_a +- r_b: a sum
     off the shell is no key. The map holds the shell's own tuples, one
-    object per vector. Cached per Gram matrix, so a congruent Gram gets its
-    own.
+    object per vector.
     """
-    lat = Lattice(gram=gram)
     weights = _code_weights(lat)
     by_code = {sum(map(mul, v, weights)): v for v in enumerate_shell(lat, 4)}
     return tuple(sum(map(mul, p.rep, weights)) for p in root_pairs(lat)), by_code
@@ -186,8 +185,8 @@ def frame_codes(lat: Lattice, frame: Frame) -> list[int]:
     `serial.parse_frames` rejects any other). A pair with T[a][b] != 0 adds
     none: +-ra +-rb has norm 4 only when ra . rb = 0.
     """
-    codes = norm4_codes(lat.gram)[0]
-    pair_gram = root_pair_gram(lat.gram)
+    codes = norm4_codes(lat)[0]
+    pair_gram = root_pair_gram(lat)
     out = []
     for a, b in combinations(frame.roots, 2):
         if not pair_gram[a][b]:
@@ -225,9 +224,9 @@ def orthogonal_pair_census(lat: Lattice, arr: FrameArray) -> PairCensus:
     code is mapped back to its norm-4 vector, so a code off the shell raises
     KeyError. Each norm-4 vector of the lattice must arise seven times.
     """
-    per_pair = [row.count(0) for row in root_pair_gram(lat.gram)]
+    per_pair = [row.count(0) for row in root_pair_gram(lat)]
     tally = Counter(chain.from_iterable(frame_codes(lat, f) for row in arr.rows for f in row))
-    by_code = norm4_codes(lat.gram)[1]
+    by_code = norm4_codes(lat)[1]
     return PairCensus(
         orthogonal_pair_count=sum(per_pair) // 2,
         per_pair_orthogonal_counts=tuple(per_pair),
@@ -244,9 +243,9 @@ def verify_frame_array(lat: Lattice, arr: FrameArray) -> Certificate:
     135 frames. Pairs are keyed by the frame's id order, which is sorted
     (`Frame.roots`; `serial.parse_frames` rejects any other).
     """
-    cb = CertBuilder("frame-array")
+    cb = Certificate("frame-array")
     cb.check("row count", 9, len(arr.rows))
-    pair_gram = root_pair_gram(lat.gram)
+    pair_gram = root_pair_gram(lat)
     for i, row in enumerate(arr.rows):
         cb.check("row %d frame count" % i, 15, len(row))
         ids = sorted(pid for f in row for pid in f.roots)
@@ -264,4 +263,4 @@ def verify_frame_array(lat: Lattice, arr: FrameArray) -> Certificate:
     )
     cb.check("orthogonal pairs covered once", 3780, len(counts))
     cb.check("max frame multiplicity of a pair", 1, max(counts.values()))
-    return cb.done()
+    return cb

@@ -3,6 +3,8 @@
 Vectors of the 8-dimensional GF(2) space are 8-bit integers (bit i is
 coordinate i of a lattice vector reduced mod 2). The quadratic form is
 q(x) = norm(lift)/2 mod 2, its polar form b(x, y) = inner(lift, lift) mod 2.
+The classes of the root pairs and of the norm-4 shell are cached per lattice
+(equal Grams share one entry).
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .certs import CertBuilder
-from .intmat import Mat, Vec
+from .certs import Certificate
+from .intmat import Vec
 from .lattice import Lattice, enumerate_shell, root_pairs
 
 
@@ -31,30 +33,22 @@ def reduce_mod2(v: Vec) -> int:
 
 
 @lru_cache(maxsize=None)
-def _root_pair_classes_cached(gram: Mat) -> tuple[int, ...]:
-    return tuple(reduce_mod2(p.rep) for p in root_pairs(Lattice(gram=gram)))
-
-
 def root_pair_classes(lat: Lattice) -> tuple[int, ...]:
-    """The class of each root pair's rep, by pair id: 120 reductions, once per Gram.
+    """The class of each root pair's rep, by pair id: 120 reductions.
 
     The mod-2 census checks that the 120 classes are distinct and anisotropic.
     """
-    return _root_pair_classes_cached(lat.gram)
+    return tuple(reduce_mod2(p.rep) for p in root_pairs(lat))
 
 
 @lru_cache(maxsize=None)
-def _norm4_classes_cached(gram: Mat) -> tuple[int, ...]:
-    return tuple(map(reduce_mod2, enumerate_shell(Lattice(gram=gram), 4)))
-
-
 def norm4_classes(lat: Lattice) -> tuple[int, ...]:
-    """The class of each norm-4 vector, in shell order: 2160 reductions, once per Gram.
+    """The class of each norm-4 vector, in shell order: 2160 reductions.
 
     The mod-2 census counts them and `blocks.build_partition` files each
     vector by its class.
     """
-    return _norm4_classes_cached(lat.gram)
+    return tuple(map(reduce_mod2, enumerate_shell(lat, 4)))
 
 
 def lift_bits(bits: int) -> Vec:
@@ -274,7 +268,7 @@ def enumerate_isotropic_4spaces(ft: FormTable) -> list[F2Subspace]:
     depth must be the polar space's counts (ISOTROPIC_LEVEL_COUNTS); a wrong
     count raises CheckFailure naming the level.
     """
-    cb = CertBuilder("isotropic-4-spaces")
+    cb = Certificate("isotropic-4-spaces")
     per_depth = [0] * 4
     spaces = [F2Subspace(rows=rows) for rows in _isotropic_leaves(ft, per_depth)]
     for dim, expected in enumerate(ISOTROPIC_LEVEL_COUNTS, 1):
@@ -329,11 +323,7 @@ def intersection_profile(
     v1: F2Subspace, others: list[F2Subspace]
 ) -> dict[int, int]:
     """Histogram of dim(v1 ^ u) over the other members of v1's class."""
-    hist: dict[int, int] = {}
-    for u in others:
-        d = intersection_dim(v1, u)
-        hist[d] = hist.get(d, 0) + 1
-    return hist
+    return dict(Counter(intersection_dim(v1, u) for u in others))
 
 
 def double_profile(
@@ -342,11 +332,7 @@ def double_profile(
     """Histogram of (dim ^ v1, dim ^ v2) over the remaining class members."""
     if intersection_dim(v1, v2) != 0:
         raise ValueError("v1 and v2 are not disjoint")
-    hist: dict[tuple[int, int], int] = {}
-    for u in others:
-        key = (intersection_dim(v1, u), intersection_dim(v2, u))
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+    return dict(Counter((intersection_dim(v1, u), intersection_dim(v2, u)) for u in others))
 
 
 class Mod2Census(NamedTuple):

@@ -1,7 +1,9 @@
 """Exact E8 lattice arithmetic: fixed basis, shells, and lattice recognition.
 
 Every vector is a tuple of 8 integer coordinates in one fixed basis, so all
-inner products are exact integers computed through the Gram matrix.
+inner products are exact integers computed through the Gram matrix. The
+shells and root pairs are cached per lattice (equal Grams share one entry):
+`Lattice` is a NamedTuple, so it hashes and compares as its Gram.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class NotPositiveDefinite(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
 def _int_ldl(gram: Mat):
     """Integer-scaled LDL: D * Q(x) = sum_i k[i] * (q[i]*x[i] + c_i(x))^2.
 
@@ -156,51 +157,41 @@ def shell_of_gram(gram: Mat, target_norm: int) -> list[Vec]:
 
 
 @lru_cache(maxsize=None)
-def _shells_cached(gram: Mat) -> dict[int, tuple[Vec, ...]]:
+def _shells(lat: Lattice) -> dict[int, tuple[Vec, ...]]:
     """The norm-2 and norm-4 shells, from one descent to norm 4."""
-    return {m: tuple(s) for m, s in shells_of_gram(gram, (ROOT_NORM, LONG_NORM)).items()}
+    return {m: tuple(s) for m, s in shells_of_gram(lat.gram, (ROOT_NORM, LONG_NORM)).items()}
 
 
 def enumerate_shell(lat: Lattice, target_norm: int) -> list[Vec]:
     """The norm-2 or norm-4 shell of the lattice, in sorted coordinate order."""
     if target_norm not in (ROOT_NORM, LONG_NORM):
         raise ValueError("unsupported shell norm %r" % (target_norm,))
-    return list(_shells_cached(lat.gram)[target_norm])
+    return list(_shells(lat)[target_norm])
 
 
 @lru_cache(maxsize=None)
-def _norm4_set_cached(gram: Mat) -> frozenset[Vec]:
-    return frozenset(_shells_cached(gram)[LONG_NORM])
-
-
 def norm4_set(lat: Lattice) -> frozenset[Vec]:
-    """The norm-4 shell as a frozenset for membership tests, built once per Gram."""
-    return _norm4_set_cached(lat.gram)
+    """The norm-4 shell as a frozenset for membership tests."""
+    return frozenset(_shells(lat)[LONG_NORM])
 
 
 @lru_cache(maxsize=None)
-def _root_pairs_cached(gram: Mat) -> tuple[RootPair, ...]:
-    """The reps are the upper half of the sorted norm-2 shell.
+def root_pairs(lat: Lattice) -> tuple[RootPair, ...]:
+    """The 120 antipodal root pairs, ids fixed by sorted canonical reps.
 
-    Negation reverses lexicographic order, so a sorted shell closed under
-    negation has shell[k] == -shell[N-1-k], and the larger of {r, -r} sits in
-    the upper half. One comparison checks that closure: the lower half is the
-    upper half negated and reversed.
+    The canonical representative is the lexicographically larger of {r, -r}:
+    the reps are the upper half of the sorted norm-2 shell. Negation reverses
+    lexicographic order, so a sorted shell closed under negation has
+    shell[k] == -shell[N-1-k], and the larger of {r, -r} sits in the upper
+    half. One comparison checks that closure: the lower half is the upper
+    half negated and reversed.
     """
-    roots = _shells_cached(gram)[ROOT_NORM]
+    roots = _shells(lat)[ROOT_NORM]
     half = len(roots) // 2
     reps = roots[half:]
     if roots[:half] != tuple(map(neg, reversed(reps))):
         raise AssertionError("roots do not split into antipodal pairs")
     return tuple(RootPair(id=i, rep=r) for i, r in enumerate(reps))
-
-
-def root_pairs(lat: Lattice) -> list[RootPair]:
-    """The 120 antipodal root pairs, ids fixed by sorted canonical reps.
-
-    The canonical representative is the lexicographically larger of {r, -r}.
-    """
-    return list(_root_pairs_cached(lat.gram))
 
 
 def _recognize(gram: Mat, want_det: int, want_min_count: int) -> bool:

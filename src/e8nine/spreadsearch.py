@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .certs import CertBuilder, Certificate
+from .certs import Certificate
 from .gf2 import (
     F2Subspace,
     FormTable,
@@ -78,7 +78,7 @@ def find_spread(class_members: list[F2Subspace], label: SpaceClass) -> Spread:
 
 def verify_spread(s: Spread, ft: FormTable) -> Certificate:
     """Re-check every spread invariant; fails naming the first violation."""
-    cb = CertBuilder("spread")
+    cb = Certificate("spread")
     cb.check("number of spaces", 9, len(s.spaces))
     points: set[int] = set()
     for i, sp in enumerate(s.spaces):
@@ -104,7 +104,7 @@ def verify_spread(s: Spread, ft: FormTable) -> Certificate:
             )
     cb.check("isotropic points covered", 135, len(points))
     cb.check("distinct spaces", 9, len(set(s.spaces)))
-    return cb.done()
+    return cb
 
 
 def verify_spread_class(s: Spread, first: F2Subspace) -> Certificate:
@@ -112,6 +112,6 @@ def verify_spread_class(s: Spread, first: F2Subspace) -> Certificate:
     `first`, the canonically first isotropic 4-space; a verified spread's
     nine spaces share one family. `verify` passes
     `gf2.first_isotropic_4space`, the space `certify` labels class A."""
-    cb = CertBuilder("spread-class")
+    cb = Certificate("spread-class")
     cb.check("class of the spread's spaces", s.class_label, family(first, s.spaces[0]))
-    return cb.done()
+    return cb

@@ -43,8 +43,7 @@ def _report(num: int, label: str, elapsed: float, budget: float) -> None:
 
 
 def test_criterion_01_shell_counts():
-    lt._shells_cached.cache_clear()
-    lt._int_ldl.cache_clear()
+    lt._shells.cache_clear()
     t0 = time.perf_counter()
     lat = lt.build_lattice()
     n2 = len(lt.enumerate_shell(lat, 2))

@@ -18,7 +18,7 @@ from e8nine.blocks import (
     spread_from_partition,
     verify_partition,
 )
-from e8nine.certs import CertBuilder, CheckFailure
+from e8nine.certs import Certificate, CheckFailure
 from e8nine.frames import (
     Frame,
     FrameArray,
@@ -214,7 +214,7 @@ def _reference_certify_scaled_e8(lat, block):
     """certify_scaled_e8 as it was before the recovered frame: the HNF basis of
     the block, membership through its adjugate, and an even Gram whose half
     is recognized as E8."""
-    cb = CertBuilder("scaled-e8 block %d" % block.row_index)
+    cb = Certificate("scaled-e8 block %d" % block.row_index)
     cb.check("vector count", 240, len(block.vectors))
     cb.check("distinct vectors", 240, len(set(block.vectors)))
     vset = set(block.vectors)
@@ -232,7 +232,7 @@ def _reference_certify_scaled_e8(lat, block):
     half = tuple(tuple(x // 2 for x in row) for row in full_gram)
     cb.check("halved Gram determinant", 1, det(half))
     cb.check("E8 recognition of halved Gram", True, recognize_even_unimodular_e8(half))
-    return cb.done()
+    return cb
 
 
 def _scaled_e8_outcome(certify, lat, block):
@@ -318,7 +318,7 @@ def test_certify_d8_glue_rejects_cross_block_pair_swaps(lat, partition, frame_ar
 def _reference_certify_d8_glue(lat, block, frame):
     """certify_d8_glue as it was before the tables: one matrix product per vector."""
     reps = frame_reps(lat, frame)
-    cb = CertBuilder("d8-glue block %d frame %s" % (block.row_index, frame.source))
+    cb = Certificate("d8-glue block %d frame %s" % (block.row_index, frame.source))
     to_frame = _to_frame(lat, reps)
     two_i = tuple(tuple(2 * (i == j) for j in range(8)) for i in range(8))
     cb.check("frame orthonormal at half scale", two_i, mat_mul(reps, to_frame))
@@ -337,7 +337,7 @@ def _reference_certify_d8_glue(lat, block, frame):
     parity = coords[0].count(-1) % 2
     other_coset = [v for v, d in zip(rest, coords) if d.count(-1) % 2 != parity]
     cb.check(OTHER_COSET, [], other_coset)
-    return cb.done()
+    return cb
 
 
 def _outcome(certify, lat, block, frame):
@@ -737,8 +737,9 @@ def test_block_of_class_table_requires_each_norm4_vector_once(lat, partition):
 
 
 def test_pipeline_on_a_congruent_gram_maps_onto_a_verified_partition(lat, ft, labels):
-    # The root-pair tables and the norm-4 set are cached per Gram, so a run on
-    # U G U^T builds its own; a table keyed to the standard Gram would fail.
+    # The root-pair tables and the norm-4 set are cached per lattice, keyed by
+    # its Gram, so a run on U G U^T builds its own; a table keyed to the
+    # standard Gram would fail.
     u = [list(row) for row in identity(8)]
     u[0][5], u[3][1] = 1, -2
     gram = mat_mul(mat_mul(u, lat.gram), transpose(u))

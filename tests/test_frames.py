@@ -30,7 +30,7 @@ from e8nine.lattice import Lattice, enumerate_shell, inner, norm, root_pairs
 
 def frame_combinations(lat, frame):
     """The vectors of `frame_codes`, in order; a code off the shell raises KeyError."""
-    return list(map(norm4_codes(lat.gram)[1].__getitem__, frame_codes(lat, frame)))
+    return list(map(norm4_codes(lat)[1].__getitem__, frame_codes(lat, frame)))
 
 
 def test_three_spaces_count_and_membership(spread):
@@ -206,14 +206,14 @@ def _reference_pair_combinations(gram):
 
 def test_norm4_codes_match_tuple_arithmetic_reference(lat):
     for gram in _kernel_grams(lat):
-        codes, by_code = norm4_codes(gram)
-        assert norm4_codes(gram) is norm4_codes(gram)
+        codes, by_code = norm4_codes(Lattice(gram=gram))
+        assert norm4_codes(Lattice(gram=gram)) is norm4_codes(Lattice(gram=gram))
         # One entry per norm-4 vector: the shell's own tuples, never a new sum.
         shell4 = enumerate_shell(Lattice(gram=gram), 4)
         assert len(codes) == 120 and len(by_code) == 2160
         assert {id(v) for v in by_code.values()} == {id(v) for v in shell4}
         pair_gram, want = _reference_pair_combinations(gram)
-        assert root_pair_gram(gram) == pair_gram  # the T that picks the pairs
+        assert root_pair_gram(Lattice(gram=gram)) == pair_gram  # the T that picks the pairs
         assert len(want) == 3780
         for (a, b), vectors in want.items():
             ca, cb = codes[a], codes[b]
@@ -224,11 +224,12 @@ def test_norm4_codes_match_tuple_arithmetic_reference(lat):
 def test_root_pair_gram_is_the_tuple_of_its_cached_rows(lat):
     # The frame search reads single rows; the whole T is the same rows.
     for gram in _kernel_grams(lat):
-        pair_gram = root_pair_gram(gram)
+        other = Lattice(gram=gram)
+        pair_gram = root_pair_gram(other)
         assert len(pair_gram) == 120
         for a in range(120):
-            assert root_pair_gram_row(gram, a) == pair_gram[a]
-            assert root_pair_gram_row(gram, a) is root_pair_gram_row(gram, a)
+            assert root_pair_gram_row(other, a) == pair_gram[a]
+            assert root_pair_gram_row(other, a) is root_pair_gram_row(other, a)
 
 
 def test_code_base_comes_from_the_shells(lat):
@@ -332,7 +333,7 @@ def test_frame_combinations_match_arithmetic_reference(lat, frame_array):
     frames = [f for row in frame_array.rows for f in row]
     for gram in _congruent_grams(lat):
         other = Lattice(gram=gram)
-        pair_gram = root_pair_gram(gram)
+        pair_gram = root_pair_gram(other)
         shell4 = set(enumerate_shell(other, 4))
         f = frames[0]
         c = next(c for c in range(120) if c not in f.roots and pair_gram[f.roots[0]][c] != 0)
@@ -354,7 +355,7 @@ def test_gram_rows_give_every_inner_product(lat):
     for gram in _congruent_grams(lat):
         other = Lattice(gram=gram)
         reps = [p.rep for p in root_pairs(other)]
-        pair_gram = root_pair_gram(gram)
+        pair_gram = root_pair_gram(other)
         for a, b in itertools.product(range(120), repeat=2):
             assert pair_gram[a][b] == inner(other, reps[a], reps[b])
         # Every root and norm-4 vector, not only a rep: every |v . r_b| <= 2.
@@ -362,7 +363,7 @@ def test_gram_rows_give_every_inner_product(lat):
         g_reps = [[sum(map(mul, row, r)) for row in gram] for r in reps]
         digits = set()
         for v in enumerate_shell(other, 2) + enumerate_shell(other, 4):
-            products = root_pair_products(gram, v)
+            products = root_pair_products(other, v)
             assert products == tuple(sum(map(mul, v, gr)) for gr in g_reps)
             digits.update(products)
         assert digits == {-2, -1, 0, 1, 2}

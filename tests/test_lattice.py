@@ -184,16 +184,16 @@ def test_root_pairs_are_the_sorted_larger_of_each_antipodal_pair():
 
 @pytest.mark.parametrize("tamper", ["drop the first root", "swap two lower roots"])
 def test_root_pairs_reject_a_shell_that_is_not_antipodal(monkeypatch, tamper):
-    shells = dict(lt._shells_cached(E8_GRAM))
+    shells = dict(lt._shells(build_lattice()))
     roots = list(shells[2])
     if tamper == "drop the first root":
         del roots[0]
     else:
         roots[0], roots[1] = roots[1], roots[0]
     shells[2] = tuple(roots)
-    monkeypatch.setattr(lt, "_shells_cached", lambda gram: shells)
+    monkeypatch.setattr(lt, "_shells", lambda lat: shells)
     with pytest.raises(AssertionError, match="roots do not split into antipodal pairs"):
-        lt._root_pairs_cached.__wrapped__(E8_GRAM)
+        lt.root_pairs.__wrapped__(build_lattice())
 
 
 def test_root_inner_product_range_exhaustive(lat):
@@ -311,7 +311,7 @@ def _rebased_grams():
 
 def test_integer_ldl_matches_the_fraction_ldl(monkeypatch):
     grams = [E8_GRAM, D8_GRAM, D4_GRAM, A2_GRAM] + _rebased_grams()
-    assert [lt._int_ldl.__wrapped__(g) for g in grams] == [fraction_int_ldl(g) for g in grams]
+    assert [lt._int_ldl(g) for g in grams] == [fraction_int_ldl(g) for g in grams]
     # E8_GRAM and the suite's two rebased Grams, on both shells.
     shown = [grams[0]] + grams[4:6]
     shells = [(shell_of_gram(g, 2), shell_of_gram(g, 4)) for g in shown]
@@ -333,7 +333,7 @@ def test_indefinite_gram_raises_as_the_fraction_ldl_does(gram):
     with pytest.raises(NotPositiveDefinite) as want:
         fraction_ldl(gram)
     with pytest.raises(NotPositiveDefinite) as got:
-        lt._int_ldl.__wrapped__(gram)
+        lt._int_ldl(gram)
     assert str(got.value) == str(want.value)
     with pytest.raises(NotPositiveDefinite):
         shell_of_gram(gram, 2)

@@ -13,7 +13,7 @@ import pytest
 from e8nine import autgroup as ag
 from e8nine import blocks as bl
 from e8nine import cli, gf2, serial
-from e8nine.certs import CertBuilder, CheckFailure
+from e8nine.certs import Certificate, CheckFailure
 from e8nine.frames import FrameArray
 from e8nine.gf2 import F2Subspace, SpaceClass, nonzero_elements, rref
 from e8nine.intmat import mat_mul, transpose
@@ -663,9 +663,9 @@ def test_certify_and_verify_prove_the_class_table_once_and_reduce_each_vector_on
         monkeypatch.setattr(module, "reduce_mod2", lambda v: reduced.append(v) or reduce(v))
     monkeypatch.setattr(bl, "spread_from_partition", lambda *a: roundtrips.append(a) or roundtrip(*a))
     monkeypatch.setattr(ag, "search_source", lambda *a: sources.append(a) or source(*a))
-    # The root-pair and norm-4 classes are cached per Gram; drop them so each run reduces them.
-    gf2._root_pair_classes_cached.cache_clear()
-    gf2._norm4_classes_cached.cache_clear()
+    # The root-pair and norm-4 classes are cached per lattice; drop them so each run reduces them.
+    gf2.root_pair_classes.cache_clear()
+    gf2.norm4_classes.cache_clear()
     out = tmp_path / "out"
     assert cli.main(["certify", "--out", str(out)]) == 0
     assert len(tables) == 1
@@ -675,8 +675,8 @@ def test_certify_and_verify_prove_the_class_table_once_and_reduce_each_vector_on
     tables.clear()
     reduced.clear()
     sources.clear()
-    gf2._root_pair_classes_cached.cache_clear()
-    gf2._norm4_classes_cached.cache_clear()
+    gf2.root_pair_classes.cache_clear()
+    gf2.norm4_classes.cache_clear()
     files = [str(out / n) for n in ("spread.txt", "frames.txt", "partition.txt", "generators.txt")]
     capsys.readouterr()
     assert cli.main(["verify"] + files) == 0
@@ -684,6 +684,45 @@ def test_certify_and_verify_prove_the_class_table_once_and_reduce_each_vector_on
     assert len(tables) == 1
     assert len(reduced) == 120 + 2160
     assert sources == []
+
+
+def _cached_tables():
+    """By name, each per-lattice table (an lru_cache keyed by the Lattice) and
+    the frame search's per-process orderings."""
+    from e8nine import frames, lattice
+
+    return {
+        "lattice._shells": lattice._shells,
+        "lattice.norm4_set": lattice.norm4_set,
+        "lattice.root_pairs": lattice.root_pairs,
+        "gf2.root_pair_classes": gf2.root_pair_classes,
+        "gf2.norm4_classes": gf2.norm4_classes,
+        "frames._packed_gram": frames._packed_gram,
+        "frames.root_pair_gram_row": frames.root_pair_gram_row,
+        "frames.root_pair_gram": frames.root_pair_gram,
+        "frames.norm4_codes": frames.norm4_codes,
+        "autgroup._orderings": ag._orderings,
+    }
+
+
+def test_certify_and_verify_build_each_per_lattice_table_once(tmp_path, capsys):
+    # One Lattice is built per run, so each table is built once (120 rows of
+    # the root-pair Gram T). verify runs no frame search and builds no
+    # partition or pair census: no norm-4 codes, norm-4 classes or orderings.
+    tables = _cached_tables()
+    once = dict.fromkeys(tables, 1) | {"frames.root_pair_gram_row": 120}
+    for table in tables.values():
+        table.cache_clear()
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--out", str(out)]) == 0
+    assert {name: t.cache_info().misses for name, t in tables.items()} == once
+    for table in tables.values():
+        table.cache_clear()
+    capsys.readouterr()
+    assert cli.main(["verify"] + sorted(str(p) for p in out.iterdir())) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 9
+    unbuilt = {"frames.norm4_codes": 0, "gf2.norm4_classes": 0, "autgroup._orderings": 0}
+    assert {name: t.cache_info().misses for name, t in tables.items()} == once | unbuilt
 
 
 def test_verify_enumerates_and_classifies_no_space(pipeline_state, tmp_path, capsys, monkeypatch):
@@ -1067,7 +1106,7 @@ def test_stage_failure_writes_marker(tmp_path, monkeypatch, capsys):
 
 def test_sub_certificate_failure_marker_names_pipeline_stage(tmp_path, monkeypatch, capsys):
     def failing_scaled_e8(lat, block, classes):
-        cb = CertBuilder("scaled-e8 block %d" % block.row_index)
+        cb = Certificate("scaled-e8 block %d" % block.row_index)
         cb.check("inner products even: classes pairwise orthogonal", [], [(1, 2)])
 
     monkeypatch.setattr(bl, "certify_scaled_e8", failing_scaled_e8)
