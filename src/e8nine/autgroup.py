@@ -42,6 +42,7 @@ both run it, on a frame and none of the search's tables (`SearchSource`).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import combinations, compress, permutations, product
@@ -53,16 +54,7 @@ from .frames import Frame, FrameArray, frame_reps, root_pair_gram_row
 from .gf2 import rank, root_pair_classes, rref
 from .intmat import Mat, Vec, adjugate, det, mat_mul, transpose
 from .lattice import Lattice, enumerate_shell
-from .permgroup import (
-    Perm,
-    StabChain,
-    identity_perm,
-    inverse,
-    mult,
-    orbit_of,
-    perm_parity,
-    schreier_sims,
-)
+from .permgroup import Perm, StabChain, identity_perm, perm_parity, schreier_sims
 
 # 2 * |A9|: the certified order of the full block stabilizer.
 STABILIZER_ORDER = 362880
@@ -79,11 +71,13 @@ NEGATION: Mat = tuple(tuple(-1 if i == j else 0 for j in range(8)) for i in rang
 
 
 class BlockAction(NamedTuple):
-    """The induced action of the stabilizer on the nine blocks."""
+    """The induced action on the nine blocks, and of block 0's stabilizer on the other eight."""
 
     image_order: int
     kernel_order: int
     all_even: bool
+    other_blocks_image_order: int
+    other_blocks_transitive: bool
 
 
 def is_gram_isometry(lat: Lattice, m: Mat) -> bool:
@@ -502,6 +496,11 @@ def block_action(
     the frame's eight rows of T, meets its four frame roots, and the supports
     join all pairs of slots, so the spanning frame roots share one sign:
     M = +-1. Generator 0 is -1, so the order is twice the image order.
+
+    The stabilizer G_0 of block 0 maps onto the stabilizer of point 0 in the
+    image, which acts faithfully on points 1..8: its order is the product of
+    the chain's orbit lengths below point 0, and it is transitive when point
+    1's orbit has length 8 (exact at the bound: `StabChain.orbit_lengths`).
     """
     cb = Certificate("block-action")
     dimension = block_endomorphism_dimension(class_block)
@@ -511,8 +510,9 @@ def block_action(
     cb.check("source frame slot pairs sharing a root support", 28, len(joined))
     all_even = all(perm_parity(p) == 0 for p in result.block_perms)
     bound = BLOCK_IMAGE_ORDER if all_even else None  # even images lie in A9
-    image_order, _ = schreier_sims(list(result.block_perms), bound)
-    return BlockAction(image_order=image_order, kernel_order=2, all_even=all_even)
+    image_order, chain = schreier_sims(list(result.block_perms), bound)
+    lengths = chain.orbit_lengths()
+    return BlockAction(image_order, 2, all_even, math.prod(lengths[1:]), lengths[1] == 8)
 
 
 def verify_group(
@@ -528,10 +528,15 @@ def verify_group(
       block spaces, -1 as generator 0, the root supports over the frame);
     - group order: image order times kernel order;
     - block-0 stabilizer order: group order / 9, block 0's orbit length;
-    - orders and transitivity on the other eight blocks and on the 15 points,
-      and both kernel orders: Schreier generators of the block-0 stabilizer on
-      9 blocks and block 0's 15 points mod 2 (`one_block_stabilizer_analysis`),
-      both stopped at the proved bound |G_0| / 2 when -1 is generator 0;
+    - order and transitivity on the other eight blocks: the same chain's
+      levels below block 0 (`block_action`); kernel order: block-0 stabilizer
+      order / that order. Once `group order` passes the image is A9, so these
+      three lines cannot fail, like both block-action orders, `block images
+      all even` and `kernels contain negation`;
+    - order and transitivity on the 15 points, and that kernel order: Schreier
+      generators of the block-0 stabilizer on block 0's 15 points mod 2
+      (`one_block_stabilizer_analysis`), stopped at the proved bound
+      |G_0| / 2 when -1 is generator 0;
     - kernels contain negation: -1 is generator 0, fixes block 0 and is the
       identity mod 2.
     """
@@ -543,44 +548,37 @@ def verify_group(
     cb.check("block-action kernel order", 2, action.kernel_order)
     cb.check("block images all even", True, action.all_even)
     report = one_block_stabilizer_analysis(stab, class_block, order)
+    eight = action.other_blocks_image_order
     cb.check("block-0 stabilizer order", 40320, report.stabilizer_order)
-    cb.check(
-        "image order on other eight blocks", ONE_BLOCK_IMAGE_ORDER, report.other_blocks_image_order
-    )
-    cb.check("transitive on other eight blocks", True, report.other_blocks_transitive)
+    cb.check("image order on other eight blocks", ONE_BLOCK_IMAGE_ORDER, eight)
+    cb.check("transitive on other eight blocks", True, action.other_blocks_transitive)
     cb.check(
         "image order on 15 fixed-space points", ONE_BLOCK_IMAGE_ORDER, report.points_image_order
     )
     cb.check("transitive on 15 points", True, report.points_transitive)
-    cb.check("kernel order on eight blocks", 2, report.kernel_order_blocks)
+    cb.check("kernel order on eight blocks", 2, report.stabilizer_order // eight)
     cb.check("kernel order on 15 points", 2, report.kernel_order_points)
     cb.check("kernels contain negation", True, stab.isometries[0] == NEGATION)
     return cb
 
 
 class OneBlockReport(NamedTuple):
-    """Stabilizer of block 0: its two order-20160 transitive quotients."""
+    """Stabilizer of block 0 and its order-20160 transitive image on 15 points."""
 
     stabilizer_order: int
-    other_blocks_image_order: int
-    other_blocks_transitive: bool
     points_image_order: int
     points_transitive: bool
-    kernel_order_blocks: int
     kernel_order_points: int
 
 
-def _schreier_pairs(
-    orbit: list[int], transversal: dict[int, tuple[Perm, dict[int, int]]], gens: list
-):
-    """The Schreier generators t_b s t_{b s}^-1 of G_0, as pairs (on the nine
-    blocks, on block 0's 15 points), formed one at a time in BFS order."""
+def _schreier_points(orbit: list[int], transversal: dict[int, dict[int, int]], gens: list):
+    """The Schreier generators t_b s t_{b s}^-1 of G_0 on block 0's 15
+    points, formed one at a time in BFS order."""
     for b in orbit:
-        t, points = transversal[b]
+        points = transversal[b]
         for bp, (low, high) in gens:
-            u, back = transversal[bp[b]]
-            on_points = tuple(back[low[c & 15] ^ high[c >> 4]] for c in points)
-            yield mult(mult(t, bp), inverse(u)), on_points
+            back = transversal[bp[b]]
+            yield tuple(back[low[c & 15] ^ high[c >> 4]] for c in points)
 
 
 def one_block_stabilizer_analysis(
@@ -588,75 +586,52 @@ def one_block_stabilizer_analysis(
     class_block: dict[int, int],
     group_order: int,
 ) -> OneBlockReport:
-    """Analyze the subgroup G_0 fixing block 0, from Schreier generators.
+    """Analyze the subgroup G_0 fixing block 0 on block 0's 15 points.
 
     Each generator permutes the 9 blocks and, by its matrix mod 2
     (`_nibble_images`), the isotropic points. A BFS from block 0 gives a
-    transversal t_b (0 to b), kept as its block permutation and its images
-    of the 15 points that the certified `class_block` puts in block 0, and
-    |G_0| = group_order / |orbit|. By Schreier's lemma the t_b s t_{b s}^-1
-    generate the image of G_0 (Seress, Permutation Group Algorithms, CUP
-    2003, ch. 4), formed directly on the other eight blocks and on block 0's
-    15 points. Both images must have order 20160 and be transitive, with
-    kernels of order 2. When -1 is generator 0 it lies in both kernels (it
-    fixes every block and is I mod 2), so both chains stop at |G_0| / 2.
+    transversal t_b (0 to b), kept as its images of the 15 points that the
+    certified `class_block` puts in block 0, and |G_0| = group_order /
+    |orbit|. By Schreier's lemma the t_b s t_{b s}^-1 generate the image of
+    G_0 (Seress, Permutation Group Algorithms, CUP 2003, ch. 4), formed
+    directly on block 0's 15 points. That image must have order 20160 and
+    be transitive, with a kernel of order 2. When -1 is generator 0 it lies
+    in the kernel (it fixes every block and is I mod 2), so the chain stops
+    at |G_0| / 2; without it no bound is proved, and closure is exact.
 
-    The pairs are formed in BFS order only while a chain still takes them
-    (`_schreier_pairs`): each goes to every chain still below the bound, and
-    none is formed once both have reached it (class A forms 20 of 45).
-    Repeats and the identity are skipped. Transitivity is read off the
-    generators each chain took. A chain that reaches the bound holds that
-    many distinct elements of the group they generate, a subgroup of an
-    image of order at most the bound, so they generate the whole image. A
-    chain below the bound was fed every pair, and each pair it did not take
-    sifted to the identity in its closed levels, so it lies in the group of
-    those taken. With no bound every pair is fed.
+    The points are formed in BFS order only while the chain is below the
+    bound (`_schreier_points`; class A forms 20 of 45). Repeats and the
+    identity are skipped. Transitivity is read off the chain's first orbit
+    length, exact at the bound too (`StabChain.orbit_lengths`).
     """
     block0 = sorted(c for c, b in class_block.items() if b == 0)
     nibbles = [_nibble_images(matrix_mod2_rows(m)) for m in result.isometries]
     gens = list(zip(result.block_perms, nibbles))
     orbit = [0]
-    # t_b as its block permutation and {t_b(point i of block 0): i}, read back as t_b^-1.
-    transversal = {0: (identity_perm(9), {c: i for i, c in enumerate(block0)})}
+    # t_b as {t_b(point i of block 0): i}, read back as t_b^-1.
+    transversal = {0: {c: i for i, c in enumerate(block0)}}
     for b in orbit:
-        t, back = transversal[b]
+        back = transversal[b]
         for bp, (low, high) in gens:
             if bp[b] not in transversal:
                 images = (low[c & 15] ^ high[c >> 4] for c in back)
-                transversal[bp[b]] = (mult(t, bp), {c: i for i, c in enumerate(images)})
+                transversal[bp[b]] = {c: i for i, c in enumerate(images)}
                 orbit.append(bp[b])
     stabilizer_order = group_order // len(orbit)
     bound = stabilizer_order // 2 if tuple(result.isometries[:1]) == (NEGATION,) else None
 
-    # The action on the other eight blocks (relabeled 0..7) and on the 15 points.
-    eight, points = StabChain(degree=8, bound=bound), StabChain(degree=15, bound=bound)
-    eight_gens: list[Perm] = []
-    point_gens: list[Perm] = []
-
-    def below(chain: StabChain) -> bool:
-        return bound is None or chain.order() < bound
-
-    seen = {(identity_perm(9), identity_perm(15))}
-    for pair in _schreier_pairs(orbit, transversal, gens):
-        if pair in seen:
-            continue
-        seen.add(pair)
-        on_blocks, on_points = pair
-        on_eight = tuple(on_blocks[b] - 1 for b in range(1, 9))
-        if below(eight) and eight.add_generator(on_eight):
-            eight_gens.append(on_eight)
-        if below(points) and points.add_generator(on_points):
-            point_gens.append(on_points)
-        if not (below(eight) or below(points)):
-            break
-    other_order, points_order = eight.order(), points.order()
-
+    points = StabChain(degree=15, bound=bound)
+    seen = {identity_perm(15)}
+    for s in _schreier_points(orbit, transversal, gens):
+        if s not in seen:
+            seen.add(s)
+            points.add_generator(s)
+            if bound is not None and points.order() >= bound:
+                break
+    points_order = points.order()
     return OneBlockReport(
         stabilizer_order=stabilizer_order,
-        other_blocks_image_order=other_order,
-        other_blocks_transitive=len(orbit_of(0, eight_gens)) == 8,
         points_image_order=points_order,
-        points_transitive=len(orbit_of(0, point_gens)) == 15,
-        kernel_order_blocks=stabilizer_order // other_order,
+        points_transitive=points.orbit_lengths()[0] == 15,
         kernel_order_points=stabilizer_order // points_order,
     )

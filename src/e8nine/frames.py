@@ -116,9 +116,9 @@ _SIGNED_DIGIT = bytes(range(254, 256)) + bytes(range(254))
 
 
 @lru_cache(maxsize=None)
-def _packed_gram(lat: Lattice) -> tuple[list[Vec], list[int]]:
+def _packed_gram(lat: Lattice) -> tuple[tuple[Vec, ...], list[int]]:
     """The root-pair reps and the columns G P_k of `root_pair_products`."""
-    reps = [p.rep for p in root_pairs(lat)]
+    reps = root_pairs(lat)
     packed = [sum(r[k] << 8 * b for b, r in enumerate(reps)) for k in range(8)]
     return reps, [sum(map(mul, row, packed)) for row in lat.gram]
 
@@ -169,12 +169,12 @@ def norm4_codes(lat: Lattice) -> tuple[tuple[int, ...], dict[int, Vec]]:
     """
     weights = _code_weights(lat)
     by_code = {sum(map(mul, v, weights)): v for v in enumerate_shell(lat, 4)}
-    return tuple(sum(map(mul, p.rep, weights)) for p in root_pairs(lat)), by_code
+    return tuple(sum(map(mul, r, weights)) for r in root_pairs(lat)), by_code
 
 
 def frame_reps(lat: Lattice, frame: Frame) -> list[Vec]:
-    pairs = root_pairs(lat)
-    return [pairs[i].rep for i in frame.roots]
+    reps = root_pairs(lat)
+    return [reps[i] for i in frame.roots]
 
 
 def frame_codes(lat: Lattice, frame: Frame) -> list[int]:

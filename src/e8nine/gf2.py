@@ -38,7 +38,7 @@ def root_pair_classes(lat: Lattice) -> tuple[int, ...]:
 
     The mod-2 census checks that the 120 classes are distinct and anisotropic.
     """
-    return tuple(reduce_mod2(p.rep) for p in root_pairs(lat))
+    return tuple(map(reduce_mod2, root_pairs(lat)))
 
 
 @lru_cache(maxsize=None)

@@ -38,13 +38,6 @@ class Lattice(NamedTuple):
     gram: Mat
 
 
-class RootPair(NamedTuple):
-    """Antipodal pair {r, -r} of norm-2 vectors, keyed by a canonical rep."""
-
-    id: int
-    rep: Vec
-
-
 def build_lattice() -> Lattice:
     """Return the fixed E8 lattice. Deterministic across runs."""
     return Lattice(gram=E8_GRAM)
@@ -176,8 +169,8 @@ def norm4_set(lat: Lattice) -> frozenset[Vec]:
 
 
 @lru_cache(maxsize=None)
-def root_pairs(lat: Lattice) -> tuple[RootPair, ...]:
-    """The 120 antipodal root pairs, ids fixed by sorted canonical reps.
+def root_pairs(lat: Lattice) -> tuple[Vec, ...]:
+    """The canonical reps of the 120 antipodal root pairs; pair a is reps[a].
 
     The canonical representative is the lexicographically larger of {r, -r}:
     the reps are the upper half of the sorted norm-2 shell. Negation reverses
@@ -191,7 +184,7 @@ def root_pairs(lat: Lattice) -> tuple[RootPair, ...]:
     reps = roots[half:]
     if roots[:half] != tuple(map(neg, reversed(reps))):
         raise AssertionError("roots do not split into antipodal pairs")
-    return tuple(RootPair(id=i, rep=r) for i, r in enumerate(reps))
+    return reps
 
 
 def _recognize(gram: Mat, want_det: int, want_min_count: int) -> bool:

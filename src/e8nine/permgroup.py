@@ -19,8 +19,11 @@ k to distinct points, so the products of one element per level are distinct
 group elements: the product of the level sizes bounds the order from below
 even before closure ends. Once it reaches the bound it is the order, and
 the chain stops closing orbits and taking generators. Such a chain answers
-only order(); its levels need not be closed, so sift must not be used on
-it. Without a bound, closure is exact.
+only order() and orbit_lengths(), the |T_k|; its levels need not be closed,
+so sift must not be used on it. Both answers are exact. Below the bound (or
+without one), closure is exact. At a proved bound, each |T_k| is at most the
+orbit length of k under the pointwise stabilizer of 0..k-1; these multiply
+to the order, at most the bound, which the |T_k| reach: so they are equal.
 """
 
 from __future__ import annotations
@@ -84,6 +87,10 @@ class StabChain:
         self._gens: list[list[Perm]] = [[] for _ in range(degree)]  # S_k
         # T_k as {point j: (u, u^-1)}, u the element taking k to j
         self._reps: list[dict[int, tuple[Perm, Perm]]] = [{k: (ident,) * 2} for k in range(degree)]
+
+    def orbit_lengths(self) -> list[int]:
+        """|T_k| for each base point k, exact (see the module docstring)."""
+        return list(map(len, self._reps))
 
     def order(self) -> int:
         return math.prod(map(len, self._reps))
@@ -149,14 +156,3 @@ def schreier_sims(gens: list[Perm], bound: int | None = None) -> tuple[int, Stab
             break
         chain.add_generator(g)
     return chain.order(), chain
-
-
-def orbit_of(point: int, gens: list[Perm]) -> set[int]:
-    seen = {point}
-    todo = [point]
-    for x in todo:
-        for g in gens:
-            if g[x] not in seen:
-                seen.add(g[x])
-                todo.append(g[x])
-    return seen

@@ -10,12 +10,13 @@ E8, so this action is faithful, and Schreier-Sims on it gives the order, the
 kernel and the block-0 stabilizer directly. Tests compare the pipeline with
 it, as they compare the index-2 argument with the 135 glue certificates.
 The module also reads an exact chain's base, orbit lengths and strong
-generators, which only the tests need.
+generators, and a point's orbit, which only the tests need.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from e8nine.autgroup import (
     MAPS_PER_TARGET,
@@ -28,7 +29,7 @@ from e8nine.autgroup import (
 )
 from e8nine.gf2 import reduce_mod2
 from e8nine.lattice import enumerate_shell
-from e8nine.permgroup import StabChain, identity_perm, orbit_of, schreier_sims
+from e8nine.permgroup import StabChain, identity_perm, schreier_sims
 
 
 def root_index(lat):
@@ -127,8 +128,20 @@ def strong_generators(chain, from_level=0):
     return list(dict.fromkeys(g for gens in chain._gens[start:] for g in gens))
 
 
-def one_block_report(lat, chain, class_block) -> OneBlockReport:
-    """The block-0 stabilizer read off a faithful chain.
+def orbit_of(point, gens):
+    """The orbit of a point under the group the permutations generate."""
+    seen = {point}
+    todo = [point]
+    for x in todo:
+        for g in gens:
+            if g[x] not in seen:
+                seen.add(g[x])
+                todo.append(g[x])
+    return seen
+
+
+def block0_stabilizer(chain):
+    """Generators and order of the block-0 stabilizer, read off a faithful chain.
 
     When block 0 heads the base, the strong generators below level 0 generate
     its stabilizer, whose order is the product of the deeper orbit lengths;
@@ -137,20 +150,25 @@ def one_block_report(lat, chain, class_block) -> OneBlockReport:
     level = 1 if base(chain)[:1] == [0] else 0
     gens = strong_generators(chain, from_level=level)
     assert all(g[0] == 0 for g in gens)
-    order = 1
-    for n in fundamental_orbit_lengths(chain)[level:]:
-        order *= n
+    return gens, math.prod(fundamental_orbit_lengths(chain)[level:])
+
+
+def other_blocks_action(chain):
+    """(order, transitive) of the block-0 stabilizer on the other eight blocks."""
+    gens, _ = block0_stabilizer(chain)
     eight = [tuple(g[b] - 1 for b in range(1, 9)) for g in gens]
+    return schreier_sims(eight)[0], len(orbit_of(0, eight)) == 8
+
+
+def one_block_report(lat, chain, class_block) -> OneBlockReport:
+    """The block-0 stabilizer and its action on block 0's 15 points mod 2."""
+    gens, order = block0_stabilizer(chain)
     points = sorted(c for c, b in class_block.items() if b == 0)
     on_points = space_point_perms(lat, points, gens)
-    eight_order = schreier_sims(eight)[0]
     points_order = schreier_sims(on_points)[0]
     return OneBlockReport(
         stabilizer_order=order,
-        other_blocks_image_order=eight_order,
-        other_blocks_transitive=len(orbit_of(0, eight)) == 8,
         points_image_order=points_order,
         points_transitive=len(orbit_of(0, on_points)) == 15,
-        kernel_order_blocks=order // eight_order,
         kernel_order_points=order // points_order,
     )

@@ -168,12 +168,13 @@ def test_criterion_09_group_order_and_block_action(lat, frame_array, partition):
     _report(9, "stabilizer order 362880, image A9, kernel +-identity", elapsed, 600.0)
 
 
-def test_criterion_10_one_block_stabilizer(stab_result, class_block):
+def test_criterion_10_one_block_stabilizer(lat, frame_array, stab_result, class_block):
     t0 = time.perf_counter()
+    action = ag.block_action(lat, frame_array.rows[0][0], stab_result, class_block)
     report = ag.one_block_stabilizer_analysis(stab_result, class_block, 362880)
     elapsed = time.perf_counter() - t0
-    assert report.other_blocks_image_order == 20160
-    assert report.other_blocks_transitive
+    assert action.other_blocks_image_order == 20160
+    assert action.other_blocks_transitive
     assert report.points_image_order == 20160
     assert report.points_transitive
     _report(10, "block-0 stabilizer: 20160 transitive on 8 blocks and 15 points", elapsed, 60.0)

@@ -42,7 +42,7 @@ from e8nine.intmat import (
     transpose,
 )
 from e8nine.lattice import Lattice, enumerate_shell, inner, root_pairs
-from e8nine.permgroup import identity_perm, inverse, is_identity, mult, orbit_of, schreier_sims
+from e8nine.permgroup import identity_perm, is_identity, mult, schreier_sims
 from e8nine.spreadsearch import point_space_table
 from test_blocks import _class_table
 from test_frames import _U_THREE_TARGETS, _congruent_basis
@@ -333,9 +333,12 @@ def test_block_action_rejects_bad_kernel_premises(lat, frame_array, stab_result,
         assert (exc.value.stage, exc.value.check.expected, exc.value.check.actual) == values[name]
 
 
-def test_one_block_stabilizer(lat, stab_result, class_block, oracle_chain):
+def test_one_block_stabilizer(lat, frame_array, stab_result, class_block, oracle_chain):
     report = one_block_stabilizer_analysis(stab_result, class_block, STABILIZER_ORDER)
     assert report == oracle.one_block_report(lat, oracle_chain, class_block)
+    action = block_action(lat, frame_array.rows[0][0], stab_result, class_block)
+    eight = (action.other_blocks_image_order, action.other_blocks_transitive)
+    assert eight == oracle.other_blocks_action(oracle_chain)
     # Class B and the Gram of `_congruent_basis` put other classes in block
     # 0, and their generators map them otherwise; the oracle reads the
     # points off the roots.
@@ -350,12 +353,15 @@ def test_one_block_stabilizer(lat, stab_result, class_block, oracle_chain):
         chain = oracle.faithful_chain(state.lat, state.stab.isometries, state.stab.block_perms)
         other = one_block_stabilizer_analysis(state.stab, other_block, STABILIZER_ORDER)
         assert other == oracle.one_block_report(state.lat, chain, other_block) == report
+        other_action = block_action(state.lat, state.arr.rows[0][0], state.stab, other_block)
+        other_eight = (other_action.other_blocks_image_order, other_action.other_blocks_transitive)
+        assert other_eight == oracle.other_blocks_action(chain) == eight
     assert report.stabilizer_order == 40320
-    assert report.other_blocks_image_order == ONE_BLOCK_IMAGE_ORDER
+    assert action.other_blocks_image_order == ONE_BLOCK_IMAGE_ORDER
     assert report.points_image_order == ONE_BLOCK_IMAGE_ORDER
-    assert report.other_blocks_transitive
+    assert action.other_blocks_transitive
     assert report.points_transitive
-    assert report.kernel_order_blocks == 2
+    assert report.stabilizer_order // action.other_blocks_image_order == 2
     assert report.kernel_order_points == 2
     # |L4(2)| from its order formula equals |A8| = 8!/2.
     l42 = (2**4 - 1) * (2**4 - 2) * (2**4 - 4) * (2**4 - 8)
@@ -365,42 +371,43 @@ def test_one_block_stabilizer(lat, stab_result, class_block, oracle_chain):
     assert l42 == fact8 // 2 == ONE_BLOCK_IMAGE_ORDER
 
 
-def _eager_one_block_report(result, class_block, group_order):
-    """The one-block report with all 9 x len(gens) Schreier products formed
-    first and one `schreier_sims` per chain, transitivity read off them all."""
+def _all_schreier_points(result, class_block):
+    """Block 0's orbit length and all 9 x len(gens) Schreier generators of
+    G_0 on block 0's 15 points, formed first, in BFS order."""
     block0 = sorted(c for c, b in class_block.items() if b == 0)
     nibbles = [ag._nibble_images(matrix_mod2_rows(m)) for m in result.isometries]
     gens = list(zip(result.block_perms, nibbles))
     orbit = [0]
-    transversal = {0: (identity_perm(9), {c: i for i, c in enumerate(block0)})}
+    transversal = {0: {c: i for i, c in enumerate(block0)}}
     for b in orbit:
-        t, back = transversal[b]
+        back = transversal[b]
         for bp, (low, high) in gens:
             if bp[b] not in transversal:
                 images = (low[c & 15] ^ high[c >> 4] for c in back)
-                transversal[bp[b]] = (mult(t, bp), {c: i for i, c in enumerate(images)})
+                transversal[bp[b]] = {c: i for i, c in enumerate(images)}
                 orbit.append(bp[b])
     products = []
     for b in orbit:
-        t, points = transversal[b]
+        points = transversal[b]
         for bp, (low, high) in gens:
-            u, back = transversal[bp[b]]
-            on_points = tuple(back[low[c & 15] ^ high[c >> 4]] for c in points)
-            products.append((mult(mult(t, bp), inverse(u)), on_points))
+            back = transversal[bp[b]]
+            products.append(tuple(back[low[c & 15] ^ high[c >> 4]] for c in points))
     assert len(products) == 9 * len(gens)
-    schreier = [s for s in dict.fromkeys(products) if s != (identity_perm(9), identity_perm(15))]
-    order = group_order // len(orbit)
+    return len(orbit), products
+
+
+def _eager_one_block_report(result, class_block, group_order):
+    """The one-block report with all Schreier generators formed first and one
+    `schreier_sims`, transitivity read off them all."""
+    orbit_length, products = _all_schreier_points(result, class_block)
+    points = [s for s in dict.fromkeys(products) if s != identity_perm(15)]
+    order = group_order // orbit_length
     bound = order // 2 if result.isometries[:1] == (NEGATION,) else None
-    eight = [tuple(s[b] - 1 for b in range(1, 9)) for s, _ in schreier]
-    points = [p for _, p in schreier]
-    eight_order, points_order = schreier_sims(eight, bound)[0], schreier_sims(points, bound)[0]
+    points_order = schreier_sims(points, bound)[0]
     return ag.OneBlockReport(
         stabilizer_order=order,
-        other_blocks_image_order=eight_order,
-        other_blocks_transitive=len(orbit_of(0, eight)) == 8,
         points_image_order=points_order,
-        points_transitive=len(orbit_of(0, points)) == 15,
-        kernel_order_blocks=order // eight_order,
+        points_transitive=len(oracle.orbit_of(0, points)) == 15,
         kernel_order_points=order // points_order,
     )
 
@@ -409,17 +416,17 @@ def test_one_block_analysis_forms_pairs_only_while_a_chain_takes_them(
     lat, stab_result, class_block, monkeypatch
 ):
     # The analysis equals the eager reference on classes A and B, and with
-    # generator 0 (-1) dropped, where no bound applies and every pair is fed.
-    # Class A forms 20 of its 45 pairs.
+    # generator 0 (-1) dropped, where no bound applies and every Schreier
+    # generator is fed. Class A forms 20 of its 45.
     formed = []
-    real = ag._schreier_pairs
+    real = ag._schreier_points
 
     def counted(*args):
-        for pair in real(*args):
-            formed.append(pair)
-            yield pair
+        for s in real(*args):
+            formed.append(s)
+            yield s
 
-    monkeypatch.setattr(ag, "_schreier_pairs", counted)
+    monkeypatch.setattr(ag, "_schreier_points", counted)
     state_b = cli.run_pipeline(SpaceClass.CLASS_B)
     without_negation = _with(
         stab_result, isometries=stab_result.isometries[1:], block_perms=stab_result.block_perms[1:]
@@ -440,6 +447,46 @@ def test_one_block_analysis_forms_pairs_only_while_a_chain_takes_them(
     assert counts["A without -1"] == 9 * (len(stab_result.isometries) - 1)
 
 
+def test_orbit_lengths_at_a_proved_bound_are_exact(stab_result, class_block):
+    # A chain stopped at its proved bound reports the orbit lengths of the
+    # unbounded chain: on the block permutations of classes A and B (bound
+    # |A9|) and on the 15-point Schreier generators of class A (bound 20160).
+    state_b = cli.run_pipeline(SpaceClass.CLASS_B)
+    _, on_points = _all_schreier_points(stab_result, class_block)
+    cases = (
+        (list(stab_result.block_perms), BLOCK_IMAGE_ORDER),
+        (list(state_b.stab.block_perms), BLOCK_IMAGE_ORDER),
+        (on_points, ONE_BLOCK_IMAGE_ORDER),
+    )
+    for gens, bound in cases:
+        order, stopped = schreier_sims(gens, bound)
+        assert stopped._done and order == bound
+        assert stopped.orbit_lengths() == schreier_sims(gens)[1].orbit_lengths()
+
+
+def test_block_action_reads_the_other_eight_blocks_off_its_chain(
+    lat, frame_array, stab_result, class_block
+):
+    # The block-0 stabilizer's image on the other eight blocks, on block
+    # permutations whose matrices are never read here: a 9-cycle's fixes
+    # only the identity; generators 1 and 2 fix block 0 and act as the
+    # faithful oracle chain reads them; the certified generators give A8.
+    f0 = frame_array.rows[0][0]
+    cycle = tuple(range(1, 9)) + (0,)
+    fixing = (NEGATION,) + stab_result.isometries[1:3]
+    fixing_perms = (identity_perm(9),) + stab_result.block_perms[1:3]
+    chain = oracle.faithful_chain(lat, fixing, fixing_perms)
+    cases = (
+        (_with(stab_result, block_perms=(identity_perm(9), cycle)), (1, False)),
+        (_with(stab_result, block_perms=fixing_perms), oracle.other_blocks_action(chain)),
+        (stab_result, (ONE_BLOCK_IMAGE_ORDER, True)),
+    )
+    assert cases[1][1] == (4, False)
+    for result, want in cases:
+        action = block_action(lat, f0, result, class_block)
+        assert (action.other_blocks_image_order, action.other_blocks_transitive) == want
+
+
 def test_orderings_match_the_bit_by_bit_definition():
     getters = ag._orderings()
     assert sorted(getters) == sorted(itertools.permutations(range(4)))
@@ -448,10 +495,11 @@ def test_orderings_match_the_bit_by_bit_definition():
         assert getter(range(16)) == want
 
 
-def test_one_block_analysis_reads_its_generators(lat, stab_result, class_block):
+def test_one_block_analysis_reads_its_generators(lat, frame_array, stab_result, class_block):
     # Generators 1 and 2 fix block 0 and generate a group of order 4 that
-    # does not hold -1; with -1 the group has order 8. The analysis must
-    # report that subgroup as the faithful oracle chain reads it.
+    # does not hold -1; with -1 the group has order 8. The analysis and the
+    # block action must report that subgroup as the faithful oracle chain
+    # reads it.
     isos = (NEGATION,) + stab_result.isometries[1:3]
     bps = (identity_perm(9),) + stab_result.block_perms[1:3]
     assert all(bp[0] == 0 for bp in bps)
@@ -462,13 +510,16 @@ def test_one_block_analysis_reads_its_generators(lat, stab_result, class_block):
     partial = _with(stab_result, isometries=isos, block_perms=bps)
     report = one_block_stabilizer_analysis(partial, class_block, chain.order())
     assert report == oracle.one_block_report(lat, chain, class_block)
+    action = block_action(lat, frame_array.rows[0][0], partial, class_block)
+    eight = (action.other_blocks_image_order, action.other_blocks_transitive)
+    assert eight == oracle.other_blocks_action(chain)
     assert report.stabilizer_order == 8
-    assert report.other_blocks_image_order == report.points_image_order == 4
-    assert not report.other_blocks_transitive
+    assert action.other_blocks_image_order == report.points_image_order == 4
+    assert not action.other_blocks_transitive
     assert not report.points_transitive
 
 
-def test_one_block_analysis_without_negation_is_exact(lat, stab_result, class_block):
+def test_one_block_analysis_without_negation_is_exact(lat, frame_array, stab_result, class_block):
     # Without -1 as generator 0 the kernels need not hold -1, so no bound of
     # |G_0| / 2 applies: generators 1 and 2 alone generate a group of order 4
     # that acts faithfully on both, and both images must have order 4.
@@ -478,8 +529,12 @@ def test_one_block_analysis_without_negation_is_exact(lat, stab_result, class_bl
     partial = _with(stab_result, isometries=isos, block_perms=bps)
     report = one_block_stabilizer_analysis(partial, class_block, chain.order())
     assert report == oracle.one_block_report(lat, chain, class_block)
-    assert report.other_blocks_image_order == report.points_image_order == 4
-    assert report.kernel_order_blocks == report.kernel_order_points == 1
+    action = block_action(lat, frame_array.rows[0][0], partial, class_block)
+    eight = (action.other_blocks_image_order, action.other_blocks_transitive)
+    assert eight == oracle.other_blocks_action(chain)
+    assert action.other_blocks_image_order == report.points_image_order == 4
+    assert report.stabilizer_order // action.other_blocks_image_order == 1
+    assert report.kernel_order_points == 1
 
 
 def test_group_stage_builds_only_the_rows_of_the_frames_it_searches(
@@ -978,7 +1033,7 @@ def _carried_frame(lat, u_inv, other, frame):
     """The frame's root pairs on the congruent Gram U G U^T of `other`: a
     vector with standard coordinates r has coordinates r U^-1 there, so the
     pairs are looked up by canonical rep, the larger of +-r U^-1."""
-    ids = {p.rep: p.id for p in root_pairs(other)}
+    ids = {r: a for a, r in enumerate(root_pairs(other))}
     carried = (row_times_mat(r, u_inv) for r in frame_reps(lat, frame))
     roots = sorted(ids[max(r, tuple(-x for x in r))] for r in carried)
     return Frame(roots=tuple(roots), source=frame.source)

@@ -417,7 +417,7 @@ def test_certify_d8_glue_matches_matrix_product_reference(lat, partition, frame_
         (_swap_pair(b0, out, into), frame) for into in b1.vectors if into > neg(into)
     ]
     assert len(cases) == 120
-    r0 = root_pairs(lat)[frame.roots[0]].rep
+    r0 = root_pairs(lat)[frame.roots[0]]
     kept = [v for v in b0.vectors if v != _glue(lat, b0, frame)[0]]
     for k in (2, 1, 4, 5):
         planted = tuple(k * x for x in r0)
@@ -436,7 +436,7 @@ def test_certify_d8_glue_rejects_d8_vector_among_glue(lat, partition, frame_arra
     # and each fails the +-1/2 check.
     b0 = partition.blocks[0]
     frame = frame_array.rows[0][0]
-    r0 = root_pairs(lat)[frame.roots[0]].rep
+    r0 = root_pairs(lat)[frame.roots[0]]
     to_frame = _to_frame(lat, frame_reps(lat, frame))
     dropped = _glue(lat, b0, frame)[0]
     kept = [v for v in b0.vectors if v != dropped]

@@ -73,7 +73,7 @@ def test_frame_construction_invariants(lat, ft, census, spread):
     for j, w in enumerate(three_spaces(v)):
         f = frame_from_3space(ft, census.pair_of_class, v, w, source=(0, j))
         assert len(f.roots) == 8
-        reps = [pairs[i].rep for i in f.roots]
+        reps = [pairs[i] for i in f.roots]
         for a, b in itertools.combinations(reps, 2):
             assert inner(lat, a, b) == 0
             s = tuple(x + y for x, y in zip(a, b))
@@ -190,7 +190,7 @@ def _reference_pair_combinations(gram):
     """T, and each orthogonal pair a < b -> r_a + r_b, r_a - r_b, -r_a + r_b,
     -r_a - r_b, by tuple arithmetic, as before the integer code."""
     lat = Lattice(gram=gram)
-    reps = [p.rep for p in root_pairs(lat)]
+    reps = root_pairs(lat)
     t = [[0] * len(reps) for _ in reps]
     combos = {}
     for a, ga in enumerate(row_times_mat(r, gram) for r in reps):
@@ -248,7 +248,7 @@ def test_code_base_comes_from_the_shells(lat):
     for gram in _kernel_grams(lat):
         other = Lattice(gram=gram)
         weights = _code_weights(other)
-        reps = [p.rep for p in root_pairs(other)]
+        reps = root_pairs(other)
         vectors = set(enumerate_shell(other, 4))
         pairs = itertools.combinations(reps, 2)
         vectors.update(tuple(map(op, ra, rb)) for ra, rb in pairs for op in (add, sub))
@@ -283,7 +283,7 @@ def test_frame_combinations_raise_on_a_sum_off_the_shell(lat, monkeypatch):
 
 def _reference_orthogonal_pair_census(lat, arr):
     """The census by 7140 dot products r_a G . r_b, as it was before it read T."""
-    reps = [p.rep for p in root_pairs(lat)]
+    reps = root_pairs(lat)
     rg = [row_times_mat(r, lat.gram) for r in reps]
     per_pair = [0] * len(reps)
     total = 0
@@ -354,7 +354,7 @@ def test_frame_combinations_match_arithmetic_reference(lat, frame_array):
 def test_gram_rows_give_every_inner_product(lat):
     for gram in _congruent_grams(lat):
         other = Lattice(gram=gram)
-        reps = [p.rep for p in root_pairs(other)]
+        reps = root_pairs(other)
         pair_gram = root_pair_gram(other)
         for a, b in itertools.product(range(120), repeat=2):
             assert pair_gram[a][b] == inner(other, reps[a], reps[b])
@@ -376,7 +376,7 @@ def test_verify_frame_array_rejects_non_orthogonal_frame(lat, frame_array):
     row[0] = f0._replace(roots=(f1.roots[0],) + f0.roots[1:])
     row[1] = f1._replace(roots=(f0.roots[0],) + f1.roots[1:])
     bad = FrameArray(rows=(tuple(row),) + frame_array.rows[1:])
-    reps = [p.rep for p in root_pairs(lat)]
+    reps = root_pairs(lat)
     expected = [
         (0, b)
         for b in range(1, 8)
@@ -390,8 +390,8 @@ def test_verify_frame_array_rejects_non_orthogonal_frame(lat, frame_array):
 
 
 def test_both_signs_reduce_to_same_class(lat):
-    for p in root_pairs(lat)[:20]:
-        assert reduce_mod2(p.rep) == reduce_mod2(tuple(-x for x in p.rep))
+    for r in root_pairs(lat)[:20]:
+        assert reduce_mod2(r) == reduce_mod2(tuple(-x for x in r))
 
 
 def test_verify_frame_array(lat, frame_array):

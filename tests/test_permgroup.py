@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from chain_oracle import base, fundamental_orbit_lengths, strong_generators
+from chain_oracle import base, fundamental_orbit_lengths, orbit_of, strong_generators
 from e8nine.permgroup import (
     StabChain,
     check_perm,
@@ -15,7 +15,6 @@ from e8nine.permgroup import (
     inverse,
     is_identity,
     mult,
-    orbit_of,
     perm_parity,
     schreier_sims,
 )

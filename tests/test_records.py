@@ -15,7 +15,7 @@ from e8nine.blocks import Norm4Block, Norm4Partition
 from e8nine.certs import Check
 from e8nine.frames import Frame, FrameArray, PairCensus
 from e8nine.gf2 import F2Subspace, FormTable, Mod2Census
-from e8nine.lattice import Lattice, RootPair, build_lattice
+from e8nine.lattice import Lattice, build_lattice
 from e8nine.spreadsearch import Spread
 
 # Standard-library modules that each cost milliseconds to import and that no
@@ -34,7 +34,6 @@ print(" ".join(sorted(set(sys.modules) - before)))
 IMMUTABLE_RECORDS = (
     Check,
     Lattice,
-    RootPair,
     FormTable,
     F2Subspace,
     Mod2Census,
