@@ -153,10 +153,9 @@ def stage_frames(state: PipelineState) -> Certificate:
         {63},
         set(census.per_pair_orthogonal_counts),
     )
-    cb.check("norm-4 vectors reached", 2160, len(census.norm4_multiplicities))
-    cb.check(
-        "derivations per norm-4 vector", {7}, set(census.norm4_multiplicities.values())
-    )
+    mult = census.norm4_code_multiplicities
+    cb.check("norm-4 vectors reached", 2160, len(mult))
+    cb.check("derivations per norm-4 vector", {7}, set(mult.values()))
     return cb
 
 

@@ -12,13 +12,13 @@ digits decoded in C by one byte translation and a signed-byte view. The
 root-pair Gram T is that read for each rep, cached row by row
 (`root_pair_gram_row`): the frame search of `autgroup` reads a frame's
 eight rows, as does the tests' oracle for the D8-plus-glue presentation,
-`blocks.certify_d8_glue`, and the frame-array checker, `frame_codes` and
-`blocks.frames_outside_blocks` read all 120 (`root_pair_gram`). A norm-4
-vector is named by one integer code, linear in the vector (`norm4_codes`),
-so a frame's 112 vectors +-r_a +-r_b are the codes c_a +- c_b of its reps
-(`frame_codes`). The pair census is their one reader: it tallies them as
-integers and maps each back to the shell. These tables take the `Lattice`
-and are cached per lattice (equal Grams share one entry).
+`blocks.certify_d8_glue`, and the frame-array checker, the pair census and
+`blocks.frames_outside_blocks` read all 120 (`root_pair_gram`). Each rep has
+one integer code, linear in the vector, whose base comes from the root shell
+(`root_pair_codes`). The pair census tallies a frame's vectors +-r_a +-r_b
+as the codes c_a +- c_b, one code per vector, and reads no norm-4 shell.
+These tables take the `Lattice` and are cached per lattice (equal Grams
+share one entry).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .gf2 import (
     span_elements,
 )
 from .intmat import Mat, Vec
-from .lattice import Lattice, enumerate_shell, root_pairs
+from .lattice import Lattice, root_pairs
 
 
 class Frame(NamedTuple):
@@ -97,20 +97,6 @@ def frame_from_3space(
     return Frame(roots=tuple(sorted(pair_of_class[c] for c in aniso)), source=source)
 
 
-def _code_weights(lat: Lattice) -> Vec:
-    """Weights B^0..B^7 of the integer code of `norm4_codes`: code(v) = sum v_i B^i.
-
-    B = 2M + 1, with M the largest |coordinate| in the norm-4 shell and in 2r
-    for every root r; these bound the shell and every sum r_a +- r_b. Two
-    vectors with coordinates in [-M, M] differ by at most 2M < B in each
-    coordinate, so equal codes mean equal vectors. Both shells are closed
-    under negation, so their largest coordinate is their largest |coordinate|.
-    """
-    shell2, shell4 = enumerate_shell(lat, 2), enumerate_shell(lat, 4)
-    base = 2 * max(max(map(max, shell4)), 2 * max(map(max, shell2))) + 1
-    return tuple(base**i for i in range(8))
-
-
 # Byte d, a digit 0..4 of `root_pair_products`, becomes the signed byte d - 2.
 _SIGNED_DIGIT = bytes(range(254, 256)) + bytes(range(254))
 
@@ -158,41 +144,24 @@ def root_pair_gram(lat: Lattice) -> Mat:
 
 
 @lru_cache(maxsize=None)
-def norm4_codes(lat: Lattice) -> tuple[tuple[int, ...], dict[int, Vec]]:
-    """The code of each root-pair rep, and each norm-4 vector by its code.
+def root_pair_codes(lat: Lattice) -> tuple[int, tuple[int, ...]]:
+    """The base B and the code c_a = sum_i r_a[i] B^i of each root-pair rep.
 
-    The code of `_code_weights` is linear, so r_a +- r_b has code
-    code(r_a) +- code(r_b), and its base makes a code name at most one
-    vector within the bounds of the shell and of every sum r_a +- r_b: a sum
-    off the shell is no key. The map holds the shell's own tuples, one
-    object per vector.
+    B = 4M + 1, with M the largest |coordinate| of a rep (the roots are the
+    reps and their negatives). Every r_a +- r_b has coordinates within 2M,
+    so two of them differ by at most 4M < B in each coordinate: the code,
+    which is linear, names each r_a +- r_b once, as c_a +- c_b. On an E8
+    Gram every norm-4 vector is such a sum.
     """
-    weights = _code_weights(lat)
-    by_code = {sum(map(mul, v, weights)): v for v in enumerate_shell(lat, 4)}
-    return tuple(sum(map(mul, r, weights)) for r in root_pairs(lat)), by_code
+    reps = root_pairs(lat)
+    base = 4 * max(max(map(abs, r)) for r in reps) + 1
+    weights = [base**i for i in range(8)]
+    return base, tuple(sum(map(mul, r, weights)) for r in reps)
 
 
 def frame_reps(lat: Lattice, frame: Frame) -> list[Vec]:
     reps = root_pairs(lat)
     return [reps[i] for i in frame.roots]
-
-
-def frame_codes(lat: Lattice, frame: Frame) -> list[int]:
-    """The 112 codes c_a + c_b, c_a - c_b, c_b - c_a, -c_a - c_b (`norm4_codes`).
-
-    Those of r_a + r_b, r_a - r_b, -r_a + r_b, -r_a - r_b, for each pair a < b
-    in the frame's id order, which is sorted (`Frame.roots`;
-    `serial.parse_frames` rejects any other). A pair with T[a][b] != 0 adds
-    none: +-ra +-rb has norm 4 only when ra . rb = 0.
-    """
-    codes = norm4_codes(lat)[0]
-    pair_gram = root_pair_gram(lat)
-    out = []
-    for a, b in combinations(frame.roots, 2):
-        if not pair_gram[a][b]:
-            ca, cb = codes[a], codes[b]
-            out += ca + cb, ca - cb, cb - ca, -ca - cb
-    return out
 
 
 def build_frame_array(ft: FormTable, census: Mod2Census, spread) -> FrameArray:
@@ -211,7 +180,7 @@ def build_frame_array(ft: FormTable, census: Mod2Census, spread) -> FrameArray:
 class PairCensus(NamedTuple):
     orthogonal_pair_count: int
     per_pair_orthogonal_counts: tuple[int, ...]
-    norm4_multiplicities: Counter[Vec]
+    norm4_code_multiplicities: Counter[int]  # keyed by the codes of `root_pair_codes`
 
 
 def orthogonal_pair_census(lat: Lattice, arr: FrameArray) -> PairCensus:
@@ -219,18 +188,27 @@ def orthogonal_pair_census(lat: Lattice, arr: FrameArray) -> PairCensus:
 
     The orthogonal mates of pair a are the zeros of row a of the root-pair
     Gram T (T[a][a] = 2); each unordered pair is counted from both ends.
-    Every orthogonal pair {a, b} gives four norm-4 vectors +-ra +-rb; their
-    codes (`frame_codes`) are tallied over the 135 frames, and each tallied
-    code is mapped back to its norm-4 vector, so a code off the shell raises
-    KeyError. Each norm-4 vector of the lattice must arise seven times.
+    Each pair a, b of a frame with T[a][b] = 0 gives four vectors +-r_a +-r_b
+    of norm 2 + 2 = 4, tallied over the 135 frames by their codes
+    c_a +- c_b (`root_pair_codes`), one code per vector. So the distinct
+    codes count the norm-4 vectors reached, out of the 2160 that the lattice
+    stage finds, and each must arise seven times. Equal vectors have equal
+    codes, so 2160 distinct codes alone prove the whole shell reached, one
+    vector per code, whatever the base; the base lets the count reach 2160.
     """
-    per_pair = [row.count(0) for row in root_pair_gram(lat)]
-    tally = Counter(chain.from_iterable(frame_codes(lat, f) for row in arr.rows for f in row))
-    by_code = norm4_codes(lat)[1]
+    pair_gram = root_pair_gram(lat)
+    codes = root_pair_codes(lat)[1]
+    sums = []
+    for f in chain.from_iterable(arr.rows):
+        for a, b in combinations(f.roots, 2):
+            if not pair_gram[a][b]:
+                ca, cb = codes[a], codes[b]
+                sums += ca + cb, ca - cb, cb - ca, -ca - cb
+    per_pair = [row.count(0) for row in pair_gram]
     return PairCensus(
         orthogonal_pair_count=sum(per_pair) // 2,
         per_pair_orthogonal_counts=tuple(per_pair),
-        norm4_multiplicities=Counter({by_code[c]: m for c, m in tally.items()}),
+        norm4_code_multiplicities=Counter(sums),
     )
 
 

@@ -121,8 +121,8 @@ def test_criterion_06_frame_array(lat, ft, census, spread):
     for row in arr.rows:
         assert sorted(pid for f in row for pid in f.roots) == list(range(120))
     assert pair_census.orthogonal_pair_count == 3780
-    assert set(pair_census.norm4_multiplicities.values()) == {7}
-    assert len(pair_census.norm4_multiplicities) == 2160
+    assert set(pair_census.norm4_code_multiplicities.values()) == {7}
+    assert len(pair_census.norm4_code_multiplicities) == 2160
     _report(6, "9 x 15 frame array, rows cover 120, 3780 pairs, 7-fold", elapsed, 10.0)
 
 

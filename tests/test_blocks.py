@@ -22,8 +22,8 @@ from e8nine.certs import Certificate, CheckFailure
 from e8nine.frames import (
     Frame,
     FrameArray,
-    _code_weights,
     frame_reps,
+    root_pair_codes,
     verify_frame_array,
 )
 from e8nine.gf2 import F2Subspace, nonzero_elements, reduce_mod2, rref
@@ -464,8 +464,8 @@ def test_an_off_shell_alias_partition_is_rejected_by_name(lat, frame_array, part
     b0 = partition.blocks[0]
     v = frame_combinations(lat, frame_array.rows[0][0])[0]
     alias = (25, -1, 0, 1, 2, 1, 0, 0)
-    weights = _code_weights(lat)
-    assert weights[1] == 25 and alias == (v[0] + 25, v[1] - 1) + v[2:]
+    assert root_pair_codes(lat)[0] == 25 and alias == (v[0] + 25, v[1] - 1) + v[2:]
+    weights = tuple(25**i for i in range(8))
     assert sum(map(mul, alias, weights)) == sum(map(mul, v, weights))
     assert alias not in norm4_set(lat)
     vectors = tuple(alias if u == v else u for u in b0.vectors)

@@ -1,22 +1,21 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from functools import lru_cache
 from operator import add, mul, neg, sub
 
 import pytest
 
-from e8nine import frames
+from e8nine import cli, gf2
 from e8nine.certs import CheckFailure
 from e8nine.frames import (
     Frame,
     FrameArray,
-    PairCensus,
-    _code_weights,
-    frame_codes,
     frame_from_3space,
     frame_reps,
-    norm4_codes,
     orthogonal_pair_census,
+    root_pair_codes,
     root_pair_gram,
     root_pair_gram_row,
     root_pair_products,
@@ -28,9 +27,42 @@ from e8nine.intmat import identity, mat_mul, row_times_mat, transpose
 from e8nine.lattice import Lattice, enumerate_shell, inner, norm, root_pairs
 
 
+def decode(lat, code):
+    """The vector of a code of `root_pair_codes`: its balanced base-B digits."""
+    base = root_pair_codes(lat)[0]
+    half = base // 2
+    digits = []
+    for _ in range(8):
+        digit = (code + half) % base - half
+        digits.append(digit)
+        code = (code - digit) // base
+    assert code == 0, "code out of range"
+    return tuple(digits)
+
+
+def census_vectors(lat, census):
+    """The census's derivation multiplicities keyed by vector (`decode`)."""
+    return Counter({decode(lat, c): m for c, m in census.norm4_code_multiplicities.items()})
+
+
 def frame_combinations(lat, frame):
-    """The vectors of `frame_codes`, in order; a code off the shell raises KeyError."""
-    return list(map(norm4_codes(lat)[1].__getitem__, frame_codes(lat, frame)))
+    """r_a + r_b, r_a - r_b, -r_a + r_b, -r_a - r_b for each pair a < b of
+    the frame with T[a][b] = 0, decoded from the codes c_a +- c_b."""
+    return list(_frame_combinations(lat, frame))
+
+
+@lru_cache(maxsize=None)
+def _frame_combinations(lat, frame):
+    """`frame_combinations`, decoded once per frame: the tests that trade
+    pairs between frames read the same frames many times."""
+    codes = root_pair_codes(lat)[1]
+    pair_gram = root_pair_gram(lat)
+    out = []
+    for a, b in itertools.combinations(frame.roots, 2):
+        if not pair_gram[a][b]:
+            ca, cb = codes[a], codes[b]
+            out += (decode(lat, c) for c in (ca + cb, ca - cb, cb - ca, -ca - cb))
+    return tuple(out)
 
 
 def test_three_spaces_count_and_membership(spread):
@@ -147,8 +179,19 @@ def test_orthogonal_pair_census(lat, frame_array):
     census = orthogonal_pair_census(lat, frame_array)
     assert census.orthogonal_pair_count == 3780
     assert set(census.per_pair_orthogonal_counts) == {63}
-    assert len(census.norm4_multiplicities) == 2160
-    assert set(census.norm4_multiplicities.values()) == {7}
+    assert len(census.norm4_code_multiplicities) == 2160
+    assert set(census.norm4_code_multiplicities.values()) == {7}
+
+
+@pytest.mark.parametrize("class_label", [gf2.SpaceClass.CLASS_A, gf2.SpaceClass.CLASS_B])
+def test_census_codes_decode_to_each_norm4_vector_seven_times(lat, class_label):
+    # The census reads no norm-4 shell: its codes, decoded, must be the shell
+    # itself, each vector derived from seven frame pairs, on every Gram.
+    for gram in _kernel_grams(lat):
+        state = cli.run_pipeline(class_label, gram_override=gram, upto="frames")
+        vectors = census_vectors(state.lat, orthogonal_pair_census(state.lat, state.arr))
+        assert sorted(vectors) == enumerate_shell(state.lat, 4)
+        assert set(vectors.values()) == {7}
 
 
 def _congruent_basis():
@@ -204,21 +247,21 @@ def _reference_pair_combinations(gram):
     return tuple(map(tuple, t)), combos
 
 
-def test_norm4_codes_match_tuple_arithmetic_reference(lat):
+def test_root_pair_codes_match_tuple_arithmetic_reference(lat):
     for gram in _kernel_grams(lat):
-        codes, by_code = norm4_codes(Lattice(gram=gram))
-        assert norm4_codes(Lattice(gram=gram)) is norm4_codes(Lattice(gram=gram))
-        # One entry per norm-4 vector: the shell's own tuples, never a new sum.
-        shell4 = enumerate_shell(Lattice(gram=gram), 4)
-        assert len(codes) == 120 and len(by_code) == 2160
-        assert {id(v) for v in by_code.values()} == {id(v) for v in shell4}
+        other = Lattice(gram=gram)
+        codes = root_pair_codes(other)[1]
+        assert root_pair_codes(Lattice(gram=gram)) is root_pair_codes(other)
+        assert [decode(other, c) for c in codes] == list(root_pairs(other))
+        shell4 = set(enumerate_shell(other, 4))
         pair_gram, want = _reference_pair_combinations(gram)
-        assert root_pair_gram(Lattice(gram=gram)) == pair_gram  # the T that picks the pairs
+        assert root_pair_gram(other) == pair_gram  # the T that picks the pairs
         assert len(want) == 3780
         for (a, b), vectors in want.items():
             ca, cb = codes[a], codes[b]
-            got = by_code[ca + cb], by_code[ca - cb], by_code[cb - ca], by_code[-ca - cb]
+            got = tuple(decode(other, c) for c in (ca + cb, ca - cb, cb - ca, -ca - cb))
             assert got == vectors
+            assert shell4.issuperset(vectors)
 
 
 def test_root_pair_gram_is_the_tuple_of_its_cached_rows(lat):
@@ -233,56 +276,51 @@ def test_root_pair_gram_is_the_tuple_of_its_cached_rows(lat):
 
 
 def test_code_base_comes_from_the_shells(lat):
-    # B = 2M + 1, M the larger of the norm-4 shell's largest coordinate and
-    # twice the roots': (10, 6), (25, 15) and (17, 11) on the three Grams.
-    assert [_code_weights(Lattice(gram=g))[1] for g in _kernel_grams(lat)] == [25, 61, 45]
+    # B = 4M + 1, M the roots' largest |coordinate|: 6, 15 and 11 on the
+    # three Grams. Every norm-4 vector is a sum of two roots, so B is also
+    # 2M' + 1 with M' the larger of the norm-4 shell's largest coordinate and
+    # twice the roots' (10, 25 and 17 against 12, 30 and 22).
+    bases = [root_pair_codes(Lattice(gram=g))[0] for g in _kernel_grams(lat)]
+    assert bases == [25, 61, 45]
+    for gram, base in zip(_kernel_grams(lat), bases):
+        other = Lattice(gram=gram)
+        top2 = max(map(max, enumerate_shell(other, 2)))
+        top4 = max(map(max, enumerate_shell(other, 4)))
+        assert base == 4 * top2 + 1 == 2 * max(top4, 2 * top2) + 1
     # Base 16 gives (10, 0, ..) and (-6, 1, 0, ..) one code, and the standard
     # norm-4 shell reaches 10.
     assert max(map(max, enumerate_shell(lat, 4))) == 10
     ten, minus_six = (10,) + (0,) * 7, (-6, 1) + (0,) * 6
     base16 = tuple(16**i for i in range(8))
     assert sum(map(mul, ten, base16)) == sum(map(mul, minus_six, base16))
-    weights = _code_weights(lat)
+    weights = tuple(25**i for i in range(8))
     assert sum(map(mul, ten, weights)) != sum(map(mul, minus_six, weights))
-    # One code per vector among the shell and every sum r_a +- r_b.
-    for gram in _kernel_grams(lat):
+    # The codes are linear, with one vector per code among every +-r_a +-r_b.
+    for gram, base in zip(_kernel_grams(lat), bases):
         other = Lattice(gram=gram)
-        weights = _code_weights(other)
-        reps = root_pairs(other)
-        vectors = set(enumerate_shell(other, 4))
-        pairs = itertools.combinations(reps, 2)
-        vectors.update(tuple(map(op, ra, rb)) for ra, rb in pairs for op in (add, sub))
-        assert len({sum(map(mul, v, weights)) for v in vectors}) == len(vectors)
+        reps, codes = root_pairs(other), root_pair_codes(other)[1]
+        weights = tuple(base**i for i in range(8))
+        assert codes == tuple(sum(map(mul, r, weights)) for r in reps)
+        by_code = {}
+        for a, b in itertools.combinations(range(120), 2):
+            for sa, sb in itertools.product((1, -1), repeat=2):
+                v = tuple(sa * x + sb * y for x, y in zip(reps[a], reps[b]))
+                assert by_code.setdefault(sa * codes[a] + sb * codes[b], v) == v
 
 
-def test_frame_combinations_raise_on_a_sum_off_the_shell(lat, monkeypatch):
+def test_a_frame_of_every_pair_gives_the_array_census(lat, frame_array):
     # A "frame" of all 120 ids meets every orthogonal pair, so its
-    # combinations are the 3780 pairs' four vectors each.
-    gram = _congruent_grams(lat)[1]
-    other = Lattice(gram=gram)
+    # combinations are the 3780 pairs' four vectors each. Each orthogonal pair
+    # lies in exactly one of the 135 frames, so it tallies as the array does.
     every_pair = Frame(roots=tuple(range(120)), source=(-1, -1))
-    assert len(frame_combinations(other, every_pair)) == 4 * 3780
-    # Drop one norm-4 vector from the shell that the code map reads.
-    shell4 = enumerate_shell(other, 4)
-    short = shell4[:7] + shell4[8:]
-    monkeypatch.setattr(
-        frames, "enumerate_shell", lambda o, n: short if n == 4 else enumerate_shell(o, n)
-    )
-    # Drop the cached map so the call rebuilds it short, and drop the short
-    # map again afterwards.
-    frames.norm4_codes.cache_clear()
-    try:
-        with pytest.raises(KeyError):
-            frame_combinations(other, every_pair)
-        # The census tallies codes, and maps each back to the shell.
-        with pytest.raises(KeyError):
-            orthogonal_pair_census(other, FrameArray(rows=((every_pair,),)))
-    finally:
-        frames.norm4_codes.cache_clear()
+    assert len(frame_combinations(lat, every_pair)) == 4 * 3780
+    census = orthogonal_pair_census(lat, FrameArray(rows=((every_pair,),)))
+    assert census == orthogonal_pair_census(lat, frame_array)
 
 
 def _reference_orthogonal_pair_census(lat, arr):
-    """The census by 7140 dot products r_a G . r_b, as it was before it read T."""
+    """The census by 7140 dot products r_a G . r_b, as it was before it read T,
+    with its vectors +-r_a +-r_b summed coordinate by coordinate."""
     reps = root_pairs(lat)
     rg = [row_times_mat(r, lat.gram) for r in reps]
     per_pair = [0] * len(reps)
@@ -293,23 +331,25 @@ def _reference_orthogonal_pair_census(lat, arr):
                 per_pair[a] += 1
                 per_pair[b] += 1
                 total += 1
-    mult = {}
+    mult = Counter()
     for row in arr.rows:
         for f in row:
-            for v in frame_combinations(lat, f):
-                mult[v] = mult.get(v, 0) + 1
-    return PairCensus(
-        orthogonal_pair_count=total,
-        per_pair_orthogonal_counts=tuple(per_pair),
-        norm4_multiplicities=mult,
-    )
+            for a, b in itertools.combinations(f.roots, 2):
+                ra, rb = reps[a], reps[b]
+                if not sum(map(mul, rg[a], rb)):
+                    plus, minus = tuple(map(add, ra, rb)), tuple(map(sub, ra, rb))
+                    mult.update((plus, minus, tuple(map(neg, minus)), tuple(map(neg, plus))))
+    return total, tuple(per_pair), mult
 
 
 def test_orthogonal_pair_census_matches_dot_product_reference(lat, frame_array):
     for gram in _congruent_grams(lat):
         other = Lattice(gram=gram)
         census = orthogonal_pair_census(other, frame_array)
-        assert census == _reference_orthogonal_pair_census(other, frame_array)
+        got = census.orthogonal_pair_count, census.per_pair_orthogonal_counts
+        assert got + (census_vectors(other, census),) == _reference_orthogonal_pair_census(
+            other, frame_array
+        )
         assert census.orthogonal_pair_count == 3780
 
 

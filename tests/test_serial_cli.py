@@ -700,7 +700,7 @@ def _cached_tables():
         "frames._packed_gram": frames._packed_gram,
         "frames.root_pair_gram_row": frames.root_pair_gram_row,
         "frames.root_pair_gram": frames.root_pair_gram,
-        "frames.norm4_codes": frames.norm4_codes,
+        "frames.root_pair_codes": frames.root_pair_codes,
         "autgroup._orderings": ag._orderings,
     }
 
@@ -708,7 +708,7 @@ def _cached_tables():
 def test_certify_and_verify_build_each_per_lattice_table_once(tmp_path, capsys):
     # One Lattice is built per run, so each table is built once (120 rows of
     # the root-pair Gram T). verify runs no frame search and builds no
-    # partition or pair census: no norm-4 codes, norm-4 classes or orderings.
+    # partition or pair census: no root-pair codes, norm-4 classes or orderings.
     tables = _cached_tables()
     once = dict.fromkeys(tables, 1) | {"frames.root_pair_gram_row": 120}
     for table in tables.values():
@@ -721,7 +721,7 @@ def test_certify_and_verify_build_each_per_lattice_table_once(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["verify"] + sorted(str(p) for p in out.iterdir())) == 0
     assert len(capsys.readouterr().out.splitlines()) == 9
-    unbuilt = {"frames.norm4_codes": 0, "gf2.norm4_classes": 0, "autgroup._orderings": 0}
+    unbuilt = {"frames.root_pair_codes": 0, "gf2.norm4_classes": 0, "autgroup._orderings": 0}
     assert {name: t.cache_info().misses for name, t in tables.items()} == once | unbuilt
 
 
